@@ -131,14 +131,14 @@ var dropoutSeedCounter atomic.Uint64
 //
 // NOTE: the mask is drawn per Forward call and recorded in the scratch, so
 // Backward must be called before the next Forward on the same workspace —
-// the invariant the Network training loop maintains. Evaluation paths
-// (Loss/Accuracy) run Forward only, which draws masks too; for faithful
-// eval-time behaviour set Eval to true on a copy of the layer or keep
-// dropout out of evaluation networks.
+// the invariant the Network training loop maintains. Inside a Network the
+// mode follows the entry point: the gradient passes (LossGrad,
+// BatchLossGrad) mask, every inference and evaluation pass (Forward*,
+// Evaluate, Loss, Accuracy) is the identity.
 type Dropout struct {
 	Dim  int
 	Rate float64
-	// Eval disables masking (identity) for inference-time use.
+	// Eval disables masking (identity) in the gradient passes too.
 	Eval bool
 }
 
@@ -158,6 +158,14 @@ func (d *Dropout) Name() string    { return fmt.Sprintf("Dropout(%d,%.2f)", d.Di
 type dropoutScratch struct {
 	rnd  *rng.Rand
 	mask []bool
+	// eval is the owning Network's mode switch (setDropoutEval); a scratch
+	// used directly on the layer masks.
+	eval bool
+}
+
+// identity reports whether this pass leaves its input untouched.
+func (d *Dropout) identity(scratch any) bool {
+	return d.Eval || d.Rate == 0 || scratch.(*dropoutScratch).eval
 }
 
 func (d *Dropout) NewScratch() any {
@@ -168,7 +176,7 @@ func (d *Dropout) NewScratch() any {
 }
 
 func (d *Dropout) Forward(_, in, out []float64, scratch any) {
-	if d.Eval || d.Rate == 0 {
+	if d.identity(scratch) {
 		copy(out, in)
 		return
 	}
@@ -189,7 +197,7 @@ func (d *Dropout) Backward(_, _, _, _, dOut, dIn []float64, scratch any) {
 	if dIn == nil {
 		return
 	}
-	if d.Eval || d.Rate == 0 {
+	if d.identity(scratch) {
 		copy(dIn, dOut)
 		return
 	}
@@ -215,7 +223,7 @@ func (d *Dropout) NewBatchScratch(batch int) any {
 }
 
 func (d *Dropout) ForwardBatch(_ []float64, in, out tensor.Mat, scratch any) {
-	if d.Eval || d.Rate == 0 {
+	if d.identity(scratch) {
 		copy(out.Data, in.Data)
 		return
 	}
@@ -236,7 +244,7 @@ func (d *Dropout) BackwardBatch(_, _ []float64, _, _, dOut, dIn tensor.Mat, scra
 	if dIn.Data == nil {
 		return
 	}
-	if d.Eval || d.Rate == 0 {
+	if d.identity(scratch) {
 		copy(dIn.Data, dOut.Data)
 		return
 	}

@@ -41,15 +41,19 @@ type batchViewLayer interface {
 }
 
 // batchBuffers is the batch-shaped half of a Workspace: one batch×dim
-// activation and delta buffer per layer boundary plus per-layer batch
-// scratch, all sized lazily to the largest batch seen so steady-state
-// gradient passes allocate nothing.
+// activation buffer per layer boundary plus per-layer batch scratch, and —
+// only once a gradient pass has run — the matching delta buffers, all sized
+// lazily to the largest batch seen so steady-state passes allocate nothing.
 type batchBuffers struct {
 	cap     int         // largest batch the buffers are sized for
 	acts    [][]float64 // acts[i]: cap × boundary-dim backing, row-major
-	deltas  [][]float64 // deltas[i]: same shape; deltas[0] unused (no input grad)
-	probs   []float64   // cap × outDim softmax staging
 	scratch []any       // per-layer batch scratch from NewBatchScratch
+	// The backward half, sized by ensureBatchGrad: a workspace that only
+	// infers or evaluates (the monitor's, the serving tier's) never pays
+	// for it.
+	gradCap int         // batch the two buffers below are sized for
+	deltas  [][]float64 // deltas[i]: same shape as acts[i]; deltas[0] unused (no input grad)
+	probs   []float64   // gradCap × outDim softmax staging
 }
 
 // boundaryDim returns the activation width at layer boundary i (the input
@@ -61,7 +65,7 @@ func (n *Network) boundaryDim(i int) int {
 	return n.layers[i-1].OutDim()
 }
 
-// ensureBatch grows the workspace's batch-shaped buffers to hold batches of
+// ensureBatch grows the workspace's forward batch buffers to hold batches of
 // B examples. Growth is monotone: after the largest batch has been seen
 // once, every later call is a no-op and the batched pass is allocation-free.
 func (n *Network) ensureBatch(ws *Workspace, B int) {
@@ -71,17 +75,30 @@ func (n *Network) ensureBatch(ws *Workspace, B int) {
 	}
 	if bb.acts == nil {
 		bb.acts = make([][]float64, len(n.layers)+1)
-		bb.deltas = make([][]float64, len(n.layers)+1)
 		bb.scratch = make([]any, len(n.layers))
 	}
 	bb.acts[0] = make([]float64, B*n.inDim)
 	for i, l := range n.layers {
 		bb.acts[i+1] = make([]float64, B*l.OutDim())
-		bb.deltas[i+1] = make([]float64, B*l.OutDim())
 		bb.scratch[i] = n.blayers[i].NewBatchScratch(B)
 	}
-	bb.probs = make([]float64, B*n.outDim)
 	bb.cap = B
+}
+
+// ensureBatchGrad is ensureBatch for a gradient pass: it also sizes the
+// delta and softmax buffers to the forward capacity.
+func (n *Network) ensureBatchGrad(ws *Workspace, B int) {
+	n.ensureBatch(ws, B)
+	bb := &ws.batch
+	if bb.gradCap >= bb.cap {
+		return
+	}
+	bb.deltas = make([][]float64, len(n.layers)+1)
+	for i, l := range n.layers {
+		bb.deltas[i+1] = make([]float64, bb.cap*l.OutDim())
+	}
+	bb.probs = make([]float64, bb.cap*n.outDim)
+	bb.gradCap = bb.cap
 }
 
 // bact returns boundary i's activation buffer viewed as a B×dim matrix.
@@ -113,6 +130,16 @@ func (n *Network) layerForwardBatch(pv paramvec.View, i, B int, ws *Workspace) {
 	}
 }
 
+// forwardBatch runs the batched forward chain over the B rows staged in the
+// boundary-0 activation buffer and returns the B×OutDim logits, which alias
+// workspace storage.
+func (n *Network) forwardBatch(pv paramvec.View, B int, ws *Workspace) tensor.Mat {
+	for i := range n.layers {
+		n.layerForwardBatch(pv, i, B, ws)
+	}
+	return n.bact(ws, len(n.layers), B)
+}
+
 // layerBackwardBatch is the batched counterpart of layerBackward. grad is
 // always the flat private gradient vector — only the parameter READ is
 // segmented.
@@ -139,16 +166,14 @@ func (n *Network) layerBackwardBatch(pv paramvec.View, i int, grad []float64, dO
 // order differs).
 func (n *Network) batchLossGradGEMM(pv paramvec.View, grad []float64, ds *data.Dataset, batch data.Batch, ws *Workspace) float64 {
 	B := len(batch.Indices)
-	n.ensureBatch(ws, B)
+	n.ensureBatchGrad(ws, B)
+	n.setDropoutEval(ws, false)
 	in := n.bact(ws, 0, B)
 	for r, idx := range batch.Indices {
 		copy(in.Row(r), ds.X[idx])
 	}
-	for i := range n.layers {
-		n.layerForwardBatch(pv, i, B, ws)
-	}
+	logits := n.forwardBatch(pv, B, ws)
 	nl := len(n.layers)
-	logits := n.bact(ws, nl, B)
 	probs := tensor.MatFrom(B, n.outDim, ws.batch.probs[:B*n.outDim])
 	dLogits := n.bdelta(ws, nl, B)
 	invB := 1 / float64(B)

@@ -127,7 +127,7 @@ func (c *Conv2D) Backward(params, grad, _, _, dOut, dIn []float64, scratch any) 
 // dimension (dOutT · colsᵀ).
 type convBatchScratch struct {
 	cols  tensor.Mat // (InC·K·K) × (batch·outH·outW) stacked im2col lowering
-	dCols tensor.Mat // gradient counterpart
+	dCols tensor.Mat // gradient counterpart; allocated by the first backward pass that needs dIn
 	tmpT  tensor.Mat // Filters × (batch·outH·outW): forward out / backward dOut staging
 }
 
@@ -135,9 +135,8 @@ func (c *Conv2D) NewBatchScratch(batch int) any {
 	ohw := c.OutH() * c.OutW()
 	ckk := c.InC * c.K * c.K
 	return &convBatchScratch{
-		cols:  tensor.NewMat(ckk, batch*ohw),
-		dCols: tensor.NewMat(ckk, batch*ohw),
-		tmpT:  tensor.NewMat(c.Filters, batch*ohw),
+		cols: tensor.NewMat(ckk, batch*ohw),
+		tmpT: tensor.NewMat(c.Filters, batch*ohw),
 	}
 }
 
@@ -196,6 +195,11 @@ func (c *Conv2D) BackwardBatch(params, grad []float64, _, _, dOut, dIn tensor.Ma
 	}
 	if dIn.Data == nil {
 		return
+	}
+	if s.dCols.Data == nil {
+		// Forward-only workspaces and a network's first layer never get
+		// here, and so never hold the second im2col-sized panel.
+		s.dCols = tensor.NewMat(s.cols.Rows, s.cols.Cols)
 	}
 	dCols := tensor.MatFrom(ckk, B*ohw, s.dCols.Data[:ckk*B*ohw])
 	tensor.MatMulATB(dCols, c.filterMat(params), dOutT)

@@ -21,7 +21,7 @@ import (
 // Networks whose layers all have batched kernels run the blocked-GEMM chain
 // allocation-free in steady state (the workspace's batch buffers grow
 // monotonically); other networks fall back to per-example ForwardView into
-// a freshly allocated output.
+// a freshly allocated output. Inference: Dropout layers run as the identity.
 func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) tensor.Mat {
 	B := len(xs)
 	if B == 0 {
@@ -43,14 +43,12 @@ func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) 
 		return out
 	}
 	n.ensureBatch(ws, B)
+	n.setDropoutEval(ws, true)
 	in := n.bact(ws, 0, B)
 	for r, x := range xs {
 		copy(in.Row(r), x)
 	}
-	for i := range n.layers {
-		n.layerForwardBatch(pv, i, B, ws)
-	}
-	return n.bact(ws, len(n.layers), B)
+	return n.forwardBatch(pv, B, ws)
 }
 
 // SoftmaxInto writes softmax(logits) into dst (max-shifted for numerical

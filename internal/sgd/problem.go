@@ -199,11 +199,22 @@ func (p *denseProblem) newGradWorker(rt *runCtx, id int) gradWorker {
 	}
 }
 
+// newLossEval stages the evaluation subset once — its row pointers and
+// labels, as a dataset of its own — so a tick is one blocked evaluation
+// pass (nn.Network.Evaluate) over contiguous rows with nothing to allocate.
 func (p *denseProblem) newLossEval(rt *runCtx) func(params []float64) float64 {
 	ws := p.net.NewWorkspace()
 	evalIdx := rt.evalSubset()
+	sub := &data.Dataset{
+		X: make([][]float64, len(evalIdx)),
+		Y: make([]int, len(evalIdx)),
+		H: p.ds.H, W: p.ds.W, Classes: p.ds.Classes,
+	}
+	for r, i := range evalIdx {
+		sub.X[r], sub.Y[r] = p.ds.X[i], p.ds.Y[i]
+	}
 	return func(params []float64) float64 {
-		return p.net.Loss(params, p.ds, evalIdx, ws)
+		return p.net.Loss(params, sub, nil, ws)
 	}
 }
 

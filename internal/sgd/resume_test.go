@@ -85,13 +85,23 @@ func TestKillResumeExactBudget(t *testing.T) {
 			}
 
 			ds := tinyDataset()
-			r2, err := Resume(cfg, tinyNet(ds), ds)
+			net := tinyNet(ds)
+			_, resumed, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := Resume(cfg, net, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			res2 := r2.Wait()
 			if res2.ResumedFrom <= 0 {
 				t.Fatalf("ResumedFrom = %d, want > 0", res2.ResumedFrom)
+			}
+			// The resumed leg's InitialLoss is the loss of the checkpointed
+			// parameters, taken before its workers start.
+			if want := net.Loss(resumed, ds, nil, net.NewWorkspace()); res2.InitialLoss != want {
+				t.Fatalf("resumed InitialLoss = %v, loss of the checkpoint = %v", res2.InitialLoss, want)
 			}
 			if res2.ResumedFrom > res1.TotalUpdates {
 				t.Fatalf("resumed from %d updates but first leg only applied %d",

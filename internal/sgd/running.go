@@ -8,6 +8,7 @@ package sgd
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"leashedsgd/internal/data"
 	"leashedsgd/internal/metrics"
@@ -69,8 +70,8 @@ type Running struct {
 	done chan struct{}
 }
 
-// Start validates the dense configuration exactly like Run and launches the
-// workers, auxiliary goroutines and monitor, returning immediately with a
+// Start validates the dense configuration exactly like Run, evaluates f(θ0)
+// and launches the workers, auxiliary goroutines and monitor, returning a
 // handle on the live run. The dense-representation checks live here; the
 // representation-independent launch is startProblem, shared with StartSparse.
 func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
@@ -127,6 +128,12 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 	} else {
 		rt.prob.initParams(initVec, cfg.Seed)
 	}
+	// f(θ0) — or f of the resumed parameters — is evaluated here, before
+	// any worker exists and before a strategy takes initVec over: it is
+	// Trace.Points[0] at 0 updates and the base of the ε target, so it must
+	// not see a parameter vector the workers have already moved.
+	rt.evalLoss = rt.prob.newLossEval(rt)
+	rt.initialLoss = rt.evalLoss(initVec.Theta)
 
 	// One store-parameterized worker loop runs every algorithm; the
 	// strategy carries what differs (read protocol, publish protocol,
@@ -146,6 +153,7 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 		return nil, fmt.Errorf("sgd: unknown algorithm %v", cfg.Algo)
 	}
 	r := &Running{rt: rt, st: st, done: make(chan struct{})}
+	rt.start = time.Now()
 	rt.runWorkers(&r.wg, st)
 	st.launchAux(&r.wg)
 	go r.finish()

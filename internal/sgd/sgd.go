@@ -540,6 +540,14 @@ type runCtx struct {
 	// is off); owned by the monitor goroutine.
 	ckpt *ckptState
 
+	// The monitor's inputs, fixed by launch before any worker exists: the
+	// problem's loss evaluator, its value at the parameters the workers
+	// start from (Result.InitialLoss), and the instant they were launched
+	// (the zero of Elapsed and TimeToTarget).
+	evalLoss    func(params []float64) float64
+	initialLoss float64
+	start       time.Time
+
 	// Worker-fault record, appended by supervisors as panics are recovered.
 	faultMu  sync.Mutex
 	faults   []WorkerFault
@@ -752,12 +760,11 @@ func (rt *runCtx) evalSubset() []int {
 func (rt *runCtx) monitor(st strategy) *Result {
 	cfg := rt.cfg
 	snapshot := st.snapshot
-	evalLoss := rt.prob.newLossEval(rt)
+	evalLoss, start := rt.evalLoss, rt.start
 	buf := make([]float64, rt.d)
 
 	res := &Result{}
-	snapshot(buf)
-	res.InitialLoss = evalLoss(buf)
+	res.InitialLoss = rt.initialLoss
 	res.TargetLoss = cfg.EpsilonFrac * res.InitialLoss
 	res.FinalLoss = res.InitialLoss
 	res.Trace.Add(0, 0, res.InitialLoss)
@@ -767,7 +774,6 @@ func (rt *runCtx) monitor(st strategy) *Result {
 		return res
 	}
 
-	start := time.Now()
 	ticker := time.NewTicker(cfg.EvalEvery)
 	defer ticker.Stop()
 	var deadline <-chan time.Time

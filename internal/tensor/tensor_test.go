@@ -137,6 +137,34 @@ func TestHasNaNOrInf(t *testing.T) {
 	if !HasNaNOrInf([]float64{math.Inf(-1)}) {
 		t.Fatal("missed -Inf")
 	}
+	// The branch-free form must not trip on anything finite (negative values
+	// give −0 products, the extremes must not overflow) and must see a
+	// non-finite value wherever it sits.
+	finite := []float64{-1, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0}
+	if HasNaNOrInf(finite) || HasNaNOrInf(nil) {
+		t.Fatal("false positive on finite extremes or the empty slice")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := range finite {
+			x := append([]float64(nil), finite...)
+			x[pos] = bad
+			if !HasNaNOrInf(x) {
+				t.Fatalf("missed %v at position %d", bad, pos)
+			}
+		}
+	}
+}
+
+func BenchmarkHasNaNOrInf(b *testing.B) {
+	x := make([]float64, 134794) // PaperMLP d: one monitor tick's check
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	for i := 0; i < b.N; i++ {
+		if HasNaNOrInf(x) {
+			b.Fatal("false positive")
+		}
+	}
 }
 
 func TestMatMulSmall(t *testing.T) {

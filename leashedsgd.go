@@ -292,8 +292,8 @@ func (m *Model) Evaluate(params []float64, ds *Dataset) (loss, accuracy float64,
 	if len(params) != m.net.ParamCount() {
 		return 0, 0, fmt.Errorf("leashedsgd: params length %d, want %d", len(params), m.net.ParamCount())
 	}
-	ws := m.net.NewWorkspace()
-	return m.net.Loss(params, ds, nil, ws), m.net.Accuracy(params, ds, nil, ws), nil
+	loss, accuracy = m.net.Evaluate(params, ds, nil, m.net.NewWorkspace())
+	return loss, accuracy, nil
 }
 
 // InitParams returns a freshly initialized flat parameter vector
