@@ -22,8 +22,12 @@ import (
 // NewBatchScratch sized for the workspace's current batch capacity; layers
 // without per-batch temporaries return nil.
 //
-// dIn may be the zero Mat (nil Data) for the first layer, where the input
-// gradient is not needed.
+// BackwardBatch OVERWRITES the layer's block of grad with the batch's
+// parameter gradient (the per-example Backward accumulates): one batched
+// pass is the whole minibatch gradient, so first-touch stores replace a
+// zero-the-vector pass over all of θ's length per iteration. dIn may be the
+// zero Mat (nil Data) for the first layer, where the input gradient is not
+// needed.
 type batchLayer interface {
 	ForwardBatch(params []float64, in, out tensor.Mat, scratch any)
 	BackwardBatch(params, grad []float64, in, out, dOut, dIn tensor.Mat, scratch any)
@@ -161,9 +165,9 @@ func (n *Network) layerBackwardBatch(pv paramvec.View, i int, grad []float64, dO
 // batchLossGradGEMM is the batched gradient pass: gather the minibatch rows
 // into the batch input matrix, run one forward GEMM chain, compute the
 // softmax-cross-entropy deltas for all rows, and run one backward GEMM
-// chain accumulating into grad. Semantically identical to the per-example
-// pass (same mean loss, same mean gradient — only floating-point summation
-// order differs).
+// chain that writes every layer's block of grad (whatever grad held is
+// overwritten). Semantically identical to the per-example pass (same mean
+// loss, same mean gradient — only floating-point summation order differs).
 func (n *Network) batchLossGradGEMM(pv paramvec.View, grad []float64, ds *data.Dataset, batch data.Batch, ws *Workspace) float64 {
 	B := len(batch.Indices)
 	n.ensureBatchGrad(ws, B)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"leashedsgd/internal/data"
@@ -69,24 +70,117 @@ func TestBatchedMatchesPerExample(t *testing.T) {
 	}
 }
 
-// TestBatchedAccumulates verifies the batched path preserves LossGrad's
-// accumulation contract: gradients ADD into grad across calls.
-func TestBatchedAccumulates(t *testing.T) {
+// TestBatchedOverwrites pins BatchLossGrad's first-touch contract: the
+// batched pass WRITES every component of grad, so a NaN-filled buffer comes
+// back equal to the per-example oracle — no component is read before it is
+// written, none is left untouched, and the worker loop needs no zeroing pass.
+// The per-example fallback zeroes its own target and is held to the same.
+func TestBatchedOverwrites(t *testing.T) {
 	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(32, 5))
-	n := NewSmallMLP(ds.Dim(), ds.Classes)
-	params := make([]float64, n.ParamCount())
-	n.Init(params, rng.New(3), DefaultSigma)
-	ws := n.NewWorkspace()
-	batch := data.Batch{Indices: []int{1, 2, 3, 4}}
+	batch := data.Batch{Indices: []int{1, 2, 3, 4, 9, 30, 2}}
+	for name, n := range map[string]*Network{
+		"SmallMLP": NewSmallMLP(ds.Dim(), ds.Classes),
+		"SmallCNN": NewSmallCNN(),
+		"fallback": MustNetwork(NewDense(ds.Dim(), 8), plainLayer{NewReLU(8)}, NewDense(8, ds.Classes)),
+	} {
+		params := initParams(n, 3)
+		for _, segsN := range []int{1, 5} {
+			pv := paramvec.FlatView(params)
+			if segsN > 1 {
+				pv = segment(params, segsN)
+			}
+			want := make([]float64, n.ParamCount())
+			wantLoss := n.BatchLossGradPerExample(pv, want, ds, batch, n.NewWorkspace())
+			got := make([]float64, n.ParamCount())
+			ws := n.NewWorkspace()
+			for pass := 0; pass < 2; pass++ { // the second pass overwrites the first's result
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				if loss := n.BatchLossGrad(pv, got, ds, batch, ws); relErr(loss, wantLoss) > 1e-12 {
+					t.Fatalf("%s/segs=%d: loss %v, want %v", name, segsN, loss, wantLoss)
+				}
+				for i := range got {
+					if !(relErr(got[i], want[i]) <= 1e-12) {
+						t.Fatalf("%s/segs=%d pass %d: grad[%d] = %v, want %v", name, segsN, pass, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
 
-	once := make([]float64, n.ParamCount())
-	n.BatchLossGrad(paramvec.FlatView(params), once, ds, batch, ws)
-	twice := make([]float64, n.ParamCount())
-	n.BatchLossGrad(paramvec.FlatView(params), twice, ds, batch, ws)
-	n.BatchLossGrad(paramvec.FlatView(params), twice, ds, batch, ws)
-	for i := range once {
-		if relErr(2*once[i], twice[i]) > 1e-12 {
-			t.Fatalf("grad[%d] not accumulated: once %v, twice %v", i, once[i], twice[i])
+// TestStagedDenseMatchesOracle holds the staged Dense kernels (outᵀ = W·inᵀ
+// over a transposed batch panel, first-touch dW/db stores) to the per-example
+// oracle at 1e-12, on a flat view and an S=8 segmented one whose boundaries
+// cut weight rows, for batch sizes on both sides of every tile edge: 1 (the
+// dot-orientation GEMV), 7 and 31 (masked lanes), 8, 16, 32 (full panels).
+// Fan-outs of 40, 24 and 10 leave row remainders for either kernel tier.
+func TestStagedDenseMatchesOracle(t *testing.T) {
+	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(64, 3))
+	n := NewMLP(ds.Dim(), []int{40, 24}, ds.Classes)
+	params := initParams(n, 7)
+	for _, B := range []int{1, 7, 8, 16, 31, 32} {
+		indices := make([]int, B)
+		for i := range indices {
+			indices[i] = (i*5 + B) % ds.Len()
+		}
+		batch := data.Batch{Indices: indices}
+		xs := make([][]float64, B)
+		for i, idx := range indices {
+			xs[i] = ds.X[idx]
+		}
+		for _, view := range []struct {
+			name string
+			pv   paramvec.View
+		}{{"flat", paramvec.FlatView(params)}, {"S=8", segment(params, 8)}} {
+			t.Run(fmt.Sprintf("b=%d/%s", B, view.name), func(t *testing.T) {
+				wsRef, ws := n.NewWorkspace(), n.NewWorkspace()
+				want := make([]float64, n.ParamCount())
+				wantLoss := n.BatchLossGradPerExample(view.pv, want, ds, batch, wsRef)
+				got := make([]float64, n.ParamCount())
+				if loss := n.BatchLossGrad(view.pv, got, ds, batch, ws); relErr(loss, wantLoss) > 1e-12 {
+					t.Fatalf("loss %v, per-example %v", loss, wantLoss)
+				}
+				for i := range want {
+					if relErr(got[i], want[i]) > 1e-12 {
+						t.Fatalf("grad[%d] = %v, per-example %v", i, got[i], want[i])
+					}
+				}
+				logits := n.ForwardBatch(view.pv, xs, ws)
+				for r, x := range xs {
+					for j, w := range n.ForwardView(view.pv, x, wsRef) {
+						if relErr(logits.At(r, j), w) > 1e-12 {
+							t.Fatalf("logit[%d][%d] = %v, per-example %v", r, j, logits.At(r, j), w)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBatchedPassesAllocateNothingWarm: once the batch buffers have grown, a
+// gradient pass and a batched forward pass allocate nothing — the staging
+// panels live in the workspace, and the tile driver's dispatch costs no
+// closure or interface allocation per call.
+func TestBatchedPassesAllocateNothingWarm(t *testing.T) {
+	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(64, 3))
+	for name, n := range map[string]*Network{"PaperMLP": NewPaperMLP(), "PaperCNN": NewPaperCNN()} {
+		params := initParams(n, 7)
+		for _, view := range []paramvec.View{paramvec.FlatView(params), segment(params, 8)} {
+			ws := n.NewWorkspace()
+			grad := make([]float64, n.ParamCount())
+			batch := data.Batch{Indices: []int{0, 9, 3, 17, 40, 41, 5, 63, 1, 2}}
+			xs := ds.X[:10]
+			n.BatchLossGrad(view, grad, ds, batch, ws)
+			n.ForwardBatch(view, xs, ws)
+			if a := testing.AllocsPerRun(5, func() { n.BatchLossGrad(view, grad, ds, batch, ws) }); a != 0 {
+				t.Errorf("%s: warm BatchLossGrad allocates %v objects/op, want 0", name, a)
+			}
+			if a := testing.AllocsPerRun(5, func() { n.ForwardBatch(view, xs, ws) }); a != 0 {
+				t.Errorf("%s: warm ForwardBatch allocates %v objects/op, want 0", name, a)
+			}
 		}
 	}
 }

@@ -171,9 +171,10 @@ func (c *Conv2D) ForwardBatch(params []float64, in, out tensor.Mat, scratch any)
 }
 
 // BackwardBatch gathers dOut into the filter-major staging (contiguous
-// stripe copies), then runs one GEMM per gradient: dW += dOutT·colsᵀ
-// (reduction over the whole batch·outPixels dimension), db += row sums, and
-// dCols = Wᵀ·dOutT scattered back per example with Col2ImAddFrom.
+// stripe copies), then runs one GEMM per gradient: dW = dOutT·colsᵀ
+// (reduction over the whole batch·outPixels dimension), db = row sums —
+// both overwriting the layer's gradient block — and dCols = Wᵀ·dOutT
+// scattered back per example with Col2ImAddFrom.
 func (c *Conv2D) BackwardBatch(params, grad []float64, _, _, dOut, dIn tensor.Mat, scratch any) {
 	s := scratch.(*convBatchScratch)
 	B := dOut.Rows
@@ -188,10 +189,10 @@ func (c *Conv2D) BackwardBatch(params, grad []float64, _, _, dOut, dIn tensor.Ma
 			copy(dOutT.Row(f)[b*ohw:(b+1)*ohw], dRow[f*ohw:(f+1)*ohw])
 		}
 	}
-	tensor.MatMulABTAdd(c.filterMat(grad), dOutT, cols)
+	tensor.MatMulABT(c.filterMat(grad), dOutT, cols)
 	gb := c.biases(grad)
 	for f := 0; f < F; f++ {
-		gb[f] += tensor.Sum(dOutT.Row(f))
+		gb[f] = tensor.Sum(dOutT.Row(f))
 	}
 	if dIn.Data == nil {
 		return

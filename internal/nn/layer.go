@@ -159,36 +159,59 @@ func (d *Dense) BackwardView(pv paramvec.View, lo int, grad, in, _, dOut, dIn []
 }
 
 // denseBatchScratch holds the staging buffers of the batched Dense kernels.
-// Only the segment-split view path uses them (column-block staging for the
-// per-run GEMMs, one stitched weight row, the gathered bias); the flat path
-// runs straight GEMMs with no temporaries.
 type denseBatchScratch struct {
-	tmp  []float64 // batch × Out column-block staging
+	// inT is the layer input feature-major (In × batch): the contiguous-row
+	// operand of outᵀ = W·inᵀ. Only the batch-sized activation is ever
+	// staged — the weights are read in place, never packed or transposed.
+	inT []float64
+	// outT is outᵀ (Out × batch) before it is transposed into out; the
+	// segment-split backward pass reuses it as its dOut column-block staging.
+	outT []float64
 	row  []float64 // one boundary-straddling weight row, stitched
 	bias []float64 // gathered bias block
 }
 
 func (d *Dense) NewBatchScratch(batch int) any {
 	return &denseBatchScratch{
-		tmp:  make([]float64, batch*d.Out),
+		inT:  make([]float64, d.In*batch),
+		outT: make([]float64, d.Out*batch),
 		row:  make([]float64, d.In),
 		bias: make([]float64, d.Out),
 	}
 }
 
-// ForwardBatch computes out = in·Wᵀ + b over the whole minibatch: one
-// blocked GEMM (both operand streams row-contiguous, no transposed weight
-// copy) plus the fused bias row kernel.
-func (d *Dense) ForwardBatch(params []float64, in, out tensor.Mat, _ any) {
-	tensor.MatMulABT(out, in, d.weights(params))
+// stage transposes the batch-major input into the feature-major panel and
+// returns it with the matching (still unwritten) output panel.
+func (s *denseBatchScratch) stage(d *Dense, in tensor.Mat) (inT, outT tensor.Mat) {
+	B := in.Rows
+	inT = tensor.MatFrom(d.In, B, s.inT[:d.In*B])
+	tensor.Transpose(inT, in)
+	return inT, tensor.MatFrom(d.Out, B, s.outT[:d.Out*B])
+}
+
+// ForwardBatch computes out = in·Wᵀ + b over the whole minibatch as
+// outᵀ = W·inᵀ: W is the broadcast operand of the tile GEMM, read where it
+// lies in θ, and the batch columns are its vector lanes. A single row is a
+// vector — both layouts coincide — and runs as the dot-orientation GEMV
+// (out = in·Wᵀ directly), where W streams through once.
+func (d *Dense) ForwardBatch(params []float64, in, out tensor.Mat, scratch any) {
+	if in.Rows == 1 {
+		tensor.MatMulABT(out, in, d.weights(params))
+	} else {
+		inT, outT := scratch.(*denseBatchScratch).stage(d, in)
+		tensor.MatMul(outT, d.weights(params), inT)
+		tensor.Transpose(out, outT)
+	}
 	tensor.AddBiasRows(out, d.biases(params))
 }
 
-// BackwardBatch accumulates dW += dOutᵀ·in and db += column sums of dOut,
-// and computes dIn = dOut·W — each one GEMM over the batch.
+// BackwardBatch writes dW = dOutᵀ·in and db = column sums of dOut into the
+// layer's gradient block (overwriting it: the batch IS the whole gradient,
+// so nothing has to be zeroed first) and computes dIn = dOut·W — each one
+// GEMM over the batch.
 func (d *Dense) BackwardBatch(params, grad []float64, in, _, dOut, dIn tensor.Mat, _ any) {
-	tensor.MatMulATBAdd(d.weights(grad), dOut, in)
-	tensor.ColSumsAdd(d.biases(grad), dOut)
+	tensor.MatMulATB(d.weights(grad), dOut, in)
+	tensor.ColSums(d.biases(grad), dOut)
 	if dIn.Data != nil {
 		tensor.MatMul(dIn, dOut, d.weights(params))
 	}
@@ -220,30 +243,35 @@ func (d *Dense) weightRuns(pv paramvec.View, lo int, s *denseBatchScratch, yield
 	}
 }
 
-// ForwardBatchView is the segment-aware batched forward pass: the
-// out = in·Wᵀ GEMM is split at segment boundaries — every run of complete
-// weight rows inside one segment is one MatMulABT into the column-block
-// staging buffer, scattered into its output columns.
+// ForwardBatchView is the segment-aware batched forward pass: the GEMM is
+// split at segment boundaries, and because the output is computed
+// feature-major every run of complete weight rows inside one segment writes
+// one contiguous row block of outᵀ (of out itself for a single row) — no
+// column scatter.
 func (d *Dense) ForwardBatchView(pv paramvec.View, lo int, in, out tensor.Mat, scratch any) {
 	s := scratch.(*denseBatchScratch)
 	B := in.Rows
-	d.weightRuns(pv, lo, s, func(o int, w tensor.Mat) {
-		tmp := tensor.MatFrom(B, w.Rows, s.tmp[:B*w.Rows])
-		tensor.MatMulABT(tmp, in, w)
-		for b := 0; b < B; b++ {
-			copy(out.Row(b)[o:o+w.Rows], tmp.Row(b))
-		}
-	})
+	if B == 1 {
+		d.weightRuns(pv, lo, s, func(o int, w tensor.Mat) {
+			tensor.MatMulABT(tensor.MatFrom(1, w.Rows, out.Data[o:o+w.Rows]), in, w)
+		})
+	} else {
+		inT, outT := s.stage(d, in)
+		d.weightRuns(pv, lo, s, func(o int, w tensor.Mat) {
+			tensor.MatMul(tensor.MatFrom(w.Rows, B, outT.Data[o*B:(o+w.Rows)*B]), w, inT)
+		})
+		tensor.Transpose(out, outT)
+	}
 	wEnd := lo + d.Out*d.In
 	tensor.AddBiasRows(out, pv.Gather(wEnd, wEnd+d.Out, s.bias))
 }
 
-// BackwardBatchView accumulates dW += dOutᵀ·in, db += column sums (into the
+// BackwardBatchView writes dW = dOutᵀ·in and db = column sums (into the
 // flat private grad — never segmented) and computes dIn = dOut·W with the
 // GEMM split at segment boundaries, each run contributing one MatMulAdd.
 func (d *Dense) BackwardBatchView(pv paramvec.View, lo int, grad []float64, in, _, dOut, dIn tensor.Mat, scratch any) {
-	tensor.MatMulATBAdd(d.weights(grad), dOut, in)
-	tensor.ColSumsAdd(d.biases(grad), dOut)
+	tensor.MatMulATB(d.weights(grad), dOut, in)
+	tensor.ColSums(d.biases(grad), dOut)
 	if dIn.Data == nil {
 		return
 	}
@@ -251,7 +279,7 @@ func (d *Dense) BackwardBatchView(pv paramvec.View, lo int, grad []float64, in, 
 	dIn.Zero()
 	B := dOut.Rows
 	d.weightRuns(pv, lo, s, func(o int, w tensor.Mat) {
-		tmp := tensor.MatFrom(B, w.Rows, s.tmp[:B*w.Rows])
+		tmp := tensor.MatFrom(B, w.Rows, s.outT[:B*w.Rows])
 		for b := 0; b < B; b++ {
 			copy(tmp.Row(b), dOut.Row(b)[o:o+w.Rows])
 		}

@@ -311,7 +311,9 @@ func (n *Network) LossGrad(params, grad []float64, xs [][]float64, ys []int, ws 
 
 // BatchLossGrad is the gradient entry point of the SGD hot path: mean loss
 // and gradient over dataset rows selected by batch indices, reading the
-// parameters through a View. The view may be flat (paramvec.FlatView over a
+// parameters through a View. It OVERWRITES grad — callers need not (and the
+// worker loop does not) zero it between iterations; LossGrad is the
+// accumulating form. The view may be flat (paramvec.FlatView over a
 // private copy — the lock-based and HOGWILD! read protocols) or segmented
 // (a leased zero-copy read of the published shard buffers —
 // paramvec.Lease.Acquire), in which case segment-aware kernels and
@@ -331,7 +333,8 @@ func (n *Network) BatchLossGrad(pv paramvec.View, grad []float64, ds *data.Datas
 }
 
 // BatchLossGradPerExample is the per-example reference implementation of
-// BatchLossGrad: one forward/backward pass per minibatch row. It computes
+// BatchLossGrad: it zeroes grad, then runs one accumulating forward/backward
+// pass per minibatch row. It computes
 // the same mean loss and gradient as the batched GEMM chain (only the
 // floating-point summation order differs — the golden-equivalence tests pin
 // the two paths together) and remains the fallback for layer types without
@@ -343,6 +346,7 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 	}
 	invB := 1 / float64(len(batch.Indices))
 	n.setDropoutEval(ws, false)
+	clear(grad)
 	var totalLoss float64
 	for _, idx := range batch.Indices {
 		logits := n.forward(pv, ds.X[idx], ws)
@@ -352,12 +356,20 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 	return totalLoss * invB
 }
 
-// evalBlock is the row block of the evaluation pass, chosen by measurement:
-// 8 rows already turn the Dense layers' per-row GEMV into GEMM (PaperMLP,
-// 256 rows: ~17 ms per example, 2.8 ms in 4-, 8- or 16-row blocks, 3.4 ms
-// in 32-row blocks) while the batch-shaped buffers an evaluating workspace
-// holds — above all Conv2D's im2col panel — stay 8 rows wide (PaperCNN:
-// 1.5 MiB; 6 MiB at 32 rows, per workspace).
+// evalBlock is the row block of the evaluation pass, chosen by measurement
+// (re-run against the tile kernels; 256 rows, minimum of 25 rounds):
+//
+//	block   PaperMLP   PaperCNN   CNN workspace
+//	  4     3.19 ms    8.82 ms    1.1 MiB
+//	  8     1.90 ms    8.53 ms    1.9 MiB
+//	 16     1.69 ms    8.67 ms    3.4 MiB
+//	 32     1.72 ms    8.87 ms    6.5 MiB
+//
+// 8 rows fill the vector lanes of either kernel tier (an 8-wide panel runs
+// the AVX-512 kernel's half-width loop) and already turn the Dense layers'
+// per-row GEMV into GEMM; 16 buys the MLP another 11% but doubles the
+// batch-shaped buffers every evaluating workspace holds — above all Conv2D's
+// im2col panel — for nothing on the conv-bound CNN. A constant, not a knob.
 const evalBlock = 8
 
 // Evaluate returns the mean softmax-cross-entropy loss and the argmax

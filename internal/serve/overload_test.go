@@ -192,8 +192,18 @@ func TestOverloadedHTTPStatus(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); predict(x) }()
 	}
-	// Now a direct HTTP predict must shed. Retry a few times to dodge the
-	// startup race where neither slot is occupied yet.
+	// Wait until both slots are taken (the queue holds one request only once
+	// the dispatcher is stalled on the other): an HTTP predict that gets in
+	// ahead of the two goroutines would be served, and every later try
+	// would find the server idle again.
+	for deadline := time.Now().Add(5 * time.Second); len(s.reqs) < cap(s.reqs); {
+		if time.Now().After(deadline) {
+			t.Fatal("the two background predicts never filled the dispatcher and the queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Now a direct HTTP predict must shed (retries cover the moment between
+	// the dispatcher finishing one request and taking the queued one).
 	got429 := false
 	for try := 0; try < 20 && !got429; try++ {
 		resp, err := http.Post(srv.URL+"/predict", "application/json",

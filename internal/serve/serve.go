@@ -189,6 +189,13 @@ type result struct {
 	err  error
 }
 
+// respPool recycles the one-slot reply channels. A request's channel sees
+// exactly one send (dispatch, expiry or drain) and one receive (Predict), so
+// it is empty again when Predict returns. A fresh channel per request was
+// 208 of the 384 bytes a predict allocated — garbage that scales with the
+// predict rate.
+var respPool = sync.Pool{New: func() any { return make(chan result, 1) }}
+
 // Server is the request-coalescing inference server. One dispatcher
 // goroutine owns the workspace, the lease and the scratch buffer; any
 // number of goroutines may call Predict concurrently.
@@ -273,7 +280,9 @@ func (s *Server) Predict(x []float64) (Prediction, error) {
 	if len(x) != s.net.InDim() {
 		return Prediction{}, fmt.Errorf("serve: input has %d values, want %d", len(x), s.net.InDim())
 	}
-	r := request{x: x, enq: time.Now(), resp: make(chan result, 1)}
+	resp := respPool.Get().(chan result)
+	defer respPool.Put(resp)
+	r := request{x: x, enq: time.Now(), resp: resp}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -308,6 +317,10 @@ func (s *Server) dispatch() {
 	pend := make([]request, 0, s.cfg.MaxBatch)
 	xs := make([][]float64, 0, s.cfg.MaxBatch)
 	var timer *time.Timer
+	// One closure for the dispatcher's lifetime: built per batch it (and the
+	// logits header it captures) would be two heap objects per predict.
+	var logits tensor.Mat
+	forward := func(pv paramvec.View) { logits = s.net.ForwardBatch(pv, xs, ws) }
 	for {
 		pend = pend[:0]
 		select {
@@ -366,12 +379,11 @@ func (s *Server) dispatch() {
 		for _, r := range pend {
 			xs = append(xs, r.x)
 		}
-		var logits tensor.Mat
-		meta := s.src.ReadParams(&lease, scratch, func(pv paramvec.View) {
-			logits = s.net.ForwardBatch(pv, xs, ws)
-		})
+		meta := s.src.ReadParams(&lease, scratch, forward)
 		B := len(pend)
-		now := time.Now()
+		// Count, then reply: a client that reads Stats() right after its
+		// reply must find its own request in them.
+		s.stats.observe(pend, time.Now(), meta)
 		for i, r := range pend {
 			probs := make([]float64, s.net.OutDim())
 			nn.SoftmaxInto(logits.Row(i), probs)
@@ -389,7 +401,6 @@ func (s *Server) dispatch() {
 				Batch:            B,
 			}}
 		}
-		s.stats.observe(pend, now, meta)
 	}
 }
 

@@ -229,10 +229,9 @@ type denseGradWorker struct {
 	batch   data.Batch
 }
 
-func (g *denseGradWorker) sample() {
-	g.batch = g.sampler.Next()
-	zero(g.grad.Theta)
-}
+// sample only draws the batch: BatchLossGrad overwrites the accumulator, so
+// there is no 1 MB zeroing pass (and no cache it evicts) per iteration.
+func (g *denseGradWorker) sample() { g.batch = g.sampler.Next() }
 
 func (g *denseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 	g.p.net.BatchLossGrad(pv, g.grad.Theta, g.p.ds, g.batch, g.ws)

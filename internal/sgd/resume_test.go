@@ -21,7 +21,18 @@ func startCheckpointed(t *testing.T, cfg Config, minCkpts int) *Result {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for len(checkpoint.Candidates(cfg.Checkpoint.Path)) < minCkpts {
+	// Wait for minCkpts files AND for the newest to hold at least one
+	// update: on a loaded host the 1 ms checkpointer can fire before any
+	// worker has published, and a kill right after that checkpoint resumes
+	// from 0 — legal, but not the mid-flight kill these tests are about.
+	ready := func() bool {
+		if len(checkpoint.Candidates(cfg.Checkpoint.Path)) < minCkpts {
+			return false
+		}
+		meta, _, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
+		return err == nil && meta.Updates > 0
+	}
+	for !ready() {
 		select {
 		case <-r.Done():
 			t.Fatalf("run finished (budget %d) before writing %d checkpoints", cfg.MaxUpdates, minCkpts)

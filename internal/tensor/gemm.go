@@ -34,12 +34,12 @@ const (
 	gemmBlockK = 512
 )
 
-// On amd64 hosts with AVX2+FMA, the full 2×4 / 2×8 destination tiles run
-// through vectorized microkernels (gemm_fma_amd64.s) selected once at init
-// by CPUID — scalar code on this port caps at ~1 multiply-add per cycle
-// (two FP ops per cycle across two ports), while the FMA tile kernels
-// sustain several. The pure-Go kernels below remain the portable fallback
-// and the semantic reference; remainder rows/columns always take them.
+// On amd64 hosts with AVX2+FMA the three orientations run through vector
+// microkernels selected once at init from CPUID/XCR0 (gemm_fma_amd64.go) —
+// scalar code on this port caps at ~1 multiply-add per cycle, the FMA tile
+// kernels sustain 8 to 16. The pure-Go kernels below remain the portable
+// path (`-tags noasm`, non-amd64) and the reference the tests pin the
+// assembly to.
 var (
 	matMulAddImpl = matMulAddGo
 	matMulABTImpl = matMulABTGo
@@ -50,7 +50,9 @@ var (
 // dst must not alias a or b.
 func MatMul(dst, a, b Mat) {
 	checkMatMul(dst, a, b)
-	matMulAddImpl(dst, a, b, false)
+	if !emptyReduction(dst, a.Cols) {
+		matMulAddImpl(dst, a, b, false)
+	}
 }
 
 // MatMulAdd computes dst += a * b with the same shape contract as MatMul.
@@ -62,10 +64,26 @@ func MatMulAdd(dst, a, b Mat) {
 }
 
 func checkMatMul(dst, a, b Mat) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols || short(dst, a, b) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+}
+
+// emptyReduction handles the store forms' k = 0 case — a product with no
+// terms is the zero matrix — so every kernel may assume k ≥ 1 when it stores.
+func emptyReduction(dst Mat, k int) bool {
+	if k == 0 {
+		dst.Zero()
+	}
+	return k == 0
+}
+
+// short reports a Mat whose backing slice is smaller than its shape (a
+// hand-built literal; MatFrom and NewMat cannot produce one). The assembly
+// kernels address by shape alone, so the shape checks reject it up front.
+func short(dst, a, b Mat) bool {
+	return len(dst.Data) < dst.Rows*dst.Cols || len(a.Data) < a.Rows*a.Cols || len(b.Data) < b.Rows*b.Cols
 }
 
 // matMulAddGo is the portable dst =(+)= a·b kernel body. For each reduction
@@ -180,24 +198,26 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 
 // MatMulABT computes dst = a * bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
 // Every dst element is the inner product of an a row with a b row, so both
-// operand streams are contiguous — this is the orientation of the batched
-// Dense forward pass (activations · weightsᵀ) and it needs no transposed
-// copy of the weight matrix.
+// operand streams are contiguous — the orientation for operands that are
+// both long in k: the batched convolution weight gradient (dW = dOutT·colsᵀ
+// reduces over batch·outPixels) and single-row forward passes (MatVec, the
+// b=1 Dense forward), where the weight matrix streams through once.
 func MatMulABT(dst, a, b Mat) {
 	checkMatMulABT(dst, a, b)
-	matMulABTImpl(dst, a, b, false)
+	if !emptyReduction(dst, a.Cols) {
+		matMulABTImpl(dst, a, b, false)
+	}
 }
 
 // MatMulABTAdd computes dst += a * bᵀ with the same shape contract as
-// MatMulABT — the batched convolution weight-gradient orientation
-// (dW += dOutT · colsᵀ reduces over the long batch·outPixels dimension).
+// MatMulABT.
 func MatMulABTAdd(dst, a, b Mat) {
 	checkMatMulABT(dst, a, b)
 	matMulABTImpl(dst, a, b, true)
 }
 
 func checkMatMulABT(dst, a, b Mat) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || short(dst, a, b) {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)*(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
@@ -302,23 +322,24 @@ func matMulABTGo(dst, a, b Mat, accumulate bool) {
 }
 
 // MatMulATB computes dst = aᵀ * b. Shapes: a is p×m, b is p×n, dst is m×n.
+// This is the orientation of the batched weight gradient (dW = dOutᵀ · in):
+// the reduction runs over the batch dimension, b's rows are contiguous, and
+// the store form lets each gradient block be written on first touch.
 func MatMulATB(dst, a, b Mat) {
 	checkMatMulATB(dst, a, b)
-	matMulATBImpl(dst, a, b, false)
+	if !emptyReduction(dst, a.Rows) {
+		matMulATBImpl(dst, a, b, false)
+	}
 }
 
-// MatMulATBAdd computes dst += aᵀ * b with the same shape contract. This is
-// the orientation of the batched weight-gradient accumulation
-// (dW += dOutᵀ · activations): the reduction runs over the batch dimension
-// and both operand streams are contiguous rows; gradient blocks accumulate
-// across calls by contract.
+// MatMulATBAdd computes dst += aᵀ * b with the same shape contract.
 func MatMulATBAdd(dst, a, b Mat) {
 	checkMatMulATB(dst, a, b)
 	matMulATBImpl(dst, a, b, true)
 }
 
 func checkMatMulATB(dst, a, b Mat) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols || short(dst, a, b) {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)T*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
@@ -444,14 +465,41 @@ func AddBiasRows(dst Mat, bias []float64) {
 	}
 }
 
-// ColSumsAdd accumulates the column sums of m into dst (len(dst) == m.Cols)
-// — the batched bias-gradient kernel (db += Σ_rows dOut).
-func ColSumsAdd(dst []float64, m Mat) {
-	if len(dst) != m.Cols {
-		panic("tensor: ColSumsAdd length mismatch")
+// ColSums overwrites dst with the column sums of m (len(dst) == m.Cols,
+// m.Rows ≥ 1) — the batched bias-gradient kernel (db = Σ_rows dOut).
+func ColSums(dst []float64, m Mat) {
+	if len(dst) != m.Cols || m.Rows == 0 {
+		panic("tensor: ColSums shape mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
+	copy(dst, m.Row(0))
+	for i := 1; i < m.Rows; i++ {
 		Axpy(1, m.Row(i), dst)
+	}
+}
+
+// Transpose writes dst = srcᵀ (src is r×c, dst c×r; they must not alias).
+// Four source rows are walked together so every destination row receives
+// four adjacent elements per step — both sides stay sequential enough for
+// the batch-sized activation panels this stages (≈0.5 ns per element).
+func Transpose(dst, src Mat) {
+	r, c := src.Rows, src.Cols
+	if dst.Rows != c || dst.Cols != r {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch (%dx%d)T->(%dx%d)", r, c, dst.Rows, dst.Cols))
+	}
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		s0, s1, s2, s3 := src.Row(i), src.Row(i+1), src.Row(i+2), src.Row(i+3)
+		s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+		d := dst.Data[i:]
+		for j, v := range s0 {
+			o := d[j*r : j*r+4 : j*r+4]
+			o[0], o[1], o[2], o[3] = v, s1[j], s2[j], s3[j]
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*r+i] = v
+		}
 	}
 }
 

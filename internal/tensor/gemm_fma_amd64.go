@@ -2,48 +2,126 @@
 
 package tensor
 
-// AVX2+FMA drivers for the three GEMM orientations. The microkernels in
-// gemm_fma_amd64.s own a full destination tile (2×8 for the broadcast
-// orientations, 2×4 for the dot orientation) across the whole reduction
-// block; the drivers keep the same cache blocking as the portable kernels
-// and fall back to the scalar paths for remainder rows/columns, so results
-// differ from the portable kernels only in floating-point summation order.
+// FMA drivers for the three GEMM orientations.
 //
-// The whole dispatch sits behind the `noasm` build tag (`-tags noasm`
-// compiles the portable 2×4-tile Go kernels alone, on amd64 too), which is
-// how the CI portable matrix leg exercises the fallback path on every push
-// instead of only on non-amd64 hosts.
+// A·B and Aᵀ·B share ONE driver over ONE microkernel contract
+// (gemm_fma_amd64.s): a destination tile C[MR×NR] (= | +=)
+// Σ_q A(i,q)·B[q][0:NR] with A read by broadcast at arbitrary (row, k)
+// element strides — so the transposed orientation is the same call with the
+// two strides swapped — B rows contiguous, and the tile kept in vector
+// registers for the whole reduction and written straight into dst. Two
+// kernels implement the contract, an 8×16 AVX-512 one and a 4×8 AVX2 one;
+// init picks the widest the CPU and the OS support, from CPUID and XCR0
+// alone. Edge tiles go through the same kernels (rows and lanes past the
+// edge are masked in the assembly), so no shape falls back to scalar loops.
+//
+// A·Bᵀ, where both operands are long in the reduction dimension (the
+// convolution weight gradient, single-row forward passes), keeps its 2×4
+// dot tile.
+//
+// Results differ from the portable kernels only in floating-point summation
+// order. The whole dispatch sits behind the `noasm` build tag (`-tags noasm`
+// compiles the portable Go kernels alone, on amd64 too), which is how the CI
+// portable matrix leg exercises the fallback path on every push instead of
+// only on non-amd64 hosts.
 
-// fmaGEMMEnabled reports whether init selected the FMA drivers; exposed for
-// tests so the asm-vs-portable equivalence suite knows it actually ran the
-// assembly.
-var fmaGEMMEnabled = false
+// tileFunc is the microkernel contract; see gemm_fma_amd64.s. Strides are
+// in bytes, add != 0 accumulates into C.
+type tileFunc func(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+
+// gemmTier is one implementation of the tile contract.
+type gemmTier struct {
+	name   string
+	mr, nr int
+	tile   tileFunc
+	// supported reports whether the CPU has the instructions and the OS
+	// saves the registers the kernel uses.
+	supported func(cpuFeatures) bool
+}
+
+// gemmTiers lists the kernels widest first; init selects the first one the
+// host supports. The table exists so the tests can drive every tier the
+// host has, not to be chosen from by callers.
+var gemmTiers = []*gemmTier{
+	{name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, supported: cpuFeatures.avx512},
+	{name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, supported: cpuFeatures.avx2FMA},
+}
+
+// gemmTierSelected is the broadcast-tile tier init dispatched to; nil when
+// the host has no AVX2+FMA and the portable kernels are the only path.
+var gemmTierSelected *gemmTier
 
 func init() {
-	if cpuSupportsAVX2FMA() {
-		fmaGEMMEnabled = true
-		matMulAddImpl = matMulAddFMA
-		matMulABTImpl = matMulABTFMA
-		matMulATBImpl = matMulATBFMA
-		axpyImpl = axpyFMA
+	for _, t := range gemmTiers {
+		if t.supported(hostCPU) {
+			gemmTierSelected = t
+			matMulAddImpl, matMulATBImpl = t.matMulAdd, t.matMulATB
+			// Every tier implies AVX2+FMA, which is all these two need.
+			matMulABTImpl, axpyImpl = matMulABTFMA, axpyFMA
+			return
+		}
 	}
 }
 
-// cpuSupportsAVX2FMA reports FMA+AVX2 with OS-enabled YMM state (CPUID).
-func cpuSupportsAVX2FMA() bool
+// cpuFeatures is what tier selection reads: CPUID.1:ECX, CPUID.7.0:EBX and
+// XCR0 (zero when the OS has not enabled XSAVE).
+type cpuFeatures struct {
+	ecx1, ebx7 uint32
+	xcr0       uint64
+}
 
-// fmaBcast2x8 computes c = Σ_{q<k} [a0_q; a1_q] ⊗ b_q[0:8] with the a
-// scalars read at byte stride sa and the 8-wide b rows at byte stride sb.
+// hostCPU is read once, before any init function runs.
+var hostCPU = hostFeatures()
+
+func hostFeatures() cpuFeatures {
+	var f cpuFeatures
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 1 {
+		return f
+	}
+	_, _, f.ecx1, _ = cpuid(1, 0)
+	if maxLeaf >= 7 {
+		_, f.ebx7, _, _ = cpuid(7, 0)
+	}
+	if f.ecx1&(1<<27) != 0 { // OSXSAVE: XGETBV is available
+		f.xcr0 = xgetbv0()
+	}
+	return f
+}
+
+// avx2FMA reports FMA (CPUID.1:ECX[12]), OSXSAVE [27], AVX [28] and AVX2
+// (CPUID.7.0:EBX[5]) with the SSE and AVX state components OS-enabled
+// (XCR0[2:1]).
+func (f cpuFeatures) avx2FMA() bool {
+	const need1 = 1<<12 | 1<<27 | 1<<28
+	return f.ecx1&need1 == need1 && f.ebx7&(1<<5) != 0 && f.xcr0&0x6 == 0x6
+}
+
+// avx512 additionally requires AVX512F (CPUID.7.0:EBX[16]) and the opmask
+// and both ZMM state components OS-enabled (XCR0 bits 5, 6, 7 on top of 1
+// and 2): a CPU with the instructions under an OS that does not save the
+// registers must stay on the AVX2 tier.
+func (f cpuFeatures) avx512() bool {
+	return f.avx2FMA() && f.ebx7&(1<<16) != 0 && f.xcr0&0xE6 == 0xE6
+}
+
+//go:noescape
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+//go:noescape
+func xgetbv0() uint64
+
+//go:noescape
+func gemmTileZMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+
+//go:noescape
+func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+
+// fmaDot2x4 computes eight simultaneous dot products (2 a rows × 4 b rows,
+// all contiguous) over k4 elements (k4 % 4 == 0): c[4r+t] = a_r·b_t.
 //
 //go:noescape
-func fmaBcast2x8(pa0, pa1 *float64, sa uintptr, pb *float64, sb uintptr, k int, c *[16]float64)
-
-// fmaDot2x4 computes the lane partials of eight simultaneous dot products
-// (2 a rows × 4 b rows, all contiguous) over k4 elements (k4 % 4 == 0):
-// c[8g:8g+4] holds tile element g's four lane sums.
-//
-//go:noescape
-func fmaDot2x4(pa0, pa1, pb0, pb1, pb2, pb3 *float64, k4 int, c *[32]float64)
+func fmaDot2x4(pa0, pa1, pb0, pb1, pb2, pb3 *float64, k4 int, c *[8]float64)
 
 // fmaAxpy computes y[0:n] += alpha·x[0:n] for n a multiple of 8.
 //
@@ -65,239 +143,97 @@ func axpyFMA(alpha float64, x, y []float64) {
 	}
 }
 
-// matMulAddFMA is dst =(+)= a·b with 2×8 FMA tiles.
-func matMulAddFMA(dst, a, b Mat, accumulate bool) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	var c [16]float64
-	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := k0 + gemmBlockK
-		if k1 > k {
-			k1 = k
-		}
-		first := k0 == 0 && !accumulate
-		kb := k1 - k0
-		i := 0
-		for ; i+2 <= m; i += 2 {
-			a0 := a.Row(i)[k0:k1]
-			a1 := a.Row(i + 1)[k0:k1]
-			a1 = a1[:len(a0)]
-			d0, d1 := dst.Row(i), dst.Row(i+1)
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				fmaBcast2x8(&a0[0], &a1[0], 8, &b.Data[k0*n+j], uintptr(n)*8, kb, &c)
-				if first {
-					copy(d0[j:j+8], c[0:8])
-					copy(d1[j:j+8], c[8:16])
-				} else {
-					for t := 0; t < 8; t++ {
-						d0[j+t] += c[t]
-						d1[j+t] += c[8+t]
-					}
-				}
-			}
-			// Scalar remainder columns.
-			for ; j < n; j++ {
-				var c0, c1 float64
-				off := k0*n + j
-				for p, av0 := range a0 {
-					bv := b.Data[off]
-					off += n
-					c0 += av0 * bv
-					c1 += a1[p] * bv
-				}
-				if first {
-					d0[j], d1[j] = c0, c1
-				} else {
-					d0[j] += c0
-					d1[j] += c1
-				}
+// gemmPanelBytes bounds one reduction block's B panel (kb rows × NR
+// float64s) so it stays L1-resident while the A rows stream past it.
+const gemmPanelBytes = 24 << 10
+
+// gemm is the one driver: c[m×n, row stride ldc] (= | +=) Σ_q A(i,q)·b[q],
+// with A(i,q) = a[i·sar + q·sak] and b's rows ldb apart. Panel-outer,
+// row-inner: for each reduction block and each NR-wide panel of b, every
+// MR-row group of A streams past the panel. The callers have validated the
+// shapes; the kernels read exactly the m×k elements of A and k×n of b the
+// strides name and write exactly c's m×n.
+func (t *gemmTier) gemm(c []float64, ldc, m, n, k int, a []float64, sar, sak int, b []float64, ldb int, accumulate bool) {
+	if m == 0 || n == 0 || k == 0 {
+		return // nothing to add; the exported store forms zero dst themselves
+	}
+	// Equal reduction blocks, each panel within the L1 budget.
+	blocks := (k*t.nr*8 + gemmPanelBytes - 1) / gemmPanelBytes
+	kb := (k + blocks - 1) / blocks
+	add := 0
+	if accumulate {
+		add = 1
+	}
+	for k0 := 0; k0 < k; k0 += kb {
+		kn := min(kb, k-k0)
+		for j := 0; j < n; j += t.nr {
+			nr := min(t.nr, n-j)
+			pb := &b[k0*ldb+j]
+			for i := 0; i < m; i += t.mr {
+				t.tile(&c[i*ldc+j], uintptr(ldc)*8, &a[i*sar+k0*sak], uintptr(sar)*8, uintptr(sak)*8,
+					pb, uintptr(ldb)*8, kn, min(t.mr, m-i), nr, add)
 			}
 		}
-		if i < m {
-			// Odd last row: scalar.
-			a0 := a.Row(i)[k0:k1]
-			d0 := dst.Row(i)
-			for j := 0; j < n; j++ {
-				var s float64
-				off := k0*n + j
-				for _, av := range a0 {
-					s += av * b.Data[off]
-					off += n
-				}
-				if first {
-					d0[j] = s
-				} else {
-					d0[j] += s
-				}
-			}
-		}
+		add = 1
 	}
 }
 
-// matMulABTFMA is dst =(+)= a·bᵀ with 2×4 FMA dot tiles.
+// matMulAdd is dst =(+)= a·b: A(i,q) = a[i][q].
+func (t *gemmTier) matMulAdd(dst, a, b Mat, accumulate bool) {
+	t.gemm(dst.Data, dst.Cols, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, accumulate)
+}
+
+// matMulATB is dst =(+)= aᵀ·b: A(i,q) = a[q][i], the same call with the
+// strides swapped.
+func (t *gemmTier) matMulATB(dst, a, b Mat, accumulate bool) {
+	t.gemm(dst.Data, dst.Cols, a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, accumulate)
+}
+
+// matMulABTFMA is dst =(+)= a·bᵀ with 2×4 FMA dot tiles. Edge tiles run
+// the same kernel: an odd last row of a is paired with itself and tile
+// columns past the last row of b re-read that row, the surplus sums being
+// dropped — so a single-row product (every GEMM of a b=1 forward pass) is
+// vector code too. Only the k%4 reduction tail is scalar.
 func matMulABTFMA(dst, a, b Mat, accumulate bool) {
 	m, k, n := a.Rows, a.Cols, b.Rows
-	var c [32]float64
+	var c [8]float64
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := k0 + gemmBlockK
-		if k1 > k {
-			k1 = k
-		}
+		k1 := min(k0+gemmBlockK, k)
 		first := k0 == 0 && !accumulate
 		kb := k1 - k0
 		k4 := kb &^ 3
-		i := 0
-		for ; i+2 <= m; i += 2 {
+		for i := 0; i < m; i += 2 {
+			rows := min(2, m-i)
 			a0 := a.Row(i)[k0:k1]
-			a1 := a.Row(i + 1)[k0:k1]
-			a1 = a1[:len(a0)]
-			d0, d1 := dst.Row(i), dst.Row(i+1)
-			j := 0
-			for ; j+4 <= n; j += 4 {
+			a1 := a.Row(i + rows - 1)[k0:k1]
+			for j := 0; j < n; j += 4 {
+				cols := min(4, n-j)
 				b0 := b.Row(j)[k0:k1]
-				b0 = b0[:len(a0)]
-				b1 := b.Row(j + 1)[k0:k1]
-				b1 = b1[:len(a0)]
-				b2 := b.Row(j + 2)[k0:k1]
-				b2 = b2[:len(a0)]
-				b3 := b.Row(j + 3)[k0:k1]
-				b3 = b3[:len(a0)]
-				var s00, s01, s02, s03, s10, s11, s12, s13 float64
-				if k4 > 0 {
-					fmaDot2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &c)
-					s00 = c[0] + c[1] + c[2] + c[3]
-					s01 = c[4] + c[5] + c[6] + c[7]
-					s02 = c[8] + c[9] + c[10] + c[11]
-					s03 = c[12] + c[13] + c[14] + c[15]
-					s10 = c[16] + c[17] + c[18] + c[19]
-					s11 = c[20] + c[21] + c[22] + c[23]
-					s12 = c[24] + c[25] + c[26] + c[27]
-					s13 = c[28] + c[29] + c[30] + c[31]
-				}
+				b1 := b.Row(min(j+1, n-1))[k0:k1]
+				b2 := b.Row(min(j+2, n-1))[k0:k1]
+				b3 := b.Row(min(j+3, n-1))[k0:k1]
+				fmaDot2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &c)
 				for p := k4; p < kb; p++ {
 					av0, av1 := a0[p], a1[p]
 					bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s02 += av0 * bv2
-					s03 += av0 * bv3
-					s10 += av1 * bv0
-					s11 += av1 * bv1
-					s12 += av1 * bv2
-					s13 += av1 * bv3
+					c[0] += av0 * bv0
+					c[1] += av0 * bv1
+					c[2] += av0 * bv2
+					c[3] += av0 * bv3
+					c[4] += av1 * bv0
+					c[5] += av1 * bv1
+					c[6] += av1 * bv2
+					c[7] += av1 * bv3
 				}
-				if first {
-					d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
-					d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
-				} else {
-					d0[j] += s00
-					d0[j+1] += s01
-					d0[j+2] += s02
-					d0[j+3] += s03
-					d1[j] += s10
-					d1[j+1] += s11
-					d1[j+2] += s12
-					d1[j+3] += s13
-				}
-			}
-			for ; j < n; j++ {
-				bRow := b.Row(j)[k0:k1]
-				bRow = bRow[:len(a0)]
-				var c0, c1 float64
-				for p, av0 := range a0 {
-					bv := bRow[p]
-					c0 += av0 * bv
-					c1 += a1[p] * bv
-				}
-				if first {
-					d0[j], d1[j] = c0, c1
-				} else {
-					d0[j] += c0
-					d1[j] += c1
-				}
-			}
-		}
-		if i < m {
-			a0 := a.Row(i)[k0:k1]
-			d0 := dst.Row(i)
-			for j := 0; j < n; j++ {
-				bRow := b.Row(j)[k0:k1]
-				bRow = bRow[:len(a0)]
-				var s float64
-				for p, av := range a0 {
-					s += av * bRow[p]
-				}
-				if first {
-					d0[j] = s
-				} else {
-					d0[j] += s
-				}
-			}
-		}
-	}
-}
-
-// matMulATBFMA is dst =(+)= aᵀ·b with 2×8 FMA tiles; the two broadcast
-// streams are adjacent a columns walked at the row stride.
-func matMulATBFMA(dst, a, b Mat, accumulate bool) {
-	p, m, n := a.Rows, a.Cols, b.Cols
-	var c [16]float64
-	for p0 := 0; p0 < p; p0 += gemmBlockK {
-		p1 := p0 + gemmBlockK
-		if p1 > p {
-			p1 = p
-		}
-		first := p0 == 0 && !accumulate
-		pb := p1 - p0
-		i := 0
-		for ; i+2 <= m; i += 2 {
-			d0, d1 := dst.Row(i), dst.Row(i+1)
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				fmaBcast2x8(&a.Data[p0*m+i], &a.Data[p0*m+i+1], uintptr(m)*8,
-					&b.Data[p0*n+j], uintptr(n)*8, pb, &c)
-				if first {
-					copy(d0[j:j+8], c[0:8])
-					copy(d1[j:j+8], c[8:16])
-				} else {
-					for t := 0; t < 8; t++ {
-						d0[j+t] += c[t]
-						d1[j+t] += c[8+t]
+				for r := 0; r < rows; r++ {
+					d, s := dst.Row(i + r)[j:j+cols], c[4*r:4*r+cols]
+					for t, v := range s {
+						if first {
+							d[t] = v
+						} else {
+							d[t] += v
+						}
 					}
-				}
-			}
-			for ; j < n; j++ {
-				var c0, c1 float64
-				aOff, bOff := p0*m+i, p0*n+j
-				for q := p0; q < p1; q++ {
-					bv := b.Data[bOff]
-					c0 += a.Data[aOff] * bv
-					c1 += a.Data[aOff+1] * bv
-					aOff += m
-					bOff += n
-				}
-				if first {
-					d0[j], d1[j] = c0, c1
-				} else {
-					d0[j] += c0
-					d1[j] += c1
-				}
-			}
-		}
-		if i < m {
-			d0 := dst.Row(i)
-			for j := 0; j < n; j++ {
-				var s float64
-				aOff, bOff := p0*m+i, p0*n+j
-				for q := p0; q < p1; q++ {
-					s += a.Data[aOff] * b.Data[bOff]
-					aOff += m
-					bOff += n
-				}
-				if first {
-					d0[j] = s
-				} else {
-					d0[j] += s
 				}
 			}
 		}

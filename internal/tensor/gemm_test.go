@@ -60,6 +60,7 @@ func TestGEMMVariantsMatchReference(t *testing.T) {
 		{1, 1, 1}, {2, 3, 4}, {4, 4, 4}, {5, 7, 3}, {8, 8, 8},
 		{3, 6, 9}, {7, 5, 11}, {13, 17, 6}, {4, gemmBlockK + 3, 5},
 		{6, 2*gemmBlockK + 1, 7}, {32, 33, 10},
+		{3, 0, 4}, // empty reduction: the store forms yield zeros
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -114,7 +115,9 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MatMulATBAdd/rows": func() { MatMulATBAdd(NewMat(3, 2), NewMat(2, 3), NewMat(4, 2)) },
 		"MatMulATBAdd/dst":  func() { MatMulATBAdd(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2)) },
 		"AddBiasRows":       func() { AddBiasRows(NewMat(2, 3), make([]float64, 2)) },
-		"ColSumsAdd":        func() { ColSumsAdd(make([]float64, 2), NewMat(2, 3)) },
+		"ColSums":           func() { ColSums(make([]float64, 2), NewMat(2, 3)) },
+		"MatMul/short-data": func() { MatMul(NewMat(2, 2), Mat{Rows: 2, Cols: 3, Data: make([]float64, 5)}, NewMat(3, 2)) },
+		"Transpose":         func() { Transpose(NewMat(2, 3), NewMat(2, 3)) },
 		"Im2ColInto/rows":   func() { Im2ColInto(NewMat(3, 4), 0, make([]float64, 9), 1, 3, 3, 2) },
 		"Im2ColInto/cols":   func() { Im2ColInto(NewMat(4, 7), 4, make([]float64, 9), 1, 3, 3, 2) },
 		"Im2ColInto/src":    func() { Im2ColInto(NewMat(4, 4), 0, make([]float64, 8), 1, 3, 3, 2) },
@@ -143,10 +146,35 @@ func TestAddBiasRowsAndColSums(t *testing.T) {
 			t.Fatalf("AddBiasRows = %v, want %v", m.Data, want)
 		}
 	}
-	sums := []float64{1, 1, 1}
-	ColSumsAdd(sums, m)
-	if sums[0] != 26 || sums[1] != 48 || sums[2] != 70 {
-		t.Fatalf("ColSumsAdd = %v", sums)
+	sums := []float64{1, 1, 1} // overwritten, not accumulated into
+	ColSums(sums, m)
+	if sums[0] != 25 || sums[1] != 47 || sums[2] != 69 {
+		t.Fatalf("ColSums = %v", sums)
+	}
+}
+
+// TestTranspose covers the 4-row blocks and the remainder rows of both
+// dimensions, and checks MatVec against the row dots it is defined by.
+func TestTranspose(t *testing.T) {
+	r := rng.New(12)
+	for _, sh := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {4, 4}, {5, 7}, {32, 784}, {131, 6}} {
+		src := randMat(r, sh[0], sh[1])
+		dst := NewMat(sh[1], sh[0])
+		Transpose(dst, src)
+		for i := 0; i < sh[0]; i++ {
+			for j := 0; j < sh[1]; j++ {
+				if dst.At(j, i) != src.At(i, j) {
+					t.Fatalf("%v: dst[%d][%d] = %v, want %v", sh, j, i, dst.At(j, i), src.At(i, j))
+				}
+			}
+		}
+		x, got := randMat(r, 1, sh[1]).Data, make([]float64, sh[0])
+		MatVec(got, src, x)
+		for i, v := range got {
+			if !almostEq(v, Dot(src.Row(i), x), 1e-10) {
+				t.Fatalf("%v: MatVec[%d] = %v, want %v", sh, i, v, Dot(src.Row(i), x))
+			}
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ package tensor
 var fmaSparseEnabled = false
 
 func init() {
-	if cpuSupportsAVX2FMA() {
+	if hostCPU.avx2FMA() {
 		fmaSparseEnabled = true
 		spDotImpl = spDotFMA
 	}

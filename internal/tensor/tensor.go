@@ -162,14 +162,14 @@ func HasNaNOrInf(x []float64) bool {
 }
 
 // MatVec computes dst = a * x for a m×k matrix and length-k vector; dst has
-// length m and must not alias x.
+// length m and must not alias x. It is the one-row case of the A·Bᵀ GEMM
+// (dstᵀ = xᵀ·aᵀ) and runs through that kernel, so the per-example forward
+// pass gets the vector dot tile on FMA hosts.
 func MatVec(dst []float64, a Mat, x []float64) {
 	if len(x) != a.Cols || len(dst) != a.Rows {
 		panic("tensor: MatVec shape mismatch")
 	}
-	for i := 0; i < a.Rows; i++ {
-		dst[i] = Dot(a.Row(i), x)
-	}
+	MatMulABT(Mat{Rows: 1, Cols: a.Rows, Data: dst}, Mat{Rows: 1, Cols: a.Cols, Data: x}, a)
 }
 
 // MatTVec computes dst = aᵀ * x for a m×k matrix and length-m vector; dst
