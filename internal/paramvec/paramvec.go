@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"leashedsgd/internal/rng"
+	"leashedsgd/internal/tensor"
 )
 
 // Pool allocates and recycles theta buffers of a fixed dimension and keeps
@@ -58,9 +59,10 @@ func NewPool(dim int) *Pool {
 // Dim returns the buffer dimension d.
 func (p *Pool) Dim() int { return p.dim }
 
-// getBuffer returns a zero-initialized... no: returns a possibly-dirty
-// buffer; callers always overwrite every element (copy or rand_init), so
-// clearing would be wasted work on the hot path.
+// getBuffer checks a buffer out: a recycled one when the free list has any,
+// a fresh allocation otherwise. Its content is unspecified — callers always
+// overwrite every element (a fused update, a copy or rand_init), so clearing
+// would be wasted work on the hot path.
 func (p *Pool) getBuffer() []float64 {
 	p.mu.Lock()
 	n := len(p.free)
@@ -164,16 +166,52 @@ func (v *Vector) CopyFrom(src *Vector) {
 	v.T = src.T
 }
 
-// Update applies θ ← θ − η·δ and advances the sequence number
+// Update applies θ ← θ − η·δ in place and advances the sequence number
 // (Algorithm 1's update). It must only be called on vectors that are
-// private to the caller (Leashed-SGD) or protected externally (the
-// lock-based baseline).
+// private to the caller or protected externally (the lock-based baseline).
+// The arithmetic is tensor.AxpyTo's — the same kernel UpdateFrom runs — so
+// SEQ, ASYNC, SYNC and the Leashed publish produce identical values from
+// identical inputs.
 func (v *Vector) Update(delta []float64, eta float64) {
 	v.T++
-	theta := v.Theta
-	for i, d := range delta {
-		theta[i] -= eta * d
+	tensor.AxpyTo(v.Theta, v.Theta, -eta, delta)
+}
+
+// updateBlock is how many elements UpdateFrom folds between two looks at
+// src's stale flag: 128 KiB per stream. Chosen by measurement
+// (docs/benchmarks.md "The dense publish"), not a knob: small enough that a
+// lost attempt on a 1 MB vector stops within an eighth of the pass, large
+// enough that the check (one shared cache line) and the kernel's restart do
+// not show against the block's 3 × 128 KiB of traffic.
+const updateBlock = 16384
+
+// UpdateFrom builds the next version on top of src in ONE streaming pass:
+// v.Theta = src.Theta − η·δ, v.T = src.T + 1 — Algorithm 3's copy (lines
+// 27-28) and update fused, three memory streams instead of the five of
+// CopyFrom followed by Update. v must be private to the caller and src
+// read-protected by it.
+//
+// The pass gives up as soon as it cannot win: between blocks of updateBlock
+// elements it checks src's stale flag, which the winner of a publish CAS
+// sets on the vector it replaced. A stale src can no longer be the head, so
+// a CAS from it could only fail; UpdateFrom then returns false with v's
+// content unspecified (v stays private and reusable), and the caller treats
+// the attempt as a lost CAS without issuing one. A vector of at most one
+// block is never checked. On true the caller still has to win the CAS.
+func (v *Vector) UpdateFrom(src *Vector, delta []float64, eta float64) bool {
+	n := len(v.Theta)
+	if len(src.Theta) != n || len(delta) != n {
+		panic("paramvec: UpdateFrom length mismatch")
 	}
+	for lo := 0; lo < n; lo += updateBlock {
+		if lo > 0 && src.Stale() {
+			return false
+		}
+		hi := min(lo+updateBlock, n)
+		tensor.AxpyTo(v.Theta[lo:hi], src.Theta[lo:hi], -eta, delta[lo:hi])
+	}
+	v.T = src.T + 1
+	return true
 }
 
 // UpdateSparse applies θ[idx[k]−base] ← θ[idx[k]−base] − η·val[k] for each

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leashedsgd/internal/rng"
+	"leashedsgd/internal/tensor"
 )
 
 func TestPoolCheckoutAccounting(t *testing.T) {
@@ -69,6 +70,126 @@ func TestUpdateAppliesStepAndAdvancesT(t *testing.T) {
 	for i := range want {
 		if v.Theta[i] != want[i] {
 			t.Fatalf("Theta = %v, want %v", v.Theta, want)
+		}
+	}
+}
+
+// TestUpdateFromEqualsCopyThenUpdate: the fused pass is CopyFrom followed by
+// Update, value for value and in T, and allocates nothing.
+func TestUpdateFromEqualsCopyThenUpdate(t *testing.T) {
+	const dim = 2*updateBlock + 7
+	p := NewPool(dim)
+	src, fused, two := New(p), New(p), New(p)
+	src.RandInit(rng.New(1), 0.1)
+	src.T = 41
+	delta := New(p)
+	delta.RandInit(rng.New(2), 1)
+	if !fused.UpdateFrom(src, delta.Theta, 0.05) {
+		t.Fatal("UpdateFrom from a live source reported a lost attempt")
+	}
+	two.CopyFrom(src)
+	two.Update(delta.Theta, 0.05)
+	if fused.T != 42 || two.T != 42 {
+		t.Fatalf("T = %d (fused), %d (copy+update), want 42", fused.T, two.T)
+	}
+	for i := range two.Theta {
+		if fused.Theta[i] != two.Theta[i] {
+			t.Fatalf("Theta[%d] = %v fused, %v copy+update", i, fused.Theta[i], two.Theta[i])
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { fused.UpdateFrom(src, delta.Theta, 0.05) }); a != 0 {
+		t.Fatalf("UpdateFrom allocates %v per pass, want 0", a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UpdateFrom with a short delta did not panic")
+		}
+	}()
+	fused.UpdateFrom(src, delta.Theta[:dim-1], 0.05)
+}
+
+// TestUpdateFromStopsOnStaleHead is the early exit, deterministically: the
+// head an attempt folds onto is replaced, and the attempt must stop at its
+// next block boundary — one block written, the rest of the private buffer
+// untouched, nothing published — leaving the vector reusable for a retry
+// that publishes newHead − η·g exactly.
+func TestUpdateFromStopsOnStaleHead(t *testing.T) {
+	const dim = 3*updateBlock + 5
+	const eta = 0.25
+	st := NewSingle(dim)
+	theta0 := make([]float64, dim)
+	g := make([]float64, dim)
+	r := rng.New(7)
+	for i := range g {
+		theta0[i], g[i] = r.NormFloat64(), r.NormFloat64()
+	}
+	st.PublishInit(theta0)
+
+	cur := st.ChainLatest(0)
+	// Another worker wins the head this attempt was started on.
+	winner := st.NewChainVec(0)
+	if !winner.UpdateFrom(cur, g, 1) || !st.ChainTryPublish(0, cur, winner) {
+		t.Fatal("uncontended publish failed")
+	}
+	if !cur.Stale() {
+		t.Fatal("replaced head not marked stale")
+	}
+
+	nv := st.NewChainVec(0)
+	tensor.Fill(nv.Theta, math.NaN())
+	nv.T = -1
+	if nv.UpdateFrom(cur, g, eta) {
+		t.Fatal("attempt on a replaced head ran to completion")
+	}
+	for i, v := range nv.Theta {
+		if (i >= updateBlock) != math.IsNaN(v) {
+			t.Fatalf("Theta[%d] = %v: the pass must stop after exactly one block", i, v)
+		}
+	}
+	if nv.T != -1 || nv.Deleted() {
+		t.Fatalf("abandoned vector: T = %d, deleted = %v; must stay private and reusable", nv.T, nv.Deleted())
+	}
+	if st.ChainPeek(0) != winner {
+		t.Fatal("an abandoned attempt changed the published head")
+	}
+	cur.StopReading()
+
+	// The retry is the same fused pass from the new head.
+	cur = st.ChainLatest(0)
+	if cur != winner {
+		t.Fatal("retry did not observe the winner's vector")
+	}
+	want := make([]float64, dim)
+	tensor.AxpyTo(want, winner.Theta, -eta, g)
+	if !nv.UpdateFrom(cur, g, eta) || !st.ChainTryPublish(0, cur, nv) {
+		t.Fatal("retry from the new head failed")
+	}
+	cur.StopReading()
+	if st.ChainPeek(0) != nv || nv.T != 2 {
+		t.Fatalf("head = %p (T=%d), want the retried vector at T=2", st.ChainPeek(0), nv.T)
+	}
+	for i := range want {
+		if nv.Theta[i] != want[i] {
+			t.Fatalf("retried Theta[%d] = %v, want newHead − η·g = %v", i, nv.Theta[i], want[i])
+		}
+	}
+}
+
+// TestUpdateFromShortVectorNeverChecks: a vector of at most one block runs
+// its whole pass without looking at the stale flag (the CAS is the check),
+// one element more and it looks exactly once.
+func TestUpdateFromShortVectorNeverChecks(t *testing.T) {
+	for _, tc := range []struct {
+		dim      int
+		complete bool
+	}{{1, true}, {updateBlock, true}, {updateBlock + 1, false}} {
+		p := NewPool(tc.dim)
+		src, nv := New(p), New(p)
+		tensor.Fill(src.Theta, 1)
+		src.StartReading()
+		src.MarkStale()
+		if got := nv.UpdateFrom(src, make([]float64, tc.dim), 1); got != tc.complete {
+			t.Errorf("dim %d on a stale source: complete = %v, want %v", tc.dim, got, tc.complete)
 		}
 	}
 }

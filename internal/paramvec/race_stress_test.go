@@ -165,6 +165,101 @@ func TestRaceShardedPublishRecycle(t *testing.T) {
 	}
 }
 
+// TestRaceDenseBlockedPublish runs the dense publisher's blocked pass
+// (UpdateFrom, then the CAS only if the pass completed) from several
+// goroutines against poisoned pools, at S = 1 and S = 4 with chains more
+// than two blocks long. Every update adds 1 to every cell of its chain, so a
+// chain published k times must read k in EVERY cell: a truncated pass that
+// got published, a pass built on a recycled head, or a lost update would all
+// break that. Checked by concurrent leased readers and at the end, where each
+// chain's head T, its cells and the count of successful publishes agree.
+func TestRaceDenseBlockedPublish(t *testing.T) {
+	const workers = 4
+	for _, tc := range []struct {
+		name   string
+		chains int
+	}{{"S1", 1}, {"S4", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			chains := tc.chains
+			dim := chains * (2*updateBlock + 17)
+			st := NewStore(dim, chains)
+			st.SetPoison(true)
+			st.PublishInit(make([]float64, dim))
+			delta := make([]float64, dim)
+			for i := range delta {
+				delta[i] = -1
+			}
+			iters := stressIters(t, 400)
+			published := make([]atomic.Int64, chains)
+			var abandoned atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var l Lease
+					for i := 0; i < iters; i++ {
+						view := l.Acquire(st)
+						for c := 0; c < chains; c++ {
+							r := st.ChainRange(c)
+							want := float64(l.Seq(c))
+							for _, j := range []int{r.Lo, r.Lo + updateBlock, r.Hi - 1} {
+								if got := view.At(j); got != want {
+									t.Errorf("worker %d: chain %d at T=%v reads %v in cell %d", w, c, want, got, j)
+									l.Release()
+									return
+								}
+							}
+						}
+						l.Release()
+						for k := 0; k < chains; k++ {
+							c := (w + k) % chains
+							r := st.ChainRange(c)
+							nv := st.NewChainVec(c)
+							for tries := 0; ; tries++ {
+								cur := st.ChainLatest(c)
+								ok := nv.UpdateFrom(cur, delta[r.Lo:r.Hi], 1)
+								if !ok {
+									abandoned.Add(1)
+								} else if nv.T != cur.T+1 {
+									t.Errorf("built T=%d on head T=%d", nv.T, cur.T)
+								}
+								ok = ok && st.ChainTryPublish(c, cur, nv)
+								cur.StopReading()
+								if ok {
+									published[c].Add(1)
+									break
+								}
+								if tries >= 1 {
+									nv.Release()
+									break
+								}
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			for c := 0; c < chains; c++ {
+				head, r := st.ChainPeek(c), st.ChainRange(c)
+				n := published[c].Load()
+				if n == 0 || head.T != n {
+					t.Fatalf("chain %d: head T = %d after %d successful publishes", c, head.T, n)
+				}
+				for j, v := range head.Theta {
+					if v != float64(n) {
+						t.Fatalf("chain %d cell %d = %v after %d applied updates", c, r.Lo+j, v, n)
+					}
+				}
+			}
+			if got, want := st.Live(), int64(chains); got != want {
+				t.Fatalf("Live = %d after quiesce, want %d", got, want)
+			}
+			t.Logf("attempts abandoned mid-pass: %d", abandoned.Load())
+		})
+	}
+}
+
 // TestRaceSnapshotVsOutsideLeases models the serving tier: lease-holders
 // OUTSIDE the publishing worker pool hold zero-copy leases across many
 // publishes (a batched inference pass is much longer than a gradient read)

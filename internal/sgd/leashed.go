@@ -29,10 +29,11 @@ import (
 //  3. enters the LAU-SPC loop per chain, traversing chains in a rotated
 //     order (start chain = worker id mod C) so concurrent workers spread
 //     over the chains instead of marching through them in lockstep: check
-//     out a fresh chain vector, copy the (possibly newer) latest published
-//     segment into it, fold in the gradient segment, and try to publish with
-//     a single CAS (paper P1, P5);
-//  4. on CAS failure, retries up to the persistence bound Tp, after which
+//     out a fresh chain vector, build the (possibly newer) latest published
+//     segment minus η·gradient into it in one fused pass, and try to publish
+//     with a single CAS (paper P1, P5) — a dense pass that sees its head
+//     replaced stops early and skips the CAS it could only lose;
+//  4. on a lost attempt, retries up to the persistence bound Tp, after which
 //     that chain's gradient segment is dropped and the vector recycled
 //     (contention regulation, Sec. IV-2); replaced vectors are marked stale
 //     and recycled once the last reader leaves (paper P2, P4).
@@ -155,8 +156,10 @@ func (st *leashedStrategy) endRead(w *loopWorker) {
 // no mass in are skipped outright (the scatter-publish win — a sparse step
 // touches ~min(S, B·NNZ) of the S chains, and untouched chains see no CAS,
 // no copy and no pool traffic), and each attempt folds the step through
-// step.publishChain (whole-segment copy+update for dense, base-shifted
-// sparse scatter for CSR).
+// step.publishChain (one fused whole-segment pass for dense, base-shifted
+// sparse scatter for CSR). A false from publishChain is a lost attempt —
+// a failed CAS or a dense pass abandoned because its head was replaced —
+// and the accounting below does not tell them apart.
 func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	rt := st.rt
 	e := w.epoch

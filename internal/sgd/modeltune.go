@@ -61,8 +61,11 @@ const (
 // nanoseconds. Atomic and padded so the controller can sample them live per
 // window — metrics.DurationSampler is per-worker merge-at-exit by contract
 // and cannot feed a mid-run reader. The per-attempt Tu the fit needs is
-// tuNs / (publishes + failed CAS): commit's duration spread over the CAS
-// attempts the same window's counters record.
+// tuNs / (publishes + failed CAS): commit's duration spread over the
+// attempts the same window's counters record — a mean over full passes and
+// the truncated ones of attempts that saw their head replaced mid-pass
+// (counted in failed CAS like a lost CAS), so it falls below the cost of
+// one uncontended publish as contention rises.
 type timeTally struct {
 	tcNs, tcN, tuNs atomic.Int64
 	_               [104]byte

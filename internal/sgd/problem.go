@@ -84,10 +84,13 @@ func (s denseStep) hasIn(lo, hi int) bool { return hi > lo }
 // component (zero entries included — they still cost the copy).
 func (s denseStep) nnzIn(lo, hi int) int { return hi - lo }
 
+// publishChain is one fused pass nv = cur − η·s[r] and, only if cur was
+// still unreplaced at every block boundary of that pass, the CAS. An attempt
+// abandoned mid-pass reports false exactly like a lost CAS: another worker
+// published, so the caller's accounting and the lock-freedom argument are
+// those of Algorithm 3.
 func (s denseStep) publishChain(store paramvec.ParamStore, c int, r paramvec.Range, cur, nv *paramvec.Vector, eta float64) bool {
-	nv.CopyFrom(cur)
-	nv.Update(s[r.Lo:r.Hi], eta)
-	return store.ChainTryPublish(c, cur, nv)
+	return nv.UpdateFrom(cur, s[r.Lo:r.Hi], eta) && store.ChainTryPublish(c, cur, nv)
 }
 
 // sparseStep is the CSR gradient representation: strictly increasing

@@ -1,0 +1,190 @@
+package sgd
+
+import (
+	"math"
+	"testing"
+
+	"leashedsgd/internal/paramvec"
+	"leashedsgd/internal/tensor"
+)
+
+// longDim is a chain longer than any block size the fused publish pass could
+// sensibly use; the tests below fail loudly (a CAS gets counted) if the block
+// ever grows past it, instead of silently testing nothing.
+const longDim = 1 << 18
+
+// casCountingStore counts the publish CASes issued through it.
+type casCountingStore struct {
+	paramvec.ParamStore
+	cas int
+}
+
+func (s *casCountingStore) ChainTryPublish(c int, expected, v *paramvec.Vector) bool {
+	s.cas++
+	return s.ParamStore.ChainTryPublish(c, expected, v)
+}
+
+// rivalPublish replaces chain 0's head with the same parameters at the next
+// sequence number — another worker winning the race.
+func rivalPublish(t *testing.T, st paramvec.ParamStore, zeros []float64) {
+	t.Helper()
+	cur := st.ChainLatest(0)
+	nv := st.NewChainVec(0)
+	ok := nv.UpdateFrom(cur, zeros, 0) && st.ChainTryPublish(0, cur, nv)
+	cur.StopReading()
+	if !ok {
+		t.Fatal("rival publish lost an uncontended CAS")
+	}
+}
+
+// TestDensePublishAbandonsWithoutCAS drives denseStep.publishChain itself:
+// an attempt whose head is replaced mid-way reports a lost attempt WITHOUT
+// issuing the CAS, and a warm attempt that does publish allocates nothing.
+func TestDensePublishAbandonsWithoutCAS(t *testing.T) {
+	inner := paramvec.NewSingle(longDim)
+	inner.PublishInit(make([]float64, longDim))
+	st := &casCountingStore{ParamStore: inner}
+	r := st.ChainRange(0)
+	g, zeros := make([]float64, longDim), make([]float64, longDim)
+	tensor.Fill(g, 1)
+	s := denseStep(g)
+
+	cur := st.ChainLatest(0)
+	rivalPublish(t, inner, zeros)
+	nv := st.NewChainVec(0)
+	if s.publishChain(st, 0, r, cur, nv, 0.5) {
+		t.Fatal("attempt on a replaced head published")
+	}
+	cur.StopReading()
+	if st.cas != 0 {
+		t.Fatalf("abandoned attempt issued %d CAS, want none", st.cas)
+	}
+	// The same private vector carries the retry.
+	cur = st.ChainLatest(0)
+	if !s.publishChain(st, 0, r, cur, nv, 0.5) {
+		t.Fatal("retry from the new head lost an uncontended CAS")
+	}
+	cur.StopReading()
+	if head := st.ChainPeek(0); head != nv || head.T != 2 || head.Theta[0] != -0.5 || head.Theta[longDim-1] != -0.5 {
+		t.Fatalf("head after retry: T=%d θ[0]=%v, want the retried vector at T=2, θ=−0.5", head.T, head.Theta[0])
+	}
+
+	const runs = 10
+	fresh := make([]*paramvec.Vector, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i] = st.NewChainVec(0)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		cur := st.ChainLatest(0)
+		if !s.publishChain(st, 0, r, cur, fresh[i], 0.5) {
+			t.Error("uncontended publish failed")
+		}
+		cur.StopReading()
+		i++
+	}); a != 0 {
+		t.Fatalf("warm dense publishChain allocates %v per attempt, want 0", a)
+	}
+}
+
+// stubProblem is a problem of a given dimension for tests that drive a
+// strategy hook directly and never build a gradient worker.
+type stubProblem struct {
+	problem
+	d int
+}
+
+func (p stubProblem) dim() int { return p.d }
+
+// movingHeadStep is a dense step whose every publish attempt finds that a
+// rival has replaced the head it was handed.
+type movingHeadStep struct {
+	denseStep
+	t      *testing.T
+	zeros  []float64
+	rivals *int
+}
+
+func (s movingHeadStep) publishChain(store paramvec.ParamStore, c int, r paramvec.Range, cur, nv *paramvec.Vector, eta float64) bool {
+	rivalPublish(s.t, store, s.zeros)
+	*s.rivals++
+	return s.denseStep.publishChain(store, c, r, cur, nv, eta)
+}
+
+// TestCommitCountsAbandonedAttemptAsLostCAS pins what an early exit means to
+// leashedStrategy.commit: exactly a lost CAS. With Persistence = 1 and a head
+// that always moves, the segment is dropped after exactly two tries, failed
+// and dropped advance, the private buffer goes back to the pool and the
+// budget unit is refunded — and no CAS but the rival's was ever issued.
+func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
+	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10, StalenessBound: 8}
+	rt := newRuntime(cfg, stubProblem{d: longDim})
+	e := newShardEpoch(longDim, 1, make([]float64, longDim))
+	counting := &casCountingStore{ParamStore: e.store}
+	e.store = counting
+	st := &leashedStrategy{rt: rt, epoch: e}
+	w := &loopWorker{hist: rt.hists[0], bound: cfg.Persistence, epoch: e}
+	w.lease.Acquire(e.store)
+	w.lease.Release()
+
+	baseline := e.store.Live()
+	g := make([]float64, longDim)
+	tensor.Fill(g, 1)
+	rivals := 0
+	if !st.commit(w, movingHeadStep{denseStep: g, t: t, zeros: make([]float64, longDim), rivals: &rivals}) {
+		t.Fatal("commit reported an exhausted budget")
+	}
+	if rivals != 2 {
+		t.Fatalf("segment dropped after %d tries, want exactly 2 (Tp = 1)", rivals)
+	}
+	if counting.cas != rivals {
+		t.Fatalf("%d CASes issued for %d rival publishes: an abandoned attempt must not CAS", counting.cas, rivals)
+	}
+	if f, d, p := e.failed[0].n.Load(), e.dropped[0].n.Load(), e.pub[0].n.Load(); f != 2 || d != 1 || p != 0 {
+		t.Fatalf("failed/dropped/published = %d/%d/%d, want 2/1/0", f, d, p)
+	}
+	if got := e.store.Live(); got != baseline {
+		t.Fatalf("Live = %d after the drop, want the baseline %d", got, baseline)
+	}
+	if res, upd := rt.reserved.Load(), rt.updates.Load(); res != 0 || upd != 0 || w.reserved {
+		t.Fatalf("reserved = %d, applied = %d after a dropped update, want the unit refunded", res, upd)
+	}
+	if head := e.store.ChainPeek(0); head.T != 2 || head.Theta[0] != 0 {
+		t.Fatalf("head T=%d θ[0]=%v: only the rival's two publishes may be visible", head.T, head.Theta[0])
+	}
+}
+
+// TestSingleWorkerAlgorithmsBitIdentical is the differential test of ROADMAP
+// item 3: at m = 1 with one seed, SEQ, lock-based ASYNC and Leashed at S = 1
+// and S = 4 walk the same trajectory to the last bit. It only holds because
+// every one of them applies a step through the one tensor.AxpyTo kernel — an
+// FMA rounds once where a scalar θ[i] −= η·δ rounds twice — and because the
+// kernel's masked tail makes an element's result independent of where a
+// chain boundary falls.
+func TestSingleWorkerAlgorithmsBitIdentical(t *testing.T) {
+	ds := tinyDataset()
+	run := func(algo Algorithm, shards int) []float64 {
+		cfg := testConfig(algo, 1)
+		cfg.EpsilonFrac = 0
+		cfg.MaxUpdates = 300
+		cfg.Shards = shards
+		res := runOrFatal(t, cfg, tinyNet(ds), ds)
+		if res.TotalUpdates != cfg.MaxUpdates {
+			t.Fatalf("%v S=%d applied %d updates, want %d", algo, shards, res.TotalUpdates, cfg.MaxUpdates)
+		}
+		return res.FinalParams
+	}
+	want := run(Seq, 1)
+	for _, arm := range []struct {
+		name   string
+		algo   Algorithm
+		shards int
+	}{{"ASYNC", Async, 1}, {"LSH/S1", Leashed, 1}, {"LSH/S4", Leashed, 4}} {
+		got := run(arm.algo, arm.shards)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: θ[%d] = %v, SEQ has %v", arm.name, i, got[i], want[i])
+			}
+		}
+	}
+}

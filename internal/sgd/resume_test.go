@@ -10,11 +10,30 @@ import (
 	"leashedsgd/internal/faultinject"
 )
 
+// pacedAfter is how many worker iterations of a startCheckpointed leg run at
+// full speed before every further one stalls.
+const pacedAfter = 500
+
 // startCheckpointed launches a run with aggressive checkpoint cadence and
 // blocks until at least minCkpts rotated checkpoints exist, then stops it.
 // Returns the first leg's Result.
-func startCheckpointed(t *testing.T, cfg Config, minCkpts int) *Result {
+//
+// The leg is killed by this helper, never by its budget: after pacedAfter
+// iterations every worker iteration stalls 1 ms at the WorkerIter fault
+// site, so the rest of the budget cannot be spent faster than Workers
+// updates per millisecond — seconds of run, against the few milliseconds the
+// checkpoints need — however fast the host or the publish path is. The
+// injector (the pacing rule plus the caller's extra rules) is armed on this
+// leg only; cfg is a copy, so the caller's resumed leg runs unpaced.
+func startCheckpointed(t *testing.T, cfg Config, minCkpts int, extra ...faultinject.Rule) *Result {
 	t.Helper()
+	if paced := time.Duration(cfg.MaxUpdates-pacedAfter) * time.Millisecond / time.Duration(cfg.Workers); paced < 2*time.Second {
+		t.Fatalf("budget %d leaves only %v of paced run", cfg.MaxUpdates, paced)
+	}
+	cfg.FaultInjector = faultinject.New(5, append(extra, faultinject.Rule{
+		Site: faultinject.WorkerIter, Kind: faultinject.KindStall,
+		Prob: 1, After: pacedAfter, Stall: time.Millisecond,
+	})...)
 	ds := tinyDataset()
 	r, err := Start(cfg, tinyNet(ds), ds)
 	if err != nil {
@@ -44,7 +63,11 @@ func startCheckpointed(t *testing.T, cfg Config, minCkpts int) *Result {
 		time.Sleep(time.Millisecond)
 	}
 	r.Stop()
-	return r.Wait()
+	res := r.Wait()
+	if res.TotalUpdates >= cfg.MaxUpdates {
+		t.Fatalf("paced leg spent its whole budget (%d) before the kill", res.TotalUpdates)
+	}
+	return res
 }
 
 func ckptConfig(t *testing.T, algo Algorithm, workers int) Config {
@@ -90,9 +113,6 @@ func TestKillResumeExactBudget(t *testing.T) {
 			if res1.Checkpoints == 0 {
 				t.Fatalf("first leg reported no checkpoints (%d files on disk)",
 					len(checkpoint.Candidates(cfg.Checkpoint.Path)))
-			}
-			if res1.TotalUpdates >= cfg.MaxUpdates {
-				t.Skipf("first leg finished its whole budget (%d) before the kill", res1.TotalUpdates)
 			}
 
 			ds := tinyDataset()
@@ -142,11 +162,10 @@ func TestKillResumeExactBudget(t *testing.T) {
 // and the lineage still resumes with an exact budget.
 func TestInjectedTornCheckpointWrites(t *testing.T) {
 	cfg := ckptConfig(t, Leashed, 2)
-	cfg.FaultInjector = faultinject.New(5, faultinject.Rule{
+	res1 := startCheckpointed(t, cfg, 2, faultinject.Rule{
 		Site: faultinject.CheckpointWrite, Kind: faultinject.KindFail,
 		Prob: 1, Limit: 2,
 	})
-	res1 := startCheckpointed(t, cfg, 2)
 	if res1.CheckpointErrors != 2 {
 		t.Fatalf("CheckpointErrors = %d, want the 2 injected torn writes", res1.CheckpointErrors)
 	}
@@ -157,9 +176,6 @@ func TestInjectedTornCheckpointWrites(t *testing.T) {
 		if _, _, err := checkpoint.Load(c.File); err != nil {
 			t.Fatalf("torn write leaked a corrupt candidate %s: %v", c.File, err)
 		}
-	}
-	if res1.TotalUpdates >= cfg.MaxUpdates {
-		t.Skipf("first leg finished its whole budget before the kill")
 	}
 
 	ds := tinyDataset()
@@ -178,10 +194,7 @@ func TestInjectedTornCheckpointWrites(t *testing.T) {
 // loader must fall back to the previous valid checkpoint, not fail.
 func TestResumeSkipsCorruptNewest(t *testing.T) {
 	cfg := ckptConfig(t, Leashed, 2)
-	res1 := startCheckpointed(t, cfg, 2)
-	if res1.TotalUpdates >= cfg.MaxUpdates {
-		t.Skipf("first leg finished its whole budget before the kill")
-	}
+	startCheckpointed(t, cfg, 2)
 
 	cands := checkpoint.Candidates(cfg.Checkpoint.Path)
 	if len(cands) < 2 {

@@ -345,9 +345,11 @@ type Result struct {
 	FinalParams []float64
 
 	// Leashed-SGD contention measurements. For sharded runs these are the
-	// totals across shards; a "failed CAS" is one failed shard-publish
-	// attempt and a "dropped update" is one shard segment abandoned after
-	// exhausting the persistence bound.
+	// totals across shards; a "failed CAS" is one shard-publish attempt
+	// that lost the head — at the CAS itself or, for a dense step, detected
+	// mid-pass, where the attempt stops without issuing the CAS it could
+	// only lose (paramvec.Vector.UpdateFrom) — and a "dropped update" is
+	// one shard segment abandoned after exhausting the persistence bound.
 	FailedCAS      int64
 	DroppedUpdates int64
 
@@ -365,6 +367,7 @@ type Result struct {
 	// Per-shard contention breakdown (len = Shards; nil for algorithms
 	// that ignore the sharding knob). ShardPublishes counts successful
 	// shard publishes (HOGWILD!: per-shard component-update sweeps);
+	// ShardFailedCAS is FailedCAS per shard, lost attempts of both kinds;
 	// ShardStalenessMean is the mean per-shard publish staleness, measured
 	// in that shard's own sequence numbers. ShardStaleReads counts, per
 	// shard, the leased reads during which THAT shard's chain republished
@@ -461,8 +464,11 @@ func (r *Result) MeanLiveVectors() float64 {
 }
 
 // FailedPerPublish is the contention rate comparable across shard counts
-// and across static/autotuned runs: failed CAS attempts per successful
-// shard publish. Zero when nothing published.
+// and across static/autotuned runs: attempts that lost the head (at the CAS
+// or detected mid-pass) per successful shard publish. Stopping a lost
+// attempt early makes it cheaper, not rarer, so the rate keeps its meaning
+// as the S-axis signal of AutoTune and as q = f/(1+f) in
+// queuemodel.FitWindows. Zero when nothing published.
 func (r *Result) FailedPerPublish() float64 {
 	if r.Publishes == 0 {
 		return 0

@@ -34,6 +34,9 @@ type gemmTier struct {
 	name   string
 	mr, nr int
 	tile   tileFunc
+	// axpyTo is the tier's AxpyTo kernel: the same register width, chosen
+	// by the same test.
+	axpyTo func(dst, src []float64, alpha float64, x []float64)
 	// supported reports whether the CPU has the instructions and the OS
 	// saves the registers the kernel uses.
 	supported func(cpuFeatures) bool
@@ -43,8 +46,8 @@ type gemmTier struct {
 // host supports. The table exists so the tests can drive every tier the
 // host has, not to be chosen from by callers.
 var gemmTiers = []*gemmTier{
-	{name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, supported: cpuFeatures.avx512},
-	{name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, supported: cpuFeatures.avx2FMA},
+	{name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, axpyTo: axpyToZMM, supported: cpuFeatures.avx512},
+	{name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, axpyTo: axpyToYMM, supported: cpuFeatures.avx2FMA},
 }
 
 // gemmTierSelected is the broadcast-tile tier init dispatched to; nil when
@@ -55,9 +58,9 @@ func init() {
 	for _, t := range gemmTiers {
 		if t.supported(hostCPU) {
 			gemmTierSelected = t
-			matMulAddImpl, matMulATBImpl = t.matMulAdd, t.matMulATB
-			// Every tier implies AVX2+FMA, which is all these two need.
-			matMulABTImpl, axpyImpl = matMulABTFMA, axpyFMA
+			matMulAddImpl, matMulATBImpl, axpyToImpl = t.matMulAdd, t.matMulATB, t.axpyTo
+			// Every tier implies AVX2+FMA, which is all the dot tile needs.
+			matMulABTImpl = matMulABTFMA
 			return
 		}
 	}
@@ -123,25 +126,14 @@ func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float6
 //go:noescape
 func fmaDot2x4(pa0, pa1, pb0, pb1, pb2, pb3 *float64, k4 int, c *[8]float64)
 
-// fmaAxpy computes y[0:n] += alpha·x[0:n] for n a multiple of 8.
+// axpyToZMM and axpyToYMM are the two AxpyTo kernels (contract in
+// gemm_fma_amd64.s): one FMA per element, tail lanes masked.
 //
 //go:noescape
-func fmaAxpy(alpha float64, px, py *float64, n int)
+func axpyToZMM(dst, src []float64, alpha float64, x []float64)
 
-// axpyFMA runs the 8-wide FMA kernel over the bulk of the vector and
-// finishes the tail in Go. Element order matches axpyGo, but the fused
-// multiply-add rounds once where the portable kernel rounds the multiply
-// and the add separately — results can differ in the last ulp across
-// hosts, like the GEMM drivers.
-func axpyFMA(alpha float64, x, y []float64) {
-	n8 := len(x) &^ 7
-	if n8 > 0 {
-		fmaAxpy(alpha, &x[0], &y[0], n8)
-	}
-	for i := n8; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
+//go:noescape
+func axpyToYMM(dst, src []float64, alpha float64, x []float64)
 
 // gemmPanelBytes bounds one reduction block's B panel (kb rows × NR
 // float64s) so it stays L1-resident while the A rows stream past it.

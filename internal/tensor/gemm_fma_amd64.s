@@ -4,9 +4,9 @@
 
 // FMA microkernels for the GEMM drivers (gemm_fma_amd64.go): the two
 // direct-to-C broadcast tile kernels (AVX-512 8×16, AVX2 4×8), the 2×4 dot
-// tile of the A·Bᵀ orientation, and the axpy kernel. Every kernel ends in
-// VZEROUPPER, and none touches memory outside the rows/lanes its mr/nr/k
-// arguments name.
+// tile of the A·Bᵀ orientation, and the two AxpyTo kernels. Every kernel
+// ends in VZEROUPPER, and none touches memory outside the rows/lanes its
+// mr/nr/k (or length) arguments name.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -456,29 +456,133 @@ fold:
 	VZEROUPPER
 	RET
 
-// func fmaAxpy(alpha float64, px, py *float64, n int)
+// The AxpyTo contract shared by both kernels:
 //
-// y[0:n] += alpha·x[0:n], n a multiple of 8 (the Go wrapper finishes the
-// tail). Two 4-wide FMA streams per iteration.
-TEXT ·fmaAxpy(SB), NOSPLIT, $0-32
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ px+8(FP), AX
-	MOVQ py+16(FP), BX
-	MOVQ n+24(FP), CX
+//	dst[i] = src[i] + alpha·x[i]    for i < len(dst)
+//
+// one FMA per element, whatever its position: the bulk runs four vectors per
+// iteration, then single vectors, and the last len%lanes elements go through
+// the same instruction under a lane mask (masked-off lanes are neither loaded
+// nor stored, so nothing past the slices is touched and every element rounds
+// once). dst may be src: each vector is loaded before it is stored. The Go
+// side has checked that the three lengths agree; only dst's is read.
 
-loop8:
-	VMOVUPD     (AX), Y1
-	VMOVUPD     32(AX), Y2
-	VMOVUPD     (BX), Y3
-	VMOVUPD     32(BX), Y4
-	VFMADD231PD Y1, Y0, Y3
-	VFMADD231PD Y2, Y0, Y4
-	VMOVUPD     Y3, (BX)
-	VMOVUPD     Y4, 32(BX)
-	ADDQ $64, AX
-	ADDQ $64, BX
+// func axpyToZMM(dst, src []float64, alpha float64, x []float64)
+TEXT ·axpyToZMM(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	VBROADCASTSD alpha+48(FP), Z0
+	MOVQ x_base+56(FP), DX
+
+	CMPQ CX, $32
+	JLT  z8
+
+z32:
+	VMOVUPD     (SI), Z1
+	VMOVUPD     64(SI), Z2
+	VMOVUPD     128(SI), Z3
+	VMOVUPD     192(SI), Z4
+	VFMADD231PD (DX), Z0, Z1
+	VFMADD231PD 64(DX), Z0, Z2
+	VFMADD231PD 128(DX), Z0, Z3
+	VFMADD231PD 192(DX), Z0, Z4
+	VMOVUPD     Z1, (DI)
+	VMOVUPD     Z2, 64(DI)
+	VMOVUPD     Z3, 128(DI)
+	VMOVUPD     Z4, 192(DI)
+	ADDQ $256, SI
+	ADDQ $256, DX
+	ADDQ $256, DI
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  z32
+
+z8:
+	CMPQ CX, $8
+	JLT  zmask
+	VMOVUPD     (SI), Z1
+	VFMADD231PD (DX), Z0, Z1
+	VMOVUPD     Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
 	SUBQ $8, CX
-	JNZ  loop8
+	JMP  z8
 
+zmask:
+	TESTQ CX, CX
+	JZ    zend
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	VMOVUPD.Z   (SI), K1, Z1
+	VMOVUPD.Z   (DX), K1, Z2
+	VFMADD231PD Z2, Z0, Z1
+	VMOVUPD     Z1, K1, (DI)
+
+zend:
+	VZEROUPPER
+	RET
+
+// func axpyToYMM(dst, src []float64, alpha float64, x []float64)
+TEXT ·axpyToYMM(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	VBROADCASTSD alpha+48(FP), Y0
+	MOVQ x_base+56(FP), DX
+
+	CMPQ CX, $16
+	JLT  y4
+
+y16:
+	VMOVUPD     (SI), Y1
+	VMOVUPD     32(SI), Y2
+	VMOVUPD     64(SI), Y3
+	VMOVUPD     96(SI), Y4
+	VFMADD231PD (DX), Y0, Y1
+	VFMADD231PD 32(DX), Y0, Y2
+	VFMADD231PD 64(DX), Y0, Y3
+	VFMADD231PD 96(DX), Y0, Y4
+	VMOVUPD     Y1, (DI)
+	VMOVUPD     Y2, 32(DI)
+	VMOVUPD     Y3, 64(DI)
+	VMOVUPD     Y4, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  y16
+
+y4:
+	CMPQ CX, $4
+	JLT  ymask
+	VMOVUPD     (SI), Y1
+	VFMADD231PD (DX), Y0, Y1
+	VMOVUPD     Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  y4
+
+ymask:
+	TESTQ CX, CX
+	JZ    yend
+	// Lanes [0, CX) of the mask are set: the table is eight −1 words then
+	// eight zeros, read from word 8−CX.
+	MOVQ $8, AX
+	SUBQ CX, AX
+	LEAQ gemmLaneMask<>(SB), BX
+	VMOVDQU     (BX)(AX*8), Y5
+	VMASKMOVPD  (SI), Y5, Y1
+	VMASKMOVPD  (DX), Y5, Y2
+	VFMADD231PD Y2, Y0, Y1
+	VMASKMOVPD  Y1, Y5, (DI)
+
+yend:
 	VZEROUPPER
 	RET

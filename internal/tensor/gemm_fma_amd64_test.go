@@ -125,6 +125,20 @@ func TestGEMMTier(t *testing.T) {
 	}
 }
 
+// TestAxpyToTier drives the AxpyTo kernel of every tier of the table, not
+// only the selected one, through checkAxpyTo; a tier the host lacks skips by
+// name like TestGEMMTier's.
+func TestAxpyToTier(t *testing.T) {
+	for _, tier := range gemmTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			if !tier.supported(hostCPU) {
+				t.Skipf("tier %s not supported by this CPU/OS: UNTESTED here", tier.name)
+			}
+			checkAxpyTo(t, tier.axpyTo, true)
+		})
+	}
+}
+
 // TestGEMMTierCanary embeds dst in a larger slice with NaN guard bands in
 // front, behind, and between the rows' logical ends (ldc > n): the kernels
 // store whole vectors into θ-shaped flat buffers, where an over-wide store

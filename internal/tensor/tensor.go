@@ -75,9 +75,8 @@ func Dot(a, b []float64) float64 {
 	return s + s0 + s1 + s2 + s3
 }
 
-// Axpy computes y += alpha * x element-wise. It panics on length mismatch.
-// On amd64 hosts with AVX2+FMA the bulk of the vector runs through a fused
-// multiply-add kernel (gemm_fma_amd64.s); axpyGo is the portable fallback.
+// Axpy computes y += alpha * x element-wise: AxpyTo with dst = src = y. It
+// panics on length mismatch.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
@@ -85,25 +84,43 @@ func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	axpyImpl(alpha, x, y)
+	axpyToImpl(y, y, alpha, x)
 }
 
-var axpyImpl = axpyGo
+// AxpyTo computes dst = src + alpha * x element-wise. dst may be src itself
+// (the in-place update) or disjoint from it; partial overlap is not
+// supported. It panics on length mismatch. This is the one AXPY kernel in
+// the tree — Axpy, paramvec.Vector's updates and the dense LAU-SPC publish
+// all run through it, so every algorithm applies a step with the same
+// arithmetic. On amd64 hosts with AVX2+FMA it is a three-pointer FMA loop
+// (gemm_fma_amd64.s; zmm or ymm wide, chosen with the GEMM tier) that rounds
+// each element once, the masked tail included; axpyToGo is the portable
+// fallback and the reference, which rounds the multiply and the add
+// separately unless the compiler fuses them — results can differ in the last
+// ulp across hosts, like the GEMM drivers.
+func AxpyTo(dst, src []float64, alpha float64, x []float64) {
+	if len(src) != len(dst) || len(x) != len(dst) {
+		panic("tensor: AxpyTo length mismatch")
+	}
+	axpyToImpl(dst, src, alpha, x)
+}
 
-func axpyGo(alpha float64, x, y []float64) {
-	y = y[:len(x)] // hoist the bounds check out of the loops below
+var axpyToImpl = axpyToGo
+
+func axpyToGo(dst, src []float64, alpha float64, x []float64) {
+	src, x = src[:len(dst)], x[:len(dst)] // hoist the bounds checks out of the loops below
 	// 4-way unrolled like Dot: the stitched small-layer path runs on these
 	// two kernels, so they carry the same register-accumulator treatment as
 	// the blocked GEMMs.
 	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+	for ; i+4 <= len(dst); i += 4 {
+		dst[i] = src[i] + alpha*x[i]
+		dst[i+1] = src[i+1] + alpha*x[i+1]
+		dst[i+2] = src[i+2] + alpha*x[i+2]
+		dst[i+3] = src[i+3] + alpha*x[i+3]
 	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+	for ; i < len(dst); i++ {
+		dst[i] = src[i] + alpha*x[i]
 	}
 }
 

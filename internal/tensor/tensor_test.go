@@ -95,6 +95,93 @@ func TestAxpyZeroAlphaNoop(t *testing.T) {
 	}
 }
 
+// axpyToLens straddle every loop boundary of both kernels (4-vector bulk,
+// single vectors, masked tail), one paramvec publish block either side, and
+// the PaperMLP dimension.
+var axpyToLens = []int{0, 1, 7, 8, 9, 31, 32, 33, 16383, 16384, 16385, 134794}
+
+// checkAxpyTo pins one AxpyTo implementation to the portable loop, to 1 ulp
+// of the larger term (an FMA rounds once where the loop may round the product
+// and the sum), for dst aliasing src and disjoint from it; a fused
+// implementation must also equal math.FMA exactly on every element, the
+// masked tail included — what makes a step's result independent of where a
+// chain boundary falls. dst, src and x each sit inside a larger slice at an
+// odd offset between NaN guard bands that must survive: the kernels store
+// whole vectors into θ-shaped chain buffers, where an over-wide store would
+// corrupt the neighbouring chain.
+func checkAxpyTo(t *testing.T, impl func(dst, src []float64, alpha float64, x []float64), fused bool) {
+	t.Helper()
+	const guard, alpha = 11, -0.37
+	r := rng.New(31)
+	embed := func(n int, fill func() float64) (buf, in []float64) {
+		buf = make([]float64, 2*guard+n)
+		Fill(buf, math.NaN())
+		in = buf[guard : guard+n : guard+n]
+		for i := range in {
+			in[i] = fill()
+		}
+		return buf, in
+	}
+	guardsIntact := func(name string, n int, buf []float64) {
+		t.Helper()
+		for p, v := range buf {
+			if (p < guard || p >= guard+n) != math.IsNaN(v) {
+				t.Fatalf("n=%d: %s[%d] = %v: guard band overwritten or NaN stored", n, name, p-guard, v)
+			}
+		}
+	}
+	for _, n := range axpyToLens {
+		for _, alias := range []bool{false, true} {
+			srcBuf, src := embed(n, r.NormFloat64)
+			xBuf, x := embed(n, r.NormFloat64)
+			dstBuf, dst := srcBuf, src
+			if !alias {
+				dstBuf, dst = embed(n, math.NaN) // every element must be stored
+			}
+			want, once := make([]float64, n), make([]float64, n)
+			axpyToGo(want, src, alpha, x)
+			for i := range once {
+				once[i] = math.FMA(alpha, x[i], src[i])
+			}
+			impl(dst, src, alpha, x)
+			for i := range want {
+				big := math.Max(math.Abs(want[i]), math.Abs(alpha*x[i]))
+				if math.Abs(dst[i]-want[i]) > math.Nextafter(big, math.Inf(1))-big {
+					t.Fatalf("n=%d alias=%v: dst[%d] = %v, want %v", n, alias, i, dst[i], want[i])
+				}
+				if fused && dst[i] != once[i] {
+					t.Fatalf("n=%d alias=%v: dst[%d] = %v, not the single rounding %v", n, alias, i, dst[i], once[i])
+				}
+			}
+			guardsIntact("dst", n, dstBuf)
+			guardsIntact("src", n, srcBuf)
+			guardsIntact("x", n, xBuf)
+		}
+	}
+}
+
+// TestAxpyTo runs the dispatched kernel (the portable loop under -tags
+// noasm) through the shared check and pins the length contract.
+func TestAxpyTo(t *testing.T) {
+	checkAxpyTo(t, AxpyTo, false)
+	a2, a3 := make([]float64, 2), make([]float64, 3)
+	for name, f := range map[string]func(){
+		"src":  func() { AxpyTo(a3, a2, 1, a3) },
+		"x":    func() { AxpyTo(a3, a3, 1, a2) },
+		"dst":  func() { AxpyTo(a2, a3, 1, a3) },
+		"axpy": func() { Axpy(0, a2, a3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s length mismatch did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestScaleFillCopy(t *testing.T) {
 	x := []float64{1, 2, 3}
 	Scale(3, x)
