@@ -182,7 +182,7 @@ func runStep(step string, sc harness.Scale, threads, shardCounts []int, emit fun
 		m := threads[len(threads)-1] * 2
 		emit(harness.ShardSweep(sc, m, shardCounts, sgd.PersistenceInf))
 	case "autotune":
-		// Closed-loop follow-up to the shards step: the AutoShard
+		// Closed-loop follow-up to the shards step: the autotune
 		// controller against the static sweep, with the S-trajectory and
 		// re-shard count on the auto row.
 		m := threads[len(threads)-1] * 2
@@ -276,7 +276,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   leashed run <s1|s1-eta|s2|s3|s4|s5|fig9|shards|autotune|jointtune|serveload|sparse|chaos> [flags]
   leashed run-all [flags]
-  leashed train [-algo LSH] [-arch mlp] [-workers N] [-shards S] [-autoshard] [-autotune] [-autotune-model] [-json] [-ckpt FILE] [-ckpt-every DUR] [-ckpt-keep N] [-resume] [-updates N] ...
+  leashed train [-algo LSH] [-arch mlp] [-workers N] [-shards S] [-autotune] [-autotune-model] [-json] [-ckpt FILE] [-ckpt-every DUR] [-ckpt-keep N] [-resume] [-updates N] ...
   leashed serve [-addr HOST:PORT] [-arch mlp] [-workers N] [-budget DUR] [-store leased|readfront] [-leash-age DUR] ...
   leashed table1
 flags: -scale small|paper -arch A -threads 1,2,4 -trials N -budget DUR -shards 1,2,4,8 -csv FILE`)

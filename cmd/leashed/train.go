@@ -23,7 +23,6 @@ func runTrain(args []string) {
 	batch := fs.Int("batch", 16, "mini-batch size")
 	persistence := fs.Int("persistence", leashedsgd.PersistenceInf, "LSH persistence bound Tp (-1 = inf)")
 	shards := fs.Int("shards", 1, "published-vector shard count (LSH/HOG; 1 = paper's single chain)")
-	autoShard := fs.Bool("autoshard", false, "autotune the shard count from observed contention (LSH; excludes -shards)")
 	autoTune := fs.Bool("autotune", false, "jointly autotune shard count AND persistence bound (LSH; excludes -shards)")
 	autoTuneModel := fs.Bool("autotune-model", false, "model-guided joint autotune: fit the queueing model online and jump to its predicted (S, Tp) (LSH; excludes -shards)")
 	epsilon := fs.Float64("epsilon", 0.25, "convergence target as fraction of initial loss (0 = run to budget)")
@@ -73,7 +72,6 @@ func runTrain(args []string) {
 		BatchSize:       *batch,
 		Persistence:     *persistence,
 		Shards:          *shards,
-		AutoShard:       *autoShard,
 		AutoTune:        *autoTune,
 		AutoTuneModel:   *autoTuneModel,
 		EpsilonFrac:     *epsilon,

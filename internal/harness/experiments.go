@@ -251,13 +251,11 @@ func ShardSweep(sc Scale, workers int, shardCounts []int, persistence int) *repo
 	return tbl
 }
 
-// AutoShardSweep compares the AutoShard controller against the static
+// AutoShardSweep compares the autotune controller against the static
 // shard-count sweep on the same profiling workload (extension; the
 // closed-loop follow-up to ShardSweep): one run per static S plus one
 // autotuned run, each reporting contention per publish and efficiency, with
-// the controller's S-trajectory and re-shard count on the auto row. The
-// controller's final S landing within one doubling of the best static row's
-// knee is the convergence claim BenchmarkAutoShard checks.
+// the controller's S-trajectory and re-shard count on the auto row.
 func AutoShardSweep(sc Scale, workers int, shardCounts []int, persistence int) *report.Table {
 	tbl := report.NewTable(
 		fmt.Sprintf("AutoShard: controller vs static shard sweep, m=%d Tp=%d [%s]",
@@ -287,7 +285,7 @@ func AutoShardSweep(sc Scale, workers int, shardCounts []int, persistence int) *
 		cell := RunCell(s, spec, workers, 0, s.Eta, false)
 		addRow(spec.Name, cell.Results[0])
 	}
-	auto := AlgoSpec{Name: "LSH_auto", Algo: sgd.Leashed, Persistence: persistence, AutoShard: true}
+	auto := AlgoSpec{Name: "LSH_auto", Algo: sgd.Leashed, Persistence: persistence, AutoTune: true}
 	cell := RunCell(s, auto, workers, 0, s.Eta, false)
 	addRow(auto.Name, cell.Results[0])
 	return tbl
@@ -463,15 +461,4 @@ func cellSummary(c Cell) string {
 		s += fmt.Sprintf(" C%d", c.Crashed)
 	}
 	return s
-}
-
-// QuickRun is a convenience for examples: run one algorithm at the small
-// scale and return the result.
-func QuickRun(algo sgd.Algorithm, workers int, persistence int, maxTime time.Duration) *sgd.Result {
-	sc := Small()
-	sc.MaxTime = maxTime
-	sc.Trials = 1
-	spec := AlgoSpec{Name: algo.String(), Algo: algo, Persistence: persistence}
-	cell := RunCell(sc, spec, workers, 0.5, sc.Eta, false)
-	return cell.Results[0]
 }

@@ -1,8 +1,7 @@
 // Package harness runs the paper's experiment matrix (Table I, steps S1-S5)
 // over the algorithm family and produces the per-figure data series. Every
 // figure in the evaluation section has a function here that regenerates its
-// rows; bench_test.go at the repository root and cmd/leashed call into this
-// package.
+// rows; cmd/leashed (`leashed run`) calls into this package.
 package harness
 
 import (
@@ -88,9 +87,8 @@ type Scale struct {
 	EvalEvery  time.Duration
 }
 
-// Small returns the laptop-scale defaults used by `go test -bench` and the
-// CLI without flags: runs finish in seconds while preserving the paper's
-// qualitative shape.
+// Small returns the laptop-scale defaults the CLI uses without flags: runs
+// finish in seconds while preserving the paper's qualitative shape.
 func Small() Scale {
 	return Scale{
 		Arch:      SmallMLP,
@@ -127,10 +125,6 @@ type AlgoSpec struct {
 	// Shards is the published-vector shard count (0 = single chain). Only
 	// Leashed/LeashedAdaptive/Hogwild consume it; see sgd.Config.Shards.
 	Shards int
-	// AutoShard enables the contention-adaptive shard-count controller
-	// instead of a fixed Shards (Leashed variants only; see
-	// sgd.Config.AutoShard — the PR-2 alias of AutoTune).
-	AutoShard bool
 	// AutoTune enables the joint (Tp, S) controller: shard count steered
 	// by CAS contention, persistence bound by the mixed-version read rate
 	// (Leashed variants only; see sgd.Config.AutoTune).
@@ -207,7 +201,6 @@ func RunCell(sc Scale, spec AlgoSpec, workers int, epsilon, eta float64, sampleT
 			BatchSize:     sc.BatchSize,
 			Persistence:   spec.Persistence,
 			Shards:        spec.Shards,
-			AutoShard:     spec.AutoShard,
 			AutoTune:      spec.AutoTune,
 			AutoTuneModel: spec.AutoTuneModel,
 			Seed:          sc.Seed + uint64(trial)*7919,

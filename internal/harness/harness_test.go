@@ -201,13 +201,6 @@ func TestTableI(t *testing.T) {
 	}
 }
 
-func TestQuickRun(t *testing.T) {
-	res := QuickRun(sgd.Leashed, 2, 0, 5*time.Second)
-	if res == nil || res.TotalUpdates == 0 {
-		t.Fatal("QuickRun produced no work")
-	}
-}
-
 func TestShardedAlgosSpecs(t *testing.T) {
 	specs := ShardedAlgos(sgd.PersistenceInf, []int{1, 4, 8})
 	if len(specs) != 3 {

@@ -163,23 +163,46 @@ func TestStagedDenseMatchesOracle(t *testing.T) {
 // TestBatchedPassesAllocateNothingWarm: once the batch buffers have grown, a
 // gradient pass and a batched forward pass allocate nothing — the staging
 // panels live in the workspace, and the tile driver's dispatch costs no
-// closure or interface allocation per call.
+// closure or interface allocation per call. The leased rows measure what a
+// worker iteration does: lease every chain of a real store, run the pass
+// through the zero-copy view, release — as one operation.
 func TestBatchedPassesAllocateNothingWarm(t *testing.T) {
 	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(64, 3))
 	for name, n := range map[string]*Network{"PaperMLP": NewPaperMLP(), "PaperCNN": NewPaperCNN()} {
 		params := initParams(n, 7)
-		for _, view := range []paramvec.View{paramvec.FlatView(params), segment(params, 8)} {
+		type reader struct {
+			name string
+			read func(pass func(paramvec.View))
+		}
+		seg := segment(params, 8)
+		readers := []reader{
+			{"flat", func(pass func(paramvec.View)) { pass(paramvec.FlatView(params)) }},
+			{"segmented S=8", func(pass func(paramvec.View)) { pass(seg) }},
+		}
+		for _, chains := range []int{1, 4, 16} {
+			st := paramvec.NewStore(len(params), chains)
+			st.PublishInit(params)
+			t.Cleanup(st.Retire)
+			lease := new(paramvec.Lease)
+			readers = append(readers, reader{fmt.Sprintf("leased S=%d", chains), func(pass func(paramvec.View)) {
+				pass(lease.Acquire(st))
+				lease.Release()
+			}})
+		}
+		for _, r := range readers {
 			ws := n.NewWorkspace()
 			grad := make([]float64, n.ParamCount())
 			batch := data.Batch{Indices: []int{0, 9, 3, 17, 40, 41, 5, 63, 1, 2}}
 			xs := ds.X[:10]
-			n.BatchLossGrad(view, grad, ds, batch, ws)
-			n.ForwardBatch(view, xs, ws)
-			if a := testing.AllocsPerRun(5, func() { n.BatchLossGrad(view, grad, ds, batch, ws) }); a != 0 {
-				t.Errorf("%s: warm BatchLossGrad allocates %v objects/op, want 0", name, a)
+			gradPass := func(v paramvec.View) { n.BatchLossGrad(v, grad, ds, batch, ws) }
+			fwdPass := func(v paramvec.View) { n.ForwardBatch(v, xs, ws) }
+			r.read(gradPass)
+			r.read(fwdPass)
+			if a := testing.AllocsPerRun(5, func() { r.read(gradPass) }); a != 0 {
+				t.Errorf("%s/%s: warm BatchLossGrad allocates %v objects/op, want 0", name, r.name, a)
 			}
-			if a := testing.AllocsPerRun(5, func() { n.ForwardBatch(view, xs, ws) }); a != 0 {
-				t.Errorf("%s: warm ForwardBatch allocates %v objects/op, want 0", name, a)
+			if a := testing.AllocsPerRun(5, func() { r.read(fwdPass) }); a != 0 {
+				t.Errorf("%s/%s: warm ForwardBatch allocates %v objects/op, want 0", name, r.name, a)
 			}
 		}
 	}

@@ -318,7 +318,7 @@ func (n *Network) LossGrad(params, grad []float64, xs [][]float64, ys []int, ws 
 // (a leased zero-copy read of the published shard buffers —
 // paramvec.Lease.Acquire), in which case segment-aware kernels and
 // pre-sized stitch buffers keep the pass allocation-free
-// (BenchmarkGradientReadAllocs).
+// (TestBatchedPassesAllocateNothingWarm).
 //
 // When every layer provides batched kernels (all built-in layers do), the
 // pass runs as one blocked GEMM chain per direction over the batch×dim

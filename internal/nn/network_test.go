@@ -419,25 +419,6 @@ func BenchmarkMLPGradBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkMLPGradBatch32PerExample pins the pre-batching compute path (one
-// forward/backward per minibatch row) as the baseline the batched GEMM
-// chain's speedup is measured against. Pre-PR, BenchmarkMLPGradBatch32 ran
-// exactly this path.
-func BenchmarkMLPGradBatch32PerExample(b *testing.B) {
-	n := NewPaperMLP()
-	r := rng.New(1)
-	params := make([]float64, n.ParamCount())
-	n.Init(params, r, DefaultSigma)
-	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(256, 1))
-	ws := n.NewWorkspace()
-	sampler := data.NewSampler(ds.Len(), 32, 1, 0)
-	grad := make([]float64, n.ParamCount())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.BatchLossGradPerExample(paramvec.FlatView(params), grad, ds, sampler.Next(), ws)
-	}
-}
-
 func BenchmarkCNNGradBatch32(b *testing.B) {
 	n := NewPaperCNN()
 	r := rng.New(1)
@@ -450,21 +431,5 @@ func BenchmarkCNNGradBatch32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = n.BatchLossGrad(paramvec.FlatView(params), grad, ds, sampler.Next(), ws)
-	}
-}
-
-// BenchmarkCNNGradBatch32PerExample is the CNN per-example baseline.
-func BenchmarkCNNGradBatch32PerExample(b *testing.B) {
-	n := NewPaperCNN()
-	r := rng.New(1)
-	params := make([]float64, n.ParamCount())
-	n.Init(params, r, DefaultSigma)
-	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(256, 1))
-	ws := n.NewWorkspace()
-	sampler := data.NewSampler(ds.Len(), 32, 1, 0)
-	grad := make([]float64, n.ParamCount())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.BatchLossGradPerExample(paramvec.FlatView(params), grad, ds, sampler.Next(), ws)
 	}
 }

@@ -128,15 +128,15 @@ func TestRaceShardedPublishRecycle(t *testing.T) {
 				// Publish every shard, rotated start, Tp = 1.
 				for k := 0; k < shards; k++ {
 					s := (w + k) % shards
-					nv := ss.NewShardVec(s)
+					nv := ss.NewChainVec(s)
 					tries := 0
 					for {
-						cur := ss.Latest(s)
+						cur := ss.ChainLatest(s)
 						nv.CopyFrom(cur)
 						cur.StopReading()
 						nv.T++
 						nv.Theta[0] = float64(nv.T)
-						if ss.TryPublish(s, cur, nv) {
+						if ss.ChainTryPublish(s, cur, nv) {
 							published.Add(1)
 							break
 						}

@@ -290,7 +290,10 @@ func (rf *ReadFront) staleness(s *snap) (lag int64, age time.Duration) {
 	if s.final {
 		return 0, 0
 	}
-	age = time.Duration(rf.nanos() - s.validNanos.Load())
+	// Load before reading the clock: the refresher may store a newer
+	// instant at any moment, and the age must never come out negative.
+	valid := s.validNanos.Load()
+	age = time.Duration(rf.nanos() - valid)
 	if rf.leash.MaxUpdates <= 0 {
 		return s.lag.Load(), age
 	}

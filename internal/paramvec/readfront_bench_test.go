@@ -8,53 +8,12 @@ import (
 	"time"
 )
 
-// quietLeash parks the refresher: a huge age bound clamps the poll interval
-// to its 100ms ceiling, so no background fold runs inside an alloc
-// measurement window.
-var quietLeash = ReadLeash{MaxAge: time.Hour}
-
-// BenchmarkReadFrontReadAllocs asserts the snapshot read path is
-// allocation-free: one atomic front load, a refcount acquire/release, and the
-// user callback over the flat view — no copy, no lease machinery, regardless
-// of how many chains the wrapped store shards into. The name
-// substring-matches benchreport's -alloc-guard, so CI fails on any
-// allocation.
-func BenchmarkReadFrontReadAllocs(b *testing.B) {
-	const dim = 4096
-	for _, chains := range []int{1, 64} {
-		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
-			inner := NewStore(dim, chains)
-			init := make([]float64, dim)
-			for i := range init {
-				init[i] = float64(i)
-			}
-			inner.PublishInit(init)
-			defer inner.Retire()
-			rf := NewReadFront(inner, quietLeash)
-			defer rf.Close()
-			var sink float64
-			read := func() {
-				rf.ReadParams(nil, nil, func(v View) {
-					sink += v.At(0) + v.At(dim-1)
-				})
-			}
-			read() // warm the front outside the measurement
-			allocs := testing.AllocsPerRun(50, read)
-			runtime.KeepAlive(sink)
-			b.ReportMetric(allocs, "allocs/op")
-			if allocs != 0 {
-				b.Errorf("readfront read path allocated %.1f times per op, want 0", allocs)
-			}
-		})
-	}
-}
-
-// BenchmarkStoreReadPaths is the store-comparison microbench under the BENCH
-// ledger: the raw cost of one full-θ parameter read while publishers hammer
-// the store, leased seqlock acquire vs readfront snapshot, at 1 and 64
-// chains. This isolates what the serve-layer benches measure end-to-end: the
-// leased read walks every chain's reader registration (lines the publishers
-// also write), the readfront read is one pointer load off to the side.
+// BenchmarkStoreReadPaths is the store-comparison microbench: the raw cost
+// of one full-θ parameter read while publishers hammer the store, leased
+// seqlock acquire vs readfront snapshot, at 1 and 64 chains. This isolates
+// what the serve-layer benches measure end-to-end: the leased read walks
+// every chain's reader registration (lines the publishers also write), the
+// readfront read is one pointer load off to the side.
 func BenchmarkStoreReadPaths(b *testing.B) {
 	const dim = 4096
 	for _, chains := range []int{1, 64} {

@@ -73,7 +73,7 @@ type ShardedShared struct {
 
 // NewSharded builds a sharded publication cell for a dim-dimensional vector
 // split into shards parts (clamped to [1, dim]). No vector is published yet;
-// call PublishInit before any Latest.
+// call PublishInit before any ChainLatest.
 func NewSharded(dim, shards int) *ShardedShared {
 	bounds := ShardBounds(dim, shards)
 	ss := &ShardedShared{cells: make([]shardCell, len(bounds)), dim: dim}
@@ -84,46 +84,38 @@ func NewSharded(dim, shards int) *ShardedShared {
 	return ss
 }
 
-// NumShards returns S.
-func (ss *ShardedShared) NumShards() int { return len(ss.cells) }
-
-// Chains returns S under the chain-indexed ParamStore interface: every shard
-// is one independent publish chain.
+// Chains returns S: every shard is one independent publish chain.
 func (ss *ShardedShared) Chains() int { return len(ss.cells) }
 
-// ChainRange is ShardRange under the ParamStore interface.
+// ChainRange returns shard c's index interval in the flat vector.
 func (ss *ShardedShared) ChainRange(c int) Range { return ss.cells[c].rng }
 
-// NewChainVec is NewShardVec under the ParamStore interface.
+// NewChainVec checks a fresh shard-c-sized vector out of shard c's pool.
 func (ss *ShardedShared) NewChainVec(c int) *Vector { return New(ss.cells[c].pool) }
 
-// ChainLatest is Latest under the ParamStore interface.
+// ChainLatest acquires shard c's latest published vector with the
+// read-protection protocol; the caller must StopReading it.
 func (ss *ShardedShared) ChainLatest(c int) *Vector { return ss.cells[c].shared.Latest() }
 
-// ChainTryPublish is TryPublish under the ParamStore interface.
+// ChainTryPublish runs the LAU-SPC publish CAS on shard c.
 func (ss *ShardedShared) ChainTryPublish(c int, expected, v *Vector) bool {
 	return ss.cells[c].shared.TryPublish(expected, v)
 }
 
-// ChainTryPublishSparse is TryPublishSparse under the ParamStore interface:
-// the store-absolute indices (restricted to shard c's range by the caller)
-// are shifted to shard-local positions via the shard's lower bound.
+// ChainTryPublishSparse runs the sparse scatter-publish on shard c: the
+// store-absolute indices (restricted to shard c's range by the caller) are
+// shifted to shard-local positions via the shard's lower bound.
 func (ss *ShardedShared) ChainTryPublishSparse(c int, expected, v *Vector, idx []int32, val []float64, eta float64) bool {
 	cell := &ss.cells[c]
 	return cell.shared.TryPublishSparse(expected, v, int32(cell.rng.Lo), idx, val, eta)
 }
 
-// ChainPeek is Peek under the ParamStore interface.
+// ChainPeek returns shard c's published vector without read protection
+// (monitoring only).
 func (ss *ShardedShared) ChainPeek(c int) *Vector { return ss.cells[c].shared.Peek() }
 
 // Dim returns the full vector dimension d.
 func (ss *ShardedShared) Dim() int { return ss.dim }
-
-// ShardRange returns shard s's index interval in the flat vector.
-func (ss *ShardedShared) ShardRange(s int) Range { return ss.cells[s].rng }
-
-// ShardPool returns shard s's buffer pool (per-shard memory accounting).
-func (ss *ShardedShared) ShardPool(s int) *Pool { return ss.cells[s].pool }
 
 // SetPoison enables buffer poisoning on every shard pool (tests only).
 func (ss *ShardedShared) SetPoison(on bool) {
@@ -145,28 +137,6 @@ func (ss *ShardedShared) PublishInit(theta []float64) {
 		copy(v.Theta, theta[c.rng.Lo:c.rng.Hi])
 		c.shared.Publish(v)
 	}
-}
-
-// NewShardVec checks a fresh shard-s-sized vector out of shard s's pool.
-func (ss *ShardedShared) NewShardVec(s int) *Vector {
-	return New(ss.cells[s].pool)
-}
-
-// Latest acquires shard s's latest published vector with the read-protection
-// protocol; the caller must StopReading it.
-func (ss *ShardedShared) Latest(s int) *Vector {
-	return ss.cells[s].shared.Latest()
-}
-
-// TryPublish runs the LAU-SPC publish CAS on shard s.
-func (ss *ShardedShared) TryPublish(s int, expected, v *Vector) bool {
-	return ss.cells[s].shared.TryPublish(expected, v)
-}
-
-// Peek returns shard s's published vector without read protection
-// (monitoring only).
-func (ss *ShardedShared) Peek(s int) *Vector {
-	return ss.cells[s].shared.Peek()
 }
 
 // Snapshot copies every shard's latest published segment into dst under read

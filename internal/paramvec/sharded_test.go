@@ -1,10 +1,11 @@
 package paramvec
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"leashedsgd/internal/rng"
 )
 
 func TestShardBoundsPartition(t *testing.T) {
@@ -70,8 +71,8 @@ func TestShardedPublishInitAndSnapshot(t *testing.T) {
 	ss.PublishInit(theta)
 	dst := make([]float64, dim)
 	seqs := ss.Snapshot(dst, nil)
-	if len(seqs) != ss.NumShards() {
-		t.Fatalf("snapshot returned %d seqs, want %d", len(seqs), ss.NumShards())
+	if len(seqs) != ss.Chains() {
+		t.Fatalf("snapshot returned %d seqs, want %d", len(seqs), ss.Chains())
 	}
 	for i := range theta {
 		if dst[i] != theta[i] {
@@ -88,28 +89,28 @@ func TestShardedPublishInitAndSnapshot(t *testing.T) {
 func TestShardedSingleShardMatchesShared(t *testing.T) {
 	// S=1 must degenerate to exactly one chain with Shared semantics.
 	ss := NewSharded(8, 1)
-	if ss.NumShards() != 1 {
-		t.Fatalf("NumShards = %d", ss.NumShards())
+	if ss.Chains() != 1 {
+		t.Fatalf("Chains = %d", ss.Chains())
 	}
-	if r := ss.ShardRange(0); r.Lo != 0 || r.Hi != 8 {
+	if r := ss.ChainRange(0); r.Lo != 0 || r.Hi != 8 {
 		t.Fatalf("shard range = %v", r)
 	}
 	ss.PublishInit(make([]float64, 8))
-	v0 := ss.Latest(0)
+	v0 := ss.ChainLatest(0)
 	v0.StopReading()
-	nv := ss.NewShardVec(0)
+	nv := ss.NewChainVec(0)
 	nv.CopyFrom(v0)
 	nv.T++
-	if !ss.TryPublish(0, v0, nv) {
-		t.Fatal("TryPublish failed with correct expected pointer")
+	if !ss.ChainTryPublish(0, v0, nv) {
+		t.Fatal("ChainTryPublish failed with correct expected pointer")
 	}
 	if !v0.Stale() || !v0.Deleted() {
 		t.Fatal("replaced shard vector not stale+reclaimed")
 	}
 	// Outdated expected pointer must fail, matching Shared.
-	other := ss.NewShardVec(0)
-	if ss.TryPublish(0, v0, other) {
-		t.Fatal("TryPublish succeeded with stale expected pointer")
+	other := ss.NewChainVec(0)
+	if ss.ChainTryPublish(0, v0, other) {
+		t.Fatal("ChainTryPublish succeeded with stale expected pointer")
 	}
 	other.Release()
 }
@@ -119,12 +120,12 @@ func TestShardedPerShardChainsIndependent(t *testing.T) {
 	ss.PublishInit(make([]float64, 12))
 	// Publish 3 updates to shard 1 only; the other chains must not move.
 	for i := 0; i < 3; i++ {
-		cur := ss.Latest(1)
-		nv := ss.NewShardVec(1)
+		cur := ss.ChainLatest(1)
+		nv := ss.NewChainVec(1)
 		nv.CopyFrom(cur)
 		cur.StopReading()
 		nv.T++
-		if !ss.TryPublish(1, cur, nv) {
+		if !ss.ChainTryPublish(1, cur, nv) {
 			t.Fatal("uncontended publish failed")
 		}
 	}
@@ -156,17 +157,17 @@ func TestShardedSnapshotNeverTorn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				s := (p + i) % shards
-				nv := ss.NewShardVec(s)
+				nv := ss.NewChainVec(s)
 				tries := 0
 				for {
-					cur := ss.Latest(s)
+					cur := ss.ChainLatest(s)
 					nv.CopyFrom(cur)
 					cur.StopReading()
 					nv.T++
 					for j := range nv.Theta {
 						nv.Theta[j] = float64(nv.T)
 					}
-					if ss.TryPublish(s, cur, nv) {
+					if ss.ChainTryPublish(s, cur, nv) {
 						break
 					}
 					if tries++; tries > 3 {
@@ -188,7 +189,7 @@ func TestShardedSnapshotNeverTorn(t *testing.T) {
 			for n := 0; n < iters; n++ {
 				seqs = ss.Snapshot(dst, seqs)
 				for s := 0; s < shards; s++ {
-					rng := ss.ShardRange(s)
+					rng := ss.ChainRange(s)
 					// Every published state of shard s has all components
 					// equal to its sequence number (including the all-zero
 					// T=0 initial state).
@@ -239,12 +240,12 @@ func TestShardedRetireDrainsPools(t *testing.T) {
 	// buffers into the pools, the second must reuse them.
 	for round := 0; round < 2; round++ {
 		for s := 0; s < 4; s++ {
-			cur := ss.Latest(s)
-			nv := ss.NewShardVec(s)
+			cur := ss.ChainLatest(s)
+			nv := ss.NewChainVec(s)
 			nv.CopyFrom(cur)
 			cur.StopReading()
 			nv.T++
-			if !ss.TryPublish(s, cur, nv) {
+			if !ss.ChainTryPublish(s, cur, nv) {
 				t.Fatal("uncontended publish failed")
 			}
 		}
@@ -261,69 +262,61 @@ func TestShardedRetireDrainsPools(t *testing.T) {
 	}
 }
 
-// contentionRound runs `workers` goroutines through the sharded LAU-SPC
-// publish protocol and returns the failed-CAS count over workers×iters
-// single-shard publishes. Each worker picks its target shard with a private
-// PRNG: random targeting makes the collision probability exactly ~1/S
-// independent of scheduler pathologies (deterministic rotations can cluster
-// under the race detector's serialized scheduling). The Gosched inside the
-// read→CAS window models the preemption an oversubscribed run sees on real
-// hardware, so the measurement is meaningful even on a single-core host.
-func contentionRound(workers, shards, dim, iters int) int64 {
+// contentionRounds drives the LAU-SPC publish protocol through a fixed
+// interleaving in one goroutine: each round, every one of `workers` logical
+// workers draws a target chain from a seeded generator, reads that chain's
+// head and prepares its successor; only then do they CAS, in turn. A chain's
+// head moves at the first CAS, so every later worker holding that head must
+// lose: a round fails exactly workers − #distinct targets times. It returns
+// the failures the store reported and that count.
+func contentionRounds(workers, shards, dim, rounds int) (failed, want int64) {
 	ss := NewSharded(dim, shards)
 	ss.PublishInit(make([]float64, dim))
-	fails := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			S := ss.NumShards()
-			rnd := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-			for i := 0; i < iters; i++ {
-				// splitmix64 step — cheap per-worker deterministic PRNG.
-				rnd += 0x9E3779B97F4A7C15
-				z := rnd
-				z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-				z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-				z ^= z >> 31
-				s := int(z % uint64(S))
-				nv := ss.NewShardVec(s)
-				for {
-					cur := ss.Latest(s)
-					nv.CopyFrom(cur)
-					cur.StopReading()
-					nv.T++
-					runtime.Gosched()
-					if ss.TryPublish(s, cur, nv) {
-						break
-					}
-					fails[id]++
-				}
+	defer ss.Retire()
+	draw := rng.New(7)
+	target := make([]int, workers)
+	cur := make([]*Vector, workers)
+	nv := make([]*Vector, workers)
+	hit := make([]bool, ss.Chains())
+	for r := 0; r < rounds; r++ {
+		clear(hit)
+		distinct := 0
+		for w := range target {
+			s := draw.Intn(ss.Chains())
+			if !hit[s] {
+				hit[s] = true
+				distinct++
 			}
-		}(w)
+			target[w] = s
+			cur[w] = ss.ChainLatest(s)
+			nv[w] = ss.NewChainVec(s)
+			nv[w].CopyFrom(cur[w])
+			cur[w].StopReading()
+			nv[w].T++
+		}
+		want += int64(workers - distinct)
+		for w, s := range target {
+			if !ss.ChainTryPublish(s, cur[w], nv[w]) {
+				failed++
+				nv[w].Release()
+			}
+		}
 	}
-	wg.Wait()
-	ss.Retire()
-	var total int64
-	for _, f := range fails {
-		total += f
-	}
-	return total
+	return failed, want
 }
 
-// TestShardingReducesCASContention is the ~1/S regression guard: with 8
-// workers hammering the publish protocol, 8 shards must suffer materially
-// fewer failed CAS than the single chain. The workload per round is constant
-// across shard counts (S publishes of dim/S components per iteration).
+// TestShardingReducesCASContention is the ~1/S regression guard: 8 workers
+// that all read before any of them publishes lose 7 CAS per round on a single
+// chain, and only as many as share a target on 8 chains.
 func TestShardingReducesCASContention(t *testing.T) {
-	const workers = 8
-	const dim = 512
-	iters := stressIters(t, 300)
-	single := contentionRound(workers, 1, dim, iters)
-	sharded := contentionRound(workers, 8, dim, iters)
-	if single < 50 {
-		t.Skipf("only %d failed CAS on the single chain; host too quiet to compare", single)
+	const workers, dim, rounds = 8, 512, 200
+	single, _ := contentionRounds(workers, 1, dim, rounds)
+	if want := int64(rounds * (workers - 1)); single != want {
+		t.Fatalf("single chain: %d failed CAS, want %d = rounds·(workers−1)", single, want)
+	}
+	sharded, want := contentionRounds(workers, 8, dim, rounds)
+	if sharded != want {
+		t.Fatalf("8 shards: %d failed CAS, want %d = Σ(workers − distinct targets)", sharded, want)
 	}
 	if sharded >= single {
 		t.Fatalf("8 shards saw %d failed CAS, single chain %d — sharding did not reduce contention",

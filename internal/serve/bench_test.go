@@ -8,14 +8,11 @@ import (
 
 	"leashedsgd/internal/data"
 	"leashedsgd/internal/nn"
-	"leashedsgd/internal/paramvec"
-	"leashedsgd/internal/rng"
 	"leashedsgd/internal/sgd"
 )
 
 // benchStores are the two live read paths the serving benches compare at
-// equal training load; the crossover assertion (assertReadFrontWins) enforces
-// the readfront claim against the leased baseline.
+// equal training load.
 var benchStores = []string{StoreLeased, StoreReadFront}
 
 // startLiveRun launches the shared serving workload: a tiny MLP (so the
@@ -65,34 +62,6 @@ func liveServer(b *testing.B, store string, cfg Config) (*nn.Network, *Server) {
 	return net, s
 }
 
-// storeCmp records the best measured serving numbers per store across the
-// bench binary's runs; BenchmarkServeReadContention's parent asserts the
-// leased-vs-readfront comparison from it (same shape as the sparse-vs-dense
-// crossover assertion in the root bench file).
-var storeCmp = struct {
-	sync.Mutex
-	p99  map[string]float64 // single-client p99, µs (min across runs)
-	qps  map[string]float64 // 8-client coalesced throughput, req/s (max)
-	qps8 map[string]float64 // 8-client uncoalesced read throughput, req/s (max)
-	n    int                // largest per-cell b.N observed (assertion gate)
-}{
-	p99:  map[string]float64{},
-	qps:  map[string]float64{},
-	qps8: map[string]float64{},
-}
-
-func recordMin(m map[string]float64, k string, v float64) {
-	if prev, ok := m[k]; !ok || v < prev {
-		m[k] = v
-	}
-}
-
-func recordMax(m map[string]float64, k string, v float64) {
-	if prev, ok := m[k]; !ok || v > prev {
-		m[k] = v
-	}
-}
-
 // BenchmarkServePredictLatency is the single-client floor at equal live
 // training load: sequential predicts with coalescing disabled, so every
 // request pays one parameter read + one B=1 forward — leased vs readfront.
@@ -112,15 +81,8 @@ func BenchmarkServePredictLatency(b *testing.B) {
 			}
 			b.StopTimer()
 			st := s.Stats()
-			p99 := float64(st.P99) / float64(time.Microsecond)
 			b.ReportMetric(float64(st.P50)/float64(time.Microsecond), "p50-us")
-			b.ReportMetric(p99, "p99-us")
-			storeCmp.Lock()
-			recordMin(storeCmp.p99, store, p99)
-			if b.N > storeCmp.n {
-				storeCmp.n = b.N
-			}
-			storeCmp.Unlock()
+			b.ReportMetric(float64(st.P99)/float64(time.Microsecond), "p99-us")
 		})
 	}
 }
@@ -162,14 +124,7 @@ func BenchmarkServeThroughputBatched(b *testing.B) {
 			st := s.Stats()
 			b.ReportMetric(st.MeanBatch, "batch")
 			if el := b.Elapsed(); el > 0 {
-				qps := float64(st.Requests) / el.Seconds()
-				b.ReportMetric(qps, "req/s")
-				storeCmp.Lock()
-				recordMax(storeCmp.qps, store, qps)
-				if b.N > storeCmp.n {
-					storeCmp.n = b.N
-				}
-				storeCmp.Unlock()
+				b.ReportMetric(float64(st.Requests)/el.Seconds(), "req/s")
 			}
 		})
 	}
@@ -181,8 +136,6 @@ func BenchmarkServeThroughputBatched(b *testing.B) {
 // chains. This is where the store choice dominates: the leased path's
 // per-chain reader registrations ping-pong the publishers' cache lines, the
 // readfront path reads one amortized snapshot the publishers never touch.
-// The parent asserts the readfront-vs-leased comparison collected across all
-// serving benches.
 func BenchmarkServeReadContention(b *testing.B) {
 	for _, clients := range []int{8, 16} {
 		for _, store := range benchStores {
@@ -214,89 +167,12 @@ func BenchmarkServeReadContention(b *testing.B) {
 				b.StopTimer()
 				st := s.Stats()
 				if el := b.Elapsed(); el > 0 {
-					qps := float64(st.Requests) / el.Seconds()
-					b.ReportMetric(qps, "req/s")
-					if clients == 8 {
-						storeCmp.Lock()
-						recordMax(storeCmp.qps8, store, qps)
-						if b.N > storeCmp.n {
-							storeCmp.n = b.N
-						}
-						storeCmp.Unlock()
-					}
+					b.ReportMetric(float64(st.Requests)/el.Seconds(), "req/s")
 				}
 				if st.Snapshot > 0 {
 					b.ReportMetric(float64(st.MaxStalenessAge)/float64(time.Millisecond), "max-stale-ms")
 				}
 			})
 		}
-	}
-	assertReadFrontWins(b)
-}
-
-// assertReadFrontWins enforces the tentpole claim: at equal training load the
-// readfront source improves served-read p99 and/or 8-client throughput over
-// the leased source. Each metric family with both cells measured casts a
-// vote; the benchmark fails only when at least one family is complete and
-// readfront wins none. Gated on sample size so a -benchtime=1x smoke run
-// doesn't flake on startup noise (CI's serving pass runs 2000x).
-func assertReadFrontWins(b *testing.B) {
-	storeCmp.Lock()
-	defer storeCmp.Unlock()
-	if storeCmp.n < 512 {
-		return
-	}
-	families := 0
-	wins := 0
-	if ls, ok := storeCmp.p99[StoreLeased]; ok {
-		if rf, ok := storeCmp.p99[StoreReadFront]; ok {
-			families++
-			if rf < ls {
-				wins++
-			}
-		}
-	}
-	for _, m := range []map[string]float64{storeCmp.qps, storeCmp.qps8} {
-		if ls, ok := m[StoreLeased]; ok {
-			if rf, ok := m[StoreReadFront]; ok {
-				families++
-				if rf > ls {
-					wins++
-				}
-			}
-		}
-	}
-	if families > 0 {
-		b.ReportMetric(float64(wins)/float64(families), "readfront-wins-frac")
-	}
-	if families > 0 && wins == 0 {
-		b.Errorf("readfront improved neither p99 nor throughput over leased at equal training load: p99 %v, batched qps %v, 8-client qps %v",
-			storeCmp.p99, storeCmp.qps, storeCmp.qps8)
-	}
-}
-
-// BenchmarkServeStaticReadAllocs asserts the static-source read path is
-// allocation-free in the dispatcher's steady state: StaticSource.ReadParams
-// must stage through the caller's pre-sized scratch (not allocate its own
-// copy, and not hand out the checkpoint slice). The name substring-matches
-// benchreport's alloc guard, so CI fails on any allocation.
-func BenchmarkServeStaticReadAllocs(b *testing.B) {
-	net := nn.NewSmallMLP(28*28, 10)
-	params := make([]float64, net.ParamCount())
-	net.Init(params, rng.New(9), nn.DefaultSigma)
-	src := StaticSource(params)
-	scratch := make([]float64, src.Dim()) // the dispatcher's pre-sized buffer
-	var sink float64
-	read := func() {
-		src.ReadParams(nil, scratch, func(pv paramvec.View) {
-			sink += pv.At(0)
-		})
-	}
-	read() // warm-up outside the measurement
-	allocs := testing.AllocsPerRun(50, read)
-	_ = sink
-	b.ReportMetric(allocs, "allocs/op")
-	if allocs != 0 {
-		b.Errorf("static source read path allocated %.1f times per op, want 0", allocs)
 	}
 }

@@ -223,39 +223,50 @@ func TestOverloadedHTTPStatus(t *testing.T) {
 	}
 }
 
-// BenchmarkServeOverload is the acceptance bench: 16 closed-loop clients
-// against a queue of 8 with injected 500µs batch stalls — roughly 2× what
-// the dispatcher can carry. The server must shed (reported as shed/op) while
-// the p99 latency of ACCEPTED requests stays bounded by the queue depth, not
-// the offered load.
-func BenchmarkServeOverload(b *testing.B) {
-	s, predict, x := slowServer(b, Config{MaxBatch: 4, MaxDelay: -1, Queue: 8}, 500*time.Microsecond)
-
-	const clients = 16
+// overloadBurst offers n requests from 16 closed-loop clients to a queue of 8
+// behind injected 500µs batch stalls — roughly 2× what the dispatcher can
+// carry — and returns the server's counters.
+func overloadBurst(tb testing.TB, n int) Stats {
+	s, predict, x := slowServer(tb, Config{MaxBatch: 4, MaxDelay: -1, Queue: 8}, 500*time.Microsecond)
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	b.ResetTimer()
-	for c := 0; c < clients; c++ {
+	for c := 0; c < 16; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
+			for next.Add(1) <= int64(n) {
 				predict(x)
 			}
 		}()
 	}
 	wg.Wait()
-	b.StopTimer()
-	st := s.Stats()
-	if st.Shed == 0 && b.N > 256 {
-		b.Fatalf("no shedding at 2x saturation (N=%d): overload never engaged", b.N)
+	return s.Stats()
+}
+
+// TestOverloadShedsAndBoundsAcceptedLatency: at 2× saturation the server
+// must shed, every request is either served or shed, and the requests it
+// ACCEPTED wait no longer than the queue depth allows (8/4 batches × stall +
+// forward pass, a few ms). Shed clients retry at once, so only a dozen of the
+// 2000 are accepted: the 100ms bound is a stuck-dispatcher check, far above
+// any timing on any host, not a latency target.
+func TestOverloadShedsAndBoundsAcceptedLatency(t *testing.T) {
+	const n = 2000
+	st := overloadBurst(t, n)
+	if st.Shed == 0 {
+		t.Fatalf("no shedding at 2x saturation over %d requests: overload never engaged", n)
 	}
-	// Accepted-request p99 must be bounded by queue depth x service time
-	// (8/4 batches x ~stall+GEMM), far below the unbounded-queue regime.
-	const p99Bound = 100 * time.Millisecond
-	if st.Requests > 256 && st.P99 > p99Bound {
-		b.Fatalf("p99 of accepted requests = %v, want < %v", st.P99, p99Bound)
+	if st.Requests+st.Shed != n {
+		t.Fatalf("served %d + shed %d != %d offered", st.Requests, st.Shed, n)
 	}
+	if st.Requests == 0 || st.P99 >= 100*time.Millisecond {
+		t.Fatalf("accepted %d requests with p99 = %v, want some and < 100ms", st.Requests, st.P99)
+	}
+}
+
+// BenchmarkServeOverload reports the shed rate and the accepted-request p99
+// of overloadBurst at b.N offered requests.
+func BenchmarkServeOverload(b *testing.B) {
+	st := overloadBurst(b, b.N)
 	b.ReportMetric(float64(st.Shed)/float64(b.N), "shed/op")
 	b.ReportMetric(float64(st.P99)/1e6, "p99-ms")
 	b.ReportMetric(st.MeanBatch, "batch")

@@ -52,6 +52,19 @@ func TestStaticSourceScratchAliasing(t *testing.T) {
 	})
 }
 
+// Through the dispatcher's pre-sized scratch a static read allocates nothing.
+func TestStaticSourceReadAllocatesNothing(t *testing.T) {
+	_, src := staticFixture(t)
+	scratch := make([]float64, src.Dim())
+	var sink float64
+	read := func() {
+		src.ReadParams(nil, scratch, func(v paramvec.View) { sink += v.At(0) })
+	}
+	if a := testing.AllocsPerRun(50, read); a != 0 {
+		t.Fatalf("static source read allocated %.1f times per op, want 0 (sink %v)", a, sink)
+	}
+}
+
 // Requesting the readfront store over a source that is not a live run must
 // fail at construction, not at first read.
 func TestServeReadFrontRequiresLiveSource(t *testing.T) {

@@ -38,8 +38,8 @@ import (
 )
 
 // Default decision thresholds of the autotuner axes. Exported so the offline
-// "knee" rules in BenchmarkAutoShard/BenchmarkJointAutotune (and any external
-// analysis of a static sweep) can mirror the online controller exactly.
+// "knee" rule of a static sweep (harness.JointKnee) mirrors the online
+// controller exactly.
 const (
 	// AutoShardClimbRate is the windowed failed-CAS-per-publish rate above
 	// which doubling the shard count is attractive.

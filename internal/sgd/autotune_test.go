@@ -222,8 +222,7 @@ func TestJointTunerNoOscillationWhenAxesCoupled(t *testing.T) {
 // TestJointTunerConvergesWithinOneDoublingOfGridKnee drives the tuner over a
 // smooth synthetic (Tp, S) response surface and compares its landing point
 // against the offline knee computed from the same surface by the exported
-// threshold rules — the unit-level version of BenchmarkJointAutotune's
-// claim: within one ladder step (one doubling) per axis.
+// threshold rules: within one ladder step (one doubling) per axis.
 func TestJointTunerConvergesWithinOneDoublingOfGridKnee(t *testing.T) {
 	env := jointEnv{
 		cas: func(s, tp int) float64 { return 0.3 / float64(s) },
@@ -317,8 +316,7 @@ func TestTpLadderAndPositions(t *testing.T) {
 
 func autoConfig(workers int) Config {
 	cfg := testConfig(Leashed, workers)
-	// Deliberately the PR-2 alias, so the compatibility path stays covered.
-	cfg.AutoShard = true
+	cfg.AutoTune = true
 	cfg.AutoShardWindow = 5 * time.Millisecond
 	return cfg
 }
@@ -327,7 +325,7 @@ func TestAutoShardConverges(t *testing.T) {
 	ds := tinyDataset()
 	res := runOrFatal(t, autoConfig(4), tinyNet(ds), ds)
 	if res.Outcome != Converged {
-		t.Fatalf("AutoShard outcome = %v (loss %v -> %v)", res.Outcome, res.InitialLoss, res.FinalLoss)
+		t.Fatalf("AutoTune outcome = %v (loss %v -> %v)", res.Outcome, res.InitialLoss, res.FinalLoss)
 	}
 	if res.FinalLiveVectors != 0 {
 		t.Fatalf("leak: %d vectors live after run", res.FinalLiveVectors)
@@ -493,12 +491,12 @@ func TestAutoTuneConfigValidation(t *testing.T) {
 	cfg := autoConfig(2)
 	cfg.Shards = 4
 	if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
-		t.Fatal("AutoShard with fixed Shards accepted")
+		t.Fatal("AutoTune with fixed Shards accepted")
 	}
 	cfg = autoConfig(2)
 	cfg.Algo = Hogwild
 	if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
-		t.Fatal("AutoShard with HOGWILD accepted")
+		t.Fatal("AutoTune with HOGWILD accepted")
 	}
 	cfg = testConfig(Hogwild, 2)
 	cfg.AutoTune = true

@@ -106,7 +106,7 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 	if cfg.Eta <= 0 {
 		return nil, fmt.Errorf("sgd: step size must be positive, got %v", cfg.Eta)
 	}
-	if cfg.AutoTune || cfg.AutoShard || cfg.AutoTuneModel {
+	if cfg.AutoTune || cfg.AutoTuneModel {
 		if cfg.Shards > 1 {
 			return nil, fmt.Errorf("sgd: AutoTune and a fixed Shards=%d are mutually exclusive", cfg.Shards)
 		}

@@ -123,9 +123,6 @@ type Config struct {
 	// AutoTuneTpMax, the loosest tuned bound). Trajectories land in
 	// Result.TpTrajectory and Result.ShardTrajectory.
 	AutoTune bool
-	// AutoShard is the PR-2 name of the autotuner knob, kept as a
-	// compatibility alias: setting it behaves exactly like AutoTune.
-	AutoShard bool
 	// AutoTuneModel upgrades the autotuner to model-guided mode (implies
 	// AutoTune): the controller fits the paper's Sec. IV fluid model to the
 	// windowed counters plus live Tc/Tu phase timings
@@ -253,9 +250,8 @@ func (c Config) withDefaults(dsLen int) Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.AutoShard || c.AutoTuneModel {
-		// Compatibility alias (PR-2 configs set AutoShard) and the
-		// model-guided upgrade both ride on the AutoTune machinery.
+	if c.AutoTuneModel {
+		// The model-guided upgrade rides on the AutoTune machinery.
 		c.AutoTune = true
 	}
 	if c.AutoTune {
@@ -402,7 +398,7 @@ type Result struct {
 	// performs one.
 	Publishes int64
 
-	// Autotune measurements (nil/0 unless Config.AutoTune/AutoShard was
+	// Autotune measurements (nil/0 unless Config.AutoTune was
 	// set). ShardTrajectory is the sequence of shard counts the
 	// controller moved through — first entry S₀, last entry the final S
 	// (which Shards also reports, and which the per-shard breakdown above

@@ -30,13 +30,12 @@
 // Algorithm × shard count {1, 4} (internal/sgd), a store conformance suite
 // plus race-detector stress tests over both ParamStore implementations
 // (internal/paramvec), a shard-count contention sweep (`leashed run
-// shards`, BenchmarkShardSweepContention), and a 0 allocs/op guard on the
-// leased read path (BenchmarkGradientReadAllocs).
+// shards`), and a 0 allocs/op guard on the leased read path
+// (TestReadPathsAllocateNothing, TestBatchedPassesAllocateNothingWarm).
 //
-// Config.AutoTune closes that loop on both contention dials jointly
-// (Config.AutoShard remains as its compatibility alias): a controller
-// hill-climbs the (Tp, S) grid in coordinate descent, the shard count
-// steered by the windowed failed-CAS rate per publish (doubling under
+// Config.AutoTune closes that loop on both contention dials jointly: a
+// controller hill-climbs the (Tp, S) grid in coordinate descent, the shard
+// count steered by the windowed failed-CAS rate per publish (doubling under
 // contention, halving when uncontended) and the persistence bound by the
 // windowed mixed-version read rate (tightening the leash under mixed-read
 // pressure, loosening it when reads are clean), each axis guarded by
@@ -44,10 +43,10 @@
 // swap; a re-shard quiesces the workers at a barrier and republishes a
 // consistent snapshot into a fresh cell. The trajectories land in
 // Result.ShardTrajectory and Result.TpTrajectory (`leashed run jointtune`,
-// `leashed train -autotune`, BenchmarkJointAutotune). MaxUpdates budgets
-// are exact: workers reserve budget units atomically before an update
-// becomes visible, so every bounded run ends with TotalUpdates ==
-// MaxUpdates — the deterministic-replay contract.
+// `leashed train -autotune`). MaxUpdates budgets are exact: workers reserve
+// budget units atomically before an update becomes visible, so every bounded
+// run ends with TotalUpdates == MaxUpdates — the deterministic-replay
+// contract.
 //
 // Quick start:
 //
