@@ -300,3 +300,12 @@ func (w *CounterWindow) Deltas(totals ...int64) []int64 {
 	}
 	return w.out
 }
+
+// Carry keeps the last window open: the next Deltas call returns the
+// increments since the window before it, the two windows summed. A
+// controller calls it on a window too sparse to judge.
+func (w *CounterWindow) Carry() {
+	for i := range w.prev {
+		w.prev[i] -= w.out[i]
+	}
+}

@@ -289,15 +289,11 @@ func (v *Vector) Release() {
 }
 
 // Shared is the published-pointer cell P from Algorithm 3, wrapping the
-// atomic pointer plus the acquire protocol. A zero-value Shared is a bare
-// publication cell (callers manage buffers themselves); NewSingle builds one
-// in store mode — with its own pool and dimension — implementing the full
-// ParamStore interface (see store.go).
+// atomic pointer plus the acquire protocol. Callers manage the buffers: each
+// chain of a ShardedShared holds one Shared next to its pool, and the
+// one-chain store is the paper's single P.
 type Shared struct {
-	p       atomic.Pointer[Vector]
-	pool    *Pool
-	dim     int
-	retired atomic.Bool
+	p atomic.Pointer[Vector]
 }
 
 // Publish installs v unconditionally (initialization only).

@@ -116,7 +116,7 @@ func TestUpdateFromEqualsCopyThenUpdate(t *testing.T) {
 func TestUpdateFromStopsOnStaleHead(t *testing.T) {
 	const dim = 3*updateBlock + 5
 	const eta = 0.25
-	st := NewSingle(dim)
+	st := NewStore(dim, 1)
 	theta0 := make([]float64, dim)
 	g := make([]float64, dim)
 	r := rng.New(7)

@@ -160,20 +160,18 @@ type FoldStats struct {
 const foldMaxPasses = 64
 
 // ReadFront serves consistent point-in-time snapshots of a ParamStore to
-// read-mostly traffic. Construct with NewReadFront (wrapping a fixed store it
-// then owns) or NewReadFrontPinned (over a pin function, for sources whose
-// store can be swapped underneath, e.g. a live autotuned run). ReadFront
-// implements ParamStore — writes and chain-level reads delegate to the
-// wrapped store; Snapshot/SnapshotConsistent serve from the front buffer —
-// and its ReadParams satisfies the serving tier's Source contract.
+// read-mostly traffic. It is a read layer, not a store: writers publish into
+// the source store directly, and readers call ReadParams, which satisfies the
+// serving tier's Source contract. Construct with NewReadFront (over a fixed
+// store) or NewReadFrontPinned (over a pin function, for sources whose store
+// can be swapped underneath, e.g. a live autotuned run).
 type ReadFront struct {
 	dim   int
 	leash ReadLeash
 	// pin returns the current source store pinned against retirement for
 	// the duration of the returned release func, or (nil, nil) when no live
 	// store is available (run ended, source retired).
-	pin   func() (ParamStore, func())
-	inner ParamStore // fixed-store mode only: owned, Retire cascades
+	pin func() (ParamStore, func())
 
 	front atomic.Pointer[snap]
 	base  time.Time
@@ -183,7 +181,6 @@ type ReadFront struct {
 	foldMu sync.Mutex
 	ring   []*snap
 
-	retired   atomic.Bool
 	quit      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -193,24 +190,17 @@ type ReadFront struct {
 	snapAllocs, slowReads          atomic.Int64
 }
 
-// NewReadFront wraps a fixed store. The ReadFront owns the refresher
-// goroutine; Close stops it, and Retire stops it and retires the wrapped
-// store. The store need not be initialized yet — the first successful fold
-// happens once PublishInit has run.
-func NewReadFront(inner ParamStore, leash ReadLeash) *ReadFront {
-	rf := newReadFront(inner.Dim(), nil, leash)
-	rf.inner = inner
-	rf.pin = func() (ParamStore, func()) {
-		if rf.retired.Load() || inner.Retired() {
+// NewReadFront builds a ReadFront over a fixed store; the store stays the
+// caller's to retire, after which the front keeps serving its last snapshot.
+// Close stops the refresher. The store need not be initialized yet — the
+// first successful fold happens once PublishInit has run.
+func NewReadFront(st ParamStore, leash ReadLeash) *ReadFront {
+	return NewReadFrontPinned(st.Dim(), func() (ParamStore, func()) {
+		if st.Retired() {
 			return nil, nil
 		}
-		return inner, noopUnpin
-	}
-	rf.foldMu.Lock()
-	rf.tryFoldLocked()
-	rf.foldMu.Unlock()
-	rf.start()
-	return rf
+		return st, func() {}
+	}, leash)
 }
 
 // NewReadFrontPinned builds a ReadFront over a pin function: pin must return
@@ -219,18 +209,7 @@ func NewReadFront(inner ParamStore, leash ReadLeash) *ReadFront {
 // may change between pins (an autotune re-shard): the fold detects the
 // identity change and re-seeds densely.
 func NewReadFrontPinned(dim int, pin func() (ParamStore, func()), leash ReadLeash) *ReadFront {
-	rf := newReadFront(dim, pin, leash)
-	rf.foldMu.Lock()
-	rf.tryFoldLocked()
-	rf.foldMu.Unlock()
-	rf.start()
-	return rf
-}
-
-func noopUnpin() {}
-
-func newReadFront(dim int, pin func() (ParamStore, func()), leash ReadLeash) *ReadFront {
-	return &ReadFront{
+	rf := &ReadFront{
 		dim:   dim,
 		leash: leash.withDefaults(),
 		pin:   pin,
@@ -238,11 +217,15 @@ func newReadFront(dim int, pin func() (ParamStore, func()), leash ReadLeash) *Re
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	rf.refreshNow()
+	go rf.refresher()
+	return rf
 }
 
-func (rf *ReadFront) start() { go rf.refresher() }
-
 func (rf *ReadFront) nanos() int64 { return int64(time.Since(rf.base)) }
+
+// Dim is the full flat-vector dimension d.
+func (rf *ReadFront) Dim() int { return rf.dim }
 
 // Leash returns the effective (defaulted) leash.
 func (rf *ReadFront) Leash() ReadLeash { return rf.leash }
@@ -419,13 +402,6 @@ func (rf *ReadFront) tick() {
 func (rf *ReadFront) refreshNow() bool {
 	rf.foldMu.Lock()
 	defer rf.foldMu.Unlock()
-	return rf.tryFoldLocked()
-}
-
-func (rf *ReadFront) tryFoldLocked() bool {
-	if rf.pin == nil {
-		return false
-	}
 	st, unpin := rf.pin()
 	if st == nil {
 		return false
@@ -556,201 +532,4 @@ func (rf *ReadFront) Close() {
 		close(rf.quit)
 		<-rf.done
 	})
-}
-
-// --- ParamStore -------------------------------------------------------------
-
-// ReadFront implements ParamStore: chain-level access and writes delegate to
-// the wrapped store (so leases, publishes and the conformance contracts pass
-// through), while Snapshot and SnapshotConsistent serve from the front
-// buffer — the read-optimized half.
-var _ ParamStore = (*ReadFront)(nil)
-
-// pinned returns the live source or panics — for delegated operations whose
-// ParamStore contract has no "no store" case. Fixed-inner fronts keep
-// delegating after Retire (matching the wrapped store's own post-retire
-// semantics, e.g. gauges draining and Acquire panicking).
-func (rf *ReadFront) pinned() (ParamStore, func()) {
-	if rf.inner != nil {
-		return rf.inner, noopUnpin
-	}
-	st, unpin := rf.pin()
-	if st == nil {
-		panic("paramvec: ReadFront source store is gone")
-	}
-	return st, unpin
-}
-
-// Dim is the full flat-vector dimension d.
-func (rf *ReadFront) Dim() int { return rf.dim }
-
-// Chains delegates to the wrapped store.
-func (rf *ReadFront) Chains() int {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.Chains()
-}
-
-// ChainRange delegates to the wrapped store.
-func (rf *ReadFront) ChainRange(c int) Range {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.ChainRange(c)
-}
-
-// NewChainVec delegates to the wrapped store.
-func (rf *ReadFront) NewChainVec(c int) *Vector {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.NewChainVec(c)
-}
-
-// ChainLatest delegates to the wrapped store.
-func (rf *ReadFront) ChainLatest(c int) *Vector {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.ChainLatest(c)
-}
-
-// ChainTryPublish delegates to the wrapped store; the refresher picks the
-// published update up within the leash.
-func (rf *ReadFront) ChainTryPublish(c int, expected, v *Vector) bool {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.ChainTryPublish(c, expected, v)
-}
-
-// ChainTryPublishSparse delegates to the wrapped store.
-func (rf *ReadFront) ChainTryPublishSparse(c int, expected, v *Vector, idx []int32, val []float64, eta float64) bool {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.ChainTryPublishSparse(c, expected, v, idx, val, eta)
-}
-
-// ChainPeek delegates to the wrapped store.
-func (rf *ReadFront) ChainPeek(c int) *Vector {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.ChainPeek(c)
-}
-
-// PublishInit initializes the wrapped store and synchronously folds the
-// first snapshot, so reads are servable immediately after.
-func (rf *ReadFront) PublishInit(theta []float64) {
-	st, unpin := rf.pinned()
-	st.PublishInit(theta)
-	unpin()
-	rf.refreshNow()
-}
-
-// Snapshot folds the live store (best-effort, so the interface's
-// latest-segment contract holds for monitor-style callers) and copies the
-// front snapshot into dst: one coherent point-in-time state with the
-// per-chain sequence numbers it was folded at. Leash-amortized readers use
-// ReadParams instead — that is the path that shares one fold across all
-// concurrent readers.
-func (rf *ReadFront) Snapshot(dst []float64, seqs []int64) []int64 {
-	if len(dst) != rf.dim {
-		panic(fmt.Sprintf("paramvec: Snapshot dst has %d values, want %d", len(dst), rf.dim))
-	}
-	if s := rf.front.Load(); s == nil || !s.final {
-		rf.refreshNow()
-	}
-	return rf.copyFront(dst, seqs, "Snapshot")
-}
-
-// copyFront copies the current front into dst without refreshing.
-func (rf *ReadFront) copyFront(dst []float64, seqs []int64, op string) []int64 {
-	s := rf.acquire()
-	if s == nil {
-		panic("paramvec: ReadFront." + op + " before the source store published")
-	}
-	copy(dst, s.theta)
-	n := len(s.seqs)
-	if n == 0 {
-		n = 1 // frozen terminal snapshot: one flat chain, sequence 0
-	}
-	if cap(seqs) < n {
-		seqs = make([]int64, n)
-	}
-	seqs = seqs[:n]
-	for i := range seqs {
-		seqs[i] = 0
-	}
-	copy(seqs, s.seqs)
-	s.release()
-	return seqs
-}
-
-// SnapshotConsistent folds the live store synchronously and serves the
-// result; ok reports whether the fold reached (or the front already holds) a
-// validated consistent state — always true once the source quiesces, and
-// every flipped snapshot is consistent by construction, so ok is false only
-// when the fold could not install anything fresher than the previous front.
-func (rf *ReadFront) SnapshotConsistent(dst []float64, _ int) ([]int64, bool) {
-	if len(dst) != rf.dim {
-		panic(fmt.Sprintf("paramvec: Snapshot dst has %d values, want %d", len(dst), rf.dim))
-	}
-	ok := rf.refreshNow()
-	if s := rf.front.Load(); s != nil && s.final {
-		ok = true
-	}
-	return rf.copyFront(dst, nil, "SnapshotConsistent"), ok
-}
-
-// Live delegates to the wrapped store's pool gauges (snapshot buffers are
-// ring-owned, not pool-tracked).
-func (rf *ReadFront) Live() int64 {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.Live()
-}
-
-// Peak delegates to the wrapped store.
-func (rf *ReadFront) Peak() int64 {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.Peak()
-}
-
-// Allocs delegates to the wrapped store.
-func (rf *ReadFront) Allocs() int64 {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.Allocs()
-}
-
-// Reuses delegates to the wrapped store.
-func (rf *ReadFront) Reuses() int64 {
-	st, unpin := rf.pinned()
-	defer unpin()
-	return st.Reuses()
-}
-
-// Retire stops the refresher and retires the wrapped store (fixed-inner mode
-// owns it; pinned mode leaves the source owner to retire its own store).
-// Snapshot reads keep serving the last front — a retired epoch's state stays
-// readable, matching the lease-across-retire labeling contract.
-func (rf *ReadFront) Retire() {
-	rf.Close()
-	rf.retired.Store(true)
-	if rf.inner != nil {
-		rf.inner.Retire()
-	}
-}
-
-// Retired reports whether the wrapped store (fixed-inner mode) or this front
-// (pinned mode) has been retired.
-func (rf *ReadFront) Retired() bool {
-	if rf.inner != nil {
-		return rf.inner.Retired()
-	}
-	return rf.retired.Load()
-}
-
-// SetPoison delegates to the wrapped store.
-func (rf *ReadFront) SetPoison(on bool) {
-	st, unpin := rf.pinned()
-	defer unpin()
-	st.SetPoison(on)
 }

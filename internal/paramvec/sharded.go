@@ -63,8 +63,8 @@ type shardCell struct {
 // is ordered (paper P1 holds per shard), and cross-shard consistency is
 // recovered at snapshot time via per-shard sequence validation.
 //
-// With S = 1 the structure degenerates to exactly one Shared chain and the
-// original single-pointer semantics.
+// With S = 1 it is exactly the paper's single chain: one Shared cell P over
+// the whole vector, one pool, one totally ordered history.
 type ShardedShared struct {
 	cells   []shardCell
 	dim     int
@@ -170,8 +170,13 @@ func (ss *ShardedShared) Snapshot(dst []float64, seqs []int64) []int64 {
 // attempts times and reports whether validation succeeded; on failure dst
 // still holds the last (per-shard-untorn, possibly cross-shard-skewed)
 // snapshot. Under sustained publishing validation may never pass — callers
-// on a hot path should use Snapshot and tolerate skew.
+// on a hot path should use Snapshot and tolerate skew. One chain needs no
+// validation: its snapshot is one immutable published vector, a true global
+// state on the first attempt even while publishers run.
 func (ss *ShardedShared) SnapshotConsistent(dst []float64, attempts int) ([]int64, bool) {
+	if len(ss.cells) == 1 {
+		return ss.Snapshot(dst, nil), true
+	}
 	var seqs []int64
 	for try := 0; try < attempts; try++ {
 		seqs = ss.Snapshot(dst, seqs)
@@ -189,49 +194,36 @@ func (ss *ShardedShared) SnapshotConsistent(dst []float64, attempts int) ([]int6
 	return seqs, false
 }
 
-// Live sums the live-buffer gauges of every shard pool. One full-vector
-// equivalent counts as S shard buffers of total size d.
-func (ss *ShardedShared) Live() int64 {
+// sum adds one gauge over every shard pool.
+func (ss *ShardedShared) sum(gauge func(*Pool) int64) int64 {
 	var n int64
 	for s := range ss.cells {
-		n += ss.cells[s].pool.Live()
+		n += gauge(ss.cells[s].pool)
 	}
 	return n
 }
+
+// Live sums the live-buffer gauges of every shard pool. One full-vector
+// equivalent counts as S shard buffers of total size d.
+func (ss *ShardedShared) Live() int64 { return ss.sum((*Pool).Live) }
 
 // Peak sums the per-shard peak gauges. The shards peak at different moments,
 // so this is an upper bound on the true simultaneous peak.
-func (ss *ShardedShared) Peak() int64 {
-	var n int64
-	for s := range ss.cells {
-		n += ss.cells[s].pool.Peak()
-	}
-	return n
-}
+func (ss *ShardedShared) Peak() int64 { return ss.sum((*Pool).Peak) }
 
 // Allocs sums heap allocations across shard pools.
-func (ss *ShardedShared) Allocs() int64 {
-	var n int64
-	for s := range ss.cells {
-		n += ss.cells[s].pool.Allocs()
-	}
-	return n
-}
+func (ss *ShardedShared) Allocs() int64 { return ss.sum((*Pool).Allocs) }
 
 // Reuses sums free-list reuses across shard pools.
-func (ss *ShardedShared) Reuses() int64 {
-	var n int64
-	for s := range ss.cells {
-		n += ss.cells[s].pool.Reuses()
-	}
-	return n
-}
+func (ss *ShardedShared) Reuses() int64 { return ss.sum((*Pool).Reuses) }
 
 // Retire marks the store retired, drains every shard pool's free list, and
 // marks each shard's published vector stale and offered for recycling
 // (end-of-run cleanup and the autotuner's epoch swap; the pool gauges drain
 // to zero once the last reader leaves). The retired flag is set before any
-// head goes stale — see (*Shared).Retire.
+// head goes stale, so a concurrent Lease.Acquire either sees the flag and
+// panics or wins the race and leases a still-valid head under read
+// protection.
 func (ss *ShardedShared) Retire() {
 	ss.retired.Store(true)
 	for s := range ss.cells {

@@ -87,7 +87,8 @@ func TestShardedPublishInitAndSnapshot(t *testing.T) {
 }
 
 func TestShardedSingleShardMatchesShared(t *testing.T) {
-	// S=1 must degenerate to exactly one chain with Shared semantics.
+	// S=1 is exactly one chain over the whole vector with the Shared cell's
+	// CAS semantics: the paper's single published pointer.
 	ss := NewSharded(8, 1)
 	if ss.Chains() != 1 {
 		t.Fatalf("Chains = %d", ss.Chains())
@@ -214,6 +215,43 @@ func TestShardedSnapshotNeverTorn(t *testing.T) {
 	dst := make([]float64, dim)
 	if _, ok := ss.SnapshotConsistent(dst, 1); !ok {
 		t.Fatal("SnapshotConsistent failed on a quiescent structure")
+	}
+}
+
+// TestSingleChainSnapshotConsistentFirstAttempt: a one-chain snapshot is one
+// immutable published vector, so SnapshotConsistent reports ok on its only
+// attempt even while a publisher keeps replacing the head — the seqlock
+// validation a multi-chain store needs would report false here.
+func TestSingleChainSnapshotConsistentFirstAttempt(t *testing.T) {
+	const dim = 4096
+	st := NewStore(dim, 1)
+	st.PublishInit(make([]float64, dim))
+	defer st.Retire()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			publishChain(st, 0, 1<<30)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	dst := make([]float64, dim)
+	for i := 0; i < 200; i++ {
+		seqs, ok := st.SnapshotConsistent(dst, 1)
+		if !ok {
+			t.Fatalf("snapshot %d: one-chain SnapshotConsistent not ok on its first attempt", i)
+		}
+		for j, v := range dst {
+			if v != float64(seqs[0]) {
+				t.Fatalf("snapshot %d: cell %d = %v, want the marker of seq %d", i, j, v, seqs[0])
+			}
+		}
 	}
 }
 

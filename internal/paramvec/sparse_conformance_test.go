@@ -9,8 +9,8 @@ import (
 )
 
 // Sparse delta-path conformance: GatherSparse reads and the scatter-publish
-// (ChainTryPublishSparse) protocol, run table-driven over both stores like
-// the dense conformance suite.
+// (ChainTryPublishSparse) protocol, run table-driven over the storeCases rows
+// like the dense conformance suite.
 
 // scatterPublish runs one sparse LAU-SPC round over st: for each chain hit
 // by the sorted store-absolute index set, check out a fresh chain vector and
@@ -111,7 +111,7 @@ func TestVectorUpdateSparse(t *testing.T) {
 }
 
 // TestStoreConformanceScatterPublish checks the deterministic scatter
-// contract on both stores: only the components the delta hits change, only
+// contract on every row: only the components the delta hits change, only
 // the chains it hits advance their sequence numbers, and untouched chains
 // keep their exact published vector (pointer identity — no copy, no CAS).
 func TestStoreConformanceScatterPublish(t *testing.T) {

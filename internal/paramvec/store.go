@@ -1,23 +1,21 @@
 package paramvec
 
-import "fmt"
-
 // ParamStore is the publication surface every SGD launcher programs against:
 // a parameter vector published as one or more independent lock-free
-// latest-pointer chains. The single-chain Shared (the paper's exact
-// Algorithm 3 semantics) and the sharded ShardedShared both implement it, so
-// the worker loop in internal/sgd, the monitor's snapshots, the autotuner's
-// epoch swap and the memory accounting are all written once, store-agnostic —
-// and any future store (NUMA-aware, double-buffered, remote) is a drop-in.
+// latest-pointer chains. ShardedShared implements it; with one chain it is
+// exactly the paper's Algorithm 3 (one published pointer P over the whole
+// vector). The worker loop in internal/sgd, the monitor's snapshots, the
+// autotuner's epoch swap and the memory accounting are written against the
+// interface, so tests can wrap a store to count or perturb its calls.
 //
 // A "chain" is one independently published contiguous range of the flat
-// vector: Shared has exactly one covering [0, Dim); ShardedShared has S.
-// Reads lease the chains' latest vectors zero-copy via Lease; publishes run
-// the LAU-SPC CAS per chain via ChainTryPublish.
+// vector, held in one Shared cell. Reads lease the chains' latest vectors
+// zero-copy via Lease; publishes run the LAU-SPC CAS per chain via
+// ChainTryPublish.
 type ParamStore interface {
 	// Dim is the full flat-vector dimension d.
 	Dim() int
-	// Chains is the number of independent publish chains (1 or S).
+	// Chains is the number of independent publish chains S ≥ 1.
 	Chains() int
 	// ChainRange is chain c's half-open interval of the flat vector.
 	ChainRange(c int) Range
@@ -51,7 +49,8 @@ type ParamStore interface {
 	// moments (cross-chain skew). seqs is reused when it has capacity.
 	Snapshot(dst []float64, seqs []int64) []int64
 	// SnapshotConsistent retries Snapshot with seqlock validation until no
-	// chain published mid-copy (a true global state) or attempts run out.
+	// chain published mid-copy (a true global state) or attempts run out. A
+	// one-chain snapshot is one immutable vector: ok on the first attempt.
 	SnapshotConsistent(dst []float64, attempts int) ([]int64, bool)
 	// Live, Peak, Allocs and Reuses aggregate the chains' buffer-pool
 	// gauges, in chain-buffer units (divide by Chains for full-vector
@@ -76,132 +75,16 @@ type ParamStore interface {
 	SetPoison(on bool)
 }
 
-// Compile-time interface conformance for both stores.
-var (
-	_ ParamStore = (*Shared)(nil)
-	_ ParamStore = (*ShardedShared)(nil)
-)
-
-// NewStore builds the canonical store for a dim-dimensional vector: the
-// single-chain Shared for chains <= 1 (the paper's exact semantics), the
-// sharded store otherwise. This is the swap point the autotuner re-shards
+// NewStore builds the store for a dim-dimensional vector split into chains
+// publish chains (clamped to [1, dim]). One chain is the paper's single
+// published pointer P; this is also the swap point the autotuner re-shards
 // through.
 func NewStore(dim, chains int) ParamStore {
-	if chains <= 1 {
-		return NewSingle(dim)
-	}
 	return NewSharded(dim, chains)
 }
 
-// --- Shared as a ParamStore ------------------------------------------------
-
-// NewSingle returns a Shared publication cell in store mode: it owns a
-// buffer pool of the full dimension, so the ParamStore methods (NewChainVec,
-// PublishInit, Snapshot, the pool gauges) work on it. A zero-value Shared
-// remains usable as a bare publication cell for callers that manage their
-// own pool.
-func NewSingle(dim int) *Shared {
-	return &Shared{pool: NewPool(dim), dim: dim}
-}
-
-// Dim returns the full vector dimension d (store mode only).
-func (s *Shared) Dim() int { return s.dim }
-
-// Chains returns 1: the single totally-ordered publish chain.
-func (s *Shared) Chains() int { return 1 }
-
-// ChainRange returns the full interval [0, Dim).
-func (s *Shared) ChainRange(int) Range { return Range{Lo: 0, Hi: s.dim} }
-
-// Pool returns the store's buffer pool (store mode only; nil for zero-value
-// cells).
-func (s *Shared) Pool() *Pool { return s.pool }
-
-// NewChainVec checks a fresh full-dimension vector out of the store pool.
-func (s *Shared) NewChainVec(int) *Vector { return New(s.pool) }
-
-// ChainLatest is Latest under the chain-indexed store interface.
-func (s *Shared) ChainLatest(int) *Vector { return s.Latest() }
-
-// ChainTryPublish is TryPublish under the chain-indexed store interface.
-func (s *Shared) ChainTryPublish(_ int, expected, v *Vector) bool {
-	return s.TryPublish(expected, v)
-}
-
-// ChainTryPublishSparse is TryPublishSparse under the chain-indexed store
-// interface; the single chain starts at 0, so indices pass through unshifted.
-func (s *Shared) ChainTryPublishSparse(_ int, expected, v *Vector, idx []int32, val []float64, eta float64) bool {
-	return s.TryPublishSparse(expected, v, 0, idx, val, eta)
-}
-
-// ChainPeek is Peek under the chain-indexed store interface.
-func (s *Shared) ChainPeek(int) *Vector { return s.Peek() }
-
-// PublishInit publishes theta unconditionally (initialization only).
-func (s *Shared) PublishInit(theta []float64) {
-	if len(theta) != s.dim {
-		panic(fmt.Sprintf("paramvec: PublishInit got %d values, want %d", len(theta), s.dim))
-	}
-	v := New(s.pool)
-	copy(v.Theta, theta)
-	s.Publish(v)
-}
-
-// Snapshot copies the published vector into dst under read protection.
-// Single chain: the snapshot is one immutable vector, trivially consistent.
-func (s *Shared) Snapshot(dst []float64, seqs []int64) []int64 {
-	if len(dst) != s.dim {
-		panic(fmt.Sprintf("paramvec: Snapshot dst has %d values, want %d", len(dst), s.dim))
-	}
-	if cap(seqs) < 1 {
-		seqs = make([]int64, 1)
-	}
-	seqs = seqs[:1]
-	v := s.Latest()
-	copy(dst, v.Theta)
-	seqs[0] = v.T
-	v.StopReading()
-	return seqs
-}
-
-// SnapshotConsistent is Snapshot: a single published vector is immutable, so
-// every snapshot is a true global state on the first attempt.
-func (s *Shared) SnapshotConsistent(dst []float64, _ int) ([]int64, bool) {
-	return s.Snapshot(dst, nil), true
-}
-
-// Live returns the store pool's live-buffer gauge.
-func (s *Shared) Live() int64 { return s.pool.Live() }
-
-// Peak returns the store pool's high-water mark.
-func (s *Shared) Peak() int64 { return s.pool.Peak() }
-
-// Allocs returns the store pool's heap-allocation count.
-func (s *Shared) Allocs() int64 { return s.pool.Allocs() }
-
-// Reuses returns the store pool's free-list reuse count.
-func (s *Shared) Reuses() int64 { return s.pool.Reuses() }
-
-// Retire marks the store retired, drains its pool's free list, and marks the
-// published vector stale and offered for recycling. The retired flag is set
-// BEFORE the head goes stale so a concurrent Acquire either sees the flag and
-// panics, or wins the race and leases a still-valid head under read
-// protection.
-func (s *Shared) Retire() {
-	s.retired.Store(true)
-	if s.pool != nil {
-		s.pool.Retire()
-	}
-	v := s.Peek()
-	v.MarkStale()
-	v.SafeDelete()
-}
-
-// Retired reports whether the store has been retired.
-func (s *Shared) Retired() bool { return s.retired.Load() }
-
-// SetPoison enables poisoning on the store pool (tests only).
-func (s *Shared) SetPoison(on bool) { s.pool.SetPoison(on) }
+// NewSingle is the one-chain store, NewSharded(dim, 1).
+func NewSingle(dim int) *ShardedShared { return NewSharded(dim, 1) }
 
 // --- Leased zero-copy reads ------------------------------------------------
 

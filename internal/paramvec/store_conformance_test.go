@@ -8,8 +8,10 @@ import (
 )
 
 // The ParamStore conformance suite: every property the SGD layer relies on,
-// run table-driven against both implementations. A future store (NUMA-aware,
-// double-buffered, remote) inherits the proofs by adding one row.
+// run table-driven over the chain store at one chain (the paper's single
+// Shared cell) and at four. The ReadFront rows serve the same stores'
+// snapshot reads from a ReadFront folding from them (frontStore), so the
+// fold's output is held to the suite's snapshot contracts too.
 func storeCases(dim int) []struct {
 	name  string
 	build func() ParamStore
@@ -18,15 +20,57 @@ func storeCases(dim int) []struct {
 		name  string
 		build func() ParamStore
 	}{
-		{"Shared", func() ParamStore { return NewSingle(dim) }},
-		{"ShardedShared", func() ParamStore { return NewSharded(dim, 4) }},
-		// The RCU read layer must be a drop-in ParamStore: chain writes
-		// delegate to the wrapped store, snapshot reads serve the folded
-		// front. The quiet leash parks the background refresher so the
-		// suite exercises the synchronous fold paths deterministically.
-		{"ReadFront/Shared", func() ParamStore { return NewReadFront(NewSingle(dim), quietLeash) }},
-		{"ReadFront/Sharded", func() ParamStore { return NewReadFront(NewSharded(dim, 4), quietLeash) }},
+		{"Shared", func() ParamStore { return NewStore(dim, 1) }},
+		{"ShardedShared", func() ParamStore { return NewStore(dim, 4) }},
+		{"ReadFront/Shared", func() ParamStore { return newFrontStore(NewStore(dim, 1)) }},
+		{"ReadFront/Sharded", func() ParamStore { return newFrontStore(NewStore(dim, 4)) }},
 	}
+}
+
+// frontStore is a store whose Snapshot and SnapshotConsistent are served by
+// a ReadFront folding from it: each call folds synchronously and copies the
+// front, so the front must be untorn, agree with the seqs it reports, and be
+// consistent once publishers quiesce. Chain reads and writes go to the store
+// itself. The quiet leash parks the background refresher, so every fold
+// runs on the caller's goroutine.
+type frontStore struct {
+	ParamStore
+	rf *ReadFront
+}
+
+func newFrontStore(st ParamStore) *frontStore {
+	return &frontStore{ParamStore: st, rf: NewReadFront(st, quietLeash)}
+}
+
+// PublishInit initializes the store and folds the first snapshot.
+func (f *frontStore) PublishInit(theta []float64) {
+	f.ParamStore.PublishInit(theta)
+	f.rf.refreshNow()
+}
+
+func (f *frontStore) Snapshot(dst []float64, seqs []int64) []int64 {
+	f.rf.refreshNow()
+	return f.copyFront(dst, seqs)
+}
+
+// SnapshotConsistent reports whether the fold installed a fresh snapshot.
+func (f *frontStore) SnapshotConsistent(dst []float64, _ int) ([]int64, bool) {
+	ok := f.rf.refreshNow()
+	return f.copyFront(dst, nil), ok
+}
+
+func (f *frontStore) copyFront(dst []float64, seqs []int64) []int64 {
+	s := f.rf.acquire()
+	defer s.release()
+	copy(dst, s.theta)
+	return append(seqs[:0], s.seqs...)
+}
+
+// Retire stops the refresher first, so no fold holds a chain when the
+// gauges are read.
+func (f *frontStore) Retire() {
+	f.rf.Close()
+	f.ParamStore.Retire()
 }
 
 // publishChain runs one LAU-SPC publish round over every chain of st with a
@@ -184,7 +228,7 @@ func TestStoreConformanceLeaseQuietWindowConsistent(t *testing.T) {
 // The single-chain lease classification claim from the lifecycle test,
 // stated directly: a republished single chain is still a consistent read.
 func TestSingleChainLeaseAlwaysConsistent(t *testing.T) {
-	st := NewSingle(8)
+	st := NewStore(8, 1)
 	st.PublishInit(make([]float64, 8))
 	var l Lease
 	l.Acquire(st)

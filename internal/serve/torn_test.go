@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,9 +18,10 @@ import (
 // marker value derived from its sequence number), and a swapper goroutine
 // periodically retires the store and installs a fresh one with a different
 // shard count — the autotuner's epoch swap, at a far higher rate than any
-// real run. ReadParams verifies INSIDE the leased window that every chain
-// segment is internally uniform: a torn read is impossible, and any
-// violation fails the test immediately.
+// real run. ReadParams verifies INSIDE the leased window that every cell of
+// every chain holds exactly the marker of the sequence number the lease read
+// for that chain: a torn or recycled read is impossible, and any violation
+// fails the test immediately.
 type swapStoreSource struct {
 	t   *testing.T
 	mu  sync.RWMutex // epoch pin: Lock = swap, RLock = acquire
@@ -49,16 +49,11 @@ func (s *swapStoreSource) ReadParams(l *paramvec.Lease, _ []float64, fn func(par
 	// st at any point from here on. The leased buffers must stay intact
 	// regardless.
 	for c := 0; c < st.Chains(); c++ {
-		r := st.ChainRange(c)
-		want := pv.At(r.Lo)
-		if math.IsNaN(want) {
-			s.t.Errorf("leased read observed poison in chain %d", c)
-			s.torn.Add(1)
-		}
+		r, want := st.ChainRange(c), markerOf(l.Seq(c))
 		for j := r.Lo; j < r.Hi; j++ {
 			if got := pv.At(j); got != want {
-				s.t.Errorf("torn leased segment: chain %d has %v at %d, %v at %d",
-					c, want, r.Lo, got, j)
+				s.t.Errorf("torn or recycled leased segment: chain %d at seq %d holds %v at %d, want %v",
+					c, l.Seq(c), got, j, want)
 				s.torn.Add(1)
 				break
 			}
@@ -89,7 +84,12 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 	shardCounts := []int{4, 1, 6, 2}
 
 	src := &swapStoreSource{t: t, dim: dim}
-	init := make([]float64, dim) // chain seq 0 everywhere: marker 0
+	// Every store starts at seq 0 on every chain, so its init is marker 0
+	// everywhere.
+	init := make([]float64, dim)
+	for i := range init {
+		init[i] = markerOf(0)
+	}
 	st0 := paramvec.NewStore(dim, shardCounts[0])
 	st0.SetPoison(true)
 	st0.PublishInit(init)
@@ -141,12 +141,15 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 		}(w)
 	}
 
-	// Swapper: the epoch-barrier store swap, exactly the autotuner's
-	// shape — quiesce behind the write lock, consistent snapshot, retire,
-	// install fresh store with a different shard count. Paced so publishes
-	// and open read windows interleave with the swaps (a lock-hogging
-	// swapper would serialize everything and never produce mixed or
-	// retired-epoch reads).
+	// Swapper: the epoch-barrier store swap in the autotuner's shape —
+	// quiesce behind the write lock, consistent snapshot, retire, install a
+	// fresh store with a different shard count. The fresh store publishes
+	// the marker-0 init, not the snapshot: the autotuner carries θ across,
+	// but here the old layout's markers folded into a coarser chain would
+	// break the marker invariant the readers check. Paced so publishes and
+	// open read windows interleave with the swaps (a lock-hogging swapper
+	// would serialize everything and never produce mixed or retired-epoch
+	// reads).
 	swaps := 0
 	workers.Add(1)
 	go func() {
@@ -161,13 +164,15 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			src.mu.Lock()
 			old := src.st
-			if _, ok := old.SnapshotConsistent(buf, 8); !ok {
-				old.Snapshot(buf, nil)
+			// No publisher holds the read lock, so the first attempt must
+			// validate.
+			if _, ok := old.SnapshotConsistent(buf, 1); !ok {
+				t.Errorf("swap %d: snapshot behind the write lock did not validate", i)
 			}
 			old.Retire()
 			next := paramvec.NewStore(dim, shardCounts[i%len(shardCounts)])
 			next.SetPoison(true)
-			next.PublishInit(buf)
+			next.PublishInit(init)
 			src.st = next
 			swaps++
 			src.mu.Unlock()

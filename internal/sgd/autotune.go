@@ -128,7 +128,8 @@ func (a *axisTuner) idle() bool { return a.wait == 0 && a.pending < 0 }
 // the axis value for the next window, plus whether that is a change. The
 // policy, inherited unchanged from the PR-2 shard tuner:
 //
-//   - a window with too few samples carries no signal and never moves;
+//   - a window with too few samples carries no signal and never moves (the
+//     controller sums starved windows before they get here, see tick);
 //   - after any move, one cooldown window is skipped, then the move is
 //     evaluated: a climb must cut the rate to ≤ improve× the pre-move rate
 //     or it is reverted and the climb bar raised to autoTuneWorsen× the
@@ -271,6 +272,15 @@ type window struct {
 	touched int64
 }
 
+// samples is the active axis's sample count in w: leased reads for Tp,
+// publishes for S.
+func (t *tuner) samples(w window) int64 {
+	if t.activeTp && !t.tpFrozen {
+		return w.reads
+	}
+	return w.pubs
+}
+
 // observe feeds one window to the active axis and reports the next (S, Tp)
 // configuration plus which axis moved. At most one of sChanged/tpChanged is
 // true per window — the coordinate-descent invariant.
@@ -314,9 +324,9 @@ func rateOf(num, den int64) float64 {
 // autoTuner owns the live shard epoch of an autotuned run plus the
 // cross-epoch accounting. Since the worker loop is parameterized over
 // paramvec.ParamStore, a re-shard is a generic store swap: snapshot the old
-// epoch's store, build the canonical store for the new chain count
-// (paramvec.NewStore — the single-chain Shared when the controller descends
-// to S = 1), republish, retire. The RWMutex is the quiescing barrier:
+// epoch's store, build the chain store for the new chain count
+// (paramvec.NewStore, one chain when the controller descends to S = 1),
+// republish, retire. The RWMutex is the quiescing barrier:
 // workers hold the read side for exactly one iteration, the controller takes
 // the write side to re-shard, which by construction waits until every
 // in-flight iteration has drained and blocks new ones — at that point there
@@ -386,7 +396,7 @@ func (at *autoTuner) foldRetired(e *shardEpoch) {
 }
 
 // reshard quiesces the workers, carries the parameters from the old epoch's
-// store into the canonical store for newS chains, and retires the old one —
+// store into the chain store for newS chains, and retires the old one —
 // the generic store swap.
 func (at *autoTuner) reshard(rt *runCtx, newS int) {
 	at.mu.Lock()
@@ -443,11 +453,8 @@ func (at *autoTuner) fill(res *Result) {
 	res.BufferReuses += at.reusesEq + reuses
 }
 
-// launchController starts the autotune controller goroutine: it wakes every
-// AutoShardWindow, feeds the windowed signal deltas (failed CAS + publishes
-// for the S axis, mixed + total leased reads for the Tp axis) to the joint
-// tuner, and executes the requested move — a store swap for S, an atomic
-// bound store for Tp. The worker side is the ordinary unified loop —
+// launchController starts the autotune controller goroutine, which runs tick
+// every AutoShardWindow. The worker side is the ordinary unified loop —
 // leashedStrategy pins the live epoch under the read lock for exactly one
 // iteration and reloads the tuned bound at each begin.
 func (at *autoTuner) launchController(rt *runCtx, wg *sync.WaitGroup) {
@@ -465,26 +472,42 @@ func (at *autoTuner) launchController(rt *runCtx, wg *sync.WaitGroup) {
 			case <-rt.stopped:
 				return
 			}
-			failed, pubs, touched := at.totals()
-			consistent, mixed := rt.readTotals()
-			tcNs, tcN, tuNs := rt.timingTotals()
-			d := win.Deltas(failed, pubs, mixed, consistent+mixed, touched,
-				tcNs, tcN, tuNs)
-			w := window{
-				failed: d[0], pubs: d[1], mixed: d[2], reads: d[3],
-				touched: d[4],
-			}
-			if at.model != nil {
-				at.modelStep(rt, w, d[5], d[6], d[7])
-				continue
-			}
-			newS, newTp, sChanged, tpChanged := at.joint.observe(w)
-			if tpChanged {
-				at.retune(newTp)
-			}
-			if sChanged && !rt.stop.Load() {
-				at.reshard(rt, newS)
-			}
+			at.tick(rt, &win)
 		}
 	}()
+}
+
+// tick is one controller wake-up: it windows the signal deltas (failed CAS +
+// publishes for the S axis, mixed + total leased reads for the Tp axis), feeds
+// them to the joint tuner (or the model-guided step), and executes the
+// requested move — a store swap for S, an atomic bound store for Tp. A window
+// in which the active axis has fewer than autoTuneMinSamples samples is
+// carried into the next one until the sum is usable; a slow run (a CNN at a
+// few hundred updates/s, any run under the race detector) would otherwise
+// never have a window judged.
+func (at *autoTuner) tick(rt *runCtx, win *metrics.CounterWindow) {
+	failed, pubs, touched := at.totals()
+	consistent, mixed := rt.readTotals()
+	tcNs, tcN, tuNs := rt.timingTotals()
+	d := win.Deltas(failed, pubs, mixed, consistent+mixed, touched,
+		tcNs, tcN, tuNs)
+	w := window{
+		failed: d[0], pubs: d[1], mixed: d[2], reads: d[3],
+		touched: d[4],
+	}
+	if at.joint.samples(w) < autoTuneMinSamples {
+		win.Carry()
+		return
+	}
+	if at.model != nil {
+		at.modelStep(rt, w, d[5], d[6], d[7])
+		return
+	}
+	newS, newTp, sChanged, tpChanged := at.joint.observe(w)
+	if tpChanged {
+		at.retune(newTp)
+	}
+	if sChanged && !rt.stop.Load() {
+		at.reshard(rt, newS)
+	}
 }

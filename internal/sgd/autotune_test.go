@@ -1,8 +1,11 @@
 package sgd
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"leashedsgd/internal/metrics"
 )
 
 // newSAxis builds the shard axis alone, mirroring the PR-2 shardTuner, so
@@ -102,6 +105,43 @@ func TestShardAxisIgnoresEmptyWindows(t *testing.T) {
 	a := newSAxis(1, 8)
 	if moves, _ := feed(a, 50, 30, 32); moves != 0 {
 		t.Fatalf("%d re-shards from sub-minimum windows, want 0", moves)
+	}
+}
+
+// TestAutoTuneCarriesStarvedWindows drives the controller's tick by hand on a
+// run that makes 40 uncontended publishes and 40 clean reads per wake-up —
+// below the 64-sample floor in every single window. Each window is carried
+// into the next, so the pair is judged: the S axis descends 2 → 1 at tick 2,
+// counts its cooldown at tick 4, accepts the descent at tick 6 and hands the
+// token over, and the Tp axis loosens 1 → 2 at tick 8. Discarding starved
+// windows would leave both trajectories at their start forever.
+func TestAutoTuneCarriesStarvedWindows(t *testing.T) {
+	const d = 64
+	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10, StalenessBound: 8}
+	rt := newRuntime(cfg, stubProblem{d: d})
+	at := &autoTuner{joint: newTuner(2, 8, 1, 16, false), buf: make([]float64, d)}
+	at.epoch = newShardEpoch(d, 2, make([]float64, d))
+	at.trajectory, at.tpTrajectory = []int{2}, []int{1}
+	at.bound.Store(1)
+	defer func() { at.epoch.store.Retire() }()
+
+	var win metrics.CounterWindow
+	var sMoves, tpMoves []int
+	for tick := 1; tick <= 8; tick++ {
+		at.epoch.pub[0].n.Add(40)
+		rt.readTallies[0].consistent.Add(40)
+		s0, tp0 := len(at.trajectory), len(at.tpTrajectory)
+		at.tick(rt, &win)
+		if len(at.trajectory) != s0 {
+			sMoves = append(sMoves, tick)
+		}
+		if len(at.tpTrajectory) != tp0 {
+			tpMoves = append(tpMoves, tick)
+		}
+	}
+	if fmt.Sprint(sMoves, tpMoves) != "[2] [8]" || fmt.Sprint(at.trajectory, at.tpTrajectory) != "[2 1] [1 2]" {
+		t.Fatalf("S moved at ticks %v to %v, Tp at ticks %v to %v; want S 2→1 at tick 2 and Tp 1→2 at tick 8",
+			sMoves, at.trajectory, tpMoves, at.tpTrajectory)
 	}
 }
 

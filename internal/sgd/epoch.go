@@ -5,8 +5,8 @@ import "leashedsgd/internal/paramvec"
 // shardEpoch bundles one generation of publication state — a ParamStore —
 // with its per-chain instrumentation. The static Leashed launcher keeps a
 // single epoch for the whole run; the autotuning controller (autotune.go)
-// retires the epoch and installs a fresh one, with a different chain count
-// and possibly a different store type, each time it re-shards. HOGWILD!'s
+// retires the epoch and installs a fresh one, with a different chain count,
+// each time it re-shards. HOGWILD!'s
 // sharded traversal reuses the counter half only (store nil) for its
 // per-shard sweep counts.
 type shardEpoch struct {
@@ -24,9 +24,9 @@ type shardEpoch struct {
 	touched []paddedCounter
 }
 
-// newShardEpoch builds the canonical store for the given chain count
-// (paramvec.NewStore: Shared for 1, ShardedShared otherwise), publishes
-// theta into it, and allocates fresh per-chain counters.
+// newShardEpoch builds the chain store for the given chain count
+// (paramvec.NewStore), publishes theta into it, and allocates fresh
+// per-chain counters.
 func newShardEpoch(dim, chains int, theta []float64) *shardEpoch {
 	st := paramvec.NewStore(dim, chains)
 	st.PublishInit(theta)

@@ -9,10 +9,11 @@ import (
 
 // leashedStrategy is Leashed-SGD (Algorithm 3) under the unified worker
 // loop, parameterized over paramvec.ParamStore — ONE implementation covers
-// the paper's single chain (paramvec.Shared, Config.Shards <= 1), the
-// sharded store (paramvec.ShardedShared, Shards > 1) and the autotuned run
-// (Config.AutoTune, where the controller swaps the store between epochs
-// behind the same interface and retunes the persistence bound atomically).
+// the paper's single chain (Config.Shards <= 1), the sharded store
+// (Shards > 1) — both the chain store paramvec.ShardedShared — and the
+// autotuned run (Config.AutoTune, where the controller swaps the store
+// between epochs behind the same interface and retunes the persistence
+// bound atomically).
 //
 // Per iteration a worker:
 //

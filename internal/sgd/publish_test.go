@@ -41,7 +41,7 @@ func rivalPublish(t *testing.T, st paramvec.ParamStore, zeros []float64) {
 // an attempt whose head is replaced mid-way reports a lost attempt WITHOUT
 // issuing the CAS, and a warm attempt that does publish allocates nothing.
 func TestDensePublishAbandonsWithoutCAS(t *testing.T) {
-	inner := paramvec.NewSingle(longDim)
+	inner := paramvec.NewStore(longDim, 1)
 	inner.PublishInit(make([]float64, longDim))
 	st := &casCountingStore{ParamStore: inner}
 	r := st.ChainRange(0)

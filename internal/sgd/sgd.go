@@ -90,8 +90,8 @@ type Config struct {
 	// Shards splits the published parameter vector into S contiguous
 	// shards, each with its own lock-free latest-pointer chain, pool and
 	// sequence counter, so Leashed publish CAS contention scales as ~1/S
-	// (extension; see internal/paramvec.ShardedShared). 0 or 1 preserves
-	// the paper's exact single-chain semantics. HOGWILD! uses the knob to
+	// (extension; see internal/paramvec.ShardedShared). 0 or 1 is one
+	// chain: the paper's exact single published pointer. HOGWILD! uses the knob to
 	// rotate its component-update traversal order across shards; the other
 	// algorithms ignore it. Values above the parameter dimension clamp.
 	// Gradient reads stay zero-copy at every shard count: workers lease

@@ -13,12 +13,12 @@
 //
 // Beyond the paper, Config.Shards splits the published parameter vector into
 // S contiguous shards, each with its own lock-free latest-pointer chain,
-// buffer pool and sequence counter (internal/paramvec.ShardedShared).
-// Workers then run the LAU-SPC publish loop per shard, so two workers
-// conflict only when they publish the same shard concurrently and the
-// failed-CAS rate falls ~1/S. Both the single chain and the sharded store
-// implement one interface — internal/paramvec.ParamStore — and every
-// algorithm runs through one store-parameterized worker loop; gradient
+// buffer pool and sequence counter (internal/paramvec.ShardedShared, the one
+// implementation of internal/paramvec.ParamStore; one chain is the paper's
+// single published pointer). Workers then run the LAU-SPC publish loop per
+// shard, so two workers conflict only when they publish the same shard
+// concurrently and the failed-CAS rate falls ~1/S. Every algorithm runs
+// through one store-parameterized worker loop; gradient
 // reads lease the published buffers zero-copy at every shard count
 // (paramvec.Lease), with each read classified by seqlock validation as
 // consistent or mixed-version (Result.ConsistentReads/MixedReads — the
@@ -28,7 +28,7 @@
 // per-shard failed-CAS/dropped/staleness breakdowns land in
 // Result.ShardFailedCAS and friends. The test matrix covers every
 // Algorithm × shard count {1, 4} (internal/sgd), a store conformance suite
-// plus race-detector stress tests over both ParamStore implementations
+// plus race-detector stress tests over the store at one and four chains
 // (internal/paramvec), a shard-count contention sweep (`leashed run
 // shards`), and a 0 allocs/op guard on the leased read path
 // (TestReadPathsAllocateNothing, TestBatchedPassesAllocateNothingWarm).
