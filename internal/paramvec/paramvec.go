@@ -13,6 +13,15 @@
 // buffers, the actual memory mass (d×8 bytes, d up to 134,794 here), are
 // recycled just as in the paper. The Pool's accounting gauge measures live
 // buffers, which is precisely the quantity Lemma 2 bounds by 3m.
+//
+// A recycled buffer is an older version of its own chain, and the pool
+// remembers which one: SafeDelete parks a published buffer with its T. The
+// sparse publish (Shared.TryPublishSparse) uses that to refresh a checked-out
+// buffer from the head only at the components changed since, read off the
+// head's change log, instead of copying the whole chain. This makes per-chain
+// unique T load-bearing: a chain's T values must never repeat (each publish
+// is its predecessor's T + 1 under the CAS, and PublishInit starts fresh pools
+// at 0), or a buffer's version would name two different contents.
 package paramvec
 
 import (
@@ -30,7 +39,7 @@ import (
 type Pool struct {
 	dim    int
 	mu     sync.Mutex
-	free   [][]float64
+	free   []freeBuf
 	live   atomic.Int64
 	peak   atomic.Int64
 	allocs atomic.Int64
@@ -59,22 +68,37 @@ func NewPool(dim int) *Pool {
 // Dim returns the buffer dimension d.
 func (p *Pool) Dim() int { return p.dim }
 
+// unknownVer is the version of a buffer whose content no version vouches for
+// (fresh, poisoned, or last written by anything but the sparse publish).
+// Published T values start at 0, so it never equals one.
+const unknownVer = -1
+
+// freeBuf is one parked buffer together with the chain version its content
+// equals (unknownVer when none is known) and the change-log storage that
+// travels with it (nil until the sparse publish first needs one).
+type freeBuf struct {
+	theta []float64
+	ver   int64
+	log   *changeLog
+}
+
 // getBuffer checks a buffer out: a recycled one when the free list has any,
-// a fresh allocation otherwise. Its content is unspecified — callers always
-// overwrite every element (a fused update, a copy or rand_init), so clearing
-// would be wasted work on the hot path.
-func (p *Pool) getBuffer() []float64 {
+// a fresh allocation (at unknownVer) otherwise. Callers either overwrite
+// every element (a fused update, a copy or rand_init), so clearing would be
+// wasted work on the hot path, or — the sparse publish — rewrite only the
+// components changed since the buffer's version.
+func (p *Pool) getBuffer() freeBuf {
 	p.mu.Lock()
 	n := len(p.free)
-	var buf []float64
+	var b freeBuf
 	if n > 0 {
-		buf = p.free[n-1]
-		p.free[n-1] = nil
+		b = p.free[n-1]
+		p.free[n-1] = freeBuf{}
 		p.free = p.free[:n-1]
 	}
 	p.mu.Unlock()
-	if buf == nil {
-		buf = make([]float64, p.dim)
+	if b.theta == nil {
+		b = freeBuf{theta: make([]float64, p.dim), ver: unknownVer}
 		p.allocs.Add(1)
 	} else {
 		p.reuses.Add(1)
@@ -86,23 +110,24 @@ func (p *Pool) getBuffer() []float64 {
 			break
 		}
 	}
-	return buf
+	return b
 }
 
 // putBuffer returns a buffer to the free list, or drops it when the pool has
 // been retired (a late lease release against a dead epoch must not park
-// memory forever).
-func (p *Pool) putBuffer(buf []float64) {
+// memory forever). A poisoned buffer holds no version.
+func (p *Pool) putBuffer(b freeBuf) {
 	if p.poison {
 		nan := math.NaN()
-		for i := range buf {
-			buf[i] = nan
+		for i := range b.theta {
+			b.theta[i] = nan
 		}
+		b.ver = unknownVer
 	}
 	p.live.Add(-1)
 	p.mu.Lock()
 	if !p.dead {
-		p.free = append(p.free, buf)
+		p.free = append(p.free, b)
 	}
 	p.mu.Unlock()
 }
@@ -140,20 +165,35 @@ type Vector struct {
 	// history (paper P1).
 	T int64
 
+	// ver is the chain version Theta is known to equal, or unknownVer: set
+	// from the pool at checkout and by the sparse publish, cleared by every
+	// other writer and by Shared.Publish. On a published vector, ver == T
+	// marks log as this vector's own change log; a dense publish leaves ver
+	// unknown, so its head carries no log.
+	ver int64
+	// log is the change-log storage that travels with the buffer; nil until
+	// the sparse publish first needs one.
+	log *changeLog
+
 	nRdrs   atomic.Int64
 	stale   atomic.Bool
 	deleted atomic.Bool
 	pool    *Pool
 }
 
-// New checks a fresh Vector out of the pool. Theta content is unspecified;
-// call RandInit or CopyFrom before use.
+// New checks a Vector out of the pool. Theta content is unspecified; call
+// RandInit or CopyFrom before use. A recycled buffer still holds the chain
+// version it was parked with, which is what lets the sparse publish
+// (Shared.TryPublishSparse) refresh it at the changed components only; every
+// other writer overwrites it whole.
 func New(p *Pool) *Vector {
-	return &Vector{Theta: p.getBuffer(), pool: p}
+	b := p.getBuffer()
+	return &Vector{Theta: b.theta, ver: b.ver, log: b.log, pool: p}
 }
 
 // RandInit fills Theta with N(0, sigma²) — Algorithm 1's rand_init.
 func (v *Vector) RandInit(r *rng.Rand, sigma float64) {
+	v.ver = unknownVer
 	for i := range v.Theta {
 		v.Theta[i] = sigma * r.NormFloat64()
 	}
@@ -162,6 +202,7 @@ func (v *Vector) RandInit(r *rng.Rand, sigma float64) {
 // CopyFrom copies src's parameter values and sequence number
 // (Algorithm 3 lines 27-28).
 func (v *Vector) CopyFrom(src *Vector) {
+	v.ver = unknownVer
 	copy(v.Theta, src.Theta)
 	v.T = src.T
 }
@@ -173,6 +214,7 @@ func (v *Vector) CopyFrom(src *Vector) {
 // SEQ, ASYNC, SYNC and the Leashed publish produce identical values from
 // identical inputs.
 func (v *Vector) Update(delta []float64, eta float64) {
+	v.ver = unknownVer
 	v.T++
 	tensor.AxpyTo(v.Theta, v.Theta, -eta, delta)
 }
@@ -203,6 +245,7 @@ func (v *Vector) UpdateFrom(src *Vector, delta []float64, eta float64) bool {
 	if len(src.Theta) != n || len(delta) != n {
 		panic("paramvec: UpdateFrom length mismatch")
 	}
+	v.ver = unknownVer
 	for lo := 0; lo < n; lo += updateBlock {
 		if lo > 0 && src.Stale() {
 			return false
@@ -221,12 +264,93 @@ func (v *Vector) UpdateFrom(src *Vector, delta []float64, eta float64) bool {
 // vector covering [Lo, Hi) passes base = Lo). Like Update it must only be
 // called on vectors private to the caller.
 func (v *Vector) UpdateSparse(base int32, idx []int32, val []float64, eta float64) {
+	v.ver = unknownVer
 	v.T++
 	theta := v.Theta
 	val = val[:len(idx)]
 	for k, j := range idx {
 		theta[j-base] -= eta * val[k]
 	}
+}
+
+// logCap is how many (version, component) entries a change log holds. Chosen
+// by a paired sparse_scatter table over {4, 8, 16, 32} (docs/benchmarks.md
+// "The sparse publish"), not a knob: long enough that a recycled buffer a few
+// versions behind its head is almost always covered, short enough that
+// carrying the predecessor's log forward costs less than the copy it saves.
+const logCap = 8
+
+// changeLog is a sparse-published vector's record of what changed: every
+// chain-local component written by the versions (cover, T] of the vector's T,
+// tagged with the version that wrote it, newest first. It is written while
+// the vector is private, before the CAS, and never after: a published log is
+// immutable until its buffer is recycled.
+type changeLog struct {
+	cover int64
+	n     int
+	t     [logCap]int64
+	idx   [logCap]int32
+}
+
+// refresh makes v.Theta equal src.Theta, src being read-protected by the
+// caller. When v holds a version the head's log reaches back to, only the
+// components logged since that version are copied; otherwise it is the full
+// copy of Algorithm 3 lines 27-28. Exact because a published Theta is
+// immutable, a chain's T values are unique (so v holds exactly version
+// v.ver) and every change in (cover, src.T] is in src's log. A v newer than
+// src — checked out after the caller read src, from a loser parked at a
+// later head — is copied in full.
+func (v *Vector) refresh(src *Vector) {
+	b, l := v.ver, src.log
+	if l != nil && src.ver == src.T && l.cover <= b && b <= src.T {
+		for k := 0; k < l.n && l.t[k] > b; k++ {
+			j := l.idx[k]
+			v.Theta[j] = src.Theta[j]
+		}
+	} else {
+		copy(v.Theta, src.Theta)
+	}
+	v.ver = src.T
+}
+
+// logChanges writes v's change log just before its CAS: v's own components
+// (store-absolute idx, shifted by base) tagged v.T, then as many whole
+// versions of src's log as still fit, src being the head v was built on. A
+// change set larger than the log leaves it empty with cover = v.T, which
+// sends the next publisher to the full copy.
+func (v *Vector) logChanges(src *Vector, base int32, idx []int32) {
+	l := v.log
+	if l == nil {
+		l = new(changeLog)
+		v.log = l
+	}
+	v.ver = v.T
+	n := len(idx)
+	if n > logCap {
+		l.n, l.cover = 0, v.T
+		return
+	}
+	for k, j := range idx {
+		l.t[k], l.idx[k] = v.T, j-base
+	}
+	l.cover = src.T
+	if sl := src.log; sl != nil && src.ver == src.T {
+		p := min(sl.n, logCap-n)
+		if p == sl.n {
+			l.cover = sl.cover
+		} else {
+			// Cut at a version boundary: a version is listed whole or not
+			// at all, and the first one left out bounds the coverage.
+			for p > 0 && sl.t[p-1] == sl.t[p] {
+				p--
+			}
+			l.cover = sl.t[p]
+		}
+		copy(l.t[n:n+p], sl.t[:p])
+		copy(l.idx[n:n+p], sl.idx[:p])
+		n += p
+	}
+	l.n = n
 }
 
 // StartReading registers the caller as a reader (n_rdrs.fetch_add(1)).
@@ -269,23 +393,29 @@ func (v *Vector) Deleted() bool { return v.deleted.Load() }
 // observe stale afterwards and retry without touching Theta.
 func (v *Vector) SafeDelete() bool {
 	if v.stale.Load() && v.nRdrs.Load() == 0 && v.deleted.CompareAndSwap(false, true) {
-		buf := v.Theta
-		v.Theta = nil
-		v.pool.putBuffer(buf)
+		v.recycle(v.T)
 		return true
 	}
 	return false
 }
 
 // Release returns a never-published vector's buffer to the pool (the
-// persistence-bound abort path, Algorithm 3 line 38: delete new_param).
-// The vector must be private to the caller.
+// persistence-bound abort path, Algorithm 3 line 38: delete new_param),
+// with the version its content is known to equal. The vector must be private
+// to the caller.
 func (v *Vector) Release() {
 	if v.deleted.CompareAndSwap(false, true) {
-		buf := v.Theta
-		v.Theta = nil
-		v.pool.putBuffer(buf)
+		v.recycle(v.ver)
 	}
+}
+
+// recycle parks v's buffer and log in its pool as version ver. A published
+// vector's buffer is exactly version T: its Theta never changed after the
+// CAS, and no other vector of the chain has that T.
+func (v *Vector) recycle(ver int64) {
+	b := freeBuf{theta: v.Theta, ver: ver, log: v.log}
+	v.Theta, v.log = nil, nil
+	v.pool.putBuffer(b)
 }
 
 // Shared is the published-pointer cell P from Algorithm 3, wrapping the
@@ -296,8 +426,10 @@ type Shared struct {
 	p atomic.Pointer[Vector]
 }
 
-// Publish installs v unconditionally (initialization only).
+// Publish installs v unconditionally (initialization only). Its Theta was
+// written by the caller, so no change log describes it.
 func (s *Shared) Publish(v *Vector) {
+	v.ver = unknownVer
 	s.p.Store(v)
 }
 
@@ -313,17 +445,34 @@ func (s *Shared) TryPublish(expected, v *Vector) bool {
 	return true
 }
 
-// TryPublishSparse is the scatter-publish step of the sparse delta path:
-// one LAU-SPC attempt that copies expected into the private vector v, folds
-// the sparse delta into the copy (indices shifted by base, see
-// Vector.UpdateSparse), and publishes it with the same single CAS as
-// TryPublish. Bundling copy+update+CAS here keeps the sparse protocol's
-// memory behaviour identical to the dense one — v is recycled or retried by
-// the caller exactly as a densely updated vector would be.
+// TryPublishSparse is the scatter-publish step of the sparse delta path: one
+// LAU-SPC attempt of the private vector v on top of expected, which the
+// caller read-protects for the whole call. It
+//
+//  1. refreshes v to expected's Θ — only at the components expected's change
+//     log lists since the version v already holds, or by a full copy when
+//     the log does not reach back that far (Vector.refresh);
+//  2. folds the sparse delta in (indices shifted by base, see
+//     Vector.UpdateSparse) and writes v's own change log;
+//  3. tries the same single CAS as TryPublish. On a lost CAS it restores its
+//     own components from expected, so v is clean at expected.T and the
+//     caller's retry (or Release) refreshes from there.
+//
+// v is recycled or retried by the caller exactly as a densely updated vector
+// would be.
 func (s *Shared) TryPublishSparse(expected, v *Vector, base int32, idx []int32, val []float64, eta float64) bool {
-	v.CopyFrom(expected)
+	v.refresh(expected)
+	v.T = expected.T
 	v.UpdateSparse(base, idx, val, eta)
-	return s.TryPublish(expected, v)
+	v.logChanges(expected, base, idx)
+	if s.TryPublish(expected, v) {
+		return true
+	}
+	for _, j := range idx {
+		v.Theta[j-base] = expected.Theta[j-base]
+	}
+	v.ver = expected.T
+	return false
 }
 
 // Latest is Algorithm 3's latest_pointer(): fetch the published pointer,

@@ -90,7 +90,9 @@ func (ss *ShardedShared) Chains() int { return len(ss.cells) }
 // ChainRange returns shard c's index interval in the flat vector.
 func (ss *ShardedShared) ChainRange(c int) Range { return ss.cells[c].rng }
 
-// NewChainVec checks a fresh shard-c-sized vector out of shard c's pool.
+// NewChainVec checks a shard-c-sized vector out of shard c's pool. A
+// recycled buffer comes with the chain version it holds, so a sparse publish
+// into it refreshes only what changed since.
 func (ss *ShardedShared) NewChainVec(c int) *Vector { return New(ss.cells[c].pool) }
 
 // ChainLatest acquires shard c's latest published vector with the

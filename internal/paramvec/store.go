@@ -19,8 +19,9 @@ type ParamStore interface {
 	Chains() int
 	// ChainRange is chain c's half-open interval of the flat vector.
 	ChainRange(c int) Range
-	// NewChainVec checks a fresh chain-c-sized vector out of that chain's
-	// buffer pool (the LAU-SPC copy target).
+	// NewChainVec checks a chain-c-sized vector out of that chain's buffer
+	// pool (the LAU-SPC copy target). A recycled buffer is an older version
+	// of the same chain and remembers which one.
 	NewChainVec(c int) *Vector
 	// ChainLatest acquires chain c's latest published vector under the
 	// lock-free read-protection protocol; the caller must StopReading it.
@@ -29,13 +30,14 @@ type ParamStore interface {
 	// success the replaced vector is retired for recycling.
 	ChainTryPublish(c int, expected, v *Vector) bool
 	// ChainTryPublishSparse is the scatter-publish step of the sparse delta
-	// path: one LAU-SPC attempt on chain c that copies expected into the
-	// private vector v, folds in the sparse delta — store-absolute CSR
-	// indices restricted to ChainRange(c), shifted to chain-local positions
-	// internally — and publishes with the same single CAS as
-	// ChainTryPublish. Sparse workers call this only for the chains their
-	// minibatch's nonzeros hit; untouched chains see no CAS, no copy and no
-	// pool traffic.
+	// path: one LAU-SPC attempt on chain c that brings the private vector v
+	// up to expected (at the components changed since v's version, see
+	// Shared.TryPublishSparse), folds in the sparse delta — store-absolute
+	// CSR indices restricted to ChainRange(c), shifted to chain-local
+	// positions internally — and publishes with the same single CAS as
+	// ChainTryPublish. The caller read-protects expected for the whole call.
+	// Sparse workers call this only for the chains their minibatch's
+	// nonzeros hit; untouched chains see no CAS, no copy and no pool traffic.
 	ChainTryPublishSparse(c int, expected, v *Vector, idx []int32, val []float64, eta float64) bool
 	// ChainPeek returns chain c's published vector WITHOUT read
 	// protection (monitoring and seqlock validation only).

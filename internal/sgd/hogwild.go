@@ -92,19 +92,21 @@ func (st *hogwildStrategy) commit(w *loopWorker, s step) bool {
 	w.reserved = true
 	eta := rt.adaptedEta(rt.updates.Load() - w.readSeq)
 	if S := len(st.bounds); S == 1 {
-		s.atomicApply(st.shared, 0, rt.d, eta)
+		a, b := s.window(0, rt.d)
+		s.atomicApply(st.shared, a, b, eta)
 	} else {
 		for k := 0; k < S; k++ {
 			sh := (w.id + w.iter + k) % S
-			b := st.bounds[sh]
-			if !s.hasIn(b.Lo, b.Hi) {
+			r := st.bounds[sh]
+			a, b := s.window(r.Lo, r.Hi)
+			if a == b {
 				// A sweep that would write nothing is skipped (sparse
 				// steps: most shards, most iterations) and not counted.
 				continue
 			}
-			s.atomicApply(st.shared, b.Lo, b.Hi, eta)
+			s.atomicApply(st.shared, a, b, eta)
 			st.epoch.pub[sh].n.Add(1)
-			st.epoch.touched[sh].n.Add(int64(s.nnzIn(b.Lo, b.Hi)))
+			st.epoch.touched[sh].n.Add(int64(b - a))
 		}
 	}
 	applied := rt.applyUpdate()

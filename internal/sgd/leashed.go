@@ -181,7 +181,8 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	for k := 0; k < C; k++ {
 		c := (w.id + k) % C
 		r := store.ChainRange(c)
-		if !s.hasIn(r.Lo, r.Hi) {
+		a, b := s.window(r.Lo, r.Hi)
+		if a == b {
 			continue
 		}
 		readT := w.lease.Seq(c)
@@ -209,12 +210,12 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 			// gradient's source vector and the head we fold onto, in this
 			// chain's own sequence numbers.
 			tau := cur.T - readT
-			ok := s.publishChain(store, c, r, cur, newSeg, rt.adaptedEta(tau))
+			ok := s.publishChain(store, c, a, b, cur, newSeg, rt.adaptedEta(tau))
 			cur.StopReading()
 			if ok {
 				publishedAny = true
 				e.pub[c].n.Add(1)
-				e.touched[c].n.Add(int64(s.nnzIn(r.Lo, r.Hi)))
+				e.touched[c].n.Add(int64(b - a))
 				w.hist.Observe(tau)
 				e.stale[c].n.Add(tau)
 				if tries > 0 {

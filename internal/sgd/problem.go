@@ -43,23 +43,23 @@ type step interface {
 	// vector the caller has exclusive or lock-protected access to — the
 	// SEQ/ASYNC update.
 	applyVector(v *paramvec.Vector, eta float64)
-	// atomicApply applies the step's components inside [lo, hi) to the
+	// window locates the step's entries inside the component range
+	// [lo, hi) as the window [a, b) of its own storage: the range itself for
+	// a dense step, the index-slice window for a sparse one. b − a is how
+	// many components the step writes there (the touched-component
+	// accounting), and a == b skips the range — the chain-skip predicate of
+	// the Leashed scatter-publish loop and the HOGWILD! sharded sweep.
+	// Callers compute it once per range and pass it on.
+	window(lo, hi int) (a, b int)
+	// atomicApply applies the step's entries [a, b) (a window) to the
 	// HOGWILD! bit-pattern array with per-component atomic adds.
-	atomicApply(shared []uint64, lo, hi int, eta float64)
-	// hasIn reports whether the step has any mass inside [lo, hi) — the
-	// chain-skip predicate of the Leashed scatter-publish loop and the
-	// HOGWILD! sharded sweep.
-	hasIn(lo, hi int) bool
-	// nnzIn counts the components the step writes inside [lo, hi) — the
-	// touched-component accounting (a dense step writes every component of
-	// the range; a sparse one only its stored nonzeros).
-	nnzIn(lo, hi int) int
+	atomicApply(shared []uint64, a, b int, eta float64)
 	// publishChain runs ONE LAU-SPC publish attempt on chain c against the
-	// observed head cur: fold the step's [r.Lo, r.Hi) portion into the
-	// private vector nv on top of cur's values and try the single CAS. The
-	// caller owns the retry/drop loop, the staleness accounting and cur's
-	// read protection.
-	publishChain(store paramvec.ParamStore, c int, r paramvec.Range, cur, nv *paramvec.Vector, eta float64) bool
+	// observed head cur: fold the step's entries [a, b) — its window on the
+	// chain's range — into the private vector nv on top of cur's values and
+	// try the single CAS. The caller owns the retry/drop loop, the staleness
+	// accounting and cur's read protection.
+	publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool
 }
 
 // denseStep is the dense gradient representation: a full-dimension slice
@@ -70,27 +70,25 @@ func (s denseStep) addScaled(dst []float64, alpha float64) { tensor.Axpy(alpha, 
 
 func (s denseStep) applyVector(v *paramvec.Vector, eta float64) { v.Update(s, eta) }
 
-func (s denseStep) atomicApply(shared []uint64, lo, hi int, eta float64) {
-	for i := lo; i < hi; i++ {
+// window of a dense step is the whole range: a dense publish writes every
+// component (zero entries included — they still cost the copy).
+func (s denseStep) window(lo, hi int) (a, b int) { return lo, hi }
+
+func (s denseStep) atomicApply(shared []uint64, a, b int, eta float64) {
+	for i := a; i < b; i++ {
 		if g := s[i]; g != 0 {
 			atomicx.AddFloat64(&shared[i], -eta*g)
 		}
 	}
 }
 
-func (s denseStep) hasIn(lo, hi int) bool { return hi > lo }
-
-// nnzIn of a dense step is the whole range: a dense publish writes every
-// component (zero entries included — they still cost the copy).
-func (s denseStep) nnzIn(lo, hi int) int { return hi - lo }
-
-// publishChain is one fused pass nv = cur − η·s[r] and, only if cur was
+// publishChain is one fused pass nv = cur − η·s[a:b] and, only if cur was
 // still unreplaced at every block boundary of that pass, the CAS. An attempt
 // abandoned mid-pass reports false exactly like a lost CAS: another worker
 // published, so the caller's accounting and the lock-freedom argument are
 // those of Algorithm 3.
-func (s denseStep) publishChain(store paramvec.ParamStore, c int, r paramvec.Range, cur, nv *paramvec.Vector, eta float64) bool {
-	return nv.UpdateFrom(cur, s[r.Lo:r.Hi], eta) && store.ChainTryPublish(c, cur, nv)
+func (s denseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
+	return nv.UpdateFrom(cur, s[a:b], eta) && store.ChainTryPublish(c, cur, nv)
 }
 
 // sparseStep is the CSR gradient representation: strictly increasing
@@ -102,7 +100,8 @@ type sparseStep struct {
 }
 
 // window returns the index-slice window [a, b) of the step's entries falling
-// inside the component range [lo, hi).
+// inside the component range [lo, hi): two binary searches, which the
+// callers run once per chain.
 func (s sparseStep) window(lo, hi int) (a, b int) {
 	a = sort.Search(len(s.idx), func(k int) bool { return int(s.idx[k]) >= lo })
 	b = a + sort.Search(len(s.idx)-a, func(k int) bool { return int(s.idx[a+k]) >= hi })
@@ -117,28 +116,16 @@ func (s sparseStep) applyVector(v *paramvec.Vector, eta float64) {
 	v.UpdateSparse(0, s.idx, s.val, eta)
 }
 
-func (s sparseStep) atomicApply(shared []uint64, lo, hi int, eta float64) {
-	a, b := s.window(lo, hi)
+func (s sparseStep) atomicApply(shared []uint64, a, b int, eta float64) {
 	for k := a; k < b; k++ {
 		atomicx.AddFloat64(&shared[s.idx[k]], -eta*s.val[k])
 	}
 }
 
-func (s sparseStep) hasIn(lo, hi int) bool {
-	a, b := s.window(lo, hi)
-	return b > a
-}
-
-func (s sparseStep) nnzIn(lo, hi int) int {
-	a, b := s.window(lo, hi)
-	return b - a
-}
-
 // publishChain is the scatter-publish: the store shifts the absolute indices
 // into the chain's local range and folds only the hit components on top of
-// the fresh copy (paramvec.TryPublishSparse).
-func (s sparseStep) publishChain(store paramvec.ParamStore, c int, r paramvec.Range, cur, nv *paramvec.Vector, eta float64) bool {
-	a, b := s.window(r.Lo, r.Hi)
+// cur's values (paramvec.TryPublishSparse).
+func (s sparseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
 	return store.ChainTryPublishSparse(c, cur, nv, s.idx[a:b], s.val[a:b], eta)
 }
 

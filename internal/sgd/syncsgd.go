@@ -83,9 +83,8 @@ type nilStep struct{}
 func (nilStep) addScaled([]float64, float64)            {}
 func (nilStep) applyVector(*paramvec.Vector, float64)   {}
 func (nilStep) atomicApply([]uint64, int, int, float64) {}
-func (nilStep) hasIn(int, int) bool                     { return false }
-func (nilStep) nnzIn(int, int) int                      { return 0 }
-func (nilStep) publishChain(paramvec.ParamStore, int, paramvec.Range, *paramvec.Vector, *paramvec.Vector, float64) bool {
+func (nilStep) window(int, int) (int, int)              { return 0, 0 }
+func (nilStep) publishChain(paramvec.ParamStore, int, int, int, *paramvec.Vector, *paramvec.Vector, float64) bool {
 	return true
 }
 
