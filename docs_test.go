@@ -6,6 +6,9 @@ package leashedsgd_test
 // of shipping a dead link.
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -113,6 +116,48 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 					file, target, frag, resolved)
 			}
 		}
+	}
+}
+
+// goCommentMD matches a markdown path named in Go comment text.
+var goCommentMD = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestDocsGoCommentLinksResolve: every markdown file a Go comment names must
+// exist, resolved from the commenting file's directory or from the
+// repository root — so code cannot cite a page that was renamed or never
+// written. Every .go file in the tree is read, except hidden directories and
+// the benchmark's build output (bench/out).
+func TestDocsGoCommentLinksResolve(t *testing.T) {
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") || path == filepath.Join("bench", "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, ref := range goCommentMD.FindAllString(cg.Text(), -1) {
+				if !exists(filepath.Join(filepath.Dir(path), ref)) && !exists(ref) {
+					t.Errorf("%s: comment names %s, which does not exist", fset.Position(cg.Pos()), ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -56,8 +56,6 @@ type Meta struct {
 	RNGState   uint64 `json:"rng_state,omitempty"`   // derived seed for the resumed run's sample streams
 	Shards     int    `json:"shards,omitempty"`      // shard count S at save time
 	Tp         int    `json:"tp,omitempty"`          // persistence bound at save time (-1 = unbounded)
-	SPos       int    `json:"s_pos,omitempty"`       // autotuner shard-ladder position at save time
-	TpPos      int    `json:"tp_pos,omitempty"`      // autotuner Tp-ladder position at save time
 	AutoTune   bool   `json:"auto_tune,omitempty"`   // run had the joint (Tp, S) controller on
 	MaxUpdates int64  `json:"max_updates,omitempty"` // the run's original total budget
 }

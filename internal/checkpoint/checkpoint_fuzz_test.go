@@ -44,12 +44,12 @@ func FuzzReadCheckpoint(f *testing.F) {
 	bomb = append(bomb, 0, 0, 0, 0)
 	f.Add(bomb)
 	// A mid-run checkpoint with the full resume-state meta (RNG stream,
-	// shard count, tuner ladder positions, budget).
+	// shard count, persistence bound, budget).
 	midrun := func() []byte {
 		params := []float64{0.5, -0.5, 1, 2}
 		var buf bytes.Buffer
 		m := Meta{Arch: "fuzz-arch", Dim: 4, Algo: "LSH", Updates: 321,
-			Seed: 9, RNGState: 0xABCD, Shards: 4, Tp: 2, SPos: 2, TpPos: 1,
+			Seed: 9, RNGState: 0xABCD, Shards: 4, Tp: 2,
 			AutoTune: true, MaxUpdates: 1000}
 		if err := Write(&buf, m, params); err != nil {
 			f.Fatal(err)

@@ -1,8 +1,8 @@
 // Package data provides the dataset substrate for the experiments: the IDX
 // binary format MNIST ships in, a synthetic MNIST-like generator used when
 // the real files are unavailable (this repository is built offline — see
-// DESIGN.md §4 for why the substitution preserves the evaluation), and
-// mini-batch sampling.
+// docs/architecture.md, "Datasets", for why the substitution preserves the
+// evaluation), and mini-batch sampling.
 package data
 
 import (

@@ -31,7 +31,6 @@ package sgd
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"leashedsgd/internal/metrics"
@@ -258,18 +257,33 @@ func newTuner(s0, maxS, tp0, maxTp int, tpFrozen bool) *tuner {
 }
 
 // window is one controller observation: the per-window deltas of the two
-// signal pairs. The S axis rate is failed/pubs (failed CAS per successful
-// publish); the Tp axis rate is mixed/reads (mixed-version fraction of the
-// leased gradient reads).
+// signal pairs, plus the phase timings the model tuner fits on. The S axis
+// rate is failed/pubs (failed CAS per successful publish); the Tp axis rate
+// is mixed/reads (mixed-version fraction of the leased gradient reads).
 type window struct {
 	failed, pubs int64
 	mixed, reads int64
-	// touched is the window's published-component count — with pubs it gives
-	// the windowed occupancy (touched per publish, ≈ chain length for dense
-	// steps, ≪ chain length for sparse scatter-publishes). Informational
-	// today: it is windowed alongside the decision signals so occupancy-aware
-	// policies can be layered on without reworking the sampling plumbing.
-	touched int64
+	// tcNs/tcN are the gradient-phase nanoseconds and count, tuNs the
+	// update-phase nanoseconds (all zero unless Config.AutoTuneModel).
+	tcNs, tcN, tuNs int64
+}
+
+// policy is a controller's decision core as the epoch owner sees it:
+// windows in, operating point out. The ladder (*tuner) and the model tuner
+// (*modelTuner, which owns its fallback ladder) implement it.
+type policy interface {
+	// samples is w's sample count for the signal the next decision reads;
+	// tick carries a window with fewer than autoTuneMinSamples forward.
+	samples(w window) int64
+	// next consumes one window measured at (curS, curTp) and returns the
+	// operating point for the next one.
+	next(w window, curS, curTp int) (s, tp int)
+}
+
+// next is the ladder as a policy: one coordinate-descent step.
+func (t *tuner) next(w window, _, _ int) (s, tp int) {
+	s, tp, _, _ = t.observe(w)
+	return s, tp
 }
 
 // samples is the active axis's sample count in w: leased reads for Tp,
@@ -300,9 +314,9 @@ func (t *tuner) observe(w window) (s, tp int, sChanged, tpChanged bool) {
 }
 
 // syncTo forces both axes to the ladder positions nearest (s, tp) with a
-// clean slate (no pending evaluation, one cooldown window) — called after a
-// model-guided jump so a later fallback resumes the hill-climb from the
-// point the model landed on.
+// clean slate (no pending evaluation, one cooldown window) — called by the
+// model tuner after a jump so a later fallback resumes the hill-climb from
+// the point the model landed on.
 func (t *tuner) syncTo(s, tp int) {
 	t.s.pos = ladderPos(t.s.ladder, s)
 	t.s.pending = -1
@@ -321,143 +335,15 @@ func rateOf(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// autoTuner owns the live shard epoch of an autotuned run plus the
-// cross-epoch accounting. Since the worker loop is parameterized over
-// paramvec.ParamStore, a re-shard is a generic store swap: snapshot the old
-// epoch's store, build the chain store for the new chain count
-// (paramvec.NewStore, one chain when the controller descends to S = 1),
-// republish, retire. The RWMutex is the quiescing barrier:
-// workers hold the read side for exactly one iteration, the controller takes
-// the write side to re-shard, which by construction waits until every
-// in-flight iteration has drained and blocks new ones — at that point there
-// are no publishers, so a consistent snapshot validates on the first
-// attempt. A Tp move needs no barrier at all: the controller stores the new
-// bound and every worker loads it at its next iteration begin.
-type autoTuner struct {
-	mu    sync.RWMutex
-	epoch *shardEpoch
-
-	joint *tuner
-	// model is the model-guided decision core (Config.AutoTuneModel); nil
-	// for ladder-only runs. When set, the controller asks it first and only
-	// feeds the ladder the windows the model hands back (modeltune.go).
-	model        *modelTuner
-	bound        atomic.Int64 // current tuned persistence bound Tp
-	trajectory   []int
-	tpTrajectory []int
-	buf          []float64 // re-shard snapshot carrier (full dimension)
-
-	// Retired-epoch accumulators: contention totals, and pool accounting
-	// in full-vector equivalents (peak is a max across epochs — they are
-	// disjoint in time; allocations and reuses accumulate).
-	failedAcc, droppedAcc, pubAcc, touchedAcc int64
-	peakEq, allocsEq, reusesEq                int64
-}
-
-// totals returns the run-wide failed-CAS, publish and touched-component
-// counts (retired epochs plus the live one) — the S axis's windowed-rate
-// inputs plus the occupancy numerator.
-func (at *autoTuner) totals() (failed, pubs, touched int64) {
-	at.mu.RLock()
-	defer at.mu.RUnlock()
-	failed, pubs, touched = at.failedAcc, at.pubAcc, at.touchedAcc
-	e := at.epoch
-	for s := range e.failed {
-		failed += e.failed[s].n.Load()
-		pubs += e.pub[s].n.Load()
-		touched += e.touched[s].n.Load()
+// launchController starts the controller goroutine of a run with a policy,
+// which runs tick every AutoShardWindow; a static run has none. The worker
+// side is the ordinary unified loop — leashedStrategy pins the live epoch
+// under the read lock for exactly one iteration and reloads the bound at
+// each begin.
+func (ep *epochs) launchController(rt *runCtx, wg *sync.WaitGroup) {
+	if ep.policy == nil {
+		return
 	}
-	return failed, pubs, touched
-}
-
-// liveEq is the live chain-buffer gauge in full-vector equivalents.
-func (at *autoTuner) liveEq() int64 {
-	at.mu.RLock()
-	defer at.mu.RUnlock()
-	c := int64(at.epoch.store.Chains())
-	return (at.epoch.store.Live() + c - 1) / c
-}
-
-// foldRetired rolls a retiring epoch's counters and pool accounting into the
-// cross-epoch accumulators. Caller holds the write lock.
-func (at *autoTuner) foldRetired(e *shardEpoch) {
-	for s := range e.failed {
-		at.failedAcc += e.failed[s].n.Load()
-		at.droppedAcc += e.dropped[s].n.Load()
-		at.pubAcc += e.pub[s].n.Load()
-		at.touchedAcc += e.touched[s].n.Load()
-	}
-	peak, allocs, reuses := poolEquivalents(e.store)
-	if peak > at.peakEq {
-		at.peakEq = peak
-	}
-	at.allocsEq += allocs
-	at.reusesEq += reuses
-}
-
-// reshard quiesces the workers, carries the parameters from the old epoch's
-// store into the chain store for newS chains, and retires the old one —
-// the generic store swap.
-func (at *autoTuner) reshard(rt *runCtx, newS int) {
-	at.mu.Lock()
-	defer at.mu.Unlock()
-	old := at.epoch
-	// Every worker is quiesced behind the write lock, so no publisher can
-	// interleave and validation succeeds on the first attempt; the attempt
-	// budget only guards the (unreachable) racing case, in which the last
-	// per-chain-untorn copy is still a correct parameter state to carry.
-	old.store.SnapshotConsistent(at.buf, 4)
-	at.foldRetired(old)
-	old.store.Retire()
-	at.epoch = newShardEpoch(rt.d, newS, at.buf)
-	at.trajectory = append(at.trajectory, at.epoch.store.Chains())
-}
-
-// retune publishes a new persistence bound: an atomic store every worker
-// picks up at its next iteration begin — no barrier, no epoch swap.
-func (at *autoTuner) retune(newTp int) {
-	at.bound.Store(int64(newTp))
-	at.tpTrajectory = append(at.tpTrajectory, newTp)
-}
-
-// fill records the autotuned run's measurements into res: the final per-shard
-// breakdown, cross-epoch contention totals, both axis trajectories, and the
-// shard pools' memory accounting in full-vector equivalents. Called from Run
-// after the workers and the controller have exited; no locking needed.
-func (at *autoTuner) fill(res *Result) {
-	e := at.epoch
-	e.rollup(res) // final epoch's per-shard breakdown + totals
-	res.Shards = e.store.Chains()
-	// Layer the retired epochs' totals on top of the final epoch's.
-	res.FailedCAS += at.failedAcc
-	res.DroppedUpdates += at.droppedAcc
-	res.Publishes += at.pubAcc
-	res.TouchedComponents += at.touchedAcc
-	res.ShardTrajectory = append([]int(nil), at.trajectory...)
-	res.Reshards = len(at.trajectory) - 1
-	res.TpTrajectory = append([]int(nil), at.tpTrajectory...)
-	if at.model != nil {
-		finalTp := PersistenceInf
-		if !at.joint.tpFrozen {
-			finalTp = int(at.bound.Load())
-		}
-		res.ModelFit = at.model.result(res.Shards, finalTp)
-	}
-
-	peak, allocs, reuses := poolEquivalents(e.store)
-	if at.peakEq > peak {
-		peak = at.peakEq
-	}
-	res.PeakLiveVectors += peak
-	res.BufferAllocs += at.allocsEq + allocs
-	res.BufferReuses += at.reusesEq + reuses
-}
-
-// launchController starts the autotune controller goroutine, which runs tick
-// every AutoShardWindow. The worker side is the ordinary unified loop —
-// leashedStrategy pins the live epoch under the read lock for exactly one
-// iteration and reloads the tuned bound at each begin.
-func (at *autoTuner) launchController(rt *runCtx, wg *sync.WaitGroup) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -472,42 +358,39 @@ func (at *autoTuner) launchController(rt *runCtx, wg *sync.WaitGroup) {
 			case <-rt.stopped:
 				return
 			}
-			at.tick(rt, &win)
+			ep.tick(rt, &win)
 		}
 	}()
 }
 
 // tick is one controller wake-up: it windows the signal deltas (failed CAS +
-// publishes for the S axis, mixed + total leased reads for the Tp axis), feeds
-// them to the joint tuner (or the model-guided step), and executes the
-// requested move — a store swap for S, an atomic bound store for Tp. A window
-// in which the active axis has fewer than autoTuneMinSamples samples is
-// carried into the next one until the sum is usable; a slow run (a CNN at a
-// few hundred updates/s, any run under the race detector) would otherwise
-// never have a window judged.
-func (at *autoTuner) tick(rt *runCtx, win *metrics.CounterWindow) {
-	failed, pubs, touched := at.totals()
+// publishes for the S axis, mixed + total leased reads for the Tp axis, the
+// phase timings for the model fit), asks the policy for the next (S, Tp), and
+// actuates once — an atomic bound store if Tp changed and the axis is not
+// frozen, a store swap if S changed and the run is not stopping. A window in
+// which the policy has fewer than autoTuneMinSamples samples is carried into
+// the next one until the sum is usable; a slow run (a CNN at a few hundred
+// updates/s, any run under the race detector) would otherwise never have a
+// window judged.
+func (ep *epochs) tick(rt *runCtx, win *metrics.CounterWindow) {
+	failed, pubs := ep.totals()
 	consistent, mixed := rt.readTotals()
 	tcNs, tcN, tuNs := rt.timingTotals()
-	d := win.Deltas(failed, pubs, mixed, consistent+mixed, touched,
-		tcNs, tcN, tuNs)
+	d := win.Deltas(failed, pubs, mixed, consistent+mixed, tcNs, tcN, tuNs)
 	w := window{
 		failed: d[0], pubs: d[1], mixed: d[2], reads: d[3],
-		touched: d[4],
+		tcNs: d[4], tcN: d[5], tuNs: d[6],
 	}
-	if at.joint.samples(w) < autoTuneMinSamples {
+	if ep.policy.samples(w) < autoTuneMinSamples {
 		win.Carry()
 		return
 	}
-	if at.model != nil {
-		at.modelStep(rt, w, d[5], d[6], d[7])
-		return
+	curS, curTp := ep.point()
+	s, tp := ep.policy.next(w, curS, curTp)
+	if tp != curTp && !ep.tpFrozen {
+		ep.retune(tp)
 	}
-	newS, newTp, sChanged, tpChanged := at.joint.observe(w)
-	if tpChanged {
-		at.retune(newTp)
-	}
-	if sChanged && !rt.stop.Load() {
-		at.reshard(rt, newS)
+	if s != curS && !rt.stop.Load() {
+		ep.reshard(rt, s)
 	}
 }

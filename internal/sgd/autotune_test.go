@@ -119,7 +119,7 @@ func TestAutoTuneCarriesStarvedWindows(t *testing.T) {
 	const d = 64
 	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10, StalenessBound: 8}
 	rt := newRuntime(cfg, stubProblem{d: d})
-	at := &autoTuner{joint: newTuner(2, 8, 1, 16, false), buf: make([]float64, d)}
+	at := &epochs{policy: newTuner(2, 8, 1, 16, false), buf: make([]float64, d)}
 	at.epoch = newShardEpoch(d, 2, make([]float64, d))
 	at.trajectory, at.tpTrajectory = []int{2}, []int{1}
 	at.bound.Store(1)

@@ -1,9 +1,8 @@
 // Mid-run checkpointing: the monitor snapshots the live parameters on
 // cadence and writes rotated, fsync'd checkpoints carrying the resume state
-// — cumulative update count, a derived RNG stream seed, the shard count S,
-// the persistence bound Tp and the tuner ladder positions — so Resume
-// (resume.go) can continue a killed run with an exact budget and a
-// warm-started autotuner.
+// — cumulative update count, a derived RNG stream seed, the shard count S
+// and the persistence bound Tp — so Resume (resume.go) can continue a killed
+// run with an exact budget and a warm-started autotuner.
 package sgd
 
 import (
@@ -85,23 +84,16 @@ func (rt *runCtx) writeCheckpoint(st strategy, loss float64) {
 	}
 }
 
-// currentSTp reads the live (shard count, persistence bound) pair: the
-// autotuned values for AutoTune runs (S under the epoch read lock, Tp from
-// the atomic bound the workers themselves reload), the static Config values
-// otherwise. LeashedAdaptive keeps per-worker bounds, so its checkpointed Tp
-// is the configured seed value.
+// currentSTp reads the live (shard count, persistence bound) pair: a Leashed
+// run's epoch owner holds it (S under the epoch read lock, Tp from the atomic
+// bound the workers themselves reload — Config.Persistence unless a
+// controller tunes it, and always for LeashedAdaptive, whose per-worker
+// bounds are seeded from it); other algorithms report the Config values.
 func (rt *runCtx) currentSTp() (s, tp int) {
-	cfg := rt.cfg
-	s, tp = rt.numShards(), cfg.Persistence
-	if at := rt.auto; at != nil {
-		at.mu.RLock()
-		s = at.epoch.store.Chains()
-		at.mu.RUnlock()
-		if cfg.Algo != LeashedAdaptive {
-			tp = int(at.bound.Load())
-		}
+	if ep := rt.epochs; ep != nil {
+		return ep.point()
 	}
-	return s, tp
+	return rt.numShards(), rt.cfg.Persistence
 }
 
 func (rt *runCtx) checkpointMeta(loss float64) checkpoint.Meta {
@@ -124,10 +116,6 @@ func (rt *runCtx) checkpointMeta(loss float64) checkpoint.Meta {
 	}
 	if cfg.MaxUpdates <= 0 {
 		m.MaxUpdates = 0
-	}
-	if cfg.AutoTune {
-		m.SPos = ladderPos(shardLadder(min(cfg.AutoShardMax, rt.d)), s)
-		m.TpPos = ladderPos(tpLadder(cfg.AutoTuneTpMax), tp)
 	}
 	return m
 }

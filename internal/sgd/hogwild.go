@@ -10,15 +10,16 @@ import (
 // gradient, and applies it component by component while others read and
 // write concurrently.
 //
-// Go-specific adaptation (DESIGN.md §5): the shared θ lives in a []uint64
-// bit-pattern array accessed with atomic loads and CAS-adds, because Go
-// forbids racing float64 accesses. Component updates are individually atomic
-// (no torn words, no lost component updates), but the vector as a whole has
-// NO consistency — reads interleave with concurrent partial updates exactly
-// as in the original HOGWILD!, which is the inconsistency penalty (the √d
-// factor of Alistarh et al. [3]) the paper measures against. The read stays
-// a copy by necessity: the bit-pattern array cannot be viewed as []float64,
-// so the zero-copy lease protocol does not apply here.
+// Go-specific adaptation (docs/architecture.md, "HOGWILD! in Go"): the shared
+// θ lives in a []uint64 bit-pattern array accessed with atomic loads and
+// CAS-adds, because Go forbids racing float64 accesses. Component updates are
+// individually atomic (no torn words, no lost component updates), but the
+// vector as a whole has NO consistency — reads interleave with concurrent
+// partial updates exactly as in the original HOGWILD!, which is the
+// inconsistency penalty (the √d factor of Alistarh et al. [3]) the paper
+// measures against. The read stays a copy by necessity: the bit-pattern array
+// cannot be viewed as []float64, so the zero-copy lease protocol does not
+// apply here.
 //
 // Config.Shards > 1 keeps these semantics bit-for-bit (component-atomic adds
 // commute) but changes the *traversal order*: each worker applies its update
@@ -48,17 +49,17 @@ func (rt *runCtx) newHogwildStrategy(initVec *paramvec.Vector) *hogwildStrategy 
 		atomicx.StoreFloat64(&st.shared[i], v)
 	}
 	if s := len(st.bounds); s > 1 {
-		st.epoch = &shardEpoch{
-			failed:  newCounters(s),
-			dropped: newCounters(s),
-			pub:     newCounters(s),
-			stale:   newCounters(s),
-			rstale:  newCounters(s),
-			touched: newCounters(s),
-		}
-		rt.epoch = st.epoch
+		st.epoch = newEpochCounters(s)
 	}
 	return st
+}
+
+// fill reports the sharded traversal's per-shard sweep counts (Publishes
+// becomes their sum); the single-sweep path has no breakdown.
+func (st *hogwildStrategy) fill(res *Result) {
+	if st.epoch != nil {
+		st.epoch.rollup(res)
+	}
 }
 
 func (st *hogwildStrategy) setup(w *loopWorker) {

@@ -11,9 +11,10 @@ import (
 // loop, parameterized over paramvec.ParamStore — ONE implementation covers
 // the paper's single chain (Config.Shards <= 1), the sharded store
 // (Shards > 1) — both the chain store paramvec.ShardedShared — and the
-// autotuned run (Config.AutoTune, where the controller swaps the store
-// between epochs behind the same interface and retunes the persistence
-// bound atomically).
+// autotuned run (Config.AutoTune). Every run publishes through one epoch
+// owner (epochs, epoch.go): a static run is that owner with no controller;
+// an autotuned run's controller swaps the store between epochs behind the
+// same interface and retunes the persistence bound atomically.
 //
 // Per iteration a worker:
 //
@@ -44,90 +45,53 @@ import (
 // reservation so MaxUpdates stays exact. Staleness and contention are
 // counted per chain in the shardEpoch.
 //
-// The LeashedAdaptive variant (extension, DESIGN.md §6) replaces the fixed
-// Tp with a bound that shrinks under observed contention: a worker halves
-// its local bound after a dropped segment and grows it by one after a fully
-// uncontended iteration, approximating the γ-regulation of Corollary 3.2
-// without manual tuning.
+// The LeashedAdaptive variant (extension, docs/architecture.md,
+// "LeashedAdaptive") replaces the fixed Tp with a bound that shrinks under
+// observed contention: a worker halves its local bound after a dropped
+// segment and grows it by one after a fully uncontended iteration,
+// approximating the γ-regulation of Corollary 3.2 without manual tuning.
 type leashedStrategy struct {
 	nopHooks
 	rt    *runCtx
-	epoch *shardEpoch // fixed publication epoch; nil when autotuned
-	auto  *autoTuner  // epoch owner for autotuned runs; nil otherwise
-	seqs  []int64     // monitor snapshot seq reuse
+	ep    *epochs // the run's epoch owner
+	unpin func()  // ep.mu.RUnlock, bound once so a pin allocates nothing
+	seqs  []int64 // monitor snapshot seq reuse
 }
 
-// newLeashedStrategy publishes θ0 into the run's store — autotuned runs get
-// the controller-owned first epoch, static runs a fixed one — and hands the
+// newLeashedStrategy publishes θ0 into the run's first epoch and hands the
 // init vector's buffer back to the pool.
 func (rt *runCtx) newLeashedStrategy(initVec *paramvec.Vector) *leashedStrategy {
-	cfg := rt.cfg
-	if cfg.AutoTune {
-		maxS := min(cfg.AutoShardMax, rt.d)
-		// Under LeashedAdaptive the per-worker bound adaptation owns Tp;
-		// the joint tuner then moves the S axis only.
-		tpFrozen := cfg.Algo == LeashedAdaptive
-		at := &autoTuner{
-			joint: newTuner(cfg.AutoShardInitial, maxS, cfg.Persistence, cfg.AutoTuneTpMax, tpFrozen),
-			buf:   make([]float64, rt.d),
-		}
-		if cfg.AutoTuneModel {
-			at.model = newModelTuner(cfg.Workers, shardLadder(maxS),
-				tpLadder(cfg.AutoTuneTpMax), tpFrozen)
-		}
-		at.epoch = newShardEpoch(rt.d, at.joint.s.value(), initVec.Theta)
-		at.trajectory = []int{at.epoch.store.Chains()}
-		if !tpFrozen {
-			// A frozen Tp axis records no trajectory: the workers' bounds
-			// are the per-worker adaptive values seeded from Persistence,
-			// so a ladder-clamped "start" here would report a bound that
-			// was never in effect.
-			at.bound.Store(int64(at.joint.tp.value()))
-			at.tpTrajectory = []int{at.joint.tp.value()}
-		}
-		initVec.Release()
-		rt.auto = at
-		return &leashedStrategy{rt: rt, auto: at}
-	}
-	e := newShardEpoch(rt.d, rt.numShards(), initVec.Theta)
+	rt.epochs = rt.newEpochs(initVec.Theta)
 	initVec.Release()
-	rt.epoch = e
-	rt.store = e.store
-	return &leashedStrategy{rt: rt, epoch: e}
+	return &leashedStrategy{rt: rt, ep: rt.epochs, unpin: rt.epochs.mu.RUnlock}
 }
 
 func (st *leashedStrategy) setup(w *loopWorker) {
 	w.velocity = st.rt.maybeVelocity()
 }
 
-// begin gates the iteration and pins the live epoch: autotuned workers hold
-// the epoch read lock for exactly one iteration, so the controller's
-// re-shard (write lock) waits for in-flight iterations and blocks new ones.
-// They also reload the tuned persistence bound — a Tp move is nothing more
-// than this atomic load observing a new value (the per-worker adaptive
-// bound of LeashedAdaptive stays worker-owned).
+// begin gates the iteration and pins the live epoch: workers hold the epoch
+// read lock for exactly one iteration, so a controller's re-shard (write
+// lock) waits for in-flight iterations and blocks new ones. They also reload
+// the persistence bound — a Tp move is nothing more than this atomic load
+// observing a new value (the per-worker adaptive bound of LeashedAdaptive
+// stays worker-owned).
 func (st *leashedStrategy) begin(w *loopWorker) bool {
 	if !st.rt.defaultBegin() {
 		return false
 	}
-	if st.auto != nil {
-		if !w.adaptive {
-			w.bound = int(st.auto.bound.Load())
-		}
-		st.auto.mu.RLock()
-		w.epochLock = true
-		w.epoch = st.auto.epoch
-	} else {
-		w.epoch = st.epoch
+	if !w.adaptive {
+		w.bound = int(st.ep.bound.Load())
 	}
+	st.ep.mu.RLock()
+	w.epochLock = true
+	w.epoch = st.ep.epoch
 	return true
 }
 
 func (st *leashedStrategy) end(w *loopWorker) {
-	if st.auto != nil {
-		w.epochLock = false
-		st.auto.mu.RUnlock()
-	}
+	w.epochLock = false
+	st.ep.mu.RUnlock()
 }
 
 // read leases the chains' latest vectors — the zero-copy gradient view.
@@ -259,53 +223,26 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	return true
 }
 
-// leaseLive implements the liveLeaser hook for readers outside the worker
-// pool (the serving tier, via Running.ReadParams): the lease is acquired
-// under the epoch pin so it can never start against a store the autotuner
-// has already retired. The pin is dropped as soon as the lease is held — a
-// long inference pass never blocks a re-shard; it just releases against a
-// retired epoch and is labeled (paramvec.Lease.RetiredStore).
-func (st *leashedStrategy) leaseLive(l *paramvec.Lease) paramvec.View {
-	if st.auto != nil {
-		st.auto.mu.RLock()
-		pv := l.Acquire(st.auto.epoch.store)
-		st.auto.mu.RUnlock()
-		return pv
-	}
-	return l.Acquire(st.epoch.store)
-}
-
-// pinStore pins the live epoch's store for a ReadFront fold: autotuned runs
-// hold the epoch read lock across the pin window, so the controller's
-// re-shard (write lock) waits for an in-flight fold exactly as it waits for
-// in-flight worker iterations. Static runs return the fixed store bare — the
-// caller's run-level pin (Running.pinStore) already orders it against the
-// end-of-run retirement.
+// pinStore pins the live epoch's store for an outside reader — a ReadFront
+// fold, or a serving lease's Acquire: the epoch read lock is held across the
+// pin window, so a re-shard (write lock) waits for it exactly as it waits
+// for in-flight worker iterations, and never retires a store mid-pin.
 func (st *leashedStrategy) pinStore() (paramvec.ParamStore, func()) {
-	if st.auto != nil {
-		st.auto.mu.RLock()
-		return st.auto.epoch.store, st.auto.mu.RUnlock
-	}
-	return st.epoch.store, func() {}
+	st.ep.mu.RLock()
+	return st.ep.epoch.store, st.unpin
 }
 
-// launchAux starts the autotune controller for autotuned runs.
+// launchAux starts the run's controller, if it has one.
 func (st *leashedStrategy) launchAux(wg *sync.WaitGroup) {
-	if st.auto != nil {
-		st.auto.launchController(st.rt, wg)
-	}
+	st.ep.launchController(st.rt, wg)
 }
 
 // snapshot copies the published parameters under read protection; the
 // per-chain sequence slice is hoisted and reused across monitor ticks.
 func (st *leashedStrategy) snapshot(dst []float64) {
-	if st.auto != nil {
-		st.auto.mu.RLock()
-		st.seqs = st.auto.epoch.store.Snapshot(dst, st.seqs)
-		st.auto.mu.RUnlock()
-		return
-	}
-	st.seqs = st.epoch.store.Snapshot(dst, st.seqs)
+	st.ep.mu.RLock()
+	st.seqs = st.ep.epoch.store.Snapshot(dst, st.seqs)
+	st.ep.mu.RUnlock()
 }
 
 // snapshotConsistent retries the store snapshot under seqlock validation so a
@@ -313,19 +250,15 @@ func (st *leashedStrategy) snapshot(dst []float64) {
 // attempt exhaustion under heavy publish pressure the last (per-chain untorn)
 // copy stands — same guarantee as snapshot.
 func (st *leashedStrategy) snapshotConsistent(dst []float64) {
-	if st.auto != nil {
-		st.auto.mu.RLock()
-		st.auto.epoch.store.SnapshotConsistent(dst, 8)
-		st.auto.mu.RUnlock()
-		return
-	}
-	st.epoch.store.SnapshotConsistent(dst, 8)
+	st.ep.mu.RLock()
+	st.ep.epoch.store.SnapshotConsistent(dst, 8)
+	st.ep.mu.RUnlock()
 }
 
 // recoverIter rolls back a panicked iteration: the lease is released first
 // (its chains belong to the epoch the read lock pins), then the budget
-// reservation is refunded, then the epoch pin itself is dropped — so the
-// autotuner's quiesce can never observe a dangling lease from a crashed
+// reservation is refunded, then the epoch pin itself is dropped — so a
+// re-shard's quiesce can never observe a dangling lease from a crashed
 // worker.
 func (st *leashedStrategy) recoverIter(w *loopWorker) {
 	if w.leaseHeld {
@@ -338,24 +271,18 @@ func (st *leashedStrategy) recoverIter(w *loopWorker) {
 	}
 	if w.epochLock {
 		w.epochLock = false
-		st.auto.mu.RUnlock()
+		st.ep.mu.RUnlock()
 	}
 }
 
-// respawnBarrier orders a respawned worker against the autotune controller:
-// taking and releasing the epoch write lock waits out any re-shard the crash
-// raced with, so the fresh worker's first begin pins a settled epoch.
+// respawnBarrier orders a respawned worker against the controller: taking
+// and releasing the epoch write lock waits out any re-shard the crash raced
+// with, so the fresh worker's first begin pins a settled epoch.
 func (st *leashedStrategy) respawnBarrier() {
-	if st.auto != nil {
-		st.auto.mu.Lock()
-		st.auto.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	}
+	st.ep.mu.Lock()
+	st.ep.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 }
 
-func (st *leashedStrategy) cleanup() {
-	if st.auto != nil {
-		st.auto.epoch.store.Retire()
-		return
-	}
-	st.epoch.store.Retire()
-}
+func (st *leashedStrategy) fill(res *Result) { st.ep.fill(res) }
+
+func (st *leashedStrategy) cleanup() { st.ep.epoch.store.Retire() }

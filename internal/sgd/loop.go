@@ -45,7 +45,7 @@ type strategy interface {
 	// failed and the step was discarded — so aborted commits do not
 	// contaminate the Tu distribution with near-zero samples.
 	commit(w *loopWorker, s step) bool
-	// end closes the iteration (epoch-lock release for autotuned runs).
+	// end closes the iteration (the Leashed epoch-lock release).
 	end(w *loopWorker)
 	// loopTimesCommit reports whether the loop should sample commit's
 	// duration as Tu; strategies whose update happens elsewhere (the sync
@@ -59,6 +59,10 @@ type strategy interface {
 	snapshot(dst []float64)
 	// cleanup releases the shared parameter state after the run.
 	cleanup()
+	// fill records the strategy's own measurements into res once the
+	// workers have exited: the Leashed epochs' contention, trajectories
+	// and chain-pool accounting, HOGWILD!'s per-shard sweep counts.
+	fill(res *Result)
 	// recoverIter rolls back a panicked iteration: release whatever
 	// iteration-scoped state the worker still holds (lease, epoch read
 	// lock, strategy mutex, budget reservation) so the crash is isolated —
@@ -67,7 +71,7 @@ type strategy interface {
 	// state; the loopWorker's hold flags record exactly what to release.
 	recoverIter(w *loopWorker)
 	// respawnBarrier orders a worker respawn against the strategy's epoch
-	// machinery (autotuned runs wait out an in-flight re-shard quiesce);
+	// machinery (Leashed runs wait out an in-flight re-shard quiesce);
 	// no-op for strategies without one.
 	respawnBarrier()
 }
@@ -82,6 +86,7 @@ func (nopHooks) loopTimesCommit() bool     { return true }
 func (nopHooks) launchAux(*sync.WaitGroup) {}
 func (nopHooks) recoverIter(*loopWorker)   {}
 func (nopHooks) respawnBarrier()           {}
+func (nopHooks) fill(*Result)              {}
 
 // loopWorker is one worker's state in the unified loop: the pieces every
 // algorithm needs (the problem's gradient computer, metrics, optional
@@ -112,7 +117,7 @@ type loopWorker struct {
 	// recoverIter can release exactly what a panic left behind without
 	// deadlocking the run.
 	leaseHeld bool // leashed: chain lease between read and endRead
-	epochLock bool // leashed autotuned: epoch RLock between begin and end
+	epochLock bool // leashed: epoch RLock between begin and end
 	lockHeld  bool // async: strategy mutex inside read/commit critical sections
 	reserved  bool // a budget reservation not yet applied or refunded
 	midRound  bool // sync: round token consumed, contribution not yet delivered

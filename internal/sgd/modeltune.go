@@ -132,6 +132,9 @@ type modelTuner struct {
 	m                 int
 	sLadder, tpLadder []int
 	tpFrozen          bool
+	// ladder is the fallback the tuner demotes to; observe never touches
+	// it, next does.
+	ladder *tuner
 
 	ring    []modelObs
 	wait    int  // post-jump cooldown windows
@@ -301,42 +304,32 @@ func abs(v int) int {
 	return v
 }
 
-// modelStep is the controller's per-window body in model-guided mode: ask the
-// model tuner, then actuate — a jump through the same store swap / bound swap
-// the ladder uses, or (in fallback) the ladder's own observe step. After any
-// jump the ladder's positions are synced so a later demotion resumes the
-// hill-climb FROM the model's operating point, not from where the ladder
-// last stood.
-func (at *autoTuner) modelStep(rt *runCtx, w window, tcNs, tcN, tuNs int64) {
-	curS := at.joint.s.value()
-	curTp := PersistenceInf
-	if !at.joint.tpFrozen {
-		curTp = int(at.bound.Load())
+// samples is the fallback ladder's sample count: the model reads the same
+// windows the ladder would.
+func (mt *modelTuner) samples(w window) int64 { return mt.ladder.samples(w) }
+
+// next is the model tuner as a policy: ask the fit for a verdict, hand a
+// demoted window to the fallback ladder (clearing the ring after any ladder
+// move, since the fit describes one operating point), and re-seat the ladder
+// at a jump's landing point so a later demotion resumes the hill-climb FROM
+// the model's operating point, not from where the ladder last stood. Under
+// LeashedAdaptive the fit sees an unbounded Tp, as the workers' own bounds
+// are not the controller's.
+func (mt *modelTuner) next(w window, curS, curTp int) (s, tp int) {
+	if mt.tpFrozen {
+		curTp = PersistenceInf
 	}
-	dec := at.model.observe(w, tcNs, tcN, tuNs, curS, curTp)
+	dec := mt.observe(w, w.tcNs, w.tcN, w.tuNs, curS, curTp)
 	switch {
 	case dec.fallback:
-		newS, newTp, sChanged, tpChanged := at.joint.observe(w)
-		if tpChanged {
-			at.retune(newTp)
-			at.model.ladderMoves++
-			at.model.reset()
+		s, tp, sChanged, tpChanged := mt.ladder.observe(w)
+		if sChanged || tpChanged {
+			mt.ladderMoves++
+			mt.reset()
 		}
-		if sChanged && !rt.stop.Load() {
-			at.reshard(rt, newS)
-			at.model.ladderMoves++
-			at.model.reset()
-		}
+		return s, tp
 	case dec.jump:
-		s, tp := curS, curTp
-		if !at.joint.tpFrozen && dec.tp != curTp {
-			at.retune(dec.tp)
-			tp = dec.tp
-		}
-		if dec.s != curS && !rt.stop.Load() {
-			at.reshard(rt, dec.s)
-			s = dec.s
-		}
-		at.joint.syncTo(s, tp)
+		mt.ladder.syncTo(dec.s, dec.tp)
 	}
+	return dec.s, dec.tp
 }

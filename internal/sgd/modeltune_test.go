@@ -1,8 +1,11 @@
 package sgd
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"leashedsgd/internal/metrics"
 )
 
 // mtWindow builds one synthetic controller window whose counters AND phase
@@ -218,6 +221,76 @@ func TestModelTunerTpFrozen(t *testing.T) {
 	}
 	if dec.tp != PersistenceInf {
 		t.Fatalf("frozen Tp moved to %d", dec.tp)
+	}
+}
+
+// TestModelTickActuatesJumpAndFallback drives the controller's tick by hand in
+// model-guided mode, with m = 8 and the run at (S, Tp) = (1, 16). Two
+// consistent windows under CAS and mixed-read pressure give one good fit: the
+// jump to (4, 0) is actuated at tick 2 through the store swap and the bound
+// swap, and the ladder is re-seated there. Five windows whose counters
+// (S·(1+f) = 5.6) and timings (occupancy ≈ 1) disagree follow: a cooldown, a
+// warm-up, then three rejected fits demote the model at tick 7. From then on
+// every window is the fallback ladder's, and clean windows walk S 4 → 2 → 1
+// and loosen Tp 0 → 1, each move actuated and counted.
+func TestModelTickActuatesJumpAndFallback(t *testing.T) {
+	const d, m = 64, 8
+	cfg := Config{Algo: Leashed, Workers: m, Eta: 0.1, Persistence: PersistenceInf,
+		MaxUpdates: 10, StalenessBound: 8, AutoTuneModel: true}
+	rt := newRuntime(cfg, stubProblem{d: d})
+	joint := newTuner(1, 16, PersistenceInf, 16, false)
+	mt := newModelTuner(m, shardLadder(16), tpLadder(16), false)
+	mt.ladder = joint
+	at := &epochs{policy: mt, buf: make([]float64, d)}
+	at.epoch = newShardEpoch(d, 1, make([]float64, d))
+	at.trajectory, at.tpTrajectory = []int{1}, []int{16}
+	at.bound.Store(16)
+	defer func() { at.epoch.store.Retire() }()
+
+	var win metrics.CounterWindow
+	tick := func(w window, tcNs, tcN, tuNs int64) {
+		at.epoch.failed[0].n.Add(w.failed)
+		at.epoch.pub[0].n.Add(w.pubs)
+		rt.readTallies[0].mixed.Add(w.mixed)
+		rt.readTallies[0].consistent.Add(w.reads - w.mixed)
+		rt.timing[0].tcNs.Add(tcNs)
+		rt.timing[0].tcN.Add(tcN)
+		rt.timing[0].tuNs.Add(tuNs)
+		at.tick(rt, &win)
+	}
+
+	good, tcNs, tcN, tuNs := mtWindow(m, 1, 150, 1000, 900, 1000)
+	tick(good, tcNs, tcN, tuNs)
+	tick(good, tcNs, tcN, tuNs)
+	if got := fmt.Sprint(at.trajectory, at.tpTrajectory); got != "[1 4] [16 0]" {
+		t.Fatalf("after the good fit: trajectories %s, want the jump [1 4] [16 0]", got)
+	}
+	if s, tp := joint.s.value(), joint.tp.value(); s != 4 || tp != 0 {
+		t.Fatalf("ladder at (%d, %d) after the jump, want re-seated at (4, 0)", s, tp)
+	}
+
+	falsified := window{failed: 400, pubs: 1000, reads: 1000}
+	_, tcNs, tcN, tuNs = mtWindow(m, 1, 10, 1000, 0, 1000)
+	for i := 0; i < 5; i++ {
+		tick(falsified, tcNs, tcN, tuNs)
+	}
+	clean := window{pubs: 1000, reads: 1000}
+	for i := 0; i < 8; i++ {
+		tick(clean, 0, 0, 0)
+	}
+	if got := fmt.Sprint(at.trajectory, at.tpTrajectory); got != "[1 4 2 1] [16 0 1]" {
+		t.Fatalf("trajectories %s, want the ladder's moves [1 4 2 1] [16 0 1] after the demotion", got)
+	}
+
+	res := &Result{}
+	at.fill(res)
+	mf := res.ModelFit
+	if mf == nil || !mf.Fitted || mf.Jumps != 1 || mf.LadderMoves != 3 || mf.FallbackWindows != 9 || mf.Rejected != 3 {
+		t.Fatalf("ModelFit %+v, want fitted, 1 jump, 3 ladder moves, 9 fallback windows, 3 rejected fits", mf)
+	}
+	if res.Reshards != 3 || res.Shards != 1 || mf.FinalS != 1 || mf.FinalTp != 1 {
+		t.Fatalf("Reshards %d Shards %d FinalS %d FinalTp %d, want 3, 1, 1, 1",
+			res.Reshards, res.Shards, mf.FinalS, mf.FinalTp)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	e := newShardEpoch(longDim, 1, make([]float64, longDim))
 	counting := &casCountingStore{ParamStore: e.store}
 	e.store = counting
-	st := &leashedStrategy{rt: rt, epoch: e}
+	st := &leashedStrategy{rt: rt}
 	w := &loopWorker{hist: rt.hists[0], bound: cfg.Persistence, epoch: e}
 	w.lease.Acquire(e.store)
 	w.lease.Release()

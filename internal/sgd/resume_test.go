@@ -1,6 +1,9 @@
 package sgd
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -245,7 +248,7 @@ func TestResumeWarmStartsTuner(t *testing.T) {
 	d := net.ParamCount()
 	meta := checkpoint.Meta{
 		Arch: "dense-net", Dim: d, Algo: "LSH", Updates: 100,
-		Seed: cfg.Seed, RNGState: 12345, Shards: 4, Tp: 2, SPos: 2, TpPos: 1,
+		Seed: cfg.Seed, RNGState: 12345, Shards: 4, Tp: 2,
 		AutoTune: true, MaxUpdates: 500,
 	}
 	if err := checkpoint.Save(cfg.Checkpoint.Path+".000001", meta, make([]float64, d)); err != nil {
@@ -268,6 +271,50 @@ func TestResumeWarmStartsTuner(t *testing.T) {
 	}
 	if got := res.ResumedFrom + res.TotalUpdates; got != 500 {
 		t.Fatalf("lineage applied %d updates, want exactly 500", got)
+	}
+}
+
+// TestResumeLegacyLadderPositions resumes from a checkpoint written before
+// the meta dropped the tuner's ladder positions: its JSON still carries
+// s_pos / tp_pos. The reader ignores the unknown keys, and the tuner warm-starts
+// from Shards / Tp as it always did.
+func TestResumeLegacyLadderPositions(t *testing.T) {
+	ds := tinyDataset()
+	net := tinyNet(ds)
+	cfg := ckptConfig(t, Leashed, 2)
+	cfg.AutoTune = true
+	cfg.MaxUpdates = 500
+
+	d := net.ParamCount()
+	var buf bytes.Buffer
+	if err := checkpoint.Write(&buf, checkpoint.Meta{
+		Arch: "dense-net", Dim: d, Algo: "LSH", Updates: 100,
+		Seed: cfg.Seed, RNGState: 12345, Shards: 4, Tp: 2, AutoTune: true, MaxUpdates: 500,
+	}, make([]float64, d)); err != nil {
+		t.Fatal(err)
+	}
+	// Splice the legacy keys into the meta JSON and re-seal the CRC.
+	raw := buf.Bytes()
+	n := binary.LittleEndian.Uint32(raw[8:12])
+	meta := append(bytes.TrimSuffix(raw[12:12+n:12+n], []byte("}")), `,"s_pos":2,"tp_pos":1}`...)
+	legacy := binary.LittleEndian.AppendUint32(append([]byte(nil), raw[:8]...), uint32(len(meta)))
+	legacy = append(append(legacy, meta...), raw[12+n:len(raw)-4]...)
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(legacy))
+	if err := os.WriteFile(cfg.Checkpoint.Path+".000001", legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Resume(cfg, net, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Wait()
+	if res.ResumedFrom != 100 || res.ResumedFrom+res.TotalUpdates != 500 {
+		t.Fatalf("lineage resumed from %d and applied %d, want 100 and 500 in all",
+			res.ResumedFrom, res.ResumedFrom+res.TotalUpdates)
+	}
+	if len(res.ShardTrajectory) == 0 || res.ShardTrajectory[0] != 4 || len(res.TpTrajectory) == 0 || res.TpTrajectory[0] != 2 {
+		t.Fatalf("trajectories %v / %v, want the warm start at S=4, Tp=2", res.ShardTrajectory, res.TpTrajectory)
 	}
 }
 

@@ -23,19 +23,10 @@ import (
 // every existing sgd.ReadMeta reference valid.
 type ReadMeta = paramvec.ReadMeta
 
-// liveLeaser is implemented by strategies whose live parameters can be
-// leased zero-copy by readers outside the worker pool (the Leashed family).
-type liveLeaser interface {
-	// leaseLive acquires l against the strategy's current publication
-	// store, pinning the epoch for the duration of the Acquire only — the
-	// caller computes against the returned view unpinned and classifies
-	// the read at Release.
-	leaseLive(l *paramvec.Lease) paramvec.View
-}
-
 // storePinner is implemented by strategies whose live publication store can
 // be pinned — protected against retirement — for a bounded window by readers
-// outside the worker pool. ReadFront folds run under this pin.
+// outside the worker pool (the Leashed family). ReadFront folds run under
+// this pin; a leased ReadParams holds it for the lease's Acquire only.
 type storePinner interface {
 	// pinStore returns the current publication store and a release func;
 	// the store cannot be retired (by the autotuner's re-shard or the
@@ -220,27 +211,7 @@ func (r *Running) finish() {
 	res.BufferReuses = rt.pool.Reuses()
 	res.Shards = rt.numShards()
 	res.ConsistentReads, res.MixedReads = rt.readTotals()
-	switch {
-	case rt.auto != nil:
-		rt.auto.fill(res)
-	case rt.epoch != nil && len(rt.epoch.pub) > 1:
-		// Sharded static run (Leashed or HOGWILD! sweeps): full
-		// per-shard breakdown.
-		rt.epoch.rollup(res)
-	case rt.epoch != nil:
-		// Single-chain static Leashed run: aggregate totals only (the
-		// Result contract keeps the Shard* slices nil).
-		rt.epoch.foldTotals(res)
-	}
-	if rt.store != nil {
-		// Fold the store's chain pools into the accounting in
-		// full-vector equivalents (per-chain peaks are an upper bound on
-		// the true simultaneous peak; allocation counts are exact).
-		peak, allocs, reuses := poolEquivalents(rt.store)
-		res.PeakLiveVectors += peak
-		res.BufferAllocs += allocs
-		res.BufferReuses += reuses
-	}
+	st.fill(res)
 	r.res = res
 	close(r.done)
 }
@@ -285,15 +256,18 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 		fn(paramvec.FlatView(final))
 		return ReadMeta{Consistent: true, Final: true, Chains: 1}
 	}
-	if ll, ok := r.st.(liveLeaser); ok {
+	if sp, ok := r.st.(storePinner); ok {
 		if l == nil {
 			l = new(paramvec.Lease)
 		}
-		pv := ll.leaseLive(l)
+		store, unpin := sp.pinStore()
+		pv := l.Acquire(store)
 		// Unpin before fn: a long inference pass must not block the
-		// run's teardown or the autotuner's epoch swap — the lease's
-		// read registration keeps the buffers valid, and Release
-		// classifies what happened meanwhile.
+		// run's teardown or a re-shard's epoch swap — the lease's read
+		// registration keeps the buffers valid, and Release classifies
+		// what happened meanwhile (a lease that outlived its store is
+		// labeled, paramvec.Lease.RetiredStore).
+		unpin()
 		r.readMu.RUnlock()
 		fn(pv)
 		consistent := l.Release()

@@ -516,18 +516,10 @@ type runCtx struct {
 	// copies); the published chains live in the strategy's ParamStore.
 	pool *paramvec.Pool
 
-	// store is the static Leashed run's publication store; its chain pools
-	// are folded into the memory accounting in full-vector equivalents.
-	store paramvec.ParamStore
-
-	// epoch is the fixed publication epoch of a static Leashed run, or
-	// HOGWILD!'s sweep-counter epoch (store nil); nil for the other
-	// algorithms and for autotuned runs (whose epochs at.auto owns).
-	epoch *shardEpoch
-
-	// auto is set by the autotuned Leashed strategy (autotune.go); it owns
-	// the live epoch and the cross-epoch accounting.
-	auto *autoTuner
+	// epochs is the Leashed run's epoch owner (epoch.go): the live
+	// publication store, the bound and the cross-epoch accounting. nil for
+	// the other algorithms.
+	epochs *epochs
 
 	// inj is the optional deterministic fault injector (nil = disabled;
 	// every instrumented site guards with one pointer check).
@@ -707,12 +699,8 @@ func (rt *runCtx) numShards() int {
 // vector's worth of parameters).
 func (rt *runCtx) liveVectors() int64 {
 	n := rt.pool.Live()
-	switch {
-	case rt.auto != nil:
-		n += rt.auto.liveEq()
-	case rt.store != nil:
-		c := int64(rt.store.Chains())
-		n += (rt.store.Live() + c - 1) / c
+	if ep := rt.epochs; ep != nil {
+		n += ep.liveEq()
 	}
 	return n
 }

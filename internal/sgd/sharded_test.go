@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"leashedsgd/internal/checkpoint"
 )
 
 // TestConvergenceMatrix is the ε-convergence smoke matrix: every Algorithm ×
@@ -89,6 +91,52 @@ func TestUnshardedResultHasNoShardBreakdown(t *testing.T) {
 	}
 	if res.Publishes != res.TotalUpdates {
 		t.Fatalf("single-chain Publishes = %d, want TotalUpdates %d", res.Publishes, res.TotalUpdates)
+	}
+}
+
+// TestStaticRunResultContract pins what a Leashed run without a controller
+// reports: no trajectories, no model record, no re-shards; at S = 1 no
+// per-shard breakdown and one publish per update, at S = 4 a breakdown of
+// length 4; and its mid-run checkpoints say the run was not autotuned.
+func TestStaticRunResultContract(t *testing.T) {
+	for _, algo := range []Algorithm{Leashed, LeashedAdaptive} {
+		for _, s := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/S=%d", algo, s), func(t *testing.T) {
+				t.Parallel()
+				cfg := ckptConfig(t, algo, 2)
+				cfg.Shards = s
+				res := startCheckpointed(t, cfg, 1)
+				if res.ShardTrajectory != nil || res.TpTrajectory != nil || res.ModelFit != nil || res.Reshards != 0 {
+					t.Fatalf("static run reported controller output: ShardTrajectory %v TpTrajectory %v ModelFit %v Reshards %d",
+						res.ShardTrajectory, res.TpTrajectory, res.ModelFit, res.Reshards)
+				}
+				if res.Shards != s {
+					t.Fatalf("Shards = %d, want %d", res.Shards, s)
+				}
+				want := s // breakdown length; nil at S = 1
+				if s == 1 {
+					want = 0
+				}
+				for i, b := range [][]int64{res.ShardFailedCAS, res.ShardDropped, res.ShardPublishes, res.ShardStaleReads, res.ShardTouched} {
+					if len(b) != want || (want == 0) != (b == nil) {
+						t.Fatalf("per-shard counter slice %d = %v, want length %d (nil when 0)", i, b, want)
+					}
+				}
+				if len(res.ShardStalenessMean) != want || (want == 0) != (res.ShardStalenessMean == nil) {
+					t.Fatalf("ShardStalenessMean = %v, want length %d (nil when 0)", res.ShardStalenessMean, want)
+				}
+				if s == 1 && res.Publishes != res.TotalUpdates {
+					t.Fatalf("S=1 Publishes = %d, want TotalUpdates %d", res.Publishes, res.TotalUpdates)
+				}
+				meta, _, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.AutoTune || meta.Shards != s {
+					t.Fatalf("checkpoint meta AutoTune %v Shards %d, want false and %d", meta.AutoTune, meta.Shards, s)
+				}
+			})
+		}
 	}
 }
 

@@ -93,7 +93,8 @@ const (
 	// Leashed is Leashed-SGD (paper Algorithm 3).
 	Leashed = sgd.Leashed
 	// LeashedAdaptive is Leashed-SGD with a contention-adaptive
-	// persistence bound (extension; see DESIGN.md §6).
+	// persistence bound (extension; see docs/architecture.md,
+	// "LeashedAdaptive").
 	LeashedAdaptive = sgd.LeashedAdaptive
 	// Sync is lock-step synchronous SGD with per-round gradient averaging
 	// (the SyncSGD scheme the paper's introduction positions the
@@ -181,7 +182,8 @@ func (m *Model) Arch() string { return m.net.Arch() }
 
 // SyntheticMNIST generates the MNIST-shaped synthetic dataset used when the
 // real files are unavailable (28×28, 10 balanced classes, deterministic per
-// seed). See DESIGN.md §4 for the substitution rationale.
+// seed). See docs/architecture.md, "Datasets", for the substitution
+// rationale.
 func SyntheticMNIST(samples int, seed uint64) *Dataset {
 	return data.GenerateSynthetic(data.DefaultSyntheticConfig(samples, seed))
 }
