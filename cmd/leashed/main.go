@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	leashed run <step> [flags]     run one step: s1, s1-eta, s2, s3, s4, s5, fig9, shards, autotune, jointtune, serveload, sparse, chaos
-//	leashed run-all [flags]        run every step at the configured scale
+//	leashed run <step> [flags]     run one step (usage and docs/cli.md list them)
+//	leashed run-all [flags]        run every step, in paper order
+//	leashed train [flags]          one training run with explicit hyper-parameters
 //	leashed serve [flags]          HTTP prediction server over a live training run
 //	leashed table1                 print the experiment-plan summary
 //
@@ -29,8 +30,6 @@ import (
 
 	"leashedsgd/internal/harness"
 	"leashedsgd/internal/report"
-	"leashedsgd/internal/serve"
-	"leashedsgd/internal/sgd"
 )
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 	threadsFlag := fs.String("threads", "", "comma-separated thread counts (default depends on cores)")
 	trials := fs.Int("trials", 0, "repetitions per cell (0 = scale default)")
 	budget := fs.Duration("budget", 0, "per-run time budget (0 = scale default)")
-	shardsFlag := fs.String("shards", "1,2,4,8", "comma-separated shard counts for the shards step")
 	csvPath := fs.String("csv", "", "append every table as CSV to this file")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -68,6 +66,11 @@ func main() {
 	case "run", "run-all":
 	default:
 		usage()
+		os.Exit(2)
+	}
+	todo, err := selectSteps(cmd, fs.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -91,17 +94,11 @@ func main() {
 	}
 	threads := defaultThreads()
 	if *threadsFlag != "" {
-		var err error
 		threads, err = parseThreads(*threadsFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	}
-	shardCounts, err := parseThreads(*shardsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -shards:", err)
-		os.Exit(2)
 	}
 
 	emit := func(tables ...*report.Table) {
@@ -122,111 +119,102 @@ func main() {
 		}
 	}
 
-	steps := []string{"s1", "s1-eta", "s2", "s3", "s4", "s5", "fig9", "shards", "autotune", "jointtune", "serveload", "sparse", "chaos"}
-	if cmd == "run" {
-		if fs.NArg() != 1 {
-			fmt.Fprintf(os.Stderr, "run needs exactly one step (%s)\n", strings.Join(steps, ", "))
-			os.Exit(2)
-		}
-		steps = []string{fs.Arg(0)}
-	}
-
 	start := time.Now()
-	for _, step := range steps {
-		fmt.Printf("### step %s (scale=%s, arch=%s, trials=%d)\n\n", step, *scaleName, sc.Arch, sc.Trials)
-		runStep(step, sc, threads, shardCounts, emit)
+	for _, st := range todo {
+		fmt.Printf("### step %s (scale=%s, arch=%s, trials=%d)\n\n", st.name, *scaleName, sc.Arch, sc.Trials)
+		st.run(sc, threads, emit)
 	}
 	fmt.Printf("total experiment time: %v\n", time.Since(start).Round(time.Second))
 }
 
-func runStep(step string, sc harness.Scale, threads, shardCounts []int, emit func(...*report.Table)) {
-	specs := harness.StandardAlgos()
-	switch step {
-	case "s1":
+// emitter renders tables to stdout (and to the -csv file).
+type emitter func(...*report.Table)
+
+// step is one `leashed run` experiment: its name and what it runs.
+type step struct {
+	name string
+	run  func(sc harness.Scale, threads []int, emit emitter)
+}
+
+// steps is the one list of `leashed run` steps, in paper order: run looks a
+// step up here, run-all runs them all in this order, and usage() prints
+// their names.
+var steps = []step{
+	{"s1", func(sc harness.Scale, threads []int, emit emitter) {
 		conv, comp, _ := harness.Fig3Scalability(sc, harness.AllAlgos(), threads, 0.5)
 		emit(conv, comp)
-	case "s1-eta":
-		conv, stat := harness.Fig8StepSize(sc, specs, mid(threads), []float64{0.01, 0.03, 0.05, 0.07, 0.09}, 0.5)
+	}},
+	{"s1-eta", func(sc harness.Scale, threads []int, emit emitter) {
+		conv, stat := harness.Fig8StepSize(sc, harness.StandardAlgos(), mid(threads), []float64{0.01, 0.03, 0.05, 0.07, 0.09}, 0.5)
 		emit(conv, stat)
-	case "s2":
+	}},
+	{"s2", func(sc harness.Scale, threads []int, emit emitter) {
+		specs := harness.StandardAlgos()
 		tbl, cells := harness.Fig4Precision(sc, specs, mid(threads), []float64{0.5, 0.25, 0.1})
 		emit(tbl)
 		harness.Fig5Traces(os.Stdout, fmt.Sprintf("Fig.5: training loss over time, m=%d", mid(threads)), cells, specs)
-		stal := harness.Fig6Staleness(os.Stdout, fmt.Sprintf("Fig.6: staleness, m=%d", mid(threads)), cells, specs)
-		emit(stal)
-	case "s3":
-		cnnScale := sc
+		emit(harness.Fig6Staleness(os.Stdout, fmt.Sprintf("Fig.6: staleness, m=%d", mid(threads)), cells, specs))
+	}},
+	{"s3", func(sc harness.Scale, threads []int, emit emitter) {
+		specs := harness.StandardAlgos()
 		if sc.Arch == harness.PaperMLP {
-			cnnScale.Arch = harness.PaperCNN
+			sc.Arch = harness.PaperCNN
 		} else {
-			cnnScale.Arch = harness.SmallCNN
+			sc.Arch = harness.SmallCNN
 		}
-		tbl, cells := harness.Fig4Precision(cnnScale, specs, mid(threads), []float64{0.75, 0.5})
+		tbl, cells := harness.Fig4Precision(sc, specs, mid(threads), []float64{0.75, 0.5})
 		emit(tbl)
 		harness.Fig5Traces(os.Stdout, "Fig.7(mid): CNN training loss over time", cells, specs)
-		stal := harness.Fig6Staleness(os.Stdout, "Fig.7(right): CNN staleness", cells, specs)
-		emit(stal)
-	case "s4":
+		emit(harness.Fig6Staleness(os.Stdout, "Fig.7(right): CNN staleness", cells, specs))
+	}},
+	{"s4", func(sc harness.Scale, threads []int, emit emitter) {
 		// High parallelism: oversubscribe beyond the core count, the
 		// paper's hyper-threaded stress regime.
+		specs := harness.StandardAlgos()
 		m := threads[len(threads)-1] * 2
 		tbl, cells := harness.Fig4Precision(sc, specs, m, []float64{0.75, 0.5})
 		emit(tbl)
-		stal := harness.Fig6Staleness(os.Stdout, fmt.Sprintf("Fig.6(right): staleness, m=%d", m), cells, specs)
-		emit(stal)
-	case "s5":
-		emit(harness.Fig10Memory(sc, specs, threads))
-	case "shards":
-		// Shard-count contention sweep at the oversubscribed worker count
-		// (the regime where single-chain CAS contention peaks).
-		m := threads[len(threads)-1] * 2
-		emit(harness.ShardSweep(sc, m, shardCounts, sgd.PersistenceInf))
-	case "autotune":
-		// Closed-loop follow-up to the shards step: the autotune
-		// controller against the static sweep, with the S-trajectory and
-		// re-shard count on the auto row.
-		m := threads[len(threads)-1] * 2
-		emit(harness.AutoShardSweep(sc, m, shardCounts, sgd.PersistenceInf))
-	case "jointtune":
-		// Two-dimensional follow-up: the static Tp×S reference grid and
-		// the landing points of both joint (Tp, S) controllers — the
-		// hill-climbing ladder and the model-guided jumper — with their
-		// trajectories, jump counts and fit residuals.
-		m := threads[len(threads)-1] * 2
-		sweep, auto := harness.JointTuneCompare(sc, m, []int{16, 4, 1, 0}, shardCounts)
-		emit(sweep, auto)
-	case "serveload":
-		// Online-inference load sweep: closed-loop predict clients against a
-		// live autotuned training run, reporting throughput, tail latency,
-		// coalescing factor and the consistency-label mix — once per read
-		// path, so the leased-vs-readfront comparison lands in one report.
-		emit(
-			harness.ServeLoadSweep(sc, mid(threads), []int{1, 4, 16}, sc.MaxTime/8, serve.StoreLeased),
-			harness.ServeLoadSweep(sc, mid(threads), []int{1, 4, 16}, sc.MaxTime/8, serve.StoreReadFront),
-		)
-	case "sparse":
-		// Sparse scatter-publish sweep: first-class sparse gradients
-		// against the dense whole-vector control arm across shard counts,
-		// with HOGWILD! as the sparse-regime reference.
-		m := threads[len(threads)-1] * 2
-		ssc := harness.SmallSparse()
-		ssc.MaxTime = sc.MaxTime
-		emit(harness.SparseSweep(ssc, m, shardCounts))
-	case "chaos":
-		// Fault-injection survival matrix: deterministic worker panics and
-		// publish failures at increasing rates, per algorithm, with a
-		// kill-at-first-checkpoint + resume arm per faulted cell.
-		emit(harness.ChaosSweep(sc, mid(threads), []float64{0.002, 0.01, 0.05}))
-	case "fig9":
+		emit(harness.Fig6Staleness(os.Stdout, fmt.Sprintf("Fig.6(right): staleness, m=%d", m), cells, specs))
+	}},
+	{"s5", func(sc harness.Scale, threads []int, emit emitter) {
+		emit(harness.Fig10Memory(sc, harness.StandardAlgos(), threads))
+	}},
+	{"fig9", func(sc harness.Scale, threads []int, emit emitter) {
 		archs := []harness.Arch{harness.SmallMLP, harness.SmallCNN}
 		if sc.Arch == harness.PaperMLP || sc.Arch == harness.PaperCNN {
 			archs = []harness.Arch{harness.PaperMLP, harness.PaperCNN}
 		}
 		emit(harness.Fig9TcTu(sc, archs, mid(threads)))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown step %q\n", step)
-		os.Exit(2)
+	}},
+}
+
+// stepNames lists the step names in paper order.
+func stepNames() string {
+	names := make([]string, len(steps))
+	for i, st := range steps {
+		names[i] = st.name
 	}
+	return strings.Join(names, ", ")
+}
+
+// selectSteps resolves the steps a run or run-all command executes from its
+// positional arguments: run takes exactly one known step, run-all none.
+func selectSteps(cmd string, args []string) ([]step, error) {
+	if cmd == "run-all" {
+		if len(args) != 0 {
+			return nil, fmt.Errorf("run-all takes no step (got %q)", args)
+		}
+		return steps, nil
+	}
+	if len(args) != 1 {
+		return nil, fmt.Errorf("run needs exactly one step (%s)", stepNames())
+	}
+	for _, st := range steps {
+		if st.name == args[0] {
+			return []step{st}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown step %q (valid steps: %s)", args[0], stepNames())
 }
 
 func defaultThreads() []int {
@@ -273,11 +261,12 @@ func parseArch(s string) (harness.Arch, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  leashed run <s1|s1-eta|s2|s3|s4|s5|fig9|shards|autotune|jointtune|serveload|sparse|chaos> [flags]
+	fmt.Fprintf(os.Stderr, `usage:
+  leashed run <step> [flags]   steps: %s
   leashed run-all [flags]
   leashed train [-algo LSH] [-arch mlp] [-workers N] [-shards S] [-autotune] [-autotune-model] [-json] [-ckpt FILE] [-ckpt-every DUR] [-ckpt-keep N] [-resume] [-updates N] ...
   leashed serve [-addr HOST:PORT] [-arch mlp] [-workers N] [-budget DUR] [-store leased|readfront] [-leash-age DUR] ...
   leashed table1
-flags: -scale small|paper -arch A -threads 1,2,4 -trials N -budget DUR -shards 1,2,4,8 -csv FILE`)
+flags: -scale small|paper -arch A -threads 1,2,4 -trials N -budget DUR -csv FILE
+`, stepNames())
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"leashedsgd/internal/harness"
@@ -63,5 +65,55 @@ func TestMid(t *testing.T) {
 	}
 	if mid([]int{7}) != 7 {
 		t.Fatal("mid of 1")
+	}
+}
+
+// TestCLIDocListsEveryStep holds docs/cli.md's step table to the step
+// list: the same names, in the same (paper) order.
+func TestCLIDocListsEveryStep(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/cli.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	inTable := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| step |"):
+			inTable = true
+		case inTable && strings.TrimSpace(line) == "":
+			inTable = false
+		case inTable && strings.HasPrefix(line, "| `"):
+			documented = append(documented, strings.Trim(strings.Split(line, "|")[1], " `"))
+		}
+	}
+	if got := strings.Join(documented, ", "); got != stepNames() {
+		t.Fatalf("docs/cli.md step table lists %s; the CLI runs %s", got, stepNames())
+	}
+}
+
+func TestSelectSteps(t *testing.T) {
+	all, err := selectSteps("run-all", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, st := range all {
+		order = append(order, st.name)
+	}
+	if got, want := strings.Join(order, ","), "s1,s1-eta,s2,s3,s4,s5,fig9"; got != want {
+		t.Fatalf("run-all order = %s, want %s", got, want)
+	}
+	if one, err := selectSteps("run", []string{"fig9"}); err != nil || len(one) != 1 || one[0].name != "fig9" {
+		t.Fatalf("run fig9 = %v, %v", one, err)
+	}
+	for _, args := range [][]string{nil, {"s1", "s2"}, {"shards"}, {"autotune"}, {"jointtune"}, {"serveload"}, {"sparse"}, {"chaos"}} {
+		_, err := selectSteps("run", args)
+		if err == nil || !strings.Contains(err.Error(), stepNames()) {
+			t.Errorf("run %v: error %v does not name the valid steps", args, err)
+		}
+	}
+	if _, err := selectSteps("run-all", []string{"s1"}); err == nil {
+		t.Error("run-all accepted a step argument")
 	}
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
-	"time"
 
 	"leashedsgd/internal/metrics"
 	"leashedsgd/internal/report"
@@ -203,231 +201,6 @@ func Fig10Memory(sc Scale, specs []AlgoSpec, threads []int) *report.Table {
 		tbl.AddRow(row...)
 	}
 	return tbl
-}
-
-// ShardSweep runs the shard-count contention experiment the sharded
-// publication layer opens (extension; not a paper figure): Leashed-SGD at a
-// fixed worker count across shard counts, in profiling mode. One row per
-// shard count. The cross-row comparable unit is the *publish*: failed/pub
-// divides failed CAS attempts by successful shard publishes (TotalUpdates
-// for the single chain, Σ ShardPublishes otherwise), since a sharded
-// iteration performs up to S publishes where the single chain performs one.
-// stal.mean stays in per-chain sequence units — each chain advances ~1/S as
-// fast, so it reads as contention per chain, not global version lag.
-func ShardSweep(sc Scale, workers int, shardCounts []int, persistence int) *report.Table {
-	tbl := report.NewTable(
-		fmt.Sprintf("Shard sweep: LSH contention vs shard count, m=%d Tp=%d [%s]",
-			workers, persistence, sc.Arch),
-		"shards", "iters", "publishes", "failedCAS", "failed/pub", "dropped", "stal.mean", "ms/iter", "shard pub spread")
-	s := sc
-	s.Trials = 1
-	for _, spec := range ShardedAlgos(persistence, shardCounts) {
-		cell := RunCell(s, spec, workers, 0, s.Eta, false)
-		res := cell.Results[0]
-		spread := "-"
-		if len(res.ShardPublishes) > 0 {
-			lo, hi := res.ShardPublishes[0], res.ShardPublishes[0]
-			for _, p := range res.ShardPublishes {
-				if p < lo {
-					lo = p
-				}
-				if p > hi {
-					hi = p
-				}
-			}
-			spread = fmt.Sprintf("%d..%d", lo, hi)
-		}
-		tbl.AddRow(
-			fmt.Sprintf("%d", res.Shards),
-			fmt.Sprintf("%d", res.TotalUpdates),
-			fmt.Sprintf("%d", res.Publishes),
-			fmt.Sprintf("%d", res.FailedCAS),
-			fmt.Sprintf("%.4f", res.FailedPerPublish()),
-			fmt.Sprintf("%d", res.DroppedUpdates),
-			fmt.Sprintf("%.2f", res.Staleness.Mean()),
-			fmt.Sprintf("%.3f", float64(res.TimePerUpdate())/float64(time.Millisecond)),
-			spread)
-	}
-	return tbl
-}
-
-// AutoShardSweep compares the autotune controller against the static
-// shard-count sweep on the same profiling workload (extension; the
-// closed-loop follow-up to ShardSweep): one run per static S plus one
-// autotuned run, each reporting contention per publish and efficiency, with
-// the controller's S-trajectory and re-shard count on the auto row.
-func AutoShardSweep(sc Scale, workers int, shardCounts []int, persistence int) *report.Table {
-	tbl := report.NewTable(
-		fmt.Sprintf("AutoShard: controller vs static shard sweep, m=%d Tp=%d [%s]",
-			workers, persistence, sc.Arch),
-		"config", "S", "iters", "failed/pub", "dropped", "ms/iter", "trajectory", "reshards")
-	s := sc
-	s.Trials = 1
-	addRow := func(name string, res *sgd.Result) {
-		trajectory := "-"
-		if len(res.ShardTrajectory) > 0 {
-			parts := make([]string, len(res.ShardTrajectory))
-			for i, v := range res.ShardTrajectory {
-				parts[i] = fmt.Sprintf("%d", v)
-			}
-			trajectory = strings.Join(parts, ">")
-		}
-		tbl.AddRow(name,
-			fmt.Sprintf("%d", res.Shards),
-			fmt.Sprintf("%d", res.TotalUpdates),
-			fmt.Sprintf("%.4f", res.FailedPerPublish()),
-			fmt.Sprintf("%d", res.DroppedUpdates),
-			fmt.Sprintf("%.3f", float64(res.TimePerUpdate())/float64(time.Millisecond)),
-			trajectory,
-			fmt.Sprintf("%d", res.Reshards))
-	}
-	for _, spec := range ShardedAlgos(persistence, shardCounts) {
-		cell := RunCell(s, spec, workers, 0, s.Eta, false)
-		addRow(spec.Name, cell.Results[0])
-	}
-	auto := AlgoSpec{Name: "LSH_auto", Algo: sgd.Leashed, Persistence: persistence, AutoTune: true}
-	cell := RunCell(s, auto, workers, 0, s.Eta, false)
-	addRow(auto.Name, cell.Results[0])
-	return tbl
-}
-
-// JointCell is one point of the static (Tp, S) reference grid: the measured
-// per-window signals the joint autotuner steers by, at a fixed persistence
-// bound and shard count.
-type JointCell struct {
-	Tp, S        int
-	FailedPerPub float64 // failed CAS per successful publish (S-axis signal)
-	MixedRate    float64 // mixed-version fraction of leased reads (Tp-axis signal)
-	Dropped      int64
-	MsPerUpdate  float64
-}
-
-// JointSweep runs the static Tp×S grid the joint autotuner's convergence is
-// judged against (extension; the two-dimensional follow-up to ShardSweep and
-// AutoShardSweep): one profiling run per (persistence bound, shard count)
-// pair, reporting both steering signals per cell. tps is ordered loose→tight
-// (e.g. 16, 8, …, 1, 0) to match the tuned ladder; the returned grid is in
-// tps-major order.
-func JointSweep(sc Scale, workers int, tps, shardCounts []int) (*report.Table, []JointCell) {
-	tbl := report.NewTable(
-		fmt.Sprintf("Joint sweep: LSH signals vs (Tp, S), m=%d [%s]", workers, sc.Arch),
-		"Tp", "S", "iters", "failed/pub", "mixed%", "dropped", "ms/iter")
-	s := sc
-	s.Trials = 1
-	var grid []JointCell
-	for _, tp := range tps {
-		for _, sh := range shardCounts {
-			spec := AlgoSpec{Name: fmt.Sprintf("LSH_tp%d_s%d", tp, sh),
-				Algo: sgd.Leashed, Persistence: tp, Shards: sh}
-			cell := RunCell(s, spec, workers, 0, s.Eta, false)
-			res := cell.Results[0]
-			mixed := 0.0
-			if reads := res.ConsistentReads + res.MixedReads; reads > 0 {
-				mixed = float64(res.MixedReads) / float64(reads)
-			}
-			grid = append(grid, JointCell{
-				Tp: tp, S: res.Shards,
-				FailedPerPub: res.FailedPerPublish(),
-				MixedRate:    mixed,
-				Dropped:      res.DroppedUpdates,
-				MsPerUpdate:  float64(res.TimePerUpdate()) / float64(time.Millisecond),
-			})
-			tbl.AddRow(
-				fmt.Sprintf("%d", tp),
-				fmt.Sprintf("%d", res.Shards),
-				fmt.Sprintf("%d", res.TotalUpdates),
-				fmt.Sprintf("%.4f", res.FailedPerPublish()),
-				fmt.Sprintf("%.2f", 100*mixed),
-				fmt.Sprintf("%d", res.DroppedUpdates),
-				fmt.Sprintf("%.3f", float64(res.TimePerUpdate())/float64(time.Millisecond)))
-		}
-	}
-	return tbl, grid
-}
-
-// JointKnee computes the static grid's reference knee by the same rules the
-// online joint controller applies, evaluated offline in its coordinate-
-// descent order: first climb S along the loosest-Tp row while the failed-CAS
-// rate clears sgd.AutoShardClimbRate and the next doubling still pays the
-// sgd.AutoShardImprove margin; then, holding that S, tighten Tp (walking tps
-// loose→tight) while the mixed-read rate clears sgd.AutoTuneTightenRate and
-// the next step pays sgd.AutoTuneImprove. The indices returned address tps
-// and shardCounts; a joint controller converging correctly lands within one
-// ladder step (one doubling per axis) of this point.
-func JointKnee(grid []JointCell, tps, shardCounts []int) (kneeTpIdx, kneeSIdx int) {
-	at := func(ti, si int) JointCell { return grid[ti*len(shardCounts)+si] }
-	for kneeSIdx+1 < len(shardCounts) &&
-		at(0, kneeSIdx).FailedPerPub > sgd.AutoShardClimbRate &&
-		at(0, kneeSIdx+1).FailedPerPub <= sgd.AutoShardImprove*at(0, kneeSIdx).FailedPerPub {
-		kneeSIdx++
-	}
-	for kneeTpIdx+1 < len(tps) &&
-		at(kneeTpIdx, kneeSIdx).MixedRate > sgd.AutoTuneTightenRate &&
-		at(kneeTpIdx+1, kneeSIdx).MixedRate <= sgd.AutoTuneImprove*at(kneeTpIdx, kneeSIdx).MixedRate {
-		kneeTpIdx++
-	}
-	return kneeTpIdx, kneeSIdx
-}
-
-// JointTuneCompare renders the joint controller against the static grid's
-// knee on the same workload: the JointSweep table, the knee row, and the
-// autotuned run with both trajectories.
-func JointTuneCompare(sc Scale, workers int, tps, shardCounts []int) (sweep, auto *report.Table) {
-	sweep, grid := JointSweep(sc, workers, tps, shardCounts)
-	ti, si := JointKnee(grid, tps, shardCounts)
-
-	auto = report.NewTable(
-		fmt.Sprintf("Joint autotune: ladder vs model-guided vs static knee Tp=%d S=%d, m=%d [%s]",
-			tps[ti], shardCounts[si], workers, sc.Arch),
-		"config", "S", "Tp", "iters", "failed/pub", "mixed%",
-		"trajectory S", "trajectory Tp", "reshards", "jumps", "fit resid")
-	s := sc
-	s.Trials = 1
-	specs := []AlgoSpec{
-		{Name: "LSH_joint", Algo: sgd.Leashed, Persistence: sgd.PersistenceInf, AutoTune: true},
-		{Name: "LSH_model", Algo: sgd.Leashed, Persistence: sgd.PersistenceInf, AutoTuneModel: true},
-	}
-	for _, spec := range specs {
-		cell := RunCell(s, spec, workers, 0, s.Eta, false)
-		res := cell.Results[0]
-		mixed := 0.0
-		if reads := res.ConsistentReads + res.MixedReads; reads > 0 {
-			mixed = float64(res.MixedReads) / float64(reads)
-		}
-		finalTp := -1
-		if n := len(res.TpTrajectory); n > 0 {
-			finalTp = res.TpTrajectory[n-1]
-		}
-		jumps, resid := "-", "-"
-		if mf := res.ModelFit; mf != nil {
-			jumps = fmt.Sprintf("%d(+%d lad)", mf.Jumps, mf.LadderMoves)
-			if mf.Fitted {
-				resid = fmt.Sprintf("%.3f", mf.Residual)
-			}
-		}
-		auto.AddRow(spec.Name,
-			fmt.Sprintf("%d", res.Shards),
-			fmt.Sprintf("%d", finalTp),
-			fmt.Sprintf("%d", res.TotalUpdates),
-			fmt.Sprintf("%.4f", res.FailedPerPublish()),
-			fmt.Sprintf("%.2f", 100*mixed),
-			trajString(res.ShardTrajectory),
-			trajString(res.TpTrajectory),
-			fmt.Sprintf("%d", res.Reshards),
-			jumps, resid)
-	}
-	return sweep, auto
-}
-
-func trajString(traj []int) string {
-	if len(traj) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(traj))
-	for i, v := range traj {
-		parts[i] = fmt.Sprintf("%d", v)
-	}
-	return strings.Join(parts, ">")
 }
 
 // TableI prints the experiment-plan summary matching the paper's Table I.

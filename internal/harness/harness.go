@@ -122,33 +122,6 @@ type AlgoSpec struct {
 	Name        string
 	Algo        sgd.Algorithm
 	Persistence int
-	// Shards is the published-vector shard count (0 = single chain). Only
-	// Leashed/LeashedAdaptive/Hogwild consume it; see sgd.Config.Shards.
-	Shards int
-	// AutoTune enables the joint (Tp, S) controller: shard count steered
-	// by CAS contention, persistence bound by the mixed-version read rate
-	// (Leashed variants only; see sgd.Config.AutoTune).
-	AutoTune bool
-	// AutoTuneModel upgrades the controller to model-guided jumps: the
-	// Sec. IV fluid model is fitted online and the predicted (S, Tp) knee
-	// is taken in one move, with the ladder as fallback (implies AutoTune;
-	// see sgd.Config.AutoTuneModel).
-	AutoTuneModel bool
-}
-
-// ShardedAlgos returns the Leashed configurations across a shard-count
-// sweep at fixed persistence — the scenario axis the sharded publication
-// layer opens for every workload.
-func ShardedAlgos(persistence int, shardCounts []int) []AlgoSpec {
-	out := make([]AlgoSpec, 0, len(shardCounts))
-	for _, s := range shardCounts {
-		name := fmt.Sprintf("LSH_s%d", s)
-		if s <= 1 {
-			name = "LSH_s1"
-		}
-		out = append(out, AlgoSpec{Name: name, Algo: sgd.Leashed, Persistence: persistence, Shards: s})
-	}
-	return out
 }
 
 // StandardAlgos returns the five configurations every figure compares:
@@ -195,20 +168,17 @@ func RunCell(sc Scale, spec AlgoSpec, workers int, epsilon, eta float64, sampleT
 	for trial := 0; trial < sc.Trials; trial++ {
 		net, ds := sc.Arch.build(sc.Samples, sc.Seed)
 		cfg := sgd.Config{
-			Algo:          spec.Algo,
-			Workers:       workers,
-			Eta:           eta,
-			BatchSize:     sc.BatchSize,
-			Persistence:   spec.Persistence,
-			Shards:        spec.Shards,
-			AutoTune:      spec.AutoTune,
-			AutoTuneModel: spec.AutoTuneModel,
-			Seed:          sc.Seed + uint64(trial)*7919,
-			EpsilonFrac:   epsilon,
-			MaxTime:       sc.MaxTime,
-			MaxUpdates:    sc.MaxUpdates,
-			EvalEvery:     sc.EvalEvery,
-			SampleTiming:  sampleTiming,
+			Algo:         spec.Algo,
+			Workers:      workers,
+			Eta:          eta,
+			BatchSize:    sc.BatchSize,
+			Persistence:  spec.Persistence,
+			Seed:         sc.Seed + uint64(trial)*7919,
+			EpsilonFrac:  epsilon,
+			MaxTime:      sc.MaxTime,
+			MaxUpdates:   sc.MaxUpdates,
+			EvalEvery:    sc.EvalEvery,
+			SampleTiming: sampleTiming,
 		}
 		res, err := sgd.Run(cfg, net, ds)
 		if err != nil {

@@ -200,52 +200,3 @@ func TestTableI(t *testing.T) {
 		}
 	}
 }
-
-func TestShardedAlgosSpecs(t *testing.T) {
-	specs := ShardedAlgos(sgd.PersistenceInf, []int{1, 4, 8})
-	if len(specs) != 3 {
-		t.Fatalf("got %d specs", len(specs))
-	}
-	wantNames := []string{"LSH_s1", "LSH_s4", "LSH_s8"}
-	wantShards := []int{1, 4, 8}
-	for i, spec := range specs {
-		if spec.Name != wantNames[i] || spec.Shards != wantShards[i] {
-			t.Fatalf("spec %d = %+v, want %s/%d", i, spec, wantNames[i], wantShards[i])
-		}
-		if spec.Algo != sgd.Leashed || spec.Persistence != sgd.PersistenceInf {
-			t.Fatalf("spec %d algo/persistence wrong: %+v", i, spec)
-		}
-	}
-}
-
-func TestShardSweepTable(t *testing.T) {
-	sc := tinyScale()
-	sc.MaxTime = 400 * time.Millisecond
-	tbl := ShardSweep(sc, 4, []int{1, 2}, sgd.PersistenceInf)
-	s := tbl.String()
-	for _, col := range []string{"shards", "publishes", "failed/pub", "stal.mean", "shard pub spread"} {
-		if !strings.Contains(s, col) {
-			t.Fatalf("sweep table missing column %q:\n%s", col, s)
-		}
-	}
-	// One row per shard count: the single-chain row reports no per-shard
-	// spread, the sharded row a lo..hi range.
-	if !strings.Contains(s, "\n1 ") && !strings.Contains(s, "| 1 ") {
-		t.Logf("table:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("sweep table has %d lines, want >= 3 (header + 2 rows):\n%s", len(lines), s)
-	}
-}
-
-func TestRunCellPropagatesShards(t *testing.T) {
-	sc := tinyScale()
-	sc.Trials = 1
-	sc.MaxTime = 300 * time.Millisecond
-	spec := AlgoSpec{Name: "LSH_s2", Algo: sgd.Leashed, Persistence: sgd.PersistenceInf, Shards: 2}
-	cell := RunCell(sc, spec, 2, 0, sc.Eta, false)
-	if got := cell.Results[0].Shards; got != 2 {
-		t.Fatalf("RunCell result Shards = %d, want 2", got)
-	}
-}

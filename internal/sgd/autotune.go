@@ -36,34 +36,35 @@ import (
 	"leashedsgd/internal/metrics"
 )
 
-// Default decision thresholds of the autotuner axes. Exported so the offline
-// "knee" rule of a static sweep (harness.JointKnee) mirrors the online
-// controller exactly.
+// Decision thresholds of the ladder's two axes. The model tuner aims its
+// predicted (S, Tp) at autoShardClimbRate and autoTuneTightenRate, and the
+// joint tuner's convergence test applies the same rules offline to find its
+// reference knee.
 const (
-	// AutoShardClimbRate is the windowed failed-CAS-per-publish rate above
+	// autoShardClimbRate is the windowed failed-CAS-per-publish rate above
 	// which doubling the shard count is attractive.
-	AutoShardClimbRate = 0.05
-	// AutoShardDescendRate is the rate below which halving the shard count
+	autoShardClimbRate = 0.05
+	// autoShardDescendRate is the rate below which halving the shard count
 	// is attractive (the contention a single chain would absorb anyway).
-	AutoShardDescendRate = 0.005
-	// AutoShardImprove is the acceptance bar for a climb: the post-move
+	autoShardDescendRate = 0.005
+	// autoShardImprove is the acceptance bar for a climb: the post-move
 	// rate must fall to ≤ this fraction of the pre-move rate (the ~1/S
 	// prediction gives 0.5; 0.75 leaves room for noise), otherwise the
 	// climb is reverted.
-	AutoShardImprove = 0.75
+	autoShardImprove = 0.75
 
-	// AutoTuneTightenRate is the windowed mixed-version read rate above
+	// autoTuneTightenRate is the windowed mixed-version read rate above
 	// which halving the persistence bound Tp is attractive: a large
 	// fraction of leased reads overlapping a publish means many concurrent
 	// in-flight updates, the pressure a shorter leash regulates away.
-	AutoTuneTightenRate = 0.2
-	// AutoTuneLoosenRate is the mixed-read rate below which growing Tp
+	autoTuneTightenRate = 0.2
+	// autoTuneLoosenRate is the mixed-read rate below which growing Tp
 	// back is attractive (reads are clean, so dropped gradients buy
 	// nothing).
-	AutoTuneLoosenRate = 0.02
-	// AutoTuneImprove is the acceptance bar for a tighten move, in the
-	// same role as AutoShardImprove on the S axis.
-	AutoTuneImprove = 0.75
+	autoTuneLoosenRate = 0.02
+	// autoTuneImprove is the acceptance bar for a tighten move, in the
+	// same role as autoShardImprove on the S axis.
+	autoTuneImprove = 0.75
 
 	// autoTuneWorsen scales the pre-move rate into the climb bar after a
 	// rejected move: the signal must grow this much past the steady rate
@@ -250,8 +251,8 @@ func newTuner(s0, maxS, tp0, maxTp int, tpFrozen bool) *tuner {
 		tpPos = ladderPos(tl, tp0)
 	}
 	return &tuner{
-		s:        newAxisTuner(sl, ladderPos(sl, s0), AutoShardClimbRate, AutoShardDescendRate, AutoShardImprove),
-		tp:       newAxisTuner(tl, tpPos, AutoTuneTightenRate, AutoTuneLoosenRate, AutoTuneImprove),
+		s:        newAxisTuner(sl, ladderPos(sl, s0), autoShardClimbRate, autoShardDescendRate, autoShardImprove),
+		tp:       newAxisTuner(tl, tpPos, autoTuneTightenRate, autoTuneLoosenRate, autoTuneImprove),
 		tpFrozen: tpFrozen,
 	}
 }

@@ -12,7 +12,7 @@ import (
 // the per-axis policy tests keep their original shape.
 func newSAxis(s0, maxS int) *axisTuner {
 	l := shardLadder(maxS)
-	return newAxisTuner(l, ladderPos(l, s0), AutoShardClimbRate, AutoShardDescendRate, AutoShardImprove)
+	return newAxisTuner(l, ladderPos(l, s0), autoShardClimbRate, autoShardDescendRate, autoShardImprove)
 }
 
 // feed drives one axis with n windows of a fixed failed/pub observation and
@@ -59,7 +59,7 @@ func TestShardAxisClimbsWhileContentionFalls(t *testing.T) {
 		}
 	}
 	if s != 8 {
-		t.Fatalf("settled at S=%d, want 8 (0.4/S stays above %v until S=8)", s, AutoShardClimbRate)
+		t.Fatalf("settled at S=%d, want 8 (0.4/S stays above %v until S=8)", s, autoShardClimbRate)
 	}
 	if moves != 3 {
 		t.Fatalf("%d re-shards, want 3 accepted climbs (1→2→4→8) with no reverts", moves)
@@ -282,13 +282,13 @@ func TestJointTunerConvergesWithinOneDoublingOfGridKnee(t *testing.T) {
 	// acceptance margin; then tighten Tp the same way at the knee S.
 	sl, tl := shardLadder(8), tpLadder(16)
 	kneeS := 0
-	for kneeS+1 < len(sl) && env.cas(sl[kneeS], 16) > AutoShardClimbRate &&
-		env.cas(sl[kneeS+1], 16) <= AutoShardImprove*env.cas(sl[kneeS], 16) {
+	for kneeS+1 < len(sl) && env.cas(sl[kneeS], 16) > autoShardClimbRate &&
+		env.cas(sl[kneeS+1], 16) <= autoShardImprove*env.cas(sl[kneeS], 16) {
 		kneeS++
 	}
 	kneeTp := 0
-	for kneeTp+1 < len(tl) && env.mixed(sl[kneeS], tl[kneeTp]) > AutoTuneTightenRate &&
-		env.mixed(sl[kneeS], tl[kneeTp+1]) <= AutoTuneImprove*env.mixed(sl[kneeS], tl[kneeTp]) {
+	for kneeTp+1 < len(tl) && env.mixed(sl[kneeS], tl[kneeTp]) > autoTuneTightenRate &&
+		env.mixed(sl[kneeS], tl[kneeTp+1]) <= autoTuneImprove*env.mixed(sl[kneeS], tl[kneeTp]) {
 		kneeTp++
 	}
 	if d := ladderPos(sl, finalS) - kneeS; d < -1 || d > 1 {

@@ -237,10 +237,10 @@ func (mt *modelTuner) observe(w window, tcNs, tcN, tuNs int64, curS, curTp int) 
 	mt.rejects = 0
 	mt.fitOK = true
 
-	s := fit.PredictShards(mt.sLadder, AutoShardClimbRate)
+	s := fit.PredictShards(mt.sLadder, autoShardClimbRate)
 	tp := curTp
 	if !mt.tpFrozen {
-		tp = fit.PredictTp(mt.tpLadder, s, AutoTuneTightenRate)
+		tp = fit.PredictTp(mt.tpLadder, s, autoTuneTightenRate)
 	}
 	mt.predictedS, mt.predictedTp = s, tp
 	if s == curS && tp == curTp {

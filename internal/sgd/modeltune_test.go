@@ -35,7 +35,7 @@ func newTestModelTuner(m int) *modelTuner {
 
 // TestModelTunerJumpsOnGoodFit: two consistent windows at S=1 with a
 // failed-CAS load of 0.4 per publish must produce one jump straight to the
-// ~1/S-law prediction S=8 (0.4/8 = AutoShardClimbRate) with the leash left
+// ~1/S-law prediction S=8 (0.4/8 = autoShardClimbRate) with the leash left
 // loose (clean reads) — the tentpole's ≤1-window-per-axis convergence at the
 // decision-core level.
 func TestModelTunerJumpsOnGoodFit(t *testing.T) {

@@ -95,16 +95,25 @@ func ckptConfig(t *testing.T, algo Algorithm, workers int) Config {
 // TestKillResumeExactBudget is the crash/resume equivalence contract: a run
 // killed mid-flight and resumed from its newest checkpoint completes EXACTLY
 // the original budget — ResumedFrom + TotalUpdates == MaxUpdates — across
-// representative algorithm × shards × autotune arms.
+// one arm per publish protocol (lock, component-atomic, LAU-SPC, round
+// barrier), the shards and autotune arms, and a Leashed arm whose killed leg
+// also takes worker panics and failed publish attempts.
 func TestKillResumeExactBudget(t *testing.T) {
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		mut   func(*Config)
+		extra []faultinject.Rule // fault rules armed on the killed leg
 	}{
-		{"leashed-s1", func(c *Config) {}},
-		{"leashed-s4", func(c *Config) { c.Shards = 4 }},
-		{"leashed-autotune", func(c *Config) { c.AutoTune = true; c.Persistence = 2 }},
-		{"hogwild", func(c *Config) { c.Algo = Hogwild }},
+		{"leashed-s1", func(c *Config) {}, nil},
+		{"leashed-s4", func(c *Config) { c.Shards = 4 }, nil},
+		{"leashed-autotune", func(c *Config) { c.AutoTune = true; c.Persistence = 2 }, nil},
+		{"hogwild", func(c *Config) { c.Algo = Hogwild }, nil},
+		{"async", func(c *Config) { c.Algo = Async }, nil},
+		{"sync", func(c *Config) { c.Algo = SyncLockstep }, nil},
+		{"leashed-faulted", func(c *Config) {}, []faultinject.Rule{
+			{Site: faultinject.WorkerIter, Kind: faultinject.KindPanic, Prob: 0.01},
+			{Site: faultinject.Publish, Kind: faultinject.KindFail, Prob: 0.01},
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -112,7 +121,11 @@ func TestKillResumeExactBudget(t *testing.T) {
 			t.Parallel()
 			cfg := ckptConfig(t, Leashed, 2)
 			tc.mut(&cfg)
-			res1 := startCheckpointed(t, cfg, 1)
+			res1 := startCheckpointed(t, cfg, 1, tc.extra...)
+			if tc.extra != nil {
+				t.Logf("killed leg: %d updates, %d worker faults, %d failed CAS",
+					res1.TotalUpdates, len(res1.WorkerFaults), res1.FailedCAS)
+			}
 			if res1.Checkpoints == 0 {
 				t.Fatalf("first leg reported no checkpoints (%d files on disk)",
 					len(checkpoint.Candidates(cfg.Checkpoint.Path)))

@@ -29,9 +29,10 @@
 // Result.ShardFailedCAS and friends. The test matrix covers every
 // Algorithm × shard count {1, 4} (internal/sgd), a store conformance suite
 // plus race-detector stress tests over the store at one and four chains
-// (internal/paramvec), a shard-count contention sweep (`leashed run
-// shards`), and a 0 allocs/op guard on the leased read path
-// (TestReadPathsAllocateNothing, TestBatchedPassesAllocateNothingWarm).
+// (internal/paramvec), the exact ~1/S contention law
+// (TestShardingReducesCASContention), and a 0 allocs/op guard on the
+// leased read path (TestReadPathsAllocateNothing,
+// TestBatchedPassesAllocateNothingWarm).
 //
 // Config.AutoTune closes that loop on both contention dials jointly: a
 // controller hill-climbs the (Tp, S) grid in coordinate descent, the shard
@@ -42,11 +43,10 @@
 // move-evaluation hysteresis against thrash. A Tp move is an atomic bound
 // swap; a re-shard quiesces the workers at a barrier and republishes a
 // consistent snapshot into a fresh cell. The trajectories land in
-// Result.ShardTrajectory and Result.TpTrajectory (`leashed run jointtune`,
-// `leashed train -autotune`). MaxUpdates budgets are exact: workers reserve
-// budget units atomically before an update becomes visible, so every bounded
-// run ends with TotalUpdates == MaxUpdates — the deterministic-replay
-// contract.
+// Result.ShardTrajectory and Result.TpTrajectory (`leashed train
+// -autotune`). MaxUpdates budgets are exact: workers reserve budget units
+// atomically before an update becomes visible, so every bounded run ends
+// with TotalUpdates == MaxUpdates — the deterministic-replay contract.
 //
 // Quick start:
 //
