@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,6 +92,86 @@ func TestCLIDocListsEveryStep(t *testing.T) {
 	}
 	if got := strings.Join(documented, ", "); got != stepNames() {
 		t.Fatalf("docs/cli.md step table lists %s; the CLI runs %s", got, stepNames())
+	}
+}
+
+// TestCLIDocListsEveryFlag holds docs/cli.md's `leashed train` and
+// `leashed serve` flag tables to the FlagSets: the same flag names, and a
+// default column that parses to each flag's default. Three words stand for
+// defaults a literal would misstate: GOMAXPROCS, and off for an empty
+// string, false or a zero duration.
+func TestCLIDocListsEveryFlag(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/cli.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []struct {
+		section string
+		fs      func() *flag.FlagSet
+	}{
+		{"### leashed train", func() *flag.FlagSet { return trainFlags(new(trainOpts)) }},
+		{"### leashed serve", func() *flag.FlagSet { return serveFlags(new(serveOpts)) }},
+	} {
+		_, sec, ok := strings.Cut(string(doc), "\n"+cmd.section+"\n")
+		if !ok {
+			t.Fatalf("docs/cli.md has no %q section", cmd.section)
+		}
+		sec, _, _ = strings.Cut(sec, "\n#")
+		documented := map[string]bool{}
+		for _, line := range strings.Split(sec, "\n") {
+			if !strings.HasPrefix(line, "| `-") {
+				continue
+			}
+			cells := strings.Split(line, "|")
+			name := strings.Trim(cells[1], " `-")
+			def := strings.TrimSpace(cells[2])
+			documented[name] = true
+			fs := cmd.fs()
+			f := fs.Lookup(name)
+			if f == nil {
+				t.Errorf("%s documents -%s, which the command does not define", cmd.section, name)
+				continue
+			}
+			switch {
+			case def == "GOMAXPROCS":
+				ok = f.DefValue == strconv.Itoa(runtime.GOMAXPROCS(0))
+			case def == "off":
+				ok = f.DefValue == "" || f.DefValue == "false" || f.DefValue == "0s"
+			case strings.HasPrefix(def, "`") && strings.HasSuffix(def, "`"):
+				ok = fs.Set(name, strings.Trim(def, "`")) == nil && f.Value.String() == f.DefValue
+			default:
+				ok = false
+			}
+			if !ok {
+				t.Errorf("%s documents -%s's default as %s; the flag's default is %q", cmd.section, name, def, f.DefValue)
+			}
+		}
+		cmd.fs().VisitAll(func(f *flag.Flag) {
+			if !documented[f.Name] {
+				t.Errorf("%s does not document -%s", cmd.section, f.Name)
+			}
+		})
+	}
+}
+
+// TestParseTrainValidates: `leashed train` rejects a configuration Validate
+// refuses, an unknown -arch and a sparse checkpoint at parse time, before any
+// dataset exists, and passes its defaults.
+func TestParseTrainValidates(t *testing.T) {
+	if _, err := parseTrain(nil); err != nil {
+		t.Fatalf("default flags rejected: %v", err)
+	}
+	for _, args := range [][]string{
+		{"-eta", "NaN"},
+		{"-persistence", "-7"},
+		{"-algo", "HOG", "-tune", "model"},
+		{"-epsilon", "1"},
+		{"-arch", "resnet"},
+		{"-sparse", "-ckpt", "model.ckpt"},
+	} {
+		if _, err := parseTrain(args); err == nil {
+			t.Errorf("leashed train %v accepted", args)
+		}
 	}
 }
 

@@ -10,77 +10,81 @@ import (
 
 	"leashedsgd/internal/data"
 	"leashedsgd/internal/nn"
-	"leashedsgd/internal/paramvec"
 	"leashedsgd/internal/serve"
 	"leashedsgd/internal/sgd"
 )
 
-// runServe implements `leashed serve`: an online inference tier over a live
-// training run. It starts a Leashed-SGD run (autotuned by default), stands an
-// HTTP prediction server on top of the SAME ParamStore the workers publish
-// into — every answer is computed from a zero-copy leased view and labeled
-// with its consistency class — and keeps serving from the immutable final
-// parameters after the training budget expires. The process runs until
-// interrupted.
-func runServe(args []string) {
+// serveOpts holds `leashed serve`'s parsed flags: the training run's Config,
+// the server's Config, and the flags that pick the address, model and data.
+type serveOpts struct {
+	train             sgd.Config
+	server            serve.Config
+	addr, arch, mnist string
+	samples           int
+}
+
+// serveFlags declares `leashed serve`'s flags, parsing into o. The training
+// run is LSH_ps∞, ladder-tuned unless -tune says otherwise, and runs to its
+// budget: convergence does not stop serving.
+func serveFlags(o *serveOpts) *flag.FlagSet {
+	c, sc := &o.train, &o.server
+	*c = sgd.Config{Algo: sgd.Leashed, Persistence: sgd.PersistenceInf, Tune: sgd.TuneLadder}
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:8321", "HTTP listen address")
-	arch := fs.String("arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "training worker count m")
-	eta := fs.Float64("eta", 0.05, "step size")
-	batch := fs.Int("batch", 16, "mini-batch size")
-	autoTune := fs.Bool("autotune", true, "jointly autotune shard count and persistence bound")
-	budget := fs.Duration("budget", 60*time.Second, "training time budget (serving continues on the final parameters)")
-	maxBatch := fs.Int("max-batch", 0, "max coalesced predict batch size (0 = default)")
-	maxDelay := fs.Duration("max-delay", 0, "max request coalescing delay (0 = default, negative = disable)")
-	store := fs.String("store", serve.StoreLeased, "parameter read path: leased (per-chain seqlock leases) or readfront (RCU snapshot store)")
-	leashAge := fs.Duration("leash-age", 0, "readfront: max wall time a served snapshot may lag (0 = default 2ms)")
-	leashUpdates := fs.Int64("leash-updates", 0, "readfront: max published updates a served snapshot may lag (0 = age bound only)")
-	samples := fs.Int("samples", 1024, "dataset size")
-	seed := fs.Uint64("seed", 1, "seed")
-	mnistDir := fs.String("mnist", "", "real MNIST IDX directory (optional)")
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.addr, "addr", "localhost:8321", "HTTP listen address")
+	fs.StringVar(&o.arch, "arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
+	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "training worker count m")
+	fs.Float64Var(&c.Eta, "eta", 0.05, "step size")
+	fs.IntVar(&c.BatchSize, "batch", 16, "mini-batch size")
+	fs.Var(&c.Tune, "tune", "(S, Tp) controller of the training run: off, ladder or model")
+	fs.DurationVar(&c.MaxTime, "budget", 60*time.Second, "training time budget (serving continues on the final parameters)")
+	fs.IntVar(&sc.MaxBatch, "max-batch", 0, "max coalesced predict batch size (0 = default)")
+	fs.DurationVar(&sc.MaxDelay, "max-delay", 0, "max request coalescing delay (0 = default, negative = disable)")
+	fs.StringVar(&sc.Store, "store", serve.StoreLeased, "parameter read path: leased (per-chain seqlock leases) or readfront (RCU snapshot store)")
+	fs.DurationVar(&sc.Leash.MaxAge, "leash-age", 0, "readfront: max wall time a served snapshot may lag (0 = default 2ms)")
+	fs.Int64Var(&sc.Leash.MaxUpdates, "leash-updates", 0, "readfront: max published updates a served snapshot may lag (0 = age bound only)")
+	fs.IntVar(&o.samples, "samples", 1024, "dataset size")
+	fs.Uint64Var(&c.Seed, "seed", 1, "seed")
+	fs.StringVar(&o.mnist, "mnist", "", "real MNIST IDX directory (optional)")
+	return fs
+}
+
+var serveNets = map[string]func() *nn.Network{
+	"mlp": func() *nn.Network { return nn.NewSmallMLP(28*28, 10) },
+	"cnn": nn.NewSmallCNN, "paper-mlp": nn.NewPaperMLP, "paper-cnn": nn.NewPaperCNN,
+}
+
+// runServe implements `leashed serve`: an online inference tier over a live
+// training run. It starts a Leashed-SGD run, stands an HTTP prediction server
+// on top of the SAME ParamStore the workers publish into — every answer is
+// computed from a zero-copy leased view and labeled with its consistency
+// class — and keeps serving from the immutable final parameters after the
+// training budget expires. The process runs until interrupted.
+func runServe(args []string) {
+	o := &serveOpts{}
+	if err := serveFlags(o).Parse(args); err != nil {
+		os.Exit(2)
+	}
+	cfg := o.train
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	var net *nn.Network
-	switch *arch {
-	case "mlp":
-		net = nn.NewSmallMLP(28*28, 10)
-	case "cnn":
-		net = nn.NewSmallCNN()
-	case "paper-mlp":
-		net = nn.NewPaperMLP()
-	case "paper-cnn":
-		net = nn.NewPaperCNN()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *arch)
+	newNet, ok := serveNets[o.arch]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown arch %q\n", o.arch)
 		os.Exit(2)
 	}
+	net := newNet()
 
-	ds, real := data.LoadOrGenerate(*mnistDir, *samples, *seed)
-	run, err := sgd.Start(sgd.Config{
-		Algo:        sgd.Leashed,
-		Workers:     *workers,
-		Eta:         *eta,
-		BatchSize:   *batch,
-		Persistence: sgd.PersistenceInf,
-		AutoTune:    *autoTune,
-		EpsilonFrac: 0, // serve runs to the budget; convergence doesn't stop serving
-		MaxTime:     *budget,
-		Seed:        *seed,
-	}, net, ds)
+	ds, real := data.LoadOrGenerate(o.mnist, o.samples, cfg.Seed)
+	run, err := sgd.Start(cfg, net, ds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	srv, err := serve.New(net, run, serve.Config{
-		MaxBatch: *maxBatch,
-		MaxDelay: *maxDelay,
-		Store:    *store,
-		Leash:    paramvec.ReadLeash{MaxAge: *leashAge, MaxUpdates: *leashUpdates},
-	})
+	srv, err := serve.New(net, run, o.server)
 	if err != nil {
 		run.Stop()
 		run.Wait()
@@ -92,9 +96,9 @@ func runServe(args []string) {
 	if real {
 		dataset = "real MNIST"
 	}
-	fmt.Printf("training %s on %s: m=%d, autotune=%v, budget %v\n",
-		net.Arch(), dataset, *workers, *autoTune, *budget)
-	fmt.Printf("serving on http://%s  store=%s  (POST /predict, GET /stats, GET /healthz)\n", *addr, *store)
+	fmt.Printf("training %s on %s: m=%d, tune=%v, budget %v\n",
+		net.Arch(), dataset, cfg.Workers, cfg.Tune, cfg.MaxTime)
+	fmt.Printf("serving on http://%s  store=%s  (POST /predict, GET /stats, GET /healthz)\n", o.addr, o.server.Store)
 
 	go func() {
 		res := run.Wait()
@@ -106,7 +110,7 @@ func runServe(args []string) {
 		fmt.Println("; now serving the final parameters")
 	}()
 
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := http.ListenAndServe(o.addr, srv.Handler()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

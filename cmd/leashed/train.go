@@ -11,136 +11,113 @@ import (
 	"leashedsgd"
 )
 
+// trainOpts holds `leashed train`'s parsed flags: the run's Config, and the
+// flags that pick its algorithm, model, data and output.
+type trainOpts struct {
+	cfg                     leashedsgd.Config
+	algo, arch, mnist, ckpt string
+	samples, dim, nnz       int
+	sparse, resume, jsonOut bool
+}
+
+// trainFlags declares `leashed train`'s flags, parsing into o.
+func trainFlags(o *trainOpts) *flag.FlagSet {
+	c := &o.cfg
+	fs := flag.NewFlagSet("train", flag.ExitOnError)
+	fs.StringVar(&o.algo, "algo", "LSH", "SEQ, SYNC, ASYNC, HOG, LSH, LSH-adaptive")
+	fs.StringVar(&o.arch, "arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
+	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "worker count m")
+	fs.Float64Var(&c.Eta, "eta", 0.05, "step size")
+	fs.IntVar(&c.BatchSize, "batch", 0, "mini-batch size (0 = 16, or 1 with -sparse)")
+	fs.IntVar(&c.Persistence, "persistence", leashedsgd.PersistenceInf, "LSH persistence bound Tp (-1 = inf)")
+	fs.IntVar(&c.Shards, "shards", 1, "published-vector shard count (LSH/HOG; 1 = paper's single chain); the tuner's starting S under -tune")
+	fs.Var(&c.Tune, "tune", "(S, Tp) controller: off, ladder (coordinate descent) or model (queueing-model jump, ladder fallback); LSH only")
+	fs.Float64Var(&c.EpsilonFrac, "epsilon", 0.25, "convergence target as fraction of initial loss (0 = run to budget)")
+	fs.DurationVar(&c.MaxTime, "budget", 60*time.Second, "time budget")
+	fs.IntVar(&o.samples, "samples", 1024, "dataset size")
+	fs.Uint64Var(&c.Seed, "seed", 1, "seed")
+	fs.Float64Var(&c.Momentum, "momentum", 0, "heavy-ball momentum (extension)")
+	fs.Float64Var(&c.TauAdaptiveBeta, "tau-beta", 0, "staleness-adaptive step-size beta (extension)")
+	fs.StringVar(&o.mnist, "mnist", "", "real MNIST IDX directory (optional)")
+	fs.BoolVar(&o.sparse, "sparse", false, "train sparse logistic regression instead of the dense net (-dim/-nnz)")
+	fs.IntVar(&o.dim, "dim", 131072, "sparse feature dimension (with -sparse)")
+	fs.IntVar(&o.nnz, "nnz", 64, "non-zeros per sparse example (with -sparse)")
+	fs.BoolVar(&c.SparseAsDense, "sparse-as-dense", false, "carry sparse gradients as dense steps (control arm, with -sparse)")
+	fs.StringVar(&o.ckpt, "ckpt", "", "save trained model checkpoint to this path")
+	fs.DurationVar(&c.Checkpoint.Every, "ckpt-every", 0, "also checkpoint mid-run on this cadence (rotated FILE.NNNNNN beside -ckpt)")
+	fs.IntVar(&c.Checkpoint.Keep, "ckpt-keep", 0, "rotated mid-run checkpoints to retain (0 = default)")
+	fs.BoolVar(&o.resume, "resume", false, "resume from the newest valid rotated checkpoint beside -ckpt")
+	fs.Int64Var(&c.MaxUpdates, "updates", 0, "update budget (0 = unbounded; with -resume, the ORIGINAL budget)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the result summary as JSON")
+	return fs
+}
+
+var (
+	algoNames = map[string]leashedsgd.Algorithm{
+		"SEQ": leashedsgd.Seq, "SYNC": leashedsgd.Sync, "ASYNC": leashedsgd.Async,
+		"HOG": leashedsgd.Hogwild, "LSH": leashedsgd.Leashed, "LSH-adaptive": leashedsgd.LeashedAdaptive,
+	}
+	archModels = map[string]func() *leashedsgd.Model{
+		"mlp": func() *leashedsgd.Model { return leashedsgd.SmallMLP(28*28, 10) },
+		"cnn": leashedsgd.SmallCNN, "paper-mlp": leashedsgd.PaperMLP, "paper-cnn": leashedsgd.PaperCNN,
+	}
+)
+
+// parseTrain parses `leashed train`'s arguments and validates the run's
+// Config before any dataset is generated.
+func parseTrain(args []string) (*trainOpts, error) {
+	o := &trainOpts{}
+	if err := trainFlags(o).Parse(args); err != nil {
+		return nil, err
+	}
+	cfg := &o.cfg
+	var ok bool
+	if cfg.Algo, ok = algoNames[o.algo]; !ok {
+		return nil, fmt.Errorf("unknown algorithm %q", o.algo)
+	}
+	if _, ok := archModels[o.arch]; !ok && !o.sparse {
+		return nil, fmt.Errorf("unknown arch %q", o.arch)
+	}
+	if o.sparse && o.ckpt != "" {
+		return nil, fmt.Errorf("-ckpt: not supported for -sparse runs")
+	}
+	if (cfg.Checkpoint.Every > 0 || o.resume) && o.ckpt == "" {
+		return nil, fmt.Errorf("-ckpt-every/-resume need -ckpt FILE as the checkpoint base path")
+	}
+	cfg.Checkpoint.Path = o.ckpt
+	return o, cfg.Validate()
+}
+
 // runTrain implements `leashed train`: one training run with explicit
 // hyper-parameters, optional JSON result output and checkpoint saving —
 // the single-run counterpart to the experiment steps.
 func runTrain(args []string) {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	algoName := fs.String("algo", "LSH", "SEQ, SYNC, ASYNC, HOG, LSH, LSH-adaptive")
-	arch := fs.String("arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker count m")
-	eta := fs.Float64("eta", 0.05, "step size")
-	batch := fs.Int("batch", 16, "mini-batch size")
-	persistence := fs.Int("persistence", leashedsgd.PersistenceInf, "LSH persistence bound Tp (-1 = inf)")
-	shards := fs.Int("shards", 1, "published-vector shard count (LSH/HOG; 1 = paper's single chain)")
-	autoTune := fs.Bool("autotune", false, "jointly autotune shard count AND persistence bound (LSH; excludes -shards)")
-	autoTuneModel := fs.Bool("autotune-model", false, "model-guided joint autotune: fit the queueing model online and jump to its predicted (S, Tp) (LSH; excludes -shards)")
-	epsilon := fs.Float64("epsilon", 0.25, "convergence target as fraction of initial loss (0 = run to budget)")
-	budget := fs.Duration("budget", 60*time.Second, "time budget")
-	samples := fs.Int("samples", 1024, "dataset size")
-	seed := fs.Uint64("seed", 1, "seed")
-	momentum := fs.Float64("momentum", 0, "heavy-ball momentum (extension)")
-	tauBeta := fs.Float64("tau-beta", 0, "staleness-adaptive step-size beta (extension)")
-	mnistDir := fs.String("mnist", "", "real MNIST IDX directory (optional)")
-	sparseRun := fs.Bool("sparse", false, "train sparse logistic regression instead of the dense net (-dim/-nnz)")
-	sparseDim := fs.Int("dim", 131072, "sparse feature dimension (with -sparse)")
-	sparseNNZ := fs.Int("nnz", 64, "non-zeros per sparse example (with -sparse)")
-	sparseAsDense := fs.Bool("sparse-as-dense", false, "carry sparse gradients as dense steps (control arm, with -sparse)")
-	ckpt := fs.String("ckpt", "", "save trained model checkpoint to this path")
-	ckptEvery := fs.Duration("ckpt-every", 0, "also checkpoint mid-run on this cadence (rotated FILE.NNNNNN beside -ckpt)")
-	ckptKeep := fs.Int("ckpt-keep", 0, "rotated mid-run checkpoints to retain (0 = default)")
-	resume := fs.Bool("resume", false, "resume from the newest valid rotated checkpoint beside -ckpt")
-	updates := fs.Int64("updates", 0, "update budget (0 = unbounded; with -resume, the ORIGINAL budget)")
-	jsonOut := fs.Bool("json", false, "emit the result summary as JSON")
-	if err := fs.Parse(args); err != nil {
+	o, err := parseTrain(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var algo leashedsgd.Algorithm
-	switch *algoName {
-	case "SEQ":
-		algo = leashedsgd.Seq
-	case "SYNC":
-		algo = leashedsgd.Sync
-	case "ASYNC":
-		algo = leashedsgd.Async
-	case "HOG":
-		algo = leashedsgd.Hogwild
-	case "LSH":
-		algo = leashedsgd.Leashed
-	case "LSH-adaptive":
-		algo = leashedsgd.LeashedAdaptive
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algoName)
-		os.Exit(2)
-	}
-
-	cfg := leashedsgd.Config{
-		Algo:            algo,
-		Workers:         *workers,
-		Eta:             *eta,
-		BatchSize:       *batch,
-		Persistence:     *persistence,
-		Shards:          *shards,
-		AutoTune:        *autoTune,
-		AutoTuneModel:   *autoTuneModel,
-		EpsilonFrac:     *epsilon,
-		MaxTime:         *budget,
-		MaxUpdates:      *updates,
-		Seed:            *seed,
-		Momentum:        *momentum,
-		TauAdaptiveBeta: *tauBeta,
-	}
-	if *ckptEvery > 0 || *resume {
-		if *ckpt == "" {
-			fmt.Fprintln(os.Stderr, "-ckpt-every/-resume need -ckpt FILE as the checkpoint base path")
-			os.Exit(2)
-		}
-		if *sparseRun {
-			fmt.Fprintln(os.Stderr, "-ckpt-every/-resume: not supported for -sparse runs")
-			os.Exit(2)
-		}
-		cfg.Checkpoint = leashedsgd.CheckpointConfig{
-			Every: *ckptEvery,
-			Path:  *ckpt,
-			Keep:  *ckptKeep,
-		}
-	}
+	cfg := o.cfg
 
 	var model *leashedsgd.Model
 	var res *leashedsgd.Result
-	archLabel := *arch
+	archLabel := o.arch
 	real := false
-	if *sparseRun {
-		// Sparse logistic regression through the same pipeline. BatchSize
-		// keeps the sparse default (1) unless -batch was given explicitly.
-		batchSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "batch" {
-				batchSet = true
-			}
-		})
-		if !batchSet {
-			cfg.BatchSize = 0
-		}
-		cfg.SparseAsDense = *sparseAsDense
-		sds := leashedsgd.SyntheticSparse(*samples, *sparseDim, *sparseNNZ, *seed)
-		archLabel = fmt.Sprintf("sparse-logreg(d=%d,nnz=%d)", *sparseDim, *sparseNNZ)
-		var err error
+	if o.sparse {
+		// Sparse logistic regression through the same pipeline.
+		sds := leashedsgd.SyntheticSparse(o.samples, o.dim, o.nnz, cfg.Seed)
+		archLabel = fmt.Sprintf("sparse-logreg(d=%d,nnz=%d)", o.dim, o.nnz)
 		res, err = leashedsgd.TrainSparse(cfg, sds)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	} else {
-		switch *arch {
-		case "mlp":
-			model = leashedsgd.SmallMLP(28*28, 10)
-		case "cnn":
-			model = leashedsgd.SmallCNN()
-		case "paper-mlp":
-			model = leashedsgd.PaperMLP()
-		case "paper-cnn":
-			model = leashedsgd.PaperCNN()
-		default:
-			fmt.Fprintf(os.Stderr, "unknown arch %q\n", *arch)
-			os.Exit(2)
-		}
+		model = archModels[o.arch]()
 		var ds *leashedsgd.Dataset
-		ds, real = leashedsgd.LoadOrSynthesizeMNIST(*mnistDir, *samples, *seed)
+		ds, real = leashedsgd.LoadOrSynthesizeMNIST(o.mnist, o.samples, cfg.Seed)
 		archLabel = model.Arch()
-		var err error
-		if *resume {
+		if o.resume {
 			var tr *leashedsgd.Training
 			tr, err = leashedsgd.ResumeTrain(cfg, model, ds)
 			if err == nil {
@@ -155,22 +132,18 @@ func runTrain(args []string) {
 		}
 	}
 
-	if *ckpt != "" {
-		if model == nil {
-			fmt.Fprintln(os.Stderr, "checkpoint: not supported for -sparse runs")
-			os.Exit(1)
-		}
-		if err := leashedsgd.SaveCheckpoint(*ckpt, model, res); err != nil {
+	if o.ckpt != "" {
+		if err := leashedsgd.SaveCheckpoint(o.ckpt, model, res); err != nil {
 			fmt.Fprintln(os.Stderr, "checkpoint:", err)
 			os.Exit(1)
 		}
 	}
 
-	if *jsonOut {
+	if o.jsonOut {
 		out := map[string]any{
-			"algo":              algo.String(),
+			"algo":              cfg.Algo.String(),
 			"arch":              archLabel,
-			"workers":           *workers,
+			"workers":           cfg.Workers,
 			"real_mnist":        real,
 			"outcome":           res.Outcome.String(),
 			"initial_loss":      res.InitialLoss,
@@ -236,9 +209,9 @@ func runTrain(args []string) {
 		return
 	}
 
-	fmt.Printf("%s on %s (m=%d): %s\n", algo, archLabel, *workers, res.Outcome)
+	fmt.Printf("%s on %s (m=%d): %s\n", cfg.Algo, archLabel, cfg.Workers, res.Outcome)
 	fmt.Printf("loss %.4f -> %.4f", res.InitialLoss, res.FinalLoss)
-	if res.Outcome == leashedsgd.Converged && *epsilon > 0 {
+	if res.Outcome == leashedsgd.Converged && cfg.EpsilonFrac > 0 {
 		fmt.Printf(" in %v (%d updates)", res.TimeToTarget.Round(time.Millisecond), res.UpdatesToTarget)
 	}
 	fmt.Printf("\nstaleness mean %.2f max %d; %.3f ms/update\n",
@@ -278,7 +251,7 @@ func runTrain(args []string) {
 		fmt.Printf("mid-run checkpoints: %d written, %d failed\n",
 			res.Checkpoints, res.CheckpointErrors)
 	}
-	if *ckpt != "" {
-		fmt.Printf("checkpoint written to %s\n", *ckpt)
+	if o.ckpt != "" {
+		fmt.Printf("checkpoint written to %s\n", o.ckpt)
 	}
 }

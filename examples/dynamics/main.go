@@ -69,7 +69,7 @@ func main() {
 
 	// Inverse direction: feed the simulator's windowed counters to the
 	// online estimator (queuemodel.FitWindows — the same fit the
-	// AutoTuneModel controller runs on live training counters) and compare
+	// TuneModel controller runs on live training counters) and compare
 	// its occupancy prediction against what the simulator actually did.
 	fmt.Println()
 	var obs []queuemodel.Observation
@@ -94,5 +94,5 @@ func main() {
 		fit.PredictTp([]int{16, 8, 4, 2, 1, 0}, fit.PredictShards([]int{1, 2, 4, 8, 16}, 0.05), 0.2))
 	fmt.Println("\nThe fit closes the loop the paper's analysis opens: the counters a live")
 	fmt.Println("run already samples are enough to recover (Tc/Tu, q, gamma) and jump to")
-	fmt.Println("the predicted operating point (Config.AutoTuneModel).")
+	fmt.Println("the predicted operating point (Config.Tune = TuneModel).")
 }

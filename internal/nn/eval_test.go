@@ -203,7 +203,7 @@ func TestDropoutModeFollowsEntryPoint(t *testing.T) {
 	}
 }
 
-// BenchmarkLossEval256 is one monitor tick's evaluation (EvalSubset 256).
+// BenchmarkLossEval256 is one monitor tick's evaluation (256 rows).
 func BenchmarkLossEval256(b *testing.B) {
 	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(256, 3))
 	for name, n := range map[string]*Network{"PaperMLP": NewPaperMLP(), "PaperCNN": NewPaperCNN()} {

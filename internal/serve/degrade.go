@@ -46,8 +46,8 @@ func (d *degradeState) noteShed() {
 	d.lastShed.Store(time.Now().UnixNano())
 }
 
-func (d *degradeState) noteExpired(n int) {
-	d.expired.Add(int64(n))
+func (d *degradeState) noteExpired() {
+	d.expired.Add(1)
 	d.lastShed.Store(time.Now().UnixNano())
 }
 
@@ -111,23 +111,20 @@ func (s *Server) Health() Health {
 // expireStale partitions a collected batch by Config.Deadline: requests
 // whose budget expired while queued are answered ErrDeadline immediately and
 // excluded from the forward pass. Returns the still-live batch (filtered in
-// place).
+// place). Each drop is counted before it is answered, so a client that has
+// seen ErrDeadline also sees it in Stats.Expired.
 func (s *Server) expireStale(pend []request, now time.Time) []request {
 	if s.cfg.Deadline <= 0 {
 		return pend
 	}
 	live := pend[:0]
-	dropped := 0
 	for _, r := range pend {
 		if now.Sub(r.enq) > s.cfg.Deadline {
+			s.degrade.noteExpired()
 			r.resp <- result{err: ErrDeadline}
-			dropped++
 			continue
 		}
 		live = append(live, r)
-	}
-	if dropped > 0 {
-		s.degrade.noteExpired(dropped)
 	}
 	return live
 }

@@ -21,7 +21,7 @@ import (
 // the run ends the server switches to the immutable final parameters.
 //
 // The training shape copies TestAutoShardDescendsUncontendedRun: one
-// uncontended worker starting at AutoShardInitial=8 with a 5ms window
+// uncontended worker starting at Shards=8 with a 5ms window
 // guarantees the controller halves the shard count at least once within the
 // budget — server readers never publish, so they add no failed-CAS pressure
 // and the descent is undisturbed.
@@ -32,18 +32,17 @@ func TestServeWhileTrainingE2E(t *testing.T) {
 	})
 	net := nn.NewMLP(ds.Dim(), []int{24}, ds.Classes)
 	cfg := sgd.Config{
-		Algo:             sgd.Leashed,
-		Workers:          1,
-		Eta:              0.05,
-		BatchSize:        8,
-		Persistence:      sgd.PersistenceInf,
-		Seed:             1,
-		EpsilonFrac:      0, // profile run: ends on MaxTime
-		MaxTime:          2 * time.Second,
-		EvalEvery:        10 * time.Millisecond,
-		AutoTune:         true,
-		AutoShardInitial: 8,
-		AutoShardWindow:  5 * time.Millisecond,
+		Algo:        sgd.Leashed,
+		Workers:     1,
+		Eta:         0.05,
+		BatchSize:   8,
+		Persistence: sgd.PersistenceInf,
+		Seed:        1,
+		EpsilonFrac: 0, // profile run: ends on MaxTime
+		MaxTime:     2 * time.Second,
+		EvalEvery:   2500 * time.Microsecond, // a 5 ms controller window
+		Tune:        sgd.TuneLadder,
+		Shards:      8,
 	}
 	run, err := sgd.Start(cfg, net, ds)
 	if err != nil {

@@ -89,18 +89,17 @@ func TestServeReadFrontE2E(t *testing.T) {
 	net := nn.NewMLP(ds.Dim(), []int{24}, ds.Classes)
 	leash := paramvec.ReadLeash{MaxAge: 100 * time.Millisecond}
 	run, err := sgd.Start(sgd.Config{
-		Algo:             sgd.Leashed,
-		Workers:          1,
-		Eta:              0.05,
-		BatchSize:        8,
-		Persistence:      sgd.PersistenceInf,
-		Seed:             1,
-		EpsilonFrac:      0,
-		MaxTime:          1500 * time.Millisecond,
-		EvalEvery:        10 * time.Millisecond,
-		AutoTune:         true,
-		AutoShardInitial: 8,
-		AutoShardWindow:  5 * time.Millisecond,
+		Algo:        sgd.Leashed,
+		Workers:     1,
+		Eta:         0.05,
+		BatchSize:   8,
+		Persistence: sgd.PersistenceInf,
+		Seed:        1,
+		EpsilonFrac: 0,
+		MaxTime:     1500 * time.Millisecond,
+		EvalEvery:   2500 * time.Microsecond, // a 5 ms controller window
+		Tune:        sgd.TuneLadder,
+		Shards:      8,
 	}, net, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Joint contention-adaptive autotuning of the two Leashed-SGD dials
-// (Config.AutoTune): the shard count S and the persistence bound Tp.
+// (Config.Tune): the shard count S and the persistence bound Tp.
 //
 // PR 1 made the shard count S a static knob and showed the failed-CAS rate
 // falls ~1/S; PR 2 closed that loop with a contention-driven hill-climber on
@@ -77,6 +77,12 @@ const (
 	// autoTuneCool is how many observation windows are skipped after every
 	// move, letting the new configuration warm up before it is judged.
 	autoTuneCool = 1
+
+	// tuneMaxShards and tuneMaxTp top the S ladder 1, 2, 4, …, 64 (clamped
+	// to d) and the Tp ladder 16, 8, …, 1, 0; docs/tuning.md, "Fixed
+	// values", says why each holds.
+	tuneMaxShards = 64
+	tuneMaxTp     = 16
 )
 
 // axisTuner is the pure decision core of one tuning axis: a hill-climber
@@ -265,7 +271,7 @@ type window struct {
 	failed, pubs int64
 	mixed, reads int64
 	// tcNs/tcN are the gradient-phase nanoseconds and count, tuNs the
-	// update-phase nanoseconds (all zero unless Config.AutoTuneModel).
+	// update-phase nanoseconds (all zero unless Config.Tune is TuneModel).
 	tcNs, tcN, tuNs int64
 }
 
@@ -337,7 +343,8 @@ func rateOf(num, den int64) float64 {
 }
 
 // launchController starts the controller goroutine of a run with a policy,
-// which runs tick every AutoShardWindow; a static run has none. The worker
+// which runs tick every 2·EvalEvery — two loss samples per window, 50 ms at
+// the default cadence; a static run has none. The worker
 // side is the ordinary unified loop — leashedStrategy pins the live epoch
 // under the read lock for exactly one iteration and reloads the bound at
 // each begin.
@@ -348,7 +355,7 @@ func (ep *epochs) launchController(rt *runCtx, wg *sync.WaitGroup) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(rt.cfg.AutoShardWindow)
+		ticker := time.NewTicker(2 * rt.cfg.EvalEvery)
 		defer ticker.Stop()
 		var win metrics.CounterWindow
 		for !rt.stop.Load() {

@@ -117,7 +117,7 @@ func TestShardAxisIgnoresEmptyWindows(t *testing.T) {
 // windows would leave both trajectories at their start forever.
 func TestAutoTuneCarriesStarvedWindows(t *testing.T) {
 	const d = 64
-	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10, StalenessBound: 8}
+	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10}
 	rt := newRuntime(cfg, stubProblem{d: d})
 	at := &epochs{policy: newTuner(2, 8, 1, 16, false), buf: make([]float64, d)}
 	at.epoch = newShardEpoch(d, 2, make([]float64, d))
@@ -356,8 +356,8 @@ func TestTpLadderAndPositions(t *testing.T) {
 
 func autoConfig(workers int) Config {
 	cfg := testConfig(Leashed, workers)
-	cfg.AutoTune = true
-	cfg.AutoShardWindow = 5 * time.Millisecond
+	cfg.Tune = TuneLadder
+	cfg.EvalEvery = 2500 * time.Microsecond // a 5 ms controller window
 	return cfg
 }
 
@@ -401,19 +401,17 @@ func TestAutoShardReportsTrajectory(t *testing.T) {
 
 // TestAutoTuneReportsTpTrajectory: the joint controller populates the Tp
 // trajectory — starting at Config.Persistence clamped to the tuned ladder
-// (PersistenceInf starts at AutoTuneTpMax) — and every entry stays on the
+// (PersistenceInf starts at tuneMaxTp) — and every entry stays on the
 // ladder. Whether it moves depends on host contention, so only the
 // structural invariants are asserted.
 func TestAutoTuneReportsTpTrajectory(t *testing.T) {
 	ds := tinyDataset()
-	cfg := testConfig(Leashed, 4)
-	cfg.AutoTune = true
-	cfg.AutoShardWindow = 5 * time.Millisecond
+	cfg := autoConfig(4)
 	cfg.EpsilonFrac = 0
 	cfg.MaxUpdates = 400
 	res := runOrFatal(t, cfg, tinyNet(ds), ds)
 	if len(res.TpTrajectory) == 0 || res.TpTrajectory[0] != 16 {
-		t.Fatalf("TpTrajectory %v, want first entry AutoTuneTpMax=16 (PersistenceInf start)", res.TpTrajectory)
+		t.Fatalf("TpTrajectory %v, want first entry tuneMaxTp=16 (PersistenceInf start)", res.TpTrajectory)
 	}
 	onLadder := map[int]bool{}
 	for _, v := range tpLadder(16) {
@@ -429,10 +427,12 @@ func TestAutoTuneReportsTpTrajectory(t *testing.T) {
 	}
 }
 
+// TestAutoShardInitialRespected: under Tune, Config.Shards is the
+// controller's starting S.
 func TestAutoShardInitialRespected(t *testing.T) {
 	ds := tinyDataset()
 	cfg := autoConfig(2)
-	cfg.AutoShardInitial = 4
+	cfg.Shards = 4
 	cfg.EpsilonFrac = 0
 	cfg.MaxUpdates = 150
 	res := runOrFatal(t, cfg, tinyNet(ds), ds)
@@ -455,7 +455,7 @@ func TestAutoShardInitialRespected(t *testing.T) {
 func TestAutoShardDescendsUncontendedRun(t *testing.T) {
 	ds := tinyDataset()
 	cfg := autoConfig(1)
-	cfg.AutoShardInitial = 8
+	cfg.Shards = 8
 	cfg.EpsilonFrac = 0
 	cfg.MaxTime = 2 * time.Second
 	res := runOrFatal(t, cfg, tinyNet(ds), ds)
@@ -500,10 +500,8 @@ func TestAutoShardDescendsUncontendedRun(t *testing.T) {
 // and handed the coordinate-descent token over.
 func TestAutoTuneLoosensUncontendedRun(t *testing.T) {
 	ds := tinyDataset()
-	cfg := testConfig(Leashed, 1)
-	cfg.AutoTune = true
-	cfg.AutoShardWindow = 5 * time.Millisecond
-	cfg.AutoShardInitial = 4
+	cfg := autoConfig(1)
+	cfg.Shards = 4
 	cfg.Persistence = 1
 	cfg.EpsilonFrac = 0
 	cfg.MaxTime = 2 * time.Second
@@ -526,21 +524,15 @@ func TestAutoTuneLoosensUncontendedRun(t *testing.T) {
 	}
 }
 
+// TestAutoTuneConfigValidation: Run refuses either tuning mode on an
+// algorithm without a Leashed epoch owner.
 func TestAutoTuneConfigValidation(t *testing.T) {
 	ds := tinyDataset()
-	cfg := autoConfig(2)
-	cfg.Shards = 4
-	if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
-		t.Fatal("AutoTune with fixed Shards accepted")
-	}
-	cfg = autoConfig(2)
-	cfg.Algo = Hogwild
-	if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
-		t.Fatal("AutoTune with HOGWILD accepted")
-	}
-	cfg = testConfig(Hogwild, 2)
-	cfg.AutoTune = true
-	if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
-		t.Fatal("AutoTune with HOGWILD accepted")
+	for _, tune := range []Tuning{TuneLadder, TuneModel} {
+		cfg := testConfig(Hogwild, 2)
+		cfg.Tune = tune
+		if _, err := Run(cfg, tinyNet(ds), ds); err == nil {
+			t.Fatalf("Tune %v with HOGWILD accepted", tune)
+		}
 	}
 }

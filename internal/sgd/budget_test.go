@@ -86,12 +86,14 @@ func TestMaxUpdatesExactAutoTune(t *testing.T) {
 	for _, algo := range []Algorithm{Leashed, LeashedAdaptive} {
 		t.Run(algo.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := testConfig(algo, 4)
-			cfg.AutoTune = true
-			cfg.AutoShardWindow = 5 * time.Millisecond
-			// A tight tuned ladder makes Tp=0 reachable quickly, so the
-			// drop-and-refund path is actually exercised under the budget.
-			cfg.AutoTuneTpMax = 2
+			cfg := autoConfig(4)
+			cfg.Algo = algo
+			if algo == Leashed {
+				// Starting one rung above the bottom of the Tp ladder
+				// makes Tp=0 reachable quickly, so the drop-and-refund
+				// path is actually exercised under the budget.
+				cfg.Persistence = 1
+			}
 			cfg.EpsilonFrac = 0
 			cfg.MaxUpdates = 233
 			cfg.MaxTime = 60 * time.Second

@@ -111,7 +111,7 @@ func (rt *runCtx) checkpointMeta(loss float64) checkpoint.Meta {
 		RNGState:   resumeSeed(cfg.Seed, cum),
 		Shards:     s,
 		Tp:         tp,
-		AutoTune:   cfg.AutoTune,
+		AutoTune:   cfg.Tune != TuneOff,
 		MaxUpdates: rt.prior + cfg.MaxUpdates,
 	}
 	if cfg.MaxUpdates <= 0 {

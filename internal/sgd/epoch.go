@@ -124,19 +124,19 @@ type epochs struct {
 }
 
 // newEpochs builds a Leashed run's epoch owner and publishes theta into its
-// first epoch. Without Config.AutoTune the owner has no policy: S is the
-// configured shard count for the whole run. With it the ladder — behind the
-// model tuner under AutoTuneModel — picks the starting point, and both
-// trajectories are recorded from there.
+// first epoch. Under TuneOff the owner has no policy: S is the configured
+// shard count for the whole run. Otherwise the ladder — behind the model
+// tuner under TuneModel — snaps (Shards, Persistence) to its starting point,
+// and both trajectories are recorded from there.
 func (rt *runCtx) newEpochs(theta []float64) *epochs {
 	cfg := rt.cfg
 	ep := &epochs{tpFrozen: cfg.Algo == LeashedAdaptive}
 	ep.bound.Store(int64(cfg.Persistence))
 	s := rt.numShards()
-	if cfg.AutoTune {
-		ladder := newTuner(cfg.AutoShardInitial, min(cfg.AutoShardMax, rt.d), cfg.Persistence, cfg.AutoTuneTpMax, ep.tpFrozen)
+	if cfg.Tune != TuneOff {
+		ladder := newTuner(cfg.Shards, min(tuneMaxShards, rt.d), cfg.Persistence, tuneMaxTp, ep.tpFrozen)
 		ep.policy = ladder
-		if cfg.AutoTuneModel {
+		if cfg.Tune == TuneModel {
 			mt := newModelTuner(cfg.Workers, ladder.s.ladder, ladder.tp.ladder, ep.tpFrozen)
 			mt.ladder = ladder
 			ep.policy = mt

@@ -11,7 +11,7 @@ import (
 // loop, parameterized over paramvec.ParamStore — ONE implementation covers
 // the paper's single chain (Config.Shards <= 1), the sharded store
 // (Shards > 1) — both the chain store paramvec.ShardedShared — and the
-// autotuned run (Config.AutoTune). Every run publishes through one epoch
+// tuned run (Config.Tune). Every run publishes through one epoch
 // owner (epochs, epoch.go): a static run is that owner with no controller;
 // an autotuned run's controller swaps the store between epochs behind the
 // same interface and retunes the persistence bound atomically.

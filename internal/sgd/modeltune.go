@@ -1,4 +1,4 @@
-// Model-guided (Tp, S) tuning (Config.AutoTuneModel): instead of
+// Model-guided (Tp, S) tuning (Config.Tune = TuneModel): instead of
 // hill-climbing the joint grid one hysteresis window per ladder step
 // (autotune.go), fit the paper's Section IV fluid model to the windowed
 // counters the controller already samples and JUMP to the predicted
@@ -83,7 +83,7 @@ func (rt *runCtx) timingTotals() (tcNs, tcN, tuNs int64) {
 }
 
 // ModelFitResult records what the model-guided tuner did during a run
-// (Result.ModelFit; nil unless Config.AutoTuneModel).
+// (Result.ModelFit; nil unless Config.Tune is TuneModel).
 type ModelFitResult struct {
 	// Fitted reports whether at least one fit passed the residual gate.
 	Fitted bool

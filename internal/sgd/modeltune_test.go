@@ -3,7 +3,6 @@ package sgd
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"leashedsgd/internal/metrics"
 )
@@ -236,7 +235,7 @@ func TestModelTunerTpFrozen(t *testing.T) {
 func TestModelTickActuatesJumpAndFallback(t *testing.T) {
 	const d, m = 64, 8
 	cfg := Config{Algo: Leashed, Workers: m, Eta: 0.1, Persistence: PersistenceInf,
-		MaxUpdates: 10, StalenessBound: 8, AutoTuneModel: true}
+		MaxUpdates: 10, Tune: TuneModel}
 	rt := newRuntime(cfg, stubProblem{d: d})
 	joint := newTuner(1, 16, PersistenceInf, 16, false)
 	mt := newModelTuner(m, shardLadder(16), tpLadder(16), false)
@@ -302,14 +301,13 @@ func TestModelTickActuatesJumpAndFallback(t *testing.T) {
 // depends on host contention.
 func TestAutoTuneModelRun(t *testing.T) {
 	ds := tinyDataset()
-	cfg := testConfig(Leashed, 4)
-	cfg.AutoTuneModel = true
-	cfg.AutoShardWindow = 5 * time.Millisecond
+	cfg := autoConfig(4)
+	cfg.Tune = TuneModel
 	cfg.EpsilonFrac = 0
 	cfg.MaxUpdates = 400
 	res := runOrFatal(t, cfg, tinyNet(ds), ds)
 	if res.ModelFit == nil {
-		t.Fatal("AutoTuneModel run has nil Result.ModelFit")
+		t.Fatal("TuneModel run has nil Result.ModelFit")
 	}
 	mf := res.ModelFit
 	if mf.FinalS != res.Shards {
@@ -344,10 +342,12 @@ func TestAutoTuneModelRun(t *testing.T) {
 	}
 }
 
-// TestAutoTuneModelImpliesAutoTune: the config alias wiring.
+// TestAutoTuneModelImpliesAutoTune: model tuning needs the same Leashed epoch
+// owner as ladder tuning, so Start refuses TuneModel on HOGWILD just as it
+// refuses TuneLadder there.
 func TestAutoTuneModelImpliesAutoTune(t *testing.T) {
-	cfg := Config{Algo: Hogwild, Workers: 2, Eta: 0.1, AutoTuneModel: true}
+	cfg := Config{Algo: Hogwild, Workers: 2, Eta: 0.1, Tune: TuneModel}
 	if _, err := Start(cfg, tinyNet(tinyDataset()), tinyDataset()); err == nil {
-		t.Fatal("AutoTuneModel with HOGWILD accepted; want the AutoTune validation to fire")
+		t.Fatal("TuneModel with HOGWILD accepted; want the tuning validation to fire")
 	}
 }

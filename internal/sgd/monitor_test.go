@@ -42,8 +42,7 @@ func TestDenseLossEvalWarmAllocs(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
 	cfg := testConfig(Leashed, 2)
-	cfg.EvalSubset = 64
-	cfg = cfg.withDefaults(ds.Len())
+	cfg = cfg.withDefaults()
 	prob := &denseProblem{net: net, ds: ds}
 	rt := newRuntime(cfg, prob)
 	params := make([]float64, net.ParamCount())

@@ -92,10 +92,11 @@ func TestDensePublishAbandonsWithoutCAS(t *testing.T) {
 // strategy hook directly and never build a gradient worker.
 type stubProblem struct {
 	problem
-	d int
+	d, n int
 }
 
-func (p stubProblem) dim() int { return p.d }
+func (p stubProblem) dim() int     { return p.d }
+func (p stubProblem) dataLen() int { return p.n }
 
 // movingHeadStep is a dense step whose every publish attempt finds that a
 // rival has replaced the head it was handed.
@@ -118,7 +119,7 @@ func (s movingHeadStep) publishChain(store paramvec.ParamStore, c, a, b int, cur
 // and dropped advance, the private buffer goes back to the pool and the
 // budget unit is refunded — and no CAS but the rival's was ever issued.
 func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
-	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10, StalenessBound: 8}
+	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10}
 	rt := newRuntime(cfg, stubProblem{d: longDim})
 	e := newShardEpoch(longDim, 1, make([]float64, longDim))
 	counting := &casCountingStore{ParamStore: e.store}

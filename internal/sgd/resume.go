@@ -21,20 +21,15 @@ import (
 // ResumedFrom + TotalUpdates == the original MaxUpdates when the resumed leg
 // runs to budget exhaustion.
 func Resume(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
-	if err := ds.Validate(); err != nil {
+	prob, err := newDenseProblem(net, ds)
+	if err != nil {
 		return nil, err
-	}
-	if net.InDim() != ds.Dim() {
-		return nil, fmt.Errorf("sgd: network input %d != dataset dim %d", net.InDim(), ds.Dim())
-	}
-	if net.OutDim() != ds.Classes {
-		return nil, fmt.Errorf("sgd: network output %d != dataset classes %d", net.OutDim(), ds.Classes)
 	}
 	cfg, rs, err := loadResume(cfg, net.ParamCount())
 	if err != nil {
 		return nil, err
 	}
-	return launch(cfg, &denseProblem{net: net, ds: ds}, rs)
+	return launch(cfg, prob, rs)
 }
 
 // loadResume loads the newest valid checkpoint under cfg.Checkpoint.Path and
@@ -71,8 +66,8 @@ func loadResume(cfg Config, dim int) (Config, *resumeState, error) {
 	// Warm start: a resumed autotuned run begins where the tuner had
 	// climbed to, not at the configured origin. LeashedAdaptive keeps Tp
 	// worker-owned, so only S carries over there.
-	if cfg.AutoTune && meta.AutoTune && meta.Shards > 0 {
-		cfg.AutoShardInitial = meta.Shards
+	if cfg.Tune != TuneOff && meta.AutoTune && meta.Shards > 0 {
+		cfg.Shards = meta.Shards
 		if cfg.Algo != LeashedAdaptive && meta.Tp > 0 {
 			cfg.Persistence = meta.Tp
 		}

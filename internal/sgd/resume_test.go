@@ -106,7 +106,7 @@ func TestKillResumeExactBudget(t *testing.T) {
 	}{
 		{"leashed-s1", func(c *Config) {}, nil},
 		{"leashed-s4", func(c *Config) { c.Shards = 4 }, nil},
-		{"leashed-autotune", func(c *Config) { c.AutoTune = true; c.Persistence = 2 }, nil},
+		{"leashed-autotune", func(c *Config) { c.Tune = TuneLadder; c.Persistence = 2 }, nil},
 		{"hogwild", func(c *Config) { c.Algo = Hogwild }, nil},
 		{"async", func(c *Config) { c.Algo = Async }, nil},
 		{"sync", func(c *Config) { c.Algo = SyncLockstep }, nil},
@@ -253,9 +253,8 @@ func TestResumeWarmStartsTuner(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
 	cfg := ckptConfig(t, Leashed, 2)
-	cfg.AutoTune = true
+	cfg.Tune = TuneLadder
 	cfg.Persistence = 8
-	cfg.AutoShardInitial = 1
 	cfg.MaxUpdates = 500
 
 	d := net.ParamCount()
@@ -295,7 +294,7 @@ func TestResumeLegacyLadderPositions(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
 	cfg := ckptConfig(t, Leashed, 2)
-	cfg.AutoTune = true
+	cfg.Tune = TuneLadder
 	cfg.MaxUpdates = 500
 
 	d := net.ParamCount()

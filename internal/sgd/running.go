@@ -63,9 +63,22 @@ type Running struct {
 
 // Start validates the dense configuration exactly like Run, evaluates f(θ0)
 // and launches the workers, auxiliary goroutines and monitor, returning a
-// handle on the live run. The dense-representation checks live here; the
-// representation-independent launch is startProblem, shared with StartSparse.
+// handle on the live run. The representation-independent launch is
+// startProblem, shared with StartSparse.
 func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
+	prob, err := newDenseProblem(net, ds)
+	if err != nil {
+		return nil, err
+	}
+	return startProblem(cfg, prob)
+}
+
+// newDenseProblem checks that ds is valid and fits net: the dense
+// representation's half of Start's and Resume's validation.
+func newDenseProblem(net *nn.Network, ds *data.Dataset) (*denseProblem, error) {
+	if net == nil || ds == nil {
+		return nil, fmt.Errorf("sgd: nil network or dataset")
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +88,7 @@ func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
 	if net.OutDim() != ds.Classes {
 		return nil, fmt.Errorf("sgd: network output %d != dataset classes %d", net.OutDim(), ds.Classes)
 	}
-	return startProblem(cfg, &denseProblem{net: net, ds: ds})
+	return &denseProblem{net: net, ds: ds}, nil
 }
 
 // resumeState carries a loaded checkpoint into launch: the parameters to
@@ -94,18 +107,10 @@ func startProblem(cfg Config, prob problem) (*Running, error) {
 }
 
 func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
-	if cfg.Eta <= 0 {
-		return nil, fmt.Errorf("sgd: step size must be positive, got %v", cfg.Eta)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.AutoTune || cfg.AutoTuneModel {
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("sgd: AutoTune and a fixed Shards=%d are mutually exclusive", cfg.Shards)
-		}
-		if cfg.Algo != Leashed && cfg.Algo != LeashedAdaptive {
-			return nil, fmt.Errorf("sgd: AutoTune requires a Leashed variant, got %v", cfg.Algo)
-		}
-	}
-	cfg = cfg.withDefaults(prob.dataLen())
+	cfg = cfg.withDefaults()
 	rt := newRuntime(cfg, prob)
 
 	// θ0 is representation-owned: N(0, 0.01) for dense networks (the paper's
@@ -128,7 +133,8 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 
 	// One store-parameterized worker loop runs every algorithm; the
 	// strategy carries what differs (read protocol, publish protocol,
-	// snapshot and cleanup). See loop.go.
+	// snapshot and cleanup). See loop.go. Validate has ruled out any other
+	// Algo.
 	var st strategy
 	switch cfg.Algo {
 	case Seq, Async:
@@ -139,9 +145,6 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 		st = rt.newLeashedStrategy(initVec)
 	case SyncLockstep:
 		st = rt.newSyncStrategy(initVec)
-	default:
-		initVec.Release()
-		return nil, fmt.Errorf("sgd: unknown algorithm %v", cfg.Algo)
 	}
 	r := &Running{rt: rt, st: st, done: make(chan struct{})}
 	rt.start = time.Now()
@@ -187,7 +190,7 @@ func (r *Running) finish() {
 	st.cleanup()
 
 	// Merge per-worker instrumentation.
-	res.Staleness = metrics.NewHist(cfg.StalenessBound)
+	res.Staleness = metrics.NewHist(stalenessBound(cfg.Workers))
 	res.Tc, res.Tu = &metrics.DurationSampler{}, &metrics.DurationSampler{}
 	for i := 0; i < cfg.Workers; i++ {
 		res.Staleness.Merge(rt.hists[i])

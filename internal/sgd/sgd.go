@@ -9,6 +9,7 @@ package sgd
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,41 @@ func (a Algorithm) String() string {
 // CAS succeeds; the LSH_ps∞ configuration).
 const PersistenceInf = -1
 
+// Tuning selects the (S, Tp) controller of a Leashed run (Config.Tune):
+// TuneOff, the zero value, runs at (Shards, Persistence) throughout;
+// TuneLadder hill-climbs the (Tp, S) ladders in coordinate descent;
+// TuneModel jumps to the fitted Sec. IV model's prediction, falling back to
+// the ladder on a poor fit.
+type Tuning int
+
+// Tuning values.
+const (
+	TuneOff Tuning = iota
+	TuneLadder
+	TuneModel
+)
+
+var tuningNames = [...]string{TuneOff: "off", TuneLadder: "ladder", TuneModel: "model"}
+
+// String returns the mode's flag spelling: off, ladder or model.
+func (t Tuning) String() string {
+	if t >= 0 && int(t) < len(tuningNames) {
+		return tuningNames[t]
+	}
+	return fmt.Sprintf("Tuning(%d)", int(t))
+}
+
+// Set parses a mode from its flag spelling, making *Tuning a flag.Value.
+func (t *Tuning) Set(s string) error {
+	for i, name := range tuningNames {
+		if s == name {
+			*t = Tuning(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown tuning mode %q (want off, ladder or model)", s)
+}
+
 // Config describes one training run.
 type Config struct {
 	Algo      Algorithm
@@ -103,50 +139,19 @@ type Config struct {
 	// staleness is measured per shard.
 	Shards int
 
-	// AutoTune enables joint contention-adaptive autotuning of the two
-	// Leashed dials (extension): the shard count S and the persistence
-	// bound Tp. A controller samples two windowed signals over
-	// AutoShardWindow — the failed-CAS rate per publish (steering S:
-	// doubling under contention, halving when uncontended) and the
-	// mixed-version read rate from the leased-read seqlock classification
-	// (steering Tp: tightening the leash under mixed-read pressure,
-	// loosening it when reads are clean) — and hill-climbs the (Tp, S)
-	// grid in coordinate descent, one axis at a time, with per-move
-	// evaluation hysteresis against thrash. A Tp move is an atomic bound
-	// swap workers pick up at their next iteration; each re-shard
-	// quiesces the workers at a barrier, takes a cross-shard-consistent
-	// snapshot and republishes it into a fresh cell. Mutually exclusive
-	// with a fixed Shards > 1; requires Algo Leashed or LeashedAdaptive
-	// (under LeashedAdaptive the per-worker bound adaptation owns Tp, so
-	// only the S axis moves). The starting Tp is Config.Persistence
-	// clamped to the tuned ladder (PersistenceInf starts at
-	// AutoTuneTpMax, the loosest tuned bound). Trajectories land in
-	// Result.TpTrajectory and Result.ShardTrajectory.
-	AutoTune bool
-	// AutoTuneModel upgrades the autotuner to model-guided mode (implies
-	// AutoTune): the controller fits the paper's Sec. IV fluid model to the
-	// windowed counters plus live Tc/Tu phase timings
-	// (queuemodel.FitWindows) and, when the fit's residual passes, JUMPS to
-	// the predicted (S, Tp) operating point through the same actuators the
-	// ladder uses — reaching the knee in one window per axis instead of
-	// ~3 per ladder step. A poor fit (residual above threshold, or a
-	// workload with no contention signal) demotes the run permanently to
-	// the empirical ladder, so the worst case is plain AutoTune. The fit
-	// record lands in Result.ModelFit. Under LeashedAdaptive the Tp axis
-	// stays worker-owned; only S is model-steered.
-	AutoTuneModel bool
-	// AutoShardInitial is the autotuner's starting shard count S₀
-	// (default 1, the paper's single chain).
-	AutoShardInitial int
-	// AutoShardMax caps the autotuned shard count (default 64, clamped to
-	// the parameter dimension).
-	AutoShardMax int
-	// AutoShardWindow is the autotuner's signal-sampling window
-	// (default 50ms), shared by both axes.
-	AutoShardWindow time.Duration
-	// AutoTuneTpMax caps the tuned persistence bound (default 16): the
-	// Tp ladder is AutoTuneTpMax, AutoTuneTpMax/2, …, 1, 0.
-	AutoTuneTpMax int
+	// Tune selects the controller that moves S and Tp during a Leashed or
+	// LeashedAdaptive run (extension; docs/tuning.md). TuneOff, the zero
+	// value, keeps (Shards, Persistence) fixed. TuneLadder hill-climbs the
+	// (Tp, S) grid in coordinate descent on two signals windowed over
+	// 2·EvalEvery: the failed-CAS rate per publish steers S and the
+	// mixed-version read rate steers Tp. TuneModel fits the paper's Sec. IV
+	// model to the same windows and jumps to its predicted (S, Tp), falling
+	// back to the ladder on a poor fit. Both start at (Shards, Persistence)
+	// snapped to the ladders S ∈ {1, 2, 4, …, min(64, d)} and
+	// Tp ∈ {16, 8, …, 1, 0}. Under LeashedAdaptive only S moves. Trajectories
+	// land in Result.TpTrajectory and Result.ShardTrajectory, the model's
+	// record in Result.ModelFit.
+	Tune Tuning
 
 	Seed uint64
 
@@ -163,14 +168,10 @@ type Config struct {
 	MaxUpdates  int64
 	MaxTime     time.Duration
 
-	// Monitor settings. EvalEvery is the loss-sampling cadence (default
-	// 25ms); EvalSubset the number of dataset rows used per evaluation
-	// (default min(256, len)).
-	EvalEvery  time.Duration
-	EvalSubset int
-
-	// StalenessBound bounds the staleness histogram (default 8m+64).
-	StalenessBound int
+	// EvalEvery is the monitor's loss-sampling cadence (default 25ms). Each
+	// sample evaluates min(256, len) dataset rows, and a tuned run's
+	// controller window is 2·EvalEvery.
+	EvalEvery time.Duration
 
 	// Momentum, when non-zero, enables the per-worker heavy-ball
 	// extension: v ← µv + ∇f, step taken along v. 0 = plain SGD (paper).
@@ -224,8 +225,40 @@ type Config struct {
 // Config.WorkerRestarts is unset.
 const DefaultWorkerRestarts = 4
 
+// Validate reports the first rule c breaks. Zero means "default" for every
+// numeric field; out-of-range and non-finite values are rejected rather than
+// coerced. Start, StartSparse, Run and Resume call it before anything runs.
+func (c Config) Validate() error {
+	switch {
+	case c.Algo < Seq || c.Algo > SyncLockstep:
+		return fmt.Errorf("sgd: unknown algorithm %v", c.Algo)
+	case c.Tune < TuneOff || c.Tune > TuneModel:
+		return fmt.Errorf("sgd: unknown tuning mode %v", c.Tune)
+	case c.Tune != TuneOff && c.Algo != Leashed && c.Algo != LeashedAdaptive:
+		return fmt.Errorf("sgd: tuning %v requires a Leashed variant, got %v", c.Tune, c.Algo)
+	case !(c.Eta > 0) || math.IsInf(c.Eta, 1):
+		return fmt.Errorf("sgd: step size must be positive and finite, got %v", c.Eta)
+	case c.Persistence < PersistenceInf:
+		return fmt.Errorf("sgd: persistence bound %d is below PersistenceInf (-1)", c.Persistence)
+	case !(c.EpsilonFrac >= 0 && c.EpsilonFrac < 1):
+		return fmt.Errorf("sgd: EpsilonFrac must be in [0, 1), got %v", c.EpsilonFrac)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Workers", int64(c.Workers)}, {"BatchSize", int64(c.BatchSize)}, {"Shards", int64(c.Shards)},
+		{"MaxUpdates", c.MaxUpdates}, {"MaxTime", int64(c.MaxTime)}, {"EvalEvery", int64(c.EvalEvery)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sgd: %s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // withDefaults returns cfg with unset knobs filled in.
-func (c Config) withDefaults(dsLen int) Config {
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -238,35 +271,8 @@ func (c Config) withDefaults(dsLen int) Config {
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 25 * time.Millisecond
 	}
-	if c.EvalSubset <= 0 || c.EvalSubset > dsLen {
-		c.EvalSubset = dsLen
-		if c.EvalSubset > 256 {
-			c.EvalSubset = 256
-		}
-	}
-	if c.StalenessBound <= 0 {
-		c.StalenessBound = 8*c.Workers + 64
-	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.AutoTuneModel {
-		// The model-guided upgrade rides on the AutoTune machinery.
-		c.AutoTune = true
-	}
-	if c.AutoTune {
-		if c.AutoShardInitial <= 0 {
-			c.AutoShardInitial = 1
-		}
-		if c.AutoShardMax <= 0 {
-			c.AutoShardMax = 64
-		}
-		if c.AutoShardWindow <= 0 {
-			c.AutoShardWindow = 50 * time.Millisecond
-		}
-		if c.AutoTuneTpMax <= 0 {
-			c.AutoTuneTpMax = 16
-		}
 	}
 	if c.MaxUpdates <= 0 && c.MaxTime <= 0 {
 		c.MaxTime = 10 * time.Second
@@ -383,9 +389,8 @@ type Result struct {
 	// ShardTouched is its per-shard breakdown (nil when the per-shard
 	// contract keeps the other Shard* slices nil). TouchedComponents /
 	// (Publishes × chain length) is the publish occupancy — 1.0 for dense
-	// steps, NNZ-driven ≪ 1 for sparse ones — reported next to FailedCAS
-	// in the harness tables and windowable by the autotune controller
-	// alongside its contention signals.
+	// steps, NNZ-driven ≪ 1 for sparse ones — which `leashed train` and
+	// examples/sparse report next to FailedCAS.
 	TouchedComponents int64
 	ShardTouched      []int64
 
@@ -398,8 +403,7 @@ type Result struct {
 	// performs one.
 	Publishes int64
 
-	// Autotune measurements (nil/0 unless Config.AutoTune was
-	// set). ShardTrajectory is the sequence of shard counts the
+	// Tuning measurements (nil/0 unless Config.Tune is set). ShardTrajectory is the sequence of shard counts the
 	// controller moved through — first entry S₀, last entry the final S
 	// (which Shards also reports, and which the per-shard breakdown above
 	// describes). Reshards counts the re-shard events,
@@ -413,8 +417,8 @@ type Result struct {
 	Reshards        int
 	TpTrajectory    []int
 
-	// ModelFit is the model-guided tuner's record (nil unless
-	// Config.AutoTuneModel): the last accepted fitted queuemodel, its
+	// ModelFit is the model-guided tuner's record (nil unless Config.Tune
+	// is TuneModel): the last accepted fitted queuemodel, its
 	// residual, the predicted vs landed operating point, and the jump vs
 	// fallback-ladder move counts.
 	ModelFit *ModelFitResult
@@ -508,7 +512,7 @@ type runCtx struct {
 	readTallies []readTally
 
 	// timing holds the per-worker phase-timing tallies the model-guided
-	// tuner samples live (modeltune.go); nil unless Config.AutoTuneModel,
+	// tuner samples live (modeltune.go); nil unless Config.Tune is TuneModel,
 	// so every other run pays exactly one nil check per iteration.
 	timing []timeTally
 
@@ -579,6 +583,13 @@ func (rt *runCtx) readTotals() (consistent, mixed int64) {
 	return consistent, mixed
 }
 
+// evalRows caps the rows one monitor tick evaluates: beyond a few hundred
+// the loss estimate is no better and the monitor starts to cost throughput.
+const evalRows = 256
+
+// stalenessBound sizes the staleness histogram of an m-worker run.
+func stalenessBound(m int) int { return 8*m + 64 }
+
 func newRuntime(cfg Config, prob problem) *runCtx {
 	rt := &runCtx{
 		cfg:     cfg,
@@ -592,11 +603,11 @@ func newRuntime(cfg Config, prob problem) *runCtx {
 	rt.tcs = make([]*metrics.DurationSampler, cfg.Workers)
 	rt.tus = make([]*metrics.DurationSampler, cfg.Workers)
 	rt.readTallies = make([]readTally, cfg.Workers)
-	if cfg.AutoTuneModel {
+	if cfg.Tune == TuneModel {
 		rt.timing = make([]timeTally, cfg.Workers)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		rt.hists[i] = metrics.NewHist(cfg.StalenessBound)
+		rt.hists[i] = metrics.NewHist(stalenessBound(cfg.Workers))
 		rt.tcs[i] = &metrics.DurationSampler{}
 		rt.tus[i] = &metrics.DurationSampler{}
 	}
@@ -718,16 +729,16 @@ func Run(cfg Config, net *nn.Network, ds *data.Dataset) (*Result, error) {
 }
 
 // evalSubset picks the monitor's loss-evaluation rows: every row when the
-// subset covers the dataset, otherwise EvalSubset rows sampled without
+// dataset has at most evalRows, otherwise evalRows rows sampled without
 // replacement with the run's seeded RNG (stream index Workers, after the
 // per-worker sampler streams 0..Workers-1). The subset is fixed for the whole
 // run so successive loss samples are comparable; sampling it — rather than
-// taking the first EvalSubset rows — avoids class-biased loss on
+// taking the first evalRows rows — avoids class-biased loss on
 // class-ordered datasets (typical for IDX dumps).
 func (rt *runCtx) evalSubset() []int {
 	n := rt.prob.dataLen()
 	idx := make([]int, n)
-	if k := rt.cfg.EvalSubset; k < n {
+	if k := evalRows; k < n {
 		rng.NewStream(rt.cfg.Seed, rt.cfg.Workers).Perm(idx)
 		return idx[:k]
 	}

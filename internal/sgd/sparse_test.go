@@ -75,7 +75,7 @@ func TestSparseGradientMatchesReference(t *testing.T) {
 					prob := newSparseProblem(ds, asDense)
 					cfg := sparseTestConfig(Leashed, 1)
 					cfg.BatchSize = len(batch)
-					rt := newRuntime(cfg.withDefaults(prob.dataLen()), prob)
+					rt := newRuntime(cfg.withDefaults(), prob)
 					gw := prob.newGradWorker(rt, 0).(*sparseGradWorker)
 					gw.sample() // establish buffer invariants
 					gw.batch = data.Batch{Indices: batch}

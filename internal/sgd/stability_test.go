@@ -74,21 +74,28 @@ func TestDroppedPlusPublishedAccounting(t *testing.T) {
 	}
 }
 
-// TestEvalSubsetDefaultCap: the monitor must not evaluate more than the cap
-// per tick (251 samples would make the monitor the bottleneck at scale).
+// TestEvalSubsetDefault: a monitor tick evaluates every row of a small
+// dataset and evalRows distinct rows of a larger one (evaluating all of it
+// would make the monitor the bottleneck at scale).
 func TestEvalSubsetDefault(t *testing.T) {
-	cfg := Config{Workers: 2, BatchSize: 8}.withDefaults(10000)
-	if cfg.EvalSubset != 256 {
-		t.Fatalf("default eval subset = %d, want 256", cfg.EvalSubset)
-	}
-	cfg2 := Config{}.withDefaults(50)
-	if cfg2.EvalSubset != 50 {
-		t.Fatalf("small-dataset eval subset = %d, want 50", cfg2.EvalSubset)
+	for _, tc := range []struct{ n, want int }{{50, 50}, {10000, 256}} {
+		rt := newRuntime(Config{Workers: 2}.withDefaults(), stubProblem{d: 8, n: tc.n})
+		rows := rt.evalSubset()
+		if len(rows) != tc.want {
+			t.Fatalf("%d-row dataset: eval subset has %d rows, want %d", tc.n, len(rows), tc.want)
+		}
+		seen := map[int]bool{}
+		for _, r := range rows {
+			if r < 0 || r >= tc.n || seen[r] {
+				t.Fatalf("%d-row dataset: eval subset row %d out of range or repeated", tc.n, r)
+			}
+			seen[r] = true
+		}
 	}
 }
 
 func TestWithDefaults(t *testing.T) {
-	cfg := Config{Algo: Seq, Workers: 8}.withDefaults(100)
+	cfg := Config{Algo: Seq, Workers: 8}.withDefaults()
 	if cfg.Workers != 1 {
 		t.Fatalf("SEQ workers = %d, want 1", cfg.Workers)
 	}
@@ -98,8 +105,8 @@ func TestWithDefaults(t *testing.T) {
 	if cfg.MaxTime != 10*time.Second {
 		t.Fatalf("no-budget default MaxTime = %v", cfg.MaxTime)
 	}
-	if cfg.StalenessBound != 8*1+64 {
-		t.Fatalf("staleness bound = %d", cfg.StalenessBound)
+	if b := newRuntime(cfg, stubProblem{d: 8}).hists[0].Bound(); b != 8*1+64 {
+		t.Fatalf("staleness bound = %d", b)
 	}
 }
 

@@ -34,19 +34,19 @@
 // leased read path (TestReadPathsAllocateNothing,
 // TestBatchedPassesAllocateNothingWarm).
 //
-// Config.AutoTune closes that loop on both contention dials jointly: a
-// controller hill-climbs the (Tp, S) grid in coordinate descent, the shard
-// count steered by the windowed failed-CAS rate per publish (doubling under
-// contention, halving when uncontended) and the persistence bound by the
-// windowed mixed-version read rate (tightening the leash under mixed-read
-// pressure, loosening it when reads are clean), each axis guarded by
-// move-evaluation hysteresis against thrash. A Tp move is an atomic bound
-// swap; a re-shard quiesces the workers at a barrier and republishes a
-// consistent snapshot into a fresh cell. The trajectories land in
-// Result.ShardTrajectory and Result.TpTrajectory (`leashed train
-// -autotune`). MaxUpdates budgets are exact: workers reserve budget units
-// atomically before an update becomes visible, so every bounded run ends
-// with TotalUpdates == MaxUpdates — the deterministic-replay contract.
+// Config.Tune closes that loop on both contention dials jointly, starting
+// from (Shards, Persistence): TuneLadder hill-climbs the (Tp, S) grid in
+// coordinate descent, the shard count steered by the windowed failed-CAS
+// rate per publish and the persistence bound by the windowed mixed-version
+// read rate, each axis guarded by hysteresis against thrash; TuneModel fits
+// the paper's Sec. IV queueing model to the same windows and jumps to its
+// predicted (S, Tp). A Tp move is an atomic bound swap; a re-shard quiesces
+// the workers at a barrier and republishes a consistent snapshot into a
+// fresh cell (`leashed train -tune ladder|model`). Config.Validate rejects
+// out-of-range and conflicting settings before a run starts. MaxUpdates
+// budgets are exact: workers reserve budget units atomically before an
+// update becomes visible, so every bounded run ends with TotalUpdates ==
+// MaxUpdates — the deterministic-replay contract.
 //
 // Quick start:
 //
@@ -105,6 +105,17 @@ const (
 // PersistenceInf configures an unbounded LAU-SPC retry loop (LSH_ps∞).
 const PersistenceInf = sgd.PersistenceInf
 
+// Tuning selects the (S, Tp) controller of a Leashed run: TuneOff (the zero
+// value, a static run), TuneLadder or TuneModel; see Config.Tune.
+type Tuning = sgd.Tuning
+
+// Tuning values.
+const (
+	TuneOff    = sgd.TuneOff
+	TuneLadder = sgd.TuneLadder
+	TuneModel  = sgd.TuneModel
+)
+
 // Config controls a training run; see the field documentation in the
 // underlying type for the full contract.
 type Config = sgd.Config
@@ -115,10 +126,10 @@ type Config = sgd.Config
 // accounting.
 type Result = sgd.Result
 
-// ModelFitResult records what the model-guided autotuner
-// (Config.AutoTuneModel) did: whether the Sec. IV queueing-model fit was
-// accepted, the fitted residual, the predicted vs. landed (S, Tp) operating
-// point and the jump/fallback accounting. See Result.ModelFit.
+// ModelFitResult records what the model-guided autotuner (TuneModel) did:
+// whether the Sec. IV queueing-model fit was accepted, the fitted residual,
+// the predicted vs. landed (S, Tp) operating point and the jump/fallback
+// accounting. See Result.ModelFit.
 type ModelFitResult = sgd.ModelFitResult
 
 // Outcome classifies a finished run.
@@ -173,6 +184,15 @@ func SmallMLP(inputDim, classes int) *Model {
 // SmallCNN returns the reduced conv→pool→conv→pool→dense architecture for
 // 28×28 inputs.
 func SmallCNN() *Model { return &Model{net: nn.NewSmallCNN()} }
+
+// network is m's network, nil for a nil Model: sgd rejects a missing network
+// like a missing dataset.
+func (m *Model) network() *nn.Network {
+	if m == nil {
+		return nil
+	}
+	return m.net
+}
 
 // ParamCount returns d, the flat parameter dimension.
 func (m *Model) ParamCount() int { return m.net.ParamCount() }
@@ -238,13 +258,7 @@ func SparseLoss(w []float64, ds *SparseDataset) float64 { return sparse.Loss(w, 
 // dataset. It blocks until convergence, crash, or budget exhaustion, and
 // returns the full measurement record.
 func Train(cfg Config, m *Model, ds *Dataset) (*Result, error) {
-	if m == nil || m.net == nil {
-		return nil, fmt.Errorf("leashedsgd: nil model")
-	}
-	if ds == nil {
-		return nil, fmt.Errorf("leashedsgd: nil dataset")
-	}
-	return sgd.Run(cfg, m.net, ds)
+	return sgd.Run(cfg, m.network(), ds)
 }
 
 // Training is a handle on a live, in-progress run started by StartTrain:
@@ -259,13 +273,7 @@ type Training = sgd.Running
 // Train(...), but the handle's parameters can be read — and predictions
 // served — while the workers are still publishing.
 func StartTrain(cfg Config, m *Model, ds *Dataset) (*Training, error) {
-	if m == nil || m.net == nil {
-		return nil, fmt.Errorf("leashedsgd: nil model")
-	}
-	if ds == nil {
-		return nil, fmt.Errorf("leashedsgd: nil dataset")
-	}
-	return sgd.Start(cfg, m.net, ds)
+	return sgd.Start(cfg, m.network(), ds)
 }
 
 // ResumeTrain restarts a killed or crashed run from its newest valid
@@ -276,13 +284,7 @@ func StartTrain(cfg Config, m *Model, ds *Dataset) (*Training, error) {
 // the (S, Tp) autotuner warm-starts from the checkpointed operating point.
 // The run continues rotating checkpoints into the same lineage.
 func ResumeTrain(cfg Config, m *Model, ds *Dataset) (*Training, error) {
-	if m == nil || m.net == nil {
-		return nil, fmt.Errorf("leashedsgd: nil model")
-	}
-	if ds == nil {
-		return nil, fmt.Errorf("leashedsgd: nil dataset")
-	}
-	return sgd.Resume(cfg, m.net, ds)
+	return sgd.Resume(cfg, m.network(), ds)
 }
 
 // Evaluate computes the mean cross-entropy loss and classification accuracy
