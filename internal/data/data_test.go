@@ -316,8 +316,11 @@ func TestLoadMNISTDirRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateSynthetic times the 8192-row pool a dense bench workload
+// generates at set-up (bench/workloads.go), seed included.
 func BenchmarkGenerateSynthetic(b *testing.B) {
-	cfg := DefaultSyntheticConfig(100, 1)
+	cfg := DefaultSyntheticConfig(8192, 20210517)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = GenerateSynthetic(cfg)

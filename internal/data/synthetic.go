@@ -2,6 +2,8 @@ package data
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"leashedsgd/internal/rng"
 )
@@ -108,41 +110,108 @@ func renderStroke(img []float64, h, w int, proto classPrototype, blur float64, d
 // GenerateSynthetic builds a synthetic MNIST-like dataset: class-balanced,
 // shuffled, pixel values clamped to [0,1]. Identical configs generate
 // identical datasets, so every experiment in the harness is reproducible.
+//
+// The output is that of one sequential pass over one stream: after the
+// shuffle, row i draws its shift (two Intn), its gain (Float64) and H·W
+// noise variates (NormFloat64), in that order. It is reproduced bit for bit
+// in two passes. The first walks the stream alone, skipping each row's noise
+// with SkipNorm, and saves the state each row's gain draw starts from. The
+// second fills the rows from those states, making the calls the sequential
+// pass made, on GOMAXPROCS goroutines; it starts on a chunk of rows as soon
+// as the walk has passed it. A row's stroke depends only on (class, dx, dy),
+// so each distinct stroke is drawn once, by the first row that needs it,
+// and shared by every row that needs it until the call returns.
 func GenerateSynthetic(cfg SyntheticConfig) *Dataset {
-	if cfg.Samples <= 0 || cfg.H <= 0 || cfg.W <= 0 || cfg.Classes < 2 {
+	if cfg.Samples <= 0 || cfg.H <= 0 || cfg.W <= 0 || cfg.Classes < 2 || cfg.Shift < 0 ||
+		!(cfg.Blur > 0) || math.IsInf(cfg.Blur, 1) || !(cfg.Noise >= 0) || math.IsInf(cfg.Noise, 1) {
 		panic("data: invalid SyntheticConfig")
 	}
 	protos := makePrototypes(cfg)
 	r := rng.New(cfg.Seed)
+	n, pix := cfg.Samples, cfg.H*cfg.W
 	ds := &Dataset{
-		X:       make([][]float64, cfg.Samples),
-		Y:       make([]int, cfg.Samples),
+		X:       make([][]float64, n),
+		Y:       make([]int, n),
 		H:       cfg.H,
 		W:       cfg.W,
 		Classes: cfg.Classes,
 	}
-	order := make([]int, cfg.Samples)
+	order := make([]int, n)
 	r.Perm(order)
-	for i := 0; i < cfg.Samples; i++ {
-		class := i % cfg.Classes // balanced before shuffling
-		img := make([]float64, cfg.H*cfg.W)
-		dx := float64(r.Intn(2*cfg.Shift+1) - cfg.Shift)
-		dy := float64(r.Intn(2*cfg.Shift+1) - cfg.Shift)
-		renderStroke(img, cfg.H, cfg.W, protos[class], cfg.Blur, dx, dy)
-		// Intensity jitter then additive noise, clamped to [0,1].
-		gain := 0.8 + 0.4*r.Float64()
-		for j := range img {
-			v := img[j]*gain + cfg.Noise*r.NormFloat64()
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			img[j] = v
-		}
-		ds.X[order[i]] = img
-		ds.Y[order[i]] = class
+
+	type stroke struct {
+		class, dx, dy int
+		once          sync.Once
+		img           []float64
 	}
+	rows := make([]struct {
+		r rng.Rand
+		s *stroke
+	}, n)
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rs, s := rows[i].r, rows[i].s
+			s.once.Do(func() {
+				s.img = make([]float64, pix)
+				renderStroke(s.img, cfg.H, cfg.W, protos[s.class], cfg.Blur, float64(s.dx), float64(s.dy))
+			})
+			// Intensity jitter then additive noise, clamped to [0,1].
+			img := make([]float64, pix)
+			gain := 0.8 + 0.4*rs.Float64()
+			for j := range img {
+				v := s.img[j]*gain + cfg.Noise*rs.NormFloat64()
+				if v < 0 {
+					v = 0
+				} else if v > 1 {
+					v = 1
+				}
+				img[j] = v
+			}
+			ds.X[order[i]] = img
+			ds.Y[order[i]] = s.class
+		}
+	}
+
+	// This goroutine walks the stream and hands the rows out a chunk at a
+	// time; GOMAXPROCS-1 others fill them, and this one joins once the walk
+	// is done. The channel holds every chunk, so the walk never blocks.
+	const chunk = 64
+	nChunks := (n + chunk - 1) / chunk
+	chunks := make(chan int, nChunks)
+	var wg sync.WaitGroup
+	drain := func() {
+		for lo := range chunks {
+			fill(lo, min(lo+chunk, n))
+		}
+	}
+	for w := 1; w < min(runtime.GOMAXPROCS(0), nChunks); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	strokes := make(map[[3]int]*stroke)
+	for i := range rows {
+		class := i % cfg.Classes // balanced before shuffling
+		dx := r.Intn(2*cfg.Shift+1) - cfg.Shift
+		dy := r.Intn(2*cfg.Shift+1) - cfg.Shift
+		key := [3]int{class, dx, dy}
+		s := strokes[key]
+		if s == nil {
+			s = &stroke{class: class, dx: dx, dy: dy}
+			strokes[key] = s
+		}
+		rows[i].r, rows[i].s = *r, s
+		r.Float64()
+		r.SkipNorm(pix)
+		if (i+1)%chunk == 0 || i+1 == n {
+			chunks <- i - i%chunk
+		}
+	}
+	close(chunks)
+	drain()
+	wg.Wait()
 	return ds
 }
 

@@ -581,8 +581,18 @@ func TestRaceScatterExactCounts(t *testing.T) {
 			if d, c := diffs.Load(), copies.Load(); d < c {
 				t.Fatalf("%d diff refreshes against %d full copies: the stress no longer exercises the diff path", d, c)
 			}
-			t.Logf("diff refreshes %d, full copies %d", diffs.Load(), copies.Load())
+			// Memory (docs/architecture.md "Memory: Lemma 2 on this loop"):
+			// per chain, the head, each publisher's cur and nv, and the one
+			// vector the outside reader's lease may still pin after it was
+			// replaced.
+			if bound := int64(chains * (2*publishers + 2)); st.Peak() > bound {
+				t.Fatalf("Peak = %d live chain buffers, bound %d", st.Peak(), bound)
+			}
+			t.Logf("diff refreshes %d, full copies %d, peak %d", diffs.Load(), copies.Load(), st.Peak())
 			st.Retire()
+			if got := st.Live(); got != 0 {
+				t.Fatalf("Live = %d after Retire, want 0", got)
+			}
 		})
 	}
 }

@@ -110,6 +110,25 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
+// SkipNorm advances r exactly as n NormFloat64 calls would, without
+// computing the variates: the polar method's accept test needs neither the
+// log nor the square root. A caller that knows how many normals a span of
+// the stream consumes can thus find where the next span starts cheaply.
+// The loop repeats NormFloat64's draws and test (a shared helper that the
+// compiler does not inline cost the generator 8–10%);
+// TestSkipNormMatchesNormFloat64 holds the two together.
+func (r *Rand) SkipNorm(n int) {
+	for ; n > 0; n-- {
+		for {
+			u := 2*r.Float64() - 1
+			v := 2*r.Float64() - 1
+			if s := u*u + v*v; s > 0 && s < 1 {
+				break
+			}
+		}
+	}
+}
+
 // Perm fills dst with a random permutation of [0, len(dst)) using
 // Fisher-Yates.
 func (r *Rand) Perm(dst []int) {

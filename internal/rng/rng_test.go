@@ -133,6 +133,26 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// SkipNorm(n) must leave the stream exactly where n NormFloat64 calls do,
+// rejected polar draws included: the generator's parallel row fill starts
+// each row from the state this skip finds.
+func TestSkipNormMatchesNormFloat64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 20210517} {
+		for _, n := range []int{0, 1, 2, 3, 144, 784, 10000} {
+			a, b := New(seed), New(seed)
+			a.Uint64() // start mid-stream, as a generator row does
+			b.Uint64()
+			for i := 0; i < n; i++ {
+				a.NormFloat64()
+			}
+			b.SkipNorm(n)
+			if a.s != b.s {
+				t.Fatalf("seed %d, n %d: state after SkipNorm %v, after NormFloat64 %v", seed, n, b.s, a.s)
+			}
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	p := make([]int, 100)

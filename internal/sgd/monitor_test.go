@@ -2,6 +2,7 @@ package sgd
 
 import (
 	"testing"
+	"time"
 
 	"leashedsgd/internal/nn"
 	"leashedsgd/internal/rng"
@@ -54,5 +55,36 @@ func TestDenseLossEvalWarmAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { eval(params) }); allocs != 0 {
 		t.Fatalf("warm monitor evaluation allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// slowSnapshot is a strategy whose snapshot takes wait, as ASYNC's does
+// while its workers hold the mutex. The monitor calls nothing else on it.
+type slowSnapshot struct {
+	strategy
+	wait time.Duration
+}
+
+func (s slowSnapshot) snapshot([]float64) { time.Sleep(s.wait) }
+
+// A tick's loss is the loss of θ as the snapshot copied it, so its clock
+// reading is taken after the copy: a snapshot that waits 30 ms must not
+// report the target reached before that wait ended.
+func TestTimeToTargetCountsSnapshotWait(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	ds := tinyDataset()
+	cfg := testConfig(Leashed, 1)
+	cfg.EvalEvery = time.Millisecond
+	cfg = cfg.withDefaults()
+	rt := newRuntime(cfg, &denseProblem{net: tinyNet(ds), ds: ds})
+	rt.initialLoss = 1
+	rt.evalLoss = func([]float64) float64 { return 0.1 } // below ε on the first tick
+	rt.start = time.Now()
+	res := rt.monitor(slowSnapshot{wait: wait})
+	if res.Outcome != Converged {
+		t.Fatalf("outcome %v, want Converged on the first tick", res.Outcome)
+	}
+	if res.TimeToTarget < wait {
+		t.Fatalf("TimeToTarget = %v, want ≥ the %v the snapshot took", res.TimeToTarget, wait)
 	}
 }

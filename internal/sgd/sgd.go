@@ -795,8 +795,11 @@ func (rt *runCtx) monitor(st strategy) *Result {
 		case <-stopped:
 			stopped = nil // external Stop; the stop check below ends the run
 		}
-		elapsed := time.Since(start)
+		// The clock is read after the snapshot, beside the update count: a
+		// snapshot that waits (ASYNC's takes the shared mutex) must book its
+		// loss at the moment θ was copied, not at the moment it was asked for.
 		snapshot(buf)
+		elapsed := time.Since(start)
 		upd := rt.updates.Load()
 		loss := evalLoss(buf)
 		res.Trace.Add(elapsed, upd, loss)
