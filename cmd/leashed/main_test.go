@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,6 +96,29 @@ func TestCLIDocListsEveryStep(t *testing.T) {
 	}
 }
 
+// TestCLIDocListsEveryAlgo holds the value list of docs/cli.md's `-algo` row
+// to the spellings `leashed train` accepts.
+func TestCLIDocListsEveryAlgo(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/cli.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, row, ok := strings.Cut(string(doc), "\n| `-algo` |")
+	if !ok {
+		t.Fatal("docs/cli.md has no -algo row")
+	}
+	row, _, _ = strings.Cut(row, "\n")
+	cells := strings.Split(row, "|")
+	var documented []string
+	for _, v := range strings.Split(cells[1], ",") {
+		documented = append(documented, strings.Trim(v, " `"))
+	}
+	slices.Sort(documented)
+	if got := strings.Join(documented, ", "); got != algoList() {
+		t.Fatalf("docs/cli.md -algo row lists %s; leashed train accepts %s", got, algoList())
+	}
+}
+
 // TestCLIDocListsEveryFlag holds docs/cli.md's `leashed train` and
 // `leashed serve` flag tables to the FlagSets: the same flag names, and a
 // default column that parses to each flag's default. Three words stand for
@@ -168,10 +192,14 @@ func TestParseTrainValidates(t *testing.T) {
 		{"-epsilon", "1"},
 		{"-arch", "resnet"},
 		{"-sparse", "-ckpt", "model.ckpt"},
+		{"-algo", "SYNC"},
 	} {
 		if _, err := parseTrain(args); err == nil {
 			t.Errorf("leashed train %v accepted", args)
 		}
+	}
+	if _, err := parseTrain([]string{"-algo", "SYNC"}); err == nil || !strings.Contains(err.Error(), algoList()) {
+		t.Errorf("unknown -algo: error %v does not name the valid algorithms", err)
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"leashedsgd"
@@ -24,13 +27,13 @@ type trainOpts struct {
 func trainFlags(o *trainOpts) *flag.FlagSet {
 	c := &o.cfg
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	fs.StringVar(&o.algo, "algo", "LSH", "SEQ, SYNC, ASYNC, HOG, LSH, LSH-adaptive")
+	fs.StringVar(&o.algo, "algo", "LSH", "SEQ, ASYNC, HOG, LSH, LSH-adaptive")
 	fs.StringVar(&o.arch, "arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
 	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "worker count m")
 	fs.Float64Var(&c.Eta, "eta", 0.05, "step size")
 	fs.IntVar(&c.BatchSize, "batch", 0, "mini-batch size (0 = 16, or 1 with -sparse)")
 	fs.IntVar(&c.Persistence, "persistence", leashedsgd.PersistenceInf, "LSH persistence bound Tp (-1 = inf)")
-	fs.IntVar(&c.Shards, "shards", 1, "published-vector shard count (LSH/HOG; 1 = paper's single chain); the tuner's starting S under -tune")
+	fs.IntVar(&c.Shards, "shards", 1, "published-vector shard count (LSH only; 1 = paper's single chain); the tuner's starting S under -tune")
 	fs.Var(&c.Tune, "tune", "(S, Tp) controller: off, ladder (coordinate descent) or model (queueing-model jump, ladder fallback); LSH only")
 	fs.Float64Var(&c.EpsilonFrac, "epsilon", 0.25, "convergence target as fraction of initial loss (0 = run to budget)")
 	fs.DurationVar(&c.MaxTime, "budget", 60*time.Second, "time budget")
@@ -54,7 +57,7 @@ func trainFlags(o *trainOpts) *flag.FlagSet {
 
 var (
 	algoNames = map[string]leashedsgd.Algorithm{
-		"SEQ": leashedsgd.Seq, "SYNC": leashedsgd.Sync, "ASYNC": leashedsgd.Async,
+		"SEQ": leashedsgd.Seq, "ASYNC": leashedsgd.Async,
 		"HOG": leashedsgd.Hogwild, "LSH": leashedsgd.Leashed, "LSH-adaptive": leashedsgd.LeashedAdaptive,
 	}
 	archModels = map[string]func() *leashedsgd.Model{
@@ -62,6 +65,11 @@ var (
 		"cnn": leashedsgd.SmallCNN, "paper-mlp": leashedsgd.PaperMLP, "paper-cnn": leashedsgd.PaperCNN,
 	}
 )
+
+// algoList names the accepted -algo spellings, sorted.
+func algoList() string {
+	return strings.Join(slices.Sorted(maps.Keys(algoNames)), ", ")
+}
 
 // parseTrain parses `leashed train`'s arguments and validates the run's
 // Config before any dataset is generated.
@@ -73,7 +81,7 @@ func parseTrain(args []string) (*trainOpts, error) {
 	cfg := &o.cfg
 	var ok bool
 	if cfg.Algo, ok = algoNames[o.algo]; !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", o.algo)
+		return nil, fmt.Errorf("unknown algorithm %q (valid algorithms: %s)", o.algo, algoList())
 	}
 	if _, ok := archModels[o.arch]; !ok && !o.sparse {
 		return nil, fmt.Errorf("unknown arch %q", o.arch)

@@ -137,7 +137,7 @@ func TestIDXRoundTripThroughTraining(t *testing.T) {
 func TestAllAlgorithmsProduceFiniteParams(t *testing.T) {
 	ds := leashedsgd.SyntheticMNIST(128, 5)
 	algos := []leashedsgd.Algorithm{
-		leashedsgd.Seq, leashedsgd.Sync, leashedsgd.Async,
+		leashedsgd.Seq, leashedsgd.Async,
 		leashedsgd.Hogwild, leashedsgd.Leashed, leashedsgd.LeashedAdaptive,
 	}
 	for _, algo := range algos {

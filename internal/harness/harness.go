@@ -136,12 +136,11 @@ func StandardAlgos() []AlgoSpec {
 	}
 }
 
-// AllAlgos is StandardAlgos plus SEQ (Fig. 3 includes it), the lock-step
-// SYNC comparison point, and the adaptive extension.
+// AllAlgos is StandardAlgos plus SEQ (Fig. 3 includes it) and the adaptive
+// extension.
 func AllAlgos() []AlgoSpec {
 	return append([]AlgoSpec{{Name: "SEQ", Algo: sgd.Seq}},
 		append(StandardAlgos(),
-			AlgoSpec{Name: "SYNC", Algo: sgd.SyncLockstep},
 			AlgoSpec{Name: "LSH_adpt", Algo: sgd.LeashedAdaptive, Persistence: 4})...)
 }
 

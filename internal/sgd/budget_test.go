@@ -14,7 +14,7 @@ import (
 func TestMaxUpdatesExact(t *testing.T) {
 	ds := tinyDataset()
 	const budget = 137 // odd on purpose: not a multiple of any worker count
-	algos := []Algorithm{Seq, Async, Hogwild, Leashed, LeashedAdaptive, SyncLockstep}
+	algos := []Algorithm{Seq, Async, Hogwild, Leashed, LeashedAdaptive}
 	for _, algo := range algos {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {

@@ -34,7 +34,7 @@ func TestConfigValidate(t *testing.T) {
 		mut  func(*Config)
 		want string // a fragment of the error naming the rule
 	}{
-		{"unknown algo", func(c *Config) { c.Algo = SyncLockstep + 1 }, "unknown algorithm"},
+		{"unknown algo", func(c *Config) { c.Algo = LeashedAdaptive + 1 }, "unknown algorithm"},
 		{"negative algo", func(c *Config) { c.Algo = Seq - 1 }, "unknown algorithm"},
 		{"unknown tune", func(c *Config) { c.Tune = TuneModel + 1 }, "unknown tuning mode"},
 		{"negative tune", func(c *Config) { c.Tune = TuneOff - 1 }, "unknown tuning mode"},

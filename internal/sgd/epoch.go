@@ -11,8 +11,7 @@ import (
 // with its per-chain instrumentation. Every Leashed run's epoch owner
 // (epochs) holds one live epoch; a run with a controller retires it and
 // installs a fresh one, with a different chain count, each time it
-// re-shards. HOGWILD!'s sharded traversal reuses the counter half only
-// (store nil) for its per-shard sweep counts.
+// re-shards.
 type shardEpoch struct {
 	store                       paramvec.ParamStore
 	failed, dropped, pub, stale []paddedCounter
@@ -28,10 +27,15 @@ type shardEpoch struct {
 	touched []paddedCounter
 }
 
-// newEpochCounters allocates the per-chain counters of an n-chain epoch,
-// with no store behind them.
-func newEpochCounters(n int) *shardEpoch {
+// newShardEpoch builds the chain store for the given chain count
+// (paramvec.NewStore), publishes theta into it, and allocates fresh
+// per-chain counters.
+func newShardEpoch(dim, chains int, theta []float64) *shardEpoch {
+	st := paramvec.NewStore(dim, chains)
+	st.PublishInit(theta)
+	n := st.Chains()
 	return &shardEpoch{
+		store:   st,
 		failed:  newCounters(n),
 		dropped: newCounters(n),
 		pub:     newCounters(n),
@@ -39,17 +43,6 @@ func newEpochCounters(n int) *shardEpoch {
 		rstale:  newCounters(n),
 		touched: newCounters(n),
 	}
-}
-
-// newShardEpoch builds the chain store for the given chain count
-// (paramvec.NewStore), publishes theta into it, and allocates fresh
-// per-chain counters.
-func newShardEpoch(dim, chains int, theta []float64) *shardEpoch {
-	st := paramvec.NewStore(dim, chains)
-	st.PublishInit(theta)
-	e := newEpochCounters(st.Chains())
-	e.store = st
-	return e
 }
 
 // rollup fills res's per-shard breakdown from the epoch's counters and folds

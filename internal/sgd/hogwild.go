@@ -19,47 +19,27 @@ import (
 // inconsistency penalty (the √d factor of Alistarh et al. [3]) the paper
 // measures against. The read stays a copy by necessity: the bit-pattern array
 // cannot be viewed as []float64, so the zero-copy lease protocol does not
-// apply here.
-//
-// Config.Shards > 1 keeps these semantics bit-for-bit (component-atomic adds
-// commute) but changes the *traversal order*: each worker applies its update
-// shard by shard, starting from a per-worker, per-iteration rotated shard,
-// so concurrent writers spread across the vector instead of marching front
-// to back in lockstep and colliding on the same cache lines. Per-shard sweep
-// counts land in Result.ShardPublishes via the epoch counters.
+// apply here. Like SEQ and ASYNC, HOGWILD! ignores Config.Shards: every
+// update is one sweep over the whole vector.
 type hogwildStrategy struct {
 	nopHooks
 	rt     *runCtx
 	shared []uint64
-	bounds []paramvec.Range
 	// accounting represents the shared atomic array as one live
 	// ParameterVector in the memory gauges.
 	accounting *paramvec.Vector
-	epoch      *shardEpoch // sweep counters; nil for the single-sweep path
 }
 
 func (rt *runCtx) newHogwildStrategy(initVec *paramvec.Vector) *hogwildStrategy {
 	st := &hogwildStrategy{
 		rt:         rt,
 		shared:     make([]uint64, rt.d),
-		bounds:     paramvec.ShardBounds(rt.d, rt.numShards()),
 		accounting: initVec,
 	}
 	for i, v := range initVec.Theta {
 		atomicx.StoreFloat64(&st.shared[i], v)
 	}
-	if s := len(st.bounds); s > 1 {
-		st.epoch = newEpochCounters(s)
-	}
 	return st
-}
-
-// fill reports the sharded traversal's per-shard sweep counts (Publishes
-// becomes their sum); the single-sweep path has no breakdown.
-func (st *hogwildStrategy) fill(res *Result) {
-	if st.epoch != nil {
-		st.epoch.rollup(res)
-	}
 }
 
 func (st *hogwildStrategy) setup(w *loopWorker) {
@@ -91,25 +71,7 @@ func (st *hogwildStrategy) commit(w *loopWorker, s step) bool {
 		return false
 	}
 	w.reserved = true
-	eta := rt.adaptedEta(rt.updates.Load() - w.readSeq)
-	if S := len(st.bounds); S == 1 {
-		a, b := s.window(0, rt.d)
-		s.atomicApply(st.shared, a, b, eta)
-	} else {
-		for k := 0; k < S; k++ {
-			sh := (w.id + w.iter + k) % S
-			r := st.bounds[sh]
-			a, b := s.window(r.Lo, r.Hi)
-			if a == b {
-				// A sweep that would write nothing is skipped (sparse
-				// steps: most shards, most iterations) and not counted.
-				continue
-			}
-			s.atomicApply(st.shared, a, b, eta)
-			st.epoch.pub[sh].n.Add(1)
-			st.epoch.touched[sh].n.Add(int64(b - a))
-		}
-	}
+	s.atomicApply(st.shared, rt.adaptedEta(rt.updates.Load()-w.readSeq))
 	applied := rt.applyUpdate()
 	w.reserved = false
 	w.hist.Observe(applied - 1 - w.readSeq)

@@ -1,13 +1,12 @@
 // The unified, store-parameterized worker loop. Every algorithm — SEQ/ASYNC,
-// HOGWILD!, the Leashed variants (single-chain, sharded and autotuned, all
-// through paramvec.ParamStore) and lock-step SyncSGD — runs its workers
-// through workerLoop below; what differs per algorithm is reduced to the
-// strategy hooks: how the parameter view for the gradient read is produced
-// (lock-copy, atomic-copy, zero-copy lease, round-immutable share), and what
-// the publish protocol does with the computed step (locked in-place update,
-// component-atomic adds, per-chain LAU-SPC, hand-off to the round
-// coordinator). The loop itself owns the pieces every algorithm shares: the
-// stop/budget gate, batch sampling, gradient computation and Tc/Tu timing.
+// HOGWILD! and the Leashed variants (single-chain, sharded and autotuned, all
+// through paramvec.ParamStore) — runs its workers through workerLoop below;
+// what differs per algorithm is reduced to the strategy hooks: how the
+// parameter view for the gradient read is produced (lock-copy, atomic-copy,
+// zero-copy lease), and what the publish protocol does with the computed
+// step (locked in-place update, component-atomic adds, per-chain LAU-SPC).
+// The loop itself owns the pieces every algorithm shares: the stop/budget
+// gate, batch sampling, gradient computation and Tc/Tu timing.
 package sgd
 
 import (
@@ -28,8 +27,8 @@ type strategy interface {
 	// setup initializes per-worker strategy state (e.g. checks out the
 	// private read-copy buffer for copy-read protocols).
 	setup(w *loopWorker)
-	// begin gates the next iteration — blocking for coordinated
-	// protocols — and returns false to end the worker's loop.
+	// begin gates the next iteration and returns false to end the worker's
+	// loop.
 	begin(w *loopWorker) bool
 	// read produces the parameter view the gradient is computed against
 	// and records the read-sequence baseline for staleness.
@@ -47,12 +46,8 @@ type strategy interface {
 	commit(w *loopWorker, s step) bool
 	// end closes the iteration (the Leashed epoch-lock release).
 	end(w *loopWorker)
-	// loopTimesCommit reports whether the loop should sample commit's
-	// duration as Tu; strategies whose update happens elsewhere (the sync
-	// coordinator) time it themselves and return false.
-	loopTimesCommit() bool
-	// launchAux starts any auxiliary goroutines (round coordinator,
-	// autotune controller) tracked by wg.
+	// launchAux starts any auxiliary goroutines (the autotune controller)
+	// tracked by wg.
 	launchAux(wg *sync.WaitGroup)
 	// snapshot copies a consistent view of the current parameters into
 	// dst; called only from the monitor goroutine and after quiesce.
@@ -61,7 +56,7 @@ type strategy interface {
 	cleanup()
 	// fill records the strategy's own measurements into res once the
 	// workers have exited: the Leashed epochs' contention, trajectories
-	// and chain-pool accounting, HOGWILD!'s per-shard sweep counts.
+	// and chain-pool accounting.
 	fill(res *Result)
 	// recoverIter rolls back a panicked iteration: release whatever
 	// iteration-scoped state the worker still holds (lease, epoch read
@@ -82,7 +77,6 @@ type nopHooks struct{}
 func (nopHooks) setup(*loopWorker)         {}
 func (nopHooks) endRead(*loopWorker)       {}
 func (nopHooks) end(*loopWorker)           {}
-func (nopHooks) loopTimesCommit() bool     { return true }
 func (nopHooks) launchAux(*sync.WaitGroup) {}
 func (nopHooks) recoverIter(*loopWorker)   {}
 func (nopHooks) respawnBarrier()           {}
@@ -99,7 +93,6 @@ type loopWorker struct {
 	hist     *metrics.Hist
 	tc, tu   *metrics.DurationSampler
 	velocity []float64
-	iter     int
 
 	// Copy-read protocols: the global update sequence at read time.
 	readSeq int64
@@ -120,7 +113,6 @@ type loopWorker struct {
 	epochLock bool // leashed: epoch RLock between begin and end
 	lockHeld  bool // async: strategy mutex inside read/commit critical sections
 	reserved  bool // a budget reservation not yet applied or refunded
-	midRound  bool // sync: round token consumed, contribution not yet delivered
 }
 
 func (rt *runCtx) newLoopWorker(id int) *loopWorker {
@@ -142,9 +134,7 @@ func (rt *runCtx) newLoopWorker(id int) *loopWorker {
 }
 
 // maybeVelocity returns a fresh per-worker heavy-ball velocity when the
-// momentum extension is on. Strategies that support momentum call it in
-// setup; SYNC deliberately does not (it averages raw gradients, and
-// per-worker momentum would change the averaging semantics).
+// momentum extension is on. Every strategy calls it in setup.
 func (rt *runCtx) maybeVelocity() []float64 {
 	if rt.cfg.Momentum > 0 {
 		return make([]float64, rt.d)
@@ -180,14 +170,6 @@ type WorkerFault struct {
 	Respawned bool
 }
 
-// workerRetirer is implemented by strategies that must keep a permanently
-// dead worker slot protocol-alive (SYNC: the coordinator counts on m
-// contributions per round, so a retired slot answers every round signal with
-// a zero contribution instead of deadlocking the barrier).
-type workerRetirer interface {
-	retireWorker(id int)
-}
-
 // runWorkers starts cfg.Workers supervised goroutines running the unified
 // loop.
 func (rt *runCtx) runWorkers(wg *sync.WaitGroup, st strategy) {
@@ -217,8 +199,7 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 		rt.recordFault(*fault)
 		if !fault.Respawned {
 			// A run whose every slot is out of restarts can make no more
-			// progress: stop it instead of idling out the time limit (or,
-			// for SYNC, stepping zero-gradient rounds against the budget).
+			// progress: stop it instead of idling out the time limit.
 			rt.faultMu.Lock()
 			rt.dead++
 			allDead := rt.dead == rt.cfg.Workers
@@ -226,9 +207,6 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 			if allDead {
 				rt.stop.Store(true)
 				rt.stopOnce.Do(func() { close(rt.stopped) })
-			}
-			if ret, ok := st.(workerRetirer); ok {
-				ret.retireWorker(id)
 			}
 			return
 		}
@@ -263,7 +241,6 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 		}
 		w.gw.close()
 	}()
-	timeCommit := st.loopTimesCommit()
 	// The model-guided autotuner samples phase timings through atomic
 	// per-worker tallies the controller can read mid-run (Config.SampleTiming
 	// feeds the merge-at-exit DurationSamplers instead, which no concurrent
@@ -274,13 +251,12 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 	}
 	sample := cfg.SampleTiming || tt != nil
 	for st.begin(w) {
-		w.iter++
 		pv := st.read(w)
 		w.gw.sample()
 		if inj := rt.inj; inj != nil {
 			// Mid-iteration fault point: every iteration-scoped resource
-			// (lease, epoch pin, round token) is held here, so an injected
-			// panic exercises the full recovery path.
+			// (lease, epoch pin) is held here, so an injected panic
+			// exercises the full recovery path.
 			switch f := inj.Decide(faultinject.WorkerIter); f.Kind {
 			case faultinject.KindPanic:
 				panic(faultinject.Panic{Site: faultinject.WorkerIter, N: f.N})
@@ -304,11 +280,11 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 			}
 		}
 		st.endRead(w)
-		if sample && timeCommit {
+		if sample {
 			t0 = time.Now()
 		}
 		committed := st.commit(w, s)
-		if sample && timeCommit && committed {
+		if sample && committed {
 			d := time.Since(t0)
 			if cfg.SampleTiming {
 				w.tu.Observe(d)

@@ -15,7 +15,7 @@ import (
 func TestInitialLossIsLossAtTheta0(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
-	for _, algo := range []Algorithm{Seq, Hogwild, Leashed, SyncLockstep} {
+	for _, algo := range []Algorithm{Seq, Hogwild, Leashed} {
 		t.Run(algo.String(), func(t *testing.T) {
 			cfg := testConfig(algo, 1)
 			cfg.Seed = 42

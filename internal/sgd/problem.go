@@ -5,10 +5,10 @@
 // neural-network substrate (nn.Network over data.Dataset) and sparse
 // logistic regression (sparse.Dataset) — and two step representations, a
 // dense slice and a CSR index/value pair. Every algorithm strategy
-// (SEQ/ASYNC, HOGWILD!, the Leashed family, SYNC) commits through the step
+// (SEQ/ASYNC, HOGWILD!, the Leashed family) commits through the step
 // interface, so sparse gradients flow through the exact same LAU-SPC /
-// atomic-add / lock / averaging protocols the dense path uses — no
-// per-algorithm forks. The payoff on the Leashed path is scatter-publish:
+// atomic-add / lock protocols the dense path uses — no per-algorithm
+// forks. The payoff on the Leashed path is scatter-publish:
 // a sparse step touches only the chains its nonzeros hit
 // (paramvec.ChainTryPublishSparse), so with S shards and NNZ ≪ d almost
 // every chain sees no CAS, no copy and no pool traffic.
@@ -30,15 +30,11 @@ import (
 )
 
 // step is one computed gradient step in whatever representation the problem
-// produced it. The methods are exactly the operations the five publish
-// protocols need; all are called from the owning worker's iteration (or, for
-// SYNC, from the coordinator while the worker is parked), so implementations
-// need no synchronization of their own. No method may retain or allocate —
-// the hot paths are alloc-free by contract.
+// produced it. The methods are exactly the operations the publish protocols
+// need; all are called from the owning worker's iteration, so
+// implementations need no synchronization of their own. No method may retain
+// or allocate — the hot paths are alloc-free by contract.
 type step interface {
-	// addScaled folds alpha·step into the dense accumulator dst — the SYNC
-	// coordinator's gradient averaging.
-	addScaled(dst []float64, alpha float64)
 	// applyVector applies θ ← θ − η·step in place on a full-dimension
 	// vector the caller has exclusive or lock-protected access to — the
 	// SEQ/ASYNC update.
@@ -48,12 +44,12 @@ type step interface {
 	// a dense step, the index-slice window for a sparse one. b − a is how
 	// many components the step writes there (the touched-component
 	// accounting), and a == b skips the range — the chain-skip predicate of
-	// the Leashed scatter-publish loop and the HOGWILD! sharded sweep.
-	// Callers compute it once per range and pass it on.
+	// the Leashed scatter-publish loop. Callers compute it once per range
+	// and pass it on.
 	window(lo, hi int) (a, b int)
-	// atomicApply applies the step's entries [a, b) (a window) to the
-	// HOGWILD! bit-pattern array with per-component atomic adds.
-	atomicApply(shared []uint64, a, b int, eta float64)
+	// atomicApply applies the whole step to the HOGWILD! bit-pattern array
+	// with per-component atomic adds.
+	atomicApply(shared []uint64, eta float64)
 	// publishChain runs ONE LAU-SPC publish attempt on chain c against the
 	// observed head cur: fold the step's entries [a, b) — its window on the
 	// chain's range — into the private vector nv on top of cur's values and
@@ -66,17 +62,15 @@ type step interface {
 // (the worker's gradient accumulator or its momentum velocity).
 type denseStep []float64
 
-func (s denseStep) addScaled(dst []float64, alpha float64) { tensor.Axpy(alpha, s, dst) }
-
 func (s denseStep) applyVector(v *paramvec.Vector, eta float64) { v.Update(s, eta) }
 
 // window of a dense step is the whole range: a dense publish writes every
 // component (zero entries included — they still cost the copy).
 func (s denseStep) window(lo, hi int) (a, b int) { return lo, hi }
 
-func (s denseStep) atomicApply(shared []uint64, a, b int, eta float64) {
-	for i := a; i < b; i++ {
-		if g := s[i]; g != 0 {
+func (s denseStep) atomicApply(shared []uint64, eta float64) {
+	for i, g := range s {
+		if g != 0 {
 			atomicx.AddFloat64(&shared[i], -eta*g)
 		}
 	}
@@ -108,17 +102,13 @@ func (s sparseStep) window(lo, hi int) (a, b int) {
 	return a, b
 }
 
-func (s sparseStep) addScaled(dst []float64, alpha float64) {
-	tensor.SpAxpy(alpha, s.idx, s.val, dst)
-}
-
 func (s sparseStep) applyVector(v *paramvec.Vector, eta float64) {
 	v.UpdateSparse(0, s.idx, s.val, eta)
 }
 
-func (s sparseStep) atomicApply(shared []uint64, a, b int, eta float64) {
-	for k := a; k < b; k++ {
-		atomicx.AddFloat64(&shared[s.idx[k]], -eta*s.val[k])
+func (s sparseStep) atomicApply(shared []uint64, eta float64) {
+	for k, i := range s.idx {
+		atomicx.AddFloat64(&shared[i], -eta*s.val[k])
 	}
 }
 
@@ -133,9 +123,8 @@ func (s sparseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv
 // minibatch (untimed — it covers the sampler and any accumulator reset);
 // compute produces the step against the parameter view (timed as Tc). The
 // returned step may alias the worker's internal buffers and is valid until
-// the next sample call — every strategy finishes (or, for SYNC, the
-// coordinator drains) the commit before the worker resumes, so the aliasing
-// is safe by the loop's structure.
+// the next sample call — every strategy finishes the commit before the
+// worker resumes, so the aliasing is safe by the loop's structure.
 type gradWorker interface {
 	sample()
 	compute(pv paramvec.View, velocity []float64) step

@@ -95,8 +95,7 @@ func ckptConfig(t *testing.T, algo Algorithm, workers int) Config {
 // TestKillResumeExactBudget is the crash/resume equivalence contract: a run
 // killed mid-flight and resumed from its newest checkpoint completes EXACTLY
 // the original budget — ResumedFrom + TotalUpdates == MaxUpdates — across
-// one arm per publish protocol (lock, component-atomic, LAU-SPC, round
-// barrier), the shards and autotune arms, and a Leashed arm whose killed leg
+// one arm per publish protocol (lock, component-atomic, LAU-SPC), the shards and autotune arms, and a Leashed arm whose killed leg
 // also takes worker panics and failed publish attempts.
 func TestKillResumeExactBudget(t *testing.T) {
 	cases := []struct {
@@ -109,7 +108,6 @@ func TestKillResumeExactBudget(t *testing.T) {
 		{"leashed-autotune", func(c *Config) { c.Tune = TuneLadder; c.Persistence = 2 }, nil},
 		{"hogwild", func(c *Config) { c.Algo = Hogwild }, nil},
 		{"async", func(c *Config) { c.Algo = Async }, nil},
-		{"sync", func(c *Config) { c.Algo = SyncLockstep }, nil},
 		{"leashed-faulted", func(c *Config) {}, []faultinject.Rule{
 			{Site: faultinject.WorkerIter, Kind: faultinject.KindPanic, Prob: 0.01},
 			{Site: faultinject.Publish, Kind: faultinject.KindFail, Prob: 0.01},

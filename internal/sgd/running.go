@@ -143,8 +143,6 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 		st = rt.newHogwildStrategy(initVec)
 	case Leashed, LeashedAdaptive:
 		st = rt.newLeashedStrategy(initVec)
-	case SyncLockstep:
-		st = rt.newSyncStrategy(initVec)
 	}
 	r := &Running{rt: rt, st: st, done: make(chan struct{})}
 	rt.start = time.Now()

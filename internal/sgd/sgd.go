@@ -43,12 +43,6 @@ const (
 	// LeashedAdaptive is the extension variant: the persistence bound
 	// adapts to observed CAS contention instead of being fixed.
 	LeashedAdaptive
-	// SyncLockstep is synchronous parallel SGD (paper Sec. I): per round,
-	// all m workers compute gradients against the same snapshot, the
-	// coordinator averages them and takes one global step. Included as
-	// the lock-step comparison point the asynchronous variants motivate
-	// themselves against.
-	SyncLockstep
 )
 
 // String returns the evaluation-section name of the algorithm.
@@ -64,8 +58,6 @@ func (a Algorithm) String() string {
 		return "LSH"
 	case LeashedAdaptive:
 		return "LSH_adpt"
-	case SyncLockstep:
-		return "SYNC"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -127,9 +119,9 @@ type Config struct {
 	// shards, each with its own lock-free latest-pointer chain, pool and
 	// sequence counter, so Leashed publish CAS contention scales as ~1/S
 	// (extension; see internal/paramvec.ShardedShared). 0 or 1 is one
-	// chain: the paper's exact single published pointer. HOGWILD! uses the knob to
-	// rotate its component-update traversal order across shards; the other
-	// algorithms ignore it. Values above the parameter dimension clamp.
+	// chain: the paper's exact single published pointer. Only the Leashed
+	// variants use it; SEQ, ASYNC and HOGWILD! ignore it and report one
+	// shard. Values above the parameter dimension clamp.
 	// Gradient reads stay zero-copy at every shard count: workers lease
 	// the per-shard published buffers (paramvec.Lease) and compute against
 	// them in place. The remaining trade-off is ordering only — a sharded
@@ -230,7 +222,7 @@ const DefaultWorkerRestarts = 4
 // coerced. Start, StartSparse, Run and Resume call it before anything runs.
 func (c Config) Validate() error {
 	switch {
-	case c.Algo < Seq || c.Algo > SyncLockstep:
+	case c.Algo < Seq || c.Algo > LeashedAdaptive:
 		return fmt.Errorf("sgd: unknown algorithm %v", c.Algo)
 	case c.Tune < TuneOff || c.Tune > TuneModel:
 		return fmt.Errorf("sgd: unknown tuning mode %v", c.Tune)
@@ -332,11 +324,12 @@ type Result struct {
 	// Tu the update phase, one sample per iteration each, with a uniform
 	// definition across algorithms: Tu covers the whole publish protocol
 	// of the iteration — lock acquisition for ASYNC, all LAU-SPC CAS
-	// attempts (up to Tp retries) for the Leashed variants, the averaged
-	// global step for SYNC. (Pre-ParamStore versions sampled single-chain
-	// Leashed per CAS attempt and excluded ASYNC's lock wait; the unified
-	// loop measures the synchronization cost as part of the update phase,
-	// which is the quantity the paper's Tc/Tu model reasons about.)
+	// attempts (up to Tp retries) for the Leashed variants, the
+	// component-atomic sweep for HOGWILD!. (Pre-ParamStore versions
+	// sampled single-chain Leashed per CAS attempt and excluded ASYNC's
+	// lock wait; the unified loop measures the synchronization cost as part
+	// of the update phase, which is the quantity the paper's Tc/Tu model
+	// reasons about.)
 	Trace     metrics.Trace
 	Staleness *metrics.Hist
 	Tc, Tu    *metrics.DurationSampler
@@ -367,11 +360,11 @@ type Result struct {
 	MixedReads      int64
 
 	// Per-shard contention breakdown (len = Shards; nil for algorithms
-	// that ignore the sharding knob). ShardPublishes counts successful
-	// shard publishes (HOGWILD!: per-shard component-update sweeps);
-	// ShardFailedCAS is FailedCAS per shard, lost attempts of both kinds;
-	// ShardStalenessMean is the mean per-shard publish staleness, measured
-	// in that shard's own sequence numbers. ShardStaleReads counts, per
+	// that ignore the sharding knob: SEQ, ASYNC and HOGWILD!).
+	// ShardPublishes counts successful shard publishes; ShardFailedCAS is
+	// FailedCAS per shard, lost attempts of both kinds; ShardStalenessMean
+	// is the mean per-shard publish staleness, measured in that shard's
+	// own sequence numbers. ShardStaleReads counts, per
 	// shard, the leased reads during which THAT shard's chain republished
 	// (the per-chain decomposition of MixedReads; a single read that saw
 	// k chains advance contributes to k entries) — the staleness
@@ -687,7 +680,8 @@ func (rt *runCtx) applyUpdate() int64 {
 }
 
 // numShards returns the effective shard count: Config.Shards clamped to
-// [1, d]. Only Leashed/LeashedAdaptive/Hogwild consume it.
+// [1, d]. Only Leashed/LeashedAdaptive consume it; every other algorithm
+// runs on one chain.
 func (rt *runCtx) numShards() int {
 	s := rt.cfg.Shards
 	if s < 1 {
@@ -697,7 +691,7 @@ func (rt *runCtx) numShards() int {
 		s = rt.d
 	}
 	switch rt.cfg.Algo {
-	case Leashed, LeashedAdaptive, Hogwild:
+	case Leashed, LeashedAdaptive:
 		return s
 	default:
 		return 1

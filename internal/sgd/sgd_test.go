@@ -1,6 +1,7 @@
 package sgd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -222,20 +223,32 @@ func TestPersistenceZeroSemantics(t *testing.T) {
 
 // --- memory accounting ------------------------------------------------------
 
+// TestAsyncMemoryIs2mPlus1 pins the Fig. 10 baselines' constant memory: ASYNC
+// and HOGWILD! each hold m read copies, m gradient buffers and one shared
+// vector (HOGWILD!'s atomic array is accounted as one), 2m+1 at any Shards,
+// which both ignore.
 func TestAsyncMemoryIs2mPlus1(t *testing.T) {
 	ds := tinyDataset()
 	const m = 4
-	cfg := testConfig(Async, m)
-	cfg.EpsilonFrac = 0
-	// Time-bounded (not update-bounded) so all m workers are guaranteed to
-	// have checked out their buffers before the run ends.
-	cfg.MaxTime = 400 * time.Millisecond
-	res := runOrFatal(t, cfg, tinyNet(ds), ds)
-	if res.PeakLiveVectors != 2*m+1 {
-		t.Fatalf("ASYNC peak live vectors = %d, want %d (2m+1)", res.PeakLiveVectors, 2*m+1)
-	}
-	if res.FinalLiveVectors != 0 {
-		t.Fatalf("leak: %d vectors live after run", res.FinalLiveVectors)
+	for _, algo := range []Algorithm{Async, Hogwild} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
+				cfg := testConfig(algo, m)
+				cfg.Shards = shards
+				cfg.EpsilonFrac = 0
+				// Time-bounded (not update-bounded) so all m workers are
+				// guaranteed to have checked out their buffers before the
+				// run ends.
+				cfg.MaxTime = 400 * time.Millisecond
+				res := runOrFatal(t, cfg, tinyNet(ds), ds)
+				if res.PeakLiveVectors != 2*m+1 {
+					t.Fatalf("%s peak live vectors = %d, want %d (2m+1)", algo, res.PeakLiveVectors, 2*m+1)
+				}
+				if res.FinalLiveVectors != 0 {
+					t.Fatalf("leak: %d vectors live after run", res.FinalLiveVectors)
+				}
+			})
+		}
 	}
 }
 
@@ -367,50 +380,6 @@ func TestTimePerUpdate(t *testing.T) {
 	var empty Result
 	if empty.TimePerUpdate() != 0 {
 		t.Fatal("zero-update TimePerUpdate not 0")
-	}
-}
-
-func TestSyncLockstepConverges(t *testing.T) {
-	ds := tinyDataset()
-	res := runOrFatal(t, testConfig(SyncLockstep, 4), tinyNet(ds), ds)
-	if res.Outcome != Converged {
-		t.Fatalf("SYNC outcome = %v (loss %v -> %v)", res.Outcome, res.InitialLoss, res.FinalLoss)
-	}
-	if res.Staleness.Max() != 0 {
-		t.Fatalf("lock-step staleness max = %d, want 0", res.Staleness.Max())
-	}
-}
-
-func TestSyncLockstepMemory(t *testing.T) {
-	ds := tinyDataset()
-	const m = 3
-	cfg := testConfig(SyncLockstep, m)
-	cfg.EpsilonFrac = 0
-	cfg.MaxUpdates = 50
-	res := runOrFatal(t, cfg, tinyNet(ds), ds)
-	// SYNC holds m gradient buffers plus the shared vector: m+1.
-	if res.PeakLiveVectors != m+1 {
-		t.Fatalf("SYNC peak vectors = %d, want %d", res.PeakLiveVectors, m+1)
-	}
-	if res.FinalLiveVectors != 0 {
-		t.Fatalf("leak: %d live after run", res.FinalLiveVectors)
-	}
-}
-
-func TestSyncLockstepStopsCleanly(t *testing.T) {
-	// Regression guard for coordinator/worker deadlock on shutdown: a
-	// short time budget must terminate promptly.
-	ds := tinyDataset()
-	cfg := testConfig(SyncLockstep, 4)
-	cfg.EpsilonFrac = 0.0001 // unreachable: exercises the budget path
-	cfg.MaxTime = 300 * time.Millisecond
-	start := time.Now()
-	res := runOrFatal(t, cfg, tinyNet(ds), ds)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("shutdown took %v", elapsed)
-	}
-	if res.TotalUpdates == 0 {
-		t.Fatal("no rounds completed")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // StartSparse validates the sparse configuration and launches a live run over
 // a sparse logistic-regression problem. Gradients flow through the pipeline
 // in index/value form: Leashed chains the step has no mass in are skipped
-// outright (scatter-publish), HOGWILD! sweeps only the shards it touches, and
-// the lock-based algorithms apply sparse in-place updates.
+// outright (scatter-publish), HOGWILD! atomically adds only the step's
+// nonzeros, and the lock-based algorithms apply sparse in-place updates.
 //
 // Sparse-specific defaults and restrictions:
 //

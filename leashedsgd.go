@@ -23,13 +23,12 @@
 // (paramvec.Lease), with each read classified by seqlock validation as
 // consistent or mixed-version (Result.ConsistentReads/MixedReads — the
 // only sharding trade-off left is ordering, not copying). Shards = 1 (the
-// default) is bit-for-bit the paper's single-chain algorithm. HOGWILD!
-// reuses the knob to rotate its component-update traversal across shards;
-// per-shard failed-CAS/dropped/staleness breakdowns land in
-// Result.ShardFailedCAS and friends. The test matrix covers every
-// Algorithm × shard count {1, 4} (internal/sgd), a store conformance suite
-// plus race-detector stress tests over the store at one and four chains
-// (internal/paramvec), the exact ~1/S contention law
+// default) is bit-for-bit the paper's single-chain algorithm; SEQ, ASYNC and
+// HOGWILD! ignore the knob. Per-shard failed-CAS/dropped/staleness
+// breakdowns land in Result.ShardFailedCAS and friends. The test matrix
+// covers every Algorithm × shard count {1, 4} (internal/sgd), a store
+// conformance suite plus race-detector stress tests over the store at one
+// and four chains (internal/paramvec), the exact ~1/S contention law
 // (TestShardingReducesCASContention), and a 0 allocs/op guard on the
 // leased read path (TestReadPathsAllocateNothing,
 // TestBatchedPassesAllocateNothingWarm).
@@ -96,10 +95,6 @@ const (
 	// persistence bound (extension; see docs/architecture.md,
 	// "LeashedAdaptive").
 	LeashedAdaptive = sgd.LeashedAdaptive
-	// Sync is lock-step synchronous SGD with per-round gradient averaging
-	// (the SyncSGD scheme the paper's introduction positions the
-	// asynchronous family against).
-	Sync = sgd.SyncLockstep
 )
 
 // PersistenceInf configures an unbounded LAU-SPC retry loop (LSH_ps∞).
@@ -234,8 +229,8 @@ func SyntheticSparse(n, dim, nnz int, seed uint64) *SparseDataset {
 // TrainSparse runs one training run of the configured algorithm over a sparse
 // dataset. Every algorithm of the dense path is available; gradients flow
 // through the pipeline in sparse index/value form, so the Leashed family
-// scatter-publishes only the chains each step touches and HOGWILD! sweeps
-// only the shards it hits. BatchSize defaults to 1 (the sparse regime's
+// scatter-publishes only the chains each step touches and HOGWILD! adds only
+// the step's nonzeros. BatchSize defaults to 1 (the sparse regime's
 // natural step granularity); Momentum is rejected — a dense velocity would
 // densify every step. Config.SparseAsDense forces dense whole-vector carries
 // of the same gradients, the control arm the sparse benchmarks compare

@@ -131,28 +131,6 @@ func TestLoadOrSynthesizeFallsBack(t *testing.T) {
 	}
 }
 
-func TestSyncAlgorithmViaFacade(t *testing.T) {
-	model := leashedsgd.SmallMLP(28*28, 10)
-	ds := leashedsgd.SyntheticMNIST(256, 1)
-	res, err := leashedsgd.Train(leashedsgd.Config{
-		Algo:        leashedsgd.Sync,
-		Workers:     2,
-		Eta:         0.1,
-		BatchSize:   16,
-		EpsilonFrac: 0.5,
-		MaxTime:     20 * time.Second,
-	}, model, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != leashedsgd.Converged {
-		t.Fatalf("SYNC outcome = %v", res.Outcome)
-	}
-	if res.Staleness.Max() != 0 {
-		t.Fatalf("SYNC staleness = %d, want 0", res.Staleness.Max())
-	}
-}
-
 func TestCheckpointRoundTripViaFacade(t *testing.T) {
 	model := leashedsgd.SmallMLP(28*28, 10)
 	ds := leashedsgd.SyntheticMNIST(128, 3)
