@@ -190,10 +190,7 @@ func (c *Conv2D) BackwardBatch(params, grad []float64, _, _, dOut, dIn tensor.Ma
 		}
 	}
 	tensor.MatMulABT(c.filterMat(grad), dOutT, cols)
-	gb := c.biases(grad)
-	for f := 0; f < F; f++ {
-		gb[f] = tensor.Sum(dOutT.Row(f))
-	}
+	rowSums(c.biases(grad), dOutT)
 	if dIn.Data == nil {
 		return
 	}
@@ -210,9 +207,34 @@ func (c *Conv2D) BackwardBatch(params, grad []float64, _, _, dOut, dIn tensor.Ma
 	}
 }
 
+// rowSums sets sums[f] to tensor.Sum(m.Row(f)) for every row of m. Four rows
+// are summed side by side: each sum is still one left-to-right chain of adds
+// from zero, bit for bit Sum's, but four independent chains keep the adder
+// busy where a single chain waits on the latency of its previous add.
+func rowSums(sums []float64, m tensor.Mat) {
+	f := 0
+	for ; f+4 <= m.Rows; f += 4 {
+		r0, r1, r2, r3 := m.Row(f), m.Row(f+1), m.Row(f+2), m.Row(f+3)
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+		var s0, s1, s2, s3 float64
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		sums[f], sums[f+1], sums[f+2], sums[f+3] = s0, s1, s2, s3
+	}
+	for ; f < m.Rows; f++ {
+		sums[f] = tensor.Sum(m.Row(f))
+	}
+}
+
 // MaxPool2D downsamples each channel of a (C, H, W) input with a
 // non-overlapping Size×Size max window (floor division on the borders, as in
 // the paper's CNN where an 11×11 map pools to 5×5). It owns no parameters.
+// The winner of a window is its first maximal input in row-major order, and a
+// window holding a NaN pools to NaN.
 type MaxPool2D struct {
 	C, InH, InW, Size int
 }
@@ -249,56 +271,30 @@ func (p *MaxPool2D) NewScratch() any {
 }
 
 func (p *MaxPool2D) Forward(_, in, out []float64, scratch any) {
-	p.forwardOne(in, out, scratch.(*poolScratch).argmax)
+	p.pool(in, out, scratch.(*poolScratch).argmax, p.C)
 }
 
-// forwardOne pools one example, recording winners into argmax (len OutDim).
-func (p *MaxPool2D) forwardOne(in, out []float64, argmax []int) {
-	outH, outW := p.OutH(), p.OutW()
-	oi := 0
+// pool pools `planes` consecutive InH×InW planes of in — one example's C
+// channels, or a whole contiguous minibatch's — recording each output's
+// winner as an index into in.
+func (p *MaxPool2D) pool(in, out []float64, argmax []int, planes int) {
 	if p.Size == 2 {
-		// The paper's architectures pool exclusively with 2×2 windows;
-		// the unrolled four-way compare avoids the window loops' bounds
-		// and index arithmetic per output element.
-		for ch := 0; ch < p.C; ch++ {
-			base := ch * p.InH * p.InW
-			for oy := 0; oy < outH; oy++ {
-				rowBase := base + oy*2*p.InW
-				for ox := 0; ox < outW; ox++ {
-					i0 := rowBase + ox*2
-					i2 := i0 + p.InW
-					v0, v1, v2, v3 := in[i0], in[i0+1], in[i2], in[i2+1]
-					// Tournament compare: two independent pairs then a
-					// final, keeping the dependency chains short.
-					b01, j01 := v0, i0
-					if v1 > v0 {
-						b01, j01 = v1, i0+1
-					}
-					b23, j23 := v2, i2
-					if v3 > v2 {
-						b23, j23 = v3, i2+1
-					}
-					if b23 > b01 {
-						b01, j01 = b23, j23
-					}
-					out[oi] = b01
-					argmax[oi] = j01
-					oi++
-				}
-			}
-		}
+		pool2x2(in, out, argmax, planes, p.InH, p.InW)
 		return
 	}
-	for ch := 0; ch < p.C; ch++ {
-		base := ch * p.InH * p.InW
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				bestIdx := base + oy*p.Size*p.InW + ox*p.Size
+	h, w, k := p.InH, p.InW, p.Size
+	oi := 0
+	for pl := 0; pl < planes; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < h/k; oy++ {
+			for ox := 0; ox < w/k; ox++ {
+				bestIdx := base + oy*k*w + ox*k
 				best := in[bestIdx]
-				for dy := 0; dy < p.Size; dy++ {
-					rowBase := base + (oy*p.Size+dy)*p.InW + ox*p.Size
-					for dx := 0; dx < p.Size; dx++ {
-						if v := in[rowBase+dx]; v > best {
+				for dy := 0; dy < k; dy++ {
+					rowBase := base + (oy*k+dy)*w + ox*k
+					for dx := 0; dx < k; dx++ {
+						// A NaN replaces a number but never another NaN.
+						if v := in[rowBase+dx]; v > best || (v != v && best == best) {
 							best, bestIdx = v, rowBase+dx
 						}
 					}
@@ -311,17 +307,55 @@ func (p *MaxPool2D) forwardOne(in, out []float64, argmax []int) {
 	}
 }
 
+// pool2x2 is pool for the 2×2 windows the paper's architectures use. The
+// value comes from the NaN-propagating max builtin and the winner from three
+// compares into conditional moves: no data-dependent branch, where a
+// compare-and-branch tournament mispredicts on about every other window. The
+// winner is the tournament's, the first maximal input of (0,0), (0,1),
+// (1,0), (1,1): a strict > keeps the earlier input of each pair on a tie.
+func pool2x2(in, out []float64, argmax []int, planes, h, w int) {
+	outW := w / 2
+	oi := 0
+	for pl := 0; pl < planes; pl++ {
+		for oy := 0; oy < h/2; oy++ {
+			i0 := pl*h*w + oy*2*w
+			r0 := in[i0 : i0+2*outW]
+			r1 := in[i0+w : i0+w+2*outW]
+			o := out[oi : oi+outW]
+			a := argmax[oi : oi+outW]
+			for ox := range o {
+				v0, v1, v2, v3 := r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1]
+				m01, m23 := max(v0, v1), max(v2, v3)
+				d01 := 0
+				if v1 > v0 {
+					d01 = 1
+				}
+				d23 := w
+				if v3 > v2 {
+					d23 = w + 1
+				}
+				if m23 > m01 {
+					d01 = d23
+				}
+				o[ox] = max(m01, m23)
+				a[ox] = i0 + 2*ox + d01
+			}
+			oi += outW
+		}
+	}
+}
+
 func (p *MaxPool2D) Backward(_, _, _, _, dOut, dIn []float64, scratch any) {
 	if dIn == nil {
 		return
 	}
-	p.backwardOne(dOut, dIn, scratch.(*poolScratch).argmax)
+	route(dOut, dIn, scratch.(*poolScratch).argmax)
 }
 
-// backwardOne routes one example's gradient to the recorded max winners.
-func (p *MaxPool2D) backwardOne(dOut, dIn []float64, argmax []int) {
+// route sends each output's gradient to its recorded winner.
+func route(dOut, dIn []float64, argmax []int) {
 	tensor.Fill(dIn, 0)
-	for oi, ii := range argmax {
+	for oi, ii := range argmax[:len(dOut)] {
 		dIn[ii] += dOut[oi]
 	}
 }
@@ -332,21 +366,15 @@ func (p *MaxPool2D) NewBatchScratch(batch int) any {
 	return &poolScratch{argmax: make([]int, batch*p.OutDim())}
 }
 
+// ForwardBatch pools the minibatch as one run of batch·C planes: the rows of
+// a Mat are contiguous, so the winners index the whole batch's input.
 func (p *MaxPool2D) ForwardBatch(_ []float64, in, out tensor.Mat, scratch any) {
-	s := scratch.(*poolScratch)
-	od := p.OutDim()
-	for b := 0; b < in.Rows; b++ {
-		p.forwardOne(in.Row(b), out.Row(b), s.argmax[b*od:(b+1)*od])
-	}
+	p.pool(in.Data, out.Data, scratch.(*poolScratch).argmax, in.Rows*p.C)
 }
 
 func (p *MaxPool2D) BackwardBatch(_, _ []float64, _, _, dOut, dIn tensor.Mat, scratch any) {
 	if dIn.Data == nil {
 		return
 	}
-	s := scratch.(*poolScratch)
-	od := p.OutDim()
-	for b := 0; b < dOut.Rows; b++ {
-		p.backwardOne(dOut.Row(b), dIn.Row(b), s.argmax[b*od:(b+1)*od])
-	}
+	route(dOut.Data, dIn.Data, scratch.(*poolScratch).argmax)
 }

@@ -357,17 +357,18 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 }
 
 // evalBlock is the row block of the evaluation pass, chosen by measurement
-// (re-run against the tile kernels; 256 rows, minimum of 25 rounds):
+// (re-run with the branchless pool; 256 rows, minimum of 25 rounds on a
+// 2-vCPU AVX-512 host):
 //
 //	block   PaperMLP   PaperCNN   CNN workspace
-//	  4     3.19 ms    8.82 ms    1.1 MiB
-//	  8     1.90 ms    8.53 ms    1.9 MiB
-//	 16     1.69 ms    8.67 ms    3.4 MiB
-//	 32     1.72 ms    8.87 ms    6.5 MiB
+//	  4     2.67 ms    4.82 ms    1.0 MiB
+//	  8     1.51 ms    4.74 ms    1.7 MiB
+//	 16     1.41 ms    5.07 ms    3.0 MiB
+//	 32     1.50 ms    5.39 ms    5.7 MiB
 //
 // 8 rows fill the vector lanes of either kernel tier (an 8-wide panel runs
 // the AVX-512 kernel's half-width loop) and already turn the Dense layers'
-// per-row GEMV into GEMM; 16 buys the MLP another 11% but doubles the
+// per-row GEMV into GEMM; 16 buys the MLP another 7% but doubles the
 // batch-shaped buffers every evaluating workspace holds — above all Conv2D's
 // im2col panel — for nothing on the conv-bound CNN. A constant, not a knob.
 const evalBlock = 8
@@ -469,19 +470,25 @@ func NewPaperMLP() *Network {
 
 // NewPaperCNN is the exact Table III architecture:
 // Conv(4 filters, 3×3) → Pool(2×2) → Conv(8, 3×3) → Pool(2×2) →
-// Dense(128) → Dense(10), with ReLU after conv and dense stages,
-// d = 27,354.
+// Dense(128) → Dense(10), with ReLU on every conv and dense stage,
+// d = 27,354. Each conv stage applies its ReLU after the pool: ReLU is
+// monotone and maps every non-positive input to +0, so relu(pool(x)) and
+// pool(relu(x)) agree bit for bit in value and in gradient, and the pooled
+// order runs ReLU on a quarter of the elements. (A window whose max is ≤ 0
+// may pick another winner, but the ReLU zeroes its gradient in both orders.)
+// Neither layer has parameters, so θ's layout is that of the
+// conv → ReLU → pool order.
 func NewPaperCNN() *Network {
 	conv1 := NewConv2D(1, 28, 28, 4, 3)     // → 4×26×26
-	relu1 := NewReLU(conv1.OutDim())        //
 	pool1 := NewMaxPool2D(4, 26, 26, 2)     // → 4×13×13
+	relu1 := NewReLU(pool1.OutDim())        //
 	conv2 := NewConv2D(4, 13, 13, 8, 3)     // → 8×11×11
-	relu2 := NewReLU(conv2.OutDim())        //
 	pool2 := NewMaxPool2D(8, 11, 11, 2)     // → 8×5×5 = 200
+	relu2 := NewReLU(pool2.OutDim())        //
 	dense1 := NewDense(pool2.OutDim(), 128) //
 	relu3 := NewReLU(128)                   //
 	dense2 := NewDense(128, 10)             //
-	return MustNetwork(conv1, relu1, pool1, conv2, relu2, pool2, dense1, relu3, dense2)
+	return MustNetwork(conv1, pool1, relu1, conv2, pool2, relu2, dense1, relu3, dense2)
 }
 
 // NewSmallMLP is a scaled-down MLP (input → 32 → 10) used by tests and the
@@ -492,16 +499,17 @@ func NewSmallMLP(inputDim, classes int) *Network {
 }
 
 // NewSmallCNN is a scaled-down CNN with the same layer types as the paper's
-// (conv→pool→conv→pool→dense→dense) for fast experiment runs.
+// (conv→pool→conv→pool→dense→dense) for fast experiment runs; like
+// NewPaperCNN it applies each conv stage's ReLU after the pool.
 func NewSmallCNN() *Network {
 	conv1 := NewConv2D(1, 28, 28, 2, 3) // → 2×26×26
-	relu1 := NewReLU(conv1.OutDim())
 	pool1 := NewMaxPool2D(2, 26, 26, 2) // → 2×13×13
+	relu1 := NewReLU(pool1.OutDim())
 	conv2 := NewConv2D(2, 13, 13, 4, 3) // → 4×11×11
-	relu2 := NewReLU(conv2.OutDim())
 	pool2 := NewMaxPool2D(4, 11, 11, 2) // → 4×5×5 = 100
+	relu2 := NewReLU(pool2.OutDim())
 	dense1 := NewDense(pool2.OutDim(), 32)
 	relu3 := NewReLU(32)
 	dense2 := NewDense(32, 10)
-	return MustNetwork(conv1, relu1, pool1, conv2, relu2, pool2, dense1, relu3, dense2)
+	return MustNetwork(conv1, pool1, relu1, conv2, pool2, relu2, dense1, relu3, dense2)
 }

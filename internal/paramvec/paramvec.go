@@ -211,8 +211,8 @@ func (v *Vector) CopyFrom(src *Vector) {
 // (Algorithm 1's update). It must only be called on vectors that are
 // private to the caller or protected externally (the lock-based baseline).
 // The arithmetic is tensor.AxpyTo's — the same kernel UpdateFrom runs — so
-// SEQ, ASYNC, SYNC and the Leashed publish produce identical values from
-// identical inputs.
+// SEQ, ASYNC and the Leashed publish produce identical values from identical
+// inputs.
 func (v *Vector) Update(delta []float64, eta float64) {
 	v.ver = unknownVer
 	v.T++

@@ -2,7 +2,7 @@
 // measurement contract as Run/Start, driving sparse logistic regression with
 // first-class CSR gradient steps. The only representation-specific code is
 // the validation here and the sparseProblem in problem.go — every algorithm
-// (SEQ, ASYNC, HOGWILD!, SyncSGD, the Leashed family, autotuned or not) runs
+// (SEQ, ASYNC, HOGWILD!, the Leashed family, autotuned or not) runs
 // sparse workloads without a per-algorithm fork.
 package sgd
 
