@@ -44,7 +44,7 @@ type Layer interface {
 	// nil for the first layer (input gradient not needed).
 	Backward(params, grad, in, out, dOut, dIn []float64, scratch any)
 	// NewScratch allocates whatever per-worker temporary storage Forward
-	// and Backward need (im2col buffers, argmax indices); nil if none.
+	// and Backward need (run offsets, argmax indices); nil if none.
 	NewScratch() any
 	// Name describes the layer for architecture listings.
 	Name() string

@@ -42,6 +42,24 @@ func NewNetwork(layers ...Layer) (*Network, error) {
 			return nil, fmt.Errorf("nn: layer %d (%s) expects input %d but layer %d (%s) outputs %d",
 				i, l.Name(), l.InDim(), i-1, layers[i-1].Name(), layers[i-1].OutDim())
 		}
+		// A Conv2D's rows are InW apart (see Conv2D): only its own pool reads
+		// them, after any ReLUs, which keep the layout.
+		if c, ok := l.(*Conv2D); ok {
+			j := i + 1
+			for j < len(layers) {
+				if _, ok := layers[j].(*ReLU); !ok {
+					break
+				}
+				j++
+			}
+			var p *MaxPool2D
+			if j < len(layers) {
+				p, _ = layers[j].(*MaxPool2D)
+			}
+			if p == nil || p.C != c.Filters || p.InH != c.OutH() || p.InW != c.OutW() || p.RowStride != c.InW {
+				return nil, fmt.Errorf("nn: layer %d (%s) must be followed by its Pool", i, l.Name())
+			}
+		}
 		n.offsets[i] = n.d
 		n.d += l.ParamCount()
 		if _, ok := l.(*Dropout); ok {
@@ -357,20 +375,23 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 }
 
 // evalBlock is the row block of the evaluation pass, chosen by measurement
-// (re-run with the branchless pool; 256 rows, minimum of 25 rounds on a
-// 2-vCPU AVX-512 host):
+// (re-run with the implicit-GEMM convolution; 256 rows, minimum over five
+// interleaved runs of 25 rounds on a 2-vCPU AVX-512 host; workspace is what
+// NewWorkspace and the first evaluation allocate):
 //
 //	block   PaperMLP   PaperCNN   CNN workspace
-//	  4     2.67 ms    4.82 ms    1.0 MiB
-//	  8     1.51 ms    4.74 ms    1.7 MiB
-//	 16     1.41 ms    5.07 ms    3.0 MiB
-//	 32     1.50 ms    5.39 ms    5.7 MiB
+//	  4     2.73 ms    2.92 ms    0.40 MiB
+//	  8     1.57 ms    2.75 ms    0.67 MiB
+//	 16     1.44 ms    2.63 ms    1.17 MiB
+//	 32     1.51 ms    2.75 ms    2.19 MiB
 //
 // 8 rows fill the vector lanes of either kernel tier (an 8-wide panel runs
 // the AVX-512 kernel's half-width loop) and already turn the Dense layers'
-// per-row GEMV into GEMM; 16 buys the MLP another 7% but doubles the
-// batch-shaped buffers every evaluating workspace holds — above all Conv2D's
-// im2col panel — for nothing on the conv-bound CNN. A constant, not a knob.
+// per-row GEMV into GEMM. The convolution no longer holds a batch-wide
+// panel, so a larger block costs only activation buffers, but it buys
+// nothing the host's run-to-run spread can show: 16 rows read 8% faster on
+// the MLP and 4% on the CNN, with twice the buffers. A constant, not a
+// knob.
 const evalBlock = 8
 
 // Evaluate returns the mean softmax-cross-entropy loss and the argmax
@@ -477,13 +498,16 @@ func NewPaperMLP() *Network {
 // order runs ReLU on a quarter of the elements. (A window whose max is ≤ 0
 // may pick another winner, but the ReLU zeroes its gradient in both orders.)
 // Neither layer has parameters, so θ's layout is that of the
-// conv → ReLU → pool order.
+// conv → ReLU → pool order. Each conv computes its output at its input's
+// row width and its pool reads it there (Conv2D.Pool): no lowering and no
+// compaction copy; the forward pass is bit-identical to the lowered
+// convolution's.
 func NewPaperCNN() *Network {
-	conv1 := NewConv2D(1, 28, 28, 4, 3)     // → 4×26×26
-	pool1 := NewMaxPool2D(4, 26, 26, 2)     // → 4×13×13
+	conv1 := NewConv2D(1, 28, 28, 4, 3)     // → 4×26×26, rows 28 apart
+	pool1 := conv1.Pool(2)                  // → 4×13×13
 	relu1 := NewReLU(pool1.OutDim())        //
-	conv2 := NewConv2D(4, 13, 13, 8, 3)     // → 8×11×11
-	pool2 := NewMaxPool2D(8, 11, 11, 2)     // → 8×5×5 = 200
+	conv2 := NewConv2D(4, 13, 13, 8, 3)     // → 8×11×11, rows 13 apart
+	pool2 := conv2.Pool(2)                  // → 8×5×5 = 200
 	relu2 := NewReLU(pool2.OutDim())        //
 	dense1 := NewDense(pool2.OutDim(), 128) //
 	relu3 := NewReLU(128)                   //
@@ -502,11 +526,11 @@ func NewSmallMLP(inputDim, classes int) *Network {
 // (conv→pool→conv→pool→dense→dense) for fast experiment runs; like
 // NewPaperCNN it applies each conv stage's ReLU after the pool.
 func NewSmallCNN() *Network {
-	conv1 := NewConv2D(1, 28, 28, 2, 3) // → 2×26×26
-	pool1 := NewMaxPool2D(2, 26, 26, 2) // → 2×13×13
+	conv1 := NewConv2D(1, 28, 28, 2, 3) // → 2×26×26, rows 28 apart
+	pool1 := conv1.Pool(2)              // → 2×13×13
 	relu1 := NewReLU(pool1.OutDim())
-	conv2 := NewConv2D(2, 13, 13, 4, 3) // → 4×11×11
-	pool2 := NewMaxPool2D(4, 11, 11, 2) // → 4×5×5 = 100
+	conv2 := NewConv2D(2, 13, 13, 4, 3) // → 4×11×11, rows 13 apart
+	pool2 := conv2.Pool(2)              // → 4×5×5 = 100
 	relu2 := NewReLU(pool2.OutDim())
 	dense1 := NewDense(pool2.OutDim(), 32)
 	relu3 := NewReLU(32)

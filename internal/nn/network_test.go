@@ -93,11 +93,15 @@ func TestReLUForwardBackward(t *testing.T) {
 
 func TestConvGeometry(t *testing.T) {
 	c := NewConv2D(1, 28, 28, 4, 3)
-	if c.OutH() != 26 || c.OutW() != 26 || c.OutDim() != 4*26*26 {
+	// Output rows keep the input's width: 26 valid columns of 28.
+	if c.OutH() != 26 || c.OutW() != 26 || c.OutDim() != 4*26*28 {
 		t.Fatalf("conv out %dx%d dim %d", c.OutH(), c.OutW(), c.OutDim())
 	}
 	if c.ParamCount() != 4*9+4 {
 		t.Fatalf("conv params %d, want 40", c.ParamCount())
+	}
+	if p := c.Pool(2); p.RowStride != 28 || p.InDim() != c.OutDim() || p.OutDim() != 4*13*13 {
+		t.Fatalf("conv pool stride %d in %d out %d", p.RowStride, p.InDim(), p.OutDim())
 	}
 }
 
@@ -112,11 +116,38 @@ func TestConvForwardKnown(t *testing.T) {
 	}
 	out := make([]float64, c.OutDim())
 	c.Forward(params, in, out, c.NewScratch())
-	// windows: (1+2+4+5)=12, (2+3+5+6)=16, (4+5+7+8)=24, (5+6+8+9)=28, +0.5
+	// windows: (1+2+4+5)=12, (2+3+5+6)=16, (4+5+7+8)=24, (5+6+8+9)=28, +0.5;
+	// output rows are InW = 3 apart.
 	want := []float64{12.5, 16.5, 24.5, 28.5}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("conv out = %v, want %v", out, want)
+	for y := 0; y < c.OutH(); y++ {
+		for x := 0; x < c.OutW(); x++ {
+			if got := out[y*c.InW+x]; got != want[y*c.OutW()+x] {
+				t.Fatalf("conv out = %v, want %v in the first %d columns of each row", out, want, c.OutW())
+			}
+		}
+	}
+}
+
+// TestConvNeedsItsPool checks that NewNetwork accepts a Conv2D only when its
+// own pool reads it, directly or after ReLUs: no other layer knows that its
+// rows are InW apart.
+func TestConvNeedsItsPool(t *testing.T) {
+	c := NewConv2D(1, 6, 6, 2, 3) // → 2×4×4, rows 6 apart
+	if _, err := NewNetwork(c, c.Pool(2), NewDense(8, 3)); err != nil {
+		t.Fatalf("conv → its pool rejected: %v", err)
+	}
+	if _, err := NewNetwork(c, NewReLU(c.OutDim()), c.Pool(2), NewDense(8, 3)); err != nil {
+		t.Fatalf("conv → ReLU → its pool rejected: %v", err)
+	}
+	for name, layers := range map[string][]Layer{
+		"dense":        {c, NewDense(c.OutDim(), 3)},
+		"relu":         {c, NewReLU(c.OutDim()), NewDense(c.OutDim(), 3)},
+		"compact pool": {c, NewMaxPool2D(2, 4, 4, 2), NewDense(8, 3)},
+		"wide pool":    {c, NewMaxPool2D(2, 4, 6, 2), NewDense(12, 3)},
+		"last":         {c},
+	} {
+		if _, err := NewNetwork(layers...); err == nil {
+			t.Errorf("%s: conv without its pool accepted", name)
 		}
 	}
 }
@@ -207,11 +238,11 @@ func TestGradCheckMLP(t *testing.T) {
 
 func TestGradCheckCNN(t *testing.T) {
 	// Tiny CNN touching every layer type.
-	conv := NewConv2D(1, 6, 6, 2, 3) // → 2×4×4
-	relu := NewReLU(conv.OutDim())
-	pool := NewMaxPool2D(2, 4, 4, 2) // → 2×2×2 = 8
+	conv := NewConv2D(1, 6, 6, 2, 3) // → 2×4×4, rows 6 apart
+	pool := conv.Pool(2)             // → 2×2×2 = 8
+	relu := NewReLU(pool.OutDim())
 	dense := NewDense(8, 3)
-	n := MustNetwork(conv, relu, pool, dense)
+	n := MustNetwork(conv, pool, relu, dense)
 	numGradCheck(t, n, 43, 40, 1e-4)
 }
 

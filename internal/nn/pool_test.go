@@ -14,19 +14,20 @@ import (
 // tournamentPool is the compare-and-branch max-pool the branchless kernel
 // replaced, kept as the reference: two pairs, then a final, each keeping the
 // earlier input on a tie (Size 2), or a row-major scan with a strict > (any
-// other Size). Its winners index each example's own input.
+// other Size). Its winners index each example's own input, whose rows are
+// RowStride apart.
 type tournamentPool struct{ *MaxPool2D }
 
 func (p tournamentPool) forwardOne(in, out []float64, argmax []int) {
-	outH, outW := p.OutH(), p.OutW()
+	outH, outW, rs := p.OutH(), p.OutW(), p.RowStride
 	oi := 0
 	for ch := 0; ch < p.C; ch++ {
-		base := ch * p.InH * p.InW
+		base := ch * p.InH * rs
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
 				if p.Size == 2 {
-					i0 := base + oy*2*p.InW + ox*2
-					i2 := i0 + p.InW
+					i0 := base + oy*2*rs + ox*2
+					i2 := i0 + rs
 					v0, v1, v2, v3 := in[i0], in[i0+1], in[i2], in[i2+1]
 					b01, j01 := v0, i0
 					if v1 > v0 {
@@ -43,10 +44,10 @@ func (p tournamentPool) forwardOne(in, out []float64, argmax []int) {
 					oi++
 					continue
 				}
-				bestIdx := base + oy*p.Size*p.InW + ox*p.Size
+				bestIdx := base + oy*p.Size*rs + ox*p.Size
 				best := in[bestIdx]
 				for dy := 0; dy < p.Size; dy++ {
-					rowBase := base + (oy*p.Size+dy)*p.InW + ox*p.Size
+					rowBase := base + (oy*p.Size+dy)*rs + ox*p.Size
 					for dx := 0; dx < p.Size; dx++ {
 						if v := in[rowBase+dx]; v > best {
 							best, bestIdx = v, rowBase+dx
@@ -89,12 +90,20 @@ func (p tournamentPool) BackwardBatch(_, _ []float64, _, _, dOut, dIn tensor.Mat
 	}
 }
 
+// strideConv is a Conv2D whose output a layer other than its MaxPool2D reads
+// at its row stride: NewNetwork checks only a *Conv2D's consumer.
+type strideConv struct{ *Conv2D }
+
 // convReLUPool rebuilds a CNN from NewPaperCNN/NewSmallCNN in the order
 // conv → ReLU → pool with the tournament pool, sharing every other layer.
 func convReLUPool(t *testing.T, n *Network) *Network {
 	t.Helper()
 	var layers []Layer
 	for i := 0; i < len(n.layers); i++ {
+		if c, ok := n.layers[i].(*Conv2D); ok {
+			layers = append(layers, strideConv{c})
+			continue
+		}
 		if p, ok := n.layers[i].(*MaxPool2D); ok {
 			if _, ok := n.layers[i+1].(*ReLU); !ok {
 				t.Fatalf("%s is not followed by a ReLU", p.Name())
@@ -279,21 +288,29 @@ func BenchmarkMaxPool2D(b *testing.B) {
 	}
 }
 
-// TestRowSumsMatchesSum: the four-chain bias sum is tensor.Sum row by row,
-// bit for bit, for every remainder of rows modulo four.
+// TestRowSumsMatchesSum: the four-chain bias sum (planeSums) is tensor.Sum
+// over each plane, bit for bit, for every remainder of planes modulo four —
+// over one row holding the planes, and over several rows, where each plane's
+// chain runs on from one row into the next.
 func TestRowSumsMatchesSum(t *testing.T) {
 	r := rng.New(9)
-	for rows := 1; rows <= 9; rows++ {
+	for planes := 1; planes <= 9; planes++ {
 		for _, cols := range []int{1, 7, 676} {
-			m := tensor.NewMat(rows, cols)
-			for i := range m.Data {
-				m.Data[i] = r.NormFloat64() * math.Exp(4*r.NormFloat64())
-			}
-			got := make([]float64, rows)
-			rowSums(got, m)
-			for f := range got {
-				if want := tensor.Sum(m.Row(f)); math.Float64bits(got[f]) != math.Float64bits(want) {
-					t.Fatalf("%d×%d row %d: %v, Sum %v", rows, cols, f, got[f], want)
+			for _, rows := range []int{1, 3} {
+				m := tensor.NewMat(rows, planes*cols)
+				for i := range m.Data {
+					m.Data[i] = r.NormFloat64() * math.Exp(4*r.NormFloat64())
+				}
+				got := make([]float64, planes)
+				planeSums(got, m)
+				for f := range got {
+					var ends []float64
+					for b := 0; b < rows; b++ {
+						ends = append(ends, m.Row(b)[f*cols:(f+1)*cols]...)
+					}
+					if want := tensor.Sum(ends); math.Float64bits(got[f]) != math.Float64bits(want) {
+						t.Fatalf("%d rows of %d×%d, plane %d: %v, Sum %v", rows, planes, cols, f, got[f], want)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sgd
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -86,5 +87,49 @@ func TestTimeToTargetCountsSnapshotWait(t *testing.T) {
 	}
 	if res.TimeToTarget < wait {
 		t.Fatalf("TimeToTarget = %v, want ≥ the %v the snapshot took", res.TimeToTarget, wait)
+	}
+}
+
+// laggingSnapshot is a strategy whose snapshots lag the updates: the n-th
+// call fills θ with the value n, as a monitor tick that copied θ before the
+// last updates landed and the re-snapshot after quiesce would see it.
+type laggingSnapshot struct {
+	strategy
+	calls *int
+}
+
+func (s laggingSnapshot) snapshot(dst []float64) {
+	*s.calls++
+	for i := range dst {
+		dst[i] = float64(*s.calls)
+	}
+}
+func (laggingSnapshot) cleanup()     {}
+func (laggingSnapshot) fill(*Result) {}
+
+// FinalLoss is the loss of FinalParams, bit for bit, even when the
+// monitor's last tick evaluated an earlier snapshot than the one the run
+// ends with; the outcome and the time to target stay the monitor's.
+func TestFinalLossIsLossOfFinalParams(t *testing.T) {
+	ds := tinyDataset()
+	cfg := testConfig(Leashed, 1)
+	cfg.EvalEvery = time.Millisecond
+	cfg = cfg.withDefaults()
+	rt := newRuntime(cfg, &denseProblem{net: tinyNet(ds), ds: ds})
+	rt.initialLoss = 1
+	rt.evalLoss = func(p []float64) float64 { return 0.4 / p[0] } // θ = 1: below ε on the first tick
+	rt.start = time.Now()
+	calls := 0
+	r := &Running{rt: rt, st: laggingSnapshot{calls: &calls}, done: make(chan struct{})}
+	r.finish()
+	res := r.Wait()
+	if calls != 2 || res.FinalParams[0] != 2 {
+		t.Fatalf("%d snapshots, FinalParams[0] = %v: want the monitor's and the final one", calls, res.FinalParams[0])
+	}
+	if want := rt.evalLoss(res.FinalParams); math.Float64bits(res.FinalLoss) != math.Float64bits(want) {
+		t.Fatalf("FinalLoss = %v, loss of FinalParams %v", res.FinalLoss, want)
+	}
+	if res.Outcome != Converged || res.Trace.Points[len(res.Trace.Points)-1].Loss != 0.4 {
+		t.Fatalf("outcome %v, trace %+v: the monitor's decision must stand", res.Outcome, res.Trace.Points)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"leashedsgd/internal/data"
+	"leashedsgd/internal/nn"
 	"leashedsgd/internal/paramvec"
 	"leashedsgd/internal/sparse"
 	"leashedsgd/internal/tensor"
@@ -162,32 +164,53 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 // every one of them applies a step through the one tensor.AxpyTo kernel — an
 // FMA rounds once where a scalar θ[i] −= η·δ rounds twice — and because the
 // kernel's masked tail makes an element's result independent of where a
-// chain boundary falls.
+// chain boundary falls. The paper-scale rows (PaperMLP at b = 1, PaperCNN at
+// b = 32) have d above paramvec's update block, so the dense publish's
+// between-block look at the head runs on every update there; and their
+// Dense layers straddle chain boundaries, so at S = 4 an input gradient is
+// split into one MatMulAdd per segment, which every kernel tier (the
+// portable one included) continues as one chain per element.
 func TestSingleWorkerAlgorithmsBitIdentical(t *testing.T) {
-	ds := tinyDataset()
-	run := func(algo Algorithm, shards int) []float64 {
-		cfg := testConfig(algo, 1)
-		cfg.EpsilonFrac = 0
-		cfg.MaxUpdates = 300
-		cfg.Shards = shards
-		res := runOrFatal(t, cfg, tinyNet(ds), ds)
-		if res.TotalUpdates != cfg.MaxUpdates {
-			t.Fatalf("%v S=%d applied %d updates, want %d", algo, shards, res.TotalUpdates, cfg.MaxUpdates)
-		}
-		return res.FinalParams
-	}
-	want := run(Seq, 1)
-	for _, arm := range []struct {
-		name   string
-		algo   Algorithm
-		shards int
-	}{{"ASYNC", Async, 1}, {"LSH/S1", Leashed, 1}, {"LSH/S4", Leashed, 4}} {
-		got := run(arm.algo, arm.shards)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: θ[%d] = %v, SEQ has %v", arm.name, i, got[i], want[i])
+	tiny := tinyDataset()
+	paper := data.GenerateSynthetic(data.DefaultSyntheticConfig(256, 5))
+	for _, row := range []struct {
+		name    string
+		net     *nn.Network
+		ds      *data.Dataset
+		batch   int
+		updates int64
+	}{
+		{"tiny", tinyNet(tiny), tiny, 8, 300},
+		{"PaperMLP", nn.NewPaperMLP(), paper, 1, 200},
+		{"PaperCNN", nn.NewPaperCNN(), paper, 32, 20},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(algo Algorithm, shards int) []float64 {
+				cfg := testConfig(algo, 1)
+				cfg.EpsilonFrac = 0
+				cfg.BatchSize = row.batch
+				cfg.MaxUpdates = row.updates
+				cfg.Shards = shards
+				res := runOrFatal(t, cfg, row.net, row.ds)
+				if res.TotalUpdates != cfg.MaxUpdates {
+					t.Fatalf("%v S=%d applied %d updates, want %d", algo, shards, res.TotalUpdates, cfg.MaxUpdates)
+				}
+				return res.FinalParams
 			}
-		}
+			want := run(Seq, 1)
+			for _, arm := range []struct {
+				name   string
+				algo   Algorithm
+				shards int
+			}{{"ASYNC", Async, 1}, {"LSH/S1", Leashed, 1}, {"LSH/S4", Leashed, 4}} {
+				got := run(arm.algo, arm.shards)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: θ[%d] = %v, SEQ has %v", arm.name, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

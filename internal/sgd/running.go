@@ -165,7 +165,11 @@ func (r *Running) finish() {
 	// snapshot can predate updates that were in flight when the stop
 	// condition fired, and FinalParams must be the true final state
 	// (e.g. exactly MaxUpdates applications for deterministic replay).
+	// FinalLoss follows it: the monitor's last loss is that of its own,
+	// possibly earlier, snapshot. Outcome, TimeToTarget and the trace stay
+	// as the monitor decided them.
 	st.snapshot(res.FinalParams)
+	res.FinalLoss = rt.evalLoss(res.FinalParams)
 	// Close the live-read window BEFORE cleanup retires the store: a
 	// reader that arrives after this serves the final parameters; a lease
 	// already in flight releases against the retired store and is labeled

@@ -305,7 +305,8 @@ type Result struct {
 	Outcome     Outcome
 	InitialLoss float64
 	TargetLoss  float64
-	FinalLoss   float64
+	// FinalLoss is the monitor's loss of FinalParams.
+	FinalLoss float64
 
 	// Convergence rate (wall-clock) and statistical efficiency
 	// (updates) to the ε target; zero when not converged.

@@ -41,9 +41,11 @@ const (
 // path (`-tags noasm`, non-amd64) and the reference the tests pin the
 // assembly to.
 var (
-	matMulAddImpl = matMulAddGo
-	matMulABTImpl = matMulABTGo
-	matMulATBImpl = matMulATBGo
+	matMulAddImpl     = matMulAddGo
+	matMulABTImpl     = matMulABTGo
+	matMulATBImpl     = matMulATBGo
+	matMulRunsImpl    = matMulRunsGo
+	matMulABTRunsImpl = matMulABTRunsGo
 )
 
 // MatMul computes dst = a * b. Shapes: a is m×k, b is k×n, dst is m×n.
@@ -88,8 +90,12 @@ func short(dst, a, b Mat) bool {
 
 // matMulAddGo is the portable dst =(+)= a·b kernel body. For each reduction
 // block, 2×4 tiles of dst accumulate in registers while streaming two
-// pre-sliced rows of a and a four-column panel of b; the first block of an
-// overwrite call stores instead of adding, so MatMul needs no dst.Zero pass.
+// pre-sliced rows of a and a four-column panel of b. The accumulators start
+// from zero in the first block of an overwrite call — so MatMul needs no
+// dst.Zero pass — and from dst otherwise: like the FMA tiles, every element
+// is one chain of adds in reduction order, however the reduction is split
+// into blocks or into MatMulAdd calls (a Dense input gradient split at
+// segment boundaries is bit-identical to the unsplit one).
 func matMulAddGo(dst, a, b Mat, accumulate bool) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
@@ -108,6 +114,10 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 			for ; j+gemmTileN <= n; j += gemmTileN {
 				var c00, c01, c02, c03 float64
 				var c10, c11, c12, c13 float64
+				if !first {
+					c00, c01, c02, c03 = d0[j], d0[j+1], d0[j+2], d0[j+3]
+					c10, c11, c12, c13 = d1[j], d1[j+1], d1[j+2], d1[j+3]
+				}
 				off := k0*n + j
 				for p, av0 := range a0 {
 					br := b.Data[off : off+gemmTileN : off+gemmTileN]
@@ -123,22 +133,14 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 					c12 += av1 * b2
 					c13 += av1 * b3
 				}
-				if first {
-					d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
-					d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
-				} else {
-					d0[j] += c00
-					d0[j+1] += c01
-					d0[j+2] += c02
-					d0[j+3] += c03
-					d1[j] += c10
-					d1[j+1] += c11
-					d1[j+2] += c12
-					d1[j+3] += c13
-				}
+				d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
+				d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
 			}
 			for ; j < n; j++ {
 				var c0, c1 float64
+				if !first {
+					c0, c1 = d0[j], d1[j]
+				}
 				off := k0*n + j
 				for p, av0 := range a0 {
 					bv := b.Data[off]
@@ -146,12 +148,7 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 					c0 += av0 * bv
 					c1 += a1[p] * bv
 				}
-				if first {
-					d0[j], d1[j] = c0, c1
-				} else {
-					d0[j] += c0
-					d1[j] += c1
-				}
+				d0[j], d1[j] = c0, c1
 			}
 		}
 		if i < m {
@@ -161,6 +158,9 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 			j := 0
 			for ; j+gemmTileN <= n; j += gemmTileN {
 				var c0, c1, c2, c3 float64
+				if !first {
+					c0, c1, c2, c3 = d0[j], d0[j+1], d0[j+2], d0[j+3]
+				}
 				off := k0*n + j
 				for _, av := range a0 {
 					br := b.Data[off : off+gemmTileN : off+gemmTileN]
@@ -170,27 +170,19 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 					c2 += av * br[2]
 					c3 += av * br[3]
 				}
-				if first {
-					d0[j], d0[j+1], d0[j+2], d0[j+3] = c0, c1, c2, c3
-				} else {
-					d0[j] += c0
-					d0[j+1] += c1
-					d0[j+2] += c2
-					d0[j+3] += c3
-				}
+				d0[j], d0[j+1], d0[j+2], d0[j+3] = c0, c1, c2, c3
 			}
 			for ; j < n; j++ {
 				var c float64
+				if !first {
+					c = d0[j]
+				}
 				off := k0*n + j
 				for _, av := range a0 {
 					c += av * b.Data[off]
 					off += n
 				}
-				if first {
-					d0[j] = c
-				} else {
-					d0[j] += c
-				}
+				d0[j] = c
 			}
 		}
 	}
@@ -199,9 +191,9 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 // MatMulABT computes dst = a * bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
 // Every dst element is the inner product of an a row with a b row, so both
 // operand streams are contiguous — the orientation for operands that are
-// both long in k: the batched convolution weight gradient (dW = dOutT·colsᵀ
-// reduces over batch·outPixels) and single-row forward passes (MatVec, the
-// b=1 Dense forward), where the weight matrix streams through once.
+// both long in k: single-row forward passes (MatVec, the b=1 Dense forward),
+// where the weight matrix streams through once. The convolution's filter
+// gradient is the same orientation over input runs (MatMulABTRunsAdd).
 func MatMulABT(dst, a, b Mat) {
 	checkMatMulABT(dst, a, b)
 	if !emptyReduction(dst, a.Cols) {
@@ -454,6 +446,86 @@ func matMulATBGo(dst, a, b Mat, accumulate bool) {
 	}
 }
 
+// MatMulRuns computes dst[i][j] = Σ_q a[i][q]·b[off[q]+j] for i < a.Rows
+// and j < n: the product of a with the len(off)×n matrix whose row q is the
+// run b[off[q] : off[q]+n], read where it lies. A valid convolution is this
+// product with the filter bank as a and the input image as b — row (c, dy,
+// dx) of its im2col lowering is one run of the image once the output is
+// computed at the input's row width — so no lowering is materialised.
+// Columns n and up of dst are left as they are. Each dst element is the
+// reduction MatMul computes over the explicit lowering, term for term: the
+// two are bit-identical.
+func MatMulRuns(dst Mat, n int, a Mat, b []float64, off []int) {
+	if dst.Rows != a.Rows || a.Cols != len(off) || n > dst.Cols || short(dst, a, Mat{}) || !runsFit(n, b, off) {
+		panic(fmt.Sprintf("tensor: MatMulRuns shape mismatch (%dx%d)*(%d runs of %d)->(%dx%d)",
+			a.Rows, a.Cols, len(off), n, dst.Rows, dst.Cols))
+	}
+	if n == 0 || a.Rows == 0 {
+		return
+	}
+	if len(off) == 0 {
+		for i := 0; i < dst.Rows; i++ {
+			clear(dst.Row(i)[:n])
+		}
+		return
+	}
+	matMulRunsImpl(dst.Data, dst.Cols, a.Rows, n, a.Data, a.Cols, b, off)
+}
+
+// MatMulABTRunsAdd computes dst[i][q] += Σ_{j<n} a[i][j]·b[off[q]+j]: a's
+// first n columns times the transpose of MatMulRuns' run matrix, added to
+// the a.Rows × len(off) dst. This is the convolution's filter gradient,
+// dOut times the input runs, accumulated image by image with no lowering.
+func MatMulABTRunsAdd(dst, a Mat, n int, b []float64, off []int) {
+	if dst.Rows != a.Rows || dst.Cols != len(off) || n > a.Cols || short(dst, a, Mat{}) || !runsFit(n, b, off) {
+		panic(fmt.Sprintf("tensor: MatMulABTRunsAdd shape mismatch (%dx%d)*(%d runs of %d)T->(%dx%d)",
+			a.Rows, a.Cols, len(off), n, dst.Rows, dst.Cols))
+	}
+	if n > 0 {
+		matMulABTRunsImpl(dst.Data, dst.Cols, a.Rows, a.Data, a.Cols, n, b, off)
+	}
+}
+
+// runsFit reports n ≥ 0 and every run b[off[q] : off[q]+n] inside b: the
+// kernels address the runs by offset alone.
+func runsFit(n int, b []float64, off []int) bool {
+	if n < 0 {
+		return false
+	}
+	for _, o := range off {
+		if o < 0 || o > len(b)-n {
+			return false
+		}
+	}
+	return true
+}
+
+// matMulRunsGo is the portable MatMulRuns body: each dst row accumulates
+// its runs in reduction order, from zero — matMulAddGo's chains.
+func matMulRunsGo(c []float64, ldc, m, n int, a []float64, lda int, b []float64, off []int) {
+	for i := 0; i < m; i++ {
+		d := c[i*ldc : i*ldc+n]
+		clear(d)
+		for q, av := range a[i*lda : i*lda+len(off)] {
+			for j, bv := range b[off[q] : off[q]+n] {
+				d[j] += av * bv
+			}
+		}
+	}
+}
+
+// matMulABTRunsGo is the portable MatMulABTRunsAdd body: one Dot per
+// element.
+func matMulABTRunsGo(dst []float64, ldd, m int, a []float64, lda, n int, b []float64, off []int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*lda : i*lda+n]
+		d := dst[i*ldd : i*ldd+len(off)]
+		for q, o := range off {
+			d[q] += Dot(ai, b[o:o+n])
+		}
+	}
+}
+
 // AddBiasRows adds the bias vector to every row of dst (len(bias) ==
 // dst.Cols) — the fused bias kernel of the batched Dense forward pass.
 func AddBiasRows(dst Mat, bias []float64) {
@@ -506,7 +578,9 @@ func Transpose(dst, src Mat) {
 // Im2ColInto lowers a (channels, h, w) image stored channel-major in src
 // into columns [col0, col0+outH*outW) of the column matrix dst, so that a
 // whole minibatch's lowerings stack side by side into ONE wide matrix and
-// the convolution becomes a single GEMM per batch. dst must have
+// the convolution becomes a single GEMM per batch. nn's Conv2D no longer
+// lowers (MatMulRuns); the stacked lowering and Col2ImAddFrom remain as the
+// reference its tests hold the implicit GEMM to. dst must have
 // channels*k*k rows and at least col0+outH*outW columns; column col0+c
 // holds the receptive field of output pixel c, ordered channel, then kernel
 // row, then kernel col (exactly Im2Col's layout, placed at an offset).

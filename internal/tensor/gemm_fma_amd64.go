@@ -9,15 +9,17 @@ package tensor
 // Σ_q A(i,q)·B[q][0:NR] with A read by broadcast at arbitrary (row, k)
 // element strides — so the transposed orientation is the same call with the
 // two strides swapped — B rows contiguous, and the tile kept in vector
-// registers for the whole reduction and written straight into dst. Two
+// registers for the whole reduction and written straight into dst. B's rows
+// are sb apart, or wherever an offset table puts them (MatMulRuns: the
+// convolution's lowering rows, read in place from the input). Two
 // kernels implement the contract, an 8×16 AVX-512 one and a 4×8 AVX2 one;
 // init picks the widest the CPU and the OS support, from CPUID and XCR0
 // alone. Edge tiles go through the same kernels (rows and lanes past the
 // edge are masked in the assembly), so no shape falls back to scalar loops.
 //
 // A·Bᵀ, where both operands are long in the reduction dimension (the
-// convolution weight gradient, single-row forward passes), keeps its 2×4
-// dot tile.
+// convolution weight gradient over input runs, single-row forward passes),
+// keeps its 2×4 dot tile.
 //
 // Results differ from the portable kernels only in floating-point summation
 // order. The whole dispatch sits behind the `noasm` build tag (`-tags noasm`
@@ -26,8 +28,9 @@ package tensor
 // only on non-amd64 hosts.
 
 // tileFunc is the microkernel contract; see gemm_fma_amd64.s. Strides are
-// in bytes, add != 0 accumulates into C.
-type tileFunc func(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+// in bytes, add != 0 accumulates into C, and a non-nil off reads B[q] at
+// b[off[q]] instead of q·sb bytes past b.
+type tileFunc func(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int, off *int)
 
 // gemmTier is one implementation of the tile contract.
 type gemmTier struct {
@@ -59,8 +62,9 @@ func init() {
 		if t.supported(hostCPU) {
 			gemmTierSelected = t
 			matMulAddImpl, matMulATBImpl, axpyToImpl = t.matMulAdd, t.matMulATB, t.axpyTo
+			matMulRunsImpl = t.matMulRuns
 			// Every tier implies AVX2+FMA, which is all the dot tile needs.
-			matMulABTImpl = matMulABTFMA
+			matMulABTImpl, matMulABTRunsImpl = matMulABTFMA, matMulABTRunsFMA
 			return
 		}
 	}
@@ -115,10 +119,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint64
 
 //go:noescape
-func gemmTileZMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+func gemmTileZMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int, off *int)
 
 //go:noescape
-func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int, off *int)
 
 // fmaDot2x4 computes eight simultaneous dot products (2 a rows × 4 b rows,
 // all contiguous) over k4 elements (k4 % 4 == 0): c[4r+t] = a_r·b_t.
@@ -163,7 +167,7 @@ func (t *gemmTier) gemm(c []float64, ldc, m, n, k int, a []float64, sar, sak int
 			pb := &b[k0*ldb+j]
 			for i := 0; i < m; i += t.mr {
 				t.tile(&c[i*ldc+j], uintptr(ldc)*8, &a[i*sar+k0*sak], uintptr(sar)*8, uintptr(sak)*8,
-					pb, uintptr(ldb)*8, kn, min(t.mr, m-i), nr, add)
+					pb, uintptr(ldb)*8, kn, min(t.mr, m-i), nr, add, nil)
 			}
 		}
 		add = 1
@@ -181,50 +185,85 @@ func (t *gemmTier) matMulATB(dst, a, b Mat, accumulate bool) {
 	t.gemm(dst.Data, dst.Cols, a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, accumulate)
 }
 
-// matMulABTFMA is dst =(+)= a·bᵀ with 2×4 FMA dot tiles. Edge tiles run
-// the same kernel: an odd last row of a is paired with itself and tile
-// columns past the last row of b re-read that row, the surplus sums being
-// dropped — so a single-row product (every GEMM of a b=1 forward pass) is
-// vector code too. Only the k%4 reduction tail is scalar.
+// matMulRuns is c[i·ldc+j] = Σ_q a[i·lda+q]·b[off[q]+j] for i < m, j < n:
+// one offset-table tile per (NR-column panel, MR-row group), over the whole
+// reduction — the FMA chain from zero that gemm computes on the explicit
+// lowering, so a convolution read in place is bit-identical to the lowered
+// GEMM. No panel is blocked out: B's rows are runs of the input, not a
+// packed panel that must fit L1.
+func (t *gemmTier) matMulRuns(c []float64, ldc, m, n int, a []float64, lda int, b []float64, off []int) {
+	k := len(off)
+	for j := 0; j < n; j += t.nr {
+		nr := min(t.nr, n-j)
+		for i := 0; i < m; i += t.mr {
+			t.tile(&c[i*ldc+j], uintptr(ldc)*8, &a[i*lda], uintptr(lda)*8, 8,
+				&b[j], 0, k, min(t.mr, m-i), nr, 0, &off[0])
+		}
+	}
+}
+
+// matMulABTFMA is dst =(+)= a·bᵀ with 2×4 FMA dot tiles, the reduction
+// blocked at gemmBlockK.
 func matMulABTFMA(dst, a, b Mat, accumulate bool) {
 	m, k, n := a.Rows, a.Cols, b.Rows
-	var c [8]float64
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := min(k0+gemmBlockK, k)
-		first := k0 == 0 && !accumulate
-		kb := k1 - k0
-		k4 := kb &^ 3
-		for i := 0; i < m; i += 2 {
-			rows := min(2, m-i)
-			a0 := a.Row(i)[k0:k1]
-			a1 := a.Row(i + rows - 1)[k0:k1]
-			for j := 0; j < n; j += 4 {
-				cols := min(4, n-j)
-				b0 := b.Row(j)[k0:k1]
-				b1 := b.Row(min(j+1, n-1))[k0:k1]
-				b2 := b.Row(min(j+2, n-1))[k0:k1]
-				b3 := b.Row(min(j+3, n-1))[k0:k1]
-				fmaDot2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &c)
-				for p := k4; p < kb; p++ {
-					av0, av1 := a0[p], a1[p]
-					bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-					c[0] += av0 * bv0
-					c[1] += av0 * bv1
-					c[2] += av0 * bv2
-					c[3] += av0 * bv3
-					c[4] += av1 * bv0
-					c[5] += av1 * bv1
-					c[6] += av1 * bv2
-					c[7] += av1 * bv3
-				}
-				for r := 0; r < rows; r++ {
-					d, s := dst.Row(i + r)[j:j+cols], c[4*r:4*r+cols]
-					for t, v := range s {
-						if first {
-							d[t] = v
-						} else {
-							d[t] += v
-						}
+		kb := min(gemmBlockK, k-k0)
+		dotTiles(dst.Data, dst.Cols, m, n, a.Data[k0:], a.Cols, kb, b.Data[k0:], b.Cols, nil, accumulate || k0 > 0)
+	}
+}
+
+// matMulABTRunsFMA is dst += a·Rᵀ, R's row q the run b[off[q]:off[q]+n].
+func matMulABTRunsFMA(dst []float64, ldd, m int, a []float64, lda, n int, b []float64, off []int) {
+	dotTiles(dst, ldd, m, len(off), a, lda, n, b, 0, off, true)
+}
+
+// dotTiles is dst[i][q] (=|+=) Σ_{p<kb} a[i·lda+p]·b[bRow(q)+p] for i < m,
+// q < nq, dst's rows ldd apart, where b's row q starts at off[q], or at q·ldb
+// when off is nil. Edge tiles run the same kernel: an odd last row of a is
+// paired with itself and tile columns past the last row of b re-read that
+// row, the surplus sums being dropped — so a single-row product (every GEMM
+// of a b=1 forward pass) is vector code too. Only the kb%4 reduction tail is
+// scalar.
+func dotTiles(dst []float64, ldd, m, nq int, a []float64, lda, kb int, b []float64, ldb int, off []int, accumulate bool) {
+	bRow := func(q int) []float64 {
+		s := q * ldb
+		if off != nil {
+			s = off[q]
+		}
+		return b[s : s+kb]
+	}
+	k4 := kb &^ 3
+	var c [8]float64
+	for i := 0; i < m; i += 2 {
+		rows := min(2, m-i)
+		a0 := a[i*lda : i*lda+kb]
+		a1 := a[(i+rows-1)*lda : (i+rows-1)*lda+kb]
+		for j := 0; j < nq; j += 4 {
+			cols := min(4, nq-j)
+			b0 := bRow(j)
+			b1 := bRow(min(j+1, nq-1))
+			b2 := bRow(min(j+2, nq-1))
+			b3 := bRow(min(j+3, nq-1))
+			fmaDot2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &c)
+			for p := k4; p < kb; p++ {
+				av0, av1 := a0[p], a1[p]
+				bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
+				c[0] += av0 * bv0
+				c[1] += av0 * bv1
+				c[2] += av0 * bv2
+				c[3] += av0 * bv3
+				c[4] += av1 * bv0
+				c[5] += av1 * bv1
+				c[6] += av1 * bv2
+				c[7] += av1 * bv3
+			}
+			for r := 0; r < rows; r++ {
+				d, s := dst[(i+r)*ldd+j:(i+r)*ldd+j+cols], c[4*r:4*r+cols]
+				for t, v := range s {
+					if accumulate {
+						d[t] += v
+					} else {
+						d[t] = v
 					}
 				}
 			}

@@ -41,11 +41,16 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // the accumulators from C instead of zero. The accumulators live in vector
 // registers for the whole reduction and go straight to C.
 //
+// A non-nil off replaces sb with an offset table: B[q] is then the nr
+// float64s at b + 8·off[q], so the rows of B may be any runs of one slice —
+// the convolution's lowering rows read in place from the input image. The
+// reduction is the same FMA chain either way.
+//
 // Edge tiles run the same loop: rows ≥ mr re-read row 0 (their A offsets
 // are zeroed) and are never loaded from or stored to C; lanes ≥ nr are
 // masked out of every B and C access, so nothing past the tile is touched.
 
-// func gemmTileZMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+// func gemmTileZMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int, off *int)
 //
 // MR×NR = 8×16: Z0..Z15 accumulate (row i in Z(2i), Z(2i+1)), Z16/Z17 hold
 // the B row, Z18/Z19 the broadcast A elements. K1/K2 mask lanes 0-7 / 8-15.
@@ -74,7 +79,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	VMOVUPD lo, K1, (DI); \
 	VMOVUPD hi, K2, 64(DI)
 
-TEXT ·gemmTileZMM(SB), NOSPLIT, $0-88
+TEXT ·gemmTileZMM(SB), NOSPLIT, $0-96
 	// K1 = lanes [0, min(nr,8)), K2 = lanes [8, nr): the low byte of each
 	// is what an 8-lane float64 operation reads.
 	MOVQ  nr+72(FP), CX
@@ -170,6 +175,9 @@ zsetup:
 	MOVQ b+40(FP), R11
 	MOVQ sb+48(FP), R13
 	MOVQ k+56(FP), R9
+	MOVQ off+88(FP), R14
+	TESTQ R14, R14
+	JNZ  zoff
 	CMPQ nr+72(FP), $8
 	JLE  znloop
 
@@ -210,6 +218,50 @@ znloop:
 	ADDQ R13, R11
 	DECQ R9
 	JNZ  znloop
+	JMP  zstore
+
+	// The offset-table loops: the same two loops with B[q] at R11 + 8·off[q],
+	// the table walked by R14.
+zoff:
+	CMPQ nr+72(FP), $8
+	JLE  zonloop
+
+zoloop:
+	MOVQ (R14), R13
+	VMOVUPD.Z (R11)(R13*8), K1, Z16
+	VMOVUPD.Z 64(R11)(R13*8), K2, Z17
+	VBROADCASTSD (AX), Z18
+	VFMADD231PD  Z16, Z18, Z0
+	VFMADD231PD  Z17, Z18, Z1
+	ZROW(BX, Z19, Z2, Z3)
+	ZROW(CX, Z18, Z4, Z5)
+	ZROW(DX, Z19, Z6, Z7)
+	ZROW(SI, Z18, Z8, Z9)
+	ZROW(DI, Z19, Z10, Z11)
+	ZROW(R8, Z18, Z12, Z13)
+	ZROW(R10, Z19, Z14, Z15)
+	ADDQ R12, AX
+	ADDQ $8, R14
+	DECQ R9
+	JNZ  zoloop
+	JMP  zstore
+
+zonloop:
+	MOVQ (R14), R13
+	VMOVUPD.Z (R11)(R13*8), K1, Z16
+	VBROADCASTSD (AX), Z18
+	VFMADD231PD  Z16, Z18, Z0
+	ZROWN(BX, Z19, Z2)
+	ZROWN(CX, Z18, Z4)
+	ZROWN(DX, Z19, Z6)
+	ZROWN(SI, Z18, Z8)
+	ZROWN(DI, Z19, Z10)
+	ZROWN(R8, Z18, Z12)
+	ZROWN(R10, Z19, Z14)
+	ADDQ R12, AX
+	ADDQ $8, R14
+	DECQ R9
+	JNZ  zonloop
 
 zstore:
 	MOVQ c+0(FP), DI
@@ -249,7 +301,7 @@ DATA gemmLaneMask<>+112(SB)/8, $0
 DATA gemmLaneMask<>+120(SB)/8, $0
 GLOBL gemmLaneMask<>(SB), RODATA|NOPTR, $128
 
-// func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int)
+// func gemmTileYMM(c *float64, sc uintptr, a *float64, sar, sak uintptr, b *float64, sb uintptr, k, mr, nr, add int, off *int)
 //
 // MR×NR = 4×8: Y0..Y7 accumulate (row i in Y(2i), Y(2i+1)), Y8/Y9 hold the
 // B row, Y10/Y11 the broadcast A elements, Y12/Y13 the lane masks. Full
@@ -267,10 +319,7 @@ GLOBL gemmLaneMask<>(SB), RODATA|NOPTR, $128
 	VFMADD231PD  Y9, Y10, Y5; \
 	VBROADCASTSD (AX)(DX*1), Y11; \
 	VFMADD231PD  Y8, Y11, Y6; \
-	VFMADD231PD  Y9, Y11, Y7; \
-	ADDQ R12, AX; \
-	ADDQ R13, R11; \
-	DECQ R9
+	VFMADD231PD  Y9, Y11, Y7
 
 #define YLOAD(n, lo, hi) \
 	CMPQ R9, $n; \
@@ -293,7 +342,7 @@ GLOBL gemmLaneMask<>(SB), RODATA|NOPTR, $128
 	VMASKMOVPD lo, Y12, (DI); \
 	VMASKMOVPD hi, Y13, 32(DI)
 
-TEXT ·gemmTileYMM(SB), NOSPLIT, $0-88
+TEXT ·gemmTileYMM(SB), NOSPLIT, $0-96
 	MOVQ $8, AX
 	SUBQ nr+72(FP), AX
 	LEAQ gemmLaneMask<>(SB), BX
@@ -353,6 +402,9 @@ ysetup:
 	MOVQ c+0(FP), DI
 	MOVQ sc+8(FP), SI
 	MOVQ nr+72(FP), R8
+	MOVQ off+88(FP), R14
+	TESTQ R14, R14
+	JNZ  yoff
 	CMPQ R8, $8
 	JNE  ymloop
 
@@ -360,8 +412,12 @@ yloop:
 	VMOVUPD (R11), Y8
 	VMOVUPD 32(R11), Y9
 	YROWS
+	ADDQ R12, AX
+	ADDQ R13, R11
+	DECQ R9
 	JNZ  yloop
 
+yfull:
 	MOVQ mr+64(FP), R9
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
@@ -374,14 +430,47 @@ ymloop:
 	VMASKMOVPD (R11), Y12, Y8
 	VMASKMOVPD 32(R11), Y13, Y9
 	YROWS
+	ADDQ R12, AX
+	ADDQ R13, R11
+	DECQ R9
 	JNZ  ymloop
 
+ymasked:
 	MOVQ mr+64(FP), R9
 	VMASKMOVPD Y0, Y12, (DI)
 	VMASKMOVPD Y1, Y13, 32(DI)
 	YSTOREM(1, Y2, Y3)
 	YSTOREM(2, Y4, Y5)
 	YSTOREM(3, Y6, Y7)
+	JMP  ydone
+
+	// The offset-table loops: B[q] at R11 + 8·off[q], the table walked by
+	// R14; each ends in its store sequence above.
+yoff:
+	CMPQ R8, $8
+	JNE  yomloop
+
+yoloop:
+	MOVQ (R14), R13
+	VMOVUPD (R11)(R13*8), Y8
+	VMOVUPD 32(R11)(R13*8), Y9
+	YROWS
+	ADDQ R12, AX
+	ADDQ $8, R14
+	DECQ R9
+	JNZ  yoloop
+	JMP  yfull
+
+yomloop:
+	MOVQ (R14), R13
+	VMASKMOVPD (R11)(R13*8), Y12, Y8
+	VMASKMOVPD 32(R11)(R13*8), Y13, Y9
+	YROWS
+	ADDQ R12, AX
+	ADDQ $8, R14
+	DECQ R9
+	JNZ  yomloop
+	JMP  ymasked
 
 ydone:
 	VZEROUPPER

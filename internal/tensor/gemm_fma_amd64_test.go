@@ -75,21 +75,18 @@ func checkOrientations(t *testing.T, r *rng.Rand, m, k, n int, ab, atb, abt gemm
 // paperGEMMShapes lists every (m, k, n) product a PaperMLP or PaperCNN
 // gradient runs at batch b, in the orientation-free form the drivers see:
 // Dense forward (Out×In · In×b), weight gradient (Out×b · b×In), input
-// gradient (b×Out · Out×In); Conv2D forward (F×ckk · ckk×b·ohw), weight
-// gradient (F × b·ohw × ckk) and column gradient (ckk×F · F×b·ohw).
+// gradient (b×Out · Out×In); and Conv2D's one GEMM, each image's column
+// gradient (ckk×F · F×OutH·InW) — its forward and filter gradient are run
+// products, which checkRuns covers.
 func paperGEMMShapes(b int) [][3]int {
 	var out [][3]int
 	dense := func(in, o int) {
 		out = append(out, [3]int{o, in, b}, [3]int{o, b, in}, [3]int{b, o, in})
 	}
-	conv := func(f, ckk, ohw int) {
-		out = append(out, [3]int{f, ckk, b * ohw}, [3]int{f, b * ohw, ckk}, [3]int{ckk, f, b * ohw})
-	}
 	dense(784, 128)
 	dense(128, 128)
 	dense(128, 10)
-	conv(4, 9, 26*26)
-	conv(8, 36, 11*11)
+	out = append(out, [3]int{4 * 9, 8, 11 * 13})
 	dense(200, 128)
 	return out
 }
@@ -121,7 +118,68 @@ func TestGEMMTier(t *testing.T) {
 					t.Fatalf("shape %v", sh)
 				}
 			}
+			checkRuns(t, tier, r)
 		})
+	}
+}
+
+// checkRuns drives a tier's offset-table tile (matMulRuns) and the run dot
+// tiles (matMulABTRunsFMA) against a portable reference that lowers
+// explicitly: the tile must equal the same tier's gemm over the lowered
+// matrix bit for bit and the portable kernel to 1e-10, and the dot tiles
+// must add what matMulABTGo adds over the lowering, to 1e-10. The
+// cases are runsCases plus, with NaN guard bands around a dst whose rows
+// are longer than n, every m ≤ 2·MR+1 against every n ≤ 2·NR+1 (masked
+// rows and lanes; n mod 4 ≠ 0 for the dot tiles' scalar tail) at k = 5.
+func checkRuns(t *testing.T, tier *gemmTier, r *rng.Rand) {
+	t.Helper()
+	check := func(name string, m, n int, b []float64, off []int) {
+		k := len(off)
+		a, lowered := randMat(r, m, k), lowerRuns(b, off, n)
+		same, port := NewMat(m, n), NewMat(m, n)
+		tier.matMulAdd(same, a, lowered, false)
+		matMulAddGo(port, a, lowered, false)
+		const guard, pad = 24, 5
+		ldc := n + pad
+		buf := make([]float64, 2*guard+m*ldc)
+		Fill(buf, math.NaN())
+		tier.matMulRuns(buf[guard:], ldc, m, n, a.Data, k, b, off)
+		for p, v := range buf {
+			q := p - guard
+			inside := q >= 0 && q < m*ldc && q%ldc < n
+			switch {
+			case inside && math.Float64bits(v) != math.Float64bits(same.At(q/ldc, q%ldc)):
+				t.Fatalf("%s: runs[%d][%d] = %v, %s on the lowering %v", name, q/ldc, q%ldc, v, tier.name, same.At(q/ldc, q%ldc))
+			case inside && !almostEq(v, port.At(q/ldc, q%ldc), 1e-10):
+				t.Fatalf("%s: runs[%d][%d] = %v, portable %v", name, q/ldc, q%ldc, v, port.At(q/ldc, q%ldc))
+			case !inside && !math.IsNaN(v):
+				t.Fatalf("%s: guard element %d overwritten with %v", name, q, v)
+			}
+		}
+		dOut := randMat(r, m, n+pad)
+		dOutN := NewMat(m, n)
+		for i := 0; i < m; i++ {
+			copy(dOutN.Row(i), dOut.Row(i)[:n])
+		}
+		got, want := randMat(r, m, k), NewMat(m, k)
+		copy(want.Data, got.Data)
+		matMulABTRunsFMA(got.Data, k, m, dOut.Data, n+pad, n, b, off)
+		matMulABTGo(want, dOutN, lowered, true)
+		matsAlmostEq(t, name+": ABT runs", got, want, 1e-10)
+	}
+	for _, c := range runsCases(r) {
+		check(c.name, c.m, c.n, c.b, c.off)
+	}
+	const k = 5
+	for m := 1; m <= 2*tier.mr+1; m++ {
+		for n := 1; n <= 2*tier.nr+1; n++ {
+			b := randMat(r, 1, n+2*k).Data
+			off := make([]int, k)
+			for q := range off {
+				off[q] = r.Intn(len(b) - n + 1)
+			}
+			check(fmt.Sprintf("m=%d n=%d", m, n), m, n, b, off)
+		}
 	}
 }
 

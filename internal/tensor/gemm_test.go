@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"leashedsgd/internal/rng"
@@ -124,6 +125,13 @@ func TestGEMMShapePanics(t *testing.T) {
 		"Col2ImAddFrom/src": func() { Col2ImAddFrom(make([]float64, 9), NewMat(3, 4), 0, 1, 3, 3, 2) },
 		"Col2ImAddFrom/off": func() { Col2ImAddFrom(make([]float64, 9), NewMat(4, 7), 4, 1, 3, 3, 2) },
 		"Col2ImAddFrom/dst": func() { Col2ImAddFrom(make([]float64, 8), NewMat(4, 4), 0, 1, 3, 3, 2) },
+		"MatMulRuns/inner":  func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 3), make([]float64, 9), []int{0, 1}) },
+		"MatMulRuns/dst":    func() { MatMulRuns(NewMat(2, 4), 5, NewMat(2, 2), make([]float64, 9), []int{0, 1}) },
+		"MatMulRuns/run":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{0, 6}) },
+		"MatMulRuns/neg":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{-1, 0}) },
+		"MatMulABTRuns/dst": func() { MatMulABTRunsAdd(NewMat(2, 3), NewMat(2, 4), 4, make([]float64, 9), []int{0, 1}) },
+		"MatMulABTRuns/n":   func() { MatMulABTRunsAdd(NewMat(2, 2), NewMat(2, 4), 5, make([]float64, 9), []int{0, 1}) },
+		"MatMulABTRuns/run": func() { MatMulABTRunsAdd(NewMat(2, 2), NewMat(2, 4), 4, make([]float64, 9), []int{0, 6}) },
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -276,4 +284,108 @@ func BenchmarkGEMM(b *testing.B) {
 			MatMul(dIn, dOut, w)
 		}
 	})
+}
+
+// convRuns is the offset table of a valid k×k convolution over a
+// (channels, h, w) image: row (c, dy, dx) of its lowering is the run that
+// starts at c·h·w + dy·w + dx, (h−k)·w + w−k+1 long when the output is
+// computed at the input's row width.
+func convRuns(channels, h, w, k int) (off []int, n int) {
+	for c := 0; c < channels; c++ {
+		for dy := 0; dy < k; dy++ {
+			for dx := 0; dx < k; dx++ {
+				off = append(off, c*h*w+dy*w+dx)
+			}
+		}
+	}
+	return off, (h-k)*w + w - k + 1
+}
+
+// lowerRuns materialises the run matrix MatMulRuns reads in place: row q is
+// b[off[q] : off[q]+n].
+func lowerRuns(b []float64, off []int, n int) Mat {
+	m := NewMat(len(off), n)
+	for q, o := range off {
+		copy(m.Row(q), b[o:o+n])
+	}
+	return m
+}
+
+// runsCases are the run products the tests drive: the paper CNN's two
+// convolutions and the small CNN's second, odd geometries (more filters
+// than either tier's MR, runs that are not a multiple of 4 or of either
+// NR, 1×1 kernels), and free-form tables whose runs overlap out of order.
+func runsCases(r *rng.Rand) []struct {
+	name string
+	m, n int
+	b    []float64
+	off  []int
+} {
+	type tc = struct {
+		name string
+		m, n int
+		b    []float64
+		off  []int
+	}
+	var out []tc
+	for _, g := range [][5]int{{4, 1, 28, 28, 3}, {8, 4, 13, 13, 3}, {4, 2, 13, 13, 3}, {9, 3, 7, 5, 2}, {3, 2, 6, 9, 1}, {17, 1, 4, 4, 3}} {
+		f, c, h, w, k := g[0], g[1], g[2], g[3], g[4]
+		off, n := convRuns(c, h, w, k)
+		out = append(out, tc{fmt.Sprintf("conv/f=%d/%dx%dx%d/k=%d", f, c, h, w, k), f, n, randMat(r, 1, c*h*w).Data, off})
+	}
+	for _, sh := range [][3]int{{1, 1, 1}, {5, 7, 3}, {8, 33, 5}, {13, 6, 40}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		b := randMat(r, 1, n+3*k).Data
+		off := make([]int, k)
+		for q := range off {
+			off[q] = r.Intn(len(b) - n + 1)
+		}
+		out = append(out, tc{fmt.Sprintf("free/%dx%dx%d", m, n, k), m, n, b, off})
+	}
+	return out
+}
+
+// TestMatMulRunsMatchesLowering pins the in-place run products to the GEMMs
+// over the explicit lowering, through whatever kernels init selected:
+// MatMulRuns bit for bit against MatMul (the same reduction, term for term)
+// with every column past n untouched, and MatMulABTRunsAdd against
+// MatMulABTAdd to 1e-10 (their dot tiles may split a sum differently).
+func TestMatMulRunsMatchesLowering(t *testing.T) {
+	r := rng.New(31)
+	for _, c := range runsCases(r) {
+		t.Run(c.name, func(t *testing.T) {
+			k := len(c.off)
+			a := randMat(r, c.m, k)
+			lowered := lowerRuns(c.b, c.off, c.n)
+			want := NewMat(c.m, c.n)
+			MatMul(want, a, lowered)
+			const pad = 3
+			got := NewMat(c.m, c.n+pad)
+			Fill(got.Data, math.NaN())
+			MatMulRuns(got, c.n, a, c.b, c.off)
+			for i := 0; i < c.m; i++ {
+				for j := 0; j < c.n+pad; j++ {
+					v := got.At(i, j)
+					if j >= c.n {
+						if !math.IsNaN(v) {
+							t.Fatalf("column %d past the %d runs written: %v", j, c.n, v)
+						}
+					} else if math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
+						t.Fatalf("[%d][%d] = %v, lowered MatMul %v", i, j, v, want.At(i, j))
+					}
+				}
+			}
+
+			dOut := randMat(r, c.m, c.n+pad)
+			dOutN := NewMat(c.m, c.n)
+			for i := 0; i < c.m; i++ {
+				copy(dOutN.Row(i), dOut.Row(i)[:c.n])
+			}
+			gw, wantW := randMat(r, c.m, k), NewMat(c.m, k)
+			copy(wantW.Data, gw.Data)
+			MatMulABTRunsAdd(gw, dOut, c.n, c.b, c.off)
+			MatMulABTAdd(wantW, dOutN, lowered)
+			matsAlmostEq(t, "MatMulABTRunsAdd", gw, wantW, 1e-10)
+		})
+	}
 }

@@ -1,6 +1,7 @@
 // Package tensor implements the dense linear-algebra kernels the DL
-// substrate needs: vector ops, row-major matrices, GEMM variants, and the
-// im2col transform used by the convolutional layers.
+// substrate needs: vector ops, row-major matrices, GEMM variants (the
+// convolution's among them: products over runs of a slice read in place),
+// and the explicit im2col transform those runs replace.
 //
 // It fills the role Eigen plays in the paper's C++ framework. Kernels are
 // plain loops with blocking where it pays off; they allocate nothing so that
@@ -139,8 +140,13 @@ func Copy(dst, src []float64) {
 	copy(dst, src)
 }
 
-// Fill sets every element of x to v.
+// Fill sets every element of x to v; +0 is a memclr (the pool's backward
+// zeroes a whole wide conv activation per pass).
 func Fill(x []float64, v float64) {
+	if math.Float64bits(v) == 0 {
+		clear(x)
+		return
+	}
 	for i := range x {
 		x[i] = v
 	}
