@@ -76,16 +76,24 @@ func (c *Conv2D) biases(params []float64) []float64 {
 	return params[c.Filters*c.InC*c.K*c.K:]
 }
 
-// convScratch is one worker's convolution state. Every pass works one image
-// at a time, so the per-example and the batched kernels share it and its
-// size does not depend on the batch.
+// convScratch is one worker's convolution state. Its size does not depend
+// on the batch, so the per-example and the batched kernels share it.
 type convScratch struct {
 	off  []int     // the lowering's runs: row (c, dy, dx) starts at c·H·W + dy·W + dx
 	ones []float64 // run() ones: the bias add is AxpyTo(row, row, b_f, ones)
-	// dCols is one image's Wᵀ·dOut (InC·K·K × plane), allocated by the first
-	// backward pass that needs dIn: forward-only workspaces and a network's
-	// first layer never hold it.
-	dCols tensor.Mat
+	// park holds the filter gradient's unfolded partial sums
+	// (tensor.RunsParkLen), allocated by the first backward pass:
+	// forward-only workspaces never hold it.
+	park []float64
+}
+
+// filterGrad sets (or, with accumulate, adds to) the filter gradient the
+// batch's dW = Σ_b dOut_b·runs_bᵀ.
+func (c *Conv2D) filterGrad(grad []float64, in, dOut tensor.Mat, s *convScratch, accumulate bool) {
+	if s.park == nil {
+		s.park = make([]float64, tensor.RunsParkLen(c.Filters, len(s.off)))
+	}
+	tensor.MatMulABTRunsSum(c.filterMat(grad), dOut, c.run(), in, s.off, s.park, accumulate)
 }
 
 func (c *Conv2D) NewScratch() any {
@@ -130,52 +138,43 @@ func (c *Conv2D) forward(params, in, out []float64, s *convScratch) {
 }
 
 // Backward accumulates dW += dOut·runsᵀ and db += row sums of dOut, and
-// back-propagates dIn.
+// back-propagates dIn: the batched kernels on a batch of one image.
 func (c *Conv2D) Backward(params, grad, in, _, dOut, dIn []float64, scratch any) {
 	gb := c.biases(grad)
 	p := len(dOut) / c.Filters
 	for f := range gb {
 		gb[f] += tensor.Sum(dOut[f*p : (f+1)*p])
 	}
-	c.backward(params, grad, in, dOut, dIn, scratch.(*convScratch))
+	s := scratch.(*convScratch)
+	c.filterGrad(grad, tensor.MatFrom(1, len(in), in), tensor.MatFrom(1, len(dOut), dOut), s, true)
+	if dIn != nil {
+		c.inputGrad(params, dOut, dIn, s)
+	}
 }
 
 // BackwardBatch overwrites the layer's gradient block with the batch's:
-// db as one chain per filter over every row (planeSums), dW summed image by
-// image from zero, and dIn row by row.
+// db as one chain per filter over every row (planeSums), dW as one
+// batch-wide sum of dot tiles (tensor.MatMulABTRunsSum), and dIn image by
+// image.
 func (c *Conv2D) BackwardBatch(params, grad []float64, in, _, dOut, dIn tensor.Mat, scratch any) {
 	s := scratch.(*convScratch)
 	planeSums(c.biases(grad), dOut)
-	clear(c.filterMat(grad).Data)
+	c.filterGrad(grad, in, dOut, s, false)
+	if dIn.Data == nil {
+		return
+	}
 	for b := 0; b < dOut.Rows; b++ {
-		var di []float64
-		if dIn.Data != nil {
-			di = dIn.Row(b)
-		}
-		c.backward(params, grad, in.Row(b), dOut.Row(b), di, s)
+		c.inputGrad(params, dOut.Row(b), dIn.Row(b), s)
 	}
 }
 
-// backward is one image's filter gradient — dot tiles of dOut's filter rows
-// against the input runs, added to grad — and, when dIn is wanted, its input
-// gradient: dCols = Wᵀ·dOut, then one Axpy of each dCols row into the input
-// run it came from, in the lowering's row order (the col2im of the lowered
-// GEMM, element for element). dOut's columns past OutW must be zero.
-func (c *Conv2D) backward(params, grad, in, dOut, dIn []float64, s *convScratch) {
-	n := c.run()
-	dO := tensor.MatFrom(c.Filters, c.plane(), dOut)
-	tensor.MatMulABTRunsAdd(c.filterMat(grad), dO, n, in, s.off)
-	if dIn == nil {
-		return
-	}
-	if s.dCols.Data == nil {
-		s.dCols = tensor.NewMat(len(s.off), c.plane())
-	}
-	tensor.MatMulATB(s.dCols, c.filterMat(params), dO)
+// inputGrad is one image's dIn = col2im(Wᵀ·dOut), fused: each lowering row
+// of Wᵀ·dOut is added into the input run it came from, in the lowering's
+// row order, without the product ever being stored — the col2im of the
+// lowered GEMM, element for element. dOut's columns past OutW must be zero.
+func (c *Conv2D) inputGrad(params, dOut, dIn []float64, s *convScratch) {
 	clear(dIn)
-	for q, o := range s.off {
-		tensor.Axpy(1, s.dCols.Row(q)[:n], dIn[o:o+n])
-	}
+	tensor.MatMulATBRunsAdd(dIn, s.off, c.run(), c.filterMat(params), tensor.MatFrom(c.Filters, c.plane(), dOut))
 }
 
 // planeSums sets sums[f] to the sum of plane f over every row of m, each row
@@ -265,10 +264,12 @@ func (p *MaxPool2D) Forward(_, in, out []float64, scratch any) {
 
 // pool pools `planes` consecutive InH×RowStride planes of in — one
 // example's C channels, or a whole contiguous minibatch's — recording each
-// output's winner as an index into in.
+// output's winner as an index into in. 2×2 windows, the paper's, run
+// tensor.MaxPool2x2.
 func (p *MaxPool2D) pool(in, out []float64, argmax []int, planes int) {
+	argmax = argmax[:len(out)]
 	if p.Size == 2 {
-		pool2x2(in, out, argmax, planes, p.InH, p.InW, p.RowStride)
+		tensor.MaxPool2x2(out, argmax, in, planes, p.InH, p.InW, p.RowStride)
 		return
 	}
 	h, w, rs, k := p.InH, p.InW, p.RowStride, p.Size
@@ -296,53 +297,25 @@ func (p *MaxPool2D) pool(in, out []float64, argmax []int, planes int) {
 	}
 }
 
-// pool2x2 is pool for the 2×2 windows the paper's architectures use. The
-// value comes from the NaN-propagating max builtin and the winner from three
-// compares into conditional moves: no data-dependent branch, where a
-// compare-and-branch tournament mispredicts on about every other window. The
-// winner is the tournament's, the first maximal input of (0,0), (0,1),
-// (1,0), (1,1): a strict > keeps the earlier input of each pair on a tie.
-// Rows are rs apart.
-func pool2x2(in, out []float64, argmax []int, planes, h, w, rs int) {
-	outW := w / 2
-	oi := 0
-	for pl := 0; pl < planes; pl++ {
-		for oy := 0; oy < h/2; oy++ {
-			i0 := pl*h*rs + oy*2*rs
-			r0 := in[i0 : i0+2*outW]
-			r1 := in[i0+rs : i0+rs+2*outW]
-			o := out[oi : oi+outW]
-			a := argmax[oi : oi+outW]
-			for ox := range o {
-				v0, v1, v2, v3 := r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1]
-				m01, m23 := max(v0, v1), max(v2, v3)
-				d01 := 0
-				if v1 > v0 {
-					d01 = 1
-				}
-				d23 := rs
-				if v3 > v2 {
-					d23 = rs + 1
-				}
-				if m23 > m01 {
-					d01 = d23
-				}
-				o[ox] = max(m01, m23)
-				a[ox] = i0 + 2*ox + d01
-			}
-			oi += outW
-		}
+// back routes `planes` planes' gradient to their winners, zero elsewhere.
+func (p *MaxPool2D) back(dOut, dIn []float64, argmax []int, planes int) {
+	argmax = argmax[:len(dOut)]
+	if p.Size == 2 {
+		tensor.MaxPool2x2Backward(dIn, dOut, argmax, planes, p.InH, p.InW, p.RowStride)
+		return
 	}
+	route(dOut, dIn, argmax)
 }
 
 func (p *MaxPool2D) Backward(_, _, _, _, dOut, dIn []float64, scratch any) {
 	if dIn == nil {
 		return
 	}
-	route(dOut, dIn, scratch.(*poolScratch).argmax)
+	p.back(dOut, dIn, scratch.(*poolScratch).argmax, p.C)
 }
 
-// route sends each output's gradient to its recorded winner.
+// route sends each output's gradient to its recorded winner: the backward
+// pass of every window size but 2.
 func route(dOut, dIn []float64, argmax []int) {
 	tensor.Fill(dIn, 0)
 	for oi, ii := range argmax[:len(dOut)] {
@@ -366,5 +339,5 @@ func (p *MaxPool2D) BackwardBatch(_, _ []float64, _, _, dOut, dIn tensor.Mat, sc
 	if dIn.Data == nil {
 		return
 	}
-	route(dOut.Data, dIn.Data, scratch.(*poolScratch).argmax)
+	p.back(dOut.Data, dIn.Data, scratch.(*poolScratch).argmax, dOut.Rows*p.C)
 }

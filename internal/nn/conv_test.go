@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // loweredConv is the explicit-lowering convolution Conv2D replaced, kept as
 // the reference: compact output; per example Im2Col, one GEMM, a bias loop,
-// and a backward of row dots, Axpy columns and Col2ImAdd; batched, every
+// and a backward of row dots, Axpy columns and col2ImAdd; batched, every
 // example's lowering stacked into one wide panel, one GEMM per direction
 // over a filter-major staging copy, and col2im per example.
 type loweredConv struct{ *Conv2D }
@@ -80,7 +81,7 @@ func (c loweredConv) Backward(params, grad, _, _, dOut, dIn []float64, scratch a
 		}
 	}
 	clear(dIn)
-	tensor.Col2ImAdd(dIn, dCols, c.InC, c.InH, c.InW, c.K)
+	col2ImAdd(dIn, dCols, c.InC, c.InH, c.InW, c.K)
 }
 
 func (c loweredConv) ForwardBatch(params []float64, in, out tensor.Mat, scratch any) {
@@ -125,7 +126,7 @@ func (c loweredConv) BackwardBatch(params, grad []float64, _, _, dOut, dIn tenso
 	tensor.MatMulATB(dCols, c.filterMat(params), dOutT)
 	dIn.Zero()
 	for b := 0; b < B; b++ {
-		tensor.Col2ImAddFrom(dIn.Row(b), dCols, b*ohw, c.InC, c.InH, c.InW, c.K)
+		col2ImAddFrom(dIn.Row(b), dCols, b*ohw, c.InC, c.InH, c.InW, c.K)
 	}
 }
 
@@ -348,5 +349,100 @@ func checkConvGrad(t *testing.T, c *Conv2D, got, want []float64) {
 		if d := math.Abs(got[i] - want[i]); !(d <= filterTol*scale) {
 			t.Fatalf("filter grad[%d] = %v, lowered %v (scale %v)", i, got[i], want[i], scale)
 		}
+	}
+}
+
+// TestConv2DBatchOfOneMatchesPerExample: the per-example Backward runs the
+// batched kernels on a batch of one image, so from a zero gradient it gives
+// BackwardBatch's B = 1 gradient and input gradient bit for bit, filter
+// gradient included, on both paper convolutions and odd geometries.
+func TestConv2DBatchOfOneMatchesPerExample(t *testing.T) {
+	r := rng.New(19)
+	for _, g := range [][5]int{{1, 28, 28, 4, 3}, {4, 13, 13, 8, 3}, {3, 7, 5, 9, 2}, {2, 6, 9, 17, 1}} {
+		c := NewConv2D(g[0], g[1], g[2], g[3], g[4])
+		t.Run(c.Name(), func(t *testing.T) {
+			vec := func(n int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = r.NormFloat64()
+				}
+				return v
+			}
+			params, in, dOut := vec(c.ParamCount()), vec(c.InDim()), vec(c.OutDim())
+			for j := range dOut {
+				if j%c.InW >= c.OutW() {
+					dOut[j] = 0
+				}
+			}
+			out := make([]float64, c.OutDim())
+			s := c.NewScratch()
+			c.Forward(params, in, out, s)
+			grad, dIn := make([]float64, c.ParamCount()), make([]float64, c.InDim())
+			c.Backward(params, grad, in, out, dOut, dIn, s)
+
+			gradB, dInB := make([]float64, c.ParamCount()), tensor.NewMat(1, c.InDim())
+			tensor.Fill(gradB, math.NaN())
+			outB := tensor.NewMat(1, c.OutDim())
+			sb := c.NewBatchScratch(1)
+			c.ForwardBatch(params, tensor.MatFrom(1, len(in), in), outB, sb)
+			c.BackwardBatch(params, gradB, tensor.MatFrom(1, len(in), in), outB, tensor.MatFrom(1, len(dOut), dOut), dInB, sb)
+			if i := sameBits(outB.Data, out); i >= 0 {
+				t.Fatalf("output[%d] = %v, per example %v", i, outB.Data[i], out[i])
+			}
+			if i := sameBits(gradB, grad); i >= 0 {
+				t.Fatalf("grad[%d] = %v, per example %v", i, gradB[i], grad[i])
+			}
+			if i := sameBits(dInB.Data, dIn); i >= 0 {
+				t.Fatalf("dIn[%d] = %v, per example %v", i, dInB.Data[i], dIn[i])
+			}
+		})
+	}
+}
+
+// BenchmarkConvBackward times each gradient of the paper CNN's two
+// convolutions on a b = 32 minibatch alone: the filter gradient (one
+// batch-wide tensor.MatMulABTRunsSum), the input gradient (the fused
+// col2im, image by image; conv₁ needs none in a network, it is timed for
+// the kernel's sake) and the bias gradient (planeSums). dOut is zero past
+// OutW, as the pool returns it.
+func BenchmarkConvBackward(b *testing.B) {
+	const B = 32
+	for i, c := range []*Conv2D{NewConv2D(1, 28, 28, 4, 3), NewConv2D(4, 13, 13, 8, 3)} {
+		r := rng.New(1)
+		fill := func(v []float64) []float64 {
+			for j := range v {
+				v[j] = r.NormFloat64()
+			}
+			return v
+		}
+		params := fill(make([]float64, c.ParamCount()))
+		in := tensor.MatFrom(B, c.InDim(), fill(make([]float64, B*c.InDim())))
+		dOut := tensor.MatFrom(B, c.OutDim(), fill(make([]float64, B*c.OutDim())))
+		for j := range dOut.Data {
+			if j%c.InW >= c.OutW() {
+				dOut.Data[j] = 0
+			}
+		}
+		grad := make([]float64, c.ParamCount())
+		dIn := tensor.NewMat(B, c.InDim())
+		s := c.NewBatchScratch(B).(*convScratch)
+		name := fmt.Sprintf("conv%d", i+1)
+		b.Run(name+"/filter", func(b *testing.B) {
+			for range b.N {
+				c.filterGrad(grad, in, dOut, s, false)
+			}
+		})
+		b.Run(name+"/input", func(b *testing.B) {
+			for range b.N {
+				for img := 0; img < B; img++ {
+					c.inputGrad(params, dOut.Row(img), dIn.Row(img), s)
+				}
+			}
+		})
+		b.Run(name+"/bias", func(b *testing.B) {
+			for range b.N {
+				planeSums(c.biases(grad), dOut)
+			}
+		})
 	}
 }

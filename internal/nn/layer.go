@@ -17,7 +17,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"leashedsgd/internal/paramvec"
 	"leashedsgd/internal/tensor"
@@ -306,36 +305,16 @@ func (r *ReLU) ParamCount() int { return 0 }
 func (r *ReLU) NewScratch() any { return nil }
 func (r *ReLU) Name() string    { return fmt.Sprintf("ReLU(%d)", r.Dim) }
 
-// reluForward and reluBackward are branchless: activation signs are close
-// to random, so a compare-and-branch per element pays a misprediction tax
-// on half the data. The sign-extended mask keeps exactly the positive
-// values (a negative float has its top bit set; ±0 maps to 0 either way).
-func reluForward(in, out []float64) {
-	out = out[:len(in)]
-	for i, v := range in {
-		b := math.Float64bits(v)
-		out[i] = math.Float64frombits(b &^ uint64(int64(b)>>63))
-	}
-}
-
-func reluBackward(in, dOut, dIn []float64) {
-	dOut = dOut[:len(in)]
-	dIn = dIn[:len(in)]
-	for i, v := range in {
-		b := math.Float64bits(v)
-		// pass ⟺ v > 0: sign bit clear AND nonzero.
-		pass := ^uint64(int64(b)>>63) & uint64(int64(b|(^b+1))>>63)
-		dIn[i] = math.Float64frombits(math.Float64bits(dOut[i]) & pass)
-	}
-}
-
-func (r *ReLU) Forward(_, in, out []float64, _ any) { reluForward(in, out) }
+// Forward and Backward are tensor.ReLU and tensor.ReLUBackward: branchless
+// bit masks (a compare-and-branch per element would mispredict on half the
+// data), at vector width where the host has it.
+func (r *ReLU) Forward(_, in, out []float64, _ any) { tensor.ReLU(out, in) }
 
 func (r *ReLU) Backward(_, _, in, _, dOut, dIn []float64, _ any) {
 	if dIn == nil {
 		return
 	}
-	reluBackward(in, dOut, dIn)
+	tensor.ReLUBackward(dIn, in, dOut)
 }
 
 // The batched activation kernels run one pass over the contiguous batch×dim
@@ -344,12 +323,12 @@ func (r *ReLU) Backward(_, _, in, _, dOut, dIn []float64, _ any) {
 func (r *ReLU) NewBatchScratch(int) any { return nil }
 
 func (r *ReLU) ForwardBatch(_ []float64, in, out tensor.Mat, _ any) {
-	reluForward(in.Data, out.Data)
+	tensor.ReLU(out.Data, in.Data)
 }
 
 func (r *ReLU) BackwardBatch(_, _ []float64, in, _, dOut, dIn tensor.Mat, _ any) {
 	if dIn.Data == nil {
 		return
 	}
-	reluBackward(in.Data, dOut.Data, dIn.Data)
+	tensor.ReLUBackward(dIn.Data, in.Data, dOut.Data)
 }

@@ -375,23 +375,23 @@ func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *
 }
 
 // evalBlock is the row block of the evaluation pass, chosen by measurement
-// (re-run with the implicit-GEMM convolution; 256 rows, minimum over five
+// (re-run with the vector pool and ReLU; 256 rows, minimum over five
 // interleaved runs of 25 rounds on a 2-vCPU AVX-512 host; workspace is what
-// NewWorkspace and the first evaluation allocate):
+// NewWorkspace and the first evaluation allocate, which the vector kernels
+// did not change):
 //
 //	block   PaperMLP   PaperCNN   CNN workspace
-//	  4     2.73 ms    2.92 ms    0.40 MiB
-//	  8     1.57 ms    2.75 ms    0.67 MiB
-//	 16     1.44 ms    2.63 ms    1.17 MiB
-//	 32     1.51 ms    2.75 ms    2.19 MiB
+//	  4     3.10 ms    2.49 ms    0.40 MiB
+//	  8     1.57 ms    1.85 ms    0.67 MiB
+//	 16     1.45 ms    1.75 ms    1.17 MiB
+//	 32     1.47 ms    1.93 ms    2.19 MiB
 //
 // 8 rows fill the vector lanes of either kernel tier (an 8-wide panel runs
 // the AVX-512 kernel's half-width loop) and already turn the Dense layers'
-// per-row GEMV into GEMM. The convolution no longer holds a batch-wide
-// panel, so a larger block costs only activation buffers, but it buys
-// nothing the host's run-to-run spread can show: 16 rows read 8% faster on
-// the MLP and 4% on the CNN, with twice the buffers. A constant, not a
-// knob.
+// per-row GEMV into GEMM. The convolution holds no batch-wide panel, so a
+// larger block costs only activation buffers, but it buys nothing the
+// host's run-to-run spread can show: 16 rows read 8% faster on the MLP and
+// 5% on the CNN, with twice the buffers. A constant, not a knob.
 const evalBlock = 8
 
 // Evaluate returns the mean softmax-cross-entropy loss and the argmax

@@ -266,11 +266,12 @@ func TestMaxPoolNaNPropagates(t *testing.T) {
 	}
 }
 
-// BenchmarkMaxPool2D is the paper CNN's first pool (4×26×26 → 4×13×13) on a
-// b = 32 minibatch, forward and backward.
+// BenchmarkMaxPool2D is the paper CNN's first pool (4×26×26 → 4×13×13,
+// reading conv₁'s rows 28 apart, as the network builds it) on a b = 32
+// minibatch, forward and backward.
 func BenchmarkMaxPool2D(b *testing.B) {
 	const B = 32
-	p := NewMaxPool2D(4, 26, 26, 2)
+	p := NewConv2D(1, 28, 28, 4, 3).Pool(2)
 	r := rng.New(1)
 	in, dOut := tensor.NewMat(B, p.InDim()), tensor.NewMat(B, p.OutDim())
 	for i := range in.Data {

@@ -41,11 +41,10 @@ const (
 // path (`-tags noasm`, non-amd64) and the reference the tests pin the
 // assembly to.
 var (
-	matMulAddImpl     = matMulAddGo
-	matMulABTImpl     = matMulABTGo
-	matMulATBImpl     = matMulATBGo
-	matMulRunsImpl    = matMulRunsGo
-	matMulABTRunsImpl = matMulABTRunsGo
+	matMulAddImpl  = matMulAddGo
+	matMulABTImpl  = matMulABTGo
+	matMulATBImpl  = matMulATBGo
+	matMulRunsImpl = matMulRunsGo
 )
 
 // MatMul computes dst = a * b. Shapes: a is m×k, b is k×n, dst is m×n.
@@ -193,7 +192,7 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 // operand streams are contiguous — the orientation for operands that are
 // both long in k: single-row forward passes (MatVec, the b=1 Dense forward),
 // where the weight matrix streams through once. The convolution's filter
-// gradient is the same orientation over input runs (MatMulABTRunsAdd).
+// gradient is the same orientation over input runs (MatMulABTRunsSum).
 func MatMulABT(dst, a, b Mat) {
 	checkMatMulABT(dst, a, b)
 	if !emptyReduction(dst, a.Cols) {
@@ -456,7 +455,7 @@ func matMulATBGo(dst, a, b Mat, accumulate bool) {
 // reduction MatMul computes over the explicit lowering, term for term: the
 // two are bit-identical.
 func MatMulRuns(dst Mat, n int, a Mat, b []float64, off []int) {
-	if dst.Rows != a.Rows || a.Cols != len(off) || n > dst.Cols || short(dst, a, Mat{}) || !runsFit(n, b, off) {
+	if dst.Rows != a.Rows || a.Cols != len(off) || n > dst.Cols || short(dst, a, Mat{}) || !runsFit(n, len(b), off) {
 		panic(fmt.Sprintf("tensor: MatMulRuns shape mismatch (%dx%d)*(%d runs of %d)->(%dx%d)",
 			a.Rows, a.Cols, len(off), n, dst.Rows, dst.Cols))
 	}
@@ -472,28 +471,14 @@ func MatMulRuns(dst Mat, n int, a Mat, b []float64, off []int) {
 	matMulRunsImpl(dst.Data, dst.Cols, a.Rows, n, a.Data, a.Cols, b, off)
 }
 
-// MatMulABTRunsAdd computes dst[i][q] += Σ_{j<n} a[i][j]·b[off[q]+j]: a's
-// first n columns times the transpose of MatMulRuns' run matrix, added to
-// the a.Rows × len(off) dst. This is the convolution's filter gradient,
-// dOut times the input runs, accumulated image by image with no lowering.
-func MatMulABTRunsAdd(dst, a Mat, n int, b []float64, off []int) {
-	if dst.Rows != a.Rows || dst.Cols != len(off) || n > a.Cols || short(dst, a, Mat{}) || !runsFit(n, b, off) {
-		panic(fmt.Sprintf("tensor: MatMulABTRunsAdd shape mismatch (%dx%d)*(%d runs of %d)T->(%dx%d)",
-			a.Rows, a.Cols, len(off), n, dst.Rows, dst.Cols))
-	}
-	if n > 0 {
-		matMulABTRunsImpl(dst.Data, dst.Cols, a.Rows, a.Data, a.Cols, n, b, off)
-	}
-}
-
-// runsFit reports n ≥ 0 and every run b[off[q] : off[q]+n] inside b: the
-// kernels address the runs by offset alone.
-func runsFit(n int, b []float64, off []int) bool {
+// runsFit reports n ≥ 0 and every run [off[q], off[q]+n) inside a slice of
+// length l: the kernels address the runs by offset alone.
+func runsFit(n, l int, off []int) bool {
 	if n < 0 {
 		return false
 	}
 	for _, o := range off {
-		if o < 0 || o > len(b)-n {
+		if o < 0 || o > l-n {
 			return false
 		}
 	}
@@ -510,18 +495,6 @@ func matMulRunsGo(c []float64, ldc, m, n int, a []float64, lda int, b []float64,
 			for j, bv := range b[off[q] : off[q]+n] {
 				d[j] += av * bv
 			}
-		}
-	}
-}
-
-// matMulABTRunsGo is the portable MatMulABTRunsAdd body: one Dot per
-// element.
-func matMulABTRunsGo(dst []float64, ldd, m int, a []float64, lda, n int, b []float64, off []int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*lda : i*lda+n]
-		d := dst[i*ldd : i*ldd+len(off)]
-		for q, o := range off {
-			d[q] += Dot(ai, b[o:o+n])
 		}
 	}
 }
@@ -579,8 +552,8 @@ func Transpose(dst, src Mat) {
 // into columns [col0, col0+outH*outW) of the column matrix dst, so that a
 // whole minibatch's lowerings stack side by side into ONE wide matrix and
 // the convolution becomes a single GEMM per batch. nn's Conv2D no longer
-// lowers (MatMulRuns); the stacked lowering and Col2ImAddFrom remain as the
-// reference its tests hold the implicit GEMM to. dst must have
+// lowers (MatMulRuns); the stacked lowering remains as the reference its
+// tests hold the implicit GEMM to. dst must have
 // channels*k*k rows and at least col0+outH*outW columns; column col0+c
 // holds the receptive field of output pixel c, ordered channel, then kernel
 // row, then kernel col (exactly Im2Col's layout, placed at an offset).
@@ -606,35 +579,6 @@ func Im2ColInto(dst Mat, col0 int, src []float64, channels, h, w, k int) {
 				for oy := 0; oy < outH; oy++ {
 					srcOff := chanBase + (oy+ky)*w + kx
 					copy(dRow[idx:idx+outW], src[srcOff:srcOff+outW])
-					idx += outW
-				}
-			}
-		}
-	}
-}
-
-// Col2ImAddFrom scatter-adds columns [col0, col0+outH*outW) of src (the
-// gradient with respect to an Im2ColInto lowering) back into the
-// (channels, h, w) image dst, accumulating overlapping contributions.
-func Col2ImAddFrom(dst []float64, src Mat, col0 int, channels, h, w, k int) {
-	outH, outW := h-k+1, w-k+1
-	if src.Rows != channels*k*k || col0 < 0 || col0+outH*outW > src.Cols {
-		panic("tensor: Col2ImAddFrom src shape mismatch")
-	}
-	if len(dst) != channels*h*w {
-		panic("tensor: Col2ImAdd dst length mismatch")
-	}
-	row := 0
-	for c := 0; c < channels; c++ {
-		chanBase := c * h * w
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				sRow := src.Row(row)[col0 : col0+outH*outW]
-				row++
-				idx := 0
-				for oy := 0; oy < outH; oy++ {
-					dstOff := chanBase + (oy+ky)*w + kx
-					Axpy(1, sRow[idx:idx+outW], dst[dstOff:dstOff+outW])
 					idx += outW
 				}
 			}

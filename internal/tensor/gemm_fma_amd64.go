@@ -17,9 +17,8 @@ package tensor
 // alone. Edge tiles go through the same kernels (rows and lanes past the
 // edge are masked in the assembly), so no shape falls back to scalar loops.
 //
-// A·Bᵀ, where both operands are long in the reduction dimension (the
-// convolution weight gradient over input runs, single-row forward passes),
-// keeps its 2×4 dot tile.
+// A·Bᵀ, where both operands are long in the reduction dimension (single-row
+// forward passes), keeps its 2×4 dot tile.
 //
 // Results differ from the portable kernels only in floating-point summation
 // order. The whole dispatch sits behind the `noasm` build tag (`-tags noasm`
@@ -40,6 +39,19 @@ type gemmTier struct {
 	// axpyTo is the tier's AxpyTo kernel: the same register width, chosen
 	// by the same test.
 	axpyTo func(dst, src []float64, alpha float64, x []float64)
+	// The CNN kernels of cnn_amd64.s at the same width. runsTile is the
+	// filter gradient's rgMF×rgMQ tile of lanes-wide partial sums, col2im
+	// the fused input gradient (col2imGroups its form for runs in disjoint
+	// blocks). col2imGroups, pool, poolBack, relu and reluBack are nil on a
+	// tier without them, which keeps the run-by-run kernel or the Go bodies.
+	runsTile          func(park, a *float64, lda uintptr, mf int, x *float64, off *int, nq, n int)
+	rgMF, rgMQ, lanes int
+	col2im            func(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
+	col2imGroups      func(dst *float64, off *int, qs, groups, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
+	pool              func(out *float64, argmax *int, in *float64, planes, outH, outW, rs, h int)
+	poolBack          func(dIn, dOut *float64, argmax *int, planes, outH, outW, rs, h int)
+	relu              func(out, in []float64)
+	reluBack          func(dIn, in, dOut []float64)
 	// supported reports whether the CPU has the instructions and the OS
 	// saves the registers the kernel uses.
 	supported func(cpuFeatures) bool
@@ -49,8 +61,17 @@ type gemmTier struct {
 // host supports. The table exists so the tests can drive every tier the
 // host has, not to be chosen from by callers.
 var gemmTiers = []*gemmTier{
-	{name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, axpyTo: axpyToZMM, supported: cpuFeatures.avx512},
-	{name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, axpyTo: axpyToYMM, supported: cpuFeatures.avx2FMA},
+	{
+		name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, axpyTo: axpyToZMM,
+		runsTile: runsTileZMM, rgMF: 4, rgMQ: 3, lanes: 8, col2im: col2imZMM, col2imGroups: col2imGroupsZMM,
+		pool: poolZMM, poolBack: poolBackZMM, relu: reluZMM, reluBack: reluBackZMM,
+		supported: cpuFeatures.avx512,
+	},
+	{
+		name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, axpyTo: axpyToYMM,
+		runsTile: runsTileYMM, rgMF: 4, rgMQ: 2, lanes: 4, col2im: col2imYMM,
+		supported: cpuFeatures.avx2FMA,
+	},
 }
 
 // gemmTierSelected is the broadcast-tile tier init dispatched to; nil when
@@ -64,7 +85,14 @@ func init() {
 			matMulAddImpl, matMulATBImpl, axpyToImpl = t.matMulAdd, t.matMulATB, t.axpyTo
 			matMulRunsImpl = t.matMulRuns
 			// Every tier implies AVX2+FMA, which is all the dot tile needs.
-			matMulABTImpl, matMulABTRunsImpl = matMulABTFMA, matMulABTRunsFMA
+			matMulABTImpl = matMulABTFMA
+			runsGradImpl, runsParkLenImpl, runsCol2ImImpl = t.runsGrad, t.runsParkLen, t.runsCol2Im
+			if t.pool != nil {
+				maxPool2x2Impl, maxPool2x2BackImpl = t.maxPool2x2, t.maxPool2x2Back
+			}
+			if t.relu != nil {
+				reluImpl, reluBackImpl = t.relu, t.reluBack
+			}
 			return
 		}
 	}
@@ -208,30 +236,18 @@ func matMulABTFMA(dst, a, b Mat, accumulate bool) {
 	m, k, n := a.Rows, a.Cols, b.Rows
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
 		kb := min(gemmBlockK, k-k0)
-		dotTiles(dst.Data, dst.Cols, m, n, a.Data[k0:], a.Cols, kb, b.Data[k0:], b.Cols, nil, accumulate || k0 > 0)
+		dotTiles(dst.Data, dst.Cols, m, n, a.Data[k0:], a.Cols, kb, b.Data[k0:], b.Cols, accumulate || k0 > 0)
 	}
 }
 
-// matMulABTRunsFMA is dst += a·Rᵀ, R's row q the run b[off[q]:off[q]+n].
-func matMulABTRunsFMA(dst []float64, ldd, m int, a []float64, lda, n int, b []float64, off []int) {
-	dotTiles(dst, ldd, m, len(off), a, lda, n, b, 0, off, true)
-}
-
-// dotTiles is dst[i][q] (=|+=) Σ_{p<kb} a[i·lda+p]·b[bRow(q)+p] for i < m,
-// q < nq, dst's rows ldd apart, where b's row q starts at off[q], or at q·ldb
-// when off is nil. Edge tiles run the same kernel: an odd last row of a is
-// paired with itself and tile columns past the last row of b re-read that
-// row, the surplus sums being dropped — so a single-row product (every GEMM
-// of a b=1 forward pass) is vector code too. Only the kb%4 reduction tail is
-// scalar.
-func dotTiles(dst []float64, ldd, m, nq int, a []float64, lda, kb int, b []float64, ldb int, off []int, accumulate bool) {
-	bRow := func(q int) []float64 {
-		s := q * ldb
-		if off != nil {
-			s = off[q]
-		}
-		return b[s : s+kb]
-	}
+// dotTiles is dst[i][q] (=|+=) Σ_{p<kb} a[i·lda+p]·b[q·ldb+p] for i < m,
+// q < nq, dst's rows ldd apart. Edge tiles run the same kernel: an odd last
+// row of a is paired with itself and tile columns past the last row of b
+// re-read that row, the surplus sums being dropped — so a single-row
+// product (every GEMM of a b=1 forward pass) is vector code too. Only the
+// kb%4 reduction tail is scalar.
+func dotTiles(dst []float64, ldd, m, nq int, a []float64, lda, kb int, b []float64, ldb int, accumulate bool) {
+	bRow := func(q int) []float64 { return b[q*ldb : q*ldb+kb] }
 	k4 := kb &^ 3
 	var c [8]float64
 	for i := 0; i < m; i += 2 {

@@ -123,14 +123,15 @@ func TestGEMMTier(t *testing.T) {
 	}
 }
 
-// checkRuns drives a tier's offset-table tile (matMulRuns) and the run dot
-// tiles (matMulABTRunsFMA) against a portable reference that lowers
-// explicitly: the tile must equal the same tier's gemm over the lowered
-// matrix bit for bit and the portable kernel to 1e-10, and the dot tiles
-// must add what matMulABTGo adds over the lowering, to 1e-10. The
-// cases are runsCases plus, with NaN guard bands around a dst whose rows
-// are longer than n, every m ≤ 2·MR+1 against every n ≤ 2·NR+1 (masked
-// rows and lanes; n mod 4 ≠ 0 for the dot tiles' scalar tail) at k = 5.
+// checkRuns drives a tier's offset-table tile (matMulRuns) and its
+// filter-gradient tiles (runsGrad, one image) against a portable reference
+// that lowers explicitly: the tile must equal the same tier's gemm over the
+// lowered matrix bit for bit and the portable kernel to 1e-10, and the
+// filter-gradient tiles must add what matMulABTGo adds over the lowering, to
+// 1e-10. The cases are runsCases plus, with NaN guard bands around a dst
+// whose rows are longer than n, every m ≤ 2·MR+1 against every n ≤ 2·NR+1
+// (masked rows and lanes, and every tail of the filter-gradient tile) at
+// k = 5.
 func checkRuns(t *testing.T, tier *gemmTier, r *rng.Rand) {
 	t.Helper()
 	check := func(name string, m, n int, b []float64, off []int) {
@@ -163,7 +164,8 @@ func checkRuns(t *testing.T, tier *gemmTier, r *rng.Rand) {
 		}
 		got, want := randMat(r, m, k), NewMat(m, k)
 		copy(want.Data, got.Data)
-		matMulABTRunsFMA(got.Data, k, m, dOut.Data, n+pad, n, b, off)
+		park := make([]float64, tier.runsParkLen(m, k))
+		tier.runsGrad(got.Data, k, m, dOut.Data, n+pad, m*(n+pad), n, b, len(b), off, 1, park)
 		matMulABTGo(want, dOutN, lowered, true)
 		matsAlmostEq(t, name+": ABT runs", got, want, 1e-10)
 	}
@@ -321,7 +323,7 @@ func TestGEMMTierDetect(t *testing.T) {
 // float instruction.
 func TestGEMMTierVZeroUpper(t *testing.T) {
 	vec := regexp.MustCompile(`\b[YZ]([0-9]|[12][0-9]|3[01])\b`)
-	for _, file := range []string{"gemm_fma_amd64.s", "sparse_fma_amd64.s"} {
+	for _, file := range []string{"gemm_fma_amd64.s", "sparse_fma_amd64.s", "cnn_amd64.s"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

@@ -106,6 +106,7 @@ func TestGEMMVariantsMatchReference(t *testing.T) {
 // TestGEMMShapePanics verifies every new GEMM variant rejects mismatched
 // shapes rather than reading out of bounds.
 func TestGEMMShapePanics(t *testing.T) {
+	park := make([]float64, RunsParkLen(2, 2))
 	cases := map[string]func(){
 		"MatMul/inner":      func() { MatMul(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2)) },
 		"MatMul/dst":        func() { MatMul(NewMat(3, 2), NewMat(2, 3), NewMat(3, 2)) },
@@ -122,16 +123,33 @@ func TestGEMMShapePanics(t *testing.T) {
 		"Im2ColInto/rows":   func() { Im2ColInto(NewMat(3, 4), 0, make([]float64, 9), 1, 3, 3, 2) },
 		"Im2ColInto/cols":   func() { Im2ColInto(NewMat(4, 7), 4, make([]float64, 9), 1, 3, 3, 2) },
 		"Im2ColInto/src":    func() { Im2ColInto(NewMat(4, 4), 0, make([]float64, 8), 1, 3, 3, 2) },
-		"Col2ImAddFrom/src": func() { Col2ImAddFrom(make([]float64, 9), NewMat(3, 4), 0, 1, 3, 3, 2) },
-		"Col2ImAddFrom/off": func() { Col2ImAddFrom(make([]float64, 9), NewMat(4, 7), 4, 1, 3, 3, 2) },
-		"Col2ImAddFrom/dst": func() { Col2ImAddFrom(make([]float64, 8), NewMat(4, 4), 0, 1, 3, 3, 2) },
 		"MatMulRuns/inner":  func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 3), make([]float64, 9), []int{0, 1}) },
 		"MatMulRuns/dst":    func() { MatMulRuns(NewMat(2, 4), 5, NewMat(2, 2), make([]float64, 9), []int{0, 1}) },
 		"MatMulRuns/run":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{0, 6}) },
 		"MatMulRuns/neg":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{-1, 0}) },
-		"MatMulABTRuns/dst": func() { MatMulABTRunsAdd(NewMat(2, 3), NewMat(2, 4), 4, make([]float64, 9), []int{0, 1}) },
-		"MatMulABTRuns/n":   func() { MatMulABTRunsAdd(NewMat(2, 2), NewMat(2, 4), 5, make([]float64, 9), []int{0, 1}) },
-		"MatMulABTRuns/run": func() { MatMulABTRunsAdd(NewMat(2, 2), NewMat(2, 4), 4, make([]float64, 9), []int{0, 6}) },
+		"MatMulABTRuns/dst": func() { MatMulABTRunsSum(NewMat(2, 3), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, park, true) },
+		"MatMulABTRuns/n":   func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 5, NewMat(1, 9), []int{0, 1}, park, true) },
+		"MatMulABTRuns/run": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 6}, park, true) },
+		"MatMulABTRuns/img": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(2, 8), 4, NewMat(1, 9), []int{0, 1}, park, true) },
+		"MatMulABTRuns/rows": func() {
+			MatMulABTRunsSum(NewMat(3, 2), NewMat(1, 8), 2, NewMat(1, 9), []int{0, 1}, park, true)
+		},
+		"MatMulATBRuns/rows": func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 4, NewMat(2, 2), NewMat(3, 4)) },
+		"MatMulATBRuns/cols": func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 4, NewMat(2, 3), NewMat(2, 4)) },
+		"MatMulATBRuns/n":    func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 5, NewMat(2, 2), NewMat(2, 4)) },
+		"MatMulATBRuns/run":  func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 6}, 4, NewMat(2, 2), NewMat(2, 4)) },
+		"MaxPool2x2/in":      func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 31), 2, 4, 4, 4) },
+		"MaxPool2x2/stride":  func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 24), 2, 4, 4, 3) },
+		"MaxPool2x2/out":     func() { MaxPool2x2(make([]float64, 3), make([]int, 3), make([]float64, 32), 2, 4, 4, 4) },
+		"MaxPool2x2/argmax":  func() { MaxPool2x2(make([]float64, 4), make([]int, 3), make([]float64, 32), 2, 4, 4, 4) },
+		"MaxPool2x2/height":  func() { MaxPool2x2(nil, nil, make([]float64, 4), 1, 1, 4, 4) },
+		"MaxPool2x2Back/dIn": func() { MaxPool2x2Backward(make([]float64, 33), make([]float64, 4), make([]int, 4), 2, 4, 4, 4) },
+		"MaxPool2x2Back/dOut": func() {
+			MaxPool2x2Backward(make([]float64, 32), make([]float64, 5), make([]int, 4), 2, 4, 4, 4)
+		},
+		"ReLU":              func() { ReLU(make([]float64, 3), make([]float64, 4)) },
+		"ReLUBackward/dIn":  func() { ReLUBackward(make([]float64, 3), make([]float64, 4), make([]float64, 4)) },
+		"ReLUBackward/dOut": func() { ReLUBackward(make([]float64, 4), make([]float64, 4), make([]float64, 5)) },
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -217,44 +235,6 @@ func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
 					t.Fatalf("Im2ColInto panel mismatch at (%d,%d)", i, j)
 				}
 			}
-		}
-	}
-}
-
-// TestCol2ImAddFromAdjoint proves Col2ImAddFrom is the adjoint of
-// Im2ColInto at a nonzero column offset:
-// <Im2ColInto(x), c> == <x, Col2ImAddFrom(c)> over the panel.
-func TestCol2ImAddFromAdjoint(t *testing.T) {
-	r := rng.New(6)
-	for trial := 0; trial < 20; trial++ {
-		channels := 1 + r.Intn(3)
-		k := 2 + r.Intn(2)
-		h := k + r.Intn(4)
-		w := k + r.Intn(4)
-		outH, outW := h-k+1, w-k+1
-		ohw := outH * outW
-		x := make([]float64, channels*h*w)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		wide := NewMat(channels*k*k, 3*ohw)
-		Im2ColInto(wide, ohw, x, channels, h, w, k)
-		c := NewMat(channels*k*k, 3*ohw)
-		for i := range c.Data {
-			c.Data[i] = r.NormFloat64()
-		}
-		var lhs float64
-		for i := 0; i < wide.Rows; i++ {
-			wRow, cRow := wide.Row(i), c.Row(i)
-			for j := ohw; j < 2*ohw; j++ {
-				lhs += wRow[j] * cRow[j]
-			}
-		}
-		back := make([]float64, len(x))
-		Col2ImAddFrom(back, c, ohw, channels, h, w, k)
-		rhs := Dot(x, back)
-		if !almostEq(lhs, rhs, 1e-8) {
-			t.Fatalf("Col2ImAddFrom adjoint identity violated: %v vs %v", lhs, rhs)
 		}
 	}
 }
@@ -348,8 +328,8 @@ func runsCases(r *rng.Rand) []struct {
 // TestMatMulRunsMatchesLowering pins the in-place run products to the GEMMs
 // over the explicit lowering, through whatever kernels init selected:
 // MatMulRuns bit for bit against MatMul (the same reduction, term for term)
-// with every column past n untouched, and MatMulABTRunsAdd against
-// MatMulABTAdd to 1e-10 (their dot tiles may split a sum differently).
+// with every column past n untouched, and MatMulABTRunsSum over one image
+// against MatMulABTAdd to 1e-10 (their tiles split a sum differently).
 func TestMatMulRunsMatchesLowering(t *testing.T) {
 	r := rng.New(31)
 	for _, c := range runsCases(r) {
@@ -383,9 +363,10 @@ func TestMatMulRunsMatchesLowering(t *testing.T) {
 			}
 			gw, wantW := randMat(r, c.m, k), NewMat(c.m, k)
 			copy(wantW.Data, gw.Data)
-			MatMulABTRunsAdd(gw, dOut, c.n, c.b, c.off)
+			park := make([]float64, RunsParkLen(c.m, k))
+			MatMulABTRunsSum(gw, MatFrom(1, len(dOut.Data), dOut.Data), c.n, MatFrom(1, len(c.b), c.b), c.off, park, true)
 			MatMulABTAdd(wantW, dOutN, lowered)
-			matsAlmostEq(t, "MatMulABTRunsAdd", gw, wantW, 1e-10)
+			matsAlmostEq(t, "MatMulABTRunsSum", gw, wantW, 1e-10)
 		})
 	}
 }

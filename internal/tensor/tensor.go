@@ -140,8 +140,8 @@ func Copy(dst, src []float64) {
 	copy(dst, src)
 }
 
-// Fill sets every element of x to v; +0 is a memclr (the pool's backward
-// zeroes a whole wide conv activation per pass).
+// Fill sets every element of x to v; +0 is a memclr (a pool backward that
+// routes, rather than writing every element, zeroes the whole input first).
 func Fill(x []float64, v float64) {
 	if math.Float64bits(v) == 0 {
 		clear(x)
@@ -230,18 +230,6 @@ func Im2Col(dst Mat, src []float64, channels, h, w, k int) {
 		panic("tensor: Im2Col dst shape mismatch")
 	}
 	Im2ColInto(dst, 0, src, channels, h, w, k)
-}
-
-// Col2ImAdd scatter-adds the column matrix src (the gradient with respect to
-// an Im2Col output) back into the (channels, h, w) image dst, accumulating
-// overlapping contributions. Shapes mirror Im2Col; the loop body lives in
-// Col2ImAddFrom (gemm.go), the batch-stacking variant.
-func Col2ImAdd(dst []float64, src Mat, channels, h, w, k int) {
-	outH, outW := h-k+1, w-k+1
-	if outH > 0 && outW > 0 && src.Cols != outH*outW {
-		panic("tensor: Col2ImAdd src shape mismatch")
-	}
-	Col2ImAddFrom(dst, src, 0, channels, h, w, k)
 }
 
 // ArgMax returns the index of the largest element of x; ties resolve to the

@@ -123,22 +123,6 @@ func TestIm2ColPanics(t *testing.T) {
 	}
 }
 
-func TestCol2ImAddAccumulates(t *testing.T) {
-	// Two calls must sum, not overwrite.
-	dst := make([]float64, 4)
-	src := NewMat(4, 1)
-	for i := range src.Data {
-		src.Data[i] = 1
-	}
-	Col2ImAdd(dst, src, 1, 2, 2, 2)
-	Col2ImAdd(dst, src, 1, 2, 2, 2)
-	for i, v := range dst {
-		if v != 2 {
-			t.Fatalf("dst[%d] = %v, want 2", i, v)
-		}
-	}
-}
-
 func TestDotEmpty(t *testing.T) {
 	if Dot(nil, nil) != 0 {
 		t.Fatal("empty dot != 0")

@@ -409,36 +409,6 @@ func TestIm2ColMultiChannel(t *testing.T) {
 	}
 }
 
-// Property: Col2ImAdd is the adjoint of Im2Col:
-// <Im2Col(x), c> == <x, Col2ImAdd(c)> for random x, c.
-func TestIm2ColAdjoint(t *testing.T) {
-	r := rng.New(4)
-	for trial := 0; trial < 20; trial++ {
-		channels := 1 + r.Intn(3)
-		k := 2 + r.Intn(2)
-		h := k + r.Intn(4)
-		w := k + r.Intn(4)
-		outH, outW := h-k+1, w-k+1
-		x := make([]float64, channels*h*w)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		cols := NewMat(channels*k*k, outH*outW)
-		Im2Col(cols, x, channels, h, w, k)
-		c := NewMat(channels*k*k, outH*outW)
-		for i := range c.Data {
-			c.Data[i] = r.NormFloat64()
-		}
-		lhs := Dot(cols.Data, c.Data)
-		back := make([]float64, len(x))
-		Col2ImAdd(back, c, channels, h, w, k)
-		rhs := Dot(x, back)
-		if !almostEq(lhs, rhs, 1e-8) {
-			t.Fatalf("Im2Col adjoint identity violated: %v vs %v", lhs, rhs)
-		}
-	}
-}
-
 func TestArgMax(t *testing.T) {
 	if got := ArgMax([]float64{1, 5, 3}); got != 1 {
 		t.Fatalf("ArgMax = %d", got)
