@@ -85,6 +85,10 @@ type convScratch struct {
 	// (tensor.RunsParkLen), allocated by the first backward pass:
 	// forward-only workspaces never hold it.
 	park []float64
+	// dCols is one image's Wᵀ·dOut (InC·K·K × plane), allocated by the first
+	// backward pass that needs dIn: forward-only workspaces and a network's
+	// first layer never hold it.
+	dCols tensor.Mat
 }
 
 // filterGrad sets (or, with accumulate, adds to) the filter gradient the
@@ -168,13 +172,20 @@ func (c *Conv2D) BackwardBatch(params, grad []float64, in, _, dOut, dIn tensor.M
 	}
 }
 
-// inputGrad is one image's dIn = col2im(Wᵀ·dOut), fused: each lowering row
-// of Wᵀ·dOut is added into the input run it came from, in the lowering's
-// row order, without the product ever being stored — the col2im of the
-// lowered GEMM, element for element. dOut's columns past OutW must be zero.
+// inputGrad is one image's dIn = col2im(Wᵀ·dOut): dCols = Wᵀ·dOut, then
+// one Axpy of each dCols row into the input run it came from, in the
+// lowering's row order — the col2im of the lowered GEMM, element for
+// element. dOut's columns past OutW must be zero.
 func (c *Conv2D) inputGrad(params, dOut, dIn []float64, s *convScratch) {
+	n := c.run()
+	if s.dCols.Data == nil {
+		s.dCols = tensor.NewMat(len(s.off), c.plane())
+	}
+	tensor.MatMulATB(s.dCols, c.filterMat(params), tensor.MatFrom(c.Filters, c.plane(), dOut))
 	clear(dIn)
-	tensor.MatMulATBRunsAdd(dIn, s.off, c.run(), c.filterMat(params), tensor.MatFrom(c.Filters, c.plane(), dOut))
+	for q, o := range s.off {
+		tensor.Axpy(1, s.dCols.Row(q)[:n], dIn[o:o+n])
+	}
 }
 
 // planeSums sets sums[f] to the sum of plane f over every row of m, each row

@@ -401,10 +401,10 @@ func TestConv2DBatchOfOneMatchesPerExample(t *testing.T) {
 
 // BenchmarkConvBackward times each gradient of the paper CNN's two
 // convolutions on a b = 32 minibatch alone: the filter gradient (one
-// batch-wide tensor.MatMulABTRunsSum), the input gradient (the fused
-// col2im, image by image; conv₁ needs none in a network, it is timed for
-// the kernel's sake) and the bias gradient (planeSums). dOut is zero past
-// OutW, as the pool returns it.
+// batch-wide tensor.MatMulABTRunsSum), the input gradient (Wᵀ·dOut and
+// its col2im, image by image; conv₁ needs none in a network, it is timed
+// for the kernels' sake) and the bias gradient (planeSums). dOut is zero
+// past OutW, as the pool returns it.
 func BenchmarkConvBackward(b *testing.B) {
 	const B = 32
 	for i, c := range []*Conv2D{NewConv2D(1, 28, 28, 4, 3), NewConv2D(4, 13, 13, 8, 3)} {

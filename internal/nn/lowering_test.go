@@ -13,7 +13,7 @@ import (
 // (channels, h, w) image dst, accumulating overlapping contributions: one
 // Axpy per lowering row and output row, in lowering-row order. It is the
 // col2im of the lowered convolution (loweredConv), which the conv layer's
-// fused input gradient must reproduce bit for bit.
+// input gradient must reproduce bit for bit.
 func col2ImAddFrom(dst []float64, src tensor.Mat, col0 int, channels, h, w, k int) {
 	outH, outW := h-k+1, w-k+1
 	if src.Rows != channels*k*k || col0 < 0 || col0+outH*outW > src.Cols {

@@ -5,15 +5,15 @@ import (
 	"math"
 )
 
-// The CNN's kernels besides the convolution's forward GEMM (MatMulRuns): the
-// 2×2 max-pool and its backward pass, ReLU and its backward pass, the
-// convolution's filter gradient over a whole minibatch, and its input
-// gradient with col2im fused in. On hosts with AVX-512 the pool and ReLU
-// run as vector kernels (cnn_amd64.s); the two convolution gradients have an
-// AVX-512 and an AVX2 kernel, chosen with the GEMM tier. The Go bodies
-// below are the portable path (`-tags noasm`, non-amd64, and AVX2 hosts for
-// the pool and ReLU) and the reference the tier tests hold the assembly to.
-// Every kernel but the filter gradient is bit-identical to its Go body; the
+// The CNN's kernels besides the convolution's forward GEMM (MatMulRuns) and
+// its input gradient (MatMulATB and Axpy): the 2×2 max-pool and its
+// backward pass, ReLU and its backward pass, and the convolution's filter
+// gradient over a whole minibatch. On hosts with AVX-512 the pool and ReLU
+// run as vector kernels (cnn_amd64.s); the filter gradient has an AVX-512
+// and an AVX2 kernel, chosen with the GEMM tier. The Go bodies below are
+// the portable path (`-tags noasm`, non-amd64, and AVX2 hosts for the pool
+// and ReLU) and the reference the tier tests hold the assembly to. Every
+// kernel but the filter gradient is bit-identical to its Go body; the
 // filter gradient differs only in summation order.
 var (
 	maxPool2x2Impl     = maxPool2x2Go
@@ -21,7 +21,6 @@ var (
 	reluImpl           = reluGo
 	reluBackImpl       = reluBackGo
 	runsGradImpl       = runsGradGo
-	runsCol2ImImpl     = runsCol2ImGo
 	runsParkLenImpl    = func(m, q int) int { return 0 }
 )
 
@@ -188,41 +187,6 @@ func runsGradGo(dst []float64, ldd, m int, a []float64, lda, sa, n int, x []floa
 			for q, o := range off {
 				d[q] += Dot(ai, img[o:o+n])
 			}
-		}
-	}
-}
-
-// MatMulATBRunsAdd is the convolution's input gradient, col2im fused with
-// Wᵀ·dOut: for q = 0, 1, …, len(off)−1 in turn it adds the first n columns
-// of row q of aᵀ·b to the run dst[off[q] : off[q]+n]. Each added value is
-// the chain over a's rows from zero that MatMulATB computes, and each is
-// added with one rounding as Axpy adds it, so the result is bit for bit
-// MatMulATB into a len(off)×n matrix followed by Axpy(1, row q, run q) for
-// each q in order — with no such matrix. a is filters × len(off) (the
-// filter bank), b filters × ≥ n (one image's dOut).
-func MatMulATBRunsAdd(dst []float64, off []int, n int, a, b Mat) {
-	if a.Rows != b.Rows || a.Cols != len(off) || n > b.Cols || short(a, b, Mat{}) || !runsFit(n, len(dst), off) {
-		panic(fmt.Sprintf("tensor: MatMulATBRunsAdd shape mismatch (%dx%d)T*(%dx%d)->(%d runs of %d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, len(off), n))
-	}
-	if n == 0 || len(off) == 0 || a.Rows == 0 {
-		return
-	}
-	runsCol2ImImpl(dst, off, n, a.Data, a.Rows, a.Cols, b.Data, b.Cols)
-}
-
-// runsCol2ImGo computes each value as matMulATBGo does — one chain of
-// separately rounded products from zero, in row order — and adds it as
-// axpyToGo adds 1·x.
-func runsCol2ImGo(dst []float64, off []int, n int, a []float64, m, lda int, b []float64, ldb int) {
-	for q, o := range off {
-		d := dst[o : o+n]
-		for j := range d {
-			var c float64
-			for f := 0; f < m; f++ {
-				c += a[f*lda+q] * b[f*ldb+j]
-			}
-			d[j] += c
 		}
 	}
 }

@@ -50,58 +50,11 @@ func (t *gemmTier) runsGrad(dst []float64, ldd, m int, a []float64, lda, sa, n i
 	}
 }
 
-// runsCol2Im runs the tier's grouped col2im kernel when the runs fall into
-// at least four blocks that do not overlap one another (runGroups), and its
-// run-by-run kernel otherwise.
-func (t *gemmTier) runsCol2Im(dst []float64, off []int, n int, a []float64, m, lda int, b []float64, ldb int) {
-	if g := runGroups(off, n); t.col2imGroups != nil && g >= 4 {
-		t.col2imGroups(&dst[0], &off[0], len(off)/g, g, n, &a[0], uintptr(lda)*8, m, &b[0], uintptr(ldb)*8)
-		return
-	}
-	t.col2im(&dst[0], &off[0], len(off), n, &a[0], uintptr(lda)*8, m, &b[0], uintptr(ldb)*8)
-}
-
-// runGroups reports into how many consecutive blocks of equal length the
-// runs [off[q], off[q]+n) fall such that the blocks' spans are disjoint and
-// in order — a convolution's lowering has one block per input channel — or
-// 1. The block length is the index of the first run that starts at or past
-// the end of run 0.
-func runGroups(off []int, n int) int {
-	qs := 1
-	for qs < len(off) && off[qs] < off[0]+n {
-		qs++
-	}
-	if n == 0 || qs == len(off) || len(off)%qs != 0 {
-		return 1
-	}
-	prevEnd := 0
-	for g := 0; g < len(off); g += qs {
-		lo, hi := off[g], off[g]+n
-		for _, o := range off[g : g+qs] {
-			lo, hi = min(lo, o), max(hi, o+n)
-		}
-		if g > 0 && lo < prevEnd {
-			return 1
-		}
-		prevEnd = hi
-	}
-	return len(off) / qs
-}
-
 //go:noescape
 func runsTileZMM(park, a *float64, lda uintptr, mf int, x *float64, off *int, nq, n int)
 
 //go:noescape
 func runsTileYMM(park, a *float64, lda uintptr, mf int, x *float64, off *int, nq, n int)
-
-//go:noescape
-func col2imZMM(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-
-//go:noescape
-func col2imGroupsZMM(dst *float64, off *int, qs, groups, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-
-//go:noescape
-func col2imYMM(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
 
 //go:noescape
 func poolZMM(out *float64, argmax *int, in *float64, planes, outH, outW, rs, h int)

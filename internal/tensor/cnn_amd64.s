@@ -4,11 +4,10 @@
 
 // The CNN kernels besides the forward GEMM (drivers in cnn_amd64.go, Go
 // bodies in cnn.go): the AVX-512 2×2 max-pool and its backward pass, the
-// AVX-512 ReLU and its backward pass, and the filter-gradient tile and the
-// fused col2im input gradient at both widths. Every kernel ends in
-// VZEROUPPER, and none touches memory outside what its arguments name:
-// partial vectors are masked, and masked-off lanes are neither loaded nor
-// stored. None writes BP.
+// AVX-512 ReLU and its backward pass, and the filter-gradient tile at both
+// widths. Every kernel ends in VZEROUPPER, and none touches memory outside
+// what its arguments name: partial vectors are masked, and masked-off lanes
+// are neither loaded nor stored. None writes BP.
 
 // 2·lane: the even lanes of a pair of vectors, and each lane's offset
 // within a window row pair.
@@ -73,9 +72,6 @@ DATA cnnLaneMask<>+112(SB)/8, $0
 DATA cnnLaneMask<>+120(SB)/8, $0
 GLOBL cnnLaneMask<>(SB), RODATA|NOPTR, $128
 
-DATA cnnOne<>+0(SB)/8, $1.0
-GLOBL cnnOne<>(SB), RODATA|NOPTR, $8
-
 // CNT8MASK sets k to the lowest c bits, c = min(8, outW − R9) the outputs
 // left in the row, and k2/k3 to the lowest 2c bits split into the two
 // 8-lane halves: the window pairs' input lanes. Clobbers AX, CX.
@@ -96,35 +92,6 @@ GLOBL cnnOne<>(SB), RODATA|NOPTR, $8
 	KMOVW AX, k2; \
 	SHRQ  $8, AX; \
 	KMOVW AX, k3
-
-// PAIRMASK sets K1/K2 to the lanes of the two 8-lane chunks at column R9 of
-// the n columns: min(8, max(0, n − R9 − 8h)) low bits for h = 0, 1.
-// Clobbers AX, CX, R11.
-#define PAIRMASK \
-	MOVQ  n+32(FP), AX; \
-	SUBQ  R9, AX; \
-	CHUNKMASK(0, K1); \
-	CHUNKMASK(8, K2)
-
-#define GFMA(z, lo, hi) \
-	VFMADD231PD Z8, z, lo; \
-	VFMADD231PD Z9, z, hi
-
-// GEPI adds slot i's two chunks into run R10 at column R9, R8 = dst + 8·R9,
-// SI = off, then steps R10 to the next block's run; it stops after the
-// CX-th existing slot. Clobbers AX.
-#define GEPI(i, lo, hi) \
-	CMPQ  CX, $i; \
-	JLE   gepidone; \
-	MOVQ  (SI)(R10*8), AX; \
-	LEAQ  (R8)(AX*8), AX; \
-	VMOVUPD.Z   (AX), K1, Z14; \
-	VFMADD231PD lo, Z30, Z14; \
-	VMOVUPD     Z14, K1, (AX); \
-	VMOVUPD.Z   64(AX), K2, Z15; \
-	VFMADD231PD hi, Z30, Z15; \
-	VMOVUPD     Z15, K2, 64(AX); \
-	ADDQ  qs+16(FP), R10
 
 // func poolZMM(out *float64, argmax *int, in *float64, planes, outH, outW, rs, h int)
 //
@@ -719,383 +686,5 @@ yjdone:
 	ADDQ $2, R13
 	CMPQ R13, nq+48(FP)
 	JLT  ytile
-	VZEROUPPER
-	RET
-
-// The fused col2im contract shared by both widths, for q = 0 … nq−1 in
-// turn:
-//
-//	dst[off[q]+j] = 1·(Σ_{f<m} a[f·lda + q]·b[f·ldb + j]) + dst[off[q]+j]    for j < n
-//
-// the sum one FMA chain over f from +0 (MatMulATB's tile: VFMADD231PD of
-// the broadcast a element into the accumulator) and the add the same
-// VFMADD231PD with alpha = 1 that the AxpyTo kernel of the width executes:
-// bit for bit a MatMulATB into a matrix followed by one Axpy(1, …) per row,
-// in row order. Strides lda, ldb are in bytes. Eight chains run side by
-// side so the f-chain's latency is hidden; the last < 8·lanes columns run
-// four masked chains at a time.
-
-// CHUNKMASK sets k to the lanes of the 8-lane chunk at column offset o
-// (elements) of the AX columns left: min(8, max(0, AX − o)) low bits.
-// Clobbers CX, R11.
-#define CHUNKMASK(o, k) \
-	MOVQ  AX, CX; \
-	SUBQ  $o, CX; \
-	XORQ  R11, R11; \
-	CMPQ  CX, R11; \
-	CMOVQLT R11, CX; \
-	MOVQ  $8, R11; \
-	CMPQ  CX, R11; \
-	CMOVQGT R11, CX; \
-	MOVQ  $1, R11; \
-	SHLQ  CX, R11; \
-	DECQ  R11; \
-	KMOVW R11, k
-
-#define ZADD(o, z) \
-	VMOVUPD     o(DI)(R9*8), Z9; \
-	VFMADD231PD z, Z30, Z9; \
-	VMOVUPD     Z9, o(DI)(R9*8)
-
-#define ZADDM(o, k, z) \
-	VMOVUPD.Z   o(DI)(R9*8), k, Z9; \
-	VFMADD231PD z, Z30, Z9; \
-	VMOVUPD     Z9, k, o(DI)(R9*8)
-
-// func col2imZMM(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-TEXT ·col2imZMM(SB), NOSPLIT, $0-72
-	VBROADCASTSD cnnOne<>(SB), Z30
-	MOVQ lda+40(FP), BX
-	MOVQ ldb+64(FP), DX
-	MOVQ off+8(FP), R14
-	XORQ R13, R13
-
-zq:
-	MOVQ (R14)(R13*8), DI
-	MOVQ dst+0(FP), AX
-	LEAQ (AX)(DI*8), DI          // the run
-	MOVQ a+32(FP), R12
-	LEAQ (R12)(R13*8), R12       // a's column q
-	XORQ R9, R9
-
-zg64:
-	MOVQ n+24(FP), AX
-	SUBQ R9, AX
-	CMPQ AX, $64
-	JLT  zg32
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	MOVQ R12, SI
-	MOVQ b+56(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ m+48(FP), R10
-
-zf64:
-	VBROADCASTSD (SI), Z8
-	VFMADD231PD (R8), Z8, Z0
-	VFMADD231PD 64(R8), Z8, Z1
-	VFMADD231PD 128(R8), Z8, Z2
-	VFMADD231PD 192(R8), Z8, Z3
-	VFMADD231PD 256(R8), Z8, Z4
-	VFMADD231PD 320(R8), Z8, Z5
-	VFMADD231PD 384(R8), Z8, Z6
-	VFMADD231PD 448(R8), Z8, Z7
-	ADDQ BX, SI
-	ADDQ DX, R8
-	DECQ R10
-	JNZ  zf64
-	ZADD(0, Z0)
-	ZADD(64, Z1)
-	ZADD(128, Z2)
-	ZADD(192, Z3)
-	ZADD(256, Z4)
-	ZADD(320, Z5)
-	ZADD(384, Z6)
-	ZADD(448, Z7)
-	ADDQ $64, R9
-	JMP  zg64
-
-zg32:
-	TESTQ AX, AX
-	JLE   zqnext
-	CHUNKMASK(0, K1)
-	CHUNKMASK(8, K2)
-	CHUNKMASK(16, K3)
-	CHUNKMASK(24, K4)
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	MOVQ R12, SI
-	MOVQ b+56(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ m+48(FP), R10
-
-zf32:
-	VBROADCASTSD (SI), Z8
-	VFMADD231PD (R8), Z8, K1, Z0
-	VFMADD231PD 64(R8), Z8, K2, Z1
-	VFMADD231PD 128(R8), Z8, K3, Z2
-	VFMADD231PD 192(R8), Z8, K4, Z3
-	ADDQ BX, SI
-	ADDQ DX, R8
-	DECQ R10
-	JNZ  zf32
-	ZADDM(0, K1, Z0)
-	ZADDM(64, K2, Z1)
-	ZADDM(128, K3, Z2)
-	ZADDM(192, K4, Z3)
-	ADDQ $32, R9
-	MOVQ n+24(FP), AX
-	SUBQ R9, AX
-	JMP  zg32
-
-zqnext:
-	INCQ R13
-	CMPQ R13, nq+16(FP)
-	JLT  zq
-	VZEROUPPER
-	RET
-
-// YMASK loads into y the lane mask of the 4-lane chunk at column offset o
-// of the AX columns left. Clobbers CX, R11.
-#define YMASK(o, y) \
-	MOVQ  AX, CX; \
-	SUBQ  $o, CX; \
-	XORQ  R11, R11; \
-	CMPQ  CX, R11; \
-	CMOVQLT R11, CX; \
-	MOVQ  $4, R11; \
-	CMPQ  CX, R11; \
-	CMOVQGT R11, CX; \
-	NEGQ  CX; \
-	ADDQ  $8, CX; \
-	LEAQ  cnnLaneMask<>(SB), R11; \
-	VMOVDQU (R11)(CX*8), y
-
-#define YADD(o, y) \
-	VMOVUPD     o(DI)(R9*8), Y9; \
-	VFMADD231PD y, Y15, Y9; \
-	VMOVUPD     Y9, o(DI)(R9*8)
-
-#define YFMAM(o, k, y) \
-	VMASKMOVPD  o(R8), k, Y9; \
-	VFMADD231PD Y9, Y8, y
-
-#define YADDM(o, k, y) \
-	VMASKMOVPD  o(DI)(R9*8), k, Y9; \
-	VFMADD231PD y, Y15, Y9; \
-	VMASKMOVPD  Y9, k, o(DI)(R9*8)
-
-// func col2imYMM(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-TEXT ·col2imYMM(SB), NOSPLIT, $0-72
-	VBROADCASTSD cnnOne<>(SB), Y15
-	MOVQ lda+40(FP), BX
-	MOVQ ldb+64(FP), DX
-	MOVQ off+8(FP), R14
-	XORQ R13, R13
-
-yq:
-	MOVQ (R14)(R13*8), DI
-	MOVQ dst+0(FP), AX
-	LEAQ (AX)(DI*8), DI
-	MOVQ a+32(FP), R12
-	LEAQ (R12)(R13*8), R12
-	XORQ R9, R9
-
-yg32:
-	MOVQ n+24(FP), AX
-	SUBQ R9, AX
-	CMPQ AX, $32
-	JLT  yg16
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ R12, SI
-	MOVQ b+56(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ m+48(FP), R10
-
-yf32:
-	VBROADCASTSD (SI), Y8
-	VFMADD231PD (R8), Y8, Y0
-	VFMADD231PD 32(R8), Y8, Y1
-	VFMADD231PD 64(R8), Y8, Y2
-	VFMADD231PD 96(R8), Y8, Y3
-	VFMADD231PD 128(R8), Y8, Y4
-	VFMADD231PD 160(R8), Y8, Y5
-	VFMADD231PD 192(R8), Y8, Y6
-	VFMADD231PD 224(R8), Y8, Y7
-	ADDQ BX, SI
-	ADDQ DX, R8
-	DECQ R10
-	JNZ  yf32
-	YADD(0, Y0)
-	YADD(32, Y1)
-	YADD(64, Y2)
-	YADD(96, Y3)
-	YADD(128, Y4)
-	YADD(160, Y5)
-	YADD(192, Y6)
-	YADD(224, Y7)
-	ADDQ $32, R9
-	JMP  yg32
-
-yg16:
-	TESTQ AX, AX
-	JLE   yqnext
-	YMASK(0, Y10)
-	YMASK(4, Y11)
-	YMASK(8, Y12)
-	YMASK(12, Y13)
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ R12, SI
-	MOVQ b+56(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ m+48(FP), R10
-
-yf16:
-	VBROADCASTSD (SI), Y8
-	YFMAM(0, Y10, Y0)
-	YFMAM(32, Y11, Y1)
-	YFMAM(64, Y12, Y2)
-	YFMAM(96, Y13, Y3)
-	ADDQ BX, SI
-	ADDQ DX, R8
-	DECQ R10
-	JNZ  yf16
-	YADDM(0, Y10, Y0)
-	YADDM(32, Y11, Y1)
-	YADDM(64, Y12, Y2)
-	YADDM(96, Y13, Y3)
-	ADDQ $16, R9
-	MOVQ n+24(FP), AX
-	SUBQ R9, AX
-	JMP  yg16
-
-yqnext:
-	INCQ R13
-	CMPQ R13, nq+16(FP)
-	JLT  yq
-	VZEROUPPER
-	RET
-
-// func col2imGroupsZMM(dst *float64, off *int, qs, groups, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-//
-// The fused col2im contract over runs that come in `groups` blocks of qs,
-// q = g·qs + r, where no run of one block overlaps a run of another (a
-// convolution's input channels): every element then gets its terms from
-// one block only, in r order, so r can be the outer loop and four blocks
-// can share each load of b. For each r, each 16-column pair of chunks and
-// each four blocks g0…g0+3: Z0..Z7 hold slot i's chunks in Z(2i), Z(2i+1);
-// per f, 2 loads of b's row f and 4 broadcasts of a[f][g·qs + r] feed 8
-// FMAs. Slots past the last block re-read its a column and are not stored.
-// The values and the order each element's terms are added in are
-// col2imZMM's.
-TEXT ·col2imGroupsZMM(SB), NOSPLIT, $0-80
-	VBROADCASTSD cnnOne<>(SB), Z30
-	MOVQ lda+48(FP), BX
-	MOVQ ldb+72(FP), DX
-	XORQ R13, R13
-
-gr:
-	XORQ R9, R9
-
-gj:
-	PAIRMASK
-	XORQ R14, R14
-
-gg:
-	// Broadcast offsets of slots 1-3: 8·qs·min(i, groups−1−g0) bytes.
-	MOVQ qs+16(FP), CX
-	SHLQ $3, CX
-	MOVQ CX, R11
-	LEAQ (CX)(CX*1), R12
-	LEAQ (R12)(CX*1), DI
-	MOVQ groups+24(FP), AX
-	SUBQ R14, AX
-	CMPQ AX, $4
-	JGE  gfull
-	CMPQ AX, $2
-	JGE  2(PC)
-	XORQ R11, R11
-	CMPQ AX, $3
-	JGE  2(PC)
-	MOVQ R11, R12
-	MOVQ R12, DI
-
-gfull:
-	// SI = a + 8·(g0·qs + r), R8 = b + 8·j.
-	MOVQ R14, AX
-	IMULQ qs+16(FP), AX
-	ADDQ R13, AX
-	MOVQ a+40(FP), SI
-	LEAQ (SI)(AX*8), SI
-	MOVQ b+64(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ m+56(FP), R10
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-
-gf:
-	VMOVUPD.Z (R8), K1, Z8
-	VMOVUPD.Z 64(R8), K2, Z9
-	VBROADCASTSD (SI), Z10
-	VBROADCASTSD (SI)(R11*1), Z11
-	VBROADCASTSD (SI)(R12*1), Z12
-	VBROADCASTSD (SI)(DI*1), Z13
-	GFMA(Z10, Z0, Z1)
-	GFMA(Z11, Z2, Z3)
-	GFMA(Z12, Z4, Z5)
-	GFMA(Z13, Z6, Z7)
-	ADDQ BX, SI
-	ADDQ DX, R8
-	DECQ R10
-	JNZ  gf
-
-	// R10 = g0·qs + r, the first slot's run; CX = blocks left from g0.
-	MOVQ R14, R10
-	IMULQ qs+16(FP), R10
-	ADDQ R13, R10
-	MOVQ groups+24(FP), CX
-	SUBQ R14, CX
-	MOVQ dst+0(FP), R8
-	LEAQ (R8)(R9*8), R8
-	MOVQ off+8(FP), SI
-	GEPI(0, Z0, Z1)
-	GEPI(1, Z2, Z3)
-	GEPI(2, Z4, Z5)
-	GEPI(3, Z6, Z7)
-
-gepidone:
-	ADDQ $4, R14
-	CMPQ R14, groups+24(FP)
-	JLT  gg
-	ADDQ $16, R9
-	CMPQ R9, n+32(FP)
-	JLT  gj
-	INCQ R13
-	CMPQ R13, qs+16(FP)
-	JLT  gr
 	VZEROUPPER
 	RET

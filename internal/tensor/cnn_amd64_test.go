@@ -2,15 +2,17 @@
 
 package tensor
 
-import "testing"
+import (
+	"testing"
+
+	"leashedsgd/internal/rng"
+)
 
 // TestCNNKernelTier drives the CNN kernels of every tier of the table, not
 // only the selected one, through the checks of cnn_test.go: the pool and
-// ReLU bit for bit against their Go bodies, the filter-gradient tile to
-// 1e-13 against plain dots, and the fused col2im bit for bit — NaN payloads
-// included — against the same tier's Aᵀ·B tile and AxpyTo kernel. A tier
-// the host lacks skips by name, and a tier without a pool or ReLU kernel
-// says that it runs the Go body.
+// ReLU bit for bit against their Go bodies and the filter-gradient tile to
+// 1e-13 against plain dots. A tier the host lacks skips by name, and a
+// tier without a pool or ReLU kernel says that it runs the Go body.
 func TestCNNKernelTier(t *testing.T) {
 	for _, tier := range gemmTiers {
 		t.Run(tier.name, func(t *testing.T) {
@@ -28,7 +30,6 @@ func TestCNNKernelTier(t *testing.T) {
 				t.Logf("tier %s has no ReLU kernel: the Go body runs", tier.name)
 			}
 			checkRunsGrad(t, tier.runsGrad, tier.runsParkLen)
-			checkCol2Im(t, tier.runsCol2Im, func(dst, a, b Mat) { tier.matMulATB(dst, a, b, false) }, tier.axpyTo, true)
 		})
 	}
 }
@@ -47,31 +48,33 @@ func TestMatMulABTRunsSumShortPark(t *testing.T) {
 	MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, make([]float64, RunsParkLen(2, 2)-1), true)
 }
 
-// TestRunGroups: a convolution's lowering falls into one block per input
-// channel, and runs that overlap across blocks, or blocks of unequal length,
-// fall into one.
-func TestRunGroups(t *testing.T) {
+// BenchmarkRunsGradTier times every tier's filter gradient on the paper
+// CNN's two convolutions over a b = 32 minibatch (dOut planes at the
+// input's row width, as Conv2D lays them out), so the AVX2 kernel can be
+// timed on an AVX-512 host too.
+func BenchmarkRunsGradTier(b *testing.B) {
+	const images = 32
+	r := rng.New(1)
 	for _, c := range []struct {
-		channels, h, w, k, want int
-	}{{4, 13, 13, 3, 4}, {1, 28, 28, 3, 1}, {5, 5, 6, 2, 5}, {2, 4, 4, 4, 32}} {
+		name                       string
+		channels, h, w, filters, k int
+	}{{"conv1", 1, 28, 28, 4, 3}, {"conv2", 4, 13, 13, 8, 3}} {
 		off, n := convRuns(c.channels, c.h, c.w, c.k)
-		if g := runGroups(off, n); g != c.want {
-			t.Errorf("%d×%d×%d k=%d: %d groups, want %d", c.channels, c.h, c.w, c.k, g, c.want)
-		}
-	}
-	for _, c := range []struct {
-		off  []int
-		n    int
-		want int
-	}{
-		{[]int{0, 10, 20, 30}, 10, 4},
-		{[]int{0, 10, 19, 30}, 10, 1}, // run 2 overlaps run 1
-		{[]int{0, 1, 10, 11, 20}, 10, 1},
-		{[]int{0, 5, 10, 12}, 10, 1}, // block 1 starts inside block 0's span
-		{[]int{0}, 3, 1},
-	} {
-		if g := runGroups(c.off, c.n); g != c.want {
-			t.Errorf("runs %v of %d: %d groups, want %d", c.off, c.n, g, c.want)
+		sx, lda := c.channels*c.h*c.w, (c.h-c.k+1)*c.w
+		a := randVec(r, images*c.filters*lda, false)
+		x := randVec(r, images*sx, false)
+		dst := make([]float64, c.filters*len(off))
+		for _, tier := range gemmTiers {
+			b.Run(c.name+"/"+tier.name, func(b *testing.B) {
+				if !tier.supported(hostCPU) {
+					b.Skipf("tier %s not supported by this CPU/OS", tier.name)
+				}
+				park := make([]float64, tier.runsParkLen(c.filters, len(off)))
+				for range b.N {
+					clear(dst)
+					tier.runsGrad(dst, len(off), c.filters, a, lda, c.filters*lda, n, x, sx, off, images, park)
+				}
+			})
 		}
 	}
 }

@@ -40,14 +40,11 @@ type gemmTier struct {
 	// by the same test.
 	axpyTo func(dst, src []float64, alpha float64, x []float64)
 	// The CNN kernels of cnn_amd64.s at the same width. runsTile is the
-	// filter gradient's rgMF×rgMQ tile of lanes-wide partial sums, col2im
-	// the fused input gradient (col2imGroups its form for runs in disjoint
-	// blocks). col2imGroups, pool, poolBack, relu and reluBack are nil on a
-	// tier without them, which keeps the run-by-run kernel or the Go bodies.
+	// filter gradient's rgMF×rgMQ tile of lanes-wide partial sums. pool,
+	// poolBack, relu and reluBack are nil on a tier without them, which
+	// keeps the Go bodies.
 	runsTile          func(park, a *float64, lda uintptr, mf int, x *float64, off *int, nq, n int)
 	rgMF, rgMQ, lanes int
-	col2im            func(dst *float64, off *int, nq, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
-	col2imGroups      func(dst *float64, off *int, qs, groups, n int, a *float64, lda uintptr, m int, b *float64, ldb uintptr)
 	pool              func(out *float64, argmax *int, in *float64, planes, outH, outW, rs, h int)
 	poolBack          func(dIn, dOut *float64, argmax *int, planes, outH, outW, rs, h int)
 	relu              func(out, in []float64)
@@ -63,13 +60,13 @@ type gemmTier struct {
 var gemmTiers = []*gemmTier{
 	{
 		name: "zmm8x16", mr: 8, nr: 16, tile: gemmTileZMM, axpyTo: axpyToZMM,
-		runsTile: runsTileZMM, rgMF: 4, rgMQ: 3, lanes: 8, col2im: col2imZMM, col2imGroups: col2imGroupsZMM,
+		runsTile: runsTileZMM, rgMF: 4, rgMQ: 3, lanes: 8,
 		pool: poolZMM, poolBack: poolBackZMM, relu: reluZMM, reluBack: reluBackZMM,
 		supported: cpuFeatures.avx512,
 	},
 	{
 		name: "ymm4x8", mr: 4, nr: 8, tile: gemmTileYMM, axpyTo: axpyToYMM,
-		runsTile: runsTileYMM, rgMF: 4, rgMQ: 2, lanes: 4, col2im: col2imYMM,
+		runsTile: runsTileYMM, rgMF: 4, rgMQ: 2, lanes: 4,
 		supported: cpuFeatures.avx2FMA,
 	},
 }
@@ -86,7 +83,7 @@ func init() {
 			matMulRunsImpl = t.matMulRuns
 			// Every tier implies AVX2+FMA, which is all the dot tile needs.
 			matMulABTImpl = matMulABTFMA
-			runsGradImpl, runsParkLenImpl, runsCol2ImImpl = t.runsGrad, t.runsParkLen, t.runsCol2Im
+			runsGradImpl, runsParkLenImpl = t.runsGrad, t.runsParkLen
 			if t.pool != nil {
 				maxPool2x2Impl, maxPool2x2BackImpl = t.maxPool2x2, t.maxPool2x2Back
 			}

@@ -134,10 +134,6 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MatMulABTRuns/rows": func() {
 			MatMulABTRunsSum(NewMat(3, 2), NewMat(1, 8), 2, NewMat(1, 9), []int{0, 1}, park, true)
 		},
-		"MatMulATBRuns/rows": func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 4, NewMat(2, 2), NewMat(3, 4)) },
-		"MatMulATBRuns/cols": func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 4, NewMat(2, 3), NewMat(2, 4)) },
-		"MatMulATBRuns/n":    func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 1}, 5, NewMat(2, 2), NewMat(2, 4)) },
-		"MatMulATBRuns/run":  func() { MatMulATBRunsAdd(make([]float64, 9), []int{0, 6}, 4, NewMat(2, 2), NewMat(2, 4)) },
 		"MaxPool2x2/in":      func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 31), 2, 4, 4, 4) },
 		"MaxPool2x2/stride":  func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 24), 2, 4, 4, 3) },
 		"MaxPool2x2/out":     func() { MaxPool2x2(make([]float64, 3), make([]int, 3), make([]float64, 32), 2, 4, 4, 4) },
