@@ -264,8 +264,8 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   leashed run <step> [flags]   steps: %s
   leashed run-all [flags]
-  leashed train [-algo LSH] [-arch mlp] [-workers N] [-shards S] [-tune off|ladder|model] [-json] [-ckpt FILE] [-ckpt-every DUR] [-ckpt-keep N] [-resume] [-updates N] ...
-  leashed serve [-addr HOST:PORT] [-arch mlp] [-workers N] [-tune ladder] [-budget DUR] [-store leased|readfront] [-leash-age DUR] ...
+  leashed train [-algo LSH] [-arch mlp] [-workers N] [-shards S] [-json] [-ckpt FILE] [-ckpt-every DUR] [-ckpt-keep N] [-resume] [-updates N] ...
+  leashed serve [-addr HOST:PORT] [-arch mlp] [-workers N] [-budget DUR] [-store leased|readfront] [-leash-age DUR] ...
   leashed table1
 flags: -scale small|paper -arch A -threads 1,2,4 -trials N -budget DUR -csv FILE
 `, stepNames())

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -9,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"leashedsgd"
 	"leashedsgd/internal/harness"
+	"leashedsgd/internal/metrics"
 )
 
 func TestParseThreads(t *testing.T) {
@@ -188,11 +193,11 @@ func TestParseTrainValidates(t *testing.T) {
 	for _, args := range [][]string{
 		{"-eta", "NaN"},
 		{"-persistence", "-7"},
-		{"-algo", "HOG", "-tune", "model"},
 		{"-epsilon", "1"},
 		{"-arch", "resnet"},
 		{"-sparse", "-ckpt", "model.ckpt"},
 		{"-algo", "SYNC"},
+		{"-algo", "LSH-adaptive"},
 	} {
 		if _, err := parseTrain(args); err == nil {
 			t.Errorf("leashed train %v accepted", args)
@@ -226,5 +231,30 @@ func TestSelectSteps(t *testing.T) {
 	}
 	if _, err := selectSteps("run-all", []string{"s1"}); err == nil {
 		t.Error("run-all accepted a step argument")
+	}
+}
+
+// TestResultJSONNonFinite: a crashed run's result object — losses NaN, +Inf
+// or -Inf — encodes, parses back as JSON, says Crashed, and carries each
+// non-finite loss as its jsonfloat string.
+func TestResultJSONNonFinite(t *testing.T) {
+	for _, loss := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res := &leashedsgd.Result{
+			Outcome: leashedsgd.Crashed, InitialLoss: 2.3, FinalLoss: loss,
+			Staleness: metrics.NewHist(8), TotalUpdates: 5,
+		}
+		var buf bytes.Buffer
+		if err := writeResultJSON(&buf, resultJSON(leashedsgd.Config{Algo: leashedsgd.Hogwild}, "mlp", false, res)); err != nil {
+			t.Fatalf("FinalLoss %v: %v", loss, err)
+		}
+		var out map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("FinalLoss %v: output does not parse: %v\n%s", loss, err, buf.Bytes())
+		}
+		want := strconv.FormatFloat(loss, 'g', -1, 64)
+		if out["outcome"] != "Crashed" || out["final_loss"] != want || out["initial_loss"] != 2.3 {
+			t.Fatalf("FinalLoss %v: outcome %v, final_loss %v, initial_loss %v; want Crashed, %q, 2.3",
+				loss, out["outcome"], out["final_loss"], out["initial_loss"], want)
+		}
 	}
 }

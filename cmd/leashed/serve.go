@@ -24,18 +24,17 @@ type serveOpts struct {
 }
 
 // serveFlags declares `leashed serve`'s flags, parsing into o. The training
-// run is LSH_ps∞, ladder-tuned unless -tune says otherwise, and runs to its
-// budget: convergence does not stop serving.
+// run is LSH_ps∞ on one chain (S = 1, the setting for dense steps; see
+// docs/tuning.md) and runs to its budget: convergence does not stop serving.
 func serveFlags(o *serveOpts) *flag.FlagSet {
 	c, sc := &o.train, &o.server
-	*c = sgd.Config{Algo: sgd.Leashed, Persistence: sgd.PersistenceInf, Tune: sgd.TuneLadder}
+	*c = sgd.Config{Algo: sgd.Leashed, Persistence: sgd.PersistenceInf}
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&o.addr, "addr", "localhost:8321", "HTTP listen address")
 	fs.StringVar(&o.arch, "arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
 	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "training worker count m")
 	fs.Float64Var(&c.Eta, "eta", 0.05, "step size")
 	fs.IntVar(&c.BatchSize, "batch", 16, "mini-batch size")
-	fs.Var(&c.Tune, "tune", "(S, Tp) controller of the training run: off, ladder or model")
 	fs.DurationVar(&c.MaxTime, "budget", 60*time.Second, "training time budget (serving continues on the final parameters)")
 	fs.IntVar(&sc.MaxBatch, "max-batch", 0, "max coalesced predict batch size (0 = default)")
 	fs.DurationVar(&sc.MaxDelay, "max-delay", 0, "max request coalescing delay (0 = default, negative = disable)")
@@ -96,18 +95,14 @@ func runServe(args []string) {
 	if real {
 		dataset = "real MNIST"
 	}
-	fmt.Printf("training %s on %s: m=%d, tune=%v, budget %v\n",
-		net.Arch(), dataset, cfg.Workers, cfg.Tune, cfg.MaxTime)
+	fmt.Printf("training %s on %s: m=%d, budget %v\n",
+		net.Arch(), dataset, cfg.Workers, cfg.MaxTime)
 	fmt.Printf("serving on http://%s  store=%s  (POST /predict, GET /stats, GET /healthz)\n", o.addr, o.server.Store)
 
 	go func() {
 		res := run.Wait()
-		fmt.Printf("training done: %s, loss %.4f -> %.4f, %d updates",
+		fmt.Printf("training done: %s, loss %.4f -> %.4f, %d updates; now serving the final parameters\n",
 			res.Outcome, res.InitialLoss, res.FinalLoss, res.TotalUpdates)
-		if res.ShardTrajectory != nil {
-			fmt.Printf(", shard trajectory %v", res.ShardTrajectory)
-		}
-		fmt.Println("; now serving the final parameters")
 	}()
 
 	if err := http.ListenAndServe(o.addr, srv.Handler()); err != nil {

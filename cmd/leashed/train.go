@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"leashedsgd"
+	"leashedsgd/internal/jsonfloat"
 )
 
 // trainOpts holds `leashed train`'s parsed flags: the run's Config, and the
@@ -27,14 +29,13 @@ type trainOpts struct {
 func trainFlags(o *trainOpts) *flag.FlagSet {
 	c := &o.cfg
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	fs.StringVar(&o.algo, "algo", "LSH", "SEQ, ASYNC, HOG, LSH, LSH-adaptive")
+	fs.StringVar(&o.algo, "algo", "LSH", "SEQ, ASYNC, HOG, LSH")
 	fs.StringVar(&o.arch, "arch", "mlp", "mlp, cnn, paper-mlp, paper-cnn")
 	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0), "worker count m")
 	fs.Float64Var(&c.Eta, "eta", 0.05, "step size")
 	fs.IntVar(&c.BatchSize, "batch", 0, "mini-batch size (0 = 16, or 1 with -sparse)")
 	fs.IntVar(&c.Persistence, "persistence", leashedsgd.PersistenceInf, "LSH persistence bound Tp (-1 = inf)")
-	fs.IntVar(&c.Shards, "shards", 1, "published-vector shard count (LSH only; 1 = paper's single chain); the tuner's starting S under -tune")
-	fs.Var(&c.Tune, "tune", "(S, Tp) controller: off, ladder (coordinate descent) or model (queueing-model jump, ladder fallback); LSH only")
+	fs.IntVar(&c.Shards, "shards", 1, "published-vector shard count (LSH only; 1 = paper's single chain)")
 	fs.Float64Var(&c.EpsilonFrac, "epsilon", 0.25, "convergence target as fraction of initial loss (0 = run to budget)")
 	fs.DurationVar(&c.MaxTime, "budget", 60*time.Second, "time budget")
 	fs.IntVar(&o.samples, "samples", 1024, "dataset size")
@@ -58,7 +59,7 @@ func trainFlags(o *trainOpts) *flag.FlagSet {
 var (
 	algoNames = map[string]leashedsgd.Algorithm{
 		"SEQ": leashedsgd.Seq, "ASYNC": leashedsgd.Async,
-		"HOG": leashedsgd.Hogwild, "LSH": leashedsgd.Leashed, "LSH-adaptive": leashedsgd.LeashedAdaptive,
+		"HOG": leashedsgd.Hogwild, "LSH": leashedsgd.Leashed,
 	}
 	archModels = map[string]func() *leashedsgd.Model{
 		"mlp": func() *leashedsgd.Model { return leashedsgd.SmallMLP(28*28, 10) },
@@ -148,69 +149,7 @@ func runTrain(args []string) {
 	}
 
 	if o.jsonOut {
-		out := map[string]any{
-			"algo":              cfg.Algo.String(),
-			"arch":              archLabel,
-			"workers":           cfg.Workers,
-			"real_mnist":        real,
-			"outcome":           res.Outcome.String(),
-			"initial_loss":      res.InitialLoss,
-			"final_loss":        res.FinalLoss,
-			"time_to_target_s":  res.TimeToTarget.Seconds(),
-			"updates_to_target": res.UpdatesToTarget,
-			"total_updates":     res.TotalUpdates,
-			"ms_per_update":     float64(res.TimePerUpdate()) / float64(time.Millisecond),
-			"staleness_mean":    res.Staleness.Mean(),
-			"staleness_max":     res.Staleness.Max(),
-			"failed_cas":        res.FailedCAS,
-			"publishes":         res.Publishes,
-			"failed_per_pub":    res.FailedPerPublish(),
-			"dropped_updates":   res.DroppedUpdates,
-			"peak_live_vectors": res.PeakLiveVectors,
-			"shards":            res.Shards,
-		}
-		if res.TouchedComponents > 0 {
-			out["touched_components"] = res.TouchedComponents
-		}
-		if res.ShardFailedCAS != nil {
-			out["shard_failed_cas"] = res.ShardFailedCAS
-			out["shard_dropped"] = res.ShardDropped
-			out["shard_publishes"] = res.ShardPublishes
-			out["shard_staleness_mean"] = res.ShardStalenessMean
-			out["shard_touched"] = res.ShardTouched
-		}
-		if res.ShardTrajectory != nil {
-			out["shard_trajectory"] = res.ShardTrajectory
-			out["reshards"] = res.Reshards
-		}
-		if res.TpTrajectory != nil {
-			out["tp_trajectory"] = res.TpTrajectory
-		}
-		if mf := res.ModelFit; mf != nil {
-			out["model_fitted"] = mf.Fitted
-			out["model_jumps"] = mf.Jumps
-			out["model_ladder_moves"] = mf.LadderMoves
-			if mf.Fitted {
-				out["model_residual"] = mf.Residual
-				out["model_predicted_s"] = mf.PredictedS
-				out["model_predicted_tp"] = mf.PredictedTp
-				out["model_occupancy"] = mf.PredictedOccupancy
-			}
-		}
-		if res.ResumedFrom > 0 {
-			out["resumed_from"] = res.ResumedFrom
-		}
-		if len(res.WorkerFaults) > 0 {
-			out["worker_faults"] = len(res.WorkerFaults)
-			out["worker_restarts"] = res.WorkerRestarts
-		}
-		if res.Checkpoints > 0 || res.CheckpointErrors > 0 {
-			out["checkpoints"] = res.Checkpoints
-			out["checkpoint_errors"] = res.CheckpointErrors
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeResultJSON(os.Stdout, resultJSON(cfg, archLabel, real, res)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -230,24 +169,6 @@ func runTrain(args []string) {
 			float64(res.TouchedComponents)/float64(res.Publishes),
 			res.TouchedComponents, res.Publishes)
 	}
-	if res.ShardTrajectory != nil {
-		fmt.Printf("autoshard trajectory %v (%d reshards, final S=%d)\n",
-			res.ShardTrajectory, res.Reshards, res.Shards)
-	}
-	if n := len(res.TpTrajectory); n > 0 {
-		fmt.Printf("autotune Tp trajectory %v (final Tp=%d)\n",
-			res.TpTrajectory, res.TpTrajectory[n-1])
-	}
-	if mf := res.ModelFit; mf != nil {
-		if mf.Fitted {
-			fmt.Printf("model fit: residual %.3f, predicted (S=%d, Tp=%d) occ %.2f; landed (S=%d, Tp=%d) via %d jump(s), %d ladder move(s)\n",
-				mf.Residual, mf.PredictedS, mf.PredictedTp, mf.PredictedOccupancy,
-				mf.FinalS, mf.FinalTp, mf.Jumps, mf.LadderMoves)
-		} else {
-			fmt.Printf("model fit: no accepted fit (%d fits, %d rejected, %d fallback windows); ladder steered (S=%d, Tp=%d)\n",
-				mf.Fits, mf.Rejected, mf.FallbackWindows, mf.FinalS, mf.FinalTp)
-		}
-	}
 	if res.ResumedFrom > 0 {
 		fmt.Printf("resumed from checkpoint at update %d (%d applied this leg)\n",
 			res.ResumedFrom, res.TotalUpdates)
@@ -262,4 +183,61 @@ func runTrain(args []string) {
 	if o.ckpt != "" {
 		fmt.Printf("checkpoint written to %s\n", o.ckpt)
 	}
+}
+
+// resultJSON is `leashed train -json`'s result object. The losses are the
+// only values that can be non-finite — a crashed run's are NaN or ±Inf — and
+// they go through jsonfloat, the one rule for non-finite floats that the
+// checkpoint meta follows too (docs/cli.md).
+func resultJSON(cfg leashedsgd.Config, archLabel string, real bool, res *leashedsgd.Result) map[string]any {
+	out := map[string]any{
+		"algo":              cfg.Algo.String(),
+		"arch":              archLabel,
+		"workers":           cfg.Workers,
+		"real_mnist":        real,
+		"outcome":           res.Outcome.String(),
+		"initial_loss":      jsonfloat.Float(res.InitialLoss),
+		"final_loss":        jsonfloat.Float(res.FinalLoss),
+		"time_to_target_s":  res.TimeToTarget.Seconds(),
+		"updates_to_target": res.UpdatesToTarget,
+		"total_updates":     res.TotalUpdates,
+		"ms_per_update":     float64(res.TimePerUpdate()) / float64(time.Millisecond),
+		"staleness_mean":    res.Staleness.Mean(),
+		"staleness_max":     res.Staleness.Max(),
+		"failed_cas":        res.FailedCAS,
+		"publishes":         res.Publishes,
+		"failed_per_pub":    res.FailedPerPublish(),
+		"dropped_updates":   res.DroppedUpdates,
+		"peak_live_vectors": res.PeakLiveVectors,
+		"shards":            res.Shards,
+	}
+	if res.TouchedComponents > 0 {
+		out["touched_components"] = res.TouchedComponents
+	}
+	if res.ShardFailedCAS != nil {
+		out["shard_failed_cas"] = res.ShardFailedCAS
+		out["shard_dropped"] = res.ShardDropped
+		out["shard_publishes"] = res.ShardPublishes
+		out["shard_staleness_mean"] = res.ShardStalenessMean
+		out["shard_touched"] = res.ShardTouched
+	}
+	if res.ResumedFrom > 0 {
+		out["resumed_from"] = res.ResumedFrom
+	}
+	if len(res.WorkerFaults) > 0 {
+		out["worker_faults"] = len(res.WorkerFaults)
+		out["worker_restarts"] = res.WorkerRestarts
+	}
+	if res.Checkpoints > 0 || res.CheckpointErrors > 0 {
+		out["checkpoints"] = res.Checkpoints
+		out["checkpoint_errors"] = res.CheckpointErrors
+	}
+	return out
+}
+
+// writeResultJSON writes the result object, indented, to w.
+func writeResultJSON(w io.Writer, out map[string]any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }

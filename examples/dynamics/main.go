@@ -66,33 +66,4 @@ func main() {
 		contended.MeanTauS, ps0.MeanTauS, ps0.Dropped)
 	fmt.Println("\nThe Tp=0 column shows the contention-regulation mechanism: bounding CAS")
 	fmt.Println("retries drains the retry loop and cuts the scheduling staleness component.")
-
-	// Inverse direction: feed the simulator's windowed counters to the
-	// online estimator (queuemodel.FitWindows — the same fit the
-	// TuneModel controller runs on live training counters) and compare
-	// its occupancy prediction against what the simulator actually did.
-	fmt.Println()
-	var obs []queuemodel.Observation
-	for seed := uint64(1); seed <= 4; seed++ {
-		w := queuemodel.Simulate(p, queuemodel.SimOptions{
-			Tp: -1, Contention: true, Steps: 50000, Seed: seed})
-		obs = append(obs, queuemodel.Observation{
-			Failed: w.FailedCAS, Published: w.Published})
-	}
-	fit, err := queuemodel.FitWindows(queuemodel.FitConfig{
-		M: *m, Shards: 1, Tp: -1, Tc: *tc, Tu: *tu}, obs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("inverse fit from %d simulated counter windows:\n", fit.Windows)
-	fmt.Printf("  failed/publish %.3f -> q=%.3f, contention estimate %.3f\n",
-		fit.FailedPerPublish, fit.Q, fit.Contention)
-	fmt.Printf("  fitted-model occupancy %.3f vs simulated %.3f (residual %.3f)\n",
-		fit.Occupancy, contended.MeanOccupancy, fit.Residual)
-	fmt.Printf("  predicted knee: S=%d at 5%% per-chain CAS loss, Tp=%d at 20%% mixed reads\n",
-		fit.PredictShards([]int{1, 2, 4, 8, 16}, 0.05),
-		fit.PredictTp([]int{16, 8, 4, 2, 1, 0}, fit.PredictShards([]int{1, 2, 4, 8, 16}, 0.05), 0.2))
-	fmt.Println("\nThe fit closes the loop the paper's analysis opens: the counters a live")
-	fmt.Println("run already samples are enough to recover (Tc/Tu, q, gamma) and jump to")
-	fmt.Println("the predicted operating point (Config.Tune = TuneModel).")
 }

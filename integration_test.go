@@ -138,7 +138,7 @@ func TestAllAlgorithmsProduceFiniteParams(t *testing.T) {
 	ds := leashedsgd.SyntheticMNIST(128, 5)
 	algos := []leashedsgd.Algorithm{
 		leashedsgd.Seq, leashedsgd.Async,
-		leashedsgd.Hogwild, leashedsgd.Leashed, leashedsgd.LeashedAdaptive,
+		leashedsgd.Hogwild, leashedsgd.Leashed,
 	}
 	for _, algo := range algos {
 		model := leashedsgd.SmallMLP(28*28, 10)

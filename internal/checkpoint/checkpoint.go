@@ -23,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"leashedsgd/internal/jsonfloat"
 )
 
 var magic = [8]byte{'L', 'S', 'H', 'S', 'G', 'D', 0, 1}
@@ -42,21 +44,23 @@ const (
 
 // Meta describes the checkpointed model. The resume-state fields (Seed
 // through MaxUpdates) are populated only by mid-run checkpoints; final model
-// checkpoints leave them zero and they are omitted from the JSON.
+// checkpoints leave them zero and they are omitted from the JSON. A crashed
+// run's non-finite FinalLoss is written as "NaN", "+Inf" or "-Inf"
+// (jsonfloat). Files that still carry the retired "auto_tune" key load as
+// before: the decoder ignores it.
 type Meta struct {
-	Arch      string    `json:"arch"`
-	Dim       int       `json:"dim"`
-	Algo      string    `json:"algo,omitempty"`
-	FinalLoss float64   `json:"final_loss,omitempty"`
-	Updates   int64     `json:"updates,omitempty"`
-	SavedAt   time.Time `json:"saved_at"`
+	Arch      string          `json:"arch"`
+	Dim       int             `json:"dim"`
+	Algo      string          `json:"algo,omitempty"`
+	FinalLoss jsonfloat.Float `json:"final_loss,omitempty"`
+	Updates   int64           `json:"updates,omitempty"`
+	SavedAt   time.Time       `json:"saved_at"`
 
 	// Resume state: enough to restart the run where it left off.
 	Seed       uint64 `json:"seed,omitempty"`        // the run's original Config.Seed
 	RNGState   uint64 `json:"rng_state,omitempty"`   // derived seed for the resumed run's sample streams
 	Shards     int    `json:"shards,omitempty"`      // shard count S at save time
 	Tp         int    `json:"tp,omitempty"`          // persistence bound at save time (-1 = unbounded)
-	AutoTune   bool   `json:"auto_tune,omitempty"`   // run had the joint (Tp, S) controller on
 	MaxUpdates int64  `json:"max_updates,omitempty"` // the run's original total budget
 }
 

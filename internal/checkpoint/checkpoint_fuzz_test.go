@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -44,18 +46,22 @@ func FuzzReadCheckpoint(f *testing.F) {
 	bomb = append(bomb, 0, 0, 0, 0)
 	f.Add(bomb)
 	// A mid-run checkpoint with the full resume-state meta (RNG stream,
-	// shard count, persistence bound, budget).
+	// shard count, persistence bound, budget), written by hand as a run
+	// with an (S, Tp) controller wrote it: "auto_tune" is a retired key the
+	// reader must ignore.
 	midrun := func() []byte {
-		params := []float64{0.5, -0.5, 1, 2}
-		var buf bytes.Buffer
-		m := Meta{Arch: "fuzz-arch", Dim: 4, Algo: "LSH", Updates: 321,
-			Seed: 9, RNGState: 0xABCD, Shards: 4, Tp: 2,
-			AutoTune: true, MaxUpdates: 1000}
-		if err := Write(&buf, m, params); err != nil {
-			f.Fatal(err)
+		meta := `{"arch":"fuzz-arch","dim":4,"algo":"LSH","updates":321,"saved_at":"2026-01-02T03:04:05Z",` +
+			`"seed":9,"rng_state":43981,"shards":4,"tp":2,"auto_tune":true,"max_updates":1000}`
+		b := binary.LittleEndian.AppendUint32(magic[:], uint32(len(meta)))
+		b = append(b, meta...)
+		for _, v := range []float64{0.5, -0.5, 1, 2} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
-		return buf.Bytes()
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	}()
+	if _, _, err := Read(bytes.NewReader(midrun)); err != nil {
+		f.Fatalf("hand-written mid-run checkpoint rejected: %v", err)
+	}
 	f.Add(midrun)
 	f.Add(midrun[:len(midrun)-6])                    // truncated mid-parameters
 	f.Add(append(append([]byte(nil), midrun...), 0)) // trailing byte

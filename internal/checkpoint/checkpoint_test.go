@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"leashedsgd/internal/jsonfloat"
 )
 
 func sampleMeta() Meta {
@@ -31,6 +33,27 @@ func TestRoundTrip(t *testing.T) {
 	for i := range params {
 		if got[i] != params[i] {
 			t.Fatalf("param %d = %v, want %v", i, got[i], params[i])
+		}
+	}
+}
+
+// TestNonFiniteFinalLossRoundTrip: a crashed run's checkpoint — FinalLoss
+// NaN or ±Inf — writes, and reads back with the same value.
+func TestNonFiniteFinalLossRoundTrip(t *testing.T) {
+	for _, loss := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := sampleMeta()
+		m.FinalLoss = jsonfloat.Float(loss)
+		var buf bytes.Buffer
+		if err := Write(&buf, m, []float64{1, 2, 3, 4}); err != nil {
+			t.Fatalf("Write with FinalLoss %v: %v", loss, err)
+		}
+		meta, _, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read with FinalLoss %v: %v", loss, err)
+		}
+		got := float64(meta.FinalLoss)
+		if !(got == loss || math.IsNaN(got) && math.IsNaN(loss)) {
+			t.Fatalf("FinalLoss read back as %v, want %v", got, loss)
 		}
 	}
 }

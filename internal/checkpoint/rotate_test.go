@@ -19,7 +19,6 @@ func midrunMeta(updates int64) Meta {
 	m.RNGState = 0xDEADBEEF
 	m.Shards = 4
 	m.Tp = 2
-	m.AutoTune = true
 	m.MaxUpdates = 5000
 	return m
 }

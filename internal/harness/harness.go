@@ -136,12 +136,9 @@ func StandardAlgos() []AlgoSpec {
 	}
 }
 
-// AllAlgos is StandardAlgos plus SEQ (Fig. 3 includes it) and the adaptive
-// extension.
+// AllAlgos is StandardAlgos plus SEQ (Fig. 3 includes it).
 func AllAlgos() []AlgoSpec {
-	return append([]AlgoSpec{{Name: "SEQ", Algo: sgd.Seq}},
-		append(StandardAlgos(),
-			AlgoSpec{Name: "LSH_adpt", Algo: sgd.LeashedAdaptive, Persistence: 4})...)
+	return append([]AlgoSpec{{Name: "SEQ", Algo: sgd.Seq}}, StandardAlgos()...)
 }
 
 // Cell aggregates the repeated trials of one (algorithm, configuration)

@@ -91,7 +91,7 @@ func TestStandardAlgosLegend(t *testing.T) {
 		}
 	}
 	all := AllAlgos()
-	if all[0].Name != "SEQ" || all[len(all)-1].Name != "LSH_adpt" {
+	if len(all) != len(specs)+1 || all[0].Name != "SEQ" || all[len(all)-1].Name != "LSH_ps0" {
 		t.Fatal("AllAlgos composition wrong")
 	}
 }

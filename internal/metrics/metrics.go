@@ -274,38 +274,3 @@ func (d *DurationSampler) Mean() time.Duration {
 	}
 	return sum / time.Duration(len(d.samples))
 }
-
-// CounterWindow turns monotonically increasing counter totals into
-// per-window deltas: each Deltas call returns total − previous total per
-// position, then remembers the totals for the next window. Controllers that
-// sample cumulative run counters on a cadence (the sgd autotuner's
-// failed-CAS/publish and mixed/consistent-read signals) use one
-// CounterWindow instead of hand-rolled prev variables per counter.
-type CounterWindow struct {
-	prev, out []int64
-}
-
-// Deltas returns the per-window increments of the given totals. The totals
-// must arrive in the same order and count every call; the first call returns
-// the totals themselves (window since zero). The returned slice is reused
-// across calls.
-func (w *CounterWindow) Deltas(totals ...int64) []int64 {
-	if len(w.prev) != len(totals) {
-		w.prev = make([]int64, len(totals))
-		w.out = make([]int64, len(totals))
-	}
-	for i, t := range totals {
-		w.out[i] = t - w.prev[i]
-		w.prev[i] = t
-	}
-	return w.out
-}
-
-// Carry keeps the last window open: the next Deltas call returns the
-// increments since the window before it, the two windows summed. A
-// controller calls it on a window too sparse to judge.
-func (w *CounterWindow) Carry() {
-	for i := range w.prev {
-		w.prev[i] -= w.out[i]
-	}
-}

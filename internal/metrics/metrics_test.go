@@ -229,21 +229,3 @@ func TestDurationSamplerEmpty(t *testing.T) {
 		t.Fatal("empty mean != 0")
 	}
 }
-
-// TestCounterWindowCarry: a carried window is summed into the next one.
-func TestCounterWindowCarry(t *testing.T) {
-	var w CounterWindow
-	if d := w.Deltas(10, 1); d[0] != 10 || d[1] != 1 {
-		t.Fatalf("first window = %v, want [10 1]", d)
-	}
-	if d := w.Deltas(15, 3); d[0] != 5 || d[1] != 2 {
-		t.Fatalf("second window = %v, want [5 2]", d)
-	}
-	w.Carry()
-	if d := w.Deltas(22, 4); d[0] != 12 || d[1] != 3 {
-		t.Fatalf("window after Carry = %v, want the two summed [12 3]", d)
-	}
-	if d := w.Deltas(23, 4); d[0] != 1 || d[1] != 0 {
-		t.Fatalf("window after a judged one = %v, want [1 0]", d)
-	}
-}

@@ -29,9 +29,9 @@ type ReadMeta struct {
 	// Snapshot reads are always consistent — the fold never flips a
 	// mixed-version buffer.
 	Consistent bool
-	// Retired reports that the lease outlived its epoch: the autotuner
-	// re-sharded (or the run ended) while the read was in flight. The
-	// buffers were valid for the whole window but describe a dead epoch.
+	// Retired reports that the lease outlived its store: the store was
+	// retired (the run ended) while the read was in flight. The buffers
+	// were valid for the whole window but describe a dead store.
 	Retired bool
 	// Final reports that the run had already ended and the read was served
 	// from the immutable final parameters.
@@ -135,7 +135,7 @@ type FoldStats struct {
 	// Flips counts installed snapshots (front-pointer swaps).
 	Flips int64
 	// DenseFolds counts folds that seeded the back buffer with a full-vector
-	// copy (cold buffer, or the source store changed under an epoch swap).
+	// copy (cold buffer, or the pin returned a different source store).
 	DenseFolds int64
 	// SparseFolds counts folds that reused the back buffer's own baseline
 	// and copied only advanced chains.
@@ -163,8 +163,8 @@ const foldMaxPasses = 64
 // read-mostly traffic. It is a read layer, not a store: writers publish into
 // the source store directly, and readers call ReadParams, which satisfies the
 // serving tier's Source contract. Construct with NewReadFront (over a fixed
-// store) or NewReadFrontPinned (over a pin function, for sources whose store
-// can be swapped underneath, e.g. a live autotuned run).
+// store) or NewReadFrontPinned (over a pin function, for sources that
+// guard their store's retirement, e.g. a live training run).
 type ReadFront struct {
 	dim   int
 	leash ReadLeash
@@ -205,9 +205,9 @@ func NewReadFront(st ParamStore, leash ReadLeash) *ReadFront {
 
 // NewReadFrontPinned builds a ReadFront over a pin function: pin must return
 // the current source store protected against retirement until the release
-// func is called, or (nil, nil) when no live store exists. The source store
-// may change between pins (an autotune re-shard): the fold detects the
-// identity change and re-seeds densely.
+// func is called, or (nil, nil) when no live store exists. Should the source
+// store change between pins, the fold detects the identity change and
+// re-seeds densely; no caller swaps stores mid-run today.
 func NewReadFrontPinned(dim int, pin func() (ParamStore, func()), leash ReadLeash) *ReadFront {
 	rf := &ReadFront{
 		dim:   dim,
@@ -267,8 +267,8 @@ func (s *snap) release() { s.readers.Add(-1) }
 // staleness measures how far s lags the live store. With a MaxUpdates leash
 // the lag is exact — the live chain heads are peeked under a store pin; the
 // age estimate comes from the refresher's last zero-lag observation either
-// way. A source identity change (epoch swap not yet folded) reports the lag
-// as leash-exceeding so the caller refreshes.
+// way. A source identity change not yet folded reports the lag as
+// leash-exceeding so the caller refreshes.
 func (rf *ReadFront) staleness(s *snap) (lag int64, age time.Duration) {
 	if s.final {
 		return 0, 0

@@ -221,11 +221,10 @@ func (ss *ShardedShared) Reuses() int64 { return ss.sum((*Pool).Reuses) }
 
 // Retire marks the store retired, drains every shard pool's free list, and
 // marks each shard's published vector stale and offered for recycling
-// (end-of-run cleanup and the autotuner's epoch swap; the pool gauges drain
-// to zero once the last reader leaves). The retired flag is set before any
-// head goes stale, so a concurrent Lease.Acquire either sees the flag and
-// panics or wins the race and leases a still-valid head under read
-// protection.
+// (end-of-run cleanup; the pool gauges drain to zero once the last reader
+// leaves). The retired flag is set before any head goes stale, so a
+// concurrent Lease.Acquire either sees the flag and panics or wins the race
+// and leases a still-valid head under read protection.
 func (ss *ShardedShared) Retire() {
 	ss.retired.Store(true)
 	for s := range ss.cells {

@@ -4,9 +4,9 @@ package paramvec
 // a parameter vector published as one or more independent lock-free
 // latest-pointer chains. ShardedShared implements it; with one chain it is
 // exactly the paper's Algorithm 3 (one published pointer P over the whole
-// vector). The worker loop in internal/sgd, the monitor's snapshots, the
-// autotuner's epoch swap and the memory accounting are written against the
-// interface, so tests can wrap a store to count or perturb its calls.
+// vector). The worker loop in internal/sgd, the monitor's snapshots and the
+// memory accounting are written against the interface, so tests can wrap a
+// store to count or perturb its calls.
 //
 // A "chain" is one independently published contiguous range of the flat
 // vector, held in one Shared cell. Reads lease the chains' latest vectors
@@ -62,12 +62,11 @@ type ParamStore interface {
 	Allocs() int64
 	Reuses() int64
 	// Retire marks every chain's published vector stale and offers it for
-	// recycling, and marks the store itself retired (end-of-run cleanup and
-	// the autotuner's epoch swap: the gauges drain to zero once the last
-	// reader leaves). After Retire, new Lease.Acquire calls panic — the
-	// latest-pointer loop on an all-stale chain would never terminate — and
-	// buffers released by late lease holders are dropped, not recycled into
-	// the dead pools.
+	// recycling, and marks the store itself retired (end-of-run cleanup:
+	// the gauges drain to zero once the last reader leaves). After Retire,
+	// new Lease.Acquire calls panic — the latest-pointer loop on an
+	// all-stale chain would never terminate — and buffers released by late
+	// lease holders are dropped, not recycled into the dead pools.
 	Retire()
 	// Retired reports whether Retire has run. A lease that was acquired
 	// before and released after retirement uses this to label itself as a
@@ -79,8 +78,7 @@ type ParamStore interface {
 
 // NewStore builds the store for a dim-dimensional vector split into chains
 // publish chains (clamped to [1, dim]). One chain is the paper's single
-// published pointer P; this is also the swap point the autotuner re-shards
-// through.
+// published pointer P.
 func NewStore(dim, chains int) ParamStore {
 	return NewSharded(dim, chains)
 }
@@ -122,8 +120,8 @@ type Lease struct {
 // acquiring from a retired store would spin forever in the latest-pointer
 // loop (every head is stale, and nothing will ever replace it) or worse,
 // surface a reclaimed buffer — so it panics instead. Callers that race with
-// retirement (the serving tier vs. the autotuner's epoch swap) must pin the
-// store before acquiring, e.g. under the epoch lock.
+// retirement (the serving tier vs. the end-of-run teardown) must pin the
+// store before acquiring, e.g. under sgd.Running's read lock.
 func (l *Lease) Acquire(st ParamStore) View {
 	if l.held {
 		panic("paramvec: Lease.Acquire while held")
@@ -141,7 +139,7 @@ func (l *Lease) Acquire(st ParamStore) View {
 	}
 	l.vecs, l.segs, l.seqs, l.offs = l.vecs[:c], l.segs[:c], l.seqs[:c], l.offs[:c+1]
 	if l.store != st {
-		// New or re-sharded store: refresh the segment offsets.
+		// A different store: refresh the segment offsets.
 		l.store = st
 		l.offs[0] = 0
 		for i := 0; i < c; i++ {
@@ -165,8 +163,8 @@ func (l *Lease) Acquire(st ParamStore) View {
 // was provably a consistent global state: true when no chain published
 // between Acquire and Release (single-chain leases are always consistent —
 // one immutable vector) AND the store is still live. A lease that outlived
-// its store's retirement (an autotune re-shard or end-of-run swept the epoch
-// away mid-read) is never classified consistent — the buffers were valid for
+// its store's retirement (the end-of-run teardown retired the store
+// mid-read) is never classified consistent — the buffers were valid for
 // the whole window, but they no longer describe the live state; RetiredStore
 // reports this case distinctly. The validation walk records every chain
 // whose head advanced — the per-chain staleness accounting AdvancedChains

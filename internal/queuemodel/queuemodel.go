@@ -31,13 +31,7 @@
 //     scheduling-staleness component;
 //   - Trajectory — the sampled path of eq. (4), for plots and tests;
 //   - Simulate — a discrete-event simulator of the same m-worker system, so
-//     the closed form can be validated against sampled dynamics;
-//   - DropGamma / FitWindows / Fit (fit.go) — the inverse direction:
-//     recover (Tc/Tu, γ, n*) from a live run's windowed failed-CAS,
-//     publish and mixed-read counters, with a residual that reports how
-//     well Theorem 3 explains the measurements. Fit.PredictShards and
-//     Fit.PredictTp turn the fitted model into an (S, Tp) operating-point
-//     prediction — the model-guided autotune jump.
+//     the closed form can be validated against sampled dynamics.
 package queuemodel
 
 import (
@@ -128,9 +122,8 @@ type SimResult struct {
 	Dropped       int64   // gradients abandoned by the persistence bound
 	// FailedCAS counts the retry-loop passes lost to a concurrent publisher
 	// (Contention mode only). FailedCAS/Published is the simulated
-	// failed-per-publish rate — the same signal a live run's counters
-	// window, which is what lets FitWindows be validated against planted
-	// parameters (fit_test.go).
+	// failed-per-publish rate, the quantity a live run reports as
+	// Result.FailedPerPublish.
 	FailedCAS int64
 	MeanTauS  float64 // mean publishes between retry-loop entry and own publish
 }

@@ -77,8 +77,8 @@ func TestServeReadFrontRequiresLiveSource(t *testing.T) {
 	}
 }
 
-// The readfront serving path end to end: predictions over a live autotuned
-// training run are snapshot-labeled, always consistent, carry measured
+// The readfront serving path end to end: predictions over a live training
+// run on 8 chains (serve_live's store shape) are snapshot-labeled, always consistent, carry measured
 // staleness within the configured leash, and switch to Final once the run
 // ends. This is the read half of ROADMAP 4(b) as the serving tier sees it.
 func TestServeReadFrontE2E(t *testing.T) {
@@ -97,8 +97,6 @@ func TestServeReadFrontE2E(t *testing.T) {
 		Seed:        1,
 		EpsilonFrac: 0,
 		MaxTime:     1500 * time.Millisecond,
-		EvalEvery:   2500 * time.Microsecond, // a 5 ms controller window
-		Tune:        sgd.TuneLadder,
 		Shards:      8,
 	}, net, ds)
 	if err != nil {

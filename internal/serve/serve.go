@@ -5,13 +5,13 @@
 // (nn.ForwardBatch) per batch, computed against a zero-copy leased view of
 // the published ParamStore (paramvec.Lease via sgd.Running.ReadParams), so
 // serving a batch costs one leased read regardless of batch size and never
-// blocks the workers' LAU-SPC publishes or the autotuner's re-shards.
+// blocks the workers' LAU-SPC publishes.
 //
 // Every prediction carries the read's consistency metadata: provably
 // consistent vs. possibly mixed-version (the seqlock classification),
-// whether the lease outlived its epoch (an autotune re-shard swept the
-// store mid-read), and whether the run had already finished (immutable
-// final parameters). Mixed-version views are legitimate under the paper's
+// whether the lease outlived its store (the run ended and retired the store
+// mid-read), and whether the run had already finished (immutable final
+// parameters). Mixed-version views are legitimate under the paper's
 // model — but they are always labeled; torn reads are impossible by
 // construction (leased buffers are immutable once published).
 //
@@ -152,8 +152,8 @@ type Prediction struct {
 	Probs []float64 `json:"probs"`
 	// Consistent: the read was provably one global parameter state.
 	Consistent bool `json:"consistent"`
-	// RetiredEpoch: the lease outlived its epoch (re-shard or run end
-	// mid-read); the values were valid but describe a dead epoch.
+	// RetiredEpoch: the lease outlived its store (the run ended mid-read);
+	// the values were valid but describe a retired store.
 	RetiredEpoch bool `json:"retired_epoch,omitempty"`
 	// Final: served from the immutable post-training parameters.
 	Final bool `json:"final,omitempty"`

@@ -2,7 +2,7 @@
 // cadence and writes rotated, fsync'd checkpoints carrying the resume state
 // — cumulative update count, a derived RNG stream seed, the shard count S
 // and the persistence bound Tp — so Resume (resume.go) can continue a killed
-// run with an exact budget and a warm-started autotuner.
+// run with an exact budget.
 package sgd
 
 import (
@@ -11,6 +11,7 @@ import (
 
 	"leashedsgd/internal/checkpoint"
 	"leashedsgd/internal/faultinject"
+	"leashedsgd/internal/jsonfloat"
 )
 
 // CheckpointConfig wires mid-run periodic checkpointing into a run.
@@ -84,34 +85,20 @@ func (rt *runCtx) writeCheckpoint(st strategy, loss float64) {
 	}
 }
 
-// currentSTp reads the live (shard count, persistence bound) pair: a Leashed
-// run's epoch owner holds it (S under the epoch read lock, Tp from the atomic
-// bound the workers themselves reload — Config.Persistence unless a
-// controller tunes it, and always for LeashedAdaptive, whose per-worker
-// bounds are seeded from it); other algorithms report the Config values.
-func (rt *runCtx) currentSTp() (s, tp int) {
-	if ep := rt.epochs; ep != nil {
-		return ep.point()
-	}
-	return rt.numShards(), rt.cfg.Persistence
-}
-
 func (rt *runCtx) checkpointMeta(loss float64) checkpoint.Meta {
 	cfg := rt.cfg
-	s, tp := rt.currentSTp()
 	cum := rt.prior + rt.updates.Load()
 	m := checkpoint.Meta{
 		Arch:       rt.prob.describe(),
 		Dim:        rt.d,
 		Algo:       cfg.Algo.String(),
-		FinalLoss:  loss,
+		FinalLoss:  jsonfloat.Float(loss),
 		Updates:    cum,
 		SavedAt:    time.Now(),
 		Seed:       cfg.Seed,
 		RNGState:   resumeSeed(cfg.Seed, cum),
-		Shards:     s,
-		Tp:         tp,
-		AutoTune:   cfg.Tune != TuneOff,
+		Shards:     rt.numShards(),
+		Tp:         cfg.Persistence,
 		MaxUpdates: rt.prior + cfg.MaxUpdates,
 	}
 	if cfg.MaxUpdates <= 0 {

@@ -19,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 	for _, c := range []Config{
 		valid(func(c *Config) {}),
 		valid(func(c *Config) { c.Persistence = PersistenceInf }),
-		valid(func(c *Config) { c.Tune = TuneLadder }),
-		valid(func(c *Config) { c.Algo, c.Tune = LeashedAdaptive, TuneModel }),
 		valid(func(c *Config) { c.Algo, c.Shards, c.EpsilonFrac = Hogwild, 4, 0.5 }),
 		valid(func(c *Config) { c.Workers, c.BatchSize, c.MaxUpdates, c.MaxTime = 8, 32, 100, time.Second }),
 	} {
@@ -34,11 +32,8 @@ func TestConfigValidate(t *testing.T) {
 		mut  func(*Config)
 		want string // a fragment of the error naming the rule
 	}{
-		{"unknown algo", func(c *Config) { c.Algo = LeashedAdaptive + 1 }, "unknown algorithm"},
+		{"unknown algo", func(c *Config) { c.Algo = Leashed + 1 }, "unknown algorithm"},
 		{"negative algo", func(c *Config) { c.Algo = Seq - 1 }, "unknown algorithm"},
-		{"unknown tune", func(c *Config) { c.Tune = TuneModel + 1 }, "unknown tuning mode"},
-		{"negative tune", func(c *Config) { c.Tune = TuneOff - 1 }, "unknown tuning mode"},
-		{"tune without Leashed", func(c *Config) { c.Algo, c.Tune = Hogwild, TuneModel }, "requires a Leashed variant"},
 		{"eta zero", func(c *Config) { c.Eta = 0 }, "step size"},
 		{"eta negative", func(c *Config) { c.Eta = -0.1 }, "step size"},
 		{"eta NaN", func(c *Config) { c.Eta = math.NaN() }, "step size"},
@@ -65,13 +60,13 @@ func TestConfigValidate(t *testing.T) {
 // comes out of withDefaults runnable — at least one worker and one example
 // per batch, a positive monitor cadence, and a stop condition.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(int(Leashed), int(TuneOff), 4, 0.05, 16, -1, 1, int64(0), int64(0), int64(0), 0.5)
-	f.Add(int(LeashedAdaptive), int(TuneModel), 0, 1e-3, 0, 0, 0, int64(100), int64(time.Second), int64(time.Millisecond), 0.0)
-	f.Add(int(Hogwild), int(TuneLadder), -1, math.NaN(), -1, -7, -1, int64(-1), int64(-1), int64(-1), 1.0)
-	f.Fuzz(func(t *testing.T, algo, tune, workers int, eta float64, batch, persistence, shards int,
+	f.Add(int(Leashed), 4, 0.05, 16, -1, 1, int64(0), int64(0), int64(0), 0.5)
+	f.Add(int(Async), 0, 1e-3, 0, 0, 0, int64(100), int64(time.Second), int64(time.Millisecond), 0.0)
+	f.Add(int(Hogwild), -1, math.NaN(), -1, -7, -1, int64(-1), int64(-1), int64(-1), 1.0)
+	f.Fuzz(func(t *testing.T, algo, workers int, eta float64, batch, persistence, shards int,
 		maxUpdates, maxTime, evalEvery int64, eps float64) {
 		cfg := Config{
-			Algo: Algorithm(algo), Tune: Tuning(tune), Workers: workers, Eta: eta,
+			Algo: Algorithm(algo), Workers: workers, Eta: eta,
 			BatchSize: batch, Persistence: persistence, Shards: shards,
 			MaxUpdates: maxUpdates, MaxTime: time.Duration(maxTime),
 			EvalEvery: time.Duration(evalEvery), EpsilonFrac: eps,

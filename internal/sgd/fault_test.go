@@ -32,7 +32,6 @@ func TestInjectedWorkerPanicBudgetExact(t *testing.T) {
 	}{
 		{"leashed-s1", func(c *Config) {}},
 		{"leashed-s4", func(c *Config) { c.Shards = 4 }},
-		{"leashed-autotune", func(c *Config) { c.Tune = TuneLadder; c.Persistence = 2; c.EvalEvery = 2 * time.Millisecond }},
 		{"hogwild", func(c *Config) { c.Algo = Hogwild }},
 		{"async", func(c *Config) { c.Algo = Async }},
 	}

@@ -1,20 +1,16 @@
 package sgd
 
 import (
-	"sync"
-
 	"leashedsgd/internal/faultinject"
 	"leashedsgd/internal/paramvec"
 )
 
 // leashedStrategy is Leashed-SGD (Algorithm 3) under the unified worker
 // loop, parameterized over paramvec.ParamStore — ONE implementation covers
-// the paper's single chain (Config.Shards <= 1), the sharded store
-// (Shards > 1) — both the chain store paramvec.ShardedShared — and the
-// tuned run (Config.Tune). Every run publishes through one epoch
-// owner (epochs, epoch.go): a static run is that owner with no controller;
-// an autotuned run's controller swaps the store between epochs behind the
-// same interface and retunes the persistence bound atomically.
+// the paper's single chain (Config.Shards <= 1) and the sharded store
+// (Shards > 1), both the chain store paramvec.ShardedShared. The store is
+// built once at start (shardEpoch, epoch.go) and serves the whole run, so
+// an iteration takes no lock around it.
 //
 // Per iteration a worker:
 //
@@ -35,75 +31,46 @@ import (
 //     segment minus η·gradient into it in one fused pass, and try to publish
 //     with a single CAS (paper P1, P5) — a dense pass that sees its head
 //     replaced stops early and skips the CAS it could only lose;
-//  4. on a lost attempt, retries up to the persistence bound Tp, after which
-//     that chain's gradient segment is dropped and the vector recycled
-//     (contention regulation, Sec. IV-2); replaced vectors are marked stale
-//     and recycled once the last reader leaves (paper P2, P4).
+//  4. on a lost attempt, retries up to the persistence bound Tp
+//     (Config.Persistence), after which that chain's gradient segment is
+//     dropped and the vector recycled (contention regulation, Sec. IV-2);
+//     replaced vectors are marked stale and recycled once the last reader
+//     leaves (paper P2, P4).
 //
 // The global update counter advances once per iteration that published at
 // least one chain; an iteration that published nothing refunds its budget
 // reservation so MaxUpdates stays exact. Staleness and contention are
 // counted per chain in the shardEpoch.
-//
-// The LeashedAdaptive variant (extension, docs/architecture.md,
-// "LeashedAdaptive") replaces the fixed Tp with a bound that shrinks under
-// observed contention: a worker halves its local bound after a dropped
-// segment and grows it by one after a fully uncontended iteration,
-// approximating the γ-regulation of Corollary 3.2 without manual tuning.
 type leashedStrategy struct {
 	nopHooks
-	rt    *runCtx
-	ep    *epochs // the run's epoch owner
-	unpin func()  // ep.mu.RUnlock, bound once so a pin allocates nothing
-	seqs  []int64 // monitor snapshot seq reuse
+	rt   *runCtx
+	e    *shardEpoch // the run's one store and its per-chain counters
+	seqs []int64     // monitor snapshot seq reuse
 }
 
-// newLeashedStrategy publishes θ0 into the run's first epoch and hands the
-// init vector's buffer back to the pool.
+// newLeashedStrategy publishes θ0 into the run's store and hands the init
+// vector's buffer back to the pool.
 func (rt *runCtx) newLeashedStrategy(initVec *paramvec.Vector) *leashedStrategy {
-	rt.epochs = rt.newEpochs(initVec.Theta)
+	rt.epoch = newShardEpoch(rt.d, rt.numShards(), initVec.Theta)
 	initVec.Release()
-	return &leashedStrategy{rt: rt, ep: rt.epochs, unpin: rt.epochs.mu.RUnlock}
+	return &leashedStrategy{rt: rt, e: rt.epoch}
 }
 
 func (st *leashedStrategy) setup(w *loopWorker) {
 	w.velocity = st.rt.maybeVelocity()
 }
 
-// begin gates the iteration and pins the live epoch: workers hold the epoch
-// read lock for exactly one iteration, so a controller's re-shard (write
-// lock) waits for in-flight iterations and blocks new ones. They also reload
-// the persistence bound — a Tp move is nothing more than this atomic load
-// observing a new value (the per-worker adaptive bound of LeashedAdaptive
-// stays worker-owned).
-func (st *leashedStrategy) begin(w *loopWorker) bool {
-	if !st.rt.defaultBegin() {
-		return false
-	}
-	if !w.adaptive {
-		w.bound = int(st.ep.bound.Load())
-	}
-	st.ep.mu.RLock()
-	w.epochLock = true
-	w.epoch = st.ep.epoch
-	return true
-}
-
-func (st *leashedStrategy) end(w *loopWorker) {
-	w.epochLock = false
-	st.ep.mu.RUnlock()
-}
+func (st *leashedStrategy) begin(w *loopWorker) bool { return st.rt.defaultBegin() }
 
 // read leases the chains' latest vectors — the zero-copy gradient view.
 func (st *leashedStrategy) read(w *loopWorker) paramvec.View {
-	pv := w.lease.Acquire(w.epoch.store)
+	pv := w.lease.Acquire(st.e.store)
 	w.leaseHeld = true
 	return pv
 }
 
 // endRead releases the lease and tallies the consistency classification —
-// live per-worker counts (the Tp axis's windowed signal) plus the per-chain
-// stale-read breakdown for mixed reads.
+// per-worker counts plus the per-chain stale-read breakdown for mixed reads.
 func (st *leashedStrategy) endRead(w *loopWorker) {
 	w.leaseHeld = false
 	if w.lease.Release() {
@@ -112,7 +79,7 @@ func (st *leashedStrategy) endRead(w *loopWorker) {
 	}
 	w.tally.mixed.Add(1)
 	for _, c := range w.lease.AdvancedChains() {
-		w.epoch.rstale[c].n.Add(1)
+		st.e.rstale[c].n.Add(1)
 	}
 }
 
@@ -127,9 +94,10 @@ func (st *leashedStrategy) endRead(w *loopWorker) {
 // and the accounting below does not tell them apart.
 func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	rt := st.rt
-	e := w.epoch
+	e := st.e
 	store := e.store
 	C := store.Chains()
+	bound := rt.cfg.Persistence
 
 	// Claim a budget unit before anything becomes visible; when the budget
 	// is fully claimed the gradient is discarded and the loop gate
@@ -140,8 +108,6 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	w.reserved = true
 
 	publishedAny := false
-	cleanIter := true // every chain published without a retry
-	droppedAny := false
 	for k := 0; k < C; k++ {
 		c := (w.id + k) % C
 		r := store.ChainRange(c)
@@ -160,10 +126,9 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 				if f := inj.Decide(faultinject.Publish); f.Kind == faultinject.KindFail {
 					e.failed[c].n.Add(1)
 					tries++
-					if w.bound >= 0 && tries > w.bound {
+					if bound >= 0 && tries > bound {
 						newSeg.Release()
 						e.dropped[c].n.Add(1)
-						droppedAny = true
 						break
 					}
 					continue
@@ -182,22 +147,17 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 				e.touched[c].n.Add(int64(b - a))
 				w.hist.Observe(tau)
 				e.stale[c].n.Add(tau)
-				if tries > 0 {
-					cleanIter = false
-				}
 				break
 			}
 			e.failed[c].n.Add(1)
 			tries++
-			if w.bound >= 0 && tries > w.bound {
+			if bound >= 0 && tries > bound {
 				newSeg.Release()
 				e.dropped[c].n.Add(1)
-				droppedAny = true
 				break
 			}
 			if rt.stop.Load() {
 				newSeg.Release()
-				cleanIter = false
 				break
 			}
 		}
@@ -208,41 +168,21 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 		rt.refundUpdate()
 	}
 	w.reserved = false
-	// Adaptive persistence: grow only after a fully uncontended iteration,
-	// halve only after a dropped gradient segment (a retried-but-successful
-	// publish is neither).
-	if w.adaptive {
-		if droppedAny {
-			w.bound /= 2
-		} else if cleanIter && publishedAny {
-			if w.bound < 64 {
-				w.bound++
-			}
-		}
-	}
 	return true
 }
 
-// pinStore pins the live epoch's store for an outside reader — a ReadFront
-// fold, or a serving lease's Acquire: the epoch read lock is held across the
-// pin window, so a re-shard (write lock) waits for it exactly as it waits
-// for in-flight worker iterations, and never retires a store mid-pin.
+// pinStore returns the run's store for an outside reader — a ReadFront
+// fold, or a serving lease's Acquire. Nothing swaps the store mid-run, so
+// the release is a no-op; the end-of-run teardown is ordered by the caller
+// (Running.readMu and the front freeze in Running.finish).
 func (st *leashedStrategy) pinStore() (paramvec.ParamStore, func()) {
-	st.ep.mu.RLock()
-	return st.ep.epoch.store, st.unpin
+	return st.e.store, func() {}
 }
 
-// launchAux starts the run's controller, if it has one.
-func (st *leashedStrategy) launchAux(wg *sync.WaitGroup) {
-	st.ep.launchController(st.rt, wg)
-}
-
-// snapshot copies the published parameters under read protection; the
-// per-chain sequence slice is hoisted and reused across monitor ticks.
+// snapshot copies the published parameters; the per-chain sequence slice is
+// hoisted and reused across monitor ticks.
 func (st *leashedStrategy) snapshot(dst []float64) {
-	st.ep.mu.RLock()
-	st.seqs = st.ep.epoch.store.Snapshot(dst, st.seqs)
-	st.ep.mu.RUnlock()
+	st.seqs = st.e.store.Snapshot(dst, st.seqs)
 }
 
 // snapshotConsistent retries the store snapshot under seqlock validation so a
@@ -250,16 +190,11 @@ func (st *leashedStrategy) snapshot(dst []float64) {
 // attempt exhaustion under heavy publish pressure the last (per-chain untorn)
 // copy stands — same guarantee as snapshot.
 func (st *leashedStrategy) snapshotConsistent(dst []float64) {
-	st.ep.mu.RLock()
-	st.ep.epoch.store.SnapshotConsistent(dst, 8)
-	st.ep.mu.RUnlock()
+	st.e.store.SnapshotConsistent(dst, 8)
 }
 
-// recoverIter rolls back a panicked iteration: the lease is released first
-// (its chains belong to the epoch the read lock pins), then the budget
-// reservation is refunded, then the epoch pin itself is dropped — so a
-// re-shard's quiesce can never observe a dangling lease from a crashed
-// worker.
+// recoverIter rolls back a panicked iteration: the lease is released first,
+// then the budget reservation is refunded.
 func (st *leashedStrategy) recoverIter(w *loopWorker) {
 	if w.leaseHeld {
 		w.leaseHeld = false
@@ -269,20 +204,8 @@ func (st *leashedStrategy) recoverIter(w *loopWorker) {
 		w.reserved = false
 		st.rt.refundUpdate()
 	}
-	if w.epochLock {
-		w.epochLock = false
-		st.ep.mu.RUnlock()
-	}
 }
 
-// respawnBarrier orders a respawned worker against the controller: taking
-// and releasing the epoch write lock waits out any re-shard the crash raced
-// with, so the fresh worker's first begin pins a settled epoch.
-func (st *leashedStrategy) respawnBarrier() {
-	st.ep.mu.Lock()
-	st.ep.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-}
+func (st *leashedStrategy) fill(res *Result) { st.e.fill(res) }
 
-func (st *leashedStrategy) fill(res *Result) { st.ep.fill(res) }
-
-func (st *leashedStrategy) cleanup() { st.ep.epoch.store.Retire() }
+func (st *leashedStrategy) cleanup() { st.e.store.Retire() }

@@ -1,6 +1,6 @@
 // The unified, store-parameterized worker loop. Every algorithm — SEQ/ASYNC,
-// HOGWILD! and the Leashed variants (single-chain, sharded and autotuned, all
-// through paramvec.ParamStore) — runs its workers through workerLoop below;
+// HOGWILD! and Leashed-SGD (single-chain and sharded, both through
+// paramvec.ParamStore) — runs its workers through workerLoop below;
 // what differs per algorithm is reduced to the strategy hooks: how the
 // parameter view for the gradient read is produced (lock-copy, atomic-copy,
 // zero-copy lease), and what the publish protocol does with the computed
@@ -44,48 +44,35 @@ type strategy interface {
 	// failed and the step was discarded — so aborted commits do not
 	// contaminate the Tu distribution with near-zero samples.
 	commit(w *loopWorker, s step) bool
-	// end closes the iteration (the Leashed epoch-lock release).
-	end(w *loopWorker)
-	// launchAux starts any auxiliary goroutines (the autotune controller)
-	// tracked by wg.
-	launchAux(wg *sync.WaitGroup)
 	// snapshot copies a consistent view of the current parameters into
 	// dst; called only from the monitor goroutine and after quiesce.
 	snapshot(dst []float64)
 	// cleanup releases the shared parameter state after the run.
 	cleanup()
 	// fill records the strategy's own measurements into res once the
-	// workers have exited: the Leashed epochs' contention, trajectories
-	// and chain-pool accounting.
+	// workers have exited: the Leashed store's contention and chain-pool
+	// accounting.
 	fill(res *Result)
 	// recoverIter rolls back a panicked iteration: release whatever
-	// iteration-scoped state the worker still holds (lease, epoch read
-	// lock, strategy mutex, budget reservation) so the crash is isolated —
-	// the rest of the run keeps publishing and the supervisor can respawn
-	// the slot. Called from the recovery defer with the panicked worker's
+	// iteration-scoped state the worker still holds (lease, strategy mutex,
+	// budget reservation) so the crash is isolated — the rest of the run
+	// keeps publishing and the supervisor can respawn the slot. Called from the recovery defer with the panicked worker's
 	// state; the loopWorker's hold flags record exactly what to release.
 	recoverIter(w *loopWorker)
-	// respawnBarrier orders a worker respawn against the strategy's epoch
-	// machinery (Leashed runs wait out an in-flight re-shard quiesce);
-	// no-op for strategies without one.
-	respawnBarrier()
 }
 
 // nopHooks provides the no-op defaults strategies embed.
 type nopHooks struct{}
 
-func (nopHooks) setup(*loopWorker)         {}
-func (nopHooks) endRead(*loopWorker)       {}
-func (nopHooks) end(*loopWorker)           {}
-func (nopHooks) launchAux(*sync.WaitGroup) {}
-func (nopHooks) recoverIter(*loopWorker)   {}
-func (nopHooks) respawnBarrier()           {}
-func (nopHooks) fill(*Result)              {}
+func (nopHooks) setup(*loopWorker)       {}
+func (nopHooks) endRead(*loopWorker)     {}
+func (nopHooks) recoverIter(*loopWorker) {}
+func (nopHooks) fill(*Result)            {}
 
 // loopWorker is one worker's state in the unified loop: the pieces every
 // algorithm needs (the problem's gradient computer, metrics, optional
 // momentum velocity) plus the strategy-specific slots (read-copy buffer,
-// lease, current epoch, persistence bound).
+// lease).
 type loopWorker struct {
 	id       int
 	gw       gradWorker       // the problem's per-worker gradient computer
@@ -97,12 +84,9 @@ type loopWorker struct {
 	// Copy-read protocols: the global update sequence at read time.
 	readSeq int64
 
-	// Leased zero-copy reads (Leashed variants).
-	lease    paramvec.Lease
-	epoch    *shardEpoch // current publication epoch, stashed by begin
-	bound    int         // local persistence bound (adapts under LeashedAdaptive)
-	adaptive bool
-	tally    *readTally // this worker's live consistency tally slot
+	// Leased zero-copy reads (Leashed-SGD).
+	lease paramvec.Lease
+	tally *readTally // this worker's consistency tally slot
 
 	// Crash-isolation bookkeeping: which iteration-scoped resources the
 	// worker currently holds. Maintained by the strategy hooks on the
@@ -110,27 +94,19 @@ type loopWorker struct {
 	// recoverIter can release exactly what a panic left behind without
 	// deadlocking the run.
 	leaseHeld bool // leashed: chain lease between read and endRead
-	epochLock bool // leashed: epoch RLock between begin and end
 	lockHeld  bool // async: strategy mutex inside read/commit critical sections
 	reserved  bool // a budget reservation not yet applied or refunded
 }
 
 func (rt *runCtx) newLoopWorker(id int) *loopWorker {
-	cfg := rt.cfg
-	w := &loopWorker{
-		id:       id,
-		gw:       rt.prob.newGradWorker(rt, id),
-		hist:     rt.hists[id],
-		tc:       rt.tcs[id],
-		tu:       rt.tus[id],
-		tally:    &rt.readTallies[id],
-		bound:    cfg.Persistence,
-		adaptive: cfg.Algo == LeashedAdaptive,
+	return &loopWorker{
+		id:    id,
+		gw:    rt.prob.newGradWorker(rt, id),
+		hist:  rt.hists[id],
+		tc:    rt.tcs[id],
+		tu:    rt.tus[id],
+		tally: &rt.readTallies[id],
 	}
-	if w.adaptive {
-		w.bound = 4
-	}
-	return w
 }
 
 // maybeVelocity returns a fresh per-worker heavy-ball velocity when the
@@ -183,10 +159,10 @@ func (rt *runCtx) runWorkers(wg *sync.WaitGroup, st strategy) {
 }
 
 // superviseWorker runs one worker slot: the unified loop under panic
-// recovery, respawned with fresh per-worker state after a recovered crash —
-// at the strategy's respawn barrier, up to the configured restart cap. A
-// crash therefore costs the in-flight iteration (rolled back by
-// recoverIter) and a respawn, never the process or the budget invariant.
+// recovery, respawned with fresh per-worker state after a recovered crash,
+// up to the configured restart cap. A crash therefore costs the in-flight
+// iteration (rolled back by recoverIter) and a respawn, never the process
+// or the budget invariant.
 func (rt *runCtx) superviseWorker(id int, st strategy) {
 	for restart := 0; ; restart++ {
 		fault := rt.workerLoop(id, st)
@@ -210,7 +186,6 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 			}
 			return
 		}
-		st.respawnBarrier()
 	}
 }
 
@@ -226,7 +201,6 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 // worker's private buffers, and rolls back the iteration through
 // strategy.recoverIter.
 func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
-	cfg := rt.cfg
 	w := rt.newLoopWorker(id)
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,21 +215,13 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 		}
 		w.gw.close()
 	}()
-	// The model-guided autotuner samples phase timings through atomic
-	// per-worker tallies the controller can read mid-run (Config.SampleTiming
-	// feeds the merge-at-exit DurationSamplers instead, which no concurrent
-	// reader may touch). Either consumer turns the timing sites on.
-	var tt *timeTally
-	if rt.timing != nil {
-		tt = &rt.timing[id]
-	}
-	sample := cfg.SampleTiming || tt != nil
+	sample := rt.cfg.SampleTiming
 	for st.begin(w) {
 		pv := st.read(w)
 		w.gw.sample()
 		if inj := rt.inj; inj != nil {
 			// Mid-iteration fault point: every iteration-scoped resource
-			// (lease, epoch pin) is held here, so an injected panic
+			// (the Leashed lease) is held here, so an injected panic
 			// exercises the full recovery path.
 			switch f := inj.Decide(faultinject.WorkerIter); f.Kind {
 			case faultinject.KindPanic:
@@ -270,30 +236,15 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 		}
 		s := w.gw.compute(pv, w.velocity)
 		if sample {
-			d := time.Since(t0)
-			if cfg.SampleTiming {
-				w.tc.Observe(d)
-			}
-			if tt != nil {
-				tt.tcNs.Add(int64(d))
-				tt.tcN.Add(1)
-			}
+			w.tc.Observe(time.Since(t0))
 		}
 		st.endRead(w)
 		if sample {
 			t0 = time.Now()
 		}
-		committed := st.commit(w, s)
-		if sample && committed {
-			d := time.Since(t0)
-			if cfg.SampleTiming {
-				w.tu.Observe(d)
-			}
-			if tt != nil {
-				tt.tuNs.Add(int64(d))
-			}
+		if st.commit(w, s) && sample {
+			w.tu.Observe(time.Since(t0))
 		}
-		st.end(w)
 	}
 	return nil
 }

@@ -133,8 +133,8 @@ type gradWorker interface {
 
 // problem abstracts what is being trained: dimensionality, data size,
 // initialization, per-worker gradient computation and monitor-side loss
-// evaluation. The worker loop, the strategies, the autotuner and the monitor
-// are all generic over it.
+// evaluation. The worker loop, the strategies and the monitor are all
+// generic over it.
 type problem interface {
 	dim() int
 	dataLen() int

@@ -126,8 +126,8 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	e := newShardEpoch(longDim, 1, make([]float64, longDim))
 	counting := &casCountingStore{ParamStore: e.store}
 	e.store = counting
-	st := &leashedStrategy{rt: rt}
-	w := &loopWorker{hist: rt.hists[0], bound: cfg.Persistence, epoch: e}
+	st := &leashedStrategy{rt: rt, e: e}
+	w := &loopWorker{hist: rt.hists[0]}
 	w.lease.Acquire(e.store)
 	w.lease.Release()
 

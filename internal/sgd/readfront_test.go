@@ -8,14 +8,13 @@ import (
 	"leashedsgd/internal/paramvec"
 )
 
-// Front over a live autotuned Leashed run: snapshot reads are consistent the
-// whole way through (including across the controller's re-shard epoch
-// swaps), staleness stays within the leash, and after the run ends the front
-// is frozen onto the exact final parameters.
+// Front over a live sharded Leashed run: snapshot reads are consistent the
+// whole way through, staleness stays within the leash, and after the run
+// ends the front is frozen onto the exact final parameters.
 func TestRunningFrontLiveAndFinal(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
-	cfg := autoConfig(2)
+	cfg := liveConfig(2)
 	cfg.EpsilonFrac = 0
 	cfg.MaxTime = 400 * time.Millisecond
 
@@ -82,7 +81,7 @@ func TestRunningFrontLiveAndFinal(t *testing.T) {
 func TestRunningFrontAfterFinish(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
-	cfg := autoConfig(2)
+	cfg := liveConfig(2)
 	cfg.EpsilonFrac = 0
 	cfg.MaxTime = 50 * time.Millisecond
 

@@ -2,9 +2,10 @@
 // The caller passes the SAME Config the original run was started with;
 // Resume loads the checkpoint lineage (skipping a corrupt newest file),
 // subtracts the updates already spent from the budget — so crash + resume
-// applies exactly MaxUpdates total — reseeds the sample streams from the
-// checkpointed RNG state, and warm-starts the autotuner at the checkpointed
-// (S, Tp) instead of making it re-climb the ladders from scratch.
+// applies exactly MaxUpdates total — and reseeds the sample streams from the
+// checkpointed RNG state. The continuation runs at the caller's configured
+// (Shards, Persistence); the checkpoint's S and Tp are a record, not an
+// override.
 package sgd
 
 import (
@@ -33,8 +34,7 @@ func Resume(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
 }
 
 // loadResume loads the newest valid checkpoint under cfg.Checkpoint.Path and
-// rewrites cfg for the continuation leg: remaining budget, derived seed, and
-// the warm-start tuning state.
+// rewrites cfg for the continuation leg: remaining budget and derived seed.
 func loadResume(cfg Config, dim int) (Config, *resumeState, error) {
 	if cfg.Checkpoint.Path == "" {
 		return cfg, nil, fmt.Errorf("sgd: Resume requires Checkpoint.Path")
@@ -62,15 +62,6 @@ func loadResume(cfg Config, dim int) (Config, *resumeState, error) {
 	// point, never a replay of the already-consumed prefix.
 	if meta.RNGState != 0 {
 		cfg.Seed = meta.RNGState
-	}
-	// Warm start: a resumed autotuned run begins where the tuner had
-	// climbed to, not at the configured origin. LeashedAdaptive keeps Tp
-	// worker-owned, so only S carries over there.
-	if cfg.Tune != TuneOff && meta.AutoTune && meta.Shards > 0 {
-		cfg.Shards = meta.Shards
-		if cfg.Algo != LeashedAdaptive && meta.Tp > 0 {
-			cfg.Persistence = meta.Tp
-		}
 	}
 	return cfg, &resumeState{params: params, prior: prior}, nil
 }

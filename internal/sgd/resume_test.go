@@ -1,8 +1,8 @@
 package sgd
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -95,7 +95,8 @@ func ckptConfig(t *testing.T, algo Algorithm, workers int) Config {
 // TestKillResumeExactBudget is the crash/resume equivalence contract: a run
 // killed mid-flight and resumed from its newest checkpoint completes EXACTLY
 // the original budget — ResumedFrom + TotalUpdates == MaxUpdates — across
-// one arm per publish protocol (lock, component-atomic, LAU-SPC), the shards and autotune arms, and a Leashed arm whose killed leg
+// one arm per publish protocol (lock, component-atomic, LAU-SPC), the shards
+// arm, and a Leashed arm whose killed leg
 // also takes worker panics and failed publish attempts.
 func TestKillResumeExactBudget(t *testing.T) {
 	cases := []struct {
@@ -105,7 +106,6 @@ func TestKillResumeExactBudget(t *testing.T) {
 	}{
 		{"leashed-s1", func(c *Config) {}, nil},
 		{"leashed-s4", func(c *Config) { c.Shards = 4 }, nil},
-		{"leashed-autotune", func(c *Config) { c.Tune = TuneLadder; c.Persistence = 2 }, nil},
 		{"hogwild", func(c *Config) { c.Algo = Hogwild }, nil},
 		{"async", func(c *Config) { c.Algo = Async }, nil},
 		{"leashed-faulted", func(c *Config) {}, []faultinject.Rule{
@@ -243,26 +243,36 @@ func TestResumeSkipsCorruptNewest(t *testing.T) {
 	}
 }
 
-// TestResumeWarmStartsTuner resumes an autotuned run from a hand-written
-// checkpoint carrying tuned (S=4, Tp=2) and checks the tuner starts THERE:
-// the first recorded trajectory entries are the checkpointed values, not the
-// configured origin.
-func TestResumeWarmStartsTuner(t *testing.T) {
+// TestResumeOldTunedCheckpoint resumes from a checkpoint written by a run
+// that had an (S, Tp) controller: its meta carries "auto_tune":true, the
+// controller's (S=4, Tp=2) and, older still, the ladder positions s_pos /
+// tp_pos. The file loads (the decoder ignores the retired keys), and the
+// resumed leg runs at the caller's configured (Shards, Persistence) — not
+// the checkpoint's — and completes the original budget exactly.
+func TestResumeOldTunedCheckpoint(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
 	cfg := ckptConfig(t, Leashed, 2)
-	cfg.Tune = TuneLadder
+	cfg.Shards = 2
 	cfg.Persistence = 8
-	cfg.MaxUpdates = 500
 
 	d := net.ParamCount()
-	meta := checkpoint.Meta{
-		Arch: "dense-net", Dim: d, Algo: "LSH", Updates: 100,
-		Seed: cfg.Seed, RNGState: 12345, Shards: 4, Tp: 2,
-		AutoTune: true, MaxUpdates: 500,
-	}
-	if err := checkpoint.Save(cfg.Checkpoint.Path+".000001", meta, make([]float64, d)); err != nil {
+	metaJSON := fmt.Sprintf(`{"arch":"dense-net","dim":%d,"algo":"LSH","updates":100,`+
+		`"saved_at":"2026-01-02T03:04:05Z","seed":%d,"rng_state":12345,"shards":4,"tp":2,`+
+		`"auto_tune":true,"s_pos":2,"tp_pos":1,"max_updates":%d}`, d, cfg.Seed, cfg.MaxUpdates)
+	raw := binary.LittleEndian.AppendUint32([]byte("LSHSGD\x00\x01"), uint32(len(metaJSON)))
+	raw = append(raw, metaJSON...)
+	raw = append(raw, make([]byte, 8*d)...) // θ = 0
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+	if err := os.WriteFile(cfg.Checkpoint.Path+".000001", raw, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	meta, _, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
+	if err != nil {
+		t.Fatalf("old checkpoint does not load: %v", err)
+	}
+	if meta.Updates != 100 || meta.Shards != 4 || meta.Tp != 2 {
+		t.Fatalf("old meta read as %+v", meta)
 	}
 
 	r, err := Resume(cfg, net, ds)
@@ -270,61 +280,23 @@ func TestResumeWarmStartsTuner(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := r.Wait()
-	if res.ResumedFrom != 100 {
-		t.Fatalf("ResumedFrom = %d, want 100", res.ResumedFrom)
+	if res.ResumedFrom != 100 || res.ResumedFrom+res.TotalUpdates != cfg.MaxUpdates {
+		t.Fatalf("lineage resumed from %d and applied %d, want 100 and %d in all",
+			res.ResumedFrom, res.ResumedFrom+res.TotalUpdates, cfg.MaxUpdates)
 	}
-	if len(res.ShardTrajectory) == 0 || res.ShardTrajectory[0] != 4 {
-		t.Fatalf("ShardTrajectory = %v, want warm start at S=4", res.ShardTrajectory)
+	if res.Shards != cfg.Shards {
+		t.Fatalf("resumed leg ran at S=%d, want the configured %d", res.Shards, cfg.Shards)
 	}
-	if len(res.TpTrajectory) == 0 || res.TpTrajectory[0] != 2 {
-		t.Fatalf("TpTrajectory = %v, want warm start at Tp=2", res.TpTrajectory)
+	if res.Checkpoints == 0 {
+		t.Fatal("resumed leg wrote no checkpoint")
 	}
-	if got := res.ResumedFrom + res.TotalUpdates; got != 500 {
-		t.Fatalf("lineage applied %d updates, want exactly 500", got)
-	}
-}
-
-// TestResumeLegacyLadderPositions resumes from a checkpoint written before
-// the meta dropped the tuner's ladder positions: its JSON still carries
-// s_pos / tp_pos. The reader ignores the unknown keys, and the tuner warm-starts
-// from Shards / Tp as it always did.
-func TestResumeLegacyLadderPositions(t *testing.T) {
-	ds := tinyDataset()
-	net := tinyNet(ds)
-	cfg := ckptConfig(t, Leashed, 2)
-	cfg.Tune = TuneLadder
-	cfg.MaxUpdates = 500
-
-	d := net.ParamCount()
-	var buf bytes.Buffer
-	if err := checkpoint.Write(&buf, checkpoint.Meta{
-		Arch: "dense-net", Dim: d, Algo: "LSH", Updates: 100,
-		Seed: cfg.Seed, RNGState: 12345, Shards: 4, Tp: 2, AutoTune: true, MaxUpdates: 500,
-	}, make([]float64, d)); err != nil {
-		t.Fatal(err)
-	}
-	// Splice the legacy keys into the meta JSON and re-seal the CRC.
-	raw := buf.Bytes()
-	n := binary.LittleEndian.Uint32(raw[8:12])
-	meta := append(bytes.TrimSuffix(raw[12:12+n:12+n], []byte("}")), `,"s_pos":2,"tp_pos":1}`...)
-	legacy := binary.LittleEndian.AppendUint32(append([]byte(nil), raw[:8]...), uint32(len(meta)))
-	legacy = append(append(legacy, meta...), raw[12+n:len(raw)-4]...)
-	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(legacy))
-	if err := os.WriteFile(cfg.Checkpoint.Path+".000001", legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Resume(cfg, net, ds)
+	meta, _, _, err = checkpoint.LoadNewest(cfg.Checkpoint.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := r.Wait()
-	if res.ResumedFrom != 100 || res.ResumedFrom+res.TotalUpdates != 500 {
-		t.Fatalf("lineage resumed from %d and applied %d, want 100 and 500 in all",
-			res.ResumedFrom, res.ResumedFrom+res.TotalUpdates)
-	}
-	if len(res.ShardTrajectory) == 0 || res.ShardTrajectory[0] != 4 || len(res.TpTrajectory) == 0 || res.TpTrajectory[0] != 2 {
-		t.Fatalf("trajectories %v / %v, want the warm start at S=4, Tp=2", res.ShardTrajectory, res.TpTrajectory)
+	if meta.Shards != cfg.Shards || meta.Tp != cfg.Persistence {
+		t.Fatalf("resumed leg checkpointed (S=%d, Tp=%d), want the configured (%d, %d)",
+			meta.Shards, meta.Tp, cfg.Shards, cfg.Persistence)
 	}
 }
 

@@ -23,15 +23,13 @@ import (
 // every existing sgd.ReadMeta reference valid.
 type ReadMeta = paramvec.ReadMeta
 
-// storePinner is implemented by strategies whose live publication store can
-// be pinned — protected against retirement — for a bounded window by readers
-// outside the worker pool (the Leashed family). ReadFront folds run under
-// this pin; a leased ReadParams holds it for the lease's Acquire only.
+// storePinner is implemented by strategies whose live publication store
+// readers outside the worker pool can lease (Leashed-SGD). ReadFront folds
+// and a leased ReadParams reach the store through it.
 type storePinner interface {
-	// pinStore returns the current publication store and a release func;
-	// the store cannot be retired (by the autotuner's re-shard or the
-	// end-of-run cleanup) until release is called. Pins must be
-	// short-lived: an autotuned run's re-shard waits on them.
+	// pinStore returns the run's publication store and a release func.
+	// The store is the run's for its whole life; what keeps it from
+	// retiring under a reader is Running.readMu, held by the caller.
 	pinStore() (paramvec.ParamStore, func())
 }
 
@@ -62,9 +60,9 @@ type Running struct {
 }
 
 // Start validates the dense configuration exactly like Run, evaluates f(θ0)
-// and launches the workers, auxiliary goroutines and monitor, returning a
-// handle on the live run. The representation-independent launch is
-// startProblem, shared with StartSparse.
+// and launches the workers and monitor, returning a handle on the live run.
+// The representation-independent launch is startProblem, shared with
+// StartSparse.
 func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
 	prob, err := newDenseProblem(net, ds)
 	if err != nil {
@@ -141,13 +139,12 @@ func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 		st = rt.newAsyncStrategy(initVec)
 	case Hogwild:
 		st = rt.newHogwildStrategy(initVec)
-	case Leashed, LeashedAdaptive:
+	case Leashed:
 		st = rt.newLeashedStrategy(initVec)
 	}
 	r := &Running{rt: rt, st: st, done: make(chan struct{})}
 	rt.start = time.Now()
 	rt.runWorkers(&r.wg, st)
-	st.launchAux(&r.wg)
 	go r.finish()
 	return r, nil
 }
@@ -245,7 +242,7 @@ func (r *Running) Dim() int { return r.rt.d }
 // ReadParams runs fn against a view of the current parameters and labels the
 // read. Live Leashed-family runs serve a zero-copy leased view of the
 // published store — the paper's read path, concurrent with the workers'
-// LAU-SPC publishes and the autotuner's re-shards; l is the caller's
+// LAU-SPC publishes; l is the caller's
 // reusable lease (allocation-free across calls; a nil lease gets a
 // temporary). Algorithms without a leased read path serve a copy through the
 // strategy's snapshot into scratch (grown as needed). After the run ends,
@@ -268,10 +265,10 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 		store, unpin := sp.pinStore()
 		pv := l.Acquire(store)
 		// Unpin before fn: a long inference pass must not block the
-		// run's teardown or a re-shard's epoch swap — the lease's read
-		// registration keeps the buffers valid, and Release classifies
-		// what happened meanwhile (a lease that outlived its store is
-		// labeled, paramvec.Lease.RetiredStore).
+		// run's teardown — the lease's read registration keeps the
+		// buffers valid, and Release classifies what happened meanwhile
+		// (a lease that outlived its store is labeled,
+		// paramvec.Lease.RetiredStore).
 		unpin()
 		r.readMu.RUnlock()
 		fn(pv)
@@ -296,8 +293,8 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 
 // pinStore pins the run's live publication store for a ReadFront fold: the
 // read lock blocks the end-of-run teardown (closed flips under the write
-// lock before the store retires) and the strategy pin blocks the autotuner's
-// epoch swap, so the returned store cannot be retired until release.
+// lock before the store retires), so the returned store cannot be retired
+// until release.
 func (r *Running) pinStore() (paramvec.ParamStore, func()) {
 	r.readMu.RLock()
 	if r.closed {

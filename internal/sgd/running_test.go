@@ -9,14 +9,22 @@ import (
 	"leashedsgd/internal/paramvec"
 )
 
-// Start + concurrent ReadParams over an autotuned Leashed run: the serving
+// liveConfig is the static sharded Leashed run the live-read tests train:
+// four chains, so a leased read can be mixed-version.
+func liveConfig(workers int) Config {
+	cfg := testConfig(Leashed, workers)
+	cfg.Shards = 4
+	return cfg
+}
+
+// Start + concurrent ReadParams over a sharded Leashed run: the serving
 // tier's read path. Live reads are leased zero-copy (never Copied), every
 // read is labeled, no read observes NaN/Inf, and after the run ends reads
 // serve the immutable final parameters.
 func TestStartServesLiveLeasedReads(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
-	cfg := autoConfig(2)
+	cfg := liveConfig(2)
 	cfg.EpsilonFrac = 0 // profile-style run: ends on MaxTime
 	cfg.MaxTime = 400 * time.Millisecond
 
@@ -82,8 +90,8 @@ func TestStartServesLiveLeasedReads(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("no live reads completed")
 	}
-	t.Logf("reads=%d consistent=%d mixed=%d retired=%d final=%d reshards=%d",
-		reads, consistent, mixed, retired, finals, res.Reshards)
+	t.Logf("reads=%d consistent=%d mixed=%d retired=%d final=%d",
+		reads, consistent, mixed, retired, finals)
 
 	// Post-run reads serve the final parameters and are labeled Final.
 	meta := r.ReadParams(nil, nil, func(pv paramvec.View) {

@@ -40,9 +40,6 @@ const (
 	// Leashed is Algorithm 3: lock-free consistent AsyncSGD with
 	// persistence bound Tp (Config.Persistence).
 	Leashed
-	// LeashedAdaptive is the extension variant: the persistence bound
-	// adapts to observed CAS contention instead of being fixed.
-	LeashedAdaptive
 )
 
 // String returns the evaluation-section name of the algorithm.
@@ -56,8 +53,6 @@ func (a Algorithm) String() string {
 		return "HOG"
 	case Leashed:
 		return "LSH"
-	case LeashedAdaptive:
-		return "LSH_adpt"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -66,41 +61,6 @@ func (a Algorithm) String() string {
 // PersistenceInf is the Persistence value meaning Tp = ∞ (retry until the
 // CAS succeeds; the LSH_ps∞ configuration).
 const PersistenceInf = -1
-
-// Tuning selects the (S, Tp) controller of a Leashed run (Config.Tune):
-// TuneOff, the zero value, runs at (Shards, Persistence) throughout;
-// TuneLadder hill-climbs the (Tp, S) ladders in coordinate descent;
-// TuneModel jumps to the fitted Sec. IV model's prediction, falling back to
-// the ladder on a poor fit.
-type Tuning int
-
-// Tuning values.
-const (
-	TuneOff Tuning = iota
-	TuneLadder
-	TuneModel
-)
-
-var tuningNames = [...]string{TuneOff: "off", TuneLadder: "ladder", TuneModel: "model"}
-
-// String returns the mode's flag spelling: off, ladder or model.
-func (t Tuning) String() string {
-	if t >= 0 && int(t) < len(tuningNames) {
-		return tuningNames[t]
-	}
-	return fmt.Sprintf("Tuning(%d)", int(t))
-}
-
-// Set parses a mode from its flag spelling, making *Tuning a flag.Value.
-func (t *Tuning) Set(s string) error {
-	for i, name := range tuningNames {
-		if s == name {
-			*t = Tuning(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown tuning mode %q (want off, ladder or model)", s)
-}
 
 // Config describes one training run.
 type Config struct {
@@ -119,8 +79,8 @@ type Config struct {
 	// shards, each with its own lock-free latest-pointer chain, pool and
 	// sequence counter, so Leashed publish CAS contention scales as ~1/S
 	// (extension; see internal/paramvec.ShardedShared). 0 or 1 is one
-	// chain: the paper's exact single published pointer. Only the Leashed
-	// variants use it; SEQ, ASYNC and HOGWILD! ignore it and report one
+	// chain: the paper's exact single published pointer. Only Leashed-SGD
+	// uses it; SEQ, ASYNC and HOGWILD! ignore it and report one
 	// shard. Values above the parameter dimension clamp.
 	// Gradient reads stay zero-copy at every shard count: workers lease
 	// the per-shard published buffers (paramvec.Lease) and compute against
@@ -130,20 +90,6 @@ type Config struct {
 	// by seqlock validation into Result.ConsistentReads/MixedReads, and
 	// staleness is measured per shard.
 	Shards int
-
-	// Tune selects the controller that moves S and Tp during a Leashed or
-	// LeashedAdaptive run (extension; docs/tuning.md). TuneOff, the zero
-	// value, keeps (Shards, Persistence) fixed. TuneLadder hill-climbs the
-	// (Tp, S) grid in coordinate descent on two signals windowed over
-	// 2·EvalEvery: the failed-CAS rate per publish steers S and the
-	// mixed-version read rate steers Tp. TuneModel fits the paper's Sec. IV
-	// model to the same windows and jumps to its predicted (S, Tp), falling
-	// back to the ladder on a poor fit. Both start at (Shards, Persistence)
-	// snapped to the ladders S ∈ {1, 2, 4, …, min(64, d)} and
-	// Tp ∈ {16, 8, …, 1, 0}. Under LeashedAdaptive only S moves. Trajectories
-	// land in Result.TpTrajectory and Result.ShardTrajectory, the model's
-	// record in Result.ModelFit.
-	Tune Tuning
 
 	Seed uint64
 
@@ -161,8 +107,7 @@ type Config struct {
 	MaxTime     time.Duration
 
 	// EvalEvery is the monitor's loss-sampling cadence (default 25ms). Each
-	// sample evaluates min(256, len) dataset rows, and a tuned run's
-	// controller window is 2·EvalEvery.
+	// sample evaluates min(256, len) dataset rows.
 	EvalEvery time.Duration
 
 	// Momentum, when non-zero, enables the per-worker heavy-ball
@@ -174,7 +119,7 @@ type Config struct {
 	// ref. [4], which Sec. VI calls orthogonal to the synchronization
 	// mechanisms studied): the update with observed staleness τ̂ is
 	// applied with η/(1 + β·τ̂) instead of η. Supported by ASYNC, HOG and
-	// the Leashed variants.
+	// Leashed-SGD.
 	TauAdaptiveBeta float64
 
 	// SampleTiming records per-iteration Tc/Tu durations (Fig. 9).
@@ -191,9 +136,8 @@ type Config struct {
 	// Checkpoint enables mid-run periodic checkpointing: on cadence the
 	// monitor takes a consistent parameter snapshot and writes a rotated,
 	// fsync'd checkpoint carrying the resume state (cumulative update
-	// count, derived RNG stream seed, shard count S, persistence bound Tp,
-	// tuner ladder positions). Resume restarts a crashed or killed run from
-	// the newest valid one. Inactive unless both Every and Path are set.
+	// count, derived RNG stream seed, shard count S, persistence bound Tp).
+	// Resume restarts a crashed or killed run from the newest valid one. Inactive unless both Every and Path are set.
 	Checkpoint CheckpointConfig
 
 	// WorkerRestarts caps how many times the supervisor respawns one
@@ -222,12 +166,8 @@ const DefaultWorkerRestarts = 4
 // coerced. Start, StartSparse, Run and Resume call it before anything runs.
 func (c Config) Validate() error {
 	switch {
-	case c.Algo < Seq || c.Algo > LeashedAdaptive:
+	case c.Algo < Seq || c.Algo > Leashed:
 		return fmt.Errorf("sgd: unknown algorithm %v", c.Algo)
-	case c.Tune < TuneOff || c.Tune > TuneModel:
-		return fmt.Errorf("sgd: unknown tuning mode %v", c.Tune)
-	case c.Tune != TuneOff && c.Algo != Leashed && c.Algo != LeashedAdaptive:
-		return fmt.Errorf("sgd: tuning %v requires a Leashed variant, got %v", c.Tune, c.Algo)
 	case !(c.Eta > 0) || math.IsInf(c.Eta, 1):
 		return fmt.Errorf("sgd: step size must be positive and finite, got %v", c.Eta)
 	case c.Persistence < PersistenceInf:
@@ -350,7 +290,7 @@ type Result struct {
 	DroppedUpdates int64
 
 	// Read-consistency classification of the leased zero-copy gradient
-	// reads (Leashed variants only; zero elsewhere). A read counts as
+	// reads (Leashed-SGD only; zero elsewhere). A read counts as
 	// Consistent when the seqlock validation at lease release proves no
 	// chain published during the read window — a true global state; on the
 	// single chain that is every read, by construction. MixedReads counts
@@ -368,8 +308,7 @@ type Result struct {
 	// own sequence numbers. ShardStaleReads counts, per
 	// shard, the leased reads during which THAT shard's chain republished
 	// (the per-chain decomposition of MixedReads; a single read that saw
-	// k chains advance contributes to k entries) — the staleness
-	// distribution the Tp autotuning axis samples.
+	// k chains advance contributes to k entries).
 	Shards             int
 	ShardFailedCAS     []int64
 	ShardDropped       []int64
@@ -388,34 +327,12 @@ type Result struct {
 	TouchedComponents int64
 	ShardTouched      []int64
 
-	// Publishes counts successful shard publishes over the whole run —
-	// for autotuned runs that includes retired epochs, where the
-	// per-shard breakdown above describes only the final epoch. Equal to
-	// TotalUpdates for single-chain runs. It is the denominator of the
+	// Publishes counts successful shard publishes over the whole run.
+	// Equal to TotalUpdates for single-chain runs. It is the denominator of the
 	// cross-configuration contention rate (FailedPerPublish), since a
 	// sharded iteration performs up to S publishes where the single chain
 	// performs one.
 	Publishes int64
-
-	// Tuning measurements (nil/0 unless Config.Tune is set). ShardTrajectory is the sequence of shard counts the
-	// controller moved through — first entry S₀, last entry the final S
-	// (which Shards also reports, and which the per-shard breakdown above
-	// describes). Reshards counts the re-shard events,
-	// len(ShardTrajectory)-1. TpTrajectory is the same record for the
-	// persistence-bound axis: first entry the starting bound, last entry
-	// the bound the run ended on; unlike a re-shard, a Tp move is only an
-	// atomic bound swap, so its length carries no epoch-count meaning.
-	// Nil for LeashedAdaptive autotuned runs, whose bound is per-worker
-	// and never controller-owned.
-	ShardTrajectory []int
-	Reshards        int
-	TpTrajectory    []int
-
-	// ModelFit is the model-guided tuner's record (nil unless Config.Tune
-	// is TuneModel): the last accepted fitted queuemodel, its
-	// residual, the predicted vs landed operating point, and the jump vs
-	// fallback-ladder move counts.
-	ModelFit *ModelFitResult
 
 	// ParameterVector memory accounting (Fig. 10): buffers live at peak
 	// and at exit, plus total heap allocations (allocations ≪ checkouts
@@ -457,12 +374,10 @@ func (r *Result) MeanLiveVectors() float64 {
 	return float64(sum) / float64(len(r.MemSamples))
 }
 
-// FailedPerPublish is the contention rate comparable across shard counts
-// and across static/autotuned runs: attempts that lost the head (at the CAS
-// or detected mid-pass) per successful shard publish. Stopping a lost
-// attempt early makes it cheaper, not rarer, so the rate keeps its meaning
-// as the S-axis signal of AutoTune and as q = f/(1+f) in
-// queuemodel.FitWindows. Zero when nothing published.
+// FailedPerPublish is the contention rate comparable across shard counts:
+// attempts that lost the head (at the CAS or detected mid-pass) per
+// successful shard publish. Stopping a lost attempt early makes it cheaper,
+// not rarer, so the rate keeps its meaning. Zero when nothing published.
 func (r *Result) FailedPerPublish() float64 {
 	if r.Publishes == 0 {
 		return 0
@@ -493,31 +408,25 @@ type runCtx struct {
 	done     chan struct{}
 	doneOnce sync.Once
 
-	// stopped is closed alongside stop so goroutines parked in a select
-	// (the autotune controller) wake immediately instead of at their next
-	// tick. Workers on the hot path still poll the cheaper stop flag.
+	// stopped is closed alongside stop so the monitor, parked in its select,
+	// wakes immediately instead of at its next tick. Workers on the hot path
+	// poll the cheaper stop flag.
 	stopped  chan struct{}
 	stopOnce sync.Once
 
 	// Leased-read consistency tallies: one padded slot per worker, bumped
-	// on the worker's own cache line at every leased read, so the
-	// autotune controller can sample the mixed-read rate per window live
-	// (exit-time flushing would starve the Tp axis of its signal).
+	// on the worker's own cache line at every leased read and summed into
+	// the Result after the run.
 	readTallies []readTally
-
-	// timing holds the per-worker phase-timing tallies the model-guided
-	// tuner samples live (modeltune.go); nil unless Config.Tune is TuneModel,
-	// so every other run pays exactly one nil check per iteration.
-	timing []timeTally
 
 	// pool checks out the workers' private buffers (gradients, read
 	// copies); the published chains live in the strategy's ParamStore.
 	pool *paramvec.Pool
 
-	// epochs is the Leashed run's epoch owner (epoch.go): the live
-	// publication store, the bound and the cross-epoch accounting. nil for
-	// the other algorithms.
-	epochs *epochs
+	// epoch is the Leashed run's publication store and its per-chain
+	// counters (epoch.go), built at start for the whole run. nil for the
+	// other algorithms.
+	epoch *shardEpoch
 
 	// inj is the optional deterministic fault injector (nil = disabled;
 	// every instrumented site guards with one pointer check).
@@ -567,8 +476,8 @@ type readTally struct {
 	_                 [112]byte
 }
 
-// readTotals sums the per-worker leased-read tallies — the Tp axis's
-// windowed-signal inputs, and the Result's run totals.
+// readTotals sums the per-worker leased-read tallies into the Result's run
+// totals.
 func (rt *runCtx) readTotals() (consistent, mixed int64) {
 	for i := range rt.readTallies {
 		consistent += rt.readTallies[i].consistent.Load()
@@ -597,9 +506,6 @@ func newRuntime(cfg Config, prob problem) *runCtx {
 	rt.tcs = make([]*metrics.DurationSampler, cfg.Workers)
 	rt.tus = make([]*metrics.DurationSampler, cfg.Workers)
 	rt.readTallies = make([]readTally, cfg.Workers)
-	if cfg.Tune == TuneModel {
-		rt.timing = make([]timeTally, cfg.Workers)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		rt.hists[i] = metrics.NewHist(stalenessBound(cfg.Workers))
 		rt.tcs[i] = &metrics.DurationSampler{}
@@ -681,22 +587,13 @@ func (rt *runCtx) applyUpdate() int64 {
 }
 
 // numShards returns the effective shard count: Config.Shards clamped to
-// [1, d]. Only Leashed/LeashedAdaptive consume it; every other algorithm
-// runs on one chain.
+// [1, d]. Only Leashed-SGD consumes it; every other algorithm runs on one
+// chain.
 func (rt *runCtx) numShards() int {
-	s := rt.cfg.Shards
-	if s < 1 {
-		s = 1
-	}
-	if s > rt.d {
-		s = rt.d
-	}
-	switch rt.cfg.Algo {
-	case Leashed, LeashedAdaptive:
-		return s
-	default:
+	if rt.cfg.Algo != Leashed {
 		return 1
 	}
+	return min(max(rt.cfg.Shards, 1), rt.d)
 }
 
 // liveVectors is the live-buffer gauge in full-vector equivalents: the
@@ -705,8 +602,8 @@ func (rt *runCtx) numShards() int {
 // vector's worth of parameters).
 func (rt *runCtx) liveVectors() int64 {
 	n := rt.pool.Live()
-	if ep := rt.epochs; ep != nil {
-		n += ep.liveEq()
+	if e := rt.epoch; e != nil {
+		n += e.liveEq()
 	}
 	return n
 }

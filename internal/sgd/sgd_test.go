@@ -87,14 +87,6 @@ func TestLeashedConvergesAllPersistences(t *testing.T) {
 	}
 }
 
-func TestLeashedAdaptiveConverges(t *testing.T) {
-	ds := tinyDataset()
-	res := runOrFatal(t, testConfig(LeashedAdaptive, 4), tinyNet(ds), ds)
-	if res.Outcome != Converged {
-		t.Fatalf("LSH_adpt outcome = %v", res.Outcome)
-	}
-}
-
 // --- classification of failures ------------------------------------------
 
 func TestCrashDetection(t *testing.T) {
@@ -354,7 +346,7 @@ func TestTraceIsMonotoneInTime(t *testing.T) {
 
 func TestAlgorithmStrings(t *testing.T) {
 	cases := map[Algorithm]string{
-		Seq: "SEQ", Async: "ASYNC", Hogwild: "HOG", Leashed: "LSH", LeashedAdaptive: "LSH_adpt",
+		Seq: "SEQ", Async: "ASYNC", Hogwild: "HOG", Leashed: "LSH",
 	}
 	for a, want := range cases {
 		if a.String() != want {

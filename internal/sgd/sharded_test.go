@@ -11,12 +11,12 @@ import (
 // TestConvergenceMatrix is the ε-convergence smoke matrix: every Algorithm ×
 // shard count {1, 4} on the synthetic logreg-scale dataset must reach the
 // 50% loss target. For algorithms that ignore the sharding knob (SEQ, ASYNC,
-// HOGWILD!) the two columns exercise that Shards is safely accepted; for the
-// Leashed variants they exercise both the single-chain and the sharded hot
+// HOGWILD!) the two columns exercise that Shards is safely accepted; for
+// Leashed-SGD they exercise both the single-chain and the sharded hot
 // paths.
 func TestConvergenceMatrix(t *testing.T) {
 	ds := tinyDataset()
-	algos := []Algorithm{Seq, Async, Hogwild, Leashed, LeashedAdaptive}
+	algos := []Algorithm{Seq, Async, Hogwild, Leashed}
 	for _, algo := range algos {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
@@ -95,49 +95,42 @@ func TestUnshardedResultHasNoShardBreakdown(t *testing.T) {
 	}
 }
 
-// TestStaticRunResultContract pins what a Leashed run without a controller
-// reports: no trajectories, no model record, no re-shards; at S = 1 no
+// TestStaticRunResultContract pins what a Leashed run reports: at S = 1 no
 // per-shard breakdown and one publish per update, at S = 4 a breakdown of
-// length 4; and its mid-run checkpoints say the run was not autotuned.
+// length 4; and its mid-run checkpoints record the run's S and Tp.
 func TestStaticRunResultContract(t *testing.T) {
-	for _, algo := range []Algorithm{Leashed, LeashedAdaptive} {
-		for _, s := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/S=%d", algo, s), func(t *testing.T) {
-				t.Parallel()
-				cfg := ckptConfig(t, algo, 2)
-				cfg.Shards = s
-				res := startCheckpointed(t, cfg, 1)
-				if res.ShardTrajectory != nil || res.TpTrajectory != nil || res.ModelFit != nil || res.Reshards != 0 {
-					t.Fatalf("static run reported controller output: ShardTrajectory %v TpTrajectory %v ModelFit %v Reshards %d",
-						res.ShardTrajectory, res.TpTrajectory, res.ModelFit, res.Reshards)
+	for _, s := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%s/S=%d", Leashed, s), func(t *testing.T) {
+			t.Parallel()
+			cfg := ckptConfig(t, Leashed, 2)
+			cfg.Shards = s
+			res := startCheckpointed(t, cfg, 1)
+			if res.Shards != s {
+				t.Fatalf("Shards = %d, want %d", res.Shards, s)
+			}
+			want := s // breakdown length; nil at S = 1
+			if s == 1 {
+				want = 0
+			}
+			for i, b := range [][]int64{res.ShardFailedCAS, res.ShardDropped, res.ShardPublishes, res.ShardStaleReads, res.ShardTouched} {
+				if len(b) != want || (want == 0) != (b == nil) {
+					t.Fatalf("per-shard counter slice %d = %v, want length %d (nil when 0)", i, b, want)
 				}
-				if res.Shards != s {
-					t.Fatalf("Shards = %d, want %d", res.Shards, s)
-				}
-				want := s // breakdown length; nil at S = 1
-				if s == 1 {
-					want = 0
-				}
-				for i, b := range [][]int64{res.ShardFailedCAS, res.ShardDropped, res.ShardPublishes, res.ShardStaleReads, res.ShardTouched} {
-					if len(b) != want || (want == 0) != (b == nil) {
-						t.Fatalf("per-shard counter slice %d = %v, want length %d (nil when 0)", i, b, want)
-					}
-				}
-				if len(res.ShardStalenessMean) != want || (want == 0) != (res.ShardStalenessMean == nil) {
-					t.Fatalf("ShardStalenessMean = %v, want length %d (nil when 0)", res.ShardStalenessMean, want)
-				}
-				if s == 1 && res.Publishes != res.TotalUpdates {
-					t.Fatalf("S=1 Publishes = %d, want TotalUpdates %d", res.Publishes, res.TotalUpdates)
-				}
-				meta, _, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if meta.AutoTune || meta.Shards != s {
-					t.Fatalf("checkpoint meta AutoTune %v Shards %d, want false and %d", meta.AutoTune, meta.Shards, s)
-				}
-			})
-		}
+			}
+			if len(res.ShardStalenessMean) != want || (want == 0) != (res.ShardStalenessMean == nil) {
+				t.Fatalf("ShardStalenessMean = %v, want length %d (nil when 0)", res.ShardStalenessMean, want)
+			}
+			if s == 1 && res.Publishes != res.TotalUpdates {
+				t.Fatalf("S=1 Publishes = %d, want TotalUpdates %d", res.Publishes, res.TotalUpdates)
+			}
+			meta, _, _, err := checkpoint.LoadNewest(cfg.Checkpoint.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Shards != s || meta.Tp != cfg.Persistence {
+				t.Fatalf("checkpoint meta Shards %d Tp %d, want %d and %d", meta.Shards, meta.Tp, s, cfg.Persistence)
+			}
+		})
 	}
 }
 

@@ -121,7 +121,7 @@ func TestSparseGradientMatchesReference(t *testing.T) {
 // rows, sparse atomic adds on HOGWILD!, sparse in-place updates elsewhere).
 func TestSparseConvergesAllAlgorithms(t *testing.T) {
 	ds := sparseTestDataset()
-	algos := []Algorithm{Seq, Async, Hogwild, Leashed, LeashedAdaptive}
+	algos := []Algorithm{Seq, Async, Hogwild, Leashed}
 	for _, algo := range algos {
 		for _, shards := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestSparseConvergesAllAlgorithms(t *testing.T) {
 func TestMaxUpdatesExactSparse(t *testing.T) {
 	ds := sparseTestDataset()
 	const budget = 137
-	algos := []Algorithm{Seq, Async, Hogwild, Leashed, LeashedAdaptive}
+	algos := []Algorithm{Seq, Async, Hogwild, Leashed}
 	for _, algo := range algos {
 		for _, shards := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", algo, shards), func(t *testing.T) {

@@ -2,7 +2,7 @@
 // measurement contract as Run/Start, driving sparse logistic regression with
 // first-class CSR gradient steps. The only representation-specific code is
 // the validation here and the sparseProblem in problem.go — every algorithm
-// (SEQ, ASYNC, HOGWILD!, the Leashed family, autotuned or not) runs
+// (SEQ, ASYNC, HOGWILD!, Leashed-SGD at any shard count) runs
 // sparse workloads without a per-algorithm fork.
 package sgd
 

@@ -33,16 +33,10 @@
 // leased read path (TestReadPathsAllocateNothing,
 // TestBatchedPassesAllocateNothingWarm).
 //
-// Config.Tune closes that loop on both contention dials jointly, starting
-// from (Shards, Persistence): TuneLadder hill-climbs the (Tp, S) grid in
-// coordinate descent, the shard count steered by the windowed failed-CAS
-// rate per publish and the persistence bound by the windowed mixed-version
-// read rate, each axis guarded by hysteresis against thrash; TuneModel fits
-// the paper's Sec. IV queueing model to the same windows and jumps to its
-// predicted (S, Tp). A Tp move is an atomic bound swap; a re-shard quiesces
-// the workers at a barrier and republishes a consistent snapshot into a
-// fresh cell (`leashed train -tune ladder|model`). Config.Validate rejects
-// out-of-range and conflicting settings before a run starts. MaxUpdates
+// Shards and Persistence are fixed for a run: the store a Leashed run builds
+// at start serves it to the end (docs/tuning.md says which (S, Tp) each
+// workload uses and why). Config.Validate rejects out-of-range settings
+// before a run starts. MaxUpdates
 // budgets are exact: workers reserve budget units atomically before an
 // update becomes visible, so every bounded run ends with TotalUpdates ==
 // MaxUpdates — the deterministic-replay contract.
@@ -62,7 +56,7 @@
 //	}, model, ds)
 //
 // See docs/architecture.md for the system inventory, docs/tuning.md for
-// the (Tp, S) controllers, and docs/benchmarks.md for the enforced
+// choosing (S, Tp), and docs/benchmarks.md for the enforced
 // performance trajectory.
 package leashedsgd
 
@@ -72,6 +66,7 @@ import (
 
 	"leashedsgd/internal/checkpoint"
 	"leashedsgd/internal/data"
+	"leashedsgd/internal/jsonfloat"
 	"leashedsgd/internal/nn"
 	"leashedsgd/internal/rng"
 	"leashedsgd/internal/sgd"
@@ -91,25 +86,10 @@ const (
 	Hogwild = sgd.Hogwild
 	// Leashed is Leashed-SGD (paper Algorithm 3).
 	Leashed = sgd.Leashed
-	// LeashedAdaptive is Leashed-SGD with a contention-adaptive
-	// persistence bound (extension; see docs/architecture.md,
-	// "LeashedAdaptive").
-	LeashedAdaptive = sgd.LeashedAdaptive
 )
 
 // PersistenceInf configures an unbounded LAU-SPC retry loop (LSH_ps∞).
 const PersistenceInf = sgd.PersistenceInf
-
-// Tuning selects the (S, Tp) controller of a Leashed run: TuneOff (the zero
-// value, a static run), TuneLadder or TuneModel; see Config.Tune.
-type Tuning = sgd.Tuning
-
-// Tuning values.
-const (
-	TuneOff    = sgd.TuneOff
-	TuneLadder = sgd.TuneLadder
-	TuneModel  = sgd.TuneModel
-)
 
 // Config controls a training run; see the field documentation in the
 // underlying type for the full contract.
@@ -120,12 +100,6 @@ type Config = sgd.Config
 // loss trace, staleness distribution, contention counters and memory
 // accounting.
 type Result = sgd.Result
-
-// ModelFitResult records what the model-guided autotuner (TuneModel) did:
-// whether the Sec. IV queueing-model fit was accepted, the fitted residual,
-// the predicted vs. landed (S, Tp) operating point and the jump/fallback
-// accounting. See Result.ModelFit.
-type ModelFitResult = sgd.ModelFitResult
 
 // Outcome classifies a finished run.
 type Outcome = sgd.Outcome
@@ -275,9 +249,9 @@ func StartTrain(cfg Config, m *Model, ds *Dataset) (*Training, error) {
 // checkpoint under cfg.Checkpoint.Path, skipping files that fail validation
 // (torn by a crash mid-save, corrupted on disk). The parameters are restored
 // from the checkpoint, cfg.MaxUpdates is reduced by the updates already
-// applied — so the resumed lineage completes the exact original budget — and
-// the (S, Tp) autotuner warm-starts from the checkpointed operating point.
-// The run continues rotating checkpoints into the same lineage.
+// applied — so the resumed lineage completes the exact original budget. The
+// continuation runs at cfg's (Shards, Persistence). The run continues
+// rotating checkpoints into the same lineage.
 func ResumeTrain(cfg Config, m *Model, ds *Dataset) (*Training, error) {
 	return sgd.Resume(cfg, m.network(), ds)
 }
@@ -316,7 +290,7 @@ func SaveCheckpoint(path string, m *Model, res *Result) error {
 	return checkpoint.Save(path, checkpoint.Meta{
 		Arch:      m.net.Arch(),
 		Dim:       m.net.ParamCount(),
-		FinalLoss: res.FinalLoss,
+		FinalLoss: jsonfloat.Float(res.FinalLoss),
 		Updates:   res.TotalUpdates,
 		SavedAt:   time.Now(),
 	}, res.FinalParams)
