@@ -243,13 +243,13 @@ func TestResumeSkipsCorruptNewest(t *testing.T) {
 	}
 }
 
-// TestResumeOldTunedCheckpoint resumes from a checkpoint written by a run
+// TestResumeLegacyLadderPositions resumes from a checkpoint written by a run
 // that had an (S, Tp) controller: its meta carries "auto_tune":true, the
 // controller's (S=4, Tp=2) and, older still, the ladder positions s_pos /
 // tp_pos. The file loads (the decoder ignores the retired keys), and the
 // resumed leg runs at the caller's configured (Shards, Persistence) — not
 // the checkpoint's — and completes the original budget exactly.
-func TestResumeOldTunedCheckpoint(t *testing.T) {
+func TestResumeLegacyLadderPositions(t *testing.T) {
 	ds := tinyDataset()
 	net := tinyNet(ds)
 	cfg := ckptConfig(t, Leashed, 2)
