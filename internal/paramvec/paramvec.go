@@ -5,59 +5,83 @@
 // lock-free consistent reads and safe memory recycling.
 //
 // Memory recycling under a garbage collector: the paper's `delete theta`
-// becomes "return the theta buffer to a free-list pool" guarded by the exact
-// safe_delete condition of Algorithm 1 line 8 (stale ∧ n_rdrs = 0 ∧
-// CAS(deleted, false, true)). Vector structs themselves are never reused —
-// only their buffers — so pointer CAS on the global published pointer can
-// never suffer ABA (a reclaimed-and-republished address), while the float
-// buffers, the actual memory mass (d×8 bytes, d up to 134,794 here), are
-// recycled just as in the paper. The Pool's accounting gauge measures live
-// buffers, which is precisely the quantity Lemma 2 bounds by 3m.
+// becomes "park the whole ParameterVector in its chain's free set", guarded
+// by the exact safe_delete condition of Algorithm 1 line 8 (stale ∧ n_rdrs =
+// 0 ∧ CAS(deleted, false, true)). A parked vector — header, theta buffer,
+// change log and version as one object — is checked out again by the next
+// publish on its chain, so a steady-state publish allocates nothing and
+// takes no lock. The Pool's accounting gauge measures live vectors, which is
+// precisely the quantity Lemma 2 bounds by 3m.
 //
-// A recycled buffer is an older version of its own chain, and the pool
-// remembers which one: SafeDelete parks a published buffer with its T. The
-// sparse publish (Shared.TryPublishSparse) uses that to refresh a checked-out
-// buffer from the head only at the components changed since, read off the
-// head's change log, instead of copying the whole chain. This makes per-chain
-// unique T load-bearing: a chain's T values must never repeat (each publish
-// is its predecessor's T + 1 under the CAS, and PublishInit starts fresh pools
-// at 0), or a buffer's version would name two different contents.
+// Reusing headers reopens ABA on the pointer CAS of the published cell P: a
+// reader that loaded P before its head was reclaimed and reused could
+// register on the reused header. Two rules close it (docs/architecture.md
+// "Recycled headers and ABA"): latest_pointer re-checks P after it registers,
+// and the reader count, the stale and deleted flags and a generation that
+// every reuse advances share one atomic word, so a registration or a
+// reclamation made against one life of a header never acts on the next.
+//
+// A recycled vector is an older version of its own chain, and remembers
+// which one: SafeDelete parks a published vector with its T. The sparse
+// publish (Shared.TryPublishSparse) uses that to refresh a checked-out
+// vector from the head only at the components changed since, read off the
+// head's change log, instead of copying the whole chain. This makes
+// per-chain unique T load-bearing: a chain's T values must never repeat
+// (each publish is its predecessor's T + 1 under the CAS, and PublishInit
+// starts fresh pools at 0), or a version would name two different contents.
 package paramvec
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"leashedsgd/internal/rng"
 	"leashedsgd/internal/tensor"
 )
 
-// Pool allocates and recycles theta buffers of a fixed dimension and keeps
-// the memory accounting for the Fig. 10 experiments: live buffer count,
+// freeSlots is how many reclaimed vectors a pool keeps parked for reuse; a
+// vector reclaimed into a full set is left to the garbage collector. A
+// chain's live vectors are bounded by Lemma 2 (the head and at most two per
+// worker), so at the m ≤ 4 of the benchmark workloads the set is rarely full;
+// a constant, not a knob.
+const freeSlots = 8
+
+// Pool allocates and recycles the vectors of one fixed dimension and keeps
+// the memory accounting for the Fig. 10 experiments: live vector count,
 // peak, and total allocations (allocations ≫ live demonstrates recycling).
+// Checkout and return are lock-free: the free set is a small array of
+// atomic slots.
 type Pool struct {
 	dim    int
-	mu     sync.Mutex
-	free   []freeBuf
+	free   [freeSlots]freeSlot
 	live   atomic.Int64
 	peak   atomic.Int64
 	allocs atomic.Int64
 	reuses atomic.Int64
+	// dead marks a retired pool: vectors returned after retirement are
+	// left to the garbage collector instead of parked in a set nothing
+	// will ever check out of again.
+	dead atomic.Bool
 	// poison, when set (tests only), overwrites reclaimed buffers with NaN
 	// so that any use-after-recycle read is detectable downstream.
 	poison bool
-	// dead marks a retired pool (guarded by mu): buffers returned after
-	// retirement are dropped for the garbage collector instead of parked on
-	// a free list nothing will ever check out of again.
-	dead bool
+}
+
+// freeSlot is one parking place of a pool's free set: the parked vector and
+// the chain version its content holds, kept beside the pointer so that
+// choosing the newest parked version reads no vector header. The version is
+// a hint for that choice only: the checked-out vector's own ver is what the
+// sparse publish trusts.
+type freeSlot struct {
+	v   atomic.Pointer[Vector]
+	ver atomic.Int64
 }
 
 // SetPoison enables test-mode poisoning of reclaimed buffers. Call before
 // any concurrent use.
 func (p *Pool) SetPoison(on bool) { p.poison = on }
 
-// NewPool returns a pool of dimension-dim buffers.
+// NewPool returns a pool of dimension-dim vectors.
 func NewPool(dim int) *Pool {
 	if dim <= 0 {
 		panic("paramvec: pool dimension must be positive")
@@ -73,34 +97,21 @@ func (p *Pool) Dim() int { return p.dim }
 // Published T values start at 0, so it never equals one.
 const unknownVer = -1
 
-// freeBuf is one parked buffer together with the chain version its content
-// equals (unknownVer when none is known) and the change-log storage that
-// travels with it (nil until the sparse publish first needs one).
-type freeBuf struct {
-	theta []float64
-	ver   int64
-	log   *changeLog
-}
-
-// getBuffer checks a buffer out: a recycled one when the free list has any,
-// a fresh allocation (at unknownVer) otherwise. Callers either overwrite
-// every element (a fused update, a copy or rand_init), so clearing would be
-// wasted work on the hot path, or — the sparse publish — rewrite only the
-// components changed since the buffer's version.
-func (p *Pool) getBuffer() freeBuf {
-	p.mu.Lock()
-	n := len(p.free)
-	var b freeBuf
-	if n > 0 {
-		b = p.free[n-1]
-		p.free[n-1] = freeBuf{}
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if b.theta == nil {
-		b = freeBuf{theta: make([]float64, p.dim), ver: unknownVer}
+// get checks a vector out: the newest parked version when the free set has
+// any, a fresh allocation (at unknownVer) otherwise. A reused vector starts
+// a new generation with no reader, no flag and T = 0, and keeps its buffer,
+// change log and version. Callers either overwrite every element (a fused
+// update, a copy or rand_init), so clearing would be wasted work on the hot
+// path, or — the sparse publish — rewrite only the components changed since
+// the vector's version.
+func (p *Pool) get() *Vector {
+	v := p.take()
+	if v == nil {
+		v = &Vector{Theta: make([]float64, p.dim), ver: unknownVer, pool: p}
 		p.allocs.Add(1)
 	} else {
+		v.renew()
+		v.T = 0
 		p.reuses.Add(1)
 	}
 	live := p.live.Add(1)
@@ -110,50 +121,96 @@ func (p *Pool) getBuffer() freeBuf {
 			break
 		}
 	}
-	return b
+	return v
 }
 
-// putBuffer returns a buffer to the free list, or drops it when the pool has
-// been retired (a late lease release against a dead epoch must not park
-// memory forever). A poisoned buffer holds no version.
-func (p *Pool) putBuffer(b freeBuf) {
+// take claims the parked vector with the highest version, or returns nil
+// when the set is empty. Lock-free: a claim lost to another taker means that
+// taker succeeded.
+func (p *Pool) take() *Vector {
+	for {
+		best, bestVer := -1, int64(0)
+		for i := range p.free {
+			if p.free[i].v.Load() != nil {
+				if ver := p.free[i].ver.Load(); best < 0 || ver > bestVer {
+					best, bestVer = i, ver
+				}
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		if v := p.free[best].v.Swap(nil); v != nil {
+			return v
+		}
+	}
+}
+
+// put returns a reclaimed vector: parked in the first empty slot, or left to
+// the garbage collector when the set is full or the pool has been retired (a
+// late lease release against a dead store must not park memory forever). A
+// poisoned buffer holds no version.
+func (p *Pool) put(v *Vector) {
 	if p.poison {
 		nan := math.NaN()
-		for i := range b.theta {
-			b.theta[i] = nan
+		for i := range v.Theta {
+			v.Theta[i] = nan
 		}
-		b.ver = unknownVer
+		v.ver = unknownVer
 	}
 	p.live.Add(-1)
-	p.mu.Lock()
-	if !p.dead {
-		p.free = append(p.free, b)
+	if p.dead.Load() {
+		return
 	}
-	p.mu.Unlock()
+	for i := range p.free {
+		s := &p.free[i]
+		if s.v.Load() != nil {
+			continue
+		}
+		s.ver.Store(v.ver)
+		if s.v.CompareAndSwap(nil, v) {
+			// Retire sets dead before it drains: either its drain or this
+			// re-check takes the vector back out.
+			if p.dead.Load() {
+				s.v.CompareAndSwap(v, nil)
+			}
+			return
+		}
+	}
 }
 
-// Retire marks the pool dead and drains its free list. Outstanding buffers
+// Retire marks the pool dead and drains its free set. Outstanding vectors
 // (e.g. protected by a still-held lease) stay valid; once returned they are
 // released to the garbage collector rather than recycled.
 func (p *Pool) Retire() {
-	p.mu.Lock()
-	p.dead = true
-	p.free = nil
-	p.mu.Unlock()
+	p.dead.Store(true)
+	for i := range p.free {
+		p.free[i].v.Store(nil)
+	}
 }
 
-// Live returns the number of buffers currently checked out — the "number of
+// Live returns the number of vectors currently checked out — the "number of
 // ParameterVector instances" gauge of the memory experiments.
 func (p *Pool) Live() int64 { return p.live.Load() }
 
 // Peak returns the high-water mark of Live.
 func (p *Pool) Peak() int64 { return p.peak.Load() }
 
-// Allocs returns how many buffers were ever heap-allocated.
+// Allocs returns how many vectors were ever heap-allocated.
 func (p *Pool) Allocs() int64 { return p.allocs.Load() }
 
-// Reuses returns how many checkouts were served from the free list.
+// Reuses returns how many checkouts were served from the free set.
 func (p *Pool) Reuses() int64 { return p.reuses.Load() }
+
+// The state word of a Vector: Algorithm 1's n_rdrs in the low 32 bits, then
+// the stale and deleted flags, then the header's generation, which every
+// reuse advances (wrapping after 2^30 reuses).
+const (
+	readerMask = 1<<32 - 1
+	staleBit   = 1 << 32
+	deletedBit = 1 << 33
+	genShift   = 34
+)
 
 // Vector is one ParameterVector instance (Algorithm 1). Theta is immutable
 // once the vector has been published via a successful CAS on the global
@@ -162,34 +219,34 @@ type Vector struct {
 	Theta []float64
 	// T is the sequence number of the most recent update folded into
 	// Theta. For published vectors, T totally orders the published
-	// history (paper P1).
+	// history (paper P1). T is written only while the vector is private:
+	// read it under a read registration, never through Peek alone — a
+	// reclaimed header is reused and rewritten.
 	T int64
 
 	// ver is the chain version Theta is known to equal, or unknownVer: set
-	// from the pool at checkout and by the sparse publish, cleared by every
+	// when the vector is parked and by the sparse publish, cleared by every
 	// other writer and by Shared.Publish. On a published vector, ver == T
 	// marks log as this vector's own change log; a dense publish leaves ver
 	// unknown, so its head carries no log.
 	ver int64
-	// log is the change-log storage that travels with the buffer; nil until
-	// the sparse publish first needs one.
-	log *changeLog
 
-	nRdrs   atomic.Int64
-	stale   atomic.Bool
-	deleted atomic.Bool
-	pool    *Pool
+	// state packs n_rdrs, stale, deleted and the generation (see
+	// readerMask): every transition of one life of the header is one
+	// atomic operation on it.
+	state atomic.Uint64
+	pool  *Pool
+
+	// log is the change log that travels with the vector through reuse.
+	log changeLog
 }
 
 // New checks a Vector out of the pool. Theta content is unspecified; call
-// RandInit or CopyFrom before use. A recycled buffer still holds the chain
+// RandInit or CopyFrom before use. A recycled vector still holds the chain
 // version it was parked with, which is what lets the sparse publish
 // (Shared.TryPublishSparse) refresh it at the changed components only; every
 // other writer overwrites it whole.
-func New(p *Pool) *Vector {
-	b := p.getBuffer()
-	return &Vector{Theta: b.theta, ver: b.ver, log: b.log, pool: p}
-}
+func New(p *Pool) *Vector { return p.get() }
 
 // RandInit fills Theta with N(0, sigma²) — Algorithm 1's rand_init.
 func (v *Vector) RandInit(r *rng.Rand, sigma float64) {
@@ -301,8 +358,8 @@ type changeLog struct {
 // src — checked out after the caller read src, from a loser parked at a
 // later head — is copied in full.
 func (v *Vector) refresh(src *Vector) {
-	b, l := v.ver, src.log
-	if l != nil && src.ver == src.T && l.cover <= b && b <= src.T {
+	b, l := v.ver, &src.log
+	if src.ver == src.T && l.cover <= b && b <= src.T {
 		for k := 0; k < l.n && l.t[k] > b; k++ {
 			j := l.idx[k]
 			v.Theta[j] = src.Theta[j]
@@ -319,11 +376,7 @@ func (v *Vector) refresh(src *Vector) {
 // change set larger than the log leaves it empty with cover = v.T, which
 // sends the next publisher to the full copy.
 func (v *Vector) logChanges(src *Vector, base int32, idx []int32) {
-	l := v.log
-	if l == nil {
-		l = new(changeLog)
-		v.log = l
-	}
+	l := &v.log
 	v.ver = v.T
 	n := len(idx)
 	if n > logCap {
@@ -334,7 +387,7 @@ func (v *Vector) logChanges(src *Vector, base int32, idx []int32) {
 		l.t[k], l.idx[k] = v.T, j-base
 	}
 	l.cover = src.T
-	if sl := src.log; sl != nil && src.ver == src.T {
+	if sl := &src.log; src.ver == src.T {
 		p := min(sl.n, logCap-n)
 		if p == sl.n {
 			l.cover = sl.cover
@@ -354,68 +407,116 @@ func (v *Vector) logChanges(src *Vector, base int32, idx []int32) {
 }
 
 // StartReading registers the caller as a reader (n_rdrs.fetch_add(1)).
-func (v *Vector) StartReading() {
-	v.nRdrs.Add(1)
-}
+func (v *Vector) StartReading() { v.state.Add(1) }
+
+// startReading registers the caller and returns the generation the
+// registration counts in.
+func (v *Vector) startReading() uint64 { return v.state.Add(1) >> genShift }
 
 // StopReading deregisters the caller and attempts safe recycling, exactly
-// Algorithm 1's stop_reading.
+// Algorithm 1's stop_reading. The caller must hold a registration that
+// Latest (or a lease) confirmed: such a registration keeps the header's
+// generation from advancing, so it is counted in the current one.
 func (v *Vector) StopReading() {
-	v.nRdrs.Add(-1)
-	v.SafeDelete()
+	if s := v.state.Add(^uint64(0)); s&(readerMask|staleBit|deletedBit) == staleBit {
+		v.reclaim(s)
+	}
+}
+
+// stopReadingGen withdraws a registration made in generation g that Latest
+// did not confirm. If the header has been reused since, the reuse already
+// discarded the registration and there is nothing to withdraw: a late
+// reader never touches the count, or reclaims, a later life.
+func (v *Vector) stopReadingGen(g uint64) {
+	for {
+		s := v.state.Load()
+		if s>>genShift != g {
+			return
+		}
+		if v.state.CompareAndSwap(s, s-1) {
+			v.reclaim(s - 1)
+			return
+		}
+	}
 }
 
 // MarkStale labels the vector as superseded (set after a successful publish
 // CAS replaces it, Algorithm 3 line 33). Once stale, latest_pointer will
 // refuse to return it and it becomes a recycling candidate.
-func (v *Vector) MarkStale() {
-	v.stale.Store(true)
-}
+func (v *Vector) MarkStale() { v.state.Or(staleBit) }
 
 // Stale reports whether the vector has been superseded.
-func (v *Vector) Stale() bool { return v.stale.Load() }
+func (v *Vector) Stale() bool { return v.state.Load()&staleBit != 0 }
 
 // Readers returns the current reader count (metadata for tests/inspection).
-func (v *Vector) Readers() int64 { return v.nRdrs.Load() }
+func (v *Vector) Readers() int64 { return int64(v.state.Load() & readerMask) }
 
-// Deleted reports whether the buffer has been reclaimed.
-func (v *Vector) Deleted() bool { return v.deleted.Load() }
+// Deleted reports whether the vector has been reclaimed.
+func (v *Vector) Deleted() bool { return v.state.Load()&deletedBit != 0 }
 
-// SafeDelete reclaims the theta buffer iff the Algorithm 1 line 8 condition
+// SafeDelete reclaims the vector iff the Algorithm 1 line 8 condition
 // holds: stale ∧ n_rdrs = 0 ∧ CAS(deleted, false, true). It returns whether
 // this call performed the reclamation.
 //
 // The condition is exactly the paper's: stale guarantees no *new* readers
-// can acquire the vector (latest_pointer re-checks staleness after
+// can acquire the vector (latest_pointer re-checks P and staleness after
 // start_reading and backs off), n_rdrs = 0 guarantees no current reader,
 // and the CAS ensures a single reclaimer. A reader that raced past the
 // pointer fetch but has not yet called StartReading is harmless: it will
-// observe stale afterwards and retry without touching Theta.
-func (v *Vector) SafeDelete() bool {
-	if v.stale.Load() && v.nRdrs.Load() == 0 && v.deleted.CompareAndSwap(false, true) {
-		v.recycle(v.T)
-		return true
+// observe the change afterwards and retry without touching Theta.
+func (v *Vector) SafeDelete() bool { return v.reclaim(v.state.Load()) }
+
+// reclaim is SafeDelete from an observed state s: while s shows a stale,
+// unread, undeleted vector, one CAS on the whole word sets deleted. The word
+// carries the generation, so an observation of one life can never reclaim
+// the next.
+func (v *Vector) reclaim(s uint64) bool {
+	for s&(readerMask|staleBit|deletedBit) == staleBit {
+		if v.state.CompareAndSwap(s, s|deletedBit) {
+			v.recycle(v.T)
+			return true
+		}
+		s = v.state.Load()
 	}
 	return false
 }
 
-// Release returns a never-published vector's buffer to the pool (the
+// Release returns a never-published vector to the pool (the
 // persistence-bound abort path, Algorithm 3 line 38: delete new_param),
 // with the version its content is known to equal. The vector must be private
 // to the caller.
 func (v *Vector) Release() {
-	if v.deleted.CompareAndSwap(false, true) {
-		v.recycle(v.ver)
+	for {
+		s := v.state.Load()
+		if s&deletedBit != 0 {
+			return
+		}
+		if v.state.CompareAndSwap(s, s|deletedBit) {
+			v.recycle(v.ver)
+			return
+		}
 	}
 }
 
-// recycle parks v's buffer and log in its pool as version ver. A published
-// vector's buffer is exactly version T: its Theta never changed after the
-// CAS, and no other vector of the chain has that T.
+// renew starts the next life of a reclaimed header taken from the free set:
+// the generation advances and the reader count and both flags clear in one
+// CAS. A count still there belongs to a reader that registered after the
+// reclamation and will find P moved; it is discarded with the old life.
+func (v *Vector) renew() {
+	for {
+		s := v.state.Load()
+		if v.state.CompareAndSwap(s, (s>>genShift+1)<<genShift) {
+			return
+		}
+	}
+}
+
+// recycle parks v in its pool as version ver. A published vector's buffer is
+// exactly version T: its Theta never changed after the CAS, and no other
+// vector of the chain has that T.
 func (v *Vector) recycle(ver int64) {
-	b := freeBuf{theta: v.Theta, ver: ver, log: v.log}
-	v.Theta, v.log = nil, nil
-	v.pool.putBuffer(b)
+	v.ver = ver
+	v.pool.put(v)
 }
 
 // Shared is the published-pointer cell P from Algorithm 3, wrapping the
@@ -440,8 +541,7 @@ func (s *Shared) TryPublish(expected, v *Vector) bool {
 	if !s.p.CompareAndSwap(expected, v) {
 		return false
 	}
-	expected.MarkStale()
-	expected.SafeDelete()
+	expected.reclaim(expected.state.Or(staleBit) | staleBit)
 	return true
 }
 
@@ -476,19 +576,36 @@ func (s *Shared) TryPublishSparse(expected, v *Vector, base int32, idx []int32, 
 }
 
 // Latest is Algorithm 3's latest_pointer(): fetch the published pointer,
-// register as reader, re-check staleness; on staleness deregister and retry.
+// register as reader, and confirm the registration — P still holds the
+// vector, and the vector is in the generation the registration counted in and
+// not stale; otherwise withdraw and retry. Re-checking P closes the ABA a
+// reused header opens: a reader that fetched P before its head was
+// reclaimed, reused privately and possibly republished registers either on
+// a header P no longer holds (withdrawn, never returned) or on the
+// republished head itself, which its confirmed registration then protects.
 // The returned vector is protected from recycling until the caller invokes
 // StopReading. The loop is lock-free: a retry implies another thread
-// published (system-wide progress).
+// published.
 func (s *Shared) Latest() *Vector {
 	for {
-		v := s.p.Load()
-		v.StartReading()
-		if !v.Stale() {
+		if v := s.p.Load(); s.register(v) {
 			return v
 		}
-		v.StopReading()
 	}
+}
+
+// register is one try of Latest on a fetched pointer v: it registers and
+// either confirms the registration (true) or withdraws it (false).
+func (s *Shared) register(v *Vector) bool {
+	g := v.startReading()
+	// P first, then the state: the generation still g after P held v means
+	// it was g throughout, so v was published in the life counted in. The
+	// masked compare is gen == g, not stale, not deleted.
+	if s.p.Load() == v && v.state.Load()&^readerMask == g<<genShift {
+		return true
+	}
+	v.stopReadingGen(g)
+	return false
 }
 
 // Peek returns the current published vector WITHOUT read protection. Only

@@ -290,12 +290,7 @@ func (rf *ReadFront) staleness(s *snap) (lag int64, age time.Duration) {
 	if st != s.store {
 		return rf.leash.MaxUpdates + 1, age
 	}
-	live := int64(0)
-	for c := 0; c < st.Chains(); c++ {
-		if v := st.ChainPeek(c); v != nil {
-			live += v.T
-		}
-	}
+	live := publishedSeqSum(st)
 	if lag = live - s.seqSum; lag < 0 {
 		lag = 0
 	}
@@ -377,12 +372,7 @@ func (rf *ReadFront) tick() {
 	if s.final {
 		return
 	}
-	live := int64(0)
-	for c := 0; c < st.Chains(); c++ {
-		if v := st.ChainPeek(c); v != nil {
-			live += v.T
-		}
-	}
+	live := publishedSeqSum(st)
 	now := rf.nanos()
 	lag := live - s.seqSum
 	if lag <= 0 {
@@ -395,6 +385,21 @@ func (rf *ReadFront) tick() {
 	if rf.leash.over(2*lag, 2*age) {
 		rf.foldLocked(st)
 	}
+}
+
+// publishedSeqSum sums the chains' published sequence numbers. Each is read
+// under a read registration: a head's T can be read safely only while it
+// cannot be reclaimed, because a reclaimed header is reused and rewritten.
+func publishedSeqSum(st ParamStore) int64 {
+	sum := int64(0)
+	for c := 0; c < st.Chains(); c++ {
+		if st.ChainPeek(c) != nil {
+			v := st.ChainLatest(c)
+			sum += v.T
+			v.StopReading()
+		}
+	}
+	return sum
 }
 
 // refreshNow pins the source and folds synchronously. Reports whether a
@@ -457,15 +462,14 @@ func (rf *ReadFront) foldLocked(st ParamStore) bool {
 	for pass := 0; pass < foldMaxPasses; pass++ {
 		dirty := 0
 		for c := 0; c < C; c++ {
-			if p := st.ChainPeek(c); p != nil && p.T == back.seqs[c] {
-				continue
-			}
 			v := st.ChainLatest(c)
-			r := st.ChainRange(c)
-			copy(back.theta[r.Lo:r.Hi], v.Theta)
-			back.seqs[c] = v.T
+			if v.T != back.seqs[c] {
+				r := st.ChainRange(c)
+				copy(back.theta[r.Lo:r.Hi], v.Theta)
+				back.seqs[c] = v.T
+				dirty++
+			}
 			v.StopReading()
-			dirty++
 		}
 		if dirty == 0 {
 			consistent = true

@@ -91,7 +91,7 @@ func (ss *ShardedShared) Chains() int { return len(ss.cells) }
 func (ss *ShardedShared) ChainRange(c int) Range { return ss.cells[c].rng }
 
 // NewChainVec checks a shard-c-sized vector out of shard c's pool. A
-// recycled buffer comes with the chain version it holds, so a sparse publish
+// recycled vector comes with the chain version it holds, so a sparse publish
 // into it refreshes only what changed since.
 func (ss *ShardedShared) NewChainVec(c int) *Vector { return New(ss.cells[c].pool) }
 
@@ -165,31 +165,32 @@ func (ss *ShardedShared) Snapshot(dst []float64, seqs []int64) []int64 {
 }
 
 // SnapshotConsistent attempts a cross-shard-consistent snapshot using
-// per-shard sequence validation (a seqlock over the shard chains): copy all
-// shards recording each shard's sequence number, then re-read every shard's
-// published sequence — if none advanced during the copy, no publish
-// interleaved and the snapshot is a true global state. It retries up to
-// attempts times and reports whether validation succeeded; on failure dst
-// still holds the last (per-shard-untorn, possibly cross-shard-skewed)
-// snapshot. Under sustained publishing validation may never pass — callers
-// on a hot path should use Snapshot and tolerate skew. One chain needs no
-// validation: its snapshot is one immutable published vector, a true global
-// state on the first attempt even while publishers run.
+// per-shard validation (a seqlock over the shard chains): lease every
+// shard's head, copy them all, and check on release that no head was
+// replaced during the copy — then no publish interleaved and the snapshot
+// is a true global state. The check compares heads while they are still
+// registered, so a recycled header cannot pass for an unchanged one. It
+// retries up to attempts times and reports whether validation succeeded;
+// on failure dst still holds the last (per-shard-untorn, possibly
+// cross-shard-skewed) snapshot. Under sustained publishing validation may
+// never pass — callers on a hot path should use Snapshot and tolerate skew.
+// One chain needs no validation: its snapshot is one immutable published
+// vector, a true global state on the first attempt even while publishers
+// run.
 func (ss *ShardedShared) SnapshotConsistent(dst []float64, attempts int) ([]int64, bool) {
 	if len(ss.cells) == 1 {
 		return ss.Snapshot(dst, nil), true
 	}
+	if len(dst) != ss.dim {
+		panic(fmt.Sprintf("paramvec: SnapshotConsistent dst has %d values, want %d", len(dst), ss.dim))
+	}
+	var l Lease
 	var seqs []int64
 	for try := 0; try < attempts; try++ {
-		seqs = ss.Snapshot(dst, seqs)
-		stable := true
-		for s := range ss.cells {
-			if ss.cells[s].shared.Peek().T != seqs[s] {
-				stable = false
-				break
-			}
-		}
-		if stable {
+		pv := l.Acquire(ss)
+		pv.Gather(0, ss.dim, dst)
+		seqs = append(seqs[:0], l.seqs...)
+		if l.Release() {
 			return seqs, true
 		}
 	}
@@ -216,10 +217,10 @@ func (ss *ShardedShared) Peak() int64 { return ss.sum((*Pool).Peak) }
 // Allocs sums heap allocations across shard pools.
 func (ss *ShardedShared) Allocs() int64 { return ss.sum((*Pool).Allocs) }
 
-// Reuses sums free-list reuses across shard pools.
+// Reuses sums free-set reuses across shard pools.
 func (ss *ShardedShared) Reuses() int64 { return ss.sum((*Pool).Reuses) }
 
-// Retire marks the store retired, drains every shard pool's free list, and
+// Retire marks the store retired, drains every shard pool's free set, and
 // marks each shard's published vector stale and offered for recycling
 // (end-of-run cleanup; the pool gauges drain to zero once the last reader
 // leaves). The retired flag is set before any head goes stale, so a

@@ -25,8 +25,8 @@ import (
 // Vector.refresh so the tests can require that the path they mean to test
 // ran; whether that path is right is what the bit comparisons decide.
 func diffRefresh(v, head *Vector) bool {
-	l := head.log
-	return l != nil && head.ver == head.T && l.cover <= v.ver && v.ver <= head.T
+	l := &head.log
+	return head.ver == head.T && l.cover <= v.ver && v.ver <= head.T
 }
 
 // refreshSide is one store of the equivalence test, the leases it holds and
@@ -35,6 +35,7 @@ type refreshSide struct {
 	name   string
 	st     ParamStore
 	leases []*Lease
+	taken  []*Vector // private vectors takeParked set aside
 	diffs  int
 	copies int
 	// retries counts attempts of a vector that lost its CAS: it was restored
@@ -116,6 +117,23 @@ func (sd *refreshSide) dense(t *testing.T, c int, delta []float64, eta float64) 
 	if !ok {
 		t.Fatalf("%s: uncontended dense publish on chain %d failed", sd.name, c)
 	}
+}
+
+// takeParked checks out every vector parked in chain c's free set and keeps
+// it private until returnTaken.
+func (sd *refreshSide) takeParked(c int) {
+	pool := sd.st.(*ShardedShared).cells[c].pool
+	for pool.parked() > 0 {
+		sd.taken = append(sd.taken, sd.st.NewChainVec(c))
+	}
+}
+
+// returnTaken releases the vectors takeParked set aside.
+func (sd *refreshSide) returnTaken() {
+	for _, v := range sd.taken {
+		v.Release()
+	}
+	sd.taken = sd.taken[:0]
 }
 
 func (sd *refreshSide) hold() {
@@ -344,7 +362,9 @@ func TestSparseRefreshMatchesFullCopy(t *testing.T) {
 
 	// Buffers several versions behind: a lease pins the head while k
 	// versions of three changes each land, and the released buffer is the
-	// next one checked out. The head's log holds whole versions of three
+	// next one checked out — the newer vectors parked meanwhile are checked
+	// out and set aside first, because the free set hands out the newest
+	// version it holds. The head's log holds whole versions of three
 	// changes, newest first, while they fit, so it reaches back to the
 	// buffer exactly when all k versions do: 3k ≤ logCap.
 	for k := 1; k <= 5; k++ {
@@ -353,10 +373,12 @@ func TestSparseRefreshMatchesFullCopy(t *testing.T) {
 			base := int32(3 * v)
 			pub(fmt.Sprintf("version %d of %d behind a lease", v+1, k), 0, []int32{base + 11, base + 12, base + 13}, 0.5)
 		}
+		p.do("set the newer parked vectors aside", func(sd *refreshSide) { sd.takeParked(0) })
 		p.do("release", func(sd *refreshSide) { sd.drop(0) })
 		what := fmt.Sprintf("buffer %d versions behind", k)
 		pub(what, 0, []int32{2, 30}, 1)
 		p.requireDiff(what, 3*k <= logCap)
+		p.do("return the set-aside vectors", (*refreshSide).returnTaken)
 	}
 
 	// Seeded random tail: mixed change-set sizes, lost CASes, drops, dense

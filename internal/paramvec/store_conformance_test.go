@@ -418,23 +418,23 @@ func TestStoreConformanceLeaseAcrossRetire(t *testing.T) {
 	}
 }
 
-// Pool.Retire drains the free list and drops later returns instead of
+// Pool.Retire drains the free set and drops later returns instead of
 // parking them.
 func TestPoolRetireDropsBuffers(t *testing.T) {
 	p := NewPool(8)
-	a := p.getBuffer()
-	b := p.getBuffer()
-	p.putBuffer(a)
-	if len(p.free) != 1 {
-		t.Fatalf("free list has %d buffers before Retire, want 1", len(p.free))
+	a := New(p)
+	b := New(p)
+	a.Release()
+	if n := p.parked(); n != 1 {
+		t.Fatalf("free set has %d vectors before Retire, want 1", n)
 	}
 	p.Retire()
-	if len(p.free) != 0 {
-		t.Fatalf("free list has %d buffers after Retire, want 0", len(p.free))
+	if n := p.parked(); n != 0 {
+		t.Fatalf("free set has %d vectors after Retire, want 0", n)
 	}
-	p.putBuffer(b)
-	if len(p.free) != 0 {
-		t.Fatalf("free list has %d buffers after post-Retire put, want 0", len(p.free))
+	b.Release()
+	if n := p.parked(); n != 0 {
+		t.Fatalf("free set has %d vectors after post-Retire put, want 0", n)
 	}
 	if got := p.Live(); got != 0 {
 		t.Fatalf("Live = %d after both buffers returned, want 0", got)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"time"
+
+	"leashedsgd/internal/jsonfloat"
 )
 
 // maxBodyBytes bounds a predict request body (an input vector as JSON; the
@@ -14,7 +16,9 @@ const maxBodyBytes = 1 << 20
 // Handler returns the server's HTTP surface:
 //
 //	POST /predict  {"x": [..input floats..]} → Prediction JSON
-//	               (429 when shedding, 504 when the queue deadline expired)
+//	               (429 when shedding, 504 when the queue deadline expired,
+//	               500 with the reason when the prediction does not encode —
+//	               a model whose parameters are not finite)
 //	GET  /stats    → Stats JSON
 //	GET  /healthz  → 200 Health JSON when healthy, 503 when degraded
 func (s *Server) Handler() http.Handler {
@@ -25,13 +29,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before it answers: a value encoding/json refuses
+// answers 500 with the reason, never status with an empty body. Every float
+// a handler sends is a jsonfloat.Float, so only a prediction — its
+// probabilities — can fail here, on a model whose parameters are not finite.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encoding the response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.Health()
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if h.Degraded {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	json.NewEncoder(w).Encode(struct {
+	writeJSON(w, status, struct {
 		Status string `json:"status"`
 		Health
 	}{Status: map[bool]string{false: "ok", true: "degraded"}[h.Degraded], Health: h})
@@ -66,20 +85,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(pred)
+	writeJSON(w, http.StatusOK, pred)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	ms := func(d time.Duration) jsonfloat.Float { return jsonfloat.Float(float64(d) / float64(time.Millisecond)) }
+	writeJSON(w, http.StatusOK, map[string]any{
 		"requests":      st.Requests,
 		"batches":       st.Batches,
-		"mean_batch":    st.MeanBatch,
-		"p50_ms":        float64(st.P50) / float64(time.Millisecond),
-		"p99_ms":        float64(st.P99) / float64(time.Millisecond),
-		"max_ms":        float64(st.MaxLatency) / float64(time.Millisecond),
+		"mean_batch":    jsonfloat.Float(st.MeanBatch),
+		"p50_ms":        ms(st.P50),
+		"p99_ms":        ms(st.P99),
+		"max_ms":        ms(st.MaxLatency),
 		"consistent":    st.Consistent,
 		"mixed":         st.Mixed,
 		"retired_epoch": st.RetiredEpoch,
@@ -88,7 +106,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 		"snapshot":              st.Snapshot,
 		"max_staleness_updates": st.MaxStalenessUpdates,
-		"max_staleness_ms":      float64(st.MaxStalenessAge) / float64(time.Millisecond),
+		"max_staleness_ms":      ms(st.MaxStalenessAge),
 
 		"shed":    st.Shed,
 		"expired": st.Expired,

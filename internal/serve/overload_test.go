@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"leashedsgd/internal/faultinject"
+	"leashedsgd/internal/paramvec"
+	"leashedsgd/internal/sgd"
 )
 
 func jsonBody(t *testing.T, x []float64) io.Reader {
@@ -179,48 +181,70 @@ func TestHealthzDegradedFlip(t *testing.T) {
 	}
 }
 
+// gatedSource holds the dispatcher inside a batch until the test closes
+// gate: it reports each parameter read on entered, then waits for gate.
+type gatedSource struct {
+	StaticSource
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g gatedSource) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) sgd.ReadMeta {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.StaticSource.ReadParams(l, scratch, fn)
+}
+
 // TestOverloadedHTTPStatus maps ErrOverloaded through the HTTP handler: a
-// full queue answers 429 with a Retry-After hint.
+// full queue answers 429 with a Retry-After hint. The dispatcher is held in
+// its first batch by a channel, not a timer: the second predict fills the
+// one-slot queue behind it, and the queue stays full until the test has its
+// 429 and opens the gate.
 func TestOverloadedHTTPStatus(t *testing.T) {
-	s, predict, x := slowServer(t, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1}, 50*time.Millisecond)
+	net, src := staticFixture(t)
+	gs := gatedSource{StaticSource: src, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	s, err := New(net, gs, Config{MaxBatch: 1, MaxDelay: -1, Queue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	open := sync.OnceFunc(func() { close(gs.gate) })
+	defer open()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	x := make([]float64, net.InDim())
 
-	// Fill the dispatcher (one in flight) and the queue (one waiting).
+	// One predict held by the dispatcher, then one waiting in the queue.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	predict := func() {
 		wg.Add(1)
-		go func() { defer wg.Done(); predict(x) }()
+		go func() { defer wg.Done(); s.Predict(x) }()
 	}
-	// Wait until both slots are taken (the queue holds one request only once
-	// the dispatcher is stalled on the other): an HTTP predict that gets in
-	// ahead of the two goroutines would be served, and every later try
-	// would find the server idle again.
+	predict()
+	<-gs.entered
+	predict()
 	for deadline := time.Now().Add(5 * time.Second); len(s.reqs) < cap(s.reqs); {
 		if time.Now().After(deadline) {
-			t.Fatal("the two background predicts never filled the dispatcher and the queue")
+			t.Fatal("the second predict never reached the queue behind the held dispatcher")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Now a direct HTTP predict must shed (retries cover the moment between
-	// the dispatcher finishing one request and taking the queued one).
-	got429 := false
-	for try := 0; try < 20 && !got429; try++ {
-		resp, err := http.Post(srv.URL+"/predict", "application/json",
-			jsonBody(t, x))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got429 = resp.StatusCode == http.StatusTooManyRequests
-		if got429 && resp.Header.Get("Retry-After") == "" {
-			t.Fatal("429 without Retry-After")
-		}
-		resp.Body.Close()
+	resp, err := http.Post(srv.URL+"/predict", "application/json", jsonBody(t, x))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("predict on a full queue = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	open()
 	wg.Wait()
-	if !got429 {
-		t.Fatal("never observed a 429 from a saturated server")
-	}
 }
 
 // overloadBurst offers n requests from 16 closed-loop clients to a queue of 8

@@ -9,35 +9,59 @@ import (
 // the run's store for the whole run: nothing swaps it, so workers, the
 // monitor and outside readers reach it without a lock.
 type shardEpoch struct {
-	store                       paramvec.ParamStore
-	failed, dropped, pub, stale []paddedCounter
+	store paramvec.ParamStore
+	// offs are the chain boundaries: chain c is [offs[c], offs[c+1]).
+	offs            []int
+	failed, dropped []paddedCounter
 	// rstale counts, per chain, the leased reads during which that chain's
 	// head advanced (the per-chain decomposition of a mixed-version read).
 	rstale []paddedCounter
-	// touched counts, per chain, the parameter components written by
-	// successful publishes — the chain's full length per dense publish,
-	// only the hit components per sparse scatter-publish. The occupancy
-	// signal (touched per publish per chain length) is reported next to
-	// the contention counters.
-	touched []paddedCounter
+	// tallies holds each worker slot's per-chain publish counts, written
+	// only by that slot's worker and summed in fill once the workers have
+	// exited: plain counts, no shared write on the publish path.
+	tallies []chainTally
+}
+
+// chainTally is one worker slot's per-chain publish counts: successful
+// publishes, the components they wrote (the chain's full length per dense
+// publish, only the hit components per sparse scatter-publish — the
+// occupancy signal reported next to the contention counters) and the summed
+// staleness τ of those publishes.
+type chainTally struct {
+	pub, touched, stale []int64
 }
 
 // newShardEpoch builds the chain store for the given chain count
 // (paramvec.NewStore), publishes theta into it, and allocates fresh
-// per-chain counters.
-func newShardEpoch(dim, chains int, theta []float64) *shardEpoch {
+// per-chain counters for workers worker slots.
+func newShardEpoch(dim, chains, workers int, theta []float64) *shardEpoch {
 	st := paramvec.NewStore(dim, chains)
 	st.PublishInit(theta)
 	n := st.Chains()
-	return &shardEpoch{
+	e := &shardEpoch{
 		store:   st,
+		offs:    make([]int, n+1),
 		failed:  newCounters(n),
 		dropped: newCounters(n),
-		pub:     newCounters(n),
-		stale:   newCounters(n),
 		rstale:  newCounters(n),
-		touched: newCounters(n),
+		tallies: make([]chainTally, workers),
 	}
+	for c := 0; c < n; c++ {
+		e.offs[c+1] = st.ChainRange(c).Hi
+	}
+	for i := range e.tallies {
+		e.tallies[i] = chainTally{pub: make([]int64, n), touched: make([]int64, n), stale: make([]int64, n)}
+	}
+	return e
+}
+
+// sums returns chain c's publish counts summed over the worker slots.
+func (e *shardEpoch) sums(c int) (pub, touched, stale int64) {
+	for i := range e.tallies {
+		t := &e.tallies[i]
+		pub, touched, stale = pub+t.pub[c], touched+t.touched[c], stale+t.stale[c]
+	}
+	return pub, touched, stale
 }
 
 // liveEq is the live chain-buffer gauge in full-vector equivalents.
@@ -65,8 +89,8 @@ func (e *shardEpoch) fill(res *Result) {
 	}
 	res.FailedCAS, res.DroppedUpdates, res.Publishes, res.TouchedComponents = 0, 0, 0, 0
 	for s := 0; s < S; s++ {
-		failed, dropped, pub := e.failed[s].n.Load(), e.dropped[s].n.Load(), e.pub[s].n.Load()
-		touched := e.touched[s].n.Load()
+		failed, dropped := e.failed[s].n.Load(), e.dropped[s].n.Load()
+		pub, touched, stale := e.sums(s)
 		if S > 1 {
 			res.ShardFailedCAS[s] = failed
 			res.ShardDropped[s] = dropped
@@ -74,7 +98,7 @@ func (e *shardEpoch) fill(res *Result) {
 			res.ShardStaleReads[s] = e.rstale[s].n.Load()
 			res.ShardTouched[s] = touched
 			if pub > 0 {
-				res.ShardStalenessMean[s] = float64(e.stale[s].n.Load()) / float64(pub)
+				res.ShardStalenessMean[s] = float64(stale) / float64(pub)
 			}
 		}
 		res.FailedCAS += failed

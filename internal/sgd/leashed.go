@@ -12,30 +12,32 @@ import (
 // built once at start (shardEpoch, epoch.go) and serves the whole run, so
 // an iteration takes no lock around it.
 //
-// Per iteration a worker:
+// Per iteration a worker, having sampled its minibatch:
 //
-//  1. leases every chain's latest published vector with the lock-free
-//     latest_pointer protocol (paramvec.Lease) and computes its gradient
-//     DIRECTLY against the published segments through the stitched read-only
-//     view — zero-copy reads (paper P3) on every store, including the
-//     sharded one, which PR 1 had traded for a copy-per-read;
-//  2. releases the lease, which validates the per-chain sequence numbers (a
-//     seqlock over the chains) and classifies the read as provably
+//  1. leases the latest published vector of every chain the step can write
+//     — only those a sparse minibatch's examples index, every chain for a
+//     dense step — with the lock-free latest_pointer protocol
+//     (paramvec.Lease) and computes its gradient DIRECTLY against the
+//     published segments through the stitched read-only view — zero-copy
+//     reads (paper P3) on every store, including the sharded one;
+//  2. checks the lease, which validates the leased chains' sequence numbers
+//     (a seqlock over the chains) and classifies the read as provably
 //     consistent or possibly mixed-version (Result.ConsistentReads /
-//     MixedReads — the staleness/consistency measurement PR 1 introduced,
-//     now without the copy);
-//  3. enters the LAU-SPC loop per chain, traversing chains in a rotated
-//     order (start chain = worker id mod C) so concurrent workers spread
-//     over the chains instead of marching through them in lockstep: check
-//     out a fresh chain vector, build the (possibly newer) latest published
-//     segment minus η·gradient into it in one fused pass, and try to publish
-//     with a single CAS (paper P1, P5) — a dense pass that sees its head
-//     replaced stops early and skips the CAS it could only lose;
-//  4. on a lost attempt, retries up to the persistence bound Tp
-//     (Config.Persistence), after which that chain's gradient segment is
-//     dropped and the vector recycled (contention regulation, Sec. IV-2);
-//     replaced vectors are marked stale and recycled once the last reader
-//     leaves (paper P2, P4).
+//     MixedReads), and keeps the registrations;
+//  3. enters the LAU-SPC loop per chain the step writes, traversing them in
+//     a rotated order (from the first chain ≥ worker id mod C) so concurrent
+//     workers spread over the chains instead of marching through them in
+//     lockstep: check out a chain vector, build the latest published
+//     segment minus η·gradient into it, and try to publish with a single
+//     CAS (paper P1, P5). The first attempt builds on the leased vector
+//     itself when it is still the head — the paper's own read, with no
+//     second registration — and the chain's registration ends with its
+//     publish loop, so the replaced head can be recycled at once;
+//  4. on a lost attempt, retries from the new head up to the persistence
+//     bound Tp (Config.Persistence), after which that chain's gradient
+//     segment is dropped and the vector recycled (contention regulation,
+//     Sec. IV-2); replaced vectors are marked stale and recycled once the
+//     last reader leaves (paper P2, P4).
 //
 // The global update counter advances once per iteration that published at
 // least one chain; an iteration that published nothing refunds its budget
@@ -51,29 +53,37 @@ type leashedStrategy struct {
 // newLeashedStrategy publishes θ0 into the run's store and hands the init
 // vector's buffer back to the pool.
 func (rt *runCtx) newLeashedStrategy(initVec *paramvec.Vector) *leashedStrategy {
-	rt.epoch = newShardEpoch(rt.d, rt.numShards(), initVec.Theta)
+	rt.epoch = newShardEpoch(rt.d, rt.numShards(), rt.cfg.Workers, initVec.Theta)
 	initVec.Release()
 	return &leashedStrategy{rt: rt, e: rt.epoch}
 }
 
 func (st *leashedStrategy) setup(w *loopWorker) {
 	w.velocity = st.rt.maybeVelocity()
+	w.support = newChainSet(st.e.offs)
+	w.wins = make([]chainWin, 0, st.e.store.Chains())
 }
 
 func (st *leashedStrategy) begin(w *loopWorker) bool { return st.rt.defaultBegin() }
 
-// read leases the chains' latest vectors — the zero-copy gradient view.
+// read leases the chains the sampled step can write — the zero-copy
+// gradient view.
 func (st *leashedStrategy) read(w *loopWorker) paramvec.View {
-	pv := w.lease.Acquire(st.e.store)
+	var pv paramvec.View
+	if w.gw.support(&w.support) {
+		pv = w.lease.AcquireChains(st.e.store, w.support.take())
+	} else {
+		pv = w.lease.Acquire(st.e.store)
+	}
 	w.leaseHeld = true
 	return pv
 }
 
-// endRead releases the lease and tallies the consistency classification —
+// endRead checks the lease and tallies the consistency classification —
 // per-worker counts plus the per-chain stale-read breakdown for mixed reads.
+// The registrations stay for commit.
 func (st *leashedStrategy) endRead(w *loopWorker) {
-	w.leaseHeld = false
-	if w.lease.Release() {
+	if w.lease.Check() {
 		w.tally.consistent.Add(1)
 		return
 	}
@@ -83,85 +93,51 @@ func (st *leashedStrategy) endRead(w *loopWorker) {
 	}
 }
 
+// dropLease ends whatever registrations the worker's lease still holds.
+func (st *leashedStrategy) dropLease(w *loopWorker) {
+	if w.leaseHeld {
+		w.leaseHeld = false
+		w.lease.Drop()
+	}
+}
+
 // commit runs the per-chain LAU-SPC publish loops under one reserved unit of
-// the update budget. The loop is representation-generic: chains the step has
-// no mass in are skipped outright (the scatter-publish win — a sparse step
-// touches ~min(S, B·NNZ) of the S chains, and untouched chains see no CAS,
-// no copy and no pool traffic), and each attempt folds the step through
-// step.publishChain (one fused whole-segment pass for dense, base-shifted
-// sparse scatter for CSR). A false from publishChain is a lost attempt —
-// a failed CAS or a dense pass abandoned because its head was replaced —
-// and the accounting below does not tell them apart.
+// the update budget. The loop is representation-generic: step.windows lists
+// the chains the step writes, each with its window of the step's entries, in
+// one pass — every chain for a dense step, only the hit chains for a sparse
+// one (the scatter-publish win: a sparse step touches ~min(S, B·NNZ) of the
+// S chains, and untouched chains see no CAS, no copy and no pool traffic).
 func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
-	rt := st.rt
-	e := st.e
-	store := e.store
-	C := store.Chains()
-	bound := rt.cfg.Persistence
+	rt, e := st.rt, st.e
 
 	// Claim a budget unit before anything becomes visible; when the budget
 	// is fully claimed the gradient is discarded and the loop gate
 	// re-checks the stop conditions (resuming only if a claim is refunded).
 	if !rt.reserveUpdate() {
+		st.dropLease(w)
 		return false
 	}
 	w.reserved = true
 
+	wins := s.windows(e.offs, w.wins[:0])
+	w.wins = wins
+	first := w.id % e.store.Chains()
+	start := 0
+	for start < len(wins) && wins[start].c < first {
+		start++
+	}
+	tally := &e.tallies[w.id]
 	publishedAny := false
-	for k := 0; k < C; k++ {
-		c := (w.id + k) % C
-		r := store.ChainRange(c)
-		a, b := s.window(r.Lo, r.Hi)
-		if a == b {
-			continue
+	for k := range wins {
+		i := start + k
+		if i >= len(wins) {
+			i -= len(wins)
 		}
-		readT := w.lease.Seq(c)
-		newSeg := store.NewChainVec(c)
-		tries := 0
-		for {
-			if inj := rt.inj; inj != nil {
-				// Injected publish failure: burns a persistence-bound try
-				// exactly like a lost CAS, so bursts drive the drop/recycle
-				// path without touching the store.
-				if f := inj.Decide(faultinject.Publish); f.Kind == faultinject.KindFail {
-					e.failed[c].n.Add(1)
-					tries++
-					if bound >= 0 && tries > bound {
-						newSeg.Release()
-						e.dropped[c].n.Add(1)
-						break
-					}
-					continue
-				}
-			}
-			cur := store.ChainLatest(c)
-			// Staleness estimate at apply time: publishes between the
-			// gradient's source vector and the head we fold onto, in this
-			// chain's own sequence numbers.
-			tau := cur.T - readT
-			ok := s.publishChain(store, c, a, b, cur, newSeg, rt.adaptedEta(tau))
-			cur.StopReading()
-			if ok {
-				publishedAny = true
-				e.pub[c].n.Add(1)
-				e.touched[c].n.Add(int64(b - a))
-				w.hist.Observe(tau)
-				e.stale[c].n.Add(tau)
-				break
-			}
-			e.failed[c].n.Add(1)
-			tries++
-			if bound >= 0 && tries > bound {
-				newSeg.Release()
-				e.dropped[c].n.Add(1)
-				break
-			}
-			if rt.stop.Load() {
-				newSeg.Release()
-				break
-			}
+		if st.publish(w, s, wins[i], tally) {
+			publishedAny = true
 		}
 	}
+	st.dropLease(w)
 	if publishedAny {
 		rt.applyUpdate()
 	} else {
@@ -169,6 +145,83 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	}
 	w.reserved = false
 	return true
+}
+
+// publish runs chain win.c's LAU-SPC loop and reports whether the chain
+// published. Each attempt folds the step's window through step.publishChain
+// (one fused whole-segment pass for dense, base-shifted sparse scatter for
+// CSR). A false from publishChain is a lost attempt — a failed CAS or a
+// dense pass abandoned because its head was replaced — and the accounting
+// below does not tell them apart.
+func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *chainTally) bool {
+	rt, e := st.rt, st.e
+	store, c := e.store, win.c
+	bound := rt.cfg.Persistence
+	readT := w.lease.Seq(c)
+	// The leased head, registered since the read: the first attempt's
+	// expected vector while it is still the head. A registered vector
+	// cannot be recycled, so comparing it with P is exact. One already
+	// replaced is dropped before the checkout, so that — just read by the
+	// gradient, and likely still in this core's cache — it can come back
+	// as the new vector.
+	cur := w.lease.Take(c)
+	if cur != nil && store.ChainPeek(c) != cur {
+		cur.StopReading()
+		cur = nil
+	}
+	nv := store.NewChainVec(c)
+	for tries := 0; ; {
+		if inj := rt.inj; inj != nil {
+			// Injected publish failure: burns a persistence-bound try
+			// exactly like a lost CAS, so bursts drive the drop/recycle
+			// path without touching the store.
+			if f := inj.Decide(faultinject.Publish); f.Kind == faultinject.KindFail {
+				e.failed[c].n.Add(1)
+				tries++
+				if bound >= 0 && tries > bound {
+					nv.Release()
+					e.dropped[c].n.Add(1)
+					break
+				}
+				continue
+			}
+		}
+		if cur == nil || store.ChainPeek(c) != cur {
+			if cur != nil {
+				cur.StopReading()
+			}
+			cur = store.ChainLatest(c)
+		}
+		// Staleness estimate at apply time: publishes between the
+		// gradient's source vector and the head we fold onto, in this
+		// chain's own sequence numbers.
+		tau := cur.T - readT
+		ok := s.publishChain(store, c, win.a, win.b, cur, nv, rt.adaptedEta(tau))
+		cur.StopReading()
+		cur = nil
+		if ok {
+			tally.pub[c]++
+			tally.touched[c] += int64(win.b - win.a)
+			tally.stale[c] += tau
+			w.hist.Observe(tau)
+			return true
+		}
+		e.failed[c].n.Add(1)
+		tries++
+		if bound >= 0 && tries > bound {
+			nv.Release()
+			e.dropped[c].n.Add(1)
+			break
+		}
+		if rt.stop.Load() {
+			nv.Release()
+			break
+		}
+	}
+	if cur != nil {
+		cur.StopReading()
+	}
+	return false
 }
 
 // pinStore returns the run's store for an outside reader — a ReadFront
@@ -196,10 +249,7 @@ func (st *leashedStrategy) snapshotConsistent(dst []float64) {
 // recoverIter rolls back a panicked iteration: the lease is released first,
 // then the budget reservation is refunded.
 func (st *leashedStrategy) recoverIter(w *loopWorker) {
-	if w.leaseHeld {
-		w.leaseHeld = false
-		w.lease.Release()
-	}
+	st.dropLease(w)
 	if w.reserved {
 		w.reserved = false
 		st.rt.refundUpdate()

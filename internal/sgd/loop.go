@@ -30,11 +30,13 @@ type strategy interface {
 	// begin gates the next iteration and returns false to end the worker's
 	// loop.
 	begin(w *loopWorker) bool
-	// read produces the parameter view the gradient is computed against
-	// and records the read-sequence baseline for staleness.
+	// read produces the parameter view the gradient is computed against,
+	// after the minibatch is sampled, and records the read-sequence
+	// baseline for staleness.
 	read(w *loopWorker) paramvec.View
-	// endRead releases whatever read acquired (lease validation for the
-	// zero-copy protocols; no-op for copy reads).
+	// endRead ends the read once the gradient is computed (lease validation
+	// for the zero-copy protocols, whose registrations commit then hands
+	// over chain by chain; no-op for copy reads).
 	endRead(w *loopWorker)
 	// commit runs the publish protocol for the computed step, including
 	// budget reservation/refund and staleness observation. The step is
@@ -84,16 +86,20 @@ type loopWorker struct {
 	// Copy-read protocols: the global update sequence at read time.
 	readSeq int64
 
-	// Leased zero-copy reads (Leashed-SGD).
-	lease paramvec.Lease
-	tally *readTally // this worker's consistency tally slot
+	// Leased zero-copy reads (Leashed-SGD): the lease, the chains the
+	// sampled step reads, the chain windows of the computed step, and this
+	// worker's consistency tally slot.
+	lease   paramvec.Lease
+	support chainSet
+	wins    []chainWin
+	tally   *readTally
 
 	// Crash-isolation bookkeeping: which iteration-scoped resources the
 	// worker currently holds. Maintained by the strategy hooks on the
 	// worker's own goroutine (plain fields, no atomics needed) so
 	// recoverIter can release exactly what a panic left behind without
 	// deadlocking the run.
-	leaseHeld bool // leashed: chain lease between read and endRead
+	leaseHeld bool // leashed: chain lease from read to the end of commit
 	lockHeld  bool // async: strategy mutex inside read/commit critical sections
 	reserved  bool // a budget reservation not yet applied or refunded
 }
@@ -189,11 +195,12 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 	}
 }
 
-// workerLoop is THE training loop: gate, read, gradient, release, commit.
-// The gradient phase is delegated to the problem's gradWorker — sample picks
-// the minibatch untimed, compute produces the representation-generic step
-// and is what the Tc sampler measures — so one loop body serves dense
-// backprop and sparse logistic regression alike.
+// workerLoop is THE training loop: gate, sample, read, gradient, release,
+// commit. The gradient phase is delegated to the problem's gradWorker —
+// sample picks the minibatch untimed, before the read, so a sparse read can
+// lease only the chains the minibatch indexes; compute produces the
+// representation-generic step and is what the Tc sampler measures — so one
+// loop body serves dense backprop and sparse logistic regression alike.
 //
 // A panic anywhere in the loop is caught here and reported to the
 // supervisor; the recovery defer is registered FIRST so during the unwind it
@@ -217,8 +224,8 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 	}()
 	sample := rt.cfg.SampleTiming
 	for st.begin(w) {
-		pv := st.read(w)
 		w.gw.sample()
+		pv := st.read(w)
 		if inj := rt.inj; inj != nil {
 			// Mid-iteration fault point: every iteration-scoped resource
 			// (the Leashed lease) is held here, so an injected panic

@@ -17,8 +17,8 @@ package sgd
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"leashedsgd/internal/atomicx"
 	"leashedsgd/internal/data"
@@ -39,14 +39,14 @@ type step interface {
 	// vector the caller has exclusive or lock-protected access to — the
 	// SEQ/ASYNC update.
 	applyVector(v *paramvec.Vector, eta float64)
-	// window locates the step's entries inside the component range
-	// [lo, hi) as the window [a, b) of its own storage: the range itself for
-	// a dense step, the index-slice window for a sparse one. b − a is how
-	// many components the step writes there (the touched-component
-	// accounting), and a == b skips the range — the chain-skip predicate of
-	// the Leashed scatter-publish loop. Callers compute it once per range
-	// and pass it on.
-	window(lo, hi int) (a, b int)
+	// windows appends to dst, in chain order, every chain the step writes
+	// with the window [a, b) of its own storage that falls there, the chains
+	// being [offs[c], offs[c+1]): every chain's whole range for a dense
+	// step, one walk over the sorted indices for a sparse one, which skips
+	// the chains it has no entry in — the chain-skip of the Leashed
+	// scatter-publish loop. b − a is how many components the step writes on
+	// the chain (the touched-component accounting).
+	windows(offs []int, dst []chainWin) []chainWin
 	// atomicApply applies the whole step to the HOGWILD! bit-pattern array
 	// with per-component atomic adds.
 	atomicApply(shared []uint64, eta float64)
@@ -58,15 +58,64 @@ type step interface {
 	publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool
 }
 
+// chainWin is one chain a step writes and the window [a, b) of the step's
+// own entries that falls on it.
+type chainWin struct{ c, a, b int }
+
+// chainSet collects the chains a sampled minibatch can write, for a lease of
+// exactly those chains: each example's sorted index set marks the chains it
+// falls in (one walk over the indices and the chain boundaries), and take
+// lists the marked chains in ascending order and clears the marks.
+type chainSet struct {
+	offs []int    // chain c is [offs[c], offs[c+1])
+	mark []uint64 // one bit per chain
+	list []int
+}
+
+func newChainSet(offs []int) chainSet {
+	C := len(offs) - 1
+	return chainSet{offs: offs, mark: make([]uint64, (C+63)/64), list: make([]int, 0, C)}
+}
+
+// add marks the chains of one sorted index set.
+func (cs *chainSet) add(idx []int32) {
+	c := 0
+	for _, j := range idx {
+		for int(j) >= cs.offs[c+1] {
+			c++
+		}
+		cs.mark[c>>6] |= 1 << (c & 63)
+	}
+}
+
+// take returns the marked chains in ascending order, valid until the next
+// take, and clears the marks.
+func (cs *chainSet) take() []int {
+	cs.list = cs.list[:0]
+	for w, m := range cs.mark {
+		for m != 0 {
+			cs.list = append(cs.list, w<<6+bits.TrailingZeros64(m))
+			m &= m - 1
+		}
+		cs.mark[w] = 0
+	}
+	return cs.list
+}
+
 // denseStep is the dense gradient representation: a full-dimension slice
 // (the worker's gradient accumulator or its momentum velocity).
 type denseStep []float64
 
 func (s denseStep) applyVector(v *paramvec.Vector, eta float64) { v.Update(s, eta) }
 
-// window of a dense step is the whole range: a dense publish writes every
-// component (zero entries included — they still cost the copy).
-func (s denseStep) window(lo, hi int) (a, b int) { return lo, hi }
+// windows of a dense step are the chains' whole ranges: a dense publish
+// writes every component (zero entries included — they still cost the copy).
+func (s denseStep) windows(offs []int, dst []chainWin) []chainWin {
+	for c := 0; c+1 < len(offs); c++ {
+		dst = append(dst, chainWin{c, offs[c], offs[c+1]})
+	}
+	return dst
+}
 
 func (s denseStep) atomicApply(shared []uint64, eta float64) {
 	for i, g := range s {
@@ -86,20 +135,29 @@ func (s denseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv 
 }
 
 // sparseStep is the CSR gradient representation: strictly increasing
-// store-absolute indices with their values. Range restriction is a binary
-// search for the window boundaries — no per-component scan, no allocation.
+// store-absolute indices with their values.
 type sparseStep struct {
 	idx []int32
 	val []float64
 }
 
-// window returns the index-slice window [a, b) of the step's entries falling
-// inside the component range [lo, hi): two binary searches, which the
-// callers run once per chain.
-func (s sparseStep) window(lo, hi int) (a, b int) {
-	a = sort.Search(len(s.idx), func(k int) bool { return int(s.idx[k]) >= lo })
-	b = a + sort.Search(len(s.idx)-a, func(k int) bool { return int(s.idx[a+k]) >= hi })
-	return a, b
+// windows walks the sorted indices once beside the chain boundaries and
+// emits one window per chain the step has entries in — no search, no
+// allocation once dst has the chain count's capacity.
+func (s sparseStep) windows(offs []int, dst []chainWin) []chainWin {
+	c := 0
+	for a := 0; a < len(s.idx); {
+		for int(s.idx[a]) >= offs[c+1] {
+			c++
+		}
+		b, hi := a+1, offs[c+1]
+		for b < len(s.idx) && int(s.idx[b]) < hi {
+			b++
+		}
+		dst = append(dst, chainWin{c, a, b})
+		a = b
+	}
+	return dst
 }
 
 func (s sparseStep) applyVector(v *paramvec.Vector, eta float64) {
@@ -127,6 +185,11 @@ func (s sparseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv
 // worker resumes, so the aliasing is safe by the loop's structure.
 type gradWorker interface {
 	sample()
+	// support marks in cs the chains the sampled minibatch's step can
+	// write — the chains its examples index — and reports true; a dense
+	// step writes every chain, so it marks nothing and reports false. The
+	// Leashed read leases exactly these chains.
+	support(cs *chainSet) bool
 	compute(pv paramvec.View, velocity []float64) step
 	close()
 }
@@ -206,23 +269,28 @@ type denseGradWorker struct {
 	grad    *paramvec.Vector
 	sampler *data.Sampler
 	batch   data.Batch
+	step    denseStep // the returned step, held here so returning it boxes nothing
 }
 
 // sample only draws the batch: BatchLossGrad overwrites the accumulator, so
 // there is no 1 MB zeroing pass (and no cache it evicts) per iteration.
 func (g *denseGradWorker) sample() { g.batch = g.sampler.Next() }
 
+func (g *denseGradWorker) support(*chainSet) bool { return false }
+
 func (g *denseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 	g.p.net.BatchLossGrad(pv, g.grad.Theta, g.p.ds, g.batch, g.ws)
 	if velocity == nil {
-		return denseStep(g.grad.Theta)
+		g.step = denseStep(g.grad.Theta)
+		return &g.step
 	}
 	// Heavy-ball fold: v ← µv + ∇f; the step is taken along the velocity.
 	mu := g.rt.cfg.Momentum
 	for i, gr := range g.grad.Theta {
 		velocity[i] = mu*velocity[i] + gr
 	}
-	return denseStep(velocity)
+	g.step = denseStep(velocity)
+	return &g.step
 }
 
 func (g *denseGradWorker) close() { g.grad.Release() }
@@ -270,6 +338,10 @@ func (p *sparseProblem) newGradWorker(rt *runCtx, id int) gradWorker {
 		p:       p,
 		sampler: data.NewSampler(p.dataLen(), rt.cfg.BatchSize, rt.cfg.Seed, id),
 		gath:    make([]float64, p.maxNNZ),
+		iota:    make([]int32, p.maxNNZ),
+	}
+	for k := range g.iota {
+		g.iota[k] = int32(k)
 	}
 	bufCap := rt.cfg.BatchSize * p.maxNNZ
 	g.outIdx = make([]int32, 0, bufCap)
@@ -329,11 +401,15 @@ type sparseGradWorker struct {
 	sampler *data.Sampler
 	batch   data.Batch
 	gath    []float64 // per-example gathered weights (segmented views)
+	iota    []int32   // 0, 1, …: the gathered weights' own indices
 	scratch []float64 // batch accumulator; zero outside the touched set
 	touched []int32
 	outIdx  []int32
 	outVal  []float64
 	dense   []float64 // asDense control arm accumulator
+	// The returned step, held here so returning it boxes nothing.
+	step  sparseStep
+	dstep denseStep
 }
 
 func (g *sparseGradWorker) sample() {
@@ -345,16 +421,30 @@ func (g *sparseGradWorker) sample() {
 
 // residual computes (σ(w·x) − y) for one example against the leased view:
 // a flat view feeds the SpDot gather kernel directly; a segmented one
-// gathers the hit components through the view's sparse cursor first.
+// gathers the hit components through the view's sparse cursor first and
+// runs the same kernel over them at identity indices, so the dot sums the
+// same products in the same order and every S gives the same bits.
 func (g *sparseGradWorker) residual(pv paramvec.View, ex sparse.Example) float64 {
 	var dot float64
 	if flat := pv.Flat(); flat != nil {
 		dot = tensor.SpDot(ex.Idx, ex.Val, flat)
 	} else {
 		w := pv.GatherSparse(ex.Idx, g.gath)
-		dot = tensor.Dot(w, ex.Val)
+		dot = tensor.SpDot(g.iota[:len(w)], ex.Val, w)
 	}
 	return 1/(1+math.Exp(-dot)) - float64(ex.Label)
+}
+
+// support marks the chains of every example in the batch; the dense control
+// arm writes every chain.
+func (g *sparseGradWorker) support(cs *chainSet) bool {
+	if g.dense != nil {
+		return false
+	}
+	for _, i := range g.batch.Indices {
+		cs.add(g.p.ds.Examples[i].Idx)
+	}
+	return true
 }
 
 func (g *sparseGradWorker) compute(pv paramvec.View, velocity []float64) step {
@@ -368,7 +458,8 @@ func (g *sparseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 				g.dense[j] += res * ex.Val[k]
 			}
 		}
-		return denseStep(g.dense)
+		g.dstep = denseStep(g.dense)
+		return &g.dstep
 	}
 	if B == 1 {
 		// Fast path: one example's gradient IS a sorted CSR row — scale
@@ -379,7 +470,8 @@ func (g *sparseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 		for k, v := range ex.Val {
 			out[k] = res * v
 		}
-		return sparseStep{idx: ex.Idx, val: out}
+		g.step = sparseStep{idx: ex.Idx, val: out}
+		return &g.step
 	}
 	g.touched = g.touched[:0]
 	for _, i := range g.batch.Indices {
@@ -405,7 +497,8 @@ func (g *sparseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 		g.scratch[j] = 0
 	}
 	g.outIdx, g.outVal = outIdx, outVal
-	return sparseStep{idx: outIdx, val: outVal}
+	g.step = sparseStep{idx: outIdx, val: outVal}
+	return &g.step
 }
 
 func (g *sparseGradWorker) close() {}

@@ -1,6 +1,7 @@
 package sgd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,21 +73,87 @@ func TestDensePublishAbandonsWithoutCAS(t *testing.T) {
 		t.Fatalf("head after retry: T=%d θ[0]=%v, want the retried vector at T=2, θ=−0.5", head.T, head.Theta[0])
 	}
 
-	const runs = 10
-	fresh := make([]*paramvec.Vector, runs+1) // AllocsPerRun adds a warm-up call
-	for i := range fresh {
-		fresh[i] = st.NewChainVec(0)
-	}
-	i := 0
-	if a := testing.AllocsPerRun(runs, func() {
+	// Warm: the checkout is inside the measured function, so a publish
+	// that recycles its replaced head and hands it out again allocates
+	// nothing — not the header, not the buffer.
+	if a := testing.AllocsPerRun(10, func() {
+		nv := st.NewChainVec(0)
 		cur := st.ChainLatest(0)
-		if !s.publishChain(st, 0, r.Lo, r.Hi, cur, fresh[i], 0.5) {
+		if !s.publishChain(st, 0, r.Lo, r.Hi, cur, nv, 0.5) {
 			t.Error("uncontended publish failed")
 		}
 		cur.StopReading()
-		i++
 	}); a != 0 {
-		t.Fatalf("warm dense publishChain allocates %v per attempt, want 0", a)
+		t.Fatalf("warm dense checkout + publishChain allocates %v per attempt, want 0", a)
+	}
+}
+
+// TestSparseCommitLeasesSupportWithoutAllocating drives one worker's whole
+// sparse iteration — sample, read, gradient, check, commit — on a 64-chain
+// store: the read leases exactly the chains the sampled example indexes,
+// each of those chains publishes once, and a warm iteration allocates
+// nothing.
+func TestSparseCommitLeasesSupportWithoutAllocating(t *testing.T) {
+	ds := sparse.Generate(sparse.GenConfig{N: 256, Dim: 4096, NNZ: 16, Seed: 5, Noise: 0.02})
+	cfg := sparseTestConfig(Leashed, 1)
+	cfg.BatchSize = 1
+	cfg.Shards = 64
+	rt := newRuntime(cfg, newSparseProblem(ds, false))
+	st := &leashedStrategy{rt: rt, e: newShardEpoch(ds.Dim, cfg.Shards, 1, make([]float64, ds.Dim))}
+	w := rt.newLoopWorker(0)
+	st.setup(w)
+	defer w.gw.close()
+	store := st.e.store
+
+	iterate := func() {
+		w.gw.sample()
+		pv := st.read(w)
+		s := w.gw.compute(pv, nil)
+		st.endRead(w)
+		if !st.commit(w, s) {
+			t.Error("commit reported an exhausted budget")
+		}
+	}
+	// One inspected iteration: the lease holds exactly the support.
+	w.gw.sample()
+	ex := ds.Examples[w.gw.(*sparseGradWorker).batch.Indices[0]]
+	want := map[int]bool{}
+	for _, j := range ex.Idx {
+		for c := 0; c < store.Chains(); c++ {
+			if r := store.ChainRange(c); int(j) >= r.Lo && int(j) < r.Hi {
+				want[c] = true
+			}
+		}
+	}
+	pv := st.read(w)
+	for c := 0; c < store.Chains(); c++ {
+		if held := store.ChainPeek(c).Readers() > 0; held != want[c] {
+			t.Fatalf("chain %d: leased = %v, in the example's support = %v", c, held, want[c])
+		}
+	}
+	s := w.gw.compute(pv, nil)
+	st.endRead(w)
+	st.commit(w, s)
+	var pubs int64
+	for c := 0; c < store.Chains(); c++ {
+		n, _, _ := st.e.sums(c)
+		if (n == 1) != want[c] || n > 1 {
+			t.Fatalf("chain %d published %d times; in the support = %v", c, n, want[c])
+		}
+		pubs += n
+		if r := store.ChainPeek(c).Readers(); r != 0 {
+			t.Fatalf("chain %d: %d registrations left after commit", c, r)
+		}
+	}
+	if pubs != int64(len(want)) || len(want) >= store.Chains() {
+		t.Fatalf("%d chains published for a support of %d of %d chains", pubs, len(want), store.Chains())
+	}
+	// Warm the 64 chains' free sets, then measure.
+	for i := 0; i < 200; i++ {
+		iterate()
+	}
+	if a := testing.AllocsPerRun(50, iterate); a != 0 {
+		t.Fatalf("warm sparse iteration at S = 64 allocates %v, want 0", a)
 	}
 }
 
@@ -123,7 +190,7 @@ func (s movingHeadStep) publishChain(store paramvec.ParamStore, c, a, b int, cur
 func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10}
 	rt := newRuntime(cfg, stubProblem{d: longDim})
-	e := newShardEpoch(longDim, 1, make([]float64, longDim))
+	e := newShardEpoch(longDim, 1, 1, make([]float64, longDim))
 	counting := &casCountingStore{ParamStore: e.store}
 	e.store = counting
 	st := &leashedStrategy{rt: rt, e: e}
@@ -144,7 +211,8 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	if counting.cas != rivals {
 		t.Fatalf("%d CASes issued for %d rival publishes: an abandoned attempt must not CAS", counting.cas, rivals)
 	}
-	if f, d, p := e.failed[0].n.Load(), e.dropped[0].n.Load(), e.pub[0].n.Load(); f != 2 || d != 1 || p != 0 {
+	f, d := e.failed[0].n.Load(), e.dropped[0].n.Load()
+	if p, _, _ := e.sums(0); f != 2 || d != 1 || p != 0 {
 		t.Fatalf("failed/dropped/published = %d/%d/%d, want 2/1/0", f, d, p)
 	}
 	if got := e.store.Live(); got != baseline {
@@ -214,39 +282,49 @@ func TestSingleWorkerAlgorithmsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerSparseBitIdentical is the sparse counterpart: at m = 1, SEQ
-// and Leashed at S = 1 train sparse logistic regression to the same last bit.
-// Both compute the residual with tensor.SpDot on a flat view and apply the
-// step with Vector.UpdateSparse; the Leashed side does it through the
-// scatter-publish. Single examples of 6 nonzeros keep every change set within
-// the change log, so the diff refresh (a recycled buffer brought up to the
-// head at the logged components only) runs on every publish but the first,
-// and a refresh that missed or misplaced one component would show.
-//
-// S > 1 is not in the table, and not because of the publish: a segmented
-// view computes the residual as GatherSparse + tensor.Dot, whose four partial
-// sums are combined in a different order than SpDot's, so the dot products
-// — and from there the trajectories — differ in the last bits.
+// TestSingleWorkerSparseBitIdentical is the sparse counterpart: at m = 1,
+// SEQ, ASYNC and Leashed at S = 1, 2 and 4 train sparse logistic regression
+// to the same last bit, at b = 1 and b = 4. All of them compute the residual
+// with tensor.SpDot — over the flat view at S = 1, over the gathered weights
+// at identity indices on a segmented view — and apply the step with
+// Vector.UpdateSparse, the Leashed side through the scatter-publish on the
+// chains its lease read. At b = 1 the examples' 6 nonzeros keep every
+// change set within the change log, so the diff refresh (a recycled vector
+// brought up to the head at the logged components only) runs on most
+// publishes, and a refresh that missed or misplaced one component would
+// show; at b = 4 a change set overflows the log and the full copy runs.
 func TestSingleWorkerSparseBitIdentical(t *testing.T) {
 	ds := sparse.Generate(sparse.GenConfig{N: 256, Dim: 512, NNZ: 6, Seed: 11, Noise: 0.02})
-	run := func(algo Algorithm) []float64 {
-		cfg := sparseTestConfig(algo, 1)
-		cfg.BatchSize = 1
-		cfg.EpsilonFrac = 0
-		cfg.MaxUpdates = 400
-		res, err := RunSparse(cfg, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.TotalUpdates != cfg.MaxUpdates {
-			t.Fatalf("%v applied %d updates, want %d", algo, res.TotalUpdates, cfg.MaxUpdates)
-		}
-		return res.FinalParams
-	}
-	want, got := run(Seq), run(Leashed)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("LSH/S1: θ[%d] = %v, SEQ has %v", i, got[i], want[i])
-		}
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("b=%d", batch), func(t *testing.T) {
+			run := func(algo Algorithm, shards int) []float64 {
+				cfg := sparseTestConfig(algo, 1)
+				cfg.BatchSize = batch
+				cfg.Shards = shards
+				cfg.EpsilonFrac = 0
+				cfg.MaxUpdates = 600
+				res, err := RunSparse(cfg, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.TotalUpdates != cfg.MaxUpdates {
+					t.Fatalf("%v S=%d applied %d updates, want %d", algo, shards, res.TotalUpdates, cfg.MaxUpdates)
+				}
+				return res.FinalParams
+			}
+			want := run(Seq, 1)
+			for _, arm := range []struct {
+				name   string
+				algo   Algorithm
+				shards int
+			}{{"ASYNC", Async, 1}, {"LSH/S1", Leashed, 1}, {"LSH/S2", Leashed, 2}, {"LSH/S4", Leashed, 4}} {
+				got := run(arm.algo, arm.shards)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: θ[%d] = %v, SEQ has %v", arm.name, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }

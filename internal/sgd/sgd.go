@@ -87,8 +87,9 @@ type Config struct {
 	// them in place. The remaining trade-off is ordering only — a sharded
 	// vector has no single totally-ordered history, so a leased read may
 	// mix per-shard versions (cross-shard skew); each read is classified
-	// by seqlock validation into Result.ConsistentReads/MixedReads, and
-	// staleness is measured per shard.
+	// by seqlock validation over the chains it read into
+	// Result.ConsistentReads/MixedReads, and staleness is measured per
+	// shard.
 	Shards int
 
 	Seed uint64
@@ -290,13 +291,16 @@ type Result struct {
 	DroppedUpdates int64
 
 	// Read-consistency classification of the leased zero-copy gradient
-	// reads (Leashed-SGD only; zero elsewhere). A read counts as
-	// Consistent when the seqlock validation at lease release proves no
-	// chain published during the read window — a true global state; on the
-	// single chain that is every read, by construction. MixedReads counts
-	// reads that may mix per-shard versions (the cross-shard skew the
-	// sharded trade-off admits). ConsistentReads + MixedReads is the total
-	// number of gradient reads taken through the leased view.
+	// reads (Leashed-SGD only; zero elsewhere), over the chains each step
+	// read: every chain for a dense step, only the chains its examples
+	// index for a sparse one. A read counts as Consistent when the seqlock
+	// validation after the gradient proves no chain it read published
+	// during the read window — a true global state of those chains; a read
+	// of one chain (every read on a single-chain store) is consistent by
+	// construction. MixedReads counts reads that may mix per-shard versions
+	// (the cross-shard skew the sharded trade-off admits). ConsistentReads
+	// + MixedReads is the total number of gradient reads taken through the
+	// leased view.
 	ConsistentReads int64
 	MixedReads      int64
 

@@ -95,9 +95,9 @@ func TestSparseGradientMatchesReference(t *testing.T) {
 
 					got := make([]float64, ds.Dim)
 					switch s := s.(type) {
-					case denseStep:
-						copy(got, s)
-					case sparseStep:
+					case *denseStep:
+						copy(got, *s)
+					case *sparseStep:
 						for k, j := range s.idx {
 							got[j] += s.val[k]
 						}
