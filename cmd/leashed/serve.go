@@ -54,7 +54,7 @@ var serveNets = map[string]func() *nn.Network{
 
 // runServe implements `leashed serve`: an online inference tier over a live
 // training run. It starts a Leashed-SGD run, stands an HTTP prediction server
-// on top of the SAME ParamStore the workers publish into — every answer is
+// on top of the SAME chain store the workers publish into — every answer is
 // computed from a zero-copy leased view and labeled with its consistency
 // class — and keeps serving from the immutable final parameters after the
 // training budget expires. The process runs until interrupted.

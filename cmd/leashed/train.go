@@ -46,7 +46,6 @@ func trainFlags(o *trainOpts) *flag.FlagSet {
 	fs.BoolVar(&o.sparse, "sparse", false, "train sparse logistic regression instead of the dense net (-dim/-nnz)")
 	fs.IntVar(&o.dim, "dim", 131072, "sparse feature dimension (with -sparse)")
 	fs.IntVar(&o.nnz, "nnz", 64, "non-zeros per sparse example (with -sparse)")
-	fs.BoolVar(&c.SparseAsDense, "sparse-as-dense", false, "carry sparse gradients as dense steps (control arm, with -sparse)")
 	fs.StringVar(&o.ckpt, "ckpt", "", "save trained model checkpoint to this path")
 	fs.DurationVar(&c.Checkpoint.Every, "ckpt-every", 0, "also checkpoint mid-run on this cadence (rotated FILE.NNNNNN beside -ckpt)")
 	fs.IntVar(&c.Checkpoint.Keep, "ckpt-keep", 0, "rotated mid-run checkpoints to retain (0 = default)")

@@ -521,7 +521,7 @@ func (v *Vector) recycle(ver int64) {
 
 // Shared is the published-pointer cell P from Algorithm 3, wrapping the
 // atomic pointer plus the acquire protocol. Callers manage the buffers: each
-// chain of a ShardedShared holds one Shared next to its pool, and the
+// chain of a Store holds one Shared next to its pool, and the
 // one-chain store is the paper's single P.
 type Shared struct {
 	p atomic.Pointer[Vector]

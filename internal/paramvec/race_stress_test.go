@@ -99,7 +99,7 @@ func TestRaceShardedPublishRecycle(t *testing.T) {
 	const shards = 4
 	const workers = 8
 	iters := stressIters(t, 2000)
-	ss := NewSharded(dim, shards)
+	ss := NewStore(dim, shards)
 	ss.SetPoison(true)
 	init := make([]float64, dim)
 	for i := range init {
@@ -274,9 +274,10 @@ func TestRaceSnapshotVsOutsideLeases(t *testing.T) {
 	const dim = 64
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
-			st.PublishInit(make([]float64, dim))
+			sc.publishInit(make([]float64, dim))
 			iters := stressIters(t, 1500)
 
 			var pubWG sync.WaitGroup
@@ -345,7 +346,7 @@ func TestRaceSnapshotVsOutsideLeases(t *testing.T) {
 					done = true
 				default:
 				}
-				seqs = st.Snapshot(dst, seqs)
+				seqs = sc.snapshot(dst, seqs)
 				for c := 0; c < st.Chains(); c++ {
 					r := st.ChainRange(c)
 					want := dst[r.Lo]
@@ -360,7 +361,7 @@ func TestRaceSnapshotVsOutsideLeases(t *testing.T) {
 					}
 				}
 				if snaps%8 == 0 {
-					if _, ok := st.SnapshotConsistent(dst, 6); ok {
+					if _, ok := sc.snapshotConsistent(dst, 6); ok {
 						want := dst[0]
 						for j := range dst {
 							if dst[j] != want && st.Chains() == 1 {
@@ -376,7 +377,7 @@ func TestRaceSnapshotVsOutsideLeases(t *testing.T) {
 			// until release, then everything drains.
 			var l Lease
 			view := l.Acquire(st)
-			st.Retire()
+			sc.retire()
 			if math.IsNaN(view.At(0)) || math.IsNaN(view.At(dim-1)) {
 				t.Fatal("held lease poisoned by Retire")
 			}

@@ -1,4 +1,4 @@
-// ReadFront: an RCU-style double-buffered snapshot layer over any ParamStore,
+// ReadFront: an RCU-style double-buffered snapshot layer over the chain store,
 // built for read-mostly traffic (the serving tier). The paper's persistence
 // bound Tp trades staleness for throughput on the write side; ReadFront is the
 // exact dual on the read side — a ReadLeash bounds how far a served snapshot
@@ -114,7 +114,7 @@ type snap struct {
 	// back buffer diffs the live heads against ITS OWN seqs, so a
 	// low-occupancy interval copies only the chains that advanced.
 	seqs   []int64
-	store  ParamStore // source the seqs are valid against; nil once frozen
+	store  *Store // source the seqs are valid against; nil once frozen
 	seqSum int64
 	final  bool
 
@@ -159,7 +159,7 @@ type FoldStats struct {
 // store pin: staleness grows (and is reported), consistency never degrades.
 const foldMaxPasses = 64
 
-// ReadFront serves consistent point-in-time snapshots of a ParamStore to
+// ReadFront serves consistent point-in-time snapshots of a Store to
 // read-mostly traffic. It is a read layer, not a store: writers publish into
 // the source store directly, and readers call ReadParams, which satisfies the
 // serving tier's Source contract. Construct with NewReadFront (over a fixed
@@ -171,7 +171,7 @@ type ReadFront struct {
 	// pin returns the current source store pinned against retirement for
 	// the duration of the returned release func, or (nil, nil) when no live
 	// store is available (run ended, source retired).
-	pin func() (ParamStore, func())
+	pin func() (*Store, func())
 
 	front atomic.Pointer[snap]
 	base  time.Time
@@ -194,8 +194,8 @@ type ReadFront struct {
 // caller's to retire, after which the front keeps serving its last snapshot.
 // Close stops the refresher. The store need not be initialized yet — the
 // first successful fold happens once PublishInit has run.
-func NewReadFront(st ParamStore, leash ReadLeash) *ReadFront {
-	return NewReadFrontPinned(st.Dim(), func() (ParamStore, func()) {
+func NewReadFront(st *Store, leash ReadLeash) *ReadFront {
+	return NewReadFrontPinned(st.Dim(), func() (*Store, func()) {
 		if st.Retired() {
 			return nil, nil
 		}
@@ -208,7 +208,7 @@ func NewReadFront(st ParamStore, leash ReadLeash) *ReadFront {
 // func is called, or (nil, nil) when no live store exists. Should the source
 // store change between pins, the fold detects the identity change and
 // re-seeds densely; no caller swaps stores mid-run today.
-func NewReadFrontPinned(dim int, pin func() (ParamStore, func()), leash ReadLeash) *ReadFront {
+func NewReadFrontPinned(dim int, pin func() (*Store, func()), leash ReadLeash) *ReadFront {
 	rf := &ReadFront{
 		dim:   dim,
 		leash: leash.withDefaults(),
@@ -390,7 +390,7 @@ func (rf *ReadFront) tick() {
 // publishedSeqSum sums the chains' published sequence numbers. Each is read
 // under a read registration: a head's T can be read safely only while it
 // cannot be reclaimed, because a reclaimed header is reused and rewritten.
-func publishedSeqSum(st ParamStore) int64 {
+func publishedSeqSum(st *Store) int64 {
 	sum := int64(0)
 	for c := 0; c < st.Chains(); c++ {
 		if st.ChainPeek(c) != nil {
@@ -441,7 +441,7 @@ func (rf *ReadFront) claimBack() *snap {
 // is always ONE consistent global state. If the pass bound is exhausted the
 // fold is abandoned un-flipped (the per-chain baselines stay coherent, so the
 // next fold resumes incrementally). foldMu held; st pinned by the caller.
-func (rf *ReadFront) foldLocked(st ParamStore) bool {
+func (rf *ReadFront) foldLocked(st *Store) bool {
 	if st.Retired() || st.ChainPeek(0) == nil {
 		return false
 	}

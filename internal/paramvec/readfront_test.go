@@ -12,7 +12,7 @@ import (
 // the store sees — content, consistency label, and snapshot marker.
 func TestReadFrontServesPublishedState(t *testing.T) {
 	const dim = 48
-	st := NewSharded(dim, 4)
+	st := NewStore(dim, 4)
 	init := make([]float64, dim)
 	for i := range init {
 		init[i] = float64(i)
@@ -52,7 +52,7 @@ func TestReadFrontServesPublishedState(t *testing.T) {
 // snapshot of the store.
 func TestReadFrontSparseFoldMatchesDense(t *testing.T) {
 	const dim = 64
-	st := NewSharded(dim, 8)
+	st := NewStore(dim, 8)
 	st.PublishInit(make([]float64, dim))
 	rf := NewReadFront(st, quietLeash)
 	defer func() { rf.Close(); st.Retire() }()
@@ -103,7 +103,7 @@ func TestReadFrontSparseFoldMatchesDense(t *testing.T) {
 // slow path, self-heal, and report staleness within the leash.
 func TestReadFrontLeashTriggersRefresh(t *testing.T) {
 	const dim = 32
-	st := NewSharded(dim, 4)
+	st := NewStore(dim, 4)
 	st.PublishInit(make([]float64, dim))
 	rf := NewReadFront(st, ReadLeash{MaxUpdates: 8, MaxAge: time.Hour})
 	defer func() { rf.Close(); st.Retire() }()
@@ -133,7 +133,7 @@ func TestReadFrontLeashTriggersRefresh(t *testing.T) {
 // down.
 func TestReadFrontFreeze(t *testing.T) {
 	const dim = 24
-	st := NewSharded(dim, 4)
+	st := NewStore(dim, 4)
 	st.PublishInit(make([]float64, dim))
 	rf := NewReadFront(st, ReadLeash{MaxAge: time.Millisecond})
 	final := make([]float64, dim)
@@ -166,7 +166,7 @@ func TestReadFrontFreeze(t *testing.T) {
 // dense-reseed the back buffer from the new store's geometry.
 func TestReadFrontStoreSwapRefolds(t *testing.T) {
 	const dim = 48
-	a := NewSharded(dim, 4)
+	a := NewStore(dim, 4)
 	init := make([]float64, dim)
 	for i := range init {
 		init[i] = 1
@@ -176,13 +176,13 @@ func TestReadFrontStoreSwapRefolds(t *testing.T) {
 	for i := range bTheta {
 		bTheta[i] = 2
 	}
-	bst := NewSharded(dim, 8)
+	bst := NewStore(dim, 8)
 	bst.PublishInit(bTheta)
 	defer func() { a.Retire(); bst.Retire() }()
 
-	var cur atomic.Pointer[ShardedShared]
+	var cur atomic.Pointer[Store]
 	cur.Store(a)
-	rf := NewReadFrontPinned(dim, func() (ParamStore, func()) { return cur.Load(), func() {} }, quietLeash)
+	rf := NewReadFrontPinned(dim, func() (*Store, func()) { return cur.Load(), func() {} }, quietLeash)
 	defer rf.Close()
 
 	rf.refreshNow()
@@ -226,16 +226,16 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 	)
 	iters := stressIters(t, 4000)
 
-	a := NewSharded(dim, 4)
+	a := NewStore(dim, 4)
 	a.SetPoison(true)
 	a.PublishInit(make([]float64, dim))
-	bst := NewSharded(dim, 8)
+	bst := NewStore(dim, 8)
 	bst.SetPoison(true)
 	bst.PublishInit(make([]float64, dim))
 
-	var cur atomic.Pointer[ShardedShared]
+	var cur atomic.Pointer[Store]
 	cur.Store(a)
-	rf := NewReadFrontPinned(dim, func() (ParamStore, func()) { return cur.Load(), func() {} },
+	rf := NewReadFrontPinned(dim, func() (*Store, func()) { return cur.Load(), func() {} },
 		ReadLeash{MaxUpdates: 64, MaxAge: 500 * time.Microsecond, Poll: 100 * time.Microsecond})
 	rf.refreshNow()
 
@@ -316,7 +316,7 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 // until released.
 func TestReadFrontSnapshotImmutableWhileHeld(t *testing.T) {
 	const dim = 32
-	st := NewSharded(dim, 4)
+	st := NewStore(dim, 4)
 	st.PublishInit(make([]float64, dim))
 	rf := NewReadFront(st, quietLeash)
 	defer func() { rf.Close(); st.Retire() }()

@@ -1,7 +1,7 @@
 package paramvec
 
 import (
-	"sync/atomic"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -64,29 +64,15 @@ func TestReadPathsAllocateNothing(t *testing.T) {
 	}
 }
 
-// chainCounter counts the chain-head accesses that reach the wrapped store.
-type chainCounter struct {
-	ParamStore
-	latest, peek atomic.Int64
-}
-
-func (c *chainCounter) ChainLatest(i int) *Vector {
-	c.latest.Add(1)
-	return c.ParamStore.ChainLatest(i)
-}
-
-func (c *chainCounter) ChainPeek(i int) *Vector {
-	c.peek.Add(1)
-	return c.ParamStore.ChainPeek(i)
-}
-
 // TestReadFrontReadTouchesNoChain pins the mechanism behind the snapshot
 // read's speed: a ReadFront read inside its leash reaches no chain head of
-// the wrapped store, where a leased read registers on every chain and
+// the store (counted by the store's probe), where a leased read registers on every chain and
 // re-checks every head — the cache lines the publishers write.
 func TestReadFrontReadTouchesNoChain(t *testing.T) {
 	const dim, chains = 4096, 64
-	st := &chainCounter{ParamStore: NewStore(dim, chains)}
+	st := NewStore(dim, chains)
+	var heads headCount
+	st.probe = &heads
 	init := make([]float64, dim)
 	init[dim-1] = 3
 	st.PublishInit(init)
@@ -94,21 +80,42 @@ func TestReadFrontReadTouchesNoChain(t *testing.T) {
 	rf := NewReadFront(st, quietLeash)
 	rf.Close() // no refresher: only the reads below can reach the store
 
-	st.latest.Store(0)
-	st.peek.Store(0)
+	heads.latest.Store(0)
+	heads.peek.Store(0)
 	var got float64
 	meta := rf.ReadParams(nil, nil, func(v View) { got = v.At(dim - 1) })
 	if got != 3 || !meta.Snapshot {
 		t.Fatalf("readfront read = %v (meta %+v), want the published 3 from the snapshot", got, meta)
 	}
-	if l, p := st.latest.Load(), st.peek.Load(); l != 0 || p != 0 {
+	if l, p := heads.latest.Load(), heads.peek.Load(); l != 0 || p != 0 {
 		t.Fatalf("readfront read made %d ChainLatest and %d ChainPeek calls on the store, want 0 and 0", l, p)
 	}
 
 	var lease Lease
 	lease.Acquire(st)
 	lease.Release()
-	if l, p := st.latest.Load(), st.peek.Load(); l != chains || p != chains {
+	if l, p := heads.latest.Load(), heads.peek.Load(); l != chains || p != chains {
 		t.Fatalf("leased read made %d ChainLatest and %d ChainPeek calls, want %d each", l, p, chains)
+	}
+}
+
+// BenchmarkLeaseQuiet times one Acquire+Release of every chain on a quiet
+// store (nothing publishes) at S ∈ {1, 8, 64}: the read-side cost the
+// benchmark module reports as paramvec.lease_s{1,8,64}_ns. Compare runs of
+// two builds alternately; one run on a shared host proves little.
+func BenchmarkLeaseQuiet(b *testing.B) {
+	const dim = 1 << 16
+	for _, chains := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("S=%d", chains), func(b *testing.B) {
+			st := NewStore(dim, chains)
+			st.PublishInit(make([]float64, dim))
+			defer st.Retire()
+			var l Lease
+			b.ReportAllocs()
+			for b.Loop() {
+				l.Acquire(st)
+				l.Release()
+			}
+		})
 	}
 }

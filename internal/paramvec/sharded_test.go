@@ -63,7 +63,7 @@ func TestShardBoundsRejectsBadDim(t *testing.T) {
 
 func TestShardedPublishInitAndSnapshot(t *testing.T) {
 	const dim = 11
-	ss := NewSharded(dim, 4)
+	ss := NewStore(dim, 4)
 	theta := make([]float64, dim)
 	for i := range theta {
 		theta[i] = float64(i)
@@ -89,7 +89,7 @@ func TestShardedPublishInitAndSnapshot(t *testing.T) {
 func TestShardedSingleShardMatchesShared(t *testing.T) {
 	// S=1 is exactly one chain over the whole vector with the Shared cell's
 	// CAS semantics: the paper's single published pointer.
-	ss := NewSharded(8, 1)
+	ss := NewStore(8, 1)
 	if ss.Chains() != 1 {
 		t.Fatalf("Chains = %d", ss.Chains())
 	}
@@ -117,7 +117,7 @@ func TestShardedSingleShardMatchesShared(t *testing.T) {
 }
 
 func TestShardedPerShardChainsIndependent(t *testing.T) {
-	ss := NewSharded(12, 3)
+	ss := NewStore(12, 3)
 	ss.PublishInit(make([]float64, 12))
 	// Publish 3 updates to shard 1 only; the other chains must not move.
 	for i := 0; i < 3; i++ {
@@ -147,7 +147,7 @@ func TestShardedSnapshotNeverTorn(t *testing.T) {
 	const shards = 4
 	const publishers = 4
 	const iters = 1500
-	ss := NewSharded(dim, shards)
+	ss := NewStore(dim, shards)
 	ss.SetPoison(true)
 	ss.PublishInit(make([]float64, dim))
 
@@ -256,7 +256,7 @@ func TestSingleChainSnapshotConsistentFirstAttempt(t *testing.T) {
 }
 
 func TestSnapshotConsistentDetectsInterleavedPublish(t *testing.T) {
-	ss := NewSharded(8, 2)
+	ss := NewStore(8, 2)
 	ss.PublishInit(make([]float64, 8))
 	dst := make([]float64, 8)
 	if _, ok := ss.SnapshotConsistent(dst, 3); !ok {
@@ -269,7 +269,7 @@ func TestSnapshotConsistentDetectsInterleavedPublish(t *testing.T) {
 }
 
 func TestShardedRetireDrainsPools(t *testing.T) {
-	ss := NewSharded(16, 4)
+	ss := NewStore(16, 4)
 	ss.PublishInit(make([]float64, 16))
 	if ss.Live() != 4 {
 		t.Fatalf("live after init = %d, want 4", ss.Live())
@@ -308,7 +308,7 @@ func TestShardedRetireDrainsPools(t *testing.T) {
 // lose: a round fails exactly workers − #distinct targets times. It returns
 // the failures the store reported and that count.
 func contentionRounds(workers, shards, dim, rounds int) (failed, want int64) {
-	ss := NewSharded(dim, shards)
+	ss := NewStore(dim, shards)
 	ss.PublishInit(make([]float64, dim))
 	defer ss.Retire()
 	draw := rng.New(7)
@@ -363,7 +363,7 @@ func TestShardingReducesCASContention(t *testing.T) {
 }
 
 func TestShardedPublishInitRejectsWrongLength(t *testing.T) {
-	ss := NewSharded(8, 2)
+	ss := NewStore(8, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PublishInit with wrong length did not panic")

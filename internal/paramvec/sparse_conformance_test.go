@@ -16,7 +16,7 @@ import (
 // by the sorted store-absolute index set, check out a fresh chain vector and
 // retry ChainTryPublishSparse under persistence bound tp. Mirrors the
 // sparse commit path in internal/sgd.
-func scatterPublish(st ParamStore, idx []int32, val []float64, eta float64, tp int) (published, failed int64) {
+func scatterPublish(st *Store, idx []int32, val []float64, eta float64, tp int) (published, failed int64) {
 	C := st.Chains()
 	for c := 0; c < C; c++ {
 		r := st.ChainRange(c)
@@ -118,12 +118,13 @@ func TestStoreConformanceScatterPublish(t *testing.T) {
 	const dim = 64
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			init := make([]float64, dim)
 			for i := range init {
 				init[i] = float64(i)
 			}
-			st.PublishInit(init)
+			sc.publishInit(init)
 			C := st.Chains()
 			heads := make([]*Vector, C)
 			for c := 0; c < C; c++ {
@@ -147,7 +148,7 @@ func TestStoreConformanceScatterPublish(t *testing.T) {
 			}
 
 			dst := make([]float64, dim)
-			seqs := st.Snapshot(dst, nil)
+			seqs := sc.snapshot(dst, nil)
 			want := append([]float64(nil), init...)
 			for k, j := range idx {
 				want[j] += val[k]
@@ -174,7 +175,7 @@ func TestStoreConformanceScatterPublish(t *testing.T) {
 					}
 				}
 			}
-			st.Retire()
+			sc.retire()
 		})
 	}
 }
@@ -188,15 +189,16 @@ func TestStoreConformanceScatterRetiredDrop(t *testing.T) {
 	const dim = 32
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
-			st.PublishInit(make([]float64, dim))
+			sc.publishInit(make([]float64, dim))
 			var l Lease
 			l.Acquire(st)
 			for round := 0; round < 5; round++ {
 				scatterPublish(st, []int32{1, 17, 30}, []float64{1, 1, 1}, -1, 4)
 			}
-			st.Retire()
+			sc.retire()
 			if l.Release() {
 				t.Fatal("lease across Retire classified consistent")
 			}
@@ -226,9 +228,10 @@ func TestRaceScatterPublishVsLeases(t *testing.T) {
 	)
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
-			st.PublishInit(make([]float64, dim))
+			sc.publishInit(make([]float64, dim))
 			C := st.Chains()
 			// The publishers' nonzeros all land in [0, dim/2): when the
 			// store is sharded, the upper chains must never advance.
@@ -315,7 +318,7 @@ func TestRaceScatterPublishVsLeases(t *testing.T) {
 			if consistent+mixed == 0 {
 				t.Fatal("reader never completed a lease")
 			}
-			st.Retire()
+			sc.retire()
 			if live := st.Live(); live != 0 {
 				t.Fatalf("Live = %d after retire, want 0", live)
 			}
@@ -329,8 +332,9 @@ func TestRaceScatterPublishVsLeases(t *testing.T) {
 func TestScatterPublishRecycles(t *testing.T) {
 	for _, tc := range storeCases(64) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
-			st.PublishInit(make([]float64, 64))
+			sc := tc.build()
+			st := sc.st
+			sc.publishInit(make([]float64, 64))
 			var pub int64
 			for r := 0; r < 200; r++ {
 				p, _ := scatterPublish(st, []int32{1, 33}, []float64{1, 1}, -1, 4)
@@ -339,7 +343,7 @@ func TestScatterPublishRecycles(t *testing.T) {
 			if st.Reuses() == 0 {
 				t.Fatalf("no buffer reuse across %d scatter publishes (allocs %d)", pub, st.Allocs())
 			}
-			st.Retire()
+			sc.retire()
 		})
 	}
 }

@@ -33,7 +33,7 @@ func diffRefresh(v, head *Vector) bool {
 // which refresh its publishes took.
 type refreshSide struct {
 	name   string
-	st     ParamStore
+	st     *Store
 	leases []*Lease
 	taken  []*Vector // private vectors takeParked set aside
 	diffs  int
@@ -122,7 +122,7 @@ func (sd *refreshSide) dense(t *testing.T, c int, delta []float64, eta float64) 
 // takeParked checks out every vector parked in chain c's free set and keeps
 // it private until returnTaken.
 func (sd *refreshSide) takeParked(c int) {
-	pool := sd.st.(*ShardedShared).cells[c].pool
+	pool := sd.st.cells[c].pool
 	for pool.parked() > 0 {
 		sd.taken = append(sd.taken, sd.st.NewChainVec(c))
 	}

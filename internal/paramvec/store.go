@@ -1,276 +1,283 @@
 package paramvec
 
-// ParamStore is the publication surface every SGD launcher programs against:
-// a parameter vector published as one or more independent lock-free
-// latest-pointer chains. ShardedShared implements it; with one chain it is
-// exactly the paper's Algorithm 3 (one published pointer P over the whole
-// vector). The worker loop in internal/sgd, the monitor's snapshots and the
-// memory accounting are written against the interface, so tests can wrap a
-// store to count or perturb its calls.
-//
-// A "chain" is one independently published contiguous range of the flat
-// vector, held in one Shared cell. Reads lease the chains' latest vectors
-// zero-copy via Lease; publishes run the LAU-SPC CAS per chain via
-// ChainTryPublish.
-type ParamStore interface {
-	// Dim is the full flat-vector dimension d.
-	Dim() int
-	// Chains is the number of independent publish chains S ≥ 1.
-	Chains() int
-	// ChainRange is chain c's half-open interval of the flat vector.
-	ChainRange(c int) Range
-	// NewChainVec checks a chain-c-sized vector out of that chain's buffer
-	// pool (the LAU-SPC copy target). A recycled buffer is an older version
-	// of the same chain and remembers which one.
-	NewChainVec(c int) *Vector
-	// ChainLatest acquires chain c's latest published vector under the
-	// lock-free read-protection protocol; the caller must StopReading it.
-	ChainLatest(c int) *Vector
-	// ChainTryPublish runs the single-CAS publish step on chain c: on
-	// success the replaced vector is retired for recycling.
-	ChainTryPublish(c int, expected, v *Vector) bool
-	// ChainTryPublishSparse is the scatter-publish step of the sparse delta
-	// path: one LAU-SPC attempt on chain c that brings the private vector v
-	// up to expected (at the components changed since v's version, see
-	// Shared.TryPublishSparse), folds in the sparse delta — store-absolute
-	// CSR indices restricted to ChainRange(c), shifted to chain-local
-	// positions internally — and publishes with the same single CAS as
-	// ChainTryPublish. The caller read-protects expected for the whole call.
-	// Sparse workers call this only for the chains their minibatch's
-	// nonzeros hit; untouched chains see no CAS, no copy and no pool traffic.
-	ChainTryPublishSparse(c int, expected, v *Vector, idx []int32, val []float64, eta float64) bool
-	// ChainPeek returns chain c's published vector WITHOUT read
-	// protection (monitoring and seqlock validation only).
-	ChainPeek(c int) *Vector
-	// PublishInit slices theta across the chains and publishes each
-	// segment unconditionally (initialization only).
-	PublishInit(theta []float64)
-	// Snapshot copies every chain's latest published segment into dst
-	// under read protection and returns the per-chain sequence numbers.
-	// Each segment is untorn; chains may come from different global
-	// moments (cross-chain skew). seqs is reused when it has capacity.
-	Snapshot(dst []float64, seqs []int64) []int64
-	// SnapshotConsistent retries Snapshot with seqlock validation until no
-	// chain published mid-copy (a true global state) or attempts run out. A
-	// one-chain snapshot is one immutable vector: ok on the first attempt.
-	SnapshotConsistent(dst []float64, attempts int) ([]int64, bool)
-	// Live, Peak, Allocs and Reuses aggregate the chains' buffer-pool
-	// gauges, in chain-buffer units (divide by Chains for full-vector
-	// equivalents).
-	Live() int64
-	Peak() int64
-	Allocs() int64
-	Reuses() int64
-	// Retire marks every chain's published vector stale and offers it for
-	// recycling, and marks the store itself retired (end-of-run cleanup:
-	// the gauges drain to zero once the last reader leaves). After Retire,
-	// new Lease.Acquire calls panic — the latest-pointer loop on an
-	// all-stale chain would never terminate — and buffers released by late
-	// lease holders are dropped, not recycled into the dead pools.
-	Retire()
-	// Retired reports whether Retire has run. A lease that was acquired
-	// before and released after retirement uses this to label itself as a
-	// read of a dead epoch (Lease.RetiredStore).
-	Retired() bool
-	// SetPoison enables buffer poisoning on every chain pool (tests only).
-	SetPoison(on bool)
+import (
+	"fmt"
+	"sync/atomic"
+)
+
+// Range is a half-open index interval [Lo, Hi) of the flat parameter vector
+// covered by one shard.
+type Range struct {
+	Lo, Hi int
 }
+
+// Len returns the number of components in the range.
+func (r Range) Len() int { return r.Hi - r.Lo }
+
+// ShardBounds partitions [0, dim) into shards contiguous near-equal ranges.
+// The remainder dim mod shards is spread one component each over the first
+// shards, so |len(i) - len(j)| <= 1 for all i, j. shards is clamped to
+// [1, dim].
+func ShardBounds(dim, shards int) []Range {
+	if dim <= 0 {
+		panic("paramvec: ShardBounds dimension must be positive")
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > dim {
+		shards = dim
+	}
+	out := make([]Range, shards)
+	base := dim / shards
+	rem := dim % shards
+	lo := 0
+	for s := range out {
+		n := base
+		if s < rem {
+			n++
+		}
+		out[s] = Range{Lo: lo, Hi: lo + n}
+		lo += n
+	}
+	return out
+}
+
+// shardCell is one shard's publication state. The padding keeps each cell's
+// hot atomic pointer on its own cache-line pair so that CAS traffic on one
+// shard does not invalidate its neighbours (false sharing would reintroduce
+// the very contention sharding removes).
+type shardCell struct {
+	shared Shared // 8 bytes
+	pool   *Pool  // 8 bytes
+	rng    Range  // 16 bytes
+	_      [96]byte
+}
+
+// Store is the chain store, the one publication surface of the SGD layer:
+// the flat parameter vector split into S contiguous chains, each with its
+// own lock-free latest-pointer cell (Shared), buffer pool and sequence
+// counter. Workers run the LAU-SPC publish protocol per chain, so two
+// workers conflict only when they publish the *same* chain concurrently:
+// expected CAS contention scales as ~1/S. The price is that the vector as a
+// whole no longer has a single totally-ordered history — each chain is
+// ordered (paper P1 holds per chain), and cross-chain consistency is
+// recovered at read time by sequence validation (Lease, SnapshotConsistent).
+//
+// With S = 1 it is exactly the paper's Algorithm 3: one Shared cell P over
+// the whole vector, one pool, one totally ordered history.
+type Store struct {
+	cells []shardCell
+	dim   int
+	// offs are the chain boundaries, chain c being [offs[c], offs[c+1]),
+	// and all lists 0, 1, …, C−1: built once here for every Lease and
+	// every SGD step that walks the chains.
+	offs, all []int
+	retired   atomic.Bool
+	// probe, when set (tests only), counts the chain-head accesses that
+	// reach the store through ChainLatest and ChainPeek.
+	probe *headCount
+}
+
+// headCount is a test's tally of a store's chain-head accesses.
+type headCount struct{ latest, peek atomic.Int64 }
 
 // NewStore builds the store for a dim-dimensional vector split into chains
-// publish chains (clamped to [1, dim]). One chain is the paper's single
-// published pointer P.
-func NewStore(dim, chains int) ParamStore {
-	return NewSharded(dim, chains)
-}
-
-// NewSingle is the one-chain store, NewSharded(dim, 1).
-func NewSingle(dim int) *ShardedShared { return NewSharded(dim, 1) }
-
-// --- Leased zero-copy reads ------------------------------------------------
-
-// Lease is a reusable, allocation-free handle on one leased read of the
-// chains' latest published vectors. Acquire registers the caller as a reader
-// of each chain (Algorithm 3's latest_pointer per chain), so none of the
-// leased vectors can be recycled until Release — the caller computes its
-// gradient DIRECTLY against the published segments through the returned
-// View, with no private copy of θ. This restores the paper's zero-copy read
-// (P3) on the sharded store, which PR 1 traded away for a copy-per-read.
-// AcquireChains leases only the chains a step will read — a sparse step's
-// support — and its View holds no segment for the others.
-//
-// Release re-checks every leased chain's published head against the leased
-// one (a seqlock over the chains): if no leased chain published during the
-// window the read was provably one global state of the chains it read
-// (consistent); otherwise different chains may mix versions (cross-chain
-// skew). The classification feeds
-// Result.ConsistentReads/MixedReads in internal/sgd.
-//
-// A writer that publishes on the chains it read splits Release in two: Check
-// classifies the read and keeps every registration, Take hands one chain's
-// registration over — the leased vector becomes the first publish attempt's
-// expected head — and Drop ends whatever is left.
-//
-// A Lease is owned by one goroutine; after the first Acquire, re-Acquiring
-// with an unchanged chain count performs no allocation.
-type Lease struct {
-	store   ParamStore
-	vecs    []*Vector // per chain; nil where nothing is held
-	segs    [][]float64
-	offs    []int
-	seqs    []int64
-	all     []int // 0, 1, …, C−1
-	chains  []int // the chains the last Acquire leased, ascending
-	sel     []int // AcquireChains' copy of its chain list
-	adv     []int // chains whose head advanced during the last checked lease
-	held    bool
-	retired bool // the last checked lease outlived its store's retirement
-}
-
-// Acquire leases every chain's latest vector from st and returns the
-// zero-copy View over the published segments. st must not be retired:
-// acquiring from a retired store would spin forever in the latest-pointer
-// loop (every head is stale, and nothing will ever replace it) or worse,
-// surface a reclaimed buffer — so it panics instead. Callers that race with
-// retirement (the serving tier vs. the end-of-run teardown) must pin the
-// store before acquiring, e.g. under sgd.Running's read lock.
-func (l *Lease) Acquire(st ParamStore) View {
-	l.prepare(st)
-	return l.acquire(st, l.all)
-}
-
-// AcquireChains is Acquire restricted to chains (ascending, no repeats): it
-// registers on those chains only, and the returned View has an empty
-// segment for every other chain — reading there is an index error, not a
-// stale value. Seq, Take and the validation cover the leased chains only.
-func (l *Lease) AcquireChains(st ParamStore, chains []int) View {
-	l.prepare(st)
-	l.sel = append(l.sel[:0], chains...)
-	return l.acquire(st, l.sel)
-}
-
-// prepare checks the lease can be taken on st and sizes it to st's chains.
-func (l *Lease) prepare(st ParamStore) {
-	if l.held {
-		panic("paramvec: Lease.Acquire while held")
+// publish chains (clamped to [1, dim]). No vector is published yet; call
+// PublishInit before any ChainLatest.
+func NewStore(dim, chains int) *Store {
+	bounds := ShardBounds(dim, chains)
+	ss := &Store{cells: make([]shardCell, len(bounds)), dim: dim,
+		offs: make([]int, len(bounds)+1), all: make([]int, len(bounds))}
+	for c, r := range bounds {
+		ss.cells[c].rng = r
+		ss.cells[c].pool = NewPool(r.Len())
+		ss.offs[c+1] = r.Hi
+		ss.all[c] = c
 	}
-	if st.Retired() {
-		panic("paramvec: Lease.Acquire on retired store")
+	return ss
+}
+
+// Chains returns S: every shard is one independent publish chain.
+func (ss *Store) Chains() int { return len(ss.cells) }
+
+// ChainRange returns shard c's index interval in the flat vector.
+func (ss *Store) ChainRange(c int) Range { return ss.cells[c].rng }
+
+// NewChainVec checks a shard-c-sized vector out of shard c's pool. A
+// recycled vector comes with the chain version it holds, so a sparse publish
+// into it refreshes only what changed since.
+func (ss *Store) NewChainVec(c int) *Vector { return New(ss.cells[c].pool) }
+
+// Offsets returns the chain boundaries: chain c is [offs[c], offs[c+1]).
+// The slice is the store's own and must not be modified.
+func (ss *Store) Offsets() []int { return ss.offs }
+
+// ChainLatest acquires shard c's latest published vector with the
+// read-protection protocol; the caller must StopReading it.
+func (ss *Store) ChainLatest(c int) *Vector {
+	if p := ss.probe; p != nil {
+		p.latest.Add(1)
 	}
-	c := st.Chains()
-	if cap(l.vecs) < c {
-		l.vecs = make([]*Vector, c)
-		l.segs = make([][]float64, c)
-		l.seqs = make([]int64, c)
-		l.offs = make([]int, c+1)
-		l.all = make([]int, c)
-		l.sel = make([]int, 0, c)
-		l.adv = make([]int, 0, c)
+	return ss.cells[c].shared.Latest()
+}
+
+// ChainTryPublish runs the LAU-SPC publish CAS on shard c.
+func (ss *Store) ChainTryPublish(c int, expected, v *Vector) bool {
+	return ss.cells[c].shared.TryPublish(expected, v)
+}
+
+// ChainTryPublishSparse runs the sparse scatter-publish on shard c: the
+// store-absolute indices (restricted to shard c's range by the caller) are
+// shifted to shard-local positions via the shard's lower bound.
+func (ss *Store) ChainTryPublishSparse(c int, expected, v *Vector, idx []int32, val []float64, eta float64) bool {
+	cell := &ss.cells[c]
+	return cell.shared.TryPublishSparse(expected, v, int32(cell.rng.Lo), idx, val, eta)
+}
+
+// ChainPeek returns shard c's published vector without read protection
+// (monitoring and seqlock validation only).
+func (ss *Store) ChainPeek(c int) *Vector {
+	if p := ss.probe; p != nil {
+		p.peek.Add(1)
 	}
-	if l.store != st || len(l.vecs) != c {
-		// A different store: refresh the segment offsets.
-		l.store = st
-		l.vecs, l.segs, l.seqs, l.offs, l.all = l.vecs[:c], l.segs[:c], l.seqs[:c], l.offs[:c+1], l.all[:c]
-		l.offs[0] = 0
-		for i := 0; i < c; i++ {
-			l.offs[i+1] = st.ChainRange(i).Hi
-			l.all[i] = i
+	return ss.cells[c].shared.Peek()
+}
+
+// Dim returns the full vector dimension d.
+func (ss *Store) Dim() int { return ss.dim }
+
+// SetPoison enables buffer poisoning on every shard pool (tests only).
+func (ss *Store) SetPoison(on bool) {
+	for s := range ss.cells {
+		ss.cells[s].pool.SetPoison(on)
+	}
+}
+
+// PublishInit slices theta into the shards and publishes each segment
+// unconditionally (initialization only; the sharded analogue of
+// Shared.Publish). theta must have length Dim.
+func (ss *Store) PublishInit(theta []float64) {
+	if len(theta) != ss.dim {
+		panic(fmt.Sprintf("paramvec: PublishInit got %d values, want %d", len(theta), ss.dim))
+	}
+	for s := range ss.cells {
+		c := &ss.cells[s]
+		v := New(c.pool)
+		copy(v.Theta, theta[c.rng.Lo:c.rng.Hi])
+		c.shared.Publish(v)
+	}
+}
+
+// Snapshot copies every shard's latest published segment into dst under read
+// protection and returns the per-shard sequence numbers that were copied.
+// Each shard segment is guaranteed untorn — it is one published, immutable
+// vector — but different shards may come from different global moments
+// (cross-shard skew). seqs is reused when it has capacity.
+func (ss *Store) Snapshot(dst []float64, seqs []int64) []int64 {
+	if len(dst) != ss.dim {
+		panic(fmt.Sprintf("paramvec: Snapshot dst has %d values, want %d", len(dst), ss.dim))
+	}
+	if cap(seqs) < len(ss.cells) {
+		seqs = make([]int64, len(ss.cells))
+	}
+	seqs = seqs[:len(ss.cells)]
+	for s := range ss.cells {
+		c := &ss.cells[s]
+		v := c.shared.Latest()
+		copy(dst[c.rng.Lo:c.rng.Hi], v.Theta)
+		seqs[s] = v.T
+		v.StopReading()
+	}
+	return seqs
+}
+
+// SnapshotConsistent attempts a cross-shard-consistent snapshot using
+// per-shard validation (a seqlock over the shard chains): lease every
+// shard's head, copy them all, and check on release that no head was
+// replaced during the copy — then no publish interleaved and the snapshot
+// is a true global state. The check compares heads while they are still
+// registered, so a recycled header cannot pass for an unchanged one. It
+// retries up to attempts times and reports whether validation succeeded;
+// on failure dst still holds the last (per-shard-untorn, possibly
+// cross-shard-skewed) snapshot. Under sustained publishing validation may
+// never pass — callers on a hot path should use Snapshot and tolerate skew.
+// One chain needs no validation: its snapshot is one immutable published
+// vector, a true global state on the first attempt even while publishers
+// run.
+func (ss *Store) SnapshotConsistent(dst []float64, attempts int) ([]int64, bool) {
+	if len(ss.cells) == 1 {
+		return ss.Snapshot(dst, nil), true
+	}
+	if len(dst) != ss.dim {
+		panic(fmt.Sprintf("paramvec: SnapshotConsistent dst has %d values, want %d", len(dst), ss.dim))
+	}
+	var l Lease
+	var seqs []int64
+	for try := 0; try < attempts; try++ {
+		pv := l.Acquire(ss)
+		pv.Gather(0, ss.dim, dst)
+		seqs = append(seqs[:0], l.seqs...)
+		if l.Release() {
+			return seqs, true
 		}
 	}
+	return seqs, false
 }
 
-func (l *Lease) acquire(st ParamStore, chains []int) View {
-	for _, c := range chains {
-		v := st.ChainLatest(c)
-		l.vecs[c] = v
-		l.segs[c] = v.Theta
-		l.seqs[c] = v.T
+// sum adds one gauge over every shard pool.
+func (ss *Store) sum(gauge func(*Pool) int64) int64 {
+	var n int64
+	for s := range ss.cells {
+		n += gauge(ss.cells[s].pool)
 	}
-	l.chains = chains
-	l.held = true
-	if len(l.vecs) == 1 {
-		return View{flat: l.segs[0]}
-	}
-	return View{segs: l.segs, offs: l.offs}
+	return n
 }
 
-// Release validates and drops the lease, reporting whether the leased view
-// was provably a consistent global state of the chains it read: true when no
-// leased chain published between Acquire and Release (a lease of one chain
-// is always consistent — one immutable vector) AND the store is still live.
-// A lease that outlived its store's retirement (the end-of-run teardown
-// retired the store mid-read) is never classified consistent — the buffers
-// were valid for the whole window, but they no longer describe the live
-// state; RetiredStore reports this case distinctly. The validation walk
-// records every chain whose head advanced — the per-chain staleness
-// accounting AdvancedChains exposes. The recorded sequence numbers (Seq)
-// stay valid after Release; the View does not. Release performs no
-// allocation once the advanced-chain slice has grown to the store's chain
-// count, and dropping the last lease on a retired store frees its buffers
-// instead of recycling them into the dead pools.
-func (l *Lease) Release() bool {
-	ok := l.Check()
-	l.Drop()
-	return ok
-}
+// Live sums the live-buffer gauges of every shard pool. One full-vector
+// equivalent counts as S shard buffers of total size d.
+func (ss *Store) Live() int64 { return ss.sum((*Pool).Live) }
 
-// Check is Release's validation without the release: it classifies the
-// read as Release would and keeps every registration, so the View stays
-// valid and the leased vectors can still be taken. It compares each leased
-// head with its chain's published pointer while still registered on it, so
-// a recycled header can never pass for an unchanged head.
-func (l *Lease) Check() bool {
-	if !l.held {
-		panic("paramvec: Lease.Release without Acquire")
-	}
-	l.adv = l.adv[:0]
-	l.retired = l.store.Retired()
-	if len(l.chains) > 1 {
-		for _, c := range l.chains {
-			if v := l.vecs[c]; v != nil && l.store.ChainPeek(c) != v {
-				l.adv = append(l.adv, c)
-			}
-		}
-	}
-	return len(l.adv) == 0 && !l.retired
-}
+// Peak sums the per-shard peak gauges. The shards peak at different moments,
+// so this is an upper bound on the true simultaneous peak.
+func (ss *Store) Peak() int64 { return ss.sum((*Pool).Peak) }
 
-// Take hands chain c's registration to the caller and returns the leased
-// vector, or nil when the lease holds none there. The caller must
-// StopReading it; the View's segment c is no longer the lease's to keep.
-func (l *Lease) Take(c int) *Vector {
-	v := l.vecs[c]
-	l.vecs[c], l.segs[c] = nil, nil
-	return v
-}
+// Allocs sums heap allocations across shard pools.
+func (ss *Store) Allocs() int64 { return ss.sum((*Pool).Allocs) }
 
-// Drop ends every registration the lease still holds, without validation.
-func (l *Lease) Drop() {
-	if !l.held {
-		panic("paramvec: Lease.Release without Acquire")
+// Reuses sums free-set reuses across shard pools.
+func (ss *Store) Reuses() int64 { return ss.sum((*Pool).Reuses) }
+
+// Retire marks the store retired, drains every shard pool's free set, and
+// marks each shard's published vector stale and offered for recycling
+// (end-of-run cleanup; the pool gauges drain to zero once the last reader
+// leaves). After Retire, Lease.Acquire panics — the latest-pointer loop on
+// an all-stale chain would never terminate — and buffers released by late
+// lease holders are dropped, not recycled into the dead pools. The retired
+// flag is set before any head goes stale, so a concurrent Lease.Acquire
+// either sees the flag and panics or wins the race and leases a still-valid
+// head under read protection.
+func (ss *Store) Retire() {
+	ss.retired.Store(true)
+	for s := range ss.cells {
+		ss.cells[s].pool.Retire()
 	}
-	l.held = false
-	for _, c := range l.chains {
-		if v := l.vecs[c]; v != nil {
-			v.StopReading()
-			l.vecs[c], l.segs[c] = nil, nil
-		}
+	for s := range ss.cells {
+		v := ss.cells[s].shared.Peek()
+		v.MarkStale()
+		v.SafeDelete()
 	}
 }
 
-// RetiredStore reports whether the last checked lease outlived its store's
-// retirement. Valid until the next Check or Release.
-func (l *Lease) RetiredStore() bool { return l.retired }
+// Retired reports whether the store has been retired; a lease released
+// after retirement labels itself with it (Lease.RetiredStore).
+func (ss *Store) Retired() bool { return ss.retired.Load() }
 
-// AdvancedChains returns the chains whose published head advanced during the
-// window of the last checked lease — empty exactly when that read was
-// consistent. The slice is valid until the next Check or Release and must
-// not be retained.
-func (l *Lease) AdvancedChains() []int { return l.adv }
+// ParamStore and NewSingle are the names the benchmark module (bench/) uses
+// for *Store and NewStore(dim, 1). That module is edited only together with
+// the benchmark contract, so both stay until it switches over (ROADMAP chore
+// 1(b)(vi)); code in this module uses Store and NewStore.
+type ParamStore = *Store
 
-// Seq returns chain c's sequence number as read at Acquire time — the
-// staleness baseline the publish protocol measures against. Valid for the
-// leased chains until the next Acquire.
-func (l *Lease) Seq(c int) int64 { return l.seqs[c] }
-
-// Chains returns the chain count of the last Acquire's store.
-func (l *Lease) Chains() int { return len(l.seqs) }
+// NewSingle is NewStore(dim, 1); see ParamStore.
+func NewSingle(dim int) *Store { return NewStore(dim, 1) }

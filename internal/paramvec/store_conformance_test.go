@@ -7,76 +7,76 @@ import (
 	"testing"
 )
 
-// The ParamStore conformance suite: every property the SGD layer relies on,
-// run table-driven over the chain store at one chain (the paper's single
-// Shared cell) and at four. The ReadFront rows serve the same stores'
-// snapshot reads from a ReadFront folding from them (frontStore), so the
-// fold's output is held to the suite's snapshot contracts too.
+// The store conformance suite: every property the SGD layer relies on, run
+// table-driven over the chain store at one chain (the paper's single Shared
+// cell) and at four. The ReadFront rows serve the same stores' snapshot reads
+// from a ReadFront folding from them (frontCase), so the fold's output is
+// held to the suite's snapshot contracts too.
 func storeCases(dim int) []struct {
 	name  string
-	build func() ParamStore
+	build func() *storeCase
 } {
 	return []struct {
 		name  string
-		build func() ParamStore
+		build func() *storeCase
 	}{
-		{"Shared", func() ParamStore { return NewStore(dim, 1) }},
-		{"ShardedShared", func() ParamStore { return NewStore(dim, 4) }},
-		{"ReadFront/Shared", func() ParamStore { return newFrontStore(NewStore(dim, 1)) }},
-		{"ReadFront/Sharded", func() ParamStore { return newFrontStore(NewStore(dim, 4)) }},
+		{"Shared", func() *storeCase { return plainCase(NewStore(dim, 1)) }},
+		{"ShardedShared", func() *storeCase { return plainCase(NewStore(dim, 4)) }},
+		{"ReadFront/Shared", func() *storeCase { return frontCase(NewStore(dim, 1)) }},
+		{"ReadFront/Sharded", func() *storeCase { return frontCase(NewStore(dim, 4)) }},
 	}
 }
 
-// frontStore is a store whose Snapshot and SnapshotConsistent are served by
-// a ReadFront folding from it: each call folds synchronously and copies the
-// front, so the front must be untorn, agree with the seqs it reports, and be
-// consistent once publishers quiesce. Chain reads and writes go to the store
-// itself. The quiet leash parks the background refresher, so every fold
-// runs on the caller's goroutine.
-type frontStore struct {
-	ParamStore
-	rf *ReadFront
+// storeCase is one row's store and the functions the suite initializes,
+// snapshots and retires it through. Chain reads and writes go to st itself.
+type storeCase struct {
+	st                 *Store
+	publishInit        func(theta []float64)
+	snapshot           func(dst []float64, seqs []int64) []int64
+	snapshotConsistent func(dst []float64, attempts int) ([]int64, bool)
+	retire             func()
 }
 
-func newFrontStore(st ParamStore) *frontStore {
-	return &frontStore{ParamStore: st, rf: NewReadFront(st, quietLeash)}
+func plainCase(st *Store) *storeCase {
+	return &storeCase{st: st, publishInit: st.PublishInit, snapshot: st.Snapshot,
+		snapshotConsistent: st.SnapshotConsistent, retire: st.Retire}
 }
 
-// PublishInit initializes the store and folds the first snapshot.
-func (f *frontStore) PublishInit(theta []float64) {
-	f.ParamStore.PublishInit(theta)
-	f.rf.refreshNow()
-}
-
-func (f *frontStore) Snapshot(dst []float64, seqs []int64) []int64 {
-	f.rf.refreshNow()
-	return f.copyFront(dst, seqs)
-}
-
-// SnapshotConsistent reports whether the fold installed a fresh snapshot.
-func (f *frontStore) SnapshotConsistent(dst []float64, _ int) ([]int64, bool) {
-	ok := f.rf.refreshNow()
-	return f.copyFront(dst, nil), ok
-}
-
-func (f *frontStore) copyFront(dst []float64, seqs []int64) []int64 {
-	s := f.rf.acquire()
-	defer s.release()
-	copy(dst, s.theta)
-	return append(seqs[:0], s.seqs...)
-}
-
-// Retire stops the refresher first, so no fold holds a chain when the
-// gauges are read.
-func (f *frontStore) Retire() {
-	f.rf.Close()
-	f.ParamStore.Retire()
+// frontCase serves st's snapshots from a ReadFront folding from it: each
+// call folds synchronously and copies the front, so the front must be
+// untorn, agree with the seqs it reports, and be consistent once publishers
+// quiesce. The quiet leash parks the background refresher, so every fold
+// runs on the caller's goroutine. Init folds the first snapshot;
+// SnapshotConsistent reports whether the fold installed a fresh one; retire
+// stops the refresher first, so no fold holds a chain when the gauges are
+// read.
+func frontCase(st *Store) *storeCase {
+	rf := NewReadFront(st, quietLeash)
+	copyFront := func(dst []float64, seqs []int64) []int64 {
+		s := rf.acquire()
+		defer s.release()
+		copy(dst, s.theta)
+		return append(seqs[:0], s.seqs...)
+	}
+	return &storeCase{
+		st:          st,
+		publishInit: func(theta []float64) { st.PublishInit(theta); rf.refreshNow() },
+		snapshot: func(dst []float64, seqs []int64) []int64 {
+			rf.refreshNow()
+			return copyFront(dst, seqs)
+		},
+		snapshotConsistent: func(dst []float64, _ int) ([]int64, bool) {
+			ok := rf.refreshNow()
+			return copyFront(dst, nil), ok
+		},
+		retire: func() { rf.Close(); st.Retire() },
+	}
 }
 
 // publishChain runs one LAU-SPC publish round over every chain of st with a
 // persistence bound of tp, bumping marker cells so readers can detect torn
 // or recycled state. Returns the number of successful publishes.
-func publishChain(st ParamStore, worker, tp int) int64 {
+func publishChain(st *Store, worker, tp int) int64 {
 	var published int64
 	C := st.Chains()
 	for k := 0; k < C; k++ {
@@ -112,7 +112,8 @@ func TestStoreConformanceBasics(t *testing.T) {
 	const dim = 64
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			if st.Dim() != dim {
 				t.Fatalf("Dim = %d, want %d", st.Dim(), dim)
 			}
@@ -137,9 +138,9 @@ func TestStoreConformanceBasics(t *testing.T) {
 			for i := range init {
 				init[i] = float64(i)
 			}
-			st.PublishInit(init)
+			sc.publishInit(init)
 			dst := make([]float64, dim)
-			seqs := st.Snapshot(dst, nil)
+			seqs := sc.snapshot(dst, nil)
 			if len(seqs) != C {
 				t.Fatalf("Snapshot returned %d seqs, want %d", len(seqs), C)
 			}
@@ -151,7 +152,7 @@ func TestStoreConformanceBasics(t *testing.T) {
 			if live := st.Live(); live != int64(C) {
 				t.Fatalf("Live = %d after init, want %d (one published vector per chain)", live, C)
 			}
-			st.Retire()
+			sc.retire()
 			if live := st.Live(); live != 0 {
 				t.Fatalf("Live = %d after Retire, want 0", live)
 			}
@@ -166,9 +167,10 @@ func TestStoreConformanceLeaseLifecycle(t *testing.T) {
 	const dim = 48
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
-			st.PublishInit(make([]float64, dim))
+			sc.publishInit(make([]float64, dim))
 
 			var l Lease
 			view := l.Acquire(st)
@@ -211,8 +213,9 @@ func TestStoreConformanceLeaseQuietWindowConsistent(t *testing.T) {
 	const dim = 48
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
-			st.PublishInit(make([]float64, dim))
+			sc := tc.build()
+			st := sc.st
+			sc.publishInit(make([]float64, dim))
 			var l Lease
 			for i := 0; i < 3; i++ {
 				l.Acquire(st)
@@ -220,7 +223,7 @@ func TestStoreConformanceLeaseQuietWindowConsistent(t *testing.T) {
 					t.Fatalf("quiet-window lease %d classified mixed", i)
 				}
 			}
-			st.Retire()
+			sc.retire()
 		})
 	}
 }
@@ -247,9 +250,10 @@ func TestStoreConformanceSnapshotNeverTorn(t *testing.T) {
 	const dim = 64
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
-			st.PublishInit(make([]float64, dim))
+			sc.publishInit(make([]float64, dim))
 			iters := stressIters(t, 1500)
 
 			var wg sync.WaitGroup
@@ -269,7 +273,7 @@ func TestStoreConformanceSnapshotNeverTorn(t *testing.T) {
 			var seqs []int64
 			check := func(i int) {
 				t.Helper()
-				seqs = st.Snapshot(dst, seqs)
+				seqs = sc.snapshot(dst, seqs)
 				for c := 0; c < st.Chains(); c++ {
 					r := st.ChainRange(c)
 					want := dst[r.Lo]
@@ -298,10 +302,10 @@ func TestStoreConformanceSnapshotNeverTorn(t *testing.T) {
 
 			// After quiesce, SnapshotConsistent must validate and agree
 			// with a follow-up snapshot.
-			if _, ok := st.SnapshotConsistent(dst, 4); !ok {
+			if _, ok := sc.snapshotConsistent(dst, 4); !ok {
 				t.Fatal("SnapshotConsistent failed with no concurrent publishers")
 			}
-			st.Retire()
+			sc.retire()
 			if got := st.Live(); got != 0 {
 				t.Fatalf("Live = %d after Retire, want 0", got)
 			}
@@ -321,10 +325,11 @@ func TestStoreConformancePublishRecycleRace(t *testing.T) {
 	const workers = 8
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
 			init := make([]float64, dim)
-			st.PublishInit(init)
+			sc.publishInit(init)
 			iters := stressIters(t, 2000)
 
 			var published atomic.Int64
@@ -355,7 +360,7 @@ func TestStoreConformancePublishRecycleRace(t *testing.T) {
 			if got, want := st.Live(), int64(st.Chains()); got != want {
 				t.Fatalf("Live = %d after quiesce, want %d", got, want)
 			}
-			st.Retire()
+			sc.retire()
 			if got := st.Live(); got != 0 {
 				t.Fatalf("Live = %d after Retire, want 0", got)
 			}
@@ -373,17 +378,18 @@ func TestStoreConformanceLeaseAcrossRetire(t *testing.T) {
 	const dim = 64
 	for _, tc := range storeCases(dim) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.build()
+			sc := tc.build()
+			st := sc.st
 			st.SetPoison(true)
 			theta := make([]float64, dim)
 			for i := range theta {
 				theta[i] = float64(i)
 			}
-			st.PublishInit(theta)
+			sc.publishInit(theta)
 
 			var l Lease
 			view := l.Acquire(st)
-			st.Retire()
+			sc.retire()
 			if !st.Retired() {
 				t.Fatal("Retired() = false after Retire")
 			}

@@ -4,7 +4,9 @@
 // deadline expired while queued (ErrDeadline → HTTP 504, cheaper than
 // serving a prediction the client already gave up on), and reports both
 // through Health — the /healthz signal an operator or load balancer drains
-// traffic on, which flips back to ok once the pressure clears.
+// traffic on, which flips back to ok once the pressure clears. Health also
+// reports a model whose parameters are not finite, which answers every
+// prediction with an error until it is replaced.
 package serve
 
 import (
@@ -12,6 +14,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"leashedsgd/internal/paramvec"
+	"leashedsgd/internal/tensor"
 )
 
 var (
@@ -53,9 +58,10 @@ func (d *degradeState) noteExpired() {
 
 // Health is the server's degradation report.
 type Health struct {
-	// Degraded: the server is shedding, its queue is near saturation, or
-	// the read front's staleness leash is persistently blown. Flips back
-	// once the signals clear for degradeWindow.
+	// Degraded: the server is shedding, its queue is near saturation, the
+	// read front's staleness leash is persistently blown, or the served
+	// parameters are not finite. The overload signals clear degradeWindow
+	// after they stop; the last clears as soon as the parameters are finite.
 	Degraded bool `json:"degraded"`
 	// Reasons lists the active degradation signals (empty when healthy).
 	Reasons []string `json:"reasons,omitempty"`
@@ -72,9 +78,9 @@ type Health struct {
 }
 
 // Health probes the server's degradation state. Safe for concurrent use;
-// each call is one poll of the signals (queue occupancy, recent sheds, and —
-// for the readfront store — whether over-leash reads accumulated since the
-// previous probe).
+// each call is one poll of the signals (queue occupancy, recent sheds, for
+// the readfront store whether over-leash reads accumulated since the
+// previous probe, and one read of the served parameters).
 func (s *Server) Health() Health {
 	d := &s.degrade
 	h := Health{
@@ -104,8 +110,25 @@ func (s *Server) Health() Health {
 			h.Reasons = append(h.Reasons, "read leash blown")
 		}
 	}
+	if !s.paramsFinite() {
+		h.Reasons = append(h.Reasons, "parameters not finite")
+	}
 	h.Degraded = len(h.Reasons) > 0
 	return h
+}
+
+// paramsFinite reads the served parameters once, through the source the
+// predictions read, and reports whether every one is finite.
+func (s *Server) paramsFinite() bool {
+	finite := true
+	s.src.ReadParams(nil, nil, func(v paramvec.View) {
+		for pos, n := 0, v.Len(); pos < n && finite; {
+			piece := v.Tail(pos, n)
+			finite = !tensor.HasNaNOrInf(piece)
+			pos += len(piece)
+		}
+	})
+	return finite
 }
 
 // expireStale partitions a collected batch by Config.Deadline: requests

@@ -16,7 +16,7 @@ import (
 
 // The acceptance path, end to end: `leashed serve` answers batched predict
 // requests over HTTP while a Leashed training run publishes into the same
-// ParamStore over 8 chains (serve_live's store shape). Every served
+// chain store over 8 chains (serve_live's store shape). Every served
 // prediction must be a valid distribution with its consistency label; after
 // the run ends the server switches to the immutable final parameters.
 func TestServeWhileTrainingE2E(t *testing.T) {

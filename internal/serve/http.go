@@ -21,6 +21,8 @@ const maxBodyBytes = 1 << 20
 //	               a model whose parameters are not finite)
 //	GET  /stats    → Stats JSON
 //	GET  /healthz  → 200 Health JSON when healthy, 503 when degraded
+//	               (overload, a blown read leash, or parameters that are
+//	               not finite — the reasons name which)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", s.handlePredict)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -12,8 +13,9 @@ import (
 
 // TestHTTPNonFiniteModel serves a model whose parameters are NaN: the
 // prediction cannot be encoded as JSON, so /predict answers 500 with the
-// reason instead of 200 with an empty body, and /stats and /healthz still
-// answer JSON that parses.
+// reason instead of 200 with an empty body, /stats still answers 200, and
+// /healthz answers 503 naming the non-finite parameters — both with JSON
+// that parses.
 func TestHTTPNonFiniteModel(t *testing.T) {
 	net, src := staticFixture(t)
 	for i := range src {
@@ -37,16 +39,22 @@ func TestHTTPNonFiniteModel(t *testing.T) {
 		t.Fatalf("predict on a NaN model = %d %q, want 500 naming the NaN", resp.StatusCode, body)
 	}
 
-	for _, path := range []string{"/stats", "/healthz"} {
-		resp, err := http.Get(srv.URL + path)
+	for _, tc := range []struct {
+		path   string
+		status int
+	}{{"/stats", http.StatusOK}, {"/healthz", http.StatusServiceUnavailable}} {
+		resp, err := http.Get(srv.URL + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var v map[string]any
 		err = json.NewDecoder(resp.Body).Decode(&v)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil {
-			t.Fatalf("%s = %d (decode: %v), want 200 with a JSON object", path, resp.StatusCode, err)
+		if resp.StatusCode != tc.status || err != nil {
+			t.Fatalf("%s = %d (decode: %v), want %d with a JSON object", tc.path, resp.StatusCode, err, tc.status)
+		}
+		if tc.path == "/healthz" && !strings.Contains(fmt.Sprint(v["reasons"]), "parameters not finite") {
+			t.Fatalf("/healthz on a NaN model = %v, want the reason \"parameters not finite\"", v)
 		}
 	}
 }

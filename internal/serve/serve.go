@@ -3,7 +3,7 @@
 // the paper's bounded-staleness read guarantee. Requests are coalesced by a
 // small batcher (max-batch + max-delay) into one blocked-GEMM forward chain
 // (nn.ForwardBatch) per batch, computed against a zero-copy leased view of
-// the published ParamStore (paramvec.Lease via sgd.Running.ReadParams), so
+// the published chain store (paramvec.Lease via sgd.Running.ReadParams), so
 // serving a batch costs one leased read regardless of batch size and never
 // blocks the workers' LAU-SPC publishes.
 //

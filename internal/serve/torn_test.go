@@ -12,7 +12,7 @@ import (
 	"leashedsgd/internal/sgd"
 )
 
-// swapStoreSource drives the real batcher against a real ParamStore under
+// swapStoreSource drives the real batcher against a real chain store under
 // maximum read-path hostility: concurrent publishers maintain the marker
 // invariant (every cell of a chain's published buffer equals a per-chain
 // marker value derived from its sequence number), and a swapper goroutine
@@ -25,7 +25,7 @@ import (
 type swapStoreSource struct {
 	t   *testing.T
 	mu  sync.RWMutex // epoch pin: Lock = swap, RLock = acquire
-	st  paramvec.ParamStore
+	st  *paramvec.Store
 	dim int
 
 	torn    atomic.Int64

@@ -4,14 +4,12 @@ import (
 	"leashedsgd/internal/paramvec"
 )
 
-// shardEpoch is a Leashed run's publication state — the ParamStore built at
+// shardEpoch is a Leashed run's publication state — the chain store built at
 // start with Config.Shards chains — plus its per-chain instrumentation. It is
 // the run's store for the whole run: nothing swaps it, so workers, the
 // monitor and outside readers reach it without a lock.
 type shardEpoch struct {
-	store paramvec.ParamStore
-	// offs are the chain boundaries: chain c is [offs[c], offs[c+1]).
-	offs            []int
+	store           *paramvec.Store
 	failed, dropped []paddedCounter
 	// rstale counts, per chain, the leased reads during which that chain's
 	// head advanced (the per-chain decomposition of a mixed-version read).
@@ -40,14 +38,10 @@ func newShardEpoch(dim, chains, workers int, theta []float64) *shardEpoch {
 	n := st.Chains()
 	e := &shardEpoch{
 		store:   st,
-		offs:    make([]int, n+1),
 		failed:  newCounters(n),
 		dropped: newCounters(n),
 		rstale:  newCounters(n),
 		tallies: make([]chainTally, workers),
-	}
-	for c := 0; c < n; c++ {
-		e.offs[c+1] = st.ChainRange(c).Hi
 	}
 	for i := range e.tallies {
 		e.tallies[i] = chainTally{pub: make([]int64, n), touched: make([]int64, n), stale: make([]int64, n)}

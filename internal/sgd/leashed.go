@@ -6,11 +6,10 @@ import (
 )
 
 // leashedStrategy is Leashed-SGD (Algorithm 3) under the unified worker
-// loop, parameterized over paramvec.ParamStore — ONE implementation covers
-// the paper's single chain (Config.Shards <= 1) and the sharded store
-// (Shards > 1), both the chain store paramvec.ShardedShared. The store is
-// built once at start (shardEpoch, epoch.go) and serves the whole run, so
-// an iteration takes no lock around it.
+// loop over the chain store paramvec.Store — ONE implementation covers the
+// paper's single chain (Config.Shards <= 1) and the sharded store (Shards >
+// 1). The store is built once at start (shardEpoch, epoch.go) and serves the
+// whole run, so an iteration takes no lock around it.
 //
 // Per iteration a worker, having sampled its minibatch:
 //
@@ -60,7 +59,7 @@ func (rt *runCtx) newLeashedStrategy(initVec *paramvec.Vector) *leashedStrategy 
 
 func (st *leashedStrategy) setup(w *loopWorker) {
 	w.velocity = st.rt.maybeVelocity()
-	w.support = newChainSet(st.e.offs)
+	w.support = newChainSet(st.e.store.Offsets())
 	w.wins = make([]chainWin, 0, st.e.store.Chains())
 }
 
@@ -119,7 +118,7 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	}
 	w.reserved = true
 
-	wins := s.windows(e.offs, w.wins[:0])
+	wins := s.windows(e.store.Offsets(), w.wins[:0])
 	w.wins = wins
 	first := w.id % e.store.Chains()
 	start := 0
@@ -222,14 +221,6 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 		cur.StopReading()
 	}
 	return false
-}
-
-// pinStore returns the run's store for an outside reader — a ReadFront
-// fold, or a serving lease's Acquire. Nothing swaps the store mid-run, so
-// the release is a no-op; the end-of-run teardown is ordered by the caller
-// (Running.readMu and the front freeze in Running.finish).
-func (st *leashedStrategy) pinStore() (paramvec.ParamStore, func()) {
-	return st.e.store, func() {}
 }
 
 // snapshot copies the published parameters; the per-chain sequence slice is

@@ -1,6 +1,6 @@
 // The unified, store-parameterized worker loop. Every algorithm — SEQ/ASYNC,
-// HOGWILD! and Leashed-SGD (single-chain and sharded, both through
-// paramvec.ParamStore) — runs its workers through workerLoop below;
+// HOGWILD! and Leashed-SGD (single-chain and sharded, both on the chain
+// store paramvec.Store) — runs its workers through workerLoop below;
 // what differs per algorithm is reduced to the strategy hooks: how the
 // parameter view for the gradient read is produced (lock-copy, atomic-copy,
 // zero-copy lease), and what the publish protocol does with the computed

@@ -55,7 +55,7 @@ type step interface {
 	// chain's range — into the private vector nv on top of cur's values and
 	// try the single CAS. The caller owns the retry/drop loop, the staleness
 	// accounting and cur's read protection.
-	publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool
+	publishChain(store *paramvec.Store, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool
 }
 
 // chainWin is one chain a step writes and the window [a, b) of the step's
@@ -130,9 +130,19 @@ func (s denseStep) atomicApply(shared []uint64, eta float64) {
 // abandoned mid-pass reports false exactly like a lost CAS: another worker
 // published, so the caller's accounting and the lock-freedom argument are
 // those of Algorithm 3.
-func (s denseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
-	return nv.UpdateFrom(cur, s[a:b], eta) && store.ChainTryPublish(c, cur, nv)
+func (s denseStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
+	if !nv.UpdateFrom(cur, s[a:b], eta) {
+		return false
+	}
+	if onDenseCAS != nil {
+		onDenseCAS()
+	}
+	return store.ChainTryPublish(c, cur, nv)
 }
+
+// onDenseCAS, when set (tests only), is called before each CAS a dense
+// publish attempt issues.
+var onDenseCAS func()
 
 // sparseStep is the CSR gradient representation: strictly increasing
 // store-absolute indices with their values.
@@ -173,7 +183,7 @@ func (s sparseStep) atomicApply(shared []uint64, eta float64) {
 // publishChain is the scatter-publish: the store shifts the absolute indices
 // into the chain's local range and folds only the hit components on top of
 // cur's values (paramvec.TryPublishSparse).
-func (s sparseStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
+func (s sparseStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
 	return store.ChainTryPublishSparse(c, cur, nv, s.idx[a:b], s.val[a:b], eta)
 }
 
@@ -297,25 +307,20 @@ func (g *denseGradWorker) close() { g.grad.Release() }
 
 // sparseProblem is sparse binary logistic regression over a sparse.Dataset —
 // the workload class HOGWILD! was designed for, now running through every
-// algorithm of the unified loop with first-class sparse steps. asDense is
-// the control arm (Config.SparseAsDense): gradients are accumulated into a
-// full-dimension dense step so the publish protocols behave exactly as on a
-// dense problem — the whole-vector-publish baseline the scatter-publish
-// benchmark compares against.
+// algorithm of the unified loop with first-class sparse steps.
 type sparseProblem struct {
-	ds      *sparse.Dataset
-	asDense bool
-	maxNNZ  int
+	ds     *sparse.Dataset
+	maxNNZ int
 }
 
-func newSparseProblem(ds *sparse.Dataset, asDense bool) *sparseProblem {
+func newSparseProblem(ds *sparse.Dataset) *sparseProblem {
 	maxNNZ := 0
 	for _, ex := range ds.Examples {
 		if len(ex.Idx) > maxNNZ {
 			maxNNZ = len(ex.Idx)
 		}
 	}
-	return &sparseProblem{ds: ds, asDense: asDense, maxNNZ: maxNNZ}
+	return &sparseProblem{ds: ds, maxNNZ: maxNNZ}
 }
 
 func (p *sparseProblem) dim() int     { return p.ds.Dim }
@@ -346,9 +351,7 @@ func (p *sparseProblem) newGradWorker(rt *runCtx, id int) gradWorker {
 	bufCap := rt.cfg.BatchSize * p.maxNNZ
 	g.outIdx = make([]int32, 0, bufCap)
 	g.outVal = make([]float64, 0, bufCap)
-	if p.asDense {
-		g.dense = make([]float64, p.ds.Dim)
-	} else if rt.cfg.BatchSize > 1 {
+	if rt.cfg.BatchSize > 1 {
 		g.scratch = make([]float64, p.ds.Dim)
 		g.touched = make([]int32, 0, bufCap)
 	}
@@ -406,18 +409,10 @@ type sparseGradWorker struct {
 	touched []int32
 	outIdx  []int32
 	outVal  []float64
-	dense   []float64 // asDense control arm accumulator
-	// The returned step, held here so returning it boxes nothing.
-	step  sparseStep
-	dstep denseStep
+	step    sparseStep // the returned step, held here so returning it boxes nothing
 }
 
-func (g *sparseGradWorker) sample() {
-	g.batch = g.sampler.Next()
-	if g.dense != nil {
-		zero(g.dense)
-	}
-}
+func (g *sparseGradWorker) sample() { g.batch = g.sampler.Next() }
 
 // residual computes (σ(w·x) − y) for one example against the leased view:
 // a flat view feeds the SpDot gather kernel directly; a segmented one
@@ -435,12 +430,8 @@ func (g *sparseGradWorker) residual(pv paramvec.View, ex sparse.Example) float64
 	return 1/(1+math.Exp(-dot)) - float64(ex.Label)
 }
 
-// support marks the chains of every example in the batch; the dense control
-// arm writes every chain.
+// support marks the chains of every example in the batch.
 func (g *sparseGradWorker) support(cs *chainSet) bool {
-	if g.dense != nil {
-		return false
-	}
 	for _, i := range g.batch.Indices {
 		cs.add(g.p.ds.Examples[i].Idx)
 	}
@@ -450,17 +441,6 @@ func (g *sparseGradWorker) support(cs *chainSet) bool {
 func (g *sparseGradWorker) compute(pv paramvec.View, velocity []float64) step {
 	B := len(g.batch.Indices)
 	invB := 1 / float64(B)
-	if g.dense != nil {
-		for _, i := range g.batch.Indices {
-			ex := g.p.ds.Examples[i]
-			res := g.residual(pv, ex) * invB
-			for k, j := range ex.Idx {
-				g.dense[j] += res * ex.Val[k]
-			}
-		}
-		g.dstep = denseStep(g.dense)
-		return &g.dstep
-	}
 	if B == 1 {
 		// Fast path: one example's gradient IS a sorted CSR row — scale
 		// into the output buffer, alias the example's index set.

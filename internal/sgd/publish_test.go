@@ -17,20 +17,19 @@ import (
 // ever grows past it, instead of silently testing nothing.
 const longDim = 1 << 18
 
-// casCountingStore counts the publish CASes issued through it.
-type casCountingStore struct {
-	paramvec.ParamStore
-	cas int
-}
-
-func (s *casCountingStore) ChainTryPublish(c int, expected, v *paramvec.Vector) bool {
-	s.cas++
-	return s.ParamStore.ChainTryPublish(c, expected, v)
+// countDenseCAS counts the CASes dense publish attempts issue until the test
+// ends (onDenseCAS). The rival publishes below issue theirs directly and are
+// not counted.
+func countDenseCAS(t *testing.T) *int {
+	n := new(int)
+	onDenseCAS = func() { *n++ }
+	t.Cleanup(func() { onDenseCAS = nil })
+	return n
 }
 
 // rivalPublish replaces chain 0's head with the same parameters at the next
 // sequence number — another worker winning the race.
-func rivalPublish(t *testing.T, st paramvec.ParamStore, zeros []float64) {
+func rivalPublish(t *testing.T, st *paramvec.Store, zeros []float64) {
 	t.Helper()
 	cur := st.ChainLatest(0)
 	nv := st.NewChainVec(0)
@@ -45,23 +44,23 @@ func rivalPublish(t *testing.T, st paramvec.ParamStore, zeros []float64) {
 // an attempt whose head is replaced mid-way reports a lost attempt WITHOUT
 // issuing the CAS, and a warm attempt that does publish allocates nothing.
 func TestDensePublishAbandonsWithoutCAS(t *testing.T) {
-	inner := paramvec.NewStore(longDim, 1)
-	inner.PublishInit(make([]float64, longDim))
-	st := &casCountingStore{ParamStore: inner}
+	st := paramvec.NewStore(longDim, 1)
+	st.PublishInit(make([]float64, longDim))
+	cas := countDenseCAS(t)
 	r := st.ChainRange(0)
 	g, zeros := make([]float64, longDim), make([]float64, longDim)
 	tensor.Fill(g, 1)
 	s := denseStep(g)
 
 	cur := st.ChainLatest(0)
-	rivalPublish(t, inner, zeros)
+	rivalPublish(t, st, zeros)
 	nv := st.NewChainVec(0)
 	if s.publishChain(st, 0, r.Lo, r.Hi, cur, nv, 0.5) {
 		t.Fatal("attempt on a replaced head published")
 	}
 	cur.StopReading()
-	if st.cas != 0 {
-		t.Fatalf("abandoned attempt issued %d CAS, want none", st.cas)
+	if *cas != 0 {
+		t.Fatalf("abandoned attempt issued %d CAS, want none", *cas)
 	}
 	// The same private vector carries the retry.
 	cur = st.ChainLatest(0)
@@ -98,7 +97,7 @@ func TestSparseCommitLeasesSupportWithoutAllocating(t *testing.T) {
 	cfg := sparseTestConfig(Leashed, 1)
 	cfg.BatchSize = 1
 	cfg.Shards = 64
-	rt := newRuntime(cfg, newSparseProblem(ds, false))
+	rt := newRuntime(cfg, newSparseProblem(ds))
 	st := &leashedStrategy{rt: rt, e: newShardEpoch(ds.Dim, cfg.Shards, 1, make([]float64, ds.Dim))}
 	w := rt.newLoopWorker(0)
 	st.setup(w)
@@ -176,7 +175,7 @@ type movingHeadStep struct {
 	rivals *int
 }
 
-func (s movingHeadStep) publishChain(store paramvec.ParamStore, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
+func (s movingHeadStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
 	rivalPublish(s.t, store, s.zeros)
 	*s.rivals++
 	return s.denseStep.publishChain(store, c, a, b, cur, nv, eta)
@@ -186,13 +185,12 @@ func (s movingHeadStep) publishChain(store paramvec.ParamStore, c, a, b int, cur
 // leashedStrategy.commit: exactly a lost CAS. With Persistence = 1 and a head
 // that always moves, the segment is dropped after exactly two tries, failed
 // and dropped advance, the private buffer goes back to the pool and the
-// budget unit is refunded — and no CAS but the rival's was ever issued.
+// budget unit is refunded — and no CAS but the rivals' was ever issued.
 func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10}
 	rt := newRuntime(cfg, stubProblem{d: longDim})
 	e := newShardEpoch(longDim, 1, 1, make([]float64, longDim))
-	counting := &casCountingStore{ParamStore: e.store}
-	e.store = counting
+	cas := countDenseCAS(t)
 	st := &leashedStrategy{rt: rt, e: e}
 	w := &loopWorker{hist: rt.hists[0]}
 	w.lease.Acquire(e.store)
@@ -208,8 +206,8 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	if rivals != 2 {
 		t.Fatalf("segment dropped after %d tries, want exactly 2 (Tp = 1)", rivals)
 	}
-	if counting.cas != rivals {
-		t.Fatalf("%d CASes issued for %d rival publishes: an abandoned attempt must not CAS", counting.cas, rivals)
+	if *cas != 0 {
+		t.Fatalf("%d CASes issued beside %d rival publishes: an abandoned attempt must not CAS", *cas, rivals)
 	}
 	f, d := e.failed[0].n.Load(), e.dropped[0].n.Load()
 	if p, _, _ := e.sums(0); f != 2 || d != 1 || p != 0 {

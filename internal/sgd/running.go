@@ -23,16 +23,6 @@ import (
 // every existing sgd.ReadMeta reference valid.
 type ReadMeta = paramvec.ReadMeta
 
-// storePinner is implemented by strategies whose live publication store
-// readers outside the worker pool can lease (Leashed-SGD). ReadFront folds
-// and a leased ReadParams reach the store through it.
-type storePinner interface {
-	// pinStore returns the run's publication store and a release func.
-	// The store is the run's for its whole life; what keeps it from
-	// retiring under a reader is Running.readMu, held by the caller.
-	pinStore() (paramvec.ParamStore, func())
-}
-
 // Running is a live training run started by Start. Exactly one goroutine may
 // call Wait; ReadParams and Stop are safe from any number of goroutines,
 // concurrently with the run and with each other.
@@ -258,18 +248,16 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 		fn(paramvec.FlatView(final))
 		return ReadMeta{Consistent: true, Final: true, Chains: 1}
 	}
-	if sp, ok := r.st.(storePinner); ok {
+	if e := r.rt.epoch; e != nil {
 		if l == nil {
 			l = new(paramvec.Lease)
 		}
-		store, unpin := sp.pinStore()
-		pv := l.Acquire(store)
-		// Unpin before fn: a long inference pass must not block the
+		pv := l.Acquire(e.store)
+		// Unlock before fn: a long inference pass must not block the
 		// run's teardown — the lease's read registration keeps the
 		// buffers valid, and Release classifies what happened meanwhile
 		// (a lease that outlived its store is labeled,
 		// paramvec.Lease.RetiredStore).
-		unpin()
 		r.readMu.RUnlock()
 		fn(pv)
 		consistent := l.Release()
@@ -295,17 +283,13 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 // read lock blocks the end-of-run teardown (closed flips under the write
 // lock before the store retires), so the returned store cannot be retired
 // until release.
-func (r *Running) pinStore() (paramvec.ParamStore, func()) {
+func (r *Running) pinStore() (*paramvec.Store, func()) {
 	r.readMu.RLock()
 	if r.closed {
 		r.readMu.RUnlock()
 		return nil, nil
 	}
-	st, unpin := r.st.(storePinner).pinStore()
-	return st, func() {
-		unpin()
-		r.readMu.RUnlock()
-	}
+	return r.rt.epoch.store, r.readMu.RUnlock
 }
 
 // Front returns a read-optimized snapshot store over this run's live
@@ -319,7 +303,7 @@ func (r *Running) pinStore() (paramvec.ParamStore, func()) {
 // publication store (only the Leashed family has one) unless the run has
 // already ended.
 func (r *Running) Front(leash paramvec.ReadLeash) (*paramvec.ReadFront, error) {
-	if _, ok := r.st.(storePinner); !ok {
+	if r.rt.epoch == nil {
 		r.readMu.RLock()
 		closed := r.closed
 		r.readMu.RUnlock()

@@ -78,7 +78,7 @@ type Config struct {
 	// Shards splits the published parameter vector into S contiguous
 	// shards, each with its own lock-free latest-pointer chain, pool and
 	// sequence counter, so Leashed publish CAS contention scales as ~1/S
-	// (extension; see internal/paramvec.ShardedShared). 0 or 1 is one
+	// (extension; see internal/paramvec.Store). 0 or 1 is one
 	// chain: the paper's exact single published pointer. Only Leashed-SGD
 	// uses it; SEQ, ASYNC and HOGWILD! ignore it and report one
 	// shard. Values above the parameter dimension clamp.
@@ -125,14 +125,6 @@ type Config struct {
 
 	// SampleTiming records per-iteration Tc/Tu durations (Fig. 9).
 	SampleTiming bool
-
-	// SparseAsDense forces a sparse run (RunSparse/StartSparse) to
-	// accumulate its gradients into full-dimension dense steps, so every
-	// publish protocol behaves exactly as on a dense problem — whole-vector
-	// copies and publishes on every chain. It is the control arm the
-	// scatter-publish benchmarks compare against and is ignored by dense
-	// runs (their steps are dense already).
-	SparseAsDense bool
 
 	// Checkpoint enables mid-run periodic checkpointing: on cadence the
 	// monitor takes a consistent parameter snapshot and writes a rotated,
@@ -267,7 +259,7 @@ type Result struct {
 	// definition across algorithms: Tu covers the whole publish protocol
 	// of the iteration — lock acquisition for ASYNC, all LAU-SPC CAS
 	// attempts (up to Tp retries) for the Leashed variants, the
-	// component-atomic sweep for HOGWILD!. (Pre-ParamStore versions
+	// component-atomic sweep for HOGWILD!. (Pre-unified-loop versions
 	// sampled single-chain Leashed per CAS attempt and excluded ASYNC's
 	// lock wait; the unified loop measures the synchronization cost as part
 	// of the update phase, which is the quantity the paper's Tc/Tu model
@@ -424,7 +416,7 @@ type runCtx struct {
 	readTallies []readTally
 
 	// pool checks out the workers' private buffers (gradients, read
-	// copies); the published chains live in the strategy's ParamStore.
+	// copies); the published chains live in the Leashed run's chain store.
 	pool *paramvec.Pool
 
 	// epoch is the Leashed run's publication store and its per-chain

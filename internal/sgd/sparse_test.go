@@ -52,10 +52,11 @@ func referenceSparseGrad(ds *sparse.Dataset, w []float64, batch []int) []float64
 }
 
 // TestSparseGradientMatchesReference checks the tentpole's correctness
-// contract: the batched sparse gradient (B = 1 aliasing fast path, B > 1
-// scratch-accumulate path, and the asDense control arm) must match the
-// per-example dense reference to 1e-12, computed against both a flat view and
-// a segmented multi-chain leased view.
+// contract: the batched sparse gradient (B = 1 aliasing fast path and B > 1
+// scratch-accumulate path) must match the per-example dense reference to
+// 1e-12, computed against both a flat view and a segmented multi-chain leased
+// view. The subtests keep the asDense=false prefix they were listed under
+// while a dense-carry arm existed beside them.
 func TestSparseGradientMatchesReference(t *testing.T) {
 	ds := sparseTestDataset()
 	w := make([]float64, ds.Dim)
@@ -67,49 +68,43 @@ func TestSparseGradientMatchesReference(t *testing.T) {
 		"B1": {17},
 		"B8": {3, 41, 17, 17, 99, 200, 7, 41}, // duplicates on purpose
 	}
-	for _, asDense := range []bool{false, true} {
-		for bName, batch := range batches {
-			for _, viewName := range []string{"flat", "segmented"} {
-				name := fmt.Sprintf("asDense=%v/%s/%s", asDense, bName, viewName)
-				t.Run(name, func(t *testing.T) {
-					prob := newSparseProblem(ds, asDense)
-					cfg := sparseTestConfig(Leashed, 1)
-					cfg.BatchSize = len(batch)
-					rt := newRuntime(cfg.withDefaults(), prob)
-					gw := prob.newGradWorker(rt, 0).(*sparseGradWorker)
-					gw.sample() // establish buffer invariants
-					gw.batch = data.Batch{Indices: batch}
+	for bName, batch := range batches {
+		for _, viewName := range []string{"flat", "segmented"} {
+			name := fmt.Sprintf("asDense=false/%s/%s", bName, viewName)
+			t.Run(name, func(t *testing.T) {
+				prob := newSparseProblem(ds)
+				cfg := sparseTestConfig(Leashed, 1)
+				cfg.BatchSize = len(batch)
+				rt := newRuntime(cfg.withDefaults(), prob)
+				gw := prob.newGradWorker(rt, 0).(*sparseGradWorker)
+				gw.sample() // establish buffer invariants
+				gw.batch = data.Batch{Indices: batch}
 
-					var pv paramvec.View
-					var lease paramvec.Lease
-					if viewName == "flat" {
-						pv = paramvec.FlatView(w)
-					} else {
-						store := paramvec.NewStore(ds.Dim, 7)
-						store.PublishInit(w)
-						defer store.Retire()
-						pv = lease.Acquire(store)
-						defer lease.Release()
-					}
-					s := gw.compute(pv, nil)
+				var pv paramvec.View
+				var lease paramvec.Lease
+				if viewName == "flat" {
+					pv = paramvec.FlatView(w)
+				} else {
+					store := paramvec.NewStore(ds.Dim, 7)
+					store.PublishInit(w)
+					defer store.Retire()
+					pv = lease.Acquire(store)
+					defer lease.Release()
+				}
+				s := gw.compute(pv, nil)
 
-					got := make([]float64, ds.Dim)
-					switch s := s.(type) {
-					case *denseStep:
-						copy(got, *s)
-					case *sparseStep:
-						for k, j := range s.idx {
-							got[j] += s.val[k]
-						}
+				got := make([]float64, ds.Dim)
+				sp := s.(*sparseStep)
+				for k, j := range sp.idx {
+					got[j] += sp.val[k]
+				}
+				want := referenceSparseGrad(ds, w, batch)
+				for j := range want {
+					if d := math.Abs(got[j] - want[j]); d > 1e-12 {
+						t.Fatalf("component %d: got %v want %v (|Δ| = %g)", j, got[j], want[j], d)
 					}
-					want := referenceSparseGrad(ds, w, batch)
-					for j := range want {
-						if d := math.Abs(got[j] - want[j]); d > 1e-12 {
-							t.Fatalf("component %d: got %v want %v (|Δ| = %g)", j, got[j], want[j], d)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -224,25 +219,20 @@ func TestSparseMatchesGoldenReference(t *testing.T) {
 // TestSparseTouchedComponentsDecompose checks the occupancy counters: a
 // sharded sparse Leashed run must report far fewer touched components per
 // publish than the chain length (scatter-publish touches only the hit
-// components), the per-shard breakdown must sum to the total, and the dense
-// control arm must report full occupancy.
+// components) and the per-shard breakdown must sum to the total, while a
+// dense Leashed run at the same S must report full occupancy — each chain's
+// whole length per publish (denseStep.windows).
 func TestSparseTouchedComponentsDecompose(t *testing.T) {
 	ds := sparseTestDataset()
-	run := func(asDense bool) *Result {
-		cfg := sparseTestConfig(Leashed, 4)
-		cfg.Shards = 8
-		cfg.SparseAsDense = asDense
-		cfg.EpsilonFrac = 0
-		cfg.MaxUpdates = 400
-		cfg.MaxTime = 60 * time.Second
-		res, err := RunSparse(cfg, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := sparseTestConfig(Leashed, 4)
+	cfg.Shards = 8
+	cfg.EpsilonFrac = 0
+	cfg.MaxUpdates = 400
+	cfg.MaxTime = 60 * time.Second
+	res, err := RunSparse(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	res := run(false)
 	if res.TouchedComponents <= 0 || res.Publishes <= 0 {
 		t.Fatalf("no touched/publish accounting: touched=%d publishes=%d",
 			res.TouchedComponents, res.Publishes)
@@ -263,9 +253,21 @@ func TestSparseTouchedComponentsDecompose(t *testing.T) {
 			perPublish, chainLen)
 	}
 
-	dres := run(true)
-	densePer := float64(dres.TouchedComponents) / float64(dres.Publishes)
-	if densePer != chainLen {
-		t.Fatalf("dense control arm occupancy = %v per publish, want chain length %v", densePer, chainLen)
+	dds := tinyDataset()
+	dcfg := testConfig(Leashed, 4)
+	dcfg.Shards = 8
+	dcfg.EpsilonFrac = 0
+	dcfg.MaxUpdates = 400
+	dcfg.MaxTime = 60 * time.Second
+	dres := runOrFatal(t, dcfg, tinyNet(dds), dds)
+	if dres.Publishes <= 0 || len(dres.ShardPublishes) != 8 {
+		t.Fatalf("dense run: %d publishes over %d shards, want some over 8", dres.Publishes, len(dres.ShardPublishes))
+	}
+	bounds := paramvec.ShardBounds(len(dres.FinalParams), 8)
+	for c, pub := range dres.ShardPublishes {
+		if want := pub * int64(bounds[c].Len()); dres.ShardTouched[c] != want {
+			t.Fatalf("dense chain %d: touched %d over %d publishes, want chain length %d per publish",
+				c, dres.ShardTouched[c], pub, bounds[c].Len())
+		}
 	}
 }

@@ -27,9 +27,6 @@ import (
 //     analysis assumes.
 //   - Momentum is rejected: a velocity accumulator is dense by nature, so it
 //     would densify every step and silently cancel the sparse win.
-//   - Config.SparseAsDense keeps the sparse gradient math but carries the
-//     step as a full dense vector — the control arm for scatter-publish
-//     (`leashed train -sparse -sparse-as-dense`).
 func StartSparse(cfg Config, ds *sparse.Dataset) (*Running, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("sgd: nil sparse dataset")
@@ -43,7 +40,7 @@ func StartSparse(cfg Config, ds *sparse.Dataset) (*Running, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 1
 	}
-	return startProblem(cfg, newSparseProblem(ds, cfg.SparseAsDense))
+	return startProblem(cfg, newSparseProblem(ds))
 }
 
 // RunSparse is StartSparse + Wait: the blocking sparse counterpart of Run.

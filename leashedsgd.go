@@ -13,9 +13,8 @@
 //
 // Beyond the paper, Config.Shards splits the published parameter vector into
 // S contiguous shards, each with its own lock-free latest-pointer chain,
-// buffer pool and sequence counter (internal/paramvec.ShardedShared, the one
-// implementation of internal/paramvec.ParamStore; one chain is the paper's
-// single published pointer). Workers then run the LAU-SPC publish loop per
+// buffer pool and sequence counter (the chain store internal/paramvec.Store;
+// one chain is the paper's single published pointer). Workers then run the LAU-SPC publish loop per
 // shard, so two workers conflict only when they publish the same shard
 // concurrently and the failed-CAS rate falls ~1/S. Every algorithm runs
 // through one store-parameterized worker loop; gradient
@@ -206,9 +205,7 @@ func SyntheticSparse(n, dim, nnz int, seed uint64) *SparseDataset {
 // scatter-publishes only the chains each step touches and HOGWILD! adds only
 // the step's nonzeros. BatchSize defaults to 1 (the sparse regime's
 // natural step granularity); Momentum is rejected — a dense velocity would
-// densify every step. Config.SparseAsDense forces dense whole-vector carries
-// of the same gradients, the control arm the sparse benchmarks compare
-// against.
+// densify every step.
 func TrainSparse(cfg Config, ds *SparseDataset) (*Result, error) {
 	return sgd.RunSparse(cfg, ds)
 }
