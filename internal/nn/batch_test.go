@@ -11,23 +11,17 @@ import (
 )
 
 // TestBatchedMatchesPerExample is the golden-equivalence proof of the
-// batched compute path: for the MLP and CNN (every built-in layer type —
-// Dense, ReLU, Conv2D, MaxPool2D), the batched GEMM-chain loss and gradient
-// must match the per-example reference to 1e-12 relative, through a flat
-// view and through multi-chain segmented views (both the segment-split
-// Dense GEMMs and the stitch fallback for conv blocks). Only floating-point
-// summation order distinguishes the two paths, hence the tight bar.
+// compute path: for the MLP and CNN (every built-in layer type — Dense,
+// ReLU, Conv2D, MaxPool2D), the batched loss and gradient must match the
+// per-example scalar oracle to 1e-12 relative, through a flat view and
+// through multi-chain segmented views (both the segment-split Dense GEMMs
+// and the stitch fallback for conv blocks). Only floating-point summation
+// order distinguishes the two, hence the tight bar.
 func TestBatchedMatchesPerExample(t *testing.T) {
 	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(64, 3))
 	archs := map[string]*Network{
 		"SmallMLP": NewSmallMLP(ds.Dim(), ds.Classes),
 		"SmallCNN": NewSmallCNN(),
-		// Covers the classical activations so every built-in layer type is
-		// pinned by the golden equivalence.
-		"SigmoidTanh": MustNetwork(
-			NewDense(ds.Dim(), 24), NewSigmoid(24),
-			NewDense(24, 16), NewTanh(16),
-			NewDense(16, ds.Classes)),
 	}
 	batches := [][]int{
 		{4},                          // single example
@@ -35,9 +29,6 @@ func TestBatchedMatchesPerExample(t *testing.T) {
 		{3, 3, 60, 1, 17, 42, 8, 25}, // repeated index + larger batch
 	}
 	for name, n := range archs {
-		if n.blayers == nil {
-			t.Fatalf("%s: built-in architecture lost batched kernel support", name)
-		}
 		params := make([]float64, n.ParamCount())
 		n.Init(params, rng.New(7), DefaultSigma)
 		for _, segsN := range []int{1, 2, 3, 7, 16} {
@@ -45,14 +36,11 @@ func TestBatchedMatchesPerExample(t *testing.T) {
 			if segsN > 1 {
 				pv = segment(params, segsN)
 			}
-			for bi, indices := range batches {
+			for _, indices := range batches {
 				t.Run(fmt.Sprintf("%s/segs=%d/batch=%d", name, segsN, len(indices)), func(t *testing.T) {
-					batch := data.Batch{Indices: indices}
-					wsRef, wsBatch := n.NewWorkspace(), n.NewWorkspace()
-					gradRef := make([]float64, n.ParamCount())
+					lossRef, gradRef := newOracle(n, pv).lossGrad(ds, indices)
 					gradBatch := make([]float64, n.ParamCount())
-					lossRef := n.BatchLossGradPerExample(pv, gradRef, ds, batch, wsRef)
-					lossBatch := n.batchLossGradGEMM(pv, gradBatch, ds, batch, wsBatch)
+					lossBatch := n.BatchLossGrad(pv, gradBatch, ds, data.Batch{Indices: indices}, n.NewWorkspace())
 
 					if relErr(lossRef, lossBatch) > 1e-12 {
 						t.Fatalf("loss mismatch: per-example %v, batched %v", lossRef, lossBatch)
@@ -63,25 +51,23 @@ func TestBatchedMatchesPerExample(t *testing.T) {
 								i, gradRef[i], gradBatch[i])
 						}
 					}
-					_ = bi
 				})
 			}
 		}
 	}
 }
 
-// TestBatchedOverwrites pins BatchLossGrad's first-touch contract: the
-// batched pass WRITES every component of grad, so a NaN-filled buffer comes
-// back equal to the per-example oracle — no component is read before it is
-// written, none is left untouched, and the worker loop needs no zeroing pass.
-// The per-example fallback zeroes its own target and is held to the same.
+// TestBatchedOverwrites pins BatchLossGrad's first-touch contract: the pass
+// WRITES every component of grad, so a NaN-filled buffer comes back equal to
+// the oracle's gradient — no component is read before it is written, none is
+// left untouched, and the worker loop needs no zeroing pass.
 func TestBatchedOverwrites(t *testing.T) {
 	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(32, 5))
-	batch := data.Batch{Indices: []int{1, 2, 3, 4, 9, 30, 2}}
+	indices := []int{1, 2, 3, 4, 9, 30, 2}
+	batch := data.Batch{Indices: indices}
 	for name, n := range map[string]*Network{
 		"SmallMLP": NewSmallMLP(ds.Dim(), ds.Classes),
 		"SmallCNN": NewSmallCNN(),
-		"fallback": MustNetwork(NewDense(ds.Dim(), 8), plainLayer{NewReLU(8)}, NewDense(8, ds.Classes)),
 	} {
 		params := initParams(n, 3)
 		for _, segsN := range []int{1, 5} {
@@ -89,8 +75,7 @@ func TestBatchedOverwrites(t *testing.T) {
 			if segsN > 1 {
 				pv = segment(params, segsN)
 			}
-			want := make([]float64, n.ParamCount())
-			wantLoss := n.BatchLossGradPerExample(pv, want, ds, batch, n.NewWorkspace())
+			wantLoss, want := newOracle(n, pv).lossGrad(ds, indices)
 			got := make([]float64, n.ParamCount())
 			ws := n.NewWorkspace()
 			for pass := 0; pass < 2; pass++ { // the second pass overwrites the first's result
@@ -111,7 +96,7 @@ func TestBatchedOverwrites(t *testing.T) {
 }
 
 // TestStagedDenseMatchesOracle holds the staged Dense kernels (outᵀ = W·inᵀ
-// over a transposed batch panel, first-touch dW/db stores) to the per-example
+// over a transposed batch panel, first-touch dW/db stores) to the scalar
 // oracle at 1e-12, on a flat view and an S=8 segmented one whose boundaries
 // cut weight rows, for batch sizes on both sides of every tile edge: 1 (the
 // dot-orientation GEMV), 7 and 31 (masked lanes), 8, 16, 32 (full panels).
@@ -135,9 +120,9 @@ func TestStagedDenseMatchesOracle(t *testing.T) {
 			pv   paramvec.View
 		}{{"flat", paramvec.FlatView(params)}, {"S=8", segment(params, 8)}} {
 			t.Run(fmt.Sprintf("b=%d/%s", B, view.name), func(t *testing.T) {
-				wsRef, ws := n.NewWorkspace(), n.NewWorkspace()
-				want := make([]float64, n.ParamCount())
-				wantLoss := n.BatchLossGradPerExample(view.pv, want, ds, batch, wsRef)
+				ref := newOracle(n, view.pv)
+				ws := n.NewWorkspace()
+				wantLoss, want := ref.lossGrad(ds, indices)
 				got := make([]float64, n.ParamCount())
 				if loss := n.BatchLossGrad(view.pv, got, ds, batch, ws); relErr(loss, wantLoss) > 1e-12 {
 					t.Fatalf("loss %v, per-example %v", loss, wantLoss)
@@ -149,7 +134,7 @@ func TestStagedDenseMatchesOracle(t *testing.T) {
 				}
 				logits := n.ForwardBatch(view.pv, xs, ws)
 				for r, x := range xs {
-					for j, w := range n.ForwardView(view.pv, x, wsRef) {
+					for j, w := range ref.logits(x) {
 						if relErr(logits.At(r, j), w) > 1e-12 {
 							t.Fatalf("logit[%d][%d] = %v, per-example %v", r, j, logits.At(r, j), w)
 						}
@@ -225,55 +210,15 @@ func TestBatchGrowth(t *testing.T) {
 		batch := data.Batch{Indices: indices}
 		grad := make([]float64, n.ParamCount())
 		got := n.BatchLossGrad(pv, grad, ds, batch, ws)
-		wsRef := n.NewWorkspace()
-		gradRef := make([]float64, n.ParamCount())
-		want := n.BatchLossGradPerExample(pv, gradRef, ds, batch, wsRef)
+		want, _ := newOracle(n, pv).lossGrad(ds, indices)
 		if relErr(got, want) > 1e-12 {
 			t.Fatalf("batch=%d: loss %v, want %v", size, got, want)
 		}
-		if ws.batch.cap < size {
-			t.Fatalf("batch=%d: cap %d did not grow", size, ws.batch.cap)
+		if ws.cap < size {
+			t.Fatalf("batch=%d: cap %d did not grow", size, ws.cap)
 		}
 	}
-	if ws.batch.cap != 16 {
-		t.Fatalf("cap = %d, want the largest batch seen (16)", ws.batch.cap)
-	}
-}
-
-// TestDropoutBatchKernels covers the Dropout batch kernels' mask contract:
-// eval mode is the identity, and training masks route gradients only
-// through survivors (backward mask equals forward mask).
-func TestDropoutBatchKernels(t *testing.T) {
-	ds := data.GenerateSynthetic(data.DefaultSyntheticConfig(32, 4))
-	drop := NewDropout(16, 0.5)
-	drop.Eval = true
-	n := MustNetwork(NewDense(ds.Dim(), 16), drop, NewDense(16, ds.Classes))
-	if n.blayers == nil {
-		t.Fatal("Dropout network lost batched kernel support")
-	}
-	params := make([]float64, n.ParamCount())
-	n.Init(params, rng.New(9), DefaultSigma)
-	batch := data.Batch{Indices: []int{0, 3, 11, 19}}
-	ws, wsRef := n.NewWorkspace(), n.NewWorkspace()
-	grad := make([]float64, n.ParamCount())
-	gradRef := make([]float64, n.ParamCount())
-	got := n.BatchLossGrad(paramvec.FlatView(params), grad, ds, batch, ws)
-	want := n.BatchLossGradPerExample(paramvec.FlatView(params), gradRef, ds, batch, wsRef)
-	if relErr(got, want) > 1e-12 {
-		t.Fatalf("eval-mode dropout: batched %v, per-example %v", got, want)
-	}
-	for i := range grad {
-		if relErr(grad[i], gradRef[i]) > 1e-12 {
-			t.Fatalf("eval-mode dropout grad[%d]: %v vs %v", i, grad[i], gradRef[i])
-		}
-	}
-
-	// Training mode: gradients for dropped units' fan-in must be zero, and
-	// the loss finite — the mask bookkeeping across the batch must hold up.
-	drop.Eval = false
-	grad2 := make([]float64, n.ParamCount())
-	loss := n.BatchLossGrad(paramvec.FlatView(params), grad2, ds, batch, ws)
-	if loss <= 0 || loss != loss {
-		t.Fatalf("training-mode dropout loss = %v", loss)
+	if ws.cap != 16 {
+		t.Fatalf("cap = %d, want the largest batch seen (16)", ws.cap)
 	}
 }

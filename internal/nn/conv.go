@@ -77,7 +77,7 @@ func (c *Conv2D) biases(params []float64) []float64 {
 }
 
 // convScratch is one worker's convolution state. Its size does not depend
-// on the batch, so the per-example and the batched kernels share it.
+// on the batch: the kernels loop over images.
 type convScratch struct {
 	off  []int     // the lowering's runs: row (c, dy, dx) starts at c·H·W + dy·W + dx
 	ones []float64 // run() ones: the bias add is AxpyTo(row, row, b_f, ones)
@@ -91,16 +91,18 @@ type convScratch struct {
 	dCols tensor.Mat
 }
 
-// filterGrad sets (or, with accumulate, adds to) the filter gradient the
-// batch's dW = Σ_b dOut_b·runs_bᵀ.
-func (c *Conv2D) filterGrad(grad []float64, in, dOut tensor.Mat, s *convScratch, accumulate bool) {
+// filterGrad sets the filter gradient to the batch's
+// dW = Σ_b dOut_b·runs_bᵀ.
+func (c *Conv2D) filterGrad(grad []float64, in, dOut tensor.Mat, s *convScratch) {
 	if s.park == nil {
 		s.park = make([]float64, tensor.RunsParkLen(c.Filters, len(s.off)))
 	}
-	tensor.MatMulABTRunsSum(c.filterMat(grad), dOut, c.run(), in, s.off, s.park, accumulate)
+	tensor.MatMulABTRunsSum(c.filterMat(grad), dOut, c.run(), in, s.off, s.park)
 }
 
-func (c *Conv2D) NewScratch() any {
+// NewBatchScratch builds the lowering's run offsets and the bias row's ones;
+// the batch size does not matter.
+func (c *Conv2D) NewBatchScratch(int) any {
 	s := &convScratch{ones: make([]float64, c.run())}
 	for ch := 0; ch < c.InC; ch++ {
 		for dy := 0; dy < c.K; dy++ {
@@ -113,15 +115,7 @@ func (c *Conv2D) NewScratch() any {
 	return s
 }
 
-// NewBatchScratch is NewScratch: the batched passes loop over images.
-func (c *Conv2D) NewBatchScratch(int) any { return c.NewScratch() }
-
-// Forward computes out = filters ⊛ in + bias for one image.
-func (c *Conv2D) Forward(params, in, out []float64, scratch any) {
-	c.forward(params, in, out, scratch.(*convScratch))
-}
-
-// ForwardBatch runs Forward on every row.
+// ForwardBatch computes out = filters ⊛ in + bias, image by image.
 func (c *Conv2D) ForwardBatch(params []float64, in, out tensor.Mat, scratch any) {
 	s := scratch.(*convScratch)
 	for b := 0; b < in.Rows; b++ {
@@ -141,21 +135,6 @@ func (c *Conv2D) forward(params, in, out []float64, s *convScratch) {
 	}
 }
 
-// Backward accumulates dW += dOut·runsᵀ and db += row sums of dOut, and
-// back-propagates dIn: the batched kernels on a batch of one image.
-func (c *Conv2D) Backward(params, grad, in, _, dOut, dIn []float64, scratch any) {
-	gb := c.biases(grad)
-	p := len(dOut) / c.Filters
-	for f := range gb {
-		gb[f] += tensor.Sum(dOut[f*p : (f+1)*p])
-	}
-	s := scratch.(*convScratch)
-	c.filterGrad(grad, tensor.MatFrom(1, len(in), in), tensor.MatFrom(1, len(dOut), dOut), s, true)
-	if dIn != nil {
-		c.inputGrad(params, dOut, dIn, s)
-	}
-}
-
 // BackwardBatch overwrites the layer's gradient block with the batch's:
 // db as one chain per filter over every row (planeSums), dW as one
 // batch-wide sum of dot tiles (tensor.MatMulABTRunsSum), and dIn image by
@@ -163,7 +142,7 @@ func (c *Conv2D) Backward(params, grad, in, _, dOut, dIn []float64, scratch any)
 func (c *Conv2D) BackwardBatch(params, grad []float64, in, _, dOut, dIn tensor.Mat, scratch any) {
 	s := scratch.(*convScratch)
 	planeSums(c.biases(grad), dOut)
-	c.filterGrad(grad, in, dOut, s, false)
+	c.filterGrad(grad, in, dOut, s)
 	if dIn.Data == nil {
 		return
 	}
@@ -223,10 +202,10 @@ func planeSums(sums []float64, m tensor.Mat) {
 }
 
 // MaxPool2D downsamples each channel of a (C, H, W) input with a
-// non-overlapping Size×Size max window (floor division on the borders, as in
-// the paper's CNN where an 11×11 map pools to 5×5). It owns no parameters.
-// The winner of a window is its first maximal input in row-major order, and a
-// window holding a NaN pools to NaN.
+// non-overlapping 2×2 max window, the only size any architecture pools with
+// (floor division on the borders, as in the paper's CNN where an 11×11 map
+// pools to 5×5). It owns no parameters. The winner of a window is its first
+// maximal input in row-major order, and a window holding a NaN pools to NaN.
 //
 // The input's rows are RowStride ≥ InW apart, so a channel is InH·RowStride
 // values of which each row's first InW are pooled: a Conv2D's output is
@@ -238,9 +217,12 @@ type MaxPool2D struct {
 }
 
 // NewMaxPool2D returns the pooling layer over a compact input (RowStride =
-// InW).
+// InW). It panics unless size is 2: the kernels are tensor.MaxPool2x2's.
 func NewMaxPool2D(c, inH, inW, size int) *MaxPool2D {
-	if c <= 0 || size <= 0 || inH < size || inW < size {
+	if size != 2 {
+		panic(fmt.Sprintf("nn: MaxPool2D size %d, only 2×2 windows are supported", size))
+	}
+	if c <= 0 || inH < size || inW < size {
 		panic("nn: invalid MaxPool2D geometry")
 	}
 	return &MaxPool2D{C: c, InH: inH, InW: inW, Size: size, RowStride: inW}
@@ -259,79 +241,10 @@ func (p *MaxPool2D) Name() string {
 	return fmt.Sprintf("MaxPool(%dx%dx%d,%d)", p.C, p.InH, p.InW, p.Size)
 }
 
-// poolScratch records, per output element, which input index won the max —
-// needed to route the gradient in Backward.
+// poolScratch records, per output element of the minibatch, which input
+// index won the max — needed to route the gradient in BackwardBatch.
 type poolScratch struct {
 	argmax []int
-}
-
-func (p *MaxPool2D) NewScratch() any {
-	return &poolScratch{argmax: make([]int, p.OutDim())}
-}
-
-func (p *MaxPool2D) Forward(_, in, out []float64, scratch any) {
-	p.pool(in, out, scratch.(*poolScratch).argmax, p.C)
-}
-
-// pool pools `planes` consecutive InH×RowStride planes of in — one
-// example's C channels, or a whole contiguous minibatch's — recording each
-// output's winner as an index into in. 2×2 windows, the paper's, run
-// tensor.MaxPool2x2.
-func (p *MaxPool2D) pool(in, out []float64, argmax []int, planes int) {
-	argmax = argmax[:len(out)]
-	if p.Size == 2 {
-		tensor.MaxPool2x2(out, argmax, in, planes, p.InH, p.InW, p.RowStride)
-		return
-	}
-	h, w, rs, k := p.InH, p.InW, p.RowStride, p.Size
-	oi := 0
-	for pl := 0; pl < planes; pl++ {
-		base := pl * h * rs
-		for oy := 0; oy < h/k; oy++ {
-			for ox := 0; ox < w/k; ox++ {
-				bestIdx := base + oy*k*rs + ox*k
-				best := in[bestIdx]
-				for dy := 0; dy < k; dy++ {
-					rowBase := base + (oy*k+dy)*rs + ox*k
-					for dx := 0; dx < k; dx++ {
-						// A NaN replaces a number but never another NaN.
-						if v := in[rowBase+dx]; v > best || (v != v && best == best) {
-							best, bestIdx = v, rowBase+dx
-						}
-					}
-				}
-				out[oi] = best
-				argmax[oi] = bestIdx
-				oi++
-			}
-		}
-	}
-}
-
-// back routes `planes` planes' gradient to their winners, zero elsewhere.
-func (p *MaxPool2D) back(dOut, dIn []float64, argmax []int, planes int) {
-	argmax = argmax[:len(dOut)]
-	if p.Size == 2 {
-		tensor.MaxPool2x2Backward(dIn, dOut, argmax, planes, p.InH, p.InW, p.RowStride)
-		return
-	}
-	route(dOut, dIn, argmax)
-}
-
-func (p *MaxPool2D) Backward(_, _, _, _, dOut, dIn []float64, scratch any) {
-	if dIn == nil {
-		return
-	}
-	p.back(dOut, dIn, scratch.(*poolScratch).argmax, p.C)
-}
-
-// route sends each output's gradient to its recorded winner: the backward
-// pass of every window size but 2.
-func route(dOut, dIn []float64, argmax []int) {
-	tensor.Fill(dIn, 0)
-	for oi, ii := range argmax[:len(dOut)] {
-		dIn[ii] += dOut[oi]
-	}
 }
 
 // NewBatchScratch records max winners for the whole minibatch
@@ -343,12 +256,16 @@ func (p *MaxPool2D) NewBatchScratch(batch int) any {
 // ForwardBatch pools the minibatch as one run of batch·C planes: the rows of
 // a Mat are contiguous, so the winners index the whole batch's input.
 func (p *MaxPool2D) ForwardBatch(_ []float64, in, out tensor.Mat, scratch any) {
-	p.pool(in.Data, out.Data, scratch.(*poolScratch).argmax, in.Rows*p.C)
+	a := scratch.(*poolScratch).argmax[:len(out.Data)]
+	tensor.MaxPool2x2(out.Data, a, in.Data, in.Rows*p.C, p.InH, p.InW, p.RowStride)
 }
 
+// BackwardBatch routes each output's gradient to its window's winner, zero
+// elsewhere.
 func (p *MaxPool2D) BackwardBatch(_, _ []float64, _, _, dOut, dIn tensor.Mat, scratch any) {
 	if dIn.Data == nil {
 		return
 	}
-	p.back(dOut.Data, dIn.Data, scratch.(*poolScratch).argmax, dOut.Rows*p.C)
+	a := scratch.(*poolScratch).argmax[:len(dOut.Data)]
+	tensor.MaxPool2x2Backward(dIn.Data, dOut.Data, a, dOut.Rows*p.C, p.InH, p.InW, p.RowStride)
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // loweredConv is the explicit-lowering convolution Conv2D replaced, kept as
-// the reference: compact output; per example Im2Col, one GEMM, a bias loop,
-// and a backward of row dots, Axpy columns and col2ImAdd; batched, every
-// example's lowering stacked into one wide panel, one GEMM per direction
-// over a filter-major staging copy, and col2im per example.
+// the reference: compact output; every example's lowering stacked into one
+// wide panel, one GEMM per direction over a filter-major staging copy, and
+// col2im per example.
 type loweredConv struct{ *Conv2D }
 
 type loweredScratch struct {
@@ -26,8 +25,6 @@ func (c loweredConv) OutDim() int { return c.Filters * c.OutH() * c.OutW() }
 
 func (c loweredConv) ckk() int { return c.InC * c.K * c.K }
 
-func (c loweredConv) NewScratch() any { return c.NewBatchScratch(1) }
-
 func (c loweredConv) NewBatchScratch(batch int) any {
 	ohw := c.OutH() * c.OutW()
 	return &loweredScratch{
@@ -35,53 +32,6 @@ func (c loweredConv) NewBatchScratch(batch int) any {
 		dCols: tensor.NewMat(c.ckk(), batch*ohw),
 		tmpT:  tensor.NewMat(c.Filters, batch*ohw),
 	}
-}
-
-func (c loweredConv) Forward(params, in, out []float64, scratch any) {
-	s := scratch.(*loweredScratch)
-	ohw := c.OutH() * c.OutW()
-	cols := tensor.MatFrom(c.ckk(), ohw, s.cols.Data[:c.ckk()*ohw])
-	tensor.Im2Col(cols, in, c.InC, c.InH, c.InW, c.K)
-	outMat := tensor.MatFrom(c.Filters, ohw, out)
-	tensor.MatMul(outMat, c.filterMat(params), cols)
-	for f, bias := range c.biases(params) {
-		row := outMat.Row(f)
-		for i := range row {
-			row[i] += bias
-		}
-	}
-}
-
-func (c loweredConv) Backward(params, grad, _, _, dOut, dIn []float64, scratch any) {
-	s := scratch.(*loweredScratch)
-	ohw := c.OutH() * c.OutW()
-	cols := tensor.MatFrom(c.ckk(), ohw, s.cols.Data[:c.ckk()*ohw])
-	dOutMat := tensor.MatFrom(c.Filters, ohw, dOut)
-	gw := c.filterMat(grad)
-	for f := 0; f < c.Filters; f++ {
-		for j := 0; j < cols.Rows; j++ {
-			gw.Row(f)[j] += tensor.Dot(cols.Row(j), dOutMat.Row(f))
-		}
-	}
-	gb := c.biases(grad)
-	for f := range gb {
-		gb[f] += tensor.Sum(dOutMat.Row(f))
-	}
-	if dIn == nil {
-		return
-	}
-	dCols := tensor.MatFrom(c.ckk(), ohw, s.dCols.Data[:c.ckk()*ohw])
-	dCols.Zero()
-	w := c.filterMat(params)
-	for f := 0; f < c.Filters; f++ {
-		for j := 0; j < dCols.Rows; j++ {
-			if wj := w.Row(f)[j]; wj != 0 {
-				tensor.Axpy(wj, dOutMat.Row(f), dCols.Row(j))
-			}
-		}
-	}
-	clear(dIn)
-	col2ImAdd(dIn, dCols, c.InC, c.InH, c.InW, c.K)
 }
 
 func (c loweredConv) ForwardBatch(params []float64, in, out tensor.Mat, scratch any) {
@@ -254,10 +204,10 @@ func TestCNNMatchesLoweredReference(t *testing.T) {
 
 // TestConv2DMatchesLowering checks one layer against the lowered reference
 // on geometries beyond the paper's (more filters than a tile has rows,
-// odd and non-square maps, 1×1 and full-size kernels), batched and per
-// example: the output's valid columns, the input gradient and the bias
-// gradient bit for bit, the filter gradient to filterTol. dOut carries zeros
-// past OutW, as the layer's pool returns it.
+// odd and non-square maps, 1×1 and full-size kernels), on a batch of three
+// and a batch of one: the output's valid columns, the input gradient and the
+// bias gradient bit for bit, the filter gradient to filterTol. dOut carries
+// zeros past OutW, as the layer's pool returns it.
 func TestConv2DMatchesLowering(t *testing.T) {
 	const B = 3
 	r := rng.New(17)
@@ -294,9 +244,6 @@ func TestConv2DMatchesLowering(t *testing.T) {
 			sb, sbRef := c.NewBatchScratch(B), ref.NewBatchScratch(B)
 			c.ForwardBatch(params, in, out, sb)
 			ref.ForwardBatch(params, in, outRef, sbRef)
-			one, oneRef := make([]float64, c.OutDim()), make([]float64, ref.OutDim())
-			c.Forward(params, in.Row(1), one, c.NewScratch())
-			ref.Forward(params, in.Row(1), oneRef, ref.NewScratch())
 			for b := 0; b < B; b++ {
 				for i, j := range at {
 					if math.Float64bits(out.Row(b)[j]) != math.Float64bits(outRef.Row(b)[i]) {
@@ -304,12 +251,6 @@ func TestConv2DMatchesLowering(t *testing.T) {
 					}
 				}
 			}
-			for i, j := range at {
-				if math.Float64bits(one[j]) != math.Float64bits(oneRef[i]) {
-					t.Fatalf("per-example output %d = %v, lowered %v", i, one[j], oneRef[i])
-				}
-			}
-
 			grad, gradRef := make([]float64, c.ParamCount()), make([]float64, c.ParamCount())
 			dIn, dInRef := tensor.NewMat(B, c.InDim()), tensor.NewMat(B, c.InDim())
 			tensor.Fill(dIn.Data, math.NaN())
@@ -320,21 +261,30 @@ func TestConv2DMatchesLowering(t *testing.T) {
 				t.Fatalf("batched dIn[%d] = %v, lowered %v", i, dIn.Data[i], dInRef.Data[i])
 			}
 
-			clear(grad)
-			clear(gradRef)
-			d1, d1Ref := make([]float64, c.InDim()), make([]float64, c.InDim())
-			s, sRef := c.NewScratch(), ref.NewScratch()
-			c.Forward(params, in.Row(2), one, s)
-			ref.Forward(params, in.Row(2), oneRef, sRef)
-			c.Backward(params, grad, in.Row(2), one, dOut.Row(2), d1, s)
-			ref.Backward(params, gradRef, in.Row(2), oneRef, dOutRef.Row(2), d1Ref, sRef)
+			// Image 2 alone, a batch of one.
+			in1, dOut1, dOut1Ref := rowMat(in, 2), rowMat(dOut, 2), rowMat(dOutRef, 2)
+			one, oneRef := tensor.NewMat(1, c.OutDim()), tensor.NewMat(1, ref.OutDim())
+			s1, s1Ref := c.NewBatchScratch(1), ref.NewBatchScratch(1)
+			c.ForwardBatch(params, in1, one, s1)
+			ref.ForwardBatch(params, in1, oneRef, s1Ref)
+			for i, j := range at {
+				if math.Float64bits(one.Data[j]) != math.Float64bits(oneRef.Data[i]) {
+					t.Fatalf("batch of one: output %d = %v, lowered %v", i, one.Data[j], oneRef.Data[i])
+				}
+			}
+			d1, d1Ref := tensor.NewMat(1, c.InDim()), tensor.NewMat(1, c.InDim())
+			c.BackwardBatch(params, grad, in1, one, dOut1, d1, s1)
+			ref.BackwardBatch(params, gradRef, in1, oneRef, dOut1Ref, d1Ref, s1Ref)
 			checkConvGrad(t, c, grad, gradRef)
-			if i := sameBits(d1, d1Ref); i >= 0 {
-				t.Fatalf("per-example dIn[%d] = %v, lowered %v", i, d1[i], d1Ref[i])
+			if i := sameBits(d1.Data, d1Ref.Data); i >= 0 {
+				t.Fatalf("batch of one: dIn[%d] = %v, lowered %v", i, d1.Data[i], d1Ref.Data[i])
 			}
 		})
 	}
 }
+
+// rowMat is row b of m as a one-row matrix.
+func rowMat(m tensor.Mat, b int) tensor.Mat { return tensor.MatFrom(1, m.Cols, m.Row(b)) }
 
 // checkConvGrad compares one Conv2D's gradient block with the reference's:
 // biases bit for bit, filters to filterTol of the largest.
@@ -352,11 +302,12 @@ func checkConvGrad(t *testing.T, c *Conv2D, got, want []float64) {
 	}
 }
 
-// TestConv2DBatchOfOneMatchesPerExample: the per-example Backward runs the
-// batched kernels on a batch of one image, so from a zero gradient it gives
-// BackwardBatch's B = 1 gradient and input gradient bit for bit, filter
-// gradient included, on both paper convolutions and odd geometries.
-func TestConv2DBatchOfOneMatchesPerExample(t *testing.T) {
+// TestConv2DBatchOfOneMatchesOracle holds one image, a batch of one, to the
+// direct scalar convolution: the output's valid columns, the filter and bias
+// gradient and the input gradient to 1e-12, on both paper convolutions and
+// odd geometries. dOut carries zeros past OutW, as the layer's pool returns
+// it.
+func TestConv2DBatchOfOneMatchesOracle(t *testing.T) {
 	r := rng.New(19)
 	for _, g := range [][5]int{{1, 28, 28, 4, 3}, {4, 13, 13, 8, 3}, {3, 7, 5, 9, 2}, {2, 6, 9, 17, 1}} {
 		c := NewConv2D(g[0], g[1], g[2], g[3], g[4])
@@ -374,26 +325,29 @@ func TestConv2DBatchOfOneMatchesPerExample(t *testing.T) {
 					dOut[j] = 0
 				}
 			}
-			out := make([]float64, c.OutDim())
-			s := c.NewScratch()
-			c.Forward(params, in, out, s)
-			grad, dIn := make([]float64, c.ParamCount()), make([]float64, c.InDim())
-			c.Backward(params, grad, in, out, dOut, dIn, s)
+			want, wantGrad, wantDIn := make([]float64, c.OutDim()), make([]float64, c.ParamCount()), make([]float64, c.InDim())
+			naiveConv(c, params, in, want)
+			naiveConvBack(c, params, wantGrad, in, dOut, wantDIn)
 
-			gradB, dInB := make([]float64, c.ParamCount()), tensor.NewMat(1, c.InDim())
-			tensor.Fill(gradB, math.NaN())
-			outB := tensor.NewMat(1, c.OutDim())
-			sb := c.NewBatchScratch(1)
-			c.ForwardBatch(params, tensor.MatFrom(1, len(in), in), outB, sb)
-			c.BackwardBatch(params, gradB, tensor.MatFrom(1, len(in), in), outB, tensor.MatFrom(1, len(dOut), dOut), dInB, sb)
-			if i := sameBits(outB.Data, out); i >= 0 {
-				t.Fatalf("output[%d] = %v, per example %v", i, outB.Data[i], out[i])
+			grad, dIn, out := make([]float64, c.ParamCount()), tensor.NewMat(1, c.InDim()), tensor.NewMat(1, c.OutDim())
+			tensor.Fill(grad, math.NaN())
+			s := c.NewBatchScratch(1)
+			c.ForwardBatch(params, tensor.MatFrom(1, len(in), in), out, s)
+			c.BackwardBatch(params, grad, tensor.MatFrom(1, len(in), in), out, tensor.MatFrom(1, len(dOut), dOut), dIn, s)
+			for j, w := range want {
+				if j%c.InW < c.OutW() && relErr(out.Data[j], w) > 1e-12 {
+					t.Fatalf("output[%d] = %v, oracle %v", j, out.Data[j], w)
+				}
 			}
-			if i := sameBits(gradB, grad); i >= 0 {
-				t.Fatalf("grad[%d] = %v, per example %v", i, gradB[i], grad[i])
+			for i, w := range wantGrad {
+				if !(relErr(grad[i], w) <= 1e-12) {
+					t.Fatalf("grad[%d] = %v, oracle %v", i, grad[i], w)
+				}
 			}
-			if i := sameBits(dInB.Data, dIn); i >= 0 {
-				t.Fatalf("dIn[%d] = %v, per example %v", i, dInB.Data[i], dIn[i])
+			for i, w := range wantDIn {
+				if relErr(dIn.Data[i], w) > 1e-12 {
+					t.Fatalf("dIn[%d] = %v, oracle %v", i, dIn.Data[i], w)
+				}
 			}
 		})
 	}
@@ -429,7 +383,7 @@ func BenchmarkConvBackward(b *testing.B) {
 		name := fmt.Sprintf("conv%d", i+1)
 		b.Run(name+"/filter", func(b *testing.B) {
 			for range b.N {
-				c.filterGrad(grad, in, dOut, s, false)
+				c.filterGrad(grad, in, dOut, s)
 			}
 		})
 		b.Run(name+"/input", func(b *testing.B) {

@@ -2,7 +2,7 @@
 // predictions against a leased zero-copy View of the live published
 // parameters, batching concurrent requests into the same blocked-GEMM
 // forward chain the training minibatch uses (batch.go) — one GEMM per layer
-// per request batch instead of one matvec per request.
+// per request batch instead of one GEMV per request.
 package nn
 
 import (
@@ -18,10 +18,8 @@ import (
 // storage — valid until the next use of ws, so callers consume (or copy)
 // rows before reusing the workspace. pv may be any View: flat final
 // parameters, or a leased segmented view of the live sharded store.
-// Networks whose layers all have batched kernels run the blocked-GEMM chain
-// allocation-free in steady state (the workspace's batch buffers grow
-// monotonically); other networks fall back to per-example ForwardView into
-// a freshly allocated output. Inference: Dropout layers run as the identity.
+// It is allocation-free in steady state: the workspace's batch buffers grow
+// monotonically.
 func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) tensor.Mat {
 	B := len(xs)
 	if B == 0 {
@@ -35,15 +33,7 @@ func (n *Network) ForwardBatch(pv paramvec.View, xs [][]float64, ws *Workspace) 
 			panic(fmt.Sprintf("nn: ForwardBatch input %d has %d values, want %d", r, len(x), n.inDim))
 		}
 	}
-	if n.blayers == nil {
-		out := tensor.MatFrom(B, n.outDim, make([]float64, B*n.outDim))
-		for r, x := range xs {
-			copy(out.Row(r), n.ForwardView(pv, x, ws))
-		}
-		return out
-	}
 	n.ensureBatch(ws, B)
-	n.setDropoutEval(ws, true)
 	in := n.bact(ws, 0, B)
 	for r, x := range xs {
 		copy(in.Row(r), x)

@@ -22,9 +22,9 @@ func splitView(params []float64, nseg int) paramvec.View {
 	return paramvec.SegmentedView(segs, offs)
 }
 
-// ForwardBatch must agree exactly with per-example ForwardView, on both the
-// GEMM path (MLP: all layers batched) and the fallback path (CNN), for flat
-// and segmented parameter views.
+// ForwardBatch over five rows and ForwardView on each row alone must agree
+// with the per-example scalar oracle to 1e-9, on the MLP and the CNN, for
+// flat and segmented parameter views.
 func TestForwardBatchMatchesForwardView(t *testing.T) {
 	nets := []struct {
 		name string
@@ -56,21 +56,21 @@ func TestForwardBatchMatchesForwardView(t *testing.T) {
 			}
 			for _, vv := range views {
 				t.Run(vv.name, func(t *testing.T) {
-					wsRef := net.NewWorkspace()
+					ref := newOracle(net, vv.pv)
 					want := make([][]float64, B)
 					for i, x := range xs {
-						want[i] = append([]float64(nil), net.ForwardView(vv.pv, x, wsRef)...)
+						want[i] = ref.logits(x)
 					}
-					ws := net.NewWorkspace()
+					ws, wsOne := net.NewWorkspace(), net.NewWorkspace()
 					out := net.ForwardBatch(vv.pv, xs, ws)
 					if out.Rows != B || out.Cols != net.OutDim() {
 						t.Fatalf("output is %dx%d, want %dx%d", out.Rows, out.Cols, B, net.OutDim())
 					}
 					for i := 0; i < B; i++ {
-						row := out.Row(i)
+						row, one := out.Row(i), net.ForwardView(vv.pv, xs[i], wsOne)
 						for j, w := range want[i] {
-							if math.Abs(row[j]-w) > 1e-9 {
-								t.Fatalf("row %d logit %d = %v, want %v", i, j, row[j], w)
+							if math.Abs(row[j]-w) > 1e-9 || math.Abs(one[j]-w) > 1e-9 {
+								t.Fatalf("row %d logit %d = %v, alone %v, want %v", i, j, row[j], one[j], w)
 							}
 						}
 					}
@@ -80,8 +80,8 @@ func TestForwardBatchMatchesForwardView(t *testing.T) {
 	}
 }
 
-// The GEMM inference path is allocation-free in steady state: batch buffers
-// grow once, then every ForwardBatch reuses them.
+// The inference path is allocation-free in steady state: batch buffers grow
+// once, then every ForwardBatch, and Forward's batch of one, reuses them.
 func TestForwardBatchNoSteadyStateAllocs(t *testing.T) {
 	net := NewMLP(36, []int{16}, 10)
 	params := make([]float64, net.ParamCount())
@@ -99,6 +99,9 @@ func TestForwardBatchNoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ForwardBatch allocates %v objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { net.Forward(params, xs[0], ws) }); allocs != 0 {
+		t.Fatalf("steady-state Forward allocates %v objects/op, want 0", allocs)
 	}
 }
 

@@ -10,6 +10,10 @@
 // interface boundary between "DL operations" and "parallel SGD algorithms"
 // that the paper's framework establishes.
 //
+// There is one compute path: every layer runs over a minibatch as a
+// batch×dim matrix (one GEMM per Dense layer and direction), and a single
+// example — a served prediction, Network.Forward — is a batch of one.
+//
 // Layers are immutable descriptors; all mutable per-inference state lives in
 // a Workspace so that any number of workers can evaluate the same Network
 // against the same or different parameter memory concurrently.
@@ -22,29 +26,33 @@ import (
 	"leashedsgd/internal/tensor"
 )
 
-// Layer is one stage of a feed-forward network. Implementations are
-// stateless: parameters and gradient accumulators are slices handed in per
-// call (views into the flat θ and ∇θ vectors), activations live in the
-// Workspace.
+// Layer is one stage of a feed-forward network, evaluated over a minibatch:
+// its kernels take batch×dim matrices whose row r is example r's activation
+// (row-major, so every kernel sees contiguous per-example rows), and a single
+// example is a batch of one. Implementations are stateless: parameters and
+// gradients are slices handed in per call (views into the flat θ and ∇θ
+// vectors), activations and scratch live in the Workspace.
 type Layer interface {
-	// InDim and OutDim are the flattened input/output sizes.
+	// InDim and OutDim are the flattened per-example input/output sizes.
 	InDim() int
 	OutDim() int
 	// ParamCount is the number of learnable parameters the layer owns in
 	// the flat vector.
 	ParamCount() int
-	// Forward computes out from in using params (len == ParamCount).
-	// scratch is the layer's slot from NewScratch and may be nil for
-	// layers that return nil there.
-	Forward(params, in, out []float64, scratch any)
-	// Backward computes dIn from dOut and accumulates the parameter
-	// gradient into grad (same length as params). in/out are the
-	// activations recorded during the matching Forward call. dIn may be
-	// nil for the first layer (input gradient not needed).
-	Backward(params, grad, in, out, dOut, dIn []float64, scratch any)
-	// NewScratch allocates whatever per-worker temporary storage Forward
-	// and Backward need (run offsets, argmax indices); nil if none.
-	NewScratch() any
+	// ForwardBatch computes out from in using params (len == ParamCount).
+	// scratch is the layer's slot from NewBatchScratch.
+	ForwardBatch(params []float64, in, out tensor.Mat, scratch any)
+	// BackwardBatch computes dIn from dOut and OVERWRITES grad (same length
+	// as params) with the batch's parameter gradient: one pass is the whole
+	// minibatch gradient, so first-touch stores replace a zeroing pass over
+	// θ's length per iteration. in/out are the activations recorded by the
+	// matching ForwardBatch. dIn is the zero Mat (nil Data) for the first
+	// layer, where the input gradient is not needed.
+	BackwardBatch(params, grad []float64, in, out, dOut, dIn tensor.Mat, scratch any)
+	// NewBatchScratch allocates the per-worker temporaries the kernels need
+	// for batches of up to batch rows (staging panels, run offsets, argmax
+	// indices); nil if none.
+	NewBatchScratch(batch int) any
 	// Name describes the layer for architecture listings.
 	Name() string
 }
@@ -66,7 +74,6 @@ func NewDense(in, out int) *Dense {
 func (d *Dense) InDim() int      { return d.In }
 func (d *Dense) OutDim() int     { return d.Out }
 func (d *Dense) ParamCount() int { return d.Out*d.In + d.Out }
-func (d *Dense) NewScratch() any { return nil }
 func (d *Dense) Name() string    { return fmt.Sprintf("Dense(%d→%d)", d.In, d.Out) }
 
 func (d *Dense) weights(params []float64) tensor.Mat {
@@ -75,86 +82,6 @@ func (d *Dense) weights(params []float64) tensor.Mat {
 
 func (d *Dense) biases(params []float64) []float64 {
 	return params[d.Out*d.In:]
-}
-
-// Forward computes out = W·in + b.
-func (d *Dense) Forward(params, in, out []float64, _ any) {
-	w := d.weights(params)
-	tensor.MatVec(out, w, in)
-	tensor.Axpy(1, d.biases(params), out)
-}
-
-// Backward accumulates dW += dOut⊗in, db += dOut and computes dIn = Wᵀ·dOut.
-func (d *Dense) Backward(params, grad, in, _, dOut, dIn []float64, _ any) {
-	gw := d.weights(grad)
-	tensor.OuterAdd(gw, 1, dOut, in)
-	tensor.Axpy(1, dOut, d.biases(grad))
-	if dIn != nil {
-		w := d.weights(params)
-		tensor.MatTVec(dIn, w, dOut)
-	}
-}
-
-// Dense is the parameter mass of every architecture here (the paper's MLP is
-// 99.9% Dense weights), so it gets true segment-aware kernels: a weight row
-// that straddles a segment boundary is processed as two (or more) contiguous
-// dot products / axpys instead of being copied. Rows that fit inside one
-// segment — all but at most S−1 of them — run the same tight inner loops as
-// the flat path.
-
-// ForwardView computes out = W·in + b reading W and b through the view.
-func (d *Dense) ForwardView(pv paramvec.View, lo int, in, out []float64, _ any) {
-	wEnd := lo + d.Out*d.In
-	for o := 0; o < d.Out; o++ {
-		rowLo := lo + o*d.In
-		rowHi := rowLo + d.In
-		var acc float64
-		j := 0
-		for pos := rowLo; pos < rowHi; {
-			piece := pv.Tail(pos, rowHi)
-			acc += tensor.Dot(piece, in[j:j+len(piece)])
-			j += len(piece)
-			pos += len(piece)
-		}
-		out[o] = acc
-	}
-	o := 0
-	for pos := wEnd; pos < wEnd+d.Out; {
-		piece := pv.Tail(pos, wEnd+d.Out)
-		for k, b := range piece {
-			out[o+k] += b
-		}
-		o += len(piece)
-		pos += len(piece)
-	}
-}
-
-// BackwardView accumulates dW += dOut⊗in, db += dOut (into the flat private
-// grad — never segmented) and computes dIn = Wᵀ·dOut reading W through the
-// view.
-func (d *Dense) BackwardView(pv paramvec.View, lo int, grad, in, _, dOut, dIn []float64, _ any) {
-	gw := d.weights(grad)
-	tensor.OuterAdd(gw, 1, dOut, in)
-	tensor.Axpy(1, dOut, d.biases(grad))
-	if dIn == nil {
-		return
-	}
-	tensor.Fill(dIn, 0)
-	for o := 0; o < d.Out; o++ {
-		g := dOut[o]
-		if g == 0 {
-			continue
-		}
-		rowLo := lo + o*d.In
-		rowHi := rowLo + d.In
-		j := 0
-		for pos := rowLo; pos < rowHi; {
-			piece := pv.Tail(pos, rowHi)
-			tensor.Axpy(g, piece, dIn[j:j+len(piece)])
-			j += len(piece)
-			pos += len(piece)
-		}
-	}
 }
 
 // denseBatchScratch holds the staging buffers of the batched Dense kernels.
@@ -216,6 +143,10 @@ func (d *Dense) BackwardBatch(params, grad []float64, in, _, dOut, dIn tensor.Ma
 	}
 }
 
+// Dense is the parameter mass of every architecture here (the paper's MLP is
+// 99.9% Dense weights), so on a segmented view it splits its GEMMs at the
+// segment boundaries (batchViewLayer) instead of gathering its block.
+//
 // weightRuns iterates the weight block [lo, lo+Out*In) of a segmented view
 // as maximal GEMM-able pieces: runs of complete W rows inside one segment
 // yield zero-copy sub-matrices, and the at most S−1 rows straddling a
@@ -302,23 +233,12 @@ func NewReLU(dim int) *ReLU {
 func (r *ReLU) InDim() int      { return r.Dim }
 func (r *ReLU) OutDim() int     { return r.Dim }
 func (r *ReLU) ParamCount() int { return 0 }
-func (r *ReLU) NewScratch() any { return nil }
 func (r *ReLU) Name() string    { return fmt.Sprintf("ReLU(%d)", r.Dim) }
 
-// Forward and Backward are tensor.ReLU and tensor.ReLUBackward: branchless
-// bit masks (a compare-and-branch per element would mispredict on half the
-// data), at vector width where the host has it.
-func (r *ReLU) Forward(_, in, out []float64, _ any) { tensor.ReLU(out, in) }
-
-func (r *ReLU) Backward(_, _, in, _, dOut, dIn []float64, _ any) {
-	if dIn == nil {
-		return
-	}
-	tensor.ReLUBackward(dIn, in, dOut)
-}
-
-// The batched activation kernels run one pass over the contiguous batch×dim
-// backing — the whole minibatch in a single loop.
+// The kernels are tensor.ReLU and tensor.ReLUBackward over the contiguous
+// batch×dim backing, the whole minibatch in one pass: branchless bit masks
+// (a compare-and-branch per element would mispredict on half the data), at
+// vector width where the host has it.
 
 func (r *ReLU) NewBatchScratch(int) any { return nil }
 

@@ -20,14 +20,6 @@ type Network struct {
 	d       int   // total parameter count
 	inDim   int
 	outDim  int
-	// blayers caches every layer's batched kernel interface; non-nil only
-	// when ALL layers implement batchLayer, in which case BatchLossGrad
-	// routes through the GEMM chain in batch.go.
-	blayers []batchLayer
-	// dropouts lists the Dropout layers' indices — the only layers whose
-	// forward pass differs between training and inference; empty for the
-	// paper's architectures, so the mode switch costs them nothing.
-	dropouts []int
 }
 
 // NewNetwork validates that consecutive layers' dimensions chain and returns
@@ -62,21 +54,9 @@ func NewNetwork(layers ...Layer) (*Network, error) {
 		}
 		n.offsets[i] = n.d
 		n.d += l.ParamCount()
-		if _, ok := l.(*Dropout); ok {
-			n.dropouts = append(n.dropouts, i)
-		}
 	}
 	n.inDim = layers[0].InDim()
 	n.outDim = layers[len(layers)-1].OutDim()
-	n.blayers = make([]batchLayer, len(layers))
-	for i, l := range layers {
-		bl, ok := l.(batchLayer)
-		if !ok {
-			n.blayers = nil
-			break
-		}
-		n.blayers[i] = bl
-	}
 	return n, nil
 }
 
@@ -98,9 +78,6 @@ func (n *Network) InDim() int { return n.inDim }
 
 // OutDim returns the output (class logit) dimension.
 func (n *Network) OutDim() int { return n.outDim }
-
-// Layers returns the layer chain (read-only use).
-func (n *Network) Layers() []Layer { return n.layers }
 
 // Arch returns a human-readable architecture summary.
 func (n *Network) Arch() string {
@@ -133,43 +110,39 @@ func (n *Network) Init(params []float64, r *rng.Rand, sigma float64) {
 // DefaultSigma is the σ for Init matching the paper's N(0, 0.01) variance.
 const DefaultSigma = 0.1
 
-// Workspace holds one worker's mutable evaluation state: activations per
-// layer boundary, error deltas, per-layer scratch, and the softmax buffer.
-// Workspaces are not safe for concurrent use; allocate one per worker.
+// Workspace holds one worker's mutable evaluation state: one batch×dim
+// activation buffer per layer boundary, per-layer scratch and the softmax
+// staging, and — only once a gradient pass has run — the matching delta
+// buffers, all sized lazily to the largest batch seen (batch.go), so
+// steady-state passes allocate nothing. Workspaces are not safe for
+// concurrent use; allocate one per worker.
 type Workspace struct {
-	acts    [][]float64 // acts[0] = input copy target, acts[i+1] = layer i output
-	deltas  [][]float64 // deltas[i] = dLoss/d(acts[i])
-	scratch []any
-	probs   []float64
+	cap     int         // largest batch the forward buffers are sized for
+	acts    [][]float64 // acts[i]: cap × boundary-dim backing, row-major
+	scratch []any       // per-layer scratch from NewBatchScratch
+	probs   []float64   // cap × outDim softmax staging
+	// The backward half, sized by ensureBatchGrad: a workspace that only
+	// infers or evaluates (the monitor's, the serving tier's) never pays
+	// for it.
+	gradCap int         // batch the delta buffers are sized for
+	deltas  [][]float64 // deltas[i]: same shape as acts[i]; deltas[0] unused (no input grad)
 	// stitch[i] is layer i's gather target, allocated on first use — only
-	// a parameterized layer without a segment-aware kernel (viewLayer)
+	// a parameterized layer without a segment-split kernel (batchViewLayer)
 	// whose block actually straddles a segment boundary ever needs one.
 	// After the first fallback the buffer is reused, keeping the
 	// segmented-view hot path allocation-free; flat-view runs never pay
 	// for it.
 	stitch [][]float64
-	// batch holds the batch-shaped buffers of the GEMM gradient path,
-	// sized lazily to the largest batch seen (see batch.go).
-	batch batchBuffers
 }
 
-// NewWorkspace allocates a workspace for this network.
+// NewWorkspace allocates a workspace for this network. Its buffers are
+// sized by the first pass that uses it.
 func (n *Network) NewWorkspace() *Workspace {
-	ws := &Workspace{
+	return &Workspace{
 		acts:    make([][]float64, len(n.layers)+1),
-		deltas:  make([][]float64, len(n.layers)+1),
 		scratch: make([]any, len(n.layers)),
-		probs:   make([]float64, n.outDim),
 		stitch:  make([][]float64, len(n.layers)),
 	}
-	ws.acts[0] = make([]float64, n.inDim)
-	ws.deltas[0] = make([]float64, n.inDim)
-	for i, l := range n.layers {
-		ws.acts[i+1] = make([]float64, l.OutDim())
-		ws.deltas[i+1] = make([]float64, l.OutDim())
-		ws.scratch[i] = l.NewScratch()
-	}
-	return ws
 }
 
 // stitchFor returns layer i's reusable gather buffer, allocating it on the
@@ -181,93 +154,16 @@ func (n *Network) stitchFor(ws *Workspace, i int) []float64 {
 	return ws.stitch[i]
 }
 
-// viewLayer is the optional segment-aware kernel interface: layers that
-// implement it evaluate directly against a segmented parameter view when
-// their parameter block straddles a segment boundary, splitting their inner
-// loops at the boundaries instead of copying (zero-copy). Layers without it
-// fall back to gathering their (typically small) block into the workspace's
-// pre-sized stitch buffer. lo is the layer's start offset in the flat vector.
-type viewLayer interface {
-	ForwardView(pv paramvec.View, lo int, in, out []float64, scratch any)
-	BackwardView(pv paramvec.View, lo int, grad, in, out, dOut, dIn []float64, scratch any)
-}
-
-// layerForward runs layer i's forward pass against the parameter view:
-// contiguous fast path (always taken for flat views, and for any layer that
-// fits inside one segment), segment-aware kernel, or stitch fallback.
-func (n *Network) layerForward(pv paramvec.View, i int, ws *Workspace) {
-	l := n.layers[i]
-	lo := n.offsets[i]
-	hi := lo + l.ParamCount()
-	if p, ok := pv.Slice(lo, hi); ok {
-		l.Forward(p, ws.acts[i], ws.acts[i+1], ws.scratch[i])
-	} else if vl, ok := l.(viewLayer); ok {
-		vl.ForwardView(pv, lo, ws.acts[i], ws.acts[i+1], ws.scratch[i])
-	} else {
-		l.Forward(pv.Gather(lo, hi, n.stitchFor(ws, i)), ws.acts[i], ws.acts[i+1], ws.scratch[i])
-	}
-}
-
-// layerBackward is the backward-pass counterpart of layerForward. grad is
-// always a flat private vector — only the parameter READ is segmented.
-func (n *Network) layerBackward(pv paramvec.View, i int, grad []float64, dOut, dIn []float64, ws *Workspace) {
-	l := n.layers[i]
-	lo := n.offsets[i]
-	hi := lo + l.ParamCount()
-	if p, ok := pv.Slice(lo, hi); ok {
-		l.Backward(p, n.layerParams(grad, i), ws.acts[i], ws.acts[i+1], dOut, dIn, ws.scratch[i])
-	} else if vl, ok := l.(viewLayer); ok {
-		vl.BackwardView(pv, lo, n.layerParams(grad, i), ws.acts[i], ws.acts[i+1], dOut, dIn, ws.scratch[i])
-	} else {
-		l.Backward(pv.Gather(lo, hi, n.stitchFor(ws, i)), n.layerParams(grad, i),
-			ws.acts[i], ws.acts[i+1], dOut, dIn, ws.scratch[i])
-	}
-}
-
-// ForwardView runs the network against a (possibly segmented) parameter view
+// ForwardView runs the network on one example x (length InDim) against a
+// (possibly segmented) parameter view — a batch of one through ForwardBatch —
 // and returns the logits slice, which aliases workspace storage and is valid
-// until the next call. Inference: Dropout layers run as the identity.
+// until the next use of ws.
 func (n *Network) ForwardView(pv paramvec.View, x []float64, ws *Workspace) []float64 {
-	if pv.Len() != n.d {
-		panic("nn: ForwardView params length mismatch")
-	}
-	n.setDropoutEval(ws, true)
-	return n.forward(pv, x, ws)
+	return n.ForwardBatch(pv, [][]float64{x}, ws).Row(0)
 }
 
-// forward is the per-example forward chain in whatever Dropout mode the
-// entry point set on the workspace.
-func (n *Network) forward(pv paramvec.View, x []float64, ws *Workspace) []float64 {
-	if len(x) != n.inDim {
-		panic("nn: Forward input length mismatch")
-	}
-	copy(ws.acts[0], x)
-	for i := range n.layers {
-		n.layerForward(pv, i, ws)
-	}
-	return ws.acts[len(n.layers)]
-}
-
-// setDropoutEval puts the workspace's Dropout scratch (per-example and
-// batched) in inference mode (identity) or training mode (fresh mask per
-// forward pass). Every exported entry point sets the mode it needs — the
-// gradient passes train, everything else infers — after sizing the batch
-// buffers, so a workspace shared between the two never leaks a mode.
-func (n *Network) setDropoutEval(ws *Workspace, eval bool) {
-	for _, i := range n.dropouts {
-		ws.scratch[i].(*dropoutScratch).eval = eval
-		if ws.batch.scratch != nil {
-			ws.batch.scratch[i].(*dropoutScratch).eval = eval
-		}
-	}
-}
-
-// Forward runs the network on x (length InDim) and returns the logits slice,
-// which aliases workspace storage and is valid until the next call.
+// Forward is ForwardView over the flat parameters params.
 func (n *Network) Forward(params, x []float64, ws *Workspace) []float64 {
-	if len(params) != n.d {
-		panic("nn: Forward params length mismatch")
-	}
 	return n.ForwardView(paramvec.FlatView(params), x, ws)
 }
 
@@ -280,98 +176,6 @@ func softmaxCE(logits, probs []float64, y int) float64 {
 		p = 1e-300
 	}
 	return -math.Log(p)
-}
-
-// backprop runs the backward pass for one sample whose forward activations
-// and softmax probabilities are live in ws, accumulating into grad.
-func (n *Network) backprop(pv paramvec.View, grad []float64, y int, invB float64, ws *Workspace) {
-	nl := len(n.layers)
-	// dLoss/dlogits = (softmax - onehot) / B
-	dOut := ws.deltas[nl]
-	for i := range dOut {
-		dOut[i] = ws.probs[i] * invB
-	}
-	dOut[y] -= invB
-	for i := nl - 1; i >= 0; i-- {
-		var dIn []float64
-		if i > 0 {
-			dIn = ws.deltas[i]
-		}
-		n.layerBackward(pv, i, grad, ws.deltas[i+1], dIn, ws)
-	}
-}
-
-// LossGrad computes the mean softmax-cross-entropy loss of the batch and
-// ACCUMULATES the mean gradient into grad (callers zero grad when they want
-// a fresh gradient; accumulation supports gradient averaging schemes).
-// xs[i] must have length InDim; ys[i] in [0, OutDim).
-func (n *Network) LossGrad(params, grad []float64, xs [][]float64, ys []int, ws *Workspace) float64 {
-	if len(grad) != n.d {
-		panic("nn: LossGrad grad length mismatch")
-	}
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("nn: LossGrad empty or mismatched batch")
-	}
-	if len(params) != n.d {
-		panic("nn: LossGrad params length mismatch")
-	}
-	pv := paramvec.FlatView(params)
-	invB := 1 / float64(len(xs))
-	n.setDropoutEval(ws, false)
-	var totalLoss float64
-	for b, x := range xs {
-		logits := n.forward(pv, x, ws)
-		totalLoss += softmaxCE(logits, ws.probs, ys[b])
-		n.backprop(pv, grad, ys[b], invB, ws)
-	}
-	return totalLoss * invB
-}
-
-// BatchLossGrad is the gradient entry point of the SGD hot path: mean loss
-// and gradient over dataset rows selected by batch indices, reading the
-// parameters through a View. It OVERWRITES grad — callers need not (and the
-// worker loop does not) zero it between iterations; LossGrad is the
-// accumulating form. The view may be flat (paramvec.FlatView over a
-// private copy — the lock-based and HOGWILD! read protocols) or segmented
-// (a leased zero-copy read of the published shard buffers —
-// paramvec.Lease.Acquire), in which case segment-aware kernels and
-// pre-sized stitch buffers keep the pass allocation-free
-// (TestBatchedPassesAllocateNothingWarm).
-//
-// When every layer provides batched kernels (all built-in layers do), the
-// pass runs as one blocked GEMM chain per direction over the batch×dim
-// activation matrices — the arithmetic-bound Tc path (batch.go). Networks
-// containing a layer without batched kernels fall back to the per-example
-// reference pass.
-func (n *Network) BatchLossGrad(pv paramvec.View, grad []float64, ds *data.Dataset, batch data.Batch, ws *Workspace) float64 {
-	if n.blayers != nil && len(batch.Indices) > 0 {
-		return n.batchLossGradGEMM(pv, grad, ds, batch, ws)
-	}
-	return n.BatchLossGradPerExample(pv, grad, ds, batch, ws)
-}
-
-// BatchLossGradPerExample is the per-example reference implementation of
-// BatchLossGrad: it zeroes grad, then runs one accumulating forward/backward
-// pass per minibatch row. It computes
-// the same mean loss and gradient as the batched GEMM chain (only the
-// floating-point summation order differs — the golden-equivalence tests pin
-// the two paths together) and remains the fallback for layer types without
-// batched kernels, as well as the baseline the batched-compute speedup is
-// measured against.
-func (n *Network) BatchLossGradPerExample(pv paramvec.View, grad []float64, ds *data.Dataset, batch data.Batch, ws *Workspace) float64 {
-	if pv.Len() != n.d {
-		panic("nn: BatchLossGrad params length mismatch")
-	}
-	invB := 1 / float64(len(batch.Indices))
-	n.setDropoutEval(ws, false)
-	clear(grad)
-	var totalLoss float64
-	for _, idx := range batch.Indices {
-		logits := n.forward(pv, ds.X[idx], ws)
-		totalLoss += softmaxCE(logits, ws.probs, ds.Y[idx])
-		n.backprop(pv, grad, ds.Y[idx], invB, ws)
-	}
-	return totalLoss * invB
 }
 
 // evalBlock is the row block of the evaluation pass, chosen by measurement
@@ -397,10 +201,8 @@ const evalBlock = 8
 // Evaluate returns the mean softmax-cross-entropy loss and the argmax
 // accuracy over the samples selected by indices (all samples when indices is
 // nil) in one forward pass; (NaN, 0) when no sample is selected. Rows are
-// staged evalBlock at a time through the batched forward chain of batch.go;
-// a network containing a layer without batched kernels runs the per-example
-// chain instead. Inference: Dropout layers run as the identity. A warm call
-// allocates nothing.
+// staged evalBlock at a time through the forward chain of batch.go. A warm
+// call allocates nothing.
 func (n *Network) Evaluate(params []float64, ds *data.Dataset, indices []int, ws *Workspace) (loss, accuracy float64) {
 	if len(params) != n.d {
 		panic("nn: Evaluate params length mismatch")
@@ -413,32 +215,20 @@ func (n *Network) Evaluate(params []float64, ds *data.Dataset, indices []int, ws
 		return math.NaN(), 0
 	}
 	pv := paramvec.FlatView(params)
-	batched := n.blayers != nil
-	if batched {
-		n.ensureBatch(ws, min(evalBlock, count))
-	}
-	n.setDropoutEval(ws, true)
+	n.ensureBatch(ws, min(evalBlock, count))
 	var total float64
 	correct := 0
 	for lo := 0; lo < count; lo += evalBlock {
 		B := min(evalBlock, count-lo)
-		var logits tensor.Mat
-		if batched {
-			in := n.bact(ws, 0, B)
-			for r := 0; r < B; r++ {
-				copy(in.Row(r), ds.X[rowAt(indices, lo+r)])
-			}
-			logits = n.forwardBatch(pv, B, ws)
+		in := n.bact(ws, 0, B)
+		for r := 0; r < B; r++ {
+			copy(in.Row(r), ds.X[rowAt(indices, lo+r)])
 		}
+		logits := n.forwardBatch(pv, B, ws)
 		for r := 0; r < B; r++ {
 			i := rowAt(indices, lo+r)
-			var z []float64
-			if batched {
-				z = logits.Row(r)
-			} else {
-				z = n.forward(pv, ds.X[i], ws)
-			}
-			total += softmaxCE(z, ws.probs, ds.Y[i])
+			z := logits.Row(r)
+			total += softmaxCE(z, ws.probs[:n.outDim], ds.Y[i])
 			if tensor.ArgMax(z) == ds.Y[i] {
 				correct++
 			}

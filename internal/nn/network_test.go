@@ -8,6 +8,7 @@ import (
 	"leashedsgd/internal/data"
 	"leashedsgd/internal/paramvec"
 	"leashedsgd/internal/rng"
+	"leashedsgd/internal/tensor"
 )
 
 // --- architecture / parameter layout ------------------------------------
@@ -70,24 +71,24 @@ func TestDenseParamLayout(t *testing.T) {
 		4, 5, 6, // W row 1
 		10, 20, // biases
 	}
-	out := make([]float64, 2)
-	d.Forward(params, []float64{1, 1, 1}, out, nil)
-	if out[0] != 16 || out[1] != 35 {
-		t.Fatalf("Dense forward = %v, want [16 35]", out)
+	out := tensor.NewMat(1, 2)
+	d.ForwardBatch(params, tensor.MatFrom(1, 3, []float64{1, 1, 1}), out, d.NewBatchScratch(1))
+	if out.Data[0] != 16 || out.Data[1] != 35 {
+		t.Fatalf("Dense forward = %v, want [16 35]", out.Data)
 	}
 }
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU(3)
-	out := make([]float64, 3)
-	r.Forward(nil, []float64{-1, 0, 2}, out, nil)
-	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
-		t.Fatalf("ReLU forward = %v", out)
+	in, out := tensor.MatFrom(1, 3, []float64{-1, 0, 2}), tensor.NewMat(1, 3)
+	r.ForwardBatch(nil, in, out, nil)
+	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2 {
+		t.Fatalf("ReLU forward = %v", out.Data)
 	}
-	dIn := make([]float64, 3)
-	r.Backward(nil, nil, []float64{-1, 0, 2}, out, []float64{5, 5, 5}, dIn, nil)
-	if dIn[0] != 0 || dIn[1] != 0 || dIn[2] != 5 {
-		t.Fatalf("ReLU backward = %v", dIn)
+	dIn := tensor.NewMat(1, 3)
+	r.BackwardBatch(nil, nil, in, out, tensor.MatFrom(1, 3, []float64{5, 5, 5}), dIn, nil)
+	if dIn.Data[0] != 0 || dIn.Data[1] != 0 || dIn.Data[2] != 5 {
+		t.Fatalf("ReLU backward = %v", dIn.Data)
 	}
 }
 
@@ -114,8 +115,9 @@ func TestConvForwardKnown(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}
-	out := make([]float64, c.OutDim())
-	c.Forward(params, in, out, c.NewScratch())
+	outM := tensor.NewMat(1, c.OutDim())
+	c.ForwardBatch(params, tensor.MatFrom(1, len(in), in), outM, c.NewBatchScratch(1))
+	out := outM.Data
 	// windows: (1+2+4+5)=12, (2+3+5+6)=16, (4+5+7+8)=24, (5+6+8+9)=28, +0.5;
 	// output rows are InW = 3 apart.
 	want := []float64{12.5, 16.5, 24.5, 28.5}
@@ -160,22 +162,22 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		5, 0, 1, 1,
 		0, 6, 1, 2,
 	}
-	out := make([]float64, p.OutDim())
-	s := p.NewScratch()
-	p.Forward(nil, in, out, s)
+	inM, out := tensor.MatFrom(1, len(in), in), tensor.NewMat(1, p.OutDim())
+	s := p.NewBatchScratch(1)
+	p.ForwardBatch(nil, inM, out, s)
 	want := []float64{4, 9, 6, 2}
 	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("pool out = %v, want %v", out, want)
+		if out.Data[i] != want[i] {
+			t.Fatalf("pool out = %v, want %v", out.Data, want)
 		}
 	}
-	dIn := make([]float64, len(in))
-	p.Backward(nil, nil, in, out, []float64{1, 2, 3, 4}, dIn, s)
-	if dIn[5] != 1 || dIn[7] != 2 || dIn[13] != 3 || dIn[15] != 4 {
-		t.Fatalf("pool backward = %v", dIn)
+	dIn := tensor.NewMat(1, len(in))
+	p.BackwardBatch(nil, nil, inM, out, tensor.MatFrom(1, 4, []float64{1, 2, 3, 4}), dIn, s)
+	if d := dIn.Data; d[5] != 1 || d[7] != 2 || d[13] != 3 || d[15] != 4 {
+		t.Fatalf("pool backward = %v", d)
 	}
 	var sum float64
-	for _, v := range dIn {
+	for _, v := range dIn.Data {
 		sum += v
 	}
 	if sum != 10 {
@@ -193,40 +195,54 @@ func TestMaxPoolFloorDivision(t *testing.T) {
 
 // --- numerical gradient checks -------------------------------------------
 
-// numGradCheck compares the analytic batch gradient with central finite
-// differences at a random subset of coordinates.
+// randomBatch is a dataset of b uniform inputs for n with random labels.
+func randomBatch(n *Network, r *rng.Rand, b int) (*data.Dataset, data.Batch) {
+	ds := &data.Dataset{X: make([][]float64, b), Y: make([]int, b), Classes: n.OutDim()}
+	batch := data.Batch{Indices: make([]int, b)}
+	for i := range ds.X {
+		ds.X[i] = make([]float64, n.InDim())
+		for j := range ds.X[i] {
+			ds.X[i][j] = r.Float64()
+		}
+		ds.Y[i] = r.Intn(n.OutDim())
+		batch.Indices[i] = i
+	}
+	return ds, batch
+}
+
+// numGradCheck compares BatchLossGrad's gradient with central finite
+// differences of its loss at a random subset of coordinates, at b ∈ {1, 4},
+// through a flat view and an S = 8 segmented one.
 func numGradCheck(t *testing.T, n *Network, seed uint64, checks int, tol float64) {
 	t.Helper()
 	r := rng.New(seed)
 	params := make([]float64, n.ParamCount())
 	n.Init(params, r, 0.3)
 	ws := n.NewWorkspace()
-	// Small random batch.
-	const B = 3
-	xs := make([][]float64, B)
-	ys := make([]int, B)
-	for b := 0; b < B; b++ {
-		xs[b] = make([]float64, n.InDim())
-		for i := range xs[b] {
-			xs[b][i] = r.Float64()
-		}
-		ys[b] = r.Intn(n.OutDim())
-	}
-	grad := make([]float64, n.ParamCount())
-	n.LossGrad(params, grad, xs, ys, ws)
-
-	const h = 1e-5
-	for c := 0; c < checks; c++ {
-		i := r.Intn(n.ParamCount())
-		orig := params[i]
-		params[i] = orig + h
-		lp := n.LossGrad(params, make([]float64, n.ParamCount()), xs, ys, ws)
-		params[i] = orig - h
-		lm := n.LossGrad(params, make([]float64, n.ParamCount()), xs, ys, ws)
-		params[i] = orig
-		numeric := (lp - lm) / (2 * h)
-		if math.Abs(numeric-grad[i]) > tol*(1+math.Abs(numeric)) {
-			t.Errorf("param %d: analytic %.8f vs numeric %.8f", i, grad[i], numeric)
+	for _, B := range []int{1, 4} {
+		ds, batch := randomBatch(n, r, B)
+		for _, S := range []int{1, 8} {
+			pv := paramvec.FlatView(params)
+			if S > 1 {
+				pv = segment(params, S)
+			}
+			grad := make([]float64, n.ParamCount())
+			n.BatchLossGrad(pv, grad, ds, batch, ws)
+			scratch := make([]float64, n.ParamCount())
+			const h = 1e-5
+			for c := 0; c < checks; c++ {
+				i := r.Intn(n.ParamCount())
+				orig := params[i]
+				params[i] = orig + h
+				lp := n.BatchLossGrad(pv, scratch, ds, batch, ws)
+				params[i] = orig - h
+				lm := n.BatchLossGrad(pv, scratch, ds, batch, ws)
+				params[i] = orig
+				numeric := (lp - lm) / (2 * h)
+				if math.Abs(numeric-grad[i]) > tol*(1+math.Abs(numeric)) {
+					t.Errorf("b=%d, S=%d: param %d: analytic %.8f vs numeric %.8f", B, S, i, grad[i], numeric)
+				}
+			}
 		}
 	}
 }
@@ -303,21 +319,14 @@ func TestLossGradReducesLoss(t *testing.T) {
 	params := make([]float64, n.ParamCount())
 	n.Init(params, r, 0.3)
 	ws := n.NewWorkspace()
-	xs := make([][]float64, 8)
-	ys := make([]int, 8)
-	for b := range xs {
-		xs[b] = make([]float64, 16)
-		for i := range xs[b] {
-			xs[b][i] = r.Float64()
-		}
-		ys[b] = r.Intn(4)
-	}
+	ds, batch := randomBatch(n, r, 8)
+	pv := paramvec.FlatView(params)
 	grad := make([]float64, n.ParamCount())
-	before := n.LossGrad(params, grad, xs, ys, ws)
+	before := n.BatchLossGrad(pv, grad, ds, batch, ws)
 	for i := range params {
 		params[i] -= 0.05 * grad[i]
 	}
-	after := n.LossGrad(params, make([]float64, n.ParamCount()), xs, ys, ws)
+	after := n.BatchLossGrad(pv, grad, ds, batch, ws)
 	if after >= before {
 		t.Fatalf("gradient step did not reduce loss: %v -> %v", before, after)
 	}

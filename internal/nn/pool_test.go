@@ -11,11 +11,10 @@ import (
 	"leashedsgd/internal/tensor"
 )
 
-// tournamentPool is the compare-and-branch max-pool the branchless kernel
-// replaced, kept as the reference: two pairs, then a final, each keeping the
-// earlier input on a tie (Size 2), or a row-major scan with a strict > (any
-// other Size). Its winners index each example's own input, whose rows are
-// RowStride apart.
+// tournamentPool is the compare-and-branch 2×2 max-pool the branchless
+// kernel replaced, kept as the reference: two pairs, then a final, each
+// keeping the earlier input on a tie. Its winners index each example's own
+// input, whose rows are RowStride apart.
 type tournamentPool struct{ *MaxPool2D }
 
 func (p tournamentPool) forwardOne(in, out []float64, argmax []int) {
@@ -25,49 +24,33 @@ func (p tournamentPool) forwardOne(in, out []float64, argmax []int) {
 		base := ch * p.InH * rs
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
-				if p.Size == 2 {
-					i0 := base + oy*2*rs + ox*2
-					i2 := i0 + rs
-					v0, v1, v2, v3 := in[i0], in[i0+1], in[i2], in[i2+1]
-					b01, j01 := v0, i0
-					if v1 > v0 {
-						b01, j01 = v1, i0+1
-					}
-					b23, j23 := v2, i2
-					if v3 > v2 {
-						b23, j23 = v3, i2+1
-					}
-					if b23 > b01 {
-						b01, j01 = b23, j23
-					}
-					out[oi], argmax[oi] = b01, j01
-					oi++
-					continue
+				i0 := base + oy*2*rs + ox*2
+				i2 := i0 + rs
+				v0, v1, v2, v3 := in[i0], in[i0+1], in[i2], in[i2+1]
+				b01, j01 := v0, i0
+				if v1 > v0 {
+					b01, j01 = v1, i0+1
 				}
-				bestIdx := base + oy*p.Size*rs + ox*p.Size
-				best := in[bestIdx]
-				for dy := 0; dy < p.Size; dy++ {
-					rowBase := base + (oy*p.Size+dy)*rs + ox*p.Size
-					for dx := 0; dx < p.Size; dx++ {
-						if v := in[rowBase+dx]; v > best {
-							best, bestIdx = v, rowBase+dx
-						}
-					}
+				b23, j23 := v2, i2
+				if v3 > v2 {
+					b23, j23 = v3, i2+1
 				}
-				out[oi], argmax[oi] = best, bestIdx
+				if b23 > b01 {
+					b01, j01 = b23, j23
+				}
+				out[oi], argmax[oi] = b01, j01
 				oi++
 			}
 		}
 	}
 }
 
-func (p tournamentPool) Forward(_, in, out []float64, scratch any) {
-	p.forwardOne(in, out, scratch.(*poolScratch).argmax)
-}
-
-func (p tournamentPool) Backward(_, _, _, _, dOut, dIn []float64, scratch any) {
-	if dIn != nil {
-		route(dOut, dIn, scratch.(*poolScratch).argmax)
+// route sends each output's gradient to its recorded winner, zero
+// elsewhere.
+func route(dOut, dIn []float64, argmax []int) {
+	clear(dIn)
+	for oi, ii := range argmax[:len(dOut)] {
+		dIn[ii] += dOut[oi]
 	}
 }
 
@@ -189,80 +172,80 @@ func poolInput(n int, seed uint64) []float64 {
 // TestMaxPoolMatchesTournament checks the pool against the tournament on
 // planted ties, ±0 and odd borders (11×11 → 5×5 included): every output
 // must == the tournament's, every winner must be the same, and the routed
-// gradient must match bit for bit — per example and as a batch.
+// gradient must match bit for bit — on a batch of four and a batch of one.
 func TestMaxPoolMatchesTournament(t *testing.T) {
 	const B = 4
 	for _, p := range []*MaxPool2D{
 		NewMaxPool2D(8, 11, 11, 2),
 		NewMaxPool2D(4, 26, 26, 2),
 		NewMaxPool2D(3, 7, 5, 2),
-		NewMaxPool2D(2, 11, 10, 3),
 	} {
 		t.Run(p.Name(), func(t *testing.T) {
-			ref := tournamentPool{p}
-			in := tensor.MatFrom(B, p.InDim(), poolInput(B*p.InDim(), 3))
-			dOut := tensor.MatFrom(B, p.OutDim(), poolInput(B*p.OutDim(), 4))
-			out, outRef := tensor.NewMat(B, p.OutDim()), tensor.NewMat(B, p.OutDim())
-			dIn, dInRef := tensor.NewMat(B, p.InDim()), tensor.NewMat(B, p.InDim())
-			s, sRef := p.NewBatchScratch(B), p.NewBatchScratch(B)
-			p.ForwardBatch(nil, in, out, s)
-			ref.ForwardBatch(nil, in, outRef, sRef)
-			p.BackwardBatch(nil, nil, in, out, dOut, dIn, s)
-			ref.BackwardBatch(nil, nil, in, outRef, dOut, dInRef, sRef)
-			a, aRef := s.(*poolScratch).argmax, sRef.(*poolScratch).argmax
-			for b := 0; b < B; b++ {
-				for o := 0; o < p.OutDim(); o++ {
-					i := b*p.OutDim() + o
-					if out.Data[i] != outRef.Data[i] || a[i] != b*p.InDim()+aRef[i] {
-						t.Fatalf("row %d output %d: %v from %d, tournament %v from %d",
-							b, o, out.Data[i], a[i]-b*p.InDim(), outRef.Data[i], aRef[i])
-					}
-				}
-			}
-			if i := sameBits(dIn.Data, dInRef.Data); i >= 0 {
-				t.Fatalf("batched gradient differs at input %d", i)
-			}
-
-			one, oneRef := p.NewScratch(), ref.NewScratch()
-			o1, o1Ref := make([]float64, p.OutDim()), make([]float64, p.OutDim())
-			d1, d1Ref := make([]float64, p.InDim()), make([]float64, p.InDim())
-			p.Forward(nil, in.Row(1), o1, one)
-			ref.Forward(nil, in.Row(1), o1Ref, oneRef)
-			p.Backward(nil, nil, in.Row(1), o1, dOut.Row(1), d1, one)
-			ref.Backward(nil, nil, in.Row(1), o1Ref, dOut.Row(1), d1Ref, oneRef)
-			for o := range o1 {
-				if o1[o] != o1Ref[o] || one.(*poolScratch).argmax[o] != oneRef.(*poolScratch).argmax[o] {
-					t.Fatalf("per-example output %d: %v, tournament %v", o, o1[o], o1Ref[o])
-				}
-			}
-			if i := sameBits(d1, d1Ref); i >= 0 {
-				t.Fatalf("per-example gradient differs at input %d", i)
+			for _, B := range []int{4, 1} {
+				checkPoolMatchesTournament(t, p, B)
 			}
 		})
 	}
 }
 
-// TestMaxPoolNaNPropagates: a NaN anywhere in a window pools to NaN, with
-// the rest of the window finite, on the 2×2 kernel and the general one.
-func TestMaxPoolNaNPropagates(t *testing.T) {
-	for _, size := range []int{2, 3} {
-		for pos := 0; pos < size*size; pos++ {
-			t.Run(fmt.Sprintf("size=%d/pos=%d", size, pos), func(t *testing.T) {
-				p := NewMaxPool2D(1, size, size, size)
-				in := make([]float64, size*size)
-				for i := range in {
-					in[i] = float64(i%3) - 1
-				}
-				in[pos] = math.NaN()
-				out := make([]float64, 1)
-				p.Forward(nil, in, out, p.NewScratch())
-				outB := tensor.NewMat(1, 1)
-				p.ForwardBatch(nil, tensor.MatFrom(1, len(in), in), outB, p.NewBatchScratch(1))
-				if !math.IsNaN(out[0]) || !math.IsNaN(outB.Data[0]) {
-					t.Fatalf("NaN at %d pooled to %v (batched %v)", pos, out[0], outB.Data[0])
-				}
-			})
+func checkPoolMatchesTournament(t *testing.T, p *MaxPool2D, B int) {
+	ref := tournamentPool{p}
+	in := tensor.MatFrom(B, p.InDim(), poolInput(B*p.InDim(), 3))
+	dOut := tensor.MatFrom(B, p.OutDim(), poolInput(B*p.OutDim(), 4))
+	out, outRef := tensor.NewMat(B, p.OutDim()), tensor.NewMat(B, p.OutDim())
+	dIn, dInRef := tensor.NewMat(B, p.InDim()), tensor.NewMat(B, p.InDim())
+	s, sRef := p.NewBatchScratch(B), p.NewBatchScratch(B)
+	p.ForwardBatch(nil, in, out, s)
+	ref.ForwardBatch(nil, in, outRef, sRef)
+	p.BackwardBatch(nil, nil, in, out, dOut, dIn, s)
+	ref.BackwardBatch(nil, nil, in, outRef, dOut, dInRef, sRef)
+	a, aRef := s.(*poolScratch).argmax, sRef.(*poolScratch).argmax
+	for b := 0; b < B; b++ {
+		for o := 0; o < p.OutDim(); o++ {
+			i := b*p.OutDim() + o
+			if out.Data[i] != outRef.Data[i] || a[i] != b*p.InDim()+aRef[i] {
+				t.Fatalf("b=%d row %d output %d: %v from %d, tournament %v from %d",
+					B, b, o, out.Data[i], a[i]-b*p.InDim(), outRef.Data[i], aRef[i])
+			}
 		}
+	}
+	if i := sameBits(dIn.Data, dInRef.Data); i >= 0 {
+		t.Fatalf("b=%d: gradient differs at input %d", B, i)
+	}
+}
+
+// TestMaxPoolNaNPropagates: a NaN anywhere in a window pools to NaN, with
+// the rest of the window finite.
+func TestMaxPoolNaNPropagates(t *testing.T) {
+	const size = 2
+	for pos := 0; pos < size*size; pos++ {
+		t.Run(fmt.Sprintf("size=%d/pos=%d", size, pos), func(t *testing.T) {
+			p := NewMaxPool2D(1, size, size, size)
+			in := make([]float64, size*size)
+			for i := range in {
+				in[i] = float64(i%3) - 1
+			}
+			in[pos] = math.NaN()
+			out := tensor.NewMat(1, 1)
+			p.ForwardBatch(nil, tensor.MatFrom(1, len(in), in), out, p.NewBatchScratch(1))
+			if !math.IsNaN(out.Data[0]) {
+				t.Fatalf("NaN at %d pooled to %v", pos, out.Data[0])
+			}
+		})
+	}
+}
+
+// TestMaxPoolIs2x2Only: every window size but 2 panics at construction.
+func TestMaxPoolIs2x2Only(t *testing.T) {
+	for _, size := range []int{0, 1, 3, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("size %d accepted", size)
+				}
+			}()
+			NewMaxPool2D(1, 8, 8, size)
+		}()
 	}
 }
 

@@ -150,27 +150,24 @@ func RunsParkLen(m, q int) int { return runsParkLenImpl(m, q) }
 
 // MatMulABTRunsSum is the convolution's filter gradient over a minibatch:
 //
-//	dst[i][q] (=|+=) Σ_b Σ_{j<n} a_b[i·lda + j] · x_b[off[q] + j]
+//	dst[i][q] = Σ_b Σ_{j<n} a_b[i·lda + j] · x_b[off[q] + j]
 //
 // over the rows b of a and x, where a_b is row b of a viewed as dst.Rows
 // rows lda = a.Cols/dst.Rows apart (one image's dOut, a plane per filter)
 // and x_b is row b of x (the image); dst's i-th row and q-th column are
-// filter i and lowering row q. accumulate adds the batch's sum to dst,
-// otherwise it is stored. park is scratch of at least
-// RunsParkLen(dst.Rows, len(off)) values: the vector kernels carry each
-// element's unfolded lane partials in it from one image to the next and
-// fold them once at the end, so only the order of the summation differs
+// filter i and lowering row q; dst is overwritten. park is scratch of at
+// least RunsParkLen(dst.Rows, len(off)) values: the vector kernels carry
+// each element's unfolded lane partials in it from one image to the next
+// and fold them once at the end, so only the order of the summation differs
 // from one dot product per element and image.
-func MatMulABTRunsSum(dst, a Mat, n int, x Mat, off []int, park []float64, accumulate bool) {
+func MatMulABTRunsSum(dst, a Mat, n int, x Mat, off []int, park []float64) {
 	m := dst.Rows
 	if m == 0 || a.Rows != x.Rows || dst.Cols != len(off) || a.Cols%m != 0 || n > a.Cols/m ||
 		short(dst, a, x) || !runsFit(n, x.Cols, off) || len(park) < RunsParkLen(m, len(off)) {
 		panic(fmt.Sprintf("tensor: MatMulABTRunsSum shape mismatch (%d×(%dx%d))*(%d runs of %d)T->(%dx%d)",
 			a.Rows, m, a.Cols/max(m, 1), len(off), n, dst.Rows, dst.Cols))
 	}
-	if !accumulate {
-		clear(dst.Data[:m*dst.Cols])
-	}
+	clear(dst.Data[:m*dst.Cols])
 	if n == 0 || a.Rows == 0 || len(off) == 0 {
 		return
 	}

@@ -45,7 +45,7 @@ func TestMatMulABTRunsSumShortPark(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, make([]float64, RunsParkLen(2, 2)-1), true)
+	MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, make([]float64, RunsParkLen(2, 2)-1))
 }
 
 // BenchmarkRunsGradTier times every tier's filter gradient on the paper

@@ -241,7 +241,8 @@ func randVec(r *rng.Rand, n int, withSpecials bool) []float64 {
 
 // TestMaxPool2x2Kernels, TestReLUKernels and TestRunsSumKernels run the
 // checks above on the kernels this build selected, through the exported
-// entry points.
+// entry points. MatMulABTRunsSum stores its sum, so the adapter adds it to
+// the seeded dst the checks expect it to accumulate into.
 func TestMaxPool2x2Kernels(t *testing.T) {
 	checkPoolKernels(t, MaxPool2x2, MaxPool2x2Backward)
 }
@@ -252,12 +253,17 @@ func TestReLUKernels(t *testing.T) {
 
 func TestRunsSumKernels(t *testing.T) {
 	checkRunsGrad(t, func(dst []float64, ldd, m int, a []float64, lda, sa, n int, x []float64, sx int, off []int, images int, park []float64) {
-		MatMulABTRunsSum(MatFrom(m, ldd, dst), MatFrom(images, sa, a), n, MatFrom(images, sx, x), off, park, true)
+		sum := NewMat(m, ldd)
+		MatMulABTRunsSum(sum, MatFrom(images, sa, a), n, MatFrom(images, sx, x), off, park)
+		for i, v := range sum.Data {
+			dst[i] += v
+		}
 	}, RunsParkLen)
 }
 
-// TestMatMulABTRunsSumStores: without accumulate the batch's sum replaces
-// whatever dst held.
+// TestMatMulABTRunsSumStores: the batch's sum replaces whatever dst held —
+// a NaN-filled dst and a zeroed one come back with the same bits, and those
+// are runsGradGo's dots into zeros to 1e-13 of the largest.
 func TestMatMulABTRunsSumStores(t *testing.T) {
 	r := rng.New(45)
 	off, n := convRuns(4, 13, 13, 3)
@@ -265,9 +271,17 @@ func TestMatMulABTRunsSumStores(t *testing.T) {
 	park := make([]float64, RunsParkLen(8, len(off)))
 	got, want := NewMat(8, len(off)), NewMat(8, len(off))
 	Fill(got.Data, math.NaN())
-	MatMulABTRunsSum(got, a, n, x, off, park, false)
-	MatMulABTRunsSum(want, a, n, x, off, park, true)
+	MatMulABTRunsSum(got, a, n, x, off, park)
+	MatMulABTRunsSum(want, a, n, x, off, park)
 	if i := firstDiff(got.Data, want.Data); i >= 0 {
-		t.Fatalf("store form [%d] = %v, accumulate into zeros %v", i, got.Data[i], want.Data[i])
+		t.Fatalf("over NaN [%d] = %v, over zeros %v", i, got.Data[i], want.Data[i])
+	}
+	dots := make([]float64, len(got.Data))
+	runsGradGo(dots, len(off), 8, a.Data, 143, 8*143, n, x.Data, 4*169, off, 2, nil)
+	scale := MaxAbs(dots)
+	for i, v := range dots {
+		if !(math.Abs(got.Data[i]-v) <= 1e-13*scale) {
+			t.Fatalf("[%d] = %v, dots %v", i, got.Data[i], v)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 // MatMulABT computes dst = a * bᵀ. Shapes: a is m×k, b is n×k, dst is m×n.
 // Every dst element is the inner product of an a row with a b row, so both
 // operand streams are contiguous — the orientation for operands that are
-// both long in k: single-row forward passes (MatVec, the b=1 Dense forward),
+// both long in k: single-row forward passes (the b=1 Dense forward),
 // where the weight matrix streams through once. The convolution's filter
 // gradient is the same orientation over input runs (MatMulABTRunsSum).
 func MatMulABT(dst, a, b Mat) {

@@ -127,12 +127,12 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MatMulRuns/dst":    func() { MatMulRuns(NewMat(2, 4), 5, NewMat(2, 2), make([]float64, 9), []int{0, 1}) },
 		"MatMulRuns/run":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{0, 6}) },
 		"MatMulRuns/neg":    func() { MatMulRuns(NewMat(2, 4), 4, NewMat(2, 2), make([]float64, 9), []int{-1, 0}) },
-		"MatMulABTRuns/dst": func() { MatMulABTRunsSum(NewMat(2, 3), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, park, true) },
-		"MatMulABTRuns/n":   func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 5, NewMat(1, 9), []int{0, 1}, park, true) },
-		"MatMulABTRuns/run": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 6}, park, true) },
-		"MatMulABTRuns/img": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(2, 8), 4, NewMat(1, 9), []int{0, 1}, park, true) },
+		"MatMulABTRuns/dst": func() { MatMulABTRunsSum(NewMat(2, 3), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 1}, park) },
+		"MatMulABTRuns/n":   func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 5, NewMat(1, 9), []int{0, 1}, park) },
+		"MatMulABTRuns/run": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(1, 8), 4, NewMat(1, 9), []int{0, 6}, park) },
+		"MatMulABTRuns/img": func() { MatMulABTRunsSum(NewMat(2, 2), NewMat(2, 8), 4, NewMat(1, 9), []int{0, 1}, park) },
 		"MatMulABTRuns/rows": func() {
-			MatMulABTRunsSum(NewMat(3, 2), NewMat(1, 8), 2, NewMat(1, 9), []int{0, 1}, park, true)
+			MatMulABTRunsSum(NewMat(3, 2), NewMat(1, 8), 2, NewMat(1, 9), []int{0, 1}, park)
 		},
 		"MaxPool2x2/in":      func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 31), 2, 4, 4, 4) },
 		"MaxPool2x2/stride":  func() { MaxPool2x2(make([]float64, 4), make([]int, 4), make([]float64, 24), 2, 4, 4, 3) },
@@ -176,7 +176,8 @@ func TestAddBiasRowsAndColSums(t *testing.T) {
 }
 
 // TestTranspose covers the 4-row blocks and the remainder rows of both
-// dimensions, and checks MatVec against the row dots it is defined by.
+// dimensions, and checks the one-row A·Bᵀ GEMM (the b = 1 Dense forward)
+// against the row dots it computes.
 func TestTranspose(t *testing.T) {
 	r := rng.New(12)
 	for _, sh := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {4, 4}, {5, 7}, {32, 784}, {131, 6}} {
@@ -191,10 +192,10 @@ func TestTranspose(t *testing.T) {
 			}
 		}
 		x, got := randMat(r, 1, sh[1]).Data, make([]float64, sh[0])
-		MatVec(got, src, x)
+		matVec(got, src, x)
 		for i, v := range got {
 			if !almostEq(v, Dot(src.Row(i), x), 1e-10) {
-				t.Fatalf("%v: MatVec[%d] = %v, want %v", sh, i, v, Dot(src.Row(i), x))
+				t.Fatalf("%v: a·x[%d] = %v, want %v", sh, i, v, Dot(src.Row(i), x))
 			}
 		}
 	}
@@ -324,8 +325,9 @@ func runsCases(r *rng.Rand) []struct {
 // TestMatMulRunsMatchesLowering pins the in-place run products to the GEMMs
 // over the explicit lowering, through whatever kernels init selected:
 // MatMulRuns bit for bit against MatMul (the same reduction, term for term)
-// with every column past n untouched, and MatMulABTRunsSum over one image
-// against MatMulABTAdd to 1e-10 (their tiles split a sum differently).
+// with every column past n untouched, and MatMulABTRunsSum over one image,
+// which overwrites its NaN-filled dst, against MatMulABT to 1e-10 (their
+// tiles split a sum differently).
 func TestMatMulRunsMatchesLowering(t *testing.T) {
 	r := rng.New(31)
 	for _, c := range runsCases(r) {
@@ -357,11 +359,11 @@ func TestMatMulRunsMatchesLowering(t *testing.T) {
 			for i := 0; i < c.m; i++ {
 				copy(dOutN.Row(i), dOut.Row(i)[:c.n])
 			}
-			gw, wantW := randMat(r, c.m, k), NewMat(c.m, k)
-			copy(wantW.Data, gw.Data)
+			gw, wantW := NewMat(c.m, k), NewMat(c.m, k)
+			Fill(gw.Data, math.NaN())
 			park := make([]float64, RunsParkLen(c.m, k))
-			MatMulABTRunsSum(gw, MatFrom(1, len(dOut.Data), dOut.Data), c.n, MatFrom(1, len(c.b), c.b), c.off, park, true)
-			MatMulABTAdd(wantW, dOutN, lowered)
+			MatMulABTRunsSum(gw, MatFrom(1, len(dOut.Data), dOut.Data), c.n, MatFrom(1, len(c.b), c.b), c.off, park)
+			MatMulABT(wantW, dOutN, lowered)
 			matsAlmostEq(t, "MatMulABTRunsSum", gw, wantW, 1e-10)
 		})
 	}

@@ -1,6 +1,6 @@
 package tensor
 
-// Sparse kernels: the CSR row family beside the dense GEMM/MatVec kernels.
+// Sparse kernels: the CSR row family beside the dense GEMM kernels.
 //
 // The training-side consumers keep gradients in sorted index/value pairs
 // (one CSR row per example, one merged row per minibatch), so the kernels

@@ -51,7 +51,7 @@ func densify(m CSR) Mat {
 }
 
 // TestSparseKernelsMatchDensified pins the whole CSR row family to the
-// densified dense reference (MatVec / MatTVec / scalar loops) across shapes
+// densified dense reference (one-row GEMMs / scalar loops) across shapes
 // covering empty rows, single elements, unroll tails and multi-lane bulks.
 func TestSparseKernelsMatchDensified(t *testing.T) {
 	r := rng.New(37)
@@ -83,18 +83,18 @@ func TestSparseKernelsMatchDensified(t *testing.T) {
 				}
 			}
 
-			// SpMV vs MatVec.
+			// SpMV vs a·x.
 			got := make([]float64, rows)
 			want := make([]float64, rows)
 			SpMV(got, a, x)
-			MatVec(want, dense, x)
+			matVec(want, dense, x)
 			for i := range got {
 				if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
 					t.Fatalf("SpMV[%d] = %v, want %v", i, got[i], want[i])
 				}
 			}
 
-			// SpMTVAdd vs MatTVec (which overwrites, so seed the want side
+			// SpMTVAdd vs aᵀ·y (which overwrites, so seed the want side
 			// separately and add).
 			gotT := make([]float64, cols)
 			wantT := make([]float64, cols)
@@ -104,7 +104,7 @@ func TestSparseKernelsMatchDensified(t *testing.T) {
 			}
 			copy(gotT, seed)
 			SpMTVAdd(gotT, a, y)
-			MatTVec(wantT, dense, y)
+			matTVec(wantT, dense, y)
 			for i := range wantT {
 				wantT[i] += seed[i]
 			}

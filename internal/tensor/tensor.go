@@ -184,40 +184,6 @@ func HasNaNOrInf(x []float64) bool {
 	return acc != 0
 }
 
-// MatVec computes dst = a * x for a m×k matrix and length-k vector; dst has
-// length m and must not alias x. It is the one-row case of the A·Bᵀ GEMM
-// (dstᵀ = xᵀ·aᵀ) and runs through that kernel, so the per-example forward
-// pass gets the vector dot tile on FMA hosts.
-func MatVec(dst []float64, a Mat, x []float64) {
-	if len(x) != a.Cols || len(dst) != a.Rows {
-		panic("tensor: MatVec shape mismatch")
-	}
-	MatMulABT(Mat{Rows: 1, Cols: a.Rows, Data: dst}, Mat{Rows: 1, Cols: a.Cols, Data: x}, a)
-}
-
-// MatTVec computes dst = aᵀ * x for a m×k matrix and length-m vector; dst
-// has length k and must not alias x. dst is overwritten.
-func MatTVec(dst []float64, a Mat, x []float64) {
-	if len(x) != a.Rows || len(dst) != a.Cols {
-		panic("tensor: MatTVec shape mismatch")
-	}
-	Fill(dst, 0)
-	for i := 0; i < a.Rows; i++ {
-		Axpy(x[i], a.Row(i), dst)
-	}
-}
-
-// OuterAdd computes a += alpha * x * yᵀ (rank-1 update) for a m×k matrix,
-// length-m x and length-k y.
-func OuterAdd(a Mat, alpha float64, x, y []float64) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("tensor: OuterAdd shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		Axpy(alpha*x[i], y, a.Row(i))
-	}
-}
-
 // Im2Col lowers a (channels, h, w) image stored channel-major in src into the
 // column matrix dst so that a valid, stride-1 convolution with k×k kernels
 // becomes a GEMM. dst must be (channels*k*k) × (outH*outW) where

@@ -276,6 +276,17 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2))
 }
 
+// matVec is dst = a·x as the one-row A·Bᵀ GEMM — the b = 1 Dense forward.
+func matVec(dst []float64, a Mat, x []float64) {
+	MatMulABT(MatFrom(1, a.Rows, dst), MatFrom(1, a.Cols, x), a)
+}
+
+// matTVec is dst = aᵀ·x as the one-row GEMM xᵀ·a — the b = 1 Dense input
+// gradient.
+func matTVec(dst []float64, a Mat, x []float64) {
+	MatMul(MatFrom(1, a.Cols, dst), MatFrom(1, a.Rows, x), a)
+}
+
 // Property: (A*B)*x == A*(B*x) for random matrices.
 func TestMatMulAssociatesWithMatVec(t *testing.T) {
 	r := rng.New(2)
@@ -295,11 +306,11 @@ func TestMatMulAssociatesWithMatVec(t *testing.T) {
 		ab := NewMat(m, n)
 		MatMul(ab, a, b)
 		lhs := make([]float64, m)
-		MatVec(lhs, ab, x)
+		matVec(lhs, ab, x)
 		bx := make([]float64, k)
-		MatVec(bx, b, x)
+		matVec(bx, b, x)
 		rhs := make([]float64, m)
-		MatVec(rhs, a, bx)
+		matVec(rhs, a, bx)
 		for i := range lhs {
 			if !almostEq(lhs[i], rhs[i], 1e-8) {
 				t.Fatalf("(AB)x != A(Bx) at %d: %v vs %v", i, lhs[i], rhs[i])
@@ -308,17 +319,18 @@ func TestMatMulAssociatesWithMatVec(t *testing.T) {
 	}
 }
 
+// The one-row GEMMs on known values: a·x and aᵀ·y.
 func TestMatVecAndTranspose(t *testing.T) {
 	a := MatFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	x := []float64{1, 1, 1}
 	dst := make([]float64, 2)
-	MatVec(dst, a, x)
+	matVec(dst, a, x)
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Fatalf("MatVec = %v", dst)
 	}
 	y := []float64{1, 2}
 	dt := make([]float64, 3)
-	MatTVec(dt, a, y)
+	matTVec(dt, a, y)
 	// aT*y = [1+8, 2+10, 3+12]
 	if dt[0] != 9 || dt[1] != 12 || dt[2] != 15 {
 		t.Fatalf("MatTVec = %v", dt)
@@ -343,22 +355,11 @@ func TestAdjointIdentity(t *testing.T) {
 			y[i] = r.NormFloat64()
 		}
 		ay := make([]float64, m)
-		MatVec(ay, a, y)
+		matVec(ay, a, y)
 		atx := make([]float64, n)
-		MatTVec(atx, a, x)
+		matTVec(atx, a, x)
 		if !almostEq(Dot(x, ay), Dot(atx, y), 1e-8) {
 			t.Fatalf("adjoint identity violated: %v vs %v", Dot(x, ay), Dot(atx, y))
-		}
-	}
-}
-
-func TestOuterAdd(t *testing.T) {
-	a := NewMat(2, 2)
-	OuterAdd(a, 2, []float64{1, 2}, []float64{3, 4})
-	want := []float64{6, 8, 12, 16}
-	for i, v := range a.Data {
-		if v != want[i] {
-			t.Fatalf("OuterAdd = %v, want %v", a.Data, want)
 		}
 	}
 }
