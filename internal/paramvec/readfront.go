@@ -112,9 +112,9 @@ type snap struct {
 	// seqs holds, per chain of the source store, the sequence number of the
 	// segment this buffer holds — the buffer's own fold baseline. A reused
 	// back buffer diffs the live heads against ITS OWN seqs, so a
-	// low-occupancy interval copies only the chains that advanced.
+	// low-occupancy interval copies only the chains that advanced. Empty
+	// while the buffer is cold (never folded, or frozen).
 	seqs   []int64
-	store  *Store // source the seqs are valid against; nil once frozen
 	seqSum int64
 	final  bool
 
@@ -134,8 +134,8 @@ type snap struct {
 type FoldStats struct {
 	// Flips counts installed snapshots (front-pointer swaps).
 	Flips int64
-	// DenseFolds counts folds that seeded the back buffer with a full-vector
-	// copy (cold buffer, or the pin returned a different source store).
+	// DenseFolds counts folds that seeded a cold back buffer with a
+	// full-vector copy.
 	DenseFolds int64
 	// SparseFolds counts folds that reused the back buffer's own baseline
 	// and copied only advanced chains.
@@ -204,10 +204,10 @@ func NewReadFront(st *Store, leash ReadLeash) *ReadFront {
 }
 
 // NewReadFrontPinned builds a ReadFront over a pin function: pin must return
-// the current source store protected against retirement until the release
-// func is called, or (nil, nil) when no live store exists. Should the source
-// store change between pins, the fold detects the identity change and
-// re-seeds densely; no caller swaps stores mid-run today.
+// the source store protected against retirement until the release func is
+// called, or (nil, nil) when no live store exists. It must return the same
+// store every time: a buffer's fold baseline is kept in that store's
+// sequence numbers.
 func NewReadFrontPinned(dim int, pin func() (*Store, func()), leash ReadLeash) *ReadFront {
 	rf := &ReadFront{
 		dim:   dim,
@@ -267,8 +267,7 @@ func (s *snap) release() { s.readers.Add(-1) }
 // staleness measures how far s lags the live store. With a MaxUpdates leash
 // the lag is exact — the live chain heads are peeked under a store pin; the
 // age estimate comes from the refresher's last zero-lag observation either
-// way. A source identity change not yet folded reports the lag as
-// leash-exceeding so the caller refreshes.
+// way.
 func (rf *ReadFront) staleness(s *snap) (lag int64, age time.Duration) {
 	if s.final {
 		return 0, 0
@@ -287,9 +286,6 @@ func (rf *ReadFront) staleness(s *snap) (lag int64, age time.Duration) {
 		return s.lag.Load(), age
 	}
 	defer unpin()
-	if st != s.store {
-		return rf.leash.MaxUpdates + 1, age
-	}
 	live := publishedSeqSum(st)
 	if lag = live - s.seqSum; lag < 0 {
 		lag = 0
@@ -365,7 +361,7 @@ func (rf *ReadFront) tick() {
 	}
 	defer unpin()
 	s := rf.front.Load()
-	if s == nil || s.store != st {
+	if s == nil {
 		rf.foldLocked(st)
 		return
 	}
@@ -433,22 +429,21 @@ func (rf *ReadFront) claimBack() *snap {
 }
 
 // foldLocked folds the live store into a back buffer and flips it in as the
-// new front. The buffer is seeded densely (full Snapshot) when it is cold or
-// its baseline belongs to a different store generation; otherwise only the
-// chains whose heads advanced past the buffer's own baseline are copied — the
-// sparse fold. Either way the buffer is then validated chain-by-chain and
-// re-copied until one full pass observes no advancement: the flipped snapshot
-// is always ONE consistent global state. If the pass bound is exhausted the
-// fold is abandoned un-flipped (the per-chain baselines stay coherent, so the
-// next fold resumes incrementally). foldMu held; st pinned by the caller.
+// new front. The buffer is seeded densely (full Snapshot) when it is cold;
+// otherwise only the chains whose heads advanced past the buffer's own
+// baseline are copied — the sparse fold. Either way the buffer is then
+// validated chain-by-chain and re-copied until one full pass observes no
+// advancement: the flipped snapshot is always ONE consistent global state.
+// If the pass bound is exhausted the fold is abandoned un-flipped (the
+// per-chain baselines stay coherent, so the next fold resumes
+// incrementally). foldMu held; st pinned by the caller.
 func (rf *ReadFront) foldLocked(st *Store) bool {
 	if st.Retired() || st.ChainPeek(0) == nil {
 		return false
 	}
 	C := st.Chains()
 	back := rf.claimBack()
-	if back.store != st || len(back.seqs) != C {
-		back.store = st
+	if len(back.seqs) != C {
 		if cap(back.seqs) < C {
 			back.seqs = make([]int64, C)
 		}
@@ -517,7 +512,6 @@ func (rf *ReadFront) Freeze(final []float64) {
 	if cur := rf.front.Load(); cur == nil || !cur.final {
 		back := rf.claimBack()
 		copy(back.theta, final)
-		back.store = nil
 		back.seqs = back.seqs[:0]
 		back.seqSum = 0
 		back.final = true

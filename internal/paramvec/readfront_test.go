@@ -161,57 +161,6 @@ func TestReadFrontFreeze(t *testing.T) {
 	rf.Close() // idempotent after Freeze's internal Close
 }
 
-// TestReadFrontStoreSwapRefolds: a pinned front must notice the pin
-// resolving to a different store (the autotuner's re-shard epoch swap) and
-// dense-reseed the back buffer from the new store's geometry.
-func TestReadFrontStoreSwapRefolds(t *testing.T) {
-	const dim = 48
-	a := NewStore(dim, 4)
-	init := make([]float64, dim)
-	for i := range init {
-		init[i] = 1
-	}
-	a.PublishInit(init)
-	bTheta := make([]float64, dim)
-	for i := range bTheta {
-		bTheta[i] = 2
-	}
-	bst := NewStore(dim, 8)
-	bst.PublishInit(bTheta)
-	defer func() { a.Retire(); bst.Retire() }()
-
-	var cur atomic.Pointer[Store]
-	cur.Store(a)
-	rf := NewReadFrontPinned(dim, func() (*Store, func()) { return cur.Load(), func() {} }, quietLeash)
-	defer rf.Close()
-
-	rf.refreshNow()
-	rf.ReadParams(nil, nil, func(v View) {
-		if v.At(0) != 1 {
-			t.Fatalf("front served %v before swap, want 1", v.At(0))
-		}
-	})
-	before := rf.Stats()
-	cur.Store(bst)
-	if !rf.refreshNow() {
-		t.Fatal("refresh after store swap failed")
-	}
-	after := rf.Stats()
-	if after.DenseFolds <= before.DenseFolds {
-		t.Fatalf("store swap did not force a dense reseed: %+v -> %+v", before, after)
-	}
-	meta := rf.ReadParams(nil, nil, func(v View) {
-		for i := 0; i < dim; i++ {
-			if v.At(i) != 2 {
-				t.Fatalf("front[%d] = %v after swap, want 2", i, v.At(i))
-			}
-		}
-	})
-	if !meta.Consistent {
-		t.Fatalf("post-swap meta = %+v", meta)
-	}
-}
-
 // TestReadFrontReadersWritersStress is the readers≫writers race stress the
 // tentpole is built for: 16 snapshot readers against 2 LAU-SPC publishers
 // and a concurrent store swap (the re-shard epoch flip), under poisoning.

@@ -32,10 +32,7 @@ func (rt *runCtx) newAsyncStrategy(initVec *paramvec.Vector) *asyncStrategy {
 
 func (st *asyncStrategy) setup(w *loopWorker) {
 	w.param = paramvec.New(st.rt.pool)
-	w.velocity = st.rt.maybeVelocity()
 }
-
-func (st *asyncStrategy) begin(w *loopWorker) bool { return st.rt.defaultBegin() }
 
 func (st *asyncStrategy) read(w *loopWorker) paramvec.View {
 	st.mtx.Lock()
@@ -68,15 +65,10 @@ func (st *asyncStrategy) commit(w *loopWorker, s step) bool {
 	return true
 }
 
-// recoverIter releases whatever a panicked iteration left behind: an
-// unapplied budget reservation is refunded and, if the crash hit inside a
-// critical section, the shared-parameter mutex is unlocked so the run (and
-// the monitor's snapshot) keeps making progress.
+// recoverIter unlocks the shared-parameter mutex if the crash hit inside a
+// critical section, so the run (and the monitor's snapshot) keeps making
+// progress.
 func (st *asyncStrategy) recoverIter(w *loopWorker) {
-	if w.reserved {
-		w.reserved = false
-		st.rt.refundUpdate()
-	}
 	if w.lockHeld {
 		w.lockHeld = false
 		st.mtx.Unlock()

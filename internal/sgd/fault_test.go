@@ -1,11 +1,14 @@
 package sgd
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"leashedsgd/internal/faultinject"
+	"leashedsgd/internal/paramvec"
 )
 
 // faultConfig is the base config for fault-injection tests: fixed update
@@ -65,6 +68,138 @@ func TestInjectedWorkerPanicBudgetExact(t *testing.T) {
 			if res.WorkerRestarts != len(res.WorkerFaults) {
 				t.Fatalf("WorkerRestarts = %d, want %d (all faults respawned)",
 					res.WorkerRestarts, len(res.WorkerFaults))
+			}
+		})
+	}
+}
+
+// panicProblem wraps a problem so that every step its gradient workers
+// compute panics on each every-th apply (counted across workers), up to
+// limit panics: applyVector for SEQ/ASYNC — inside the shared mutex —
+// atomicApply for HOGWILD! and publishChain for Leashed. Each panic fires
+// after commit has reserved a budget unit, where faultinject.WorkerIter
+// never reaches.
+type panicProblem struct {
+	problem
+	every, limit    int64
+	applies, panics atomic.Int64
+	// held records the chain head each panicked Leashed publish attempt
+	// was folding onto, registered as a reader at the panic.
+	held chan *paramvec.Vector
+}
+
+func (p *panicProblem) newGradWorker(rt *runCtx, id int) gradWorker {
+	return panicGradWorker{p.problem.newGradWorker(rt, id), p}
+}
+
+type panicGradWorker struct {
+	gradWorker
+	p *panicProblem
+}
+
+func (g panicGradWorker) compute(pv paramvec.View, velocity []float64) step {
+	return panicStep{g.gradWorker.compute(pv, velocity), g.p}
+}
+
+type panicStep struct {
+	step
+	p *panicProblem
+}
+
+func (s panicStep) apply(cur *paramvec.Vector) {
+	if n := s.p.applies.Add(1); n%s.p.every == 0 && s.p.panics.Add(1) <= s.p.limit {
+		if cur != nil {
+			s.p.held <- cur
+		}
+		panic(fmt.Sprintf("test panic at apply %d", n))
+	}
+}
+
+func (s panicStep) applyVector(v *paramvec.Vector, eta float64) {
+	s.apply(nil)
+	s.step.applyVector(v, eta)
+}
+
+func (s panicStep) atomicApply(shared []uint64, eta float64) {
+	s.apply(nil)
+	s.step.atomicApply(shared, eta)
+}
+
+func (s panicStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv *paramvec.Vector, eta float64) bool {
+	s.apply(cur)
+	return s.step.publishChain(store, c, a, b, cur, nv, eta)
+}
+
+// TestCommitPanicRefundsBudget panics inside commit, with a budget unit
+// reserved (and ASYNC's mutex held), in every algorithm. The loop's recovery
+// must refund the unit — the run still applies exactly MaxUpdates — and the
+// strategy must release its protocol state: ASYNC's unlock keeps the other
+// worker and the monitor's snapshot from blocking forever, and no Leashed
+// chain vector — the heads, and those the panicked attempts held — is left
+// with a reader.
+func TestCommitPanicRefundsBudget(t *testing.T) {
+	ds := tinyDataset()
+	cases := []struct {
+		name   string
+		algo   Algorithm
+		shards int
+	}{
+		{"seq", Seq, 0},
+		{"async", Async, 0},
+		{"hogwild", Hogwild, 0},
+		{"leashed-s1", Leashed, 1},
+		{"leashed-s4", Leashed, 4},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := faultConfig(tc.algo, 2)
+			cfg.MaxUpdates = 200
+			cfg.MaxTime = 10 * time.Second
+			cfg.Shards = tc.shards
+			dense, err := newDenseProblem(tinyNet(ds), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob := &panicProblem{problem: dense, every: 25, limit: 3, held: make(chan *paramvec.Vector, 3)}
+			r, err := launch(cfg, prob, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-r.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatal("run did not end: a panicked commit left the run blocked")
+			}
+			res := r.Wait()
+			if got := prob.panics.Load(); got < prob.limit {
+				t.Fatalf("%d panics fired, want %d", got, prob.limit)
+			}
+			if res.TotalUpdates != cfg.MaxUpdates {
+				t.Fatalf("TotalUpdates = %d, want exactly %d (faults: %d)",
+					res.TotalUpdates, cfg.MaxUpdates, len(res.WorkerFaults))
+			}
+			if int64(len(res.WorkerFaults)) != prob.limit || res.WorkerRestarts != len(res.WorkerFaults) {
+				t.Fatalf("%d faults, %d restarts, want %d of each", len(res.WorkerFaults), res.WorkerRestarts, prob.limit)
+			}
+			for _, f := range res.WorkerFaults {
+				if !strings.Contains(f.Err, "test panic") || !f.Respawned {
+					t.Fatalf("fault %+v: want a respawned test panic", f)
+				}
+			}
+			if st := r.rt.store; st != nil {
+				for c := 0; c < st.Chains(); c++ {
+					if n := st.ChainPeek(c).Readers(); n != 0 {
+						t.Fatalf("chain %d head holds %d readers after the run", c, n)
+					}
+				}
+			}
+			close(prob.held)
+			for v := range prob.held {
+				if n := v.Readers(); n != 0 {
+					t.Fatalf("a panicked publish left its chain vector with %d readers", n)
+				}
 			}
 		})
 	}

@@ -44,10 +44,7 @@ func (rt *runCtx) newHogwildStrategy(initVec *paramvec.Vector) *hogwildStrategy 
 
 func (st *hogwildStrategy) setup(w *loopWorker) {
 	w.param = paramvec.New(st.rt.pool)
-	w.velocity = st.rt.maybeVelocity()
 }
-
-func (st *hogwildStrategy) begin(w *loopWorker) bool { return st.rt.defaultBegin() }
 
 func (st *hogwildStrategy) read(w *loopWorker) paramvec.View {
 	// Uncoordinated read: other workers may be mid-update, so this view
@@ -71,22 +68,15 @@ func (st *hogwildStrategy) commit(w *loopWorker, s step) bool {
 		return false
 	}
 	w.reserved = true
+	// A panic mid-sweep may leave some component-atomic adds applied and
+	// others not — a lost partial update, which HOGWILD's no-consistency
+	// contract already admits — but the update is not counted: the loop
+	// refunds the reservation, so the budget stays exact.
 	s.atomicApply(st.shared, rt.adaptedEta(rt.updates.Load()-w.readSeq))
 	applied := rt.applyUpdate()
 	w.reserved = false
 	w.hist.Observe(applied - 1 - w.readSeq)
 	return true
-}
-
-// recoverIter refunds a reserved-but-unapplied budget unit. A panic mid-sweep
-// may leave some component-atomic adds applied and others not — a lost
-// partial update, which HOGWILD's no-consistency contract already admits —
-// but the update is not counted, so the budget stays exact.
-func (st *hogwildStrategy) recoverIter(w *loopWorker) {
-	if w.reserved {
-		w.reserved = false
-		st.rt.refundUpdate()
-	}
 }
 
 func (st *hogwildStrategy) snapshot(dst []float64) {

@@ -1,6 +1,8 @@
 package sgd
 
 import (
+	"sync/atomic"
+
 	"leashedsgd/internal/faultinject"
 	"leashedsgd/internal/paramvec"
 )
@@ -8,7 +10,7 @@ import (
 // leashedStrategy is Leashed-SGD (Algorithm 3) under the unified worker
 // loop over the chain store paramvec.Store — ONE implementation covers the
 // paper's single chain (Config.Shards <= 1) and the sharded store (Shards >
-// 1). The store is built once at start (shardEpoch, epoch.go) and serves the
+// 1). The store is built once at start (newLeashedStrategy) and serves the
 // whole run, so an iteration takes no lock around it.
 //
 // Per iteration a worker, having sampled its minibatch:
@@ -40,39 +42,84 @@ import (
 //
 // The global update counter advances once per iteration that published at
 // least one chain; an iteration that published nothing refunds its budget
-// reservation so MaxUpdates stays exact. Staleness and contention are
-// counted per chain in the shardEpoch.
+// reservation so MaxUpdates stays exact. Staleness, contention and read
+// consistency are counted per chain and per worker slot in the strategy.
 type leashedStrategy struct {
-	nopHooks
-	rt   *runCtx
-	e    *shardEpoch // the run's one store and its per-chain counters
-	seqs []int64     // monitor snapshot seq reuse
+	rt    *runCtx
+	store *paramvec.Store // the run's one store, built at start
+	// failed and dropped count, per chain, lost publish attempts and
+	// segments dropped at the persistence bound; rstale counts the leased
+	// reads during which that chain's head advanced (the per-chain
+	// decomposition of a mixed-version read).
+	failed, dropped, rstale []paddedCounter
+	// tallies and reads hold each worker slot's per-chain publish counts
+	// and leased-read classification, written only by that slot's worker
+	// and summed in fill once the workers have exited.
+	tallies []chainTally
+	reads   []readTally
+	seqs    []int64 // monitor snapshot seq reuse
 }
 
-// newLeashedStrategy publishes θ0 into the run's store and hands the init
-// vector's buffer back to the pool.
+// chainTally is one worker slot's per-chain publish counts: successful
+// publishes, the components they wrote (the chain's full length per dense
+// publish, only the hit components per sparse scatter-publish — the
+// occupancy signal reported next to the contention counters) and the summed
+// staleness τ of those publishes.
+type chainTally struct {
+	pub, touched, stale []int64
+}
+
+// readTally is one worker slot's leased-read classification counters, padded
+// so neighbouring workers' tallies never share a cache line.
+type readTally struct {
+	consistent, mixed atomic.Int64
+	_                 [112]byte
+}
+
+// paddedCounter is an atomic counter padded to a full cache-line pair.
+type paddedCounter struct {
+	n atomic.Int64
+	_ [120]byte
+}
+
+// newLeashedStrategy builds the run's chain store with the effective shard
+// count (paramvec.NewStore), publishes θ0 into it, hands the init vector's
+// buffer back to the pool and allocates the per-chain and per-worker
+// counters.
 func (rt *runCtx) newLeashedStrategy(initVec *paramvec.Vector) *leashedStrategy {
-	rt.epoch = newShardEpoch(rt.d, rt.numShards(), rt.cfg.Workers, initVec.Theta)
+	store := paramvec.NewStore(rt.d, rt.numShards())
+	store.PublishInit(initVec.Theta)
 	initVec.Release()
-	return &leashedStrategy{rt: rt, e: rt.epoch}
+	rt.store = store
+	n := store.Chains()
+	st := &leashedStrategy{
+		rt:      rt,
+		store:   store,
+		failed:  make([]paddedCounter, n),
+		dropped: make([]paddedCounter, n),
+		rstale:  make([]paddedCounter, n),
+		tallies: make([]chainTally, rt.cfg.Workers),
+		reads:   make([]readTally, rt.cfg.Workers),
+	}
+	for i := range st.tallies {
+		st.tallies[i] = chainTally{pub: make([]int64, n), touched: make([]int64, n), stale: make([]int64, n)}
+	}
+	return st
 }
 
 func (st *leashedStrategy) setup(w *loopWorker) {
-	w.velocity = st.rt.maybeVelocity()
-	w.support = newChainSet(st.e.store.Offsets())
-	w.wins = make([]chainWin, 0, st.e.store.Chains())
+	w.support = newChainSet(st.store.Offsets())
+	w.wins = make([]chainWin, 0, st.store.Chains())
 }
-
-func (st *leashedStrategy) begin(w *loopWorker) bool { return st.rt.defaultBegin() }
 
 // read leases the chains the sampled step can write — the zero-copy
 // gradient view.
 func (st *leashedStrategy) read(w *loopWorker) paramvec.View {
 	var pv paramvec.View
 	if w.gw.support(&w.support) {
-		pv = w.lease.AcquireChains(st.e.store, w.support.take())
+		pv = w.lease.AcquireChains(st.store, w.support.take())
 	} else {
-		pv = w.lease.Acquire(st.e.store)
+		pv = w.lease.Acquire(st.store)
 	}
 	w.leaseHeld = true
 	return pv
@@ -82,13 +129,14 @@ func (st *leashedStrategy) read(w *loopWorker) paramvec.View {
 // per-worker counts plus the per-chain stale-read breakdown for mixed reads.
 // The registrations stay for commit.
 func (st *leashedStrategy) endRead(w *loopWorker) {
+	t := &st.reads[w.id]
 	if w.lease.Check() {
-		w.tally.consistent.Add(1)
+		t.consistent.Add(1)
 		return
 	}
-	w.tally.mixed.Add(1)
+	t.mixed.Add(1)
 	for _, c := range w.lease.AdvancedChains() {
-		st.e.rstale[c].n.Add(1)
+		st.rstale[c].n.Add(1)
 	}
 }
 
@@ -107,7 +155,7 @@ func (st *leashedStrategy) dropLease(w *loopWorker) {
 // one (the scatter-publish win: a sparse step touches ~min(S, B·NNZ) of the
 // S chains, and untouched chains see no CAS, no copy and no pool traffic).
 func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
-	rt, e := st.rt, st.e
+	rt := st.rt
 
 	// Claim a budget unit before anything becomes visible; when the budget
 	// is fully claimed the gradient is discarded and the loop gate
@@ -118,14 +166,14 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 	}
 	w.reserved = true
 
-	wins := s.windows(e.store.Offsets(), w.wins[:0])
+	wins := s.windows(st.store.Offsets(), w.wins[:0])
 	w.wins = wins
-	first := w.id % e.store.Chains()
+	first := w.id % st.store.Chains()
 	start := 0
 	for start < len(wins) && wins[start].c < first {
 		start++
 	}
-	tally := &e.tallies[w.id]
+	tally := &st.tallies[w.id]
 	publishedAny := false
 	for k := range wins {
 		i := start + k
@@ -153,8 +201,8 @@ func (st *leashedStrategy) commit(w *loopWorker, s step) bool {
 // dense pass abandoned because its head was replaced — and the accounting
 // below does not tell them apart.
 func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *chainTally) bool {
-	rt, e := st.rt, st.e
-	store, c := e.store, win.c
+	rt := st.rt
+	store, c := st.store, win.c
 	bound := rt.cfg.Persistence
 	readT := w.lease.Seq(c)
 	// The leased head, registered since the read: the first attempt's
@@ -164,6 +212,13 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 	// gradient, and likely still in this core's cache — it can come back
 	// as the new vector.
 	cur := w.lease.Take(c)
+	// cur is this attempt's registered head until publishChain returns; the
+	// defer ends that registration on every exit, a panic's unwind included.
+	defer func() {
+		if cur != nil {
+			cur.StopReading()
+		}
+	}()
 	if cur != nil && store.ChainPeek(c) != cur {
 		cur.StopReading()
 		cur = nil
@@ -175,11 +230,11 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 			// exactly like a lost CAS, so bursts drive the drop/recycle
 			// path without touching the store.
 			if f := inj.Decide(faultinject.Publish); f.Kind == faultinject.KindFail {
-				e.failed[c].n.Add(1)
+				st.failed[c].n.Add(1)
 				tries++
 				if bound >= 0 && tries > bound {
 					nv.Release()
-					e.dropped[c].n.Add(1)
+					st.dropped[c].n.Add(1)
 					break
 				}
 				continue
@@ -205,11 +260,11 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 			w.hist.Observe(tau)
 			return true
 		}
-		e.failed[c].n.Add(1)
+		st.failed[c].n.Add(1)
 		tries++
 		if bound >= 0 && tries > bound {
 			nv.Release()
-			e.dropped[c].n.Add(1)
+			st.dropped[c].n.Add(1)
 			break
 		}
 		if rt.stop.Load() {
@@ -217,16 +272,13 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 			break
 		}
 	}
-	if cur != nil {
-		cur.StopReading()
-	}
 	return false
 }
 
 // snapshot copies the published parameters; the per-chain sequence slice is
 // hoisted and reused across monitor ticks.
 func (st *leashedStrategy) snapshot(dst []float64) {
-	st.seqs = st.e.store.Snapshot(dst, st.seqs)
+	st.seqs = st.store.Snapshot(dst, st.seqs)
 }
 
 // snapshotConsistent retries the store snapshot under seqlock validation so a
@@ -234,19 +286,67 @@ func (st *leashedStrategy) snapshot(dst []float64) {
 // attempt exhaustion under heavy publish pressure the last (per-chain untorn)
 // copy stands — same guarantee as snapshot.
 func (st *leashedStrategy) snapshotConsistent(dst []float64) {
-	st.e.store.SnapshotConsistent(dst, 8)
+	st.store.SnapshotConsistent(dst, 8)
 }
 
-// recoverIter rolls back a panicked iteration: the lease is released first,
-// then the budget reservation is refunded.
-func (st *leashedStrategy) recoverIter(w *loopWorker) {
-	st.dropLease(w)
-	if w.reserved {
-		w.reserved = false
-		st.rt.refundUpdate()
+// recoverIter ends the lease a panicked iteration still holds; the loop
+// refunds its budget reservation.
+func (st *leashedStrategy) recoverIter(w *loopWorker) { st.dropLease(w) }
+
+// sums returns chain c's publish counts summed over the worker slots.
+func (st *leashedStrategy) sums(c int) (pub, touched, stale int64) {
+	for i := range st.tallies {
+		t := &st.tallies[i]
+		pub, touched, stale = pub+t.pub[c], touched+t.touched[c], stale+t.stale[c]
 	}
+	return pub, touched, stale
 }
 
-func (st *leashedStrategy) fill(res *Result) { st.e.fill(res) }
+// fill records the run's store measurements into res once the workers have
+// exited: the leased-read classification, the per-shard breakdown (none for
+// a single-chain run, whose Result contract keeps the Shard* slices nil), the
+// contention totals, and the chain pools' memory accounting in full-vector
+// equivalents. C chain buffers hold one vector's worth of parameters, so peak
+// and allocation counts round up and reuse counts round down (exact at
+// C = 1); per-chain peaks are an upper bound on the true simultaneous peak.
+func (st *leashedStrategy) fill(res *Result) {
+	for i := range st.reads {
+		res.ConsistentReads += st.reads[i].consistent.Load()
+		res.MixedReads += st.reads[i].mixed.Load()
+	}
+	S := len(st.failed)
+	if S > 1 {
+		res.ShardFailedCAS = make([]int64, S)
+		res.ShardDropped = make([]int64, S)
+		res.ShardPublishes = make([]int64, S)
+		res.ShardStalenessMean = make([]float64, S)
+		res.ShardStaleReads = make([]int64, S)
+		res.ShardTouched = make([]int64, S)
+	}
+	res.FailedCAS, res.DroppedUpdates, res.Publishes, res.TouchedComponents = 0, 0, 0, 0
+	for s := 0; s < S; s++ {
+		failed, dropped := st.failed[s].n.Load(), st.dropped[s].n.Load()
+		pub, touched, stale := st.sums(s)
+		if S > 1 {
+			res.ShardFailedCAS[s] = failed
+			res.ShardDropped[s] = dropped
+			res.ShardPublishes[s] = pub
+			res.ShardStaleReads[s] = st.rstale[s].n.Load()
+			res.ShardTouched[s] = touched
+			if pub > 0 {
+				res.ShardStalenessMean[s] = float64(stale) / float64(pub)
+			}
+		}
+		res.FailedCAS += failed
+		res.DroppedUpdates += dropped
+		res.Publishes += pub
+		res.TouchedComponents += touched
+	}
+	c := int64(S)
+	res.Shards = S
+	res.PeakLiveVectors += (st.store.Peak() + c - 1) / c
+	res.BufferAllocs += (st.store.Allocs() + c - 1) / c
+	res.BufferReuses += st.store.Reuses() / c
+}
 
-func (st *leashedStrategy) cleanup() { st.e.store.Retire() }
+func (st *leashedStrategy) cleanup() { st.store.Retire() }

@@ -1,12 +1,16 @@
-// The unified, store-parameterized worker loop. Every algorithm — SEQ/ASYNC,
-// HOGWILD! and Leashed-SGD (single-chain and sharded, both on the chain
-// store paramvec.Store) — runs its workers through workerLoop below;
-// what differs per algorithm is reduced to the strategy hooks: how the
-// parameter view for the gradient read is produced (lock-copy, atomic-copy,
-// zero-copy lease), and what the publish protocol does with the computed
-// step (locked in-place update, component-atomic adds, per-chain LAU-SPC).
-// The loop itself owns the pieces every algorithm shares: the stop/budget
-// gate, batch sampling, gradient computation and Tc/Tu timing.
+// The unified worker loop. Every algorithm — SEQ/ASYNC, HOGWILD! and
+// Leashed-SGD (single-chain and sharded, on the chain store paramvec.Store)
+// — runs its workers through workerLoop below.
+//
+// The loop owns what every algorithm shares: the stop/budget gate, batch
+// sampling, gradient computation, the momentum velocity, Tc/Tu timing and
+// panic recovery, including the refund of a budget reservation a panicked
+// iteration still held. A strategy owns its parameter state and the two
+// protocols around it: how the gradient's parameter view is produced
+// (lock-copy, atomic-copy, zero-copy lease) and what the publish does with
+// the computed step (locked in-place update, component-atomic adds,
+// per-chain LAU-SPC), plus the release of whatever protocol state a panic
+// left held (ASYNC's mutex, Leashed's lease).
 package sgd
 
 import (
@@ -27,9 +31,6 @@ type strategy interface {
 	// setup initializes per-worker strategy state (e.g. checks out the
 	// private read-copy buffer for copy-read protocols).
 	setup(w *loopWorker)
-	// begin gates the next iteration and returns false to end the worker's
-	// loop.
-	begin(w *loopWorker) bool
 	// read produces the parameter view the gradient is computed against,
 	// after the minibatch is sampled, and records the read-sequence
 	// baseline for staleness.
@@ -52,21 +53,21 @@ type strategy interface {
 	// cleanup releases the shared parameter state after the run.
 	cleanup()
 	// fill records the strategy's own measurements into res once the
-	// workers have exited: the Leashed store's contention and chain-pool
-	// accounting.
+	// workers have exited: the Leashed store's read consistency,
+	// contention and chain-pool accounting.
 	fill(res *Result)
-	// recoverIter rolls back a panicked iteration: release whatever
-	// iteration-scoped state the worker still holds (lease, strategy mutex,
-	// budget reservation) so the crash is isolated — the rest of the run
-	// keeps publishing and the supervisor can respawn the slot. Called from the recovery defer with the panicked worker's
-	// state; the loopWorker's hold flags record exactly what to release.
+	// recoverIter releases the protocol state a panicked iteration still
+	// holds (Leashed's lease, ASYNC's mutex) so the crash is isolated — the
+	// rest of the run keeps publishing and the supervisor can respawn the
+	// slot. Called from the loop's recovery defer before it refunds the
+	// budget reservation; the loopWorker's hold flags record exactly what
+	// to release.
 	recoverIter(w *loopWorker)
 }
 
 // nopHooks provides the no-op defaults strategies embed.
 type nopHooks struct{}
 
-func (nopHooks) setup(*loopWorker)       {}
 func (nopHooks) endRead(*loopWorker)     {}
 func (nopHooks) recoverIter(*loopWorker) {}
 func (nopHooks) fill(*Result)            {}
@@ -87,48 +88,41 @@ type loopWorker struct {
 	readSeq int64
 
 	// Leased zero-copy reads (Leashed-SGD): the lease, the chains the
-	// sampled step reads, the chain windows of the computed step, and this
-	// worker's consistency tally slot.
+	// sampled step reads and the chain windows of the computed step.
 	lease   paramvec.Lease
 	support chainSet
 	wins    []chainWin
-	tally   *readTally
 
 	// Crash-isolation bookkeeping: which iteration-scoped resources the
 	// worker currently holds. Maintained by the strategy hooks on the
-	// worker's own goroutine (plain fields, no atomics needed) so
-	// recoverIter can release exactly what a panic left behind without
+	// worker's own goroutine (plain fields, no atomics needed) so the
+	// recovery defer can release exactly what a panic left behind without
 	// deadlocking the run.
 	leaseHeld bool // leashed: chain lease from read to the end of commit
 	lockHeld  bool // async: strategy mutex inside read/commit critical sections
 	reserved  bool // a budget reservation not yet applied or refunded
 }
 
+// newLoopWorker builds worker slot id's fresh state, with a zeroed
+// heavy-ball velocity when the momentum extension is on.
 func (rt *runCtx) newLoopWorker(id int) *loopWorker {
-	return &loopWorker{
-		id:    id,
-		gw:    rt.prob.newGradWorker(rt, id),
-		hist:  rt.hists[id],
-		tc:    rt.tcs[id],
-		tu:    rt.tus[id],
-		tally: &rt.readTallies[id],
+	w := &loopWorker{
+		id:   id,
+		gw:   rt.prob.newGradWorker(rt, id),
+		hist: rt.hists[id],
+		tc:   rt.tcs[id],
+		tu:   rt.tus[id],
 	}
-}
-
-// maybeVelocity returns a fresh per-worker heavy-ball velocity when the
-// momentum extension is on. Every strategy calls it in setup.
-func (rt *runCtx) maybeVelocity() []float64 {
 	if rt.cfg.Momentum > 0 {
-		return make([]float64, rt.d)
+		w.velocity = make([]float64, rt.d)
 	}
-	return nil
+	return w
 }
 
-// defaultBegin is the uncoordinated iteration gate: run until stopped or the
-// update budget is spent, yielding while the final in-flight reservations
-// drain (so workers don't burn whole gradient passes that are guaranteed to
-// fail reservation).
-func (rt *runCtx) defaultBegin() bool {
+// gate is the iteration gate: run until stopped or the update budget is
+// spent, yielding while the final in-flight reservations drain (so workers
+// don't burn whole gradient passes that are guaranteed to fail reservation).
+func (rt *runCtx) gate() bool {
 	for {
 		if rt.stop.Load() || rt.budgetExhausted() {
 			return false
@@ -205,13 +199,18 @@ func (rt *runCtx) superviseWorker(id int, st strategy) {
 // A panic anywhere in the loop is caught here and reported to the
 // supervisor; the recovery defer is registered FIRST so during the unwind it
 // runs LAST, after the buffer-release defer below has already returned the
-// worker's private buffers, and rolls back the iteration through
-// strategy.recoverIter.
+// worker's private buffers. It rolls back the iteration: strategy.recoverIter
+// releases the protocol state, then a budget unit still reserved is refunded
+// — the panicked update was never applied, so MaxUpdates stays exact.
 func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 	w := rt.newLoopWorker(id)
 	defer func() {
 		if r := recover(); r != nil {
 			st.recoverIter(w)
+			if w.reserved {
+				w.reserved = false
+				rt.refundUpdate()
+			}
 			fault = &WorkerFault{Worker: id, Err: fmt.Sprint(r)}
 		}
 	}()
@@ -223,7 +222,7 @@ func (rt *runCtx) workerLoop(id int, st strategy) (fault *WorkerFault) {
 		w.gw.close()
 	}()
 	sample := rt.cfg.SampleTiming
-	for st.begin(w) {
+	for rt.gate() {
 		w.gw.sample()
 		pv := st.read(w)
 		if inj := rt.inj; inj != nil {

@@ -98,11 +98,11 @@ func TestSparseCommitLeasesSupportWithoutAllocating(t *testing.T) {
 	cfg.BatchSize = 1
 	cfg.Shards = 64
 	rt := newRuntime(cfg, newSparseProblem(ds))
-	st := &leashedStrategy{rt: rt, e: newShardEpoch(ds.Dim, cfg.Shards, 1, make([]float64, ds.Dim))}
+	st := rt.newLeashedStrategy(paramvec.New(rt.pool))
 	w := rt.newLoopWorker(0)
 	st.setup(w)
 	defer w.gw.close()
-	store := st.e.store
+	store := st.store
 
 	iterate := func() {
 		w.gw.sample()
@@ -135,7 +135,7 @@ func TestSparseCommitLeasesSupportWithoutAllocating(t *testing.T) {
 	st.commit(w, s)
 	var pubs int64
 	for c := 0; c < store.Chains(); c++ {
-		n, _, _ := st.e.sums(c)
+		n, _, _ := st.sums(c)
 		if (n == 1) != want[c] || n > 1 {
 			t.Fatalf("chain %d published %d times; in the support = %v", c, n, want[c])
 		}
@@ -189,14 +189,13 @@ func (s movingHeadStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv
 func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	cfg := Config{Algo: Leashed, Workers: 1, Eta: 0.1, Persistence: 1, MaxUpdates: 10}
 	rt := newRuntime(cfg, stubProblem{d: longDim})
-	e := newShardEpoch(longDim, 1, 1, make([]float64, longDim))
+	st := rt.newLeashedStrategy(paramvec.New(rt.pool))
 	cas := countDenseCAS(t)
-	st := &leashedStrategy{rt: rt, e: e}
 	w := &loopWorker{hist: rt.hists[0]}
-	w.lease.Acquire(e.store)
+	w.lease.Acquire(st.store)
 	w.lease.Release()
 
-	baseline := e.store.Live()
+	baseline := st.store.Live()
 	g := make([]float64, longDim)
 	tensor.Fill(g, 1)
 	rivals := 0
@@ -209,17 +208,17 @@ func TestCommitCountsAbandonedAttemptAsLostCAS(t *testing.T) {
 	if *cas != 0 {
 		t.Fatalf("%d CASes issued beside %d rival publishes: an abandoned attempt must not CAS", *cas, rivals)
 	}
-	f, d := e.failed[0].n.Load(), e.dropped[0].n.Load()
-	if p, _, _ := e.sums(0); f != 2 || d != 1 || p != 0 {
+	f, d := st.failed[0].n.Load(), st.dropped[0].n.Load()
+	if p, _, _ := st.sums(0); f != 2 || d != 1 || p != 0 {
 		t.Fatalf("failed/dropped/published = %d/%d/%d, want 2/1/0", f, d, p)
 	}
-	if got := e.store.Live(); got != baseline {
+	if got := st.store.Live(); got != baseline {
 		t.Fatalf("Live = %d after the drop, want the baseline %d", got, baseline)
 	}
 	if res, upd := rt.reserved.Load(), rt.updates.Load(); res != 0 || upd != 0 || w.reserved {
 		t.Fatalf("reserved = %d, applied = %d after a dropped update, want the unit refunded", res, upd)
 	}
-	if head := e.store.ChainPeek(0); head.T != 2 || head.Theta[0] != 0 {
+	if head := st.store.ChainPeek(0); head.T != 2 || head.Theta[0] != 0 {
 		t.Fatalf("head T=%d θ[0]=%v: only the rival's two publishes may be visible", head.T, head.Theta[0])
 	}
 }

@@ -51,14 +51,13 @@ type Running struct {
 
 // Start validates the dense configuration exactly like Run, evaluates f(θ0)
 // and launches the workers and monitor, returning a handle on the live run.
-// The representation-independent launch is startProblem, shared with
-// StartSparse.
+// StartSparse and Resume share its representation-independent half, launch.
 func Start(cfg Config, net *nn.Network, ds *data.Dataset) (*Running, error) {
 	prob, err := newDenseProblem(net, ds)
 	if err != nil {
 		return nil, err
 	}
-	return startProblem(cfg, prob)
+	return launch(cfg, prob, nil)
 }
 
 // newDenseProblem checks that ds is valid and fits net: the dense
@@ -87,13 +86,10 @@ type resumeState struct {
 	prior  int64
 }
 
-// startProblem is the representation-generic launch: one code path builds the
-// runtime, initializes θ0 through the problem, and wires the strategy — every
-// algorithm × every gradient representation, no per-algorithm forks.
-func startProblem(cfg Config, prob problem) (*Running, error) {
-	return launch(cfg, prob, nil)
-}
-
+// launch is the representation-generic launch: one code path builds the
+// runtime, initializes θ0 through the problem (or takes a resumed
+// checkpoint's parameters, rs), and wires the strategy — every algorithm ×
+// every gradient representation, no per-algorithm forks.
 func launch(cfg Config, prob problem, rs *resumeState) (*Running, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,7 +198,6 @@ func (r *Running) finish() {
 	res.BufferAllocs = rt.pool.Allocs()
 	res.BufferReuses = rt.pool.Reuses()
 	res.Shards = rt.numShards()
-	res.ConsistentReads, res.MixedReads = rt.readTotals()
 	st.fill(res)
 	r.res = res
 	close(r.done)
@@ -248,11 +243,11 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 		fn(paramvec.FlatView(final))
 		return ReadMeta{Consistent: true, Final: true, Chains: 1}
 	}
-	if e := r.rt.epoch; e != nil {
+	if st := r.rt.store; st != nil {
 		if l == nil {
 			l = new(paramvec.Lease)
 		}
-		pv := l.Acquire(e.store)
+		pv := l.Acquire(st)
 		// Unlock before fn: a long inference pass must not block the
 		// run's teardown — the lease's read registration keeps the
 		// buffers valid, and Release classifies what happened meanwhile
@@ -289,7 +284,7 @@ func (r *Running) pinStore() (*paramvec.Store, func()) {
 		r.readMu.RUnlock()
 		return nil, nil
 	}
-	return r.rt.epoch.store, r.readMu.RUnlock
+	return r.rt.store, r.readMu.RUnlock
 }
 
 // Front returns a read-optimized snapshot store over this run's live
@@ -303,7 +298,7 @@ func (r *Running) pinStore() (*paramvec.Store, func()) {
 // publication store (only the Leashed family has one) unless the run has
 // already ended.
 func (r *Running) Front(leash paramvec.ReadLeash) (*paramvec.ReadFront, error) {
-	if r.rt.epoch == nil {
+	if r.rt.store == nil {
 		r.readMu.RLock()
 		closed := r.closed
 		r.readMu.RUnlock()

@@ -98,11 +98,11 @@ type Config struct {
 	// fraction of the initial loss (the paper's ε, e.g. 0.5 = 50%);
 	// 0 disables the target. MaxUpdates and MaxTime bound the run;
 	// exceeding either without reaching the target classifies the run
-	// as Diverge. A MaxUpdates budget is exact: workers reserve budget
-	// atomically before an update becomes visible, so a run that ends by
-	// budget exhaustion applies exactly MaxUpdates updates
-	// (Result.TotalUpdates == MaxUpdates — the deterministic-replay
-	// contract).
+	// as Diverged, or as Finished when no target was set. A MaxUpdates
+	// budget is exact: workers reserve budget atomically before an update
+	// becomes visible, so a run that ends by budget exhaustion applies
+	// exactly MaxUpdates updates (Result.TotalUpdates == MaxUpdates — the
+	// deterministic-replay contract).
 	EpsilonFrac float64
 	MaxUpdates  int64
 	MaxTime     time.Duration
@@ -218,6 +218,10 @@ const (
 	Diverged
 	// Crashed: numerical instability (NaN/Inf loss or parameters).
 	Crashed
+	// Finished: a run with no ε target (EpsilonFrac = 0) ended by its
+	// budget, time limit or Stop without crashing. It says nothing about
+	// the loss reached.
+	Finished
 )
 
 func (o Outcome) String() string {
@@ -228,6 +232,8 @@ func (o Outcome) String() string {
 		return "Diverged"
 	case Crashed:
 		return "Crashed"
+	case Finished:
+		return "Finished"
 	default:
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}
@@ -410,19 +416,13 @@ type runCtx struct {
 	stopped  chan struct{}
 	stopOnce sync.Once
 
-	// Leased-read consistency tallies: one padded slot per worker, bumped
-	// on the worker's own cache line at every leased read and summed into
-	// the Result after the run.
-	readTallies []readTally
-
 	// pool checks out the workers' private buffers (gradients, read
 	// copies); the published chains live in the Leashed run's chain store.
 	pool *paramvec.Pool
 
-	// epoch is the Leashed run's publication store and its per-chain
-	// counters (epoch.go), built at start for the whole run. nil for the
-	// other algorithms.
-	epoch *shardEpoch
+	// store is the Leashed run's publication store, built at start for the
+	// whole run (newLeashedStrategy). nil for the other algorithms.
+	store *paramvec.Store
 
 	// inj is the optional deterministic fault injector (nil = disabled;
 	// every instrumented site guards with one pointer check).
@@ -457,31 +457,6 @@ type runCtx struct {
 	tus   []*metrics.DurationSampler
 }
 
-// paddedCounter is an atomic counter padded to a full cache-line pair.
-type paddedCounter struct {
-	n atomic.Int64
-	_ [120]byte
-}
-
-func newCounters(n int) []paddedCounter { return make([]paddedCounter, n) }
-
-// readTally is one worker's leased-read classification counters, padded so
-// neighbouring workers' tallies never share a cache line.
-type readTally struct {
-	consistent, mixed atomic.Int64
-	_                 [112]byte
-}
-
-// readTotals sums the per-worker leased-read tallies into the Result's run
-// totals.
-func (rt *runCtx) readTotals() (consistent, mixed int64) {
-	for i := range rt.readTallies {
-		consistent += rt.readTallies[i].consistent.Load()
-		mixed += rt.readTallies[i].mixed.Load()
-	}
-	return consistent, mixed
-}
-
 // evalRows caps the rows one monitor tick evaluates: beyond a few hundred
 // the loss estimate is no better and the monitor starts to cost throughput.
 const evalRows = 256
@@ -501,7 +476,6 @@ func newRuntime(cfg Config, prob problem) *runCtx {
 	rt.hists = make([]*metrics.Hist, cfg.Workers)
 	rt.tcs = make([]*metrics.DurationSampler, cfg.Workers)
 	rt.tus = make([]*metrics.DurationSampler, cfg.Workers)
-	rt.readTallies = make([]readTally, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		rt.hists[i] = metrics.NewHist(stalenessBound(cfg.Workers))
 		rt.tcs[i] = &metrics.DurationSampler{}
@@ -598,8 +572,9 @@ func (rt *runCtx) numShards() int {
 // vector's worth of parameters).
 func (rt *runCtx) liveVectors() int64 {
 	n := rt.pool.Live()
-	if e := rt.epoch; e != nil {
-		n += e.liveEq()
+	if st := rt.store; st != nil {
+		c := int64(st.Chains())
+		n += (st.Live() + c - 1) / c
 	}
 	return n
 }
@@ -713,9 +688,9 @@ func (rt *runCtx) monitor(st strategy) *Result {
 		if (cfg.MaxTime > 0 && elapsed >= cfg.MaxTime) || rt.budgetExhausted() || rt.stop.Load() {
 			res.Outcome = Diverged
 			if cfg.EpsilonFrac == 0 {
-				// No target was set; budget exhaustion is the normal
-				// ending for profiling runs.
-				res.Outcome = Converged
+				// No target was set: there is nothing to converge to,
+				// only a profiling run that ended.
+				res.Outcome = Finished
 			}
 			return finish()
 		}

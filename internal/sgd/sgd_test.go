@@ -118,8 +118,8 @@ func TestNoTargetRunsToBudget(t *testing.T) {
 	cfg.EpsilonFrac = 0 // profiling mode
 	cfg.MaxUpdates = 200
 	res := runOrFatal(t, cfg, tinyNet(ds), ds)
-	if res.Outcome != Converged {
-		t.Fatalf("profiling run outcome = %v", res.Outcome)
+	if res.Outcome != Finished {
+		t.Fatalf("profiling run outcome = %v, want Finished", res.Outcome)
 	}
 	if res.TotalUpdates < 200 {
 		t.Fatalf("stopped early: %d updates", res.TotalUpdates)
@@ -359,7 +359,7 @@ func TestAlgorithmStrings(t *testing.T) {
 }
 
 func TestOutcomeStrings(t *testing.T) {
-	if Converged.String() != "Converged" || Diverged.String() != "Diverged" || Crashed.String() != "Crashed" {
+	if Converged.String() != "Converged" || Diverged.String() != "Diverged" || Crashed.String() != "Crashed" || Finished.String() != "Finished" {
 		t.Fatal("outcome strings wrong")
 	}
 }

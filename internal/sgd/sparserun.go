@@ -40,7 +40,7 @@ func StartSparse(cfg Config, ds *sparse.Dataset) (*Running, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 1
 	}
-	return startProblem(cfg, newSparseProblem(ds))
+	return launch(cfg, newSparseProblem(ds), nil)
 }
 
 // RunSparse is StartSparse + Wait: the blocking sparse counterpart of Run.

@@ -196,15 +196,8 @@ func matMulAddGo(dst, a, b Mat, accumulate bool) {
 func MatMulABT(dst, a, b Mat) {
 	checkMatMulABT(dst, a, b)
 	if !emptyReduction(dst, a.Cols) {
-		matMulABTImpl(dst, a, b, false)
+		matMulABTImpl(dst, a, b)
 	}
-}
-
-// MatMulABTAdd computes dst += a * bᵀ with the same shape contract as
-// MatMulABT.
-func MatMulABTAdd(dst, a, b Mat) {
-	checkMatMulABT(dst, a, b)
-	matMulABTImpl(dst, a, b, true)
 }
 
 func checkMatMulABT(dst, a, b Mat) {
@@ -214,15 +207,15 @@ func checkMatMulABT(dst, a, b Mat) {
 	}
 }
 
-// matMulABTGo is the portable dst =(+)= a·bᵀ kernel body.
-func matMulABTGo(dst, a, b Mat, accumulate bool) {
+// matMulABTGo is the portable dst = a·bᵀ kernel body.
+func matMulABTGo(dst, a, b Mat) {
 	m, k, n := a.Rows, a.Cols, b.Rows
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
 		k1 := k0 + gemmBlockK
 		if k1 > k {
 			k1 = k
 		}
-		first := k0 == 0 && !accumulate
+		first := k0 == 0
 		i := 0
 		for ; i+gemmTileM <= m; i += gemmTileM {
 			a0 := a.Row(i)[k0:k1]
@@ -319,14 +312,8 @@ func matMulABTGo(dst, a, b Mat, accumulate bool) {
 func MatMulATB(dst, a, b Mat) {
 	checkMatMulATB(dst, a, b)
 	if !emptyReduction(dst, a.Rows) {
-		matMulATBImpl(dst, a, b, false)
+		matMulATBImpl(dst, a, b)
 	}
-}
-
-// MatMulATBAdd computes dst += aᵀ * b with the same shape contract.
-func MatMulATBAdd(dst, a, b Mat) {
-	checkMatMulATB(dst, a, b)
-	matMulATBImpl(dst, a, b, true)
 }
 
 func checkMatMulATB(dst, a, b Mat) {
@@ -336,15 +323,15 @@ func checkMatMulATB(dst, a, b Mat) {
 	}
 }
 
-// matMulATBGo is the portable dst =(+)= aᵀ·b kernel body.
-func matMulATBGo(dst, a, b Mat, accumulate bool) {
+// matMulATBGo is the portable dst = aᵀ·b kernel body.
+func matMulATBGo(dst, a, b Mat) {
 	p, m, n := a.Rows, a.Cols, b.Cols
 	for p0 := 0; p0 < p; p0 += gemmBlockK {
 		p1 := p0 + gemmBlockK
 		if p1 > p {
 			p1 = p
 		}
-		first := p0 == 0 && !accumulate
+		first := p0 == 0
 		i := 0
 		for ; i+gemmTileM <= m; i += gemmTileM {
 			d0, d1 := dst.Row(i), dst.Row(i+1)

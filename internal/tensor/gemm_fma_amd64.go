@@ -204,10 +204,10 @@ func (t *gemmTier) matMulAdd(dst, a, b Mat, accumulate bool) {
 	t.gemm(dst.Data, dst.Cols, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, accumulate)
 }
 
-// matMulATB is dst =(+)= aᵀ·b: A(i,q) = a[q][i], the same call with the
+// matMulATB is dst = aᵀ·b: A(i,q) = a[q][i], the same call with the
 // strides swapped.
-func (t *gemmTier) matMulATB(dst, a, b Mat, accumulate bool) {
-	t.gemm(dst.Data, dst.Cols, a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, accumulate)
+func (t *gemmTier) matMulATB(dst, a, b Mat) {
+	t.gemm(dst.Data, dst.Cols, a.Cols, b.Cols, a.Rows, a.Data, 1, a.Cols, b.Data, b.Cols, false)
 }
 
 // matMulRuns is c[i·ldc+j] = Σ_q a[i·lda+q]·b[off[q]+j] for i < m, j < n:
@@ -227,13 +227,13 @@ func (t *gemmTier) matMulRuns(c []float64, ldc, m, n int, a []float64, lda int, 
 	}
 }
 
-// matMulABTFMA is dst =(+)= a·bᵀ with 2×4 FMA dot tiles, the reduction
+// matMulABTFMA is dst = a·bᵀ with 2×4 FMA dot tiles, the reduction
 // blocked at gemmBlockK.
-func matMulABTFMA(dst, a, b Mat, accumulate bool) {
+func matMulABTFMA(dst, a, b Mat) {
 	m, k, n := a.Rows, a.Cols, b.Rows
 	for k0 := 0; k0 < k; k0 += gemmBlockK {
 		kb := min(gemmBlockK, k-k0)
-		dotTiles(dst.Data, dst.Cols, m, n, a.Data[k0:], a.Cols, kb, b.Data[k0:], b.Cols, accumulate || k0 > 0)
+		dotTiles(dst.Data, dst.Cols, m, n, a.Data[k0:], a.Cols, kb, b.Data[k0:], b.Cols, k0 > 0)
 	}
 }
 

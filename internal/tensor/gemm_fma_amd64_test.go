@@ -37,38 +37,42 @@ func TestFMAKernelsMatchPortable(t *testing.T) {
 	}
 }
 
-type gemmImpl = func(dst, a, b Mat, accumulate bool)
+type gemmImpl = func(dst, a, b Mat)
 
-// checkOrientations compares {A·B, Aᵀ·B, A·Bᵀ} × {store, accumulate} for an
-// m×k×n product against the portable kernels to 1e-10. The store runs start
-// from a NaN-filled dst: a kernel that adds where it should store fails.
-func checkOrientations(t *testing.T, r *rng.Rand, m, k, n int, ab, atb, abt gemmImpl) {
+// checkOrientations compares A·B (store and accumulate), Aᵀ·B and A·Bᵀ
+// (store) for an m×k×n product against the portable kernels to 1e-10. The
+// store runs start from a NaN-filled dst: a kernel that adds where it should
+// store fails.
+func checkOrientations(t *testing.T, r *rng.Rand, m, k, n int, ab func(dst, a, b Mat, accumulate bool), atb, abt gemmImpl) {
 	t.Helper()
 	a, b := randMat(r, m, k), randMat(r, k, n)
 	aT, bT := randMat(r, k, m), randMat(r, n, k)
 	seed := randMat(r, m, n)
+	mode := func(f func(dst, a, b Mat, accumulate bool), acc bool) gemmImpl {
+		return func(dst, a, b Mat) { f(dst, a, b, acc) }
+	}
 	cases := []struct {
 		name      string
 		got, want gemmImpl
 		x, y      Mat
+		acc       bool
 	}{
-		{"AB", ab, matMulAddGo, a, b},
-		{"ATB", atb, matMulATBGo, aT, b},
-		{"ABT", abt, matMulABTGo, a, bT},
+		{"AB", mode(ab, false), mode(matMulAddGo, false), a, b, false},
+		{"AB/acc", mode(ab, true), mode(matMulAddGo, true), a, b, true},
+		{"ATB", atb, matMulATBGo, aT, b, false},
+		{"ABT", abt, matMulABTGo, a, bT, false},
 	}
 	for _, c := range cases {
-		for _, acc := range []bool{false, true} {
-			got, want := NewMat(m, n), NewMat(m, n)
-			if acc {
-				copy(got.Data, seed.Data)
-				copy(want.Data, seed.Data)
-			} else {
-				Fill(got.Data, math.NaN())
-			}
-			c.got(got, c.x, c.y, acc)
-			c.want(want, c.x, c.y, acc)
-			matsAlmostEq(t, fmt.Sprintf("%s/acc=%v", c.name, acc), got, want, 1e-10)
+		got, want := NewMat(m, n), NewMat(m, n)
+		if c.acc {
+			copy(got.Data, seed.Data)
+			copy(want.Data, seed.Data)
+		} else {
+			Fill(got.Data, math.NaN())
 		}
+		c.got(got, c.x, c.y)
+		c.want(want, c.x, c.y)
+		matsAlmostEq(t, c.name, got, want, 1e-10)
 	}
 }
 
@@ -166,7 +170,11 @@ func checkRuns(t *testing.T, tier *gemmTier, r *rng.Rand) {
 		copy(want.Data, got.Data)
 		park := make([]float64, tier.runsParkLen(m, k))
 		tier.runsGrad(got.Data, k, m, dOut.Data, n+pad, m*(n+pad), n, b, len(b), off, 1, park)
-		matMulABTGo(want, dOutN, lowered, true)
+		prod := NewMat(m, k)
+		matMulABTGo(prod, dOutN, lowered)
+		for i, v := range prod.Data {
+			want.Data[i] += v
+		}
 		matsAlmostEq(t, name+": ABT runs", got, want, 1e-10)
 	}
 	for _, c := range runsCases(r) {
@@ -217,7 +225,7 @@ func TestGEMMTierCanary(t *testing.T) {
 					a, aT, b := randMat(r, m, k), randMat(r, k, m), randMat(r, k, n)
 					want, wantT := NewMat(m, n), NewMat(m, n)
 					matMulAddGo(want, a, b, false)
-					matMulATBGo(wantT, aT, b, false)
+					matMulATBGo(wantT, aT, b)
 					ldc := n + pad
 					for _, acc := range []bool{false, true} {
 						for _, trans := range []bool{false, true} {

@@ -54,7 +54,7 @@ func matsAlmostEq(t *testing.T, name string, got, want Mat, tol float64) {
 // TestGEMMVariantsMatchReference sweeps shapes that exercise every remainder
 // path of the 4×4 register tiles (edges not divisible by the tile) and the
 // k-block loop (k > gemmBlockK), for all three orientations plus the
-// accumulate forms.
+// accumulate form of MatMulAdd.
 func TestGEMMVariantsMatchReference(t *testing.T) {
 	r := rng.New(11)
 	shapes := [][3]int{
@@ -89,16 +89,9 @@ func TestGEMMVariantsMatchReference(t *testing.T) {
 			matsAlmostEq(t, "MatMulABT", got, want, 1e-10)
 
 			copy(got.Data, seed.Data)
-			copy(want.Data, seed.Data)
-			MatMulABTAdd(got, a, bT)
-			refMatMul(want, a, bT, false, true, true)
-			matsAlmostEq(t, "MatMulABTAdd", got, want, 1e-10)
-
-			copy(got.Data, seed.Data)
-			copy(want.Data, seed.Data)
-			MatMulATBAdd(got, aT, b)
-			refMatMul(want, aT, b, true, false, true)
-			matsAlmostEq(t, "MatMulATBAdd", got, want, 1e-10)
+			MatMulATB(got, aT, b)
+			refMatMul(want, aT, b, true, false, false)
+			matsAlmostEq(t, "MatMulATB", got, want, 1e-10)
 		})
 	}
 }
@@ -113,9 +106,8 @@ func TestGEMMShapePanics(t *testing.T) {
 		"MatMulAdd/inner":   func() { MatMulAdd(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2)) },
 		"MatMulABT/inner":   func() { MatMulABT(NewMat(2, 2), NewMat(2, 3), NewMat(2, 4)) },
 		"MatMulABT/dst":     func() { MatMulABT(NewMat(2, 3), NewMat(2, 3), NewMat(2, 3)) },
-		"MatMulABTAdd/dst":  func() { MatMulABTAdd(NewMat(2, 3), NewMat(2, 3), NewMat(2, 3)) },
-		"MatMulATBAdd/rows": func() { MatMulATBAdd(NewMat(3, 2), NewMat(2, 3), NewMat(4, 2)) },
-		"MatMulATBAdd/dst":  func() { MatMulATBAdd(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2)) },
+		"MatMulATB/rows":    func() { MatMulATB(NewMat(3, 2), NewMat(2, 3), NewMat(4, 2)) },
+		"MatMulATB/dst":     func() { MatMulATB(NewMat(2, 2), NewMat(2, 3), NewMat(2, 2)) },
 		"AddBiasRows":       func() { AddBiasRows(NewMat(2, 3), make([]float64, 2)) },
 		"ColSums":           func() { ColSums(make([]float64, 2), NewMat(2, 3)) },
 		"MatMul/short-data": func() { MatMul(NewMat(2, 2), Mat{Rows: 2, Cols: 3, Data: make([]float64, 5)}, NewMat(3, 2)) },
@@ -251,9 +243,9 @@ func BenchmarkGEMM(b *testing.B) {
 			MatMulABT(out, in, w)
 		}
 	})
-	b.Run("ATBAdd/32x128x784", func(b *testing.B) {
+	b.Run("ATB/32x128x784", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MatMulATBAdd(gw, dOut, in)
+			MatMulATB(gw, dOut, in)
 		}
 	})
 	b.Run("MatMul/32x128x784", func(b *testing.B) {

@@ -95,9 +95,9 @@ const PersistenceInf = sgd.PersistenceInf
 type Config = sgd.Config
 
 // Result carries the measurements of a finished run: outcome
-// (Converged/Diverged/Crashed), wall-clock and statistical efficiency, the
-// loss trace, staleness distribution, contention counters and memory
-// accounting.
+// (Converged/Finished/Diverged/Crashed), wall-clock and statistical
+// efficiency, the loss trace, staleness distribution, contention counters
+// and memory accounting.
 type Result = sgd.Result
 
 // Outcome classifies a finished run.
@@ -106,6 +106,7 @@ type Outcome = sgd.Outcome
 // Outcome values.
 const (
 	Converged = sgd.Converged
+	Finished  = sgd.Finished
 	Diverged  = sgd.Diverged
 	Crashed   = sgd.Crashed
 )
