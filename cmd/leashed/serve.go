@@ -40,7 +40,6 @@ func serveFlags(o *serveOpts) *flag.FlagSet {
 	fs.DurationVar(&sc.MaxDelay, "max-delay", 0, "max request coalescing delay (0 = default, negative = disable)")
 	fs.StringVar(&sc.Store, "store", serve.StoreLeased, "parameter read path: leased (per-chain seqlock leases) or readfront (RCU snapshot store)")
 	fs.DurationVar(&sc.Leash.MaxAge, "leash-age", 0, "readfront: max wall time a served snapshot may lag (0 = default 2ms)")
-	fs.Int64Var(&sc.Leash.MaxUpdates, "leash-updates", 0, "readfront: max published updates a served snapshot may lag (0 = age bound only)")
 	fs.IntVar(&o.samples, "samples", 1024, "dataset size")
 	fs.Uint64Var(&c.Seed, "seed", 1, "seed")
 	fs.StringVar(&o.mnist, "mnist", "", "real MNIST IDX directory (optional)")

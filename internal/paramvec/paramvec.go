@@ -486,14 +486,31 @@ func (v *Vector) reclaim(s uint64) bool {
 // with the version its content is known to equal. The vector must be private
 // to the caller.
 func (v *Vector) Release() {
+	if v.markDeleted() {
+		v.recycle(v.ver)
+	}
+}
+
+// Discard drops a never-published vector whose content nothing vouches for —
+// one a panic interrupted mid-write: it leaves the pool's live count and is
+// never parked, so no checkout can reuse a half-written buffer or its change
+// log. The vector must be private to the caller.
+func (v *Vector) Discard() {
+	if v.markDeleted() {
+		v.pool.live.Add(-1)
+	}
+}
+
+// markDeleted sets the deleted flag of a private vector and reports whether
+// this call set it.
+func (v *Vector) markDeleted() bool {
 	for {
 		s := v.state.Load()
 		if s&deletedBit != 0 {
-			return
+			return false
 		}
 		if v.state.CompareAndSwap(s, s|deletedBit) {
-			v.recycle(v.ver)
-			return
+			return true
 		}
 	}
 }

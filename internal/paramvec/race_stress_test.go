@@ -361,7 +361,7 @@ func TestRaceSnapshotVsOutsideLeases(t *testing.T) {
 					}
 				}
 				if snaps%8 == 0 {
-					if _, ok := sc.snapshotConsistent(dst, 6); ok {
+					if _, ok := sc.snapshotConsistent(dst, nil); ok {
 						want := dst[0]
 						for j := range dst {
 							if dst[j] != want && st.Chains() == 1 {

@@ -27,7 +27,7 @@ func TestReadFrontServesPublishedState(t *testing.T) {
 			t.Fatalf("round %d: refreshNow failed with no concurrent publishers", round)
 		}
 		want := make([]float64, dim)
-		if _, ok := st.SnapshotConsistent(want, 4); !ok {
+		if _, ok := st.SnapshotConsistent(want, nil); !ok {
 			t.Fatalf("round %d: inner SnapshotConsistent failed", round)
 		}
 		meta := rf.ReadParams(nil, nil, func(v View) {
@@ -46,47 +46,70 @@ func TestReadFrontServesPublishedState(t *testing.T) {
 	}
 }
 
-// TestReadFrontSparseFoldMatchesDense: a refresh after touching only a
-// subset of chains must take the sparse incremental path (copy only the
-// advanced chains) and still land bit-identical to a dense consistent
-// snapshot of the store.
+// TestReadFrontSparseFoldMatchesDense: a fold from a warm baseline copies
+// only the chains that advanced — the untouched segments of its destination
+// are never rewritten — and a front folded into a warm buffer still lands
+// bit-identical to a cold consistent snapshot of the store.
 func TestReadFrontSparseFoldMatchesDense(t *testing.T) {
 	const dim = 64
 	st := NewStore(dim, 8)
 	st.PublishInit(make([]float64, dim))
+	touch := func(chains ...int) {
+		for _, c := range chains {
+			nv := st.NewChainVec(c)
+			cur := st.ChainLatest(c)
+			nv.CopyFrom(cur)
+			nv.T = cur.T + 1
+			for i := range nv.Theta {
+				nv.Theta[i] = float64(nv.T)
+			}
+			if !st.ChainTryPublish(c, cur, nv) {
+				t.Fatalf("quiet publish on chain %d failed", c)
+			}
+			cur.StopReading()
+		}
+	}
+
+	// The routine itself: mark the segments of chains that will not
+	// advance; a fold that re-copied them would overwrite the marks.
+	dst := make([]float64, dim)
+	seqs, _ := st.SnapshotConsistent(dst, nil)
+	for c := 0; c < st.Chains(); c++ {
+		if r := st.ChainRange(c); c != 2 && c != 5 {
+			for i := r.Lo; i < r.Hi; i++ {
+				dst[i] = -1
+			}
+		}
+	}
+	touch(2, 5)
+	seqs, ok := st.SnapshotConsistent(dst, seqs)
+	if !ok {
+		t.Fatal("warm SnapshotConsistent failed with no concurrent publishers")
+	}
+	for c := 0; c < st.Chains(); c++ {
+		want := -1.0
+		if c == 2 || c == 5 {
+			want = 1
+		}
+		if r := st.ChainRange(c); dst[r.Lo] != want || seqs[c] != max(int64(want), 0) {
+			t.Fatalf("chain %d: dst %v at seq %d, want %v (only chains 2 and 5 copied)", c, dst[r.Lo], seqs[c], want)
+		}
+	}
+
+	// The front: two more folds reuse the first, now warm, buffer.
 	rf := NewReadFront(st, quietLeash)
 	defer func() { rf.Close(); st.Retire() }()
-	if !rf.refreshNow() {
-		t.Fatal("initial refresh failed")
-	}
-	before := rf.Stats()
-
-	// Touch chains 2 and 5 only.
-	for _, c := range []int{2, 5} {
-		nv := st.NewChainVec(c)
-		cur := st.ChainLatest(c)
-		nv.CopyFrom(cur)
-		nv.T = cur.T + 1
-		for i := range nv.Theta {
-			nv.Theta[i] = float64(nv.T)
+	for _, chains := range [][]int{{1, 2}, {5}} {
+		touch(chains...)
+		if !rf.refreshNow() {
+			t.Fatal("refresh failed with no concurrent publishers")
 		}
-		if !st.ChainTryPublish(c, cur, nv) {
-			t.Fatalf("quiet publish on chain %d failed", c)
-		}
-		cur.StopReading()
 	}
-	if !rf.refreshNow() {
-		t.Fatal("sparse refresh failed")
-	}
-	after := rf.Stats()
-	if after.SparseFolds <= before.SparseFolds {
-		t.Fatalf("refresh over a warm buffer took the dense path: %+v -> %+v", before, after)
-	}
-	if copied := after.ChainsCopied - before.ChainsCopied; copied != 2 {
-		t.Fatalf("sparse fold copied %d chains, want exactly the 2 touched", copied)
+	if s := rf.Stats(); s.SnapAllocs != 2 {
+		t.Fatalf("%d snapshot buffers after three folds, want 2 (the last fold reuses a warm one)", s.SnapAllocs)
 	}
 	want := make([]float64, dim)
-	if _, ok := st.SnapshotConsistent(want, 4); !ok {
+	if _, ok := st.SnapshotConsistent(want, nil); !ok {
 		t.Fatal("inner SnapshotConsistent failed")
 	}
 	rf.ReadParams(nil, nil, func(v View) {
@@ -98,33 +121,92 @@ func TestReadFrontSparseFoldMatchesDense(t *testing.T) {
 	})
 }
 
-// TestReadFrontLeashTriggersRefresh: with an update-count leash and a parked
-// poller, a read that would be served over-leash must take the synchronous
-// slow path, self-heal, and report staleness within the leash.
+// TestReadFrontLeashTriggersRefresh: with an age leash and a refresher that
+// never polls within the test, a read that finds the front older than the
+// leash must take the synchronous slow path, self-heal, and serve the live
+// state within the leash.
 func TestReadFrontLeashTriggersRefresh(t *testing.T) {
 	const dim = 32
+	leash := ReadLeash{MaxAge: time.Millisecond, poll: time.Hour}
 	st := NewStore(dim, 4)
 	st.PublishInit(make([]float64, dim))
-	rf := NewReadFront(st, ReadLeash{MaxUpdates: 8, MaxAge: time.Hour})
+	rf := NewReadFront(st, leash)
 	defer func() { rf.Close(); st.Retire() }()
-	rf.refreshNow()
 
-	// 20 publish rounds over 4 chains = 80 updates ≫ the 8-update leash.
 	for i := 0; i < 20; i++ {
 		publishChain(st, i, 1<<30)
 	}
-	before := rf.Stats()
-	meta := rf.ReadParams(nil, nil, func(View) {})
-	after := rf.Stats()
-	if after.SlowReads <= before.SlowReads {
-		t.Fatalf("over-leash read did not take the slow path: %+v -> %+v", before, after)
+	time.Sleep(2 * leash.MaxAge)
+	want := make([]float64, dim)
+	if _, ok := st.SnapshotConsistent(want, nil); !ok {
+		t.Fatal("inner SnapshotConsistent failed")
 	}
-	if meta.StalenessUpdates > rf.Leash().MaxUpdates {
-		t.Fatalf("served staleness %d updates exceeds the %d-update leash after slow-path refresh",
-			meta.StalenessUpdates, rf.Leash().MaxUpdates)
+	before := rf.Stats()
+	meta := rf.ReadParams(nil, nil, func(v View) {
+		for i := 0; i < dim; i++ {
+			if v.At(i) != want[i] {
+				t.Errorf("slow-path read [%d] = %v, want the live %v", i, v.At(i), want[i])
+				return
+			}
+		}
+	})
+	after := rf.Stats()
+	if after.SlowReads != before.SlowReads+1 {
+		t.Fatalf("over-leash read did not take the slow path once: %+v -> %+v", before, after)
+	}
+	if meta.StalenessAge > leash.MaxAge || meta.StalenessUpdates != 0 {
+		t.Fatalf("slow-path read served staleness (%v, %d updates), want within the %v leash and 0 updates",
+			meta.StalenessAge, meta.StalenessUpdates, leash.MaxAge)
 	}
 	if !meta.Consistent || !meta.Snapshot {
 		t.Fatalf("slow-path meta = %+v", meta)
+	}
+}
+
+// TestReadFrontClosedNeverTouchesStore: Close detaches the front from its
+// store for good. Reads past the leash find nothing to fold from and serve
+// the last snapshot, with no chain-head access, before and after the store
+// retires — a fold on a retired store would wait forever for its heads.
+func TestReadFrontClosedNeverTouchesStore(t *testing.T) {
+	const dim = 32
+	leash := ReadLeash{MaxAge: time.Microsecond}
+	st := NewStore(dim, 4)
+	var heads headCount
+	st.probe = &heads
+	st.PublishInit(make([]float64, dim))
+	rf := NewReadFront(st, leash)
+	rf.Close()
+	publishChain(st, 0, 1<<30)
+	heads.latest.Store(0)
+	heads.peek.Store(0)
+
+	read := func(when string) {
+		done := make(chan ReadMeta)
+		go func() {
+			done <- rf.ReadParams(nil, nil, func(v View) {
+				for i := 0; i < dim; i++ {
+					if v.At(i) != 0 {
+						t.Errorf("%s: closed front[%d] = %v, want the snapshot from before Close", when, i, v.At(i))
+						return
+					}
+				}
+			})
+		}()
+		select {
+		case meta := <-done:
+			if !meta.Consistent || !meta.Snapshot || meta.StalenessAge <= leash.MaxAge {
+				t.Fatalf("%s: meta = %+v, want a consistent snapshot older than the leash", when, meta)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: read of a closed front hung", when)
+		}
+	}
+	time.Sleep(2 * leash.MaxAge)
+	read("after publish")
+	st.Retire()
+	read("after Retire")
+	if l, p := heads.latest.Load(), heads.peek.Load(); l != 0 || p != 0 {
+		t.Fatalf("closed front made %d ChainLatest and %d ChainPeek calls on the store, want 0 and 0", l, p)
 	}
 }
 
@@ -162,11 +244,11 @@ func TestReadFrontFreeze(t *testing.T) {
 }
 
 // TestReadFrontReadersWritersStress is the readers≫writers race stress the
-// tentpole is built for: 16 snapshot readers against 2 LAU-SPC publishers
-// and a concurrent store swap (the re-shard epoch flip), under poisoning.
-// Every read must be labeled consistent, and a held snapshot must be
-// immutable for as long as it is held — the grace period must prevent the
-// refresher from recycling a flipped-out buffer under a reader.
+// front is built for: 16 snapshot readers against 2 LAU-SPC publishers on
+// one store, under poisoning, with a refresher polling every 100µs against a
+// 500µs leash. Every read must be labeled consistent, and a held snapshot
+// must be immutable for as long as it is held — the grace period must
+// prevent the refresher from recycling a flipped-out buffer under a reader.
 func TestReadFrontReadersWritersStress(t *testing.T) {
 	const (
 		dim     = 64
@@ -175,18 +257,10 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 	)
 	iters := stressIters(t, 4000)
 
-	a := NewStore(dim, 4)
-	a.SetPoison(true)
-	a.PublishInit(make([]float64, dim))
-	bst := NewStore(dim, 8)
-	bst.SetPoison(true)
-	bst.PublishInit(make([]float64, dim))
-
-	var cur atomic.Pointer[Store]
-	cur.Store(a)
-	rf := NewReadFrontPinned(dim, func() (*Store, func()) { return cur.Load(), func() {} },
-		ReadLeash{MaxUpdates: 64, MaxAge: 500 * time.Microsecond, Poll: 100 * time.Microsecond})
-	rf.refreshNow()
+	st := NewStore(dim, 8)
+	st.SetPoison(true)
+	st.PublishInit(make([]float64, dim))
+	rf := NewReadFront(st, ReadLeash{MaxAge: 500 * time.Microsecond, poll: 100 * time.Microsecond})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -195,17 +269,10 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters && !stop.Load(); i++ {
-				publishChain(cur.Load(), w, 1)
+				publishChain(st, w, 1)
 			}
 		}(w)
 	}
-	// Swap the live store mid-stress, like the autotuner's epoch flip.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(2 * time.Millisecond)
-		cur.Store(bst)
-	}()
 
 	var reads atomic.Int64
 	var rwg sync.WaitGroup
@@ -215,14 +282,13 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 			defer rwg.Done()
 			for i := 0; i < iters; i++ {
 				meta := rf.ReadParams(nil, nil, func(v View) {
-					// The marker invariant holds per chain in both stores'
-					// geometries (chain sizes 16 and 8 both divide into
-					// uniform segments of 8): any flip or recycle under us
-					// shows up as a mixed or NaN-poisoned segment.
+					// The marker invariant holds per chain (8 cells each):
+					// any flip or recycle under us shows up as a mixed or
+					// NaN-poisoned segment.
 					for lo := 0; lo < dim; lo += 8 {
 						first := v.At(lo)
 						for j := lo; j < lo+8; j++ {
-							if got := v.At(j); got != first {
+							if got := v.At(j); got != first || got != got {
 								t.Errorf("reader %d iter %d: torn/recycled snapshot (%v at %d, %v at %d)",
 									r, i, first, lo, got, j)
 								return
@@ -246,17 +312,16 @@ func TestReadFrontReadersWritersStress(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	rf.Close()
-	a.Retire()
-	bst.Retire()
+	st.Retire()
 
 	if got, want := reads.Load(), int64(readers)*int64(iters); got != want {
 		t.Fatalf("%d consistent reads, want %d", got, want)
 	}
-	st := rf.Stats()
-	if st.Flips == 0 {
-		t.Fatal("no front flips under stress; the refresher never ran")
+	stats := rf.Stats()
+	if stats.Flips < 2 {
+		t.Fatal("no front flip after the first fold under stress")
 	}
-	t.Logf("stress: %d reads, stats %+v", reads.Load(), st)
+	t.Logf("stress: %d reads, stats %+v", reads.Load(), stats)
 }
 
 // TestReadFrontSnapshotImmutableWhileHeld pins the grace-period guarantee

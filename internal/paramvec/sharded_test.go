@@ -213,15 +213,15 @@ func TestShardedSnapshotNeverTorn(t *testing.T) {
 
 	// Quiesced: SnapshotConsistent must validate immediately.
 	dst := make([]float64, dim)
-	if _, ok := ss.SnapshotConsistent(dst, 1); !ok {
+	if _, ok := ss.SnapshotConsistent(dst, nil); !ok {
 		t.Fatal("SnapshotConsistent failed on a quiescent structure")
 	}
 }
 
 // TestSingleChainSnapshotConsistentFirstAttempt: a one-chain snapshot is one
-// immutable published vector, so SnapshotConsistent reports ok on its only
-// attempt even while a publisher keeps replacing the head — the seqlock
-// validation a multi-chain store needs would report false here.
+// immutable published vector, so SnapshotConsistent reports ok after a single
+// pass even while a publisher keeps replacing the head — the clean pass a
+// multi-chain store needs might never come here.
 func TestSingleChainSnapshotConsistentFirstAttempt(t *testing.T) {
 	const dim = 4096
 	st := NewStore(dim, 1)
@@ -243,7 +243,7 @@ func TestSingleChainSnapshotConsistentFirstAttempt(t *testing.T) {
 
 	dst := make([]float64, dim)
 	for i := 0; i < 200; i++ {
-		seqs, ok := st.SnapshotConsistent(dst, 1)
+		seqs, ok := st.SnapshotConsistent(dst, nil)
 		if !ok {
 			t.Fatalf("snapshot %d: one-chain SnapshotConsistent not ok on its first attempt", i)
 		}
@@ -259,10 +259,10 @@ func TestSnapshotConsistentDetectsInterleavedPublish(t *testing.T) {
 	ss := NewStore(8, 2)
 	ss.PublishInit(make([]float64, 8))
 	dst := make([]float64, 8)
-	if _, ok := ss.SnapshotConsistent(dst, 3); !ok {
+	if _, ok := ss.SnapshotConsistent(dst, nil); !ok {
 		t.Fatal("validation failed with no writers")
 	}
-	seqs, _ := ss.SnapshotConsistent(dst, 3)
+	seqs, _ := ss.SnapshotConsistent(dst, nil)
 	if seqs[0] != 0 || seqs[1] != 0 {
 		t.Fatalf("seqs = %v", seqs)
 	}

@@ -192,33 +192,52 @@ func (ss *Store) Snapshot(dst []float64, seqs []int64) []int64 {
 	return seqs
 }
 
-// SnapshotConsistent attempts a cross-shard-consistent snapshot using
-// per-shard validation (a seqlock over the shard chains): lease every
-// shard's head, copy them all, and check on release that no head was
-// replaced during the copy — then no publish interleaved and the snapshot
-// is a true global state. The check compares heads while they are still
-// registered, so a recycled header cannot pass for an unchanged one. It
-// retries up to attempts times and reports whether validation succeeded;
-// on failure dst still holds the last (per-shard-untorn, possibly
-// cross-shard-skewed) snapshot. Under sustained publishing validation may
-// never pass — callers on a hot path should use Snapshot and tolerate skew.
-// One chain needs no validation: its snapshot is one immutable published
-// vector, a true global state on the first attempt even while publishers
-// run.
-func (ss *Store) SnapshotConsistent(dst []float64, attempts int) ([]int64, bool) {
-	if len(ss.cells) == 1 {
-		return ss.Snapshot(dst, nil), true
-	}
+// snapshotMaxPasses bounds SnapshotConsistent's copy passes. A snapshot that
+// cannot reach a clean pass under sustained publishing reports failure
+// rather than spinning: the caller keeps its previous consistent state or
+// tolerates the skew.
+const snapshotMaxPasses = 64
+
+// SnapshotConsistent copies one cross-chain-consistent global state of the
+// store into dst. seqs is the caller's per-chain baseline — the chain
+// versions dst already holds, as returned by an earlier call for the same dst
+// — or nil when dst is cold. Each pass copies, under read protection, only
+// the chains whose head sequence number differs from the baseline and
+// advances the baseline to it. A pass that copies nothing proves the state
+// consistent: every chain's version was the head both when it was copied (or
+// last observed) and when this pass checked it, and sequence numbers only
+// grow, so all chains held those versions at once just before the pass began.
+// One chain needs no clean pass: its copy is one immutable published vector,
+// a true global state even while publishers run.
+//
+// It returns the baseline of what dst now holds and whether the copy is
+// consistent. After snapshotMaxPasses passes without a clean one it reports
+// false: each chain segment of dst is still untorn and matches its returned
+// seq, but the chains may come from different moments, and a later call with
+// that baseline resumes incrementally.
+func (ss *Store) SnapshotConsistent(dst []float64, seqs []int64) ([]int64, bool) {
 	if len(dst) != ss.dim {
 		panic(fmt.Sprintf("paramvec: SnapshotConsistent dst has %d values, want %d", len(dst), ss.dim))
 	}
-	var l Lease
-	var seqs []int64
-	for try := 0; try < attempts; try++ {
-		pv := l.Acquire(ss)
-		pv.Gather(0, ss.dim, dst)
-		seqs = append(seqs[:0], l.seqs...)
-		if l.Release() {
+	if len(seqs) != len(ss.cells) {
+		seqs = make([]int64, len(ss.cells))
+		for c := range seqs {
+			seqs[c] = unknownVer
+		}
+	}
+	for pass := 0; pass < snapshotMaxPasses; pass++ {
+		copied := 0
+		for c := range ss.cells {
+			v := ss.ChainLatest(c)
+			if v.T != seqs[c] {
+				r := ss.cells[c].rng
+				copy(dst[r.Lo:r.Hi], v.Theta)
+				seqs[c] = v.T
+				copied++
+			}
+			v.StopReading()
+		}
+		if copied == 0 || len(ss.cells) == 1 {
 			return seqs, true
 		}
 	}

@@ -33,7 +33,7 @@ type storeCase struct {
 	st                 *Store
 	publishInit        func(theta []float64)
 	snapshot           func(dst []float64, seqs []int64) []int64
-	snapshotConsistent func(dst []float64, attempts int) ([]int64, bool)
+	snapshotConsistent func(dst []float64, seqs []int64) ([]int64, bool)
 	retire             func()
 }
 
@@ -42,16 +42,15 @@ func plainCase(st *Store) *storeCase {
 		snapshotConsistent: st.SnapshotConsistent, retire: st.Retire}
 }
 
-// frontCase serves st's snapshots from a ReadFront folding from it: each
-// call folds synchronously and copies the front, so the front must be
-// untorn, agree with the seqs it reports, and be consistent once publishers
-// quiesce. The quiet leash parks the background refresher, so every fold
-// runs on the caller's goroutine. Init folds the first snapshot;
+// frontCase serves st's snapshots from a ReadFront folding from it, built
+// once PublishInit has run: each call folds synchronously and copies the
+// front, so the front must be untorn, agree with the seqs it reports, and be
+// consistent once publishers quiesce. The quiet leash parks the background
+// refresher, so every fold runs on the caller's goroutine.
 // SnapshotConsistent reports whether the fold installed a fresh one; retire
-// stops the refresher first, so no fold holds a chain when the gauges are
-// read.
+// closes the front first, so no fold holds a chain when the gauges are read.
 func frontCase(st *Store) *storeCase {
-	rf := NewReadFront(st, quietLeash)
+	var rf *ReadFront
 	copyFront := func(dst []float64, seqs []int64) []int64 {
 		s := rf.acquire()
 		defer s.release()
@@ -59,13 +58,16 @@ func frontCase(st *Store) *storeCase {
 		return append(seqs[:0], s.seqs...)
 	}
 	return &storeCase{
-		st:          st,
-		publishInit: func(theta []float64) { st.PublishInit(theta); rf.refreshNow() },
+		st: st,
+		publishInit: func(theta []float64) {
+			st.PublishInit(theta)
+			rf = NewReadFront(st, quietLeash)
+		},
 		snapshot: func(dst []float64, seqs []int64) []int64 {
 			rf.refreshNow()
 			return copyFront(dst, seqs)
 		},
-		snapshotConsistent: func(dst []float64, _ int) ([]int64, bool) {
+		snapshotConsistent: func(dst []float64, _ []int64) ([]int64, bool) {
 			ok := rf.refreshNow()
 			return copyFront(dst, nil), ok
 		},
@@ -302,7 +304,7 @@ func TestStoreConformanceSnapshotNeverTorn(t *testing.T) {
 
 			// After quiesce, SnapshotConsistent must validate and agree
 			// with a follow-up snapshot.
-			if _, ok := sc.snapshotConsistent(dst, 4); !ok {
+			if _, ok := sc.snapshotConsistent(dst, nil); !ok {
 				t.Fatal("SnapshotConsistent failed with no concurrent publishers")
 			}
 			sc.retire()

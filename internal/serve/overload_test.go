@@ -14,7 +14,6 @@ import (
 
 	"leashedsgd/internal/faultinject"
 	"leashedsgd/internal/paramvec"
-	"leashedsgd/internal/sgd"
 )
 
 func jsonBody(t *testing.T, x []float64) io.Reader {
@@ -189,7 +188,7 @@ type gatedSource struct {
 	gate    chan struct{}
 }
 
-func (g gatedSource) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) sgd.ReadMeta {
+func (g gatedSource) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) paramvec.ReadMeta {
 	select {
 	case g.entered <- struct{}{}:
 	default:

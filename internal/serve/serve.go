@@ -44,7 +44,7 @@ type Source interface {
 	Dim() int
 	// ReadParams runs fn against a current parameter view and labels the
 	// read; see sgd.Running.ReadParams for the contract.
-	ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) sgd.ReadMeta
+	ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) paramvec.ReadMeta
 }
 
 // The live training run and the read-front snapshot store satisfy Source.
@@ -52,14 +52,6 @@ var (
 	_ Source = (*sgd.Running)(nil)
 	_ Source = (*paramvec.ReadFront)(nil)
 )
-
-// Fronter is a source that can hand out a read-optimized snapshot store over
-// its live parameters. *sgd.Running implements it; Config.Store selects it.
-type Fronter interface {
-	Front(leash paramvec.ReadLeash) (*paramvec.ReadFront, error)
-}
-
-var _ Fronter = (*sgd.Running)(nil)
 
 // StaticSource serves a fixed parameter vector (a checkpoint, or a finished
 // run's FinalParams) through the Source interface. Reads are always
@@ -74,14 +66,14 @@ func (s StaticSource) Dim() int { return len(s) }
 // steady state stays allocation-free, same as the live copy path) and labels
 // the read Copied: fn gets a private staging copy, never the source slice,
 // so a fn that writes through the view cannot corrupt the checkpoint.
-func (s StaticSource) ReadParams(_ *paramvec.Lease, scratch []float64, fn func(paramvec.View)) sgd.ReadMeta {
+func (s StaticSource) ReadParams(_ *paramvec.Lease, scratch []float64, fn func(paramvec.View)) paramvec.ReadMeta {
 	if len(scratch) < len(s) {
 		scratch = make([]float64, len(s))
 	}
 	buf := scratch[:len(s)]
 	copy(buf, s)
 	fn(paramvec.FlatView(buf))
-	return sgd.ReadMeta{Consistent: true, Final: true, Copied: true, Chains: 1}
+	return paramvec.ReadMeta{Consistent: true, Final: true, Copied: true, Chains: 1}
 }
 
 // Store kinds for Config.Store.
@@ -109,9 +101,9 @@ type Config struct {
 	// Queue is the pending-request buffer size. Default 256.
 	Queue int
 	// Store selects the parameter read path: StoreLeased (default) or
-	// StoreReadFront. StoreReadFront requires a source implementing
-	// Fronter (the live training run); the server owns the front and
-	// closes it on Close.
+	// StoreReadFront. StoreReadFront requires the live training run
+	// (*sgd.Running) as the source; the server owns the front and closes
+	// it on Close.
 	Store string
 	// Leash bounds the staleness of StoreReadFront snapshots; zero takes
 	// the paramvec.ReadLeash defaults (MaxAge 2ms). Ignored for
@@ -163,8 +155,9 @@ type Prediction struct {
 	// "readfront") — one amortized consistent copy shared by all
 	// concurrent readers, with its measured staleness below.
 	Snapshot bool `json:"snapshot,omitempty"`
-	// StalenessUpdates is the snapshot's measured lag behind the live
-	// store in published updates at read time (snapshot reads only).
+	// StalenessUpdates is the snapshot's lag behind the live store in
+	// published updates as the front's refresher last measured it — a
+	// lower bound at read time (snapshot reads only).
 	StalenessUpdates int64 `json:"staleness_updates,omitempty"`
 	// StalenessAge is the wall time since the snapshot was last known
 	// current (snapshot reads only).
@@ -205,7 +198,7 @@ type Server struct {
 	cfg Config
 
 	// front is the server-owned snapshot store when cfg.Store is
-	// StoreReadFront (src is then the underlying Fronter); closed with the
+	// StoreReadFront (src is then the front itself); closed with the
 	// server.
 	front *paramvec.ReadFront
 
@@ -220,8 +213,9 @@ type Server struct {
 }
 
 // New starts a server answering predictions for net with parameters from
-// src. With Config.Store == StoreReadFront, src must implement Fronter; the
-// server reads through a snapshot front it owns and closes.
+// src. With Config.Store == StoreReadFront, src must be the live run
+// (*sgd.Running); the server reads through a snapshot front it owns and
+// closes.
 func New(net *nn.Network, src Source, cfg Config) (*Server, error) {
 	if net.ParamCount() != src.Dim() {
 		return nil, fmt.Errorf("serve: network has %d parameters, source %d", net.ParamCount(), src.Dim())
@@ -237,7 +231,7 @@ func New(net *nn.Network, src Source, cfg Config) (*Server, error) {
 	switch cfg.Store {
 	case StoreLeased:
 	case StoreReadFront:
-		f, ok := src.(Fronter)
+		f, ok := src.(*sgd.Running)
 		if !ok {
 			return nil, fmt.Errorf("serve: store %q requires a live-run source, got %T", cfg.Store, src)
 		}
@@ -445,7 +439,7 @@ type serverStats struct {
 	maxLat      time.Duration
 }
 
-func (st *serverStats) observe(pend []request, now time.Time, meta sgd.ReadMeta) {
+func (st *serverStats) observe(pend []request, now time.Time, meta paramvec.ReadMeta) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.requests += int64(len(pend))

@@ -9,7 +9,6 @@ import (
 
 	"leashedsgd/internal/nn"
 	"leashedsgd/internal/paramvec"
-	"leashedsgd/internal/sgd"
 )
 
 // swapStoreSource drives the real batcher against a real chain store under
@@ -17,8 +16,8 @@ import (
 // invariant (every cell of a chain's published buffer equals a per-chain
 // marker value derived from its sequence number), and a swapper goroutine
 // periodically retires the store and installs a fresh one with a different
-// shard count — the autotuner's epoch swap, at a far higher rate than any
-// real run. ReadParams verifies INSIDE the leased window that every cell of
+// shard count — a source whose store is replaced under its readers, far more
+// often than a run's one store ever retires. ReadParams verifies INSIDE the leased window that every cell of
 // every chain holds exactly the marker of the sequence number the lease read
 // for that chain: a torn or recycled read is impossible, and any violation
 // fails the test immediately.
@@ -40,7 +39,7 @@ func markerOf(seq int64) float64 { return float64(seq%13) * 1e-3 }
 
 func (s *swapStoreSource) Dim() int { return s.dim }
 
-func (s *swapStoreSource) ReadParams(l *paramvec.Lease, _ []float64, fn func(paramvec.View)) sgd.ReadMeta {
+func (s *swapStoreSource) ReadParams(l *paramvec.Lease, _ []float64, fn func(paramvec.View)) paramvec.ReadMeta {
 	s.mu.RLock()
 	st := s.st
 	pv := l.Acquire(st)
@@ -70,7 +69,7 @@ func (s *swapStoreSource) ReadParams(l *paramvec.Lease, _ []float64, fn func(par
 	if l.RetiredStore() {
 		s.retired.Add(1)
 	}
-	return sgd.ReadMeta{Consistent: consistent, Retired: l.RetiredStore(), Chains: l.Chains()}
+	return paramvec.ReadMeta{Consistent: consistent, Retired: l.RetiredStore(), Chains: l.Chains()}
 }
 
 // TestServeNeverTornAcrossStoreSwaps runs the real Server (batcher,
@@ -141,12 +140,11 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 		}(w)
 	}
 
-	// Swapper: the epoch-barrier store swap in the autotuner's shape —
-	// quiesce behind the write lock, consistent snapshot, retire, install a
-	// fresh store with a different shard count. The fresh store publishes
-	// the marker-0 init, not the snapshot: the autotuner carries θ across,
-	// but here the old layout's markers folded into a coarser chain would
-	// break the marker invariant the readers check. Paced so publishes and
+	// Swapper: an epoch-barrier store swap — quiesce behind the write
+	// lock, consistent snapshot, retire, install a fresh store with a
+	// different shard count. The fresh store publishes the marker-0 init,
+	// not the snapshot: the old layout's markers folded into a coarser
+	// chain would break the marker invariant the readers check. Paced so publishes and
 	// open read windows interleave with the swaps (a lock-hogging swapper
 	// would serialize everything and never produce mixed or retired-epoch
 	// reads).
@@ -164,9 +162,9 @@ func TestServeNeverTornAcrossStoreSwaps(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			src.mu.Lock()
 			old := src.st
-			// No publisher holds the read lock, so the first attempt must
+			// No publisher holds the read lock, so the snapshot must
 			// validate.
-			if _, ok := old.SnapshotConsistent(buf, 1); !ok {
+			if _, ok := old.SnapshotConsistent(buf, nil); !ok {
 				t.Errorf("swap %d: snapshot behind the write lock did not validate", i)
 			}
 			old.Retire()

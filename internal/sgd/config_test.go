@@ -21,6 +21,7 @@ func TestConfigValidate(t *testing.T) {
 		valid(func(c *Config) { c.Persistence = PersistenceInf }),
 		valid(func(c *Config) { c.Algo, c.Shards, c.EpsilonFrac = Hogwild, 4, 0.5 }),
 		valid(func(c *Config) { c.Workers, c.BatchSize, c.MaxUpdates, c.MaxTime = 8, 32, 100, time.Second }),
+		valid(func(c *Config) { c.Momentum, c.TauAdaptiveBeta = 0.9, 0.5 }),
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)
@@ -48,6 +49,13 @@ func TestConfigValidate(t *testing.T) {
 		{"epsilon negative", func(c *Config) { c.EpsilonFrac = -0.1 }, "EpsilonFrac"},
 		{"epsilon one", func(c *Config) { c.EpsilonFrac = 1 }, "EpsilonFrac"},
 		{"epsilon NaN", func(c *Config) { c.EpsilonFrac = math.NaN() }, "EpsilonFrac"},
+		{"momentum negative", func(c *Config) { c.Momentum = -0.5 }, "Momentum"},
+		{"momentum one", func(c *Config) { c.Momentum = 1 }, "Momentum"},
+		{"momentum NaN", func(c *Config) { c.Momentum = math.NaN() }, "Momentum"},
+		{"momentum +Inf", func(c *Config) { c.Momentum = math.Inf(1) }, "Momentum"},
+		{"beta negative", func(c *Config) { c.TauAdaptiveBeta = -1 }, "TauAdaptiveBeta"},
+		{"beta NaN", func(c *Config) { c.TauAdaptiveBeta = math.NaN() }, "TauAdaptiveBeta"},
+		{"beta +Inf", func(c *Config) { c.TauAdaptiveBeta = math.Inf(1) }, "TauAdaptiveBeta"},
 	} {
 		err := valid(tc.mut).Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -134,9 +134,9 @@ func (s panicStep) publishChain(store *paramvec.Store, c, a, b int, cur, nv *par
 // reserved (and ASYNC's mutex held), in every algorithm. The loop's recovery
 // must refund the unit — the run still applies exactly MaxUpdates — and the
 // strategy must release its protocol state: ASYNC's unlock keeps the other
-// worker and the monitor's snapshot from blocking forever, and no Leashed
-// chain vector — the heads, and those the panicked attempts held — is left
-// with a reader.
+// worker and the monitor's snapshot from blocking forever, no Leashed chain
+// vector — the heads, and those the panicked attempts held — is left with a
+// reader, and no vector a panicked attempt was writing stays live.
 func TestCommitPanicRefundsBudget(t *testing.T) {
 	ds := tinyDataset()
 	cases := []struct {
@@ -179,6 +179,9 @@ func TestCommitPanicRefundsBudget(t *testing.T) {
 			if res.TotalUpdates != cfg.MaxUpdates {
 				t.Fatalf("TotalUpdates = %d, want exactly %d (faults: %d)",
 					res.TotalUpdates, cfg.MaxUpdates, len(res.WorkerFaults))
+			}
+			if res.FinalLiveVectors != 0 {
+				t.Fatalf("FinalLiveVectors = %d after the run, want 0: a panicked commit leaked a vector", res.FinalLiveVectors)
 			}
 			if int64(len(res.WorkerFaults)) != prob.limit || res.WorkerRestarts != len(res.WorkerFaults) {
 				t.Fatalf("%d faults, %d restarts, want %d of each", len(res.WorkerFaults), res.WorkerRestarts, prob.limit)

@@ -212,18 +212,24 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 	// gradient, and likely still in this core's cache — it can come back
 	// as the new vector.
 	cur := w.lease.Take(c)
-	// cur is this attempt's registered head until publishChain returns; the
-	// defer ends that registration on every exit, a panic's unwind included.
+	var nv *paramvec.Vector
+	// cur is this attempt's registered head until publishChain returns and nv
+	// the private vector until it is published or released; the defer ends
+	// that registration and discards nv on a panic's unwind (a half-written
+	// buffer must never be parked for reuse).
 	defer func() {
 		if cur != nil {
 			cur.StopReading()
+		}
+		if nv != nil {
+			nv.Discard()
 		}
 	}()
 	if cur != nil && store.ChainPeek(c) != cur {
 		cur.StopReading()
 		cur = nil
 	}
-	nv := store.NewChainVec(c)
+	nv = store.NewChainVec(c)
 	for tries := 0; ; {
 		if inj := rt.inj; inj != nil {
 			// Injected publish failure: burns a persistence-bound try
@@ -233,7 +239,6 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 				st.failed[c].n.Add(1)
 				tries++
 				if bound >= 0 && tries > bound {
-					nv.Release()
 					st.dropped[c].n.Add(1)
 					break
 				}
@@ -254,6 +259,7 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 		cur.StopReading()
 		cur = nil
 		if ok {
+			nv = nil
 			tally.pub[c]++
 			tally.touched[c] += int64(win.b - win.a)
 			tally.stale[c] += tau
@@ -263,15 +269,15 @@ func (st *leashedStrategy) publish(w *loopWorker, s step, win chainWin, tally *c
 		st.failed[c].n.Add(1)
 		tries++
 		if bound >= 0 && tries > bound {
-			nv.Release()
 			st.dropped[c].n.Add(1)
 			break
 		}
 		if rt.stop.Load() {
-			nv.Release()
 			break
 		}
 	}
+	nv.Release()
+	nv = nil
 	return false
 }
 
@@ -281,12 +287,12 @@ func (st *leashedStrategy) snapshot(dst []float64) {
 	st.seqs = st.store.Snapshot(dst, st.seqs)
 }
 
-// snapshotConsistent retries the store snapshot under seqlock validation so a
-// checkpoint captures a true cross-chain global state, not a skewed mix. On
-// attempt exhaustion under heavy publish pressure the last (per-chain untorn)
+// snapshotConsistent folds the store into dst from a cold baseline so a
+// checkpoint captures a true cross-chain global state, not a skewed mix. At
+// the pass bound under heavy publish pressure the last (per-chain untorn)
 // copy stands — same guarantee as snapshot.
 func (st *leashedStrategy) snapshotConsistent(dst []float64) {
-	st.store.SnapshotConsistent(dst, 8)
+	st.store.SnapshotConsistent(dst, nil)
 }
 
 // recoverIter ends the lease a panicked iteration still holds; the loop

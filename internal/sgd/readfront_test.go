@@ -129,3 +129,69 @@ func TestRunningFrontUnsupportedAlgo(t *testing.T) {
 		t.Fatal("Front over a live HOGWILD! run did not error")
 	}
 }
+
+// Fronts taken in a loop while the run reaches its budget: each Front races
+// finish's freeze and the store's retirement. Every front must return and
+// serve a consistent snapshot — live or final — and the fronts still open
+// when the run ends must serve exactly the final parameters; no Front, read
+// or Close may hang. Only the newest fronts stay open, so the refreshers
+// running at once stay few.
+func TestRunningFrontLoopAcrossFinish(t *testing.T) {
+	const keep = 8
+	ds := tinyDataset()
+	net := tinyNet(ds)
+	cfg := liveConfig(2)
+	cfg.EpsilonFrac = 0
+	cfg.MaxUpdates = 400
+
+	r, err := Start(cfg, net, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []*paramvec.ReadFront
+	taken := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for after := 0; after < 3; taken++ {
+			select {
+			case <-r.Done():
+				after++
+			default:
+			}
+			rf, err := r.Front(paramvec.ReadLeash{MaxAge: time.Millisecond})
+			if err != nil {
+				t.Errorf("front %d: %v", taken, err)
+				return
+			}
+			if meta := rf.ReadParams(nil, nil, func(paramvec.View) {}); !meta.Consistent || !meta.Snapshot {
+				t.Errorf("front %d: meta = %+v, want a consistent snapshot", taken, meta)
+				return
+			}
+			if open = append(open, rf); len(open) > keep {
+				open[0].Close()
+				open = open[1:]
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Front, a front read or Close hung while the run finished")
+	}
+	res := r.Wait()
+	for i, rf := range open {
+		meta := rf.ReadParams(nil, nil, func(pv paramvec.View) {
+			for j, want := range res.FinalParams {
+				if got := pv.At(j); got != want {
+					t.Fatalf("open front %d after the run: [%d] = %v, want final %v", i, j, got, want)
+				}
+			}
+		})
+		if !meta.Final {
+			t.Fatalf("open front %d after the run: meta = %+v, want Final", i, meta)
+		}
+		rf.Close()
+	}
+	t.Logf("%d fronts taken across the finish", taken)
+}

@@ -16,13 +16,6 @@ import (
 	"leashedsgd/internal/paramvec"
 )
 
-// ReadMeta labels one parameter read served by Running.ReadParams or a
-// ReadFront snapshot — the consistency metadata a served prediction carries
-// (the serving-tier analogue of Result.ConsistentReads/MixedReads). It lives
-// in paramvec so the snapshot store can return it directly; the alias keeps
-// every existing sgd.ReadMeta reference valid.
-type ReadMeta = paramvec.ReadMeta
-
 // Running is a live training run started by Start. Exactly one goroutine may
 // call Wait; ReadParams and Stop are safe from any number of goroutines,
 // concurrently with the run and with each other.
@@ -31,19 +24,16 @@ type Running struct {
 	st strategy
 	wg sync.WaitGroup
 
-	// readMu orders outside readers against the end-of-run store
-	// teardown: closed flips (and final is set) under the write lock
-	// BEFORE cleanup retires the store, so a reader either sees the live
-	// store or the final parameters — never a retiring store.
+	// readMu orders outside readers and ReadFronts against the end-of-run
+	// store teardown: closed flips, final is set and the registered fronts
+	// are taken under the write lock, and each front is frozen onto final,
+	// all BEFORE cleanup retires the store — a reader sees either the live
+	// store or the final parameters, never a retiring store, and no front
+	// folds from the store once it retires.
 	readMu sync.RWMutex
 	closed bool
 	final  []float64
-
-	// frontMu guards the live ReadFront registry; finish freezes every
-	// registered front onto the final parameters before the store retires.
-	frontMu      sync.Mutex
-	fronts       []*paramvec.ReadFront
-	frontsClosed bool
+	fronts []*paramvec.ReadFront
 
 	res  *Result
 	done chan struct{}
@@ -160,15 +150,11 @@ func (r *Running) finish() {
 	r.readMu.Lock()
 	r.closed = true
 	r.final = append([]float64(nil), res.FinalParams...)
-	r.readMu.Unlock()
-	// Freeze every live ReadFront onto the final parameters BEFORE the
-	// store retires: their refreshers stop consulting the (about to be
-	// dead) store and serve the terminal snapshot with zero staleness.
-	r.frontMu.Lock()
-	r.frontsClosed = true
 	fronts := r.fronts
 	r.fronts = nil
-	r.frontMu.Unlock()
+	r.readMu.Unlock()
+	// Freeze every live ReadFront BEFORE the store retires: each detaches
+	// from the store and serves the terminal snapshot with zero staleness.
 	for _, rf := range fronts {
 		rf.Freeze(r.final)
 	}
@@ -235,13 +221,13 @@ func (r *Running) Dim() int { return r.rt.d }
 //
 // fn must not retain the view past its return: leased segments are only
 // protected until the lease is released.
-func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) ReadMeta {
+func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(paramvec.View)) paramvec.ReadMeta {
 	r.readMu.RLock()
 	if r.closed {
 		final := r.final
 		r.readMu.RUnlock()
 		fn(paramvec.FlatView(final))
-		return ReadMeta{Consistent: true, Final: true, Chains: 1}
+		return paramvec.ReadMeta{Consistent: true, Final: true, Chains: 1}
 	}
 	if st := r.rt.store; st != nil {
 		if l == nil {
@@ -256,7 +242,7 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 		r.readMu.RUnlock()
 		fn(pv)
 		consistent := l.Release()
-		return ReadMeta{
+		return paramvec.ReadMeta{
 			Consistent: consistent,
 			Retired:    l.RetiredStore(),
 			Chains:     l.Chains(),
@@ -271,20 +257,7 @@ func (r *Running) ReadParams(l *paramvec.Lease, scratch []float64, fn func(param
 	r.st.snapshot(buf)
 	r.readMu.RUnlock()
 	fn(paramvec.FlatView(buf))
-	return ReadMeta{Consistent: true, Copied: true, Chains: 1}
-}
-
-// pinStore pins the run's live publication store for a ReadFront fold: the
-// read lock blocks the end-of-run teardown (closed flips under the write
-// lock before the store retires), so the returned store cannot be retired
-// until release.
-func (r *Running) pinStore() (*paramvec.Store, func()) {
-	r.readMu.RLock()
-	if r.closed {
-		r.readMu.RUnlock()
-		return nil, nil
-	}
-	return r.rt.store, r.readMu.RUnlock
+	return paramvec.ReadMeta{Consistent: true, Copied: true, Chains: 1}
 }
 
 // Front returns a read-optimized snapshot store over this run's live
@@ -294,29 +267,24 @@ func (r *Running) pinStore() (*paramvec.Store, func()) {
 // When the run ends the front freezes onto the final parameters and serves
 // them with zero staleness; a Front taken after the run ends starts frozen.
 // The caller should Close the front when done serving (freezing closes it
-// too; Close is idempotent). Errors for algorithms without a pinnable
-// publication store (only the Leashed family has one) unless the run has
-// already ended.
+// too; Close is idempotent). Errors for algorithms without a chain store
+// (only the Leashed family has one) unless the run has already ended.
 func (r *Running) Front(leash paramvec.ReadLeash) (*paramvec.ReadFront, error) {
-	if r.rt.store == nil {
-		r.readMu.RLock()
-		closed := r.closed
-		r.readMu.RUnlock()
-		if !closed {
-			return nil, fmt.Errorf("sgd: %v has no pinnable publication store; a live ReadFront requires a Leashed variant", r.rt.cfg.Algo)
-		}
-	}
-	rf := paramvec.NewReadFrontPinned(r.rt.d, r.pinStore, leash)
-	r.frontMu.Lock()
-	if r.frontsClosed {
-		r.frontMu.Unlock()
-		r.readMu.RLock()
-		final := r.final
-		r.readMu.RUnlock()
-		rf.Freeze(final)
+	r.readMu.Lock()
+	defer r.readMu.Unlock()
+	if r.closed {
+		// The run's store may already be retired: fold the final
+		// parameters from a private one-chain store instead.
+		st := paramvec.NewStore(r.rt.d, 1)
+		st.PublishInit(r.final)
+		rf := paramvec.NewReadFront(st, leash)
+		rf.Freeze(r.final)
 		return rf, nil
 	}
+	if r.rt.store == nil {
+		return nil, fmt.Errorf("sgd: %v has no chain store; a live ReadFront requires a Leashed variant", r.rt.cfg.Algo)
+	}
+	rf := paramvec.NewReadFront(r.rt.store, leash)
 	r.fronts = append(r.fronts, rf)
-	r.frontMu.Unlock()
 	return rf, nil
 }

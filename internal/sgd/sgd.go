@@ -112,7 +112,8 @@ type Config struct {
 	EvalEvery time.Duration
 
 	// Momentum, when non-zero, enables the per-worker heavy-ball
-	// extension: v ← µv + ∇f, step taken along v. 0 = plain SGD (paper).
+	// extension: v ← µv + ∇f, step taken along v. 0 = plain SGD (paper);
+	// must be in [0, 1).
 	Momentum float64
 
 	// TauAdaptiveBeta, when non-zero, enables the staleness-adaptive step
@@ -120,7 +121,7 @@ type Config struct {
 	// ref. [4], which Sec. VI calls orthogonal to the synchronization
 	// mechanisms studied): the update with observed staleness τ̂ is
 	// applied with η/(1 + β·τ̂) instead of η. Supported by ASYNC, HOG and
-	// Leashed-SGD.
+	// Leashed-SGD; must be non-negative and finite.
 	TauAdaptiveBeta float64
 
 	// SampleTiming records per-iteration Tc/Tu durations (Fig. 9).
@@ -167,6 +168,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sgd: persistence bound %d is below PersistenceInf (-1)", c.Persistence)
 	case !(c.EpsilonFrac >= 0 && c.EpsilonFrac < 1):
 		return fmt.Errorf("sgd: EpsilonFrac must be in [0, 1), got %v", c.EpsilonFrac)
+	case !(c.Momentum >= 0 && c.Momentum < 1):
+		return fmt.Errorf("sgd: Momentum must be in [0, 1), got %v", c.Momentum)
+	case !(c.TauAdaptiveBeta >= 0) || math.IsInf(c.TauAdaptiveBeta, 1):
+		return fmt.Errorf("sgd: TauAdaptiveBeta must be non-negative and finite, got %v", c.TauAdaptiveBeta)
 	}
 	for _, f := range []struct {
 		name string
