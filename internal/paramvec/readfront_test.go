@@ -127,7 +127,7 @@ func TestReadFrontSparseFoldMatchesDense(t *testing.T) {
 // state within the leash.
 func TestReadFrontLeashTriggersRefresh(t *testing.T) {
 	const dim = 32
-	leash := ReadLeash{MaxAge: time.Millisecond, poll: time.Hour}
+	leash := ReadLeash{MaxAge: 20 * time.Millisecond, poll: time.Hour}
 	st := NewStore(dim, 4)
 	st.PublishInit(make([]float64, dim))
 	rf := NewReadFront(st, leash)
